@@ -6,6 +6,7 @@ quartic models, all behind a batch verification command line."""
 __version__ = "0.1.0"
 
 from .field import (  # noqa: F401
+    CYC,
     Cyc7,
     DualNum,
     FieldElem,

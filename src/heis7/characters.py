@@ -19,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .field import (
+    CYC,
     Cyc7,
     FieldElem,
-    FF,
     alpha_minus,
     alpha_plus,
 )
@@ -41,12 +41,16 @@ from .heisenberg import (
     sl2_mul,
 )
 
-_FE0 = FieldElem(0, 0)
-_FE1 = FieldElem(1, 0)
+_C0 = Cyc7.from_int(0)
+_C1 = Cyc7.from_int(1)
 
 
 class Character:
-    """Class function: one FieldElem per conjugacy class of a ClassData."""
+    """Class function: one value per conjugacy class of a ClassData.
+
+    G7 values are Cyc7 (Q(zeta7)); SL2(F7) values are FieldElem, the only
+    place sqrt2 appears.  Mixed arithmetic lifts to FieldElem.
+    """
 
     __slots__ = ("classes", "values")
 
@@ -102,21 +106,27 @@ class CharTable:
 
     def inner(self, a: Character, b: Character) -> Fraction:
         """Exact inner product (1/|G|) sum |c| a(c) conj(b(c))."""
-        tot = _FE0
-        for c in range(self.classes.count):
-            av, bv = a.values[c], b.values[c]
+        return self._pair(a.values, [v.conj() for v in b.values])
+
+    def _pair(self, values, conj_values) -> Fraction:
+        """(1/|G|) sum |c| values[c] conj_values[c], which must be rational."""
+        tot = _C0
+        sizes = self.classes.sizes
+        for c, (av, bv) in enumerate(zip(values, conj_values)):
             if av.is_zero() or bv.is_zero():
                 continue
-            tot = tot + FieldElem(Cyc7.from_int(self.classes.sizes[c]), 0) * av * bv.conj()
-        order = self.classes.group_order()
+            tot = tot + sizes[c] * (av * bv)
         if not tot.is_rational():
             raise ValueError("inner product is not rational")
-        return tot.rational_value() / order
+        return tot.rational_value() / self.classes.group_order()
 
     def decompose(self, chi: Character) -> "Decomposition":
+        # <chi, row> is rational, so it equals its conjugate <row, chi>:
+        # conjugate chi once instead of every row
+        chi_conj = [v.conj() for v in chi.values]
         mults = {}
         for lb in self.labels:
-            m = self.inner(chi, self.rows[lb])
+            m = self._pair(self.rows[lb].values, chi_conj)
             if m.denominator != 1 or m < 0:
                 raise ValueError(f"not a character: multiplicity of {lb} is {m}")
             if m:
@@ -125,55 +135,50 @@ class CharTable:
         # reconstruction must be exact
         recon = None
         for lb, m in mults.items():
-            t = self.rows[lb] * FieldElem(Cyc7.from_int(m), 0)
+            t = self.rows[lb] * m
             recon = t if recon is None else recon + t
         if recon is None:
-            recon = Character(self.classes, [_FE0] * self.classes.count)
+            recon = Character(self.classes, [_C0] * self.classes.count)
         if recon != chi:
             raise ValueError("decomposition does not reconstruct the character")
         return dec
 
     def sym_power(self, chi: Character, k: int) -> Character:
         """Newton recursion chi_{S^k}(g) = (1/k) sum_j chi(g^j) chi_{S^{k-j}}(g)."""
-        n = self.classes.count
-        rows = [Character(self.classes, [_FE1] * n)]
-        for kk in range(1, k + 1):
-            acc = [_FE0] * n
-            for j in range(1, kk + 1):
-                pj = self.value_at_power(chi, j)
-                prev = rows[kk - j].values
-                for c in range(n):
-                    acc[c] = acc[c] + pj[c] * prev[c]
-            inv = FieldElem(Cyc7.from_rat(Fraction(1, kk)), 0)
-            rows.append(Character(self.classes, [v * inv for v in acc]))
-        return rows[k]
+        return self.sym_powers(chi, k)[k]
+
+    def sym_powers(self, chi: Character, k: int) -> list:
+        """The symmetric powers S^0 .. S^k of chi, from one Newton recursion."""
+        return self._newton(chi, k, alternating=False)
 
     def ext_power(self, chi: Character, k: int) -> Character:
         """Alternating Newton recursion for exterior powers."""
+        return self._newton(chi, k, alternating=True)[k]
+
+    def _newton(self, chi: Character, k: int, alternating: bool) -> list:
         n = self.classes.count
-        rows = [Character(self.classes, [_FE1] * n)]
+        powers = [None] + [self.value_at_power(chi, j) for j in range(1, k + 1)]
+        rows = [[_C1] * n]
         for kk in range(1, k + 1):
-            acc = [_FE0] * n
+            acc = [_C0] * n
             for j in range(1, kk + 1):
-                pj = self.value_at_power(chi, j)
-                prev = rows[kk - j].values
-                sign = 1 if j % 2 == 1 else -1
-                for c in range(n):
-                    t = pj[c] * prev[c]
-                    acc[c] = acc[c] + t if sign == 1 else acc[c] - t
-            inv = FieldElem(Cyc7.from_rat(Fraction(1, kk)), 0)
-            rows.append(Character(self.classes, [v * inv for v in acc]))
-        return rows[k]
+                pj = powers[j]
+                prev = rows[kk - j]
+                if alternating and j % 2 == 0:
+                    acc = [a - p * q for a, p, q in zip(acc, pj, prev)]
+                else:
+                    acc = [a + p * q for a, p, q in zip(acc, pj, prev)]
+            inv = Fraction(1, kk)
+            rows.append([v * inv for v in acc])
+        return [Character(self.classes, r) for r in rows]
 
     def to_json(self):
         """Class labels, sizes, and rows of field-element strings."""
-        from .field import render_field
-
         return {
             "classes": [str(lb) for lb in self.classes.labels],
             "sizes": list(self.classes.sizes),
             "rows": {
-                lb: [render_field(v) for v in self.rows[lb].values]
+                lb: [str(v) for v in self.rows[lb].values]
                 for lb in self.labels
             },
         }
@@ -191,7 +196,7 @@ class CharTable:
         conj_rows = {lb: [v.conj() for v in self.rows[lb].values] for lb in self.labels}
         for c1 in range(self.classes.count):
             for c2 in range(c1, self.classes.count):
-                tot = _FE0
+                tot = _C0
                 for lb in self.labels:
                     v1 = self.rows[lb].values[c1]
                     v2 = conj_rows[lb][c2]
@@ -241,11 +246,6 @@ class _G7Tables:
     _cache = None
 
 
-def g7_classes() -> ClassData:
-    t = g7_table()
-    return t.classes
-
-
 def _g7_power_fn(classes: ClassData):
     def fn(c: int, j: int) -> int:
         rep = classes.reps[c]
@@ -269,17 +269,14 @@ def g7_table() -> CharTable:
     n = classes.count
     identity_class = classes.index_of[HElem(0, 0, 0, 0)]
 
-    one = [_FE1] * n
-    sign = [
-        _FE1 if classes.reps[c].b == 0 else -_FE1
-        for c in range(n)
-    ]
+    one = [_C1] * n
+    sign = [_C1 if classes.reps[c].b == 0 else -_C1 for c in range(n)]
     rows = [("I", one), ("S", sign)]
 
     base_traces = [classes.reps[c].matrix().trace() for c in range(n)]
     v_rows = []
     for i in range(6):
-        vals = [FieldElem(t.galois(i), 0) for t in base_traces]
+        vals = [t.galois(i) for t in base_traces]
         v_rows.append((f"V{i}", vals))
     rows.extend(v_rows)
     for i in range(6):
@@ -302,13 +299,13 @@ def g7_table() -> CharTable:
         for c in range(n):
             lb = classes.labels[c]
             if lb[0] == "central":
-                vals.append(FieldElem(2, 0))
+                vals.append(Cyc7.from_int(2))
             elif lb[0] == "C":
                 m, nn = lb[1], lb[2]
                 e = (s * m + t * nn) % 7
-                vals.append(FieldElem(Cyc7.zeta(e) + Cyc7.zeta(-e), 0))
+                vals.append(Cyc7.zeta(e) + Cyc7.zeta(-e))
             else:
-                vals.append(_FE0)
+                vals.append(_C0)
         rows.append((f"Z({s},{t})", vals))
 
     table = CharTable(classes, rows, _g7_power_fn(classes), identity_class)
@@ -318,11 +315,6 @@ def g7_table() -> CharTable:
 
 def g7_v_character(i: int = 0) -> Character:
     return g7_table().rows[f"V{i % 6}"]
-
-
-def g7_dual_v_index() -> int:
-    """The twist index with V* = V_i; equals 3 (complex conjugation)."""
-    return 3
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +426,7 @@ def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> Charac
         acc = dense_mul(acc, mpow(t, nn))
         if b:
             acc = dense_mul(acc, io)
-        tr = dense_trace(acc)
-        vals.append(FieldElem(tr, 0))
+        vals.append(dense_trace(acc))
     return Character(table.classes, vals)
 
 
@@ -498,7 +489,7 @@ def h0_oa_decomposition(k: int) -> Decomposition:
 # characters of polynomial subspaces
 
 
-def dual_substitution_images(g, reg, dom=FF):
+def dual_substitution_images(g, reg, dom=CYC):
     """Variable images of the contragredient action of a MonoMat.
 
     For g: e_l -> sign_l z^{p_l} e_{perm(l)} the induced action on the dual
@@ -509,7 +500,7 @@ def dual_substitution_images(g, reg, dom=FF):
 
     images = []
     for k in range(reg.n):
-        c = FieldElem(Cyc7.zeta(-g.pw[k]), 0)
+        c = Cyc7.zeta(-g.pw[k])
         if g.sign[k] < 0:
             c = -c
         e = [0] * reg.n
@@ -522,8 +513,9 @@ class SpanSolver:
     """Coordinates and operator traces on the span of a polynomial basis.
 
     The elimination transform is computed over the basis' own domain (the
-    invariant cubic systems are rational), while transformed polynomials may
-    carry coefficients in the big field; mixed products lift on the fly.
+    invariant cubic systems are rational), while transformed polynomials
+    carry coefficients in Q(zeta7) (CYC); a rational transform entry times a
+    Cyc7 coefficient is a scaling, not a field multiplication.
     """
 
     def __init__(self, basis):
@@ -545,16 +537,15 @@ class SpanSolver:
             row = [p.terms.get(e, dom.zero) for p in basis]
             row += [dom.one if j == r else dom.zero for j in range(m)]
             aug.append(row)
-        red, pivots = rref(aug, dom, self.n)
-        if len(pivots) != self.n:
+        full, pivots = rref(aug, dom)
+        if sum(1 for c in pivots if c < self.n) != self.n:
             raise ValueError("basis is linearly dependent")
-        full = rref(aug, dom)[0]
         self.transform = [row[self.n :] for row in full]
         self.basis = basis
 
     @staticmethod
     def _is_zero_mixed(c):
-        return c.is_zero() if isinstance(c, FieldElem) else c == 0
+        return c == 0 if isinstance(c, (int, Fraction)) else c.is_zero()
 
     def _vec(self, p):
         out = {}
@@ -575,19 +566,21 @@ class SpanSolver:
             row = self.transform[r]
             acc = None
             for i, c in v.items():
+                if self._is_zero_mixed(row[i]):
+                    continue
                 t = row[i] * c
                 acc = t if acc is None else acc + t
             full.append(acc)
         if any(c is not None and not self._is_zero_mixed(c) for c in full[self.n :]):
             return None
-        return [(_FE0 if c is None else c) for c in full[: self.n]]
+        return [(_C0 if c is None else c) for c in full[: self.n]]
 
     def is_stable_under(self, images) -> bool:
         return all(self.coords(p.substitute(images)) is not None for p in self.basis)
 
-    def trace(self, images) -> FieldElem:
+    def trace(self, images) -> Cyc7:
         """Trace of the substitution operator, assuming stability."""
-        tr = _FE0
+        tr = _C0
         for i, p in enumerate(self.basis):
             v = self._vec(p.substitute(images))
             if v is None:

@@ -13,6 +13,14 @@ Conventions
   [0, p), wrapped by the FpDomain adapter below.
 * DualNum is a + b*eps with eps^2 = 0 over an arbitrary coefficient domain.
 
+Coefficient domains for the polynomial and linear-algebra layers: QQ
+(RatDomain, Fraction), CYC (CycDomain, Q(zeta7) as Cyc7), FF (FieldDomain,
+Q(zeta7)(sqrt2) as FieldElem), fp(p) (FpDomain) and DualDomain over any of
+them.  G7 class functions and polynomial-span traces live in Q(zeta7); only
+the SL2(F7) character table needs sqrt2.  Cyc7 and FieldElem mix freely: an
+operation with a FieldElem operand returns a FieldElem, and a FieldElem with
+zero sqrt2 part equals (and hashes like) its Cyc7.
+
 Internally Cyc7 keeps an integer 6-vector plus a positive common denominator,
 reduced by gcd, which keeps the hot paths (character table work) in pure
 integer arithmetic.
@@ -26,6 +34,7 @@ from math import gcd
 Rat = Fraction
 
 _ZERO6 = (0, 0, 0, 0, 0, 0)
+_ZERO5 = (0, 0, 0, 0, 0)
 
 
 def _vec_gcd(nums, den):
@@ -106,10 +115,18 @@ class Cyc7:
         return _as_cyc(other) - self
 
     def __mul__(self, other):
-        other = _as_cyc(other)
-        if other is NotImplemented:
+        if isinstance(other, Cyc7):
+            a, b = self.num, other.num
+            if a[1:] == _ZERO5:
+                return Cyc7(tuple(a[0] * n for n in b), self.den * other.den)
+            if b[1:] == _ZERO5:
+                return Cyc7(tuple(b[0] * n for n in a), self.den * other.den)
+        elif isinstance(other, int):
+            return Cyc7(tuple(other * n for n in self.num), self.den)
+        elif isinstance(other, Fraction):
+            return Cyc7(tuple(other.numerator * n for n in self.num), self.den * other.denominator)
+        else:
             return NotImplemented
-        a, b = self.num, other.num
         # convolution up to degree 10, then z^7 = 1 and z^6 = -(1+...+z^5)
         conv = [0] * 11
         for i, ai in enumerate(a):
@@ -140,36 +157,15 @@ class Cyc7:
         return r
 
     def inv(self) -> "Cyc7":
-        """Multiplicative inverse, by solving a 6x6 rational linear system."""
+        """Multiplicative inverse: the product of the five nontrivial Galois
+        conjugates, divided by the (rational) norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta7)")
-        # columns: self * z^j expressed on the power basis
-        cols = []
-        zj = Cyc7.from_int(1)
-        z = Cyc7.zeta(1)
-        for _ in range(6):
-            p = self * zj
-            cols.append([Fraction(n, p.den) for n in p.num])
-            zj = zj * z
-        # solve M x = e0 by Gaussian elimination
-        m = [[cols[j][i] for j in range(6)] + [Fraction(1 if i == 0 else 0)] for i in range(6)]
-        n = 6
-        for col in range(n):
-            piv = next(r for r in range(col, n) if m[r][col] != 0)
-            m[col], m[piv] = m[piv], m[col]
-            pv = m[col][col]
-            m[col] = [x / pv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        coeffs = [m[i][n] for i in range(6)]
-        res = Cyc7.from_int(0)
-        zj = Cyc7.from_int(1)
-        for c in coeffs:
-            res = res + Cyc7.from_rat(c) * zj
-            zj = zj * z
-        return res
+        conj = self.galois(1)
+        for p in range(2, 6):
+            conj = conj * self.galois(p)
+        norm = self * conj
+        return conj * Fraction(norm.den, norm.num[0])
 
     def __truediv__(self, other):
         other = _as_cyc(other)
@@ -186,7 +182,7 @@ class Cyc7:
         return self.num == _ZERO6
 
     def is_rational(self) -> bool:
-        return self.num[1:] == (0, 0, 0, 0, 0)
+        return self.num[1:] == _ZERO5
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -338,7 +334,7 @@ class FieldElem:
         if other is NotImplemented:
             return NotImplemented
         return FieldElem(
-            self.a * other.a + Cyc7.from_int(2) * self.b * other.b,
+            self.a * other.a + 2 * (self.b * other.b),
             self.a * other.b + self.b * other.a,
         )
 
@@ -347,7 +343,7 @@ class FieldElem:
     def inv(self) -> "FieldElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta7)(sqrt2)")
-        nrm = self.a * self.a - Cyc7.from_int(2) * self.b * self.b
+        nrm = self.a * self.a - 2 * (self.b * self.b)
         ni = nrm.inv()
         return FieldElem(self.a * ni, -(self.b * ni))
 
@@ -397,7 +393,8 @@ class FieldElem:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # equal to the hash of the Cyc7 it equals when the sqrt2 part is zero
+        return hash(self.a) if self.b.is_zero() else hash((self.a, self.b))
 
     def __repr__(self):
         return f"FieldElem({render_field(self)!r})"
@@ -674,12 +671,8 @@ class FpDomain:
         return hash(("FpDomain", self.p))
 
 
-class FieldDomain:
-    """Q(zeta7)(sqrt2) as a coefficient domain."""
-
-    name = "Q(z7,r2)"
-    zero = FieldElem(0, 0)
-    one = FieldElem(1, 0)
+class _ExactFieldOps:
+    """Domain operations shared by the Cyc7 and FieldElem domains."""
 
     @staticmethod
     def add(a, b):
@@ -704,6 +697,45 @@ class FieldDomain:
     @staticmethod
     def is_zero(a):
         return a.is_zero()
+
+
+class CycDomain(_ExactFieldOps):
+    """Q(zeta7) as a coefficient domain."""
+
+    name = "Q(z7)"
+    zero = Cyc7.from_int(0)
+    one = Cyc7.from_int(1)
+
+    @staticmethod
+    def coerce(x):
+        if isinstance(x, FieldElem):
+            if not x.b.is_zero():
+                raise ValueError(f"{x} is not in Q(zeta7)")
+            return x.a
+        v = _as_cyc(x)
+        if v is NotImplemented:
+            raise TypeError(f"cannot coerce {x!r} into Q(zeta7)")
+        return v
+
+    @staticmethod
+    def fmt(a):
+        return render_cyc(a)
+
+    @staticmethod
+    def is_unit_coeff(a):
+        return a == CycDomain.one
+
+    @staticmethod
+    def needs_parens(a):
+        return not a.is_rational()
+
+
+class FieldDomain(_ExactFieldOps):
+    """Q(zeta7)(sqrt2) as a coefficient domain."""
+
+    name = "Q(z7,r2)"
+    zero = FieldElem(0, 0)
+    one = FieldElem(1, 0)
 
     @staticmethod
     def coerce(x):
@@ -777,12 +809,9 @@ class DualDomain:
 
 
 QQ = RatDomain()
+CYC = CycDomain()
 FF = FieldDomain()
 
 
 def fp(p: int = 31) -> FpDomain:
     return FpDomain(p)
-
-
-def dual_mul(x: DualNum, y: DualNum, base=QQ) -> DualNum:
-    return DualDomain(base).mul(x, y)

@@ -410,7 +410,7 @@ def hilbert_data(lt_gens, nvars: int) -> HilbertData:
         nvars=nvars,
         numerator=num,
         reduced=q,
-        dim=nvars - k if lt_gens or True else nvars,
+        dim=nvars - k,
         degree=sum(q.values()),
     )
 

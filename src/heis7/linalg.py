@@ -5,14 +5,16 @@ deterministic: pivots are chosen as the first nonzero entry in column order,
 so echelon forms (and hence kernel bases) are canonical for a fixed input.
 
 The numpy helpers at the bottom operate on int64 arrays modulo a prime and
-are used where exact prime-field ranks of large matrices are needed.
+are used where exact prime-field ranks of large matrices are needed.  They
+form products of two residues, so they take only p < 2^31; np_rank and
+np_nullspace fall back to the generic path over fp(p) above that.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import QQ
+from .field import QQ, fp
 
 
 def mat_mul(a, b, dom=QQ):
@@ -170,6 +172,9 @@ def trace(a, dom=QQ):
 # ---------------------------------------------------------------------------
 # numpy mod-p helpers (int64 entries, p small)
 
+# residues below 2^31 keep every product of two of them inside int64
+NP_MAX_PRIME = 2**31
+
 
 def np_mod(a, p):
     return np.mod(a, p).astype(np.int64)
@@ -177,6 +182,8 @@ def np_mod(a, p):
 
 def np_rref(a, p):
     """Row-reduce an int64 array mod p.  Returns (reduced array, pivot cols)."""
+    if p >= NP_MAX_PRIME:
+        raise OverflowError(f"p = {p} overflows the int64 mod-p path (needs p < 2^31)")
     m = np_mod(np.array(a, dtype=np.int64, copy=True), p)
     rows, cols = m.shape
     pivots = []
@@ -203,6 +210,8 @@ def np_rref(a, p):
 
 
 def np_rank(a, p):
+    if p >= NP_MAX_PRIME:
+        return rank([[int(x) for x in row] for row in a], fp(p))
     arr = np.array(a, dtype=np.int64)
     if arr.size == 0:
         return 0
@@ -210,6 +219,10 @@ def np_rank(a, p):
 
 
 def np_nullspace(a, p):
+    if p >= NP_MAX_PRIME:
+        rows = [[int(x) for x in row] for row in a]
+        width = len(rows[0]) if rows else 0
+        return np.array(nullspace(rows, fp(p)), dtype=object).reshape(-1, width)
     arr = np.array(a, dtype=np.int64)
     if arr.size == 0:
         return np.zeros((0, 0), dtype=np.int64)

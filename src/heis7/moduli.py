@@ -628,7 +628,7 @@ def tau_x_images(dom=FF, power=1):
         Poly.monomial(
             REG_X,
             tuple(1 if i == j else 0 for i in range(7)),
-            FieldElem(Cyc7.zeta(-j * power), 0),
+            Cyc7.zeta(-j * power),
             dom,
         )
         for j in range(7)

@@ -6,6 +6,7 @@ the criterion states one.  The resolution criterion is additionally
 cross-checked against an independent Koszul-homology oracle.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -38,6 +39,9 @@ from heis7.checks import (
     check_symmetric_rows,
     check_tensor_rows,
 )
+
+# sha256 of the `verify all --seed 42` report with the default configuration
+GOLDEN_REPORT_SHA256 = "9cca7416b9ea1a10e6e207ca4662d88db39810eddd924fb85cd1ae074c184ea0"
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +183,7 @@ def test_criterion_10_deterministic_reports(tmp_path):
     assert r2.returncode == 0
     b1, b2 = f1.read_bytes(), f2.read_bytes()
     assert b1 == b2, "reports are not byte-identical"
+    assert hashlib.sha256(b1).hexdigest() == GOLDEN_REPORT_SHA256
     report = json.loads(b1)
     assert report["summary"]["fail"] == 0
     elapsed = time.monotonic() - t0

@@ -41,6 +41,17 @@ def test_sl2_table_values(sl2):
     assert sl2.rows["T2"].values[r8a] == -FieldElem.sqrt2()
 
 
+def test_value_types(g7, sl2):
+    # G7 class functions live in Q(zeta7); only the SL2(F7) table carries sqrt2
+    for lb in g7.labels:
+        assert all(type(v) is Cyc7 for v in g7.rows[lb].values), lb
+    assert all(type(v) is Cyc7 for v in g7.sym_power(g7.rows["V0"], 3).values)
+    r8a = sl2.classes.labels.index("r8a")
+    for lb in ("T1", "T2"):
+        v = sl2.rows[lb].values[r8a]
+        assert type(v) is FieldElem and not v.b.is_zero()
+
+
 def test_char_of_rep_rows(g7):
     ch = char_of_rep(SIGMA, TAU, IOTA, g7)
     assert ch == g7.rows["V0"]

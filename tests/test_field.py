@@ -168,3 +168,40 @@ def test_fp_guards():
     assert p.coerce(Fraction(1, 2)) == 16
     with pytest.raises(ZeroDivisionError):
         p.inv(0)
+
+
+def _cyc_to_sympy(x, z):
+    return sum(Fraction(n, x.den) * z**k for k, n in enumerate(x.num))
+
+
+def _sympy_to_cyc(expr, z):
+    import sympy
+
+    coeffs = sympy.Poly(expr, z).all_coeffs()[::-1]
+    coeffs += [0] * (6 - len(coeffs))
+    out = Cyc7.from_int(0)
+    for k, c in enumerate(coeffs):
+        c = sympy.Rational(c)
+        out = out + Cyc7.from_rat(Fraction(int(c.p), int(c.q))) * zeta(k)
+    return out
+
+
+def test_cyc7_mul_and_inv_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    phi = sympy.cyclotomic_poly(7, z)
+    rng = random.Random(2024)
+    for trial in range(60):
+        a = rand_cyc(rng)
+        # every third operand is rational, which takes the scaling path
+        b = Cyc7.from_rat(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) if trial % 3 == 0 else rand_cyc(rng)
+        sa, sb = _cyc_to_sympy(a, z), _cyc_to_sympy(b, z)
+        assert a * b == _sympy_to_cyc(sympy.rem(sympy.expand(sa * sb), phi, z), z)
+        assert b * a == a * b
+        assert FieldElem(a, 0) == a and hash(FieldElem(a, 0)) == hash(a)
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        assert a * q == q * a == a * Cyc7.from_rat(q)
+        if not a.is_zero():
+            want = _sympy_to_cyc(sympy.invert(sa, phi, z), z)
+            assert a.inv() == want
+            assert a * a.inv() == Cyc7.from_int(1)

@@ -63,3 +63,23 @@ def test_fp_generic_vs_numpy():
     for _ in range(10):
         m = [[rng.randrange(31) for _ in range(6)] for _ in range(4)]
         assert rank(m, p31) == np_rank(m, 31)
+
+
+def test_numpy_path_large_prime_rank():
+    # rank-5 products of 6x5 and 5x7 matrices; int64 residue products
+    # overflow above 2^31, so those primes must take the generic path
+    rng = random.Random(5)
+    for p in (2**31 - 1, 4294967311):
+        for _ in range(10):
+            a = [[rng.randrange(p) for _ in range(5)] for _ in range(6)]
+            b = [[rng.randrange(p) for _ in range(7)] for _ in range(5)]
+            m = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+            want = rank(m, fp(p))
+            assert want == 5
+            assert np_rank(m, p) == want
+            ns = np_nullspace(m, p)
+            assert ns.shape == (2, 7)
+            for v in ns:
+                assert all(sum(int(x) * int(y) for x, y in zip(row, v)) % p == 0 for row in m)
+    with pytest.raises(OverflowError):
+        np_rref([[1, 2], [3, 4]], 4294967311)
