@@ -133,6 +133,17 @@ def _sl2_char_sum(table, spec: dict):
     return chi
 
 
+def declare_id(check_id):
+    """Declare the stable report id of a check, as its `check_id` attribute;
+    a check that crashes is reported under it."""
+
+    def mark(fn):
+        fn.check_id = check_id
+        return fn
+
+    return mark
+
+
 def _result(check_id, ok, detail_pass, detail_fail=None):
     return CheckResult(check_id, "pass" if ok else "fail", detail_pass if ok else (detail_fail or detail_pass))
 
@@ -141,11 +152,12 @@ def _result(check_id, ok, detail_pass, detail_fail=None):
 # appendix suite
 
 
+@declare_id("appendix.group.law")
 def check_group_law(ctx: Context) -> CheckResult:
     from .heisenberg import build_heisenberg, GroupLawError
 
     try:
-        h7, g7, stats = build_heisenberg(exhaustive=True)
+        h7, g7, stats = build_heisenberg()
     except GroupLawError as exc:
         return CheckResult("appendix.group.law", "fail", str(exc))
     ok = stats["order_h7"] == 343 and stats["order_g7"] == 686
@@ -159,6 +171,7 @@ def check_group_law(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.group.normalizer")
 def check_normalizer(ctx: Context) -> CheckResult:
     from .heisenberg import verify_normalizer_relations
 
@@ -172,6 +185,7 @@ def check_normalizer(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.group.classes")
 def check_classes(ctx: Context) -> CheckResult:
     t = ctx.g7
     sizes = sorted(t.classes.sizes)
@@ -190,6 +204,7 @@ def check_classes(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.field.identities")
 def check_field_identities(ctx: Context) -> CheckResult:
     a = gauss_sum()
     checks = [
@@ -216,6 +231,7 @@ def check_field_identities(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.chars.g7")
 def check_orthogonality_g7(ctx: Context) -> CheckResult:
     t = ctx.g7
     ok, msg = t.orthogonality_report()
@@ -230,6 +246,7 @@ def check_orthogonality_g7(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.chars.sl2")
 def check_orthogonality_sl2(ctx: Context) -> CheckResult:
     t = ctx.sl2
     ok, msg = t.orthogonality_report()
@@ -242,6 +259,7 @@ def check_orthogonality_sl2(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.chars.matrix_rows")
 def check_char_of_rep(ctx: Context) -> CheckResult:
     from .characters import char_of_rep
     from .heisenberg import IOTA, SIGMA, TAU, dense_galois
@@ -266,6 +284,7 @@ def _twist_name(i, sharp):
     return f"V{i % 6}{'#' if sharp else ''}"
 
 
+@declare_id("appendix.decomp.tensor")
 def check_tensor_rows(ctx: Context) -> CheckResult:
     t = ctx.g7
     V = [t.rows[f"V{i}"] for i in range(6)]
@@ -288,6 +307,7 @@ def check_tensor_rows(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.decomp.exterior")
 def check_exterior_rows(ctx: Context) -> CheckResult:
     t = ctx.g7
     V = [t.rows[f"V{i}"] for i in range(6)]
@@ -336,6 +356,7 @@ SYM_PRINTED_DISCREPANCIES = {
 }
 
 
+@declare_id("appendix.decomp.symmetric")
 def check_symmetric_rows(ctx: Context) -> CheckResult:
     from math import comb
 
@@ -380,6 +401,7 @@ def check_symmetric_rows(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.decomp.symmetric_printed_errata")
 def check_symmetric_errata(ctx: Context) -> CheckResult:
     lines = [f"S^{k}: {msg}" for k, msg in sorted(SYM_PRINTED_DISCREPANCIES.items())]
     return CheckResult(
@@ -389,6 +411,7 @@ def check_symmetric_errata(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.decomp.omega3")
 def check_omega3_rows(ctx: Context) -> CheckResult:
     from .characters import omega3_sections_char
 
@@ -417,6 +440,7 @@ def check_omega3_rows(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.decomp.sections")
 def check_h0_oa_rows(ctx: Context) -> CheckResult:
     from .characters import h0_oa_decomposition
 
@@ -514,6 +538,7 @@ SL2_PRODUCTS = {
 }
 
 
+@declare_id("appendix.decomp.sl2_products")
 def check_sl2_products(ctx: Context) -> CheckResult:
     t = ctx.sl2
     bad = []
@@ -530,6 +555,7 @@ def check_sl2_products(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.decomp.plane_quartics")
 def check_sym_w_rows(ctx: Context) -> CheckResult:
     t = ctx.sl2
     cases = [
@@ -556,6 +582,7 @@ def check_sym_w_rows(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.decomp.schroedinger_dual")
 def check_vv_dual(ctx: Context) -> CheckResult:
     from .heisenberg import HElem, MU, NU, delta_dense, dense_mul, dense_trace
 
@@ -587,6 +614,7 @@ def check_vv_dual(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("appendix.restrictions")
 def check_restrictions(ctx: Context) -> CheckResult:
     from .heisenberg import MU, VPLUS_BASIS, restrict_to_span, restriction_matrices
     from .field import zeta
@@ -674,6 +702,7 @@ def _sl2_restriction_split(ctx, spec):
     return dim, a, b
 
 
+@declare_id("appendix.decomp.normalizer_rows")
 def check_a4_rows(ctx: Context) -> CheckResult:
     from .characters import omega3_sections_char
 
@@ -860,6 +889,7 @@ def _j_ideal():
     return j_ideal()
 
 
+@declare_id("syzygy.net_kernel")
 def check_j_kernel(ctx: Context) -> CheckResult:
     from .moduli import delta_ops, f_basis
     from .poly import REG_U, kernel_of_operators, monomial_basis
@@ -897,6 +927,7 @@ def check_j_kernel(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("syzygy.apolar_ideal")
 def check_j_resolution(ctx: Context) -> CheckResult:
     from .resolution import free_resolution
 
@@ -919,6 +950,7 @@ def check_j_resolution(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("syzygy.membership")
 def check_j_membership(ctx: Context) -> CheckResult:
     from .poly import REG_U, parse_poly
 
@@ -941,6 +973,7 @@ def check_j_membership(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("syzygy.twisted_cubic")
 def check_twisted_cubic(ctx: Context) -> CheckResult:
     from .groebner import GradedIdeal
     from .moduli import delta_criterion, AlphaMatrix
@@ -990,6 +1023,7 @@ def check_twisted_cubic(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("syzygy.plane_cubic_point")
 def check_fixture_betti(ctx: Context) -> CheckResult:
     from .groebner import GradedIdeal
     from .poly import VarRegistry, parse_poly
@@ -1014,6 +1048,7 @@ def check_fixture_betti(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("syzygy.common_factor_reject")
 def check_hb_reject(ctx: Context) -> CheckResult:
     from .poly import REG_U, parse_poly
     from .resolution import NotHilbertBurch, hilbert_burch
@@ -1032,6 +1067,7 @@ def check_hb_reject(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("syzygy.pfaffian_square")
 def check_pfaffian_det(ctx: Context) -> CheckResult:
     from .formmat import FormMatrix, det_form, pfaffian
     from .poly import REG_Y, Poly, linear_form
@@ -1056,6 +1092,7 @@ def check_pfaffian_det(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("syzygy.field_agreement")
 def check_q_vs_fp(ctx: Context) -> CheckResult:
     from .field import fp as _fp
     from .groebner import GradedIdeal
@@ -1086,6 +1123,7 @@ def check_q_vs_fp(ctx: Context) -> CheckResult:
 # moduli suite
 
 
+@declare_id("moduli.wedge_vectors")
 def check_wedge(ctx: Context) -> CheckResult:
     from .moduli import Wedge3, wedge_reps
 
@@ -1104,6 +1142,7 @@ def check_wedge(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.composition_matrices")
 def check_b_matrices(ctx: Context) -> CheckResult:
     from .moduli import composition_table_report
 
@@ -1117,6 +1156,7 @@ def check_b_matrices(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.block_rank_probe")
 def check_b_rank_probe(ctx: Context) -> CheckResult:
     from .moduli import AlphaMatrix, minors_and_independence, alpha_t
 
@@ -1141,6 +1181,7 @@ def check_b_rank_probe(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.annihilation_equivalence")
 def check_delta_equivalence(ctx: Context) -> CheckResult:
     from .moduli import (
         AlphaMatrix,
@@ -1186,6 +1227,7 @@ def check_delta_equivalence(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.parametrization_point")
 def check_psi(ctx: Context) -> CheckResult:
     from .moduli import psi
 
@@ -1201,6 +1243,7 @@ def check_psi(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.net_membership")
 def check_eta_membership(ctx: Context) -> CheckResult:
     from .moduli import equational_point, grass_membership, psi, GrassPoint
 
@@ -1234,6 +1277,7 @@ def check_eta_membership(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.family_matrix")
 def check_alpha_family(ctx: Context) -> CheckResult:
     from .moduli import (
         DegenerateParameter,
@@ -1276,6 +1320,7 @@ def check_alpha_family(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.plane_quartic")
 def check_klein_suite(ctx: Context) -> CheckResult:
     from .moduli import (
         epsilon_identity_report,
@@ -1310,6 +1355,7 @@ def check_klein_suite(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.invariant_cubics")
 def check_d_vector(ctx: Context) -> CheckResult:
     from .moduli import d_vector, tau_x_images
     from .poly import parse_poly, REG_X
@@ -1342,6 +1388,7 @@ def check_d_vector(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.surface_pipeline")
 def check_surface_pipeline(ctx: Context) -> CheckResult:
     from .characters import subspace_character
     from .field import FF
@@ -1411,6 +1458,7 @@ def check_surface_pipeline(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.surface_resolution")
 def check_surface_betti(ctx: Context) -> CheckResult:
     from .resolution import free_resolution
 
@@ -1482,6 +1530,7 @@ def check_surface_betti(ctx: Context) -> CheckResult:
     )
 
 
+@declare_id("moduli.surface_stability")
 def check_surface_stability(ctx: Context) -> CheckResult:
     from .characters import SpanSolver
     from .field import CYC
@@ -1573,7 +1622,7 @@ def run_suite(suite: str, config: RunConfig = None) -> dict:
         try:
             res = fn(ctx)
         except Exception as exc:  # a crash is a failed check, not a crash run
-            res = CheckResult(fn.__name__, "fail", f"unhandled error: {exc}")
+            res = CheckResult(fn.check_id, "fail", f"unhandled error: {exc}")
         elapsed = int((time.monotonic() - t0) * 1000)
         res.ms = elapsed if config.timing else 0
         results.append(res)

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .field import Cyc7, gauss_sum
 from .linalg import det as _det
 
@@ -176,6 +178,17 @@ def dense_inv(a):
 # abstract group law
 
 
+def _law(a1, m1, n1, b1, a2, m2, n2, b2):
+    """The G7 product (a1, m1, n1, b1) * (a2, m2, n2, b2), on ints or on
+    equal-shape numpy int arrays alike (no branching on the operands)."""
+    # iota^b1 conjugates Phi(m2, n2) to Phi(-m2, -n2)
+    sg = 1 - 2 * b1
+    m2, n2 = sg * m2 % 7, sg * n2 % 7
+    # the printed antisymmetric cocycle, valid for the index-raising sigma
+    a = (a1 + a2 + 3 * (m1 * n2 - m2 * n1)) % 7
+    return a, (m1 + m2) % 7, (n1 + n2) % 7, (b1 + b2) % 2
+
+
 class HElem(NamedTuple):
     """z^a * Phi(m,n) * iota^b with Phi(m,n) = z^{4mn} sigma^m tau^n."""
 
@@ -187,13 +200,7 @@ class HElem(NamedTuple):
     def __mul__(self, other: "HElem") -> "HElem":
         if not isinstance(other, HElem):
             return NotImplemented
-        a1, m1, n1, b1 = self
-        a2, m2, n2, b2 = other
-        if b1:
-            m2, n2 = -m2 % 7, -n2 % 7
-        # the printed antisymmetric cocycle, valid for the index-raising sigma
-        a = (a1 + a2 + 3 * (m1 * n2 - m2 * n1)) % 7
-        return HElem(a, (m1 + m2) % 7, (n1 + n2) % 7, (b1 + b2) % 2)
+        return HElem(*_law(*self, *other))
 
     def inv(self) -> "HElem":
         e = HElem((-self.a) % 7, 0, 0, 0)
@@ -244,14 +251,15 @@ class GroupLawError(Exception):
     pass
 
 
-def build_heisenberg(exhaustive: bool = True, dense_samples: int = 686):
+def build_heisenberg():
     """Cross-validate the abstract law against the matrix model.
 
     Checks, in order:
       1. every abstract element's compact matrix agrees with a dense product
-         of dense generator matrices (validates the compact encoding);
-      2. abstract products match compact-matrix products, for all pairs when
-         `exhaustive` (343^2 over H7 and the iota-coset products for G7);
+         of dense generator matrices (validates the compact encoding), and
+         686 seeded compact products agree with dense products;
+      2. abstract products match compact-matrix products for all
+         686^2 = 470596 ordered pairs of G7 elements;
       3. the generated matrix groups have orders 343 and 686.
 
     Returns (H7 element list, G7 element list, stats dict).
@@ -262,38 +270,43 @@ def build_heisenberg(exhaustive: bool = True, dense_samples: int = 686):
     g7 = g7_elements()
 
     # 1. compact encoding vs dense matrix arithmetic
-    dense_sigma = SIGMA.dense()
-    dense_tau = TAU.dense()
+    sigma_pows = [MONO_ID.dense()]
+    tau_pows = [MONO_ID.dense()]
+    for _ in range(6):
+        sigma_pows.append(dense_mul(sigma_pows[-1], SIGMA))
+        tau_pows.append(dense_mul(tau_pows[-1], TAU))
     dense_iota = IOTA.dense()
     for g in g7:
-        acc = scalar_mono(g.a + 4 * g.m * g.n).dense()
-        for _ in range(g.m):
-            acc = dense_mul(acc, dense_sigma)
         # right-multiplication composes in the same order as MonoMat.__mul__
-        cur = acc
-        for _ in range(g.n):
-            cur = dense_mul(cur, dense_tau)
+        cur = dense_mul(scalar_mono(g.a + 4 * g.m * g.n), sigma_pows[g.m])
+        cur = dense_mul(cur, tau_pows[g.n])
         if g.b:
             cur = dense_mul(cur, dense_iota)
-        if not dense_eq(cur, g.matrix().dense()):
+        if not dense_eq(cur, g.matrix()):
             raise GroupLawError(f"compact matrix encoding disagrees with dense product at {g}")
 
     rng = random.Random(2024)
-    sample = [ (rng.choice(g7), rng.choice(g7)) for _ in range(dense_samples) ]
+    sample = [(rng.choice(g7), rng.choice(g7)) for _ in range(686)]
     for x, y in sample:
-        if not dense_eq(dense_mul(x.matrix().dense(), y.matrix().dense()), (x.matrix() * y.matrix()).dense()):
+        if not dense_eq(dense_mul(x.matrix(), y.matrix()), x.matrix() * y.matrix()):
             raise GroupLawError(f"compact product disagrees with dense product at {x}, {y}")
 
-    # 2. abstract law vs matrix products
-    mats = {g: g.matrix() for g in g7}
+    # 2. abstract law vs matrix products, one row x * (all of G7) at a time:
+    # the law on arrays gives the 686 products' indices into the matrix
+    # table, and the compact products mats[x] * mats[y] are gathers
+    A, M, N, B = (np.array(col) for col in zip(*g7))
+    index = np.empty((7, 7, 7, 2), dtype=np.intp)
+    index[A, M, N, B] = np.arange(len(g7))
+    P, S, W = (np.array(col) for col in zip(*(g.matrix() for g in g7)))
     pairs = 0
-    universe = g7 if exhaustive else h7
-    for x in universe:
-        mx = mats[x]
-        for y in universe:
-            if mats[x * y] != mx * mats[y]:
-                raise GroupLawError(f"law mismatch at {x} * {y}")
-            pairs += 1
+    for i, x in enumerate(g7):
+        k = index[_law(*x, A, M, N, B)]
+        sp, ss, sw = P[i], S[i], W[i]
+        ok = (P[k] == sp[P]) & (S[k] == S * ss[P]) & (W[k] == (W + sw[P]) % 7)
+        if not ok.all():
+            y = g7[int(np.argmin(ok.all(axis=1)))]
+            raise GroupLawError(f"law mismatch at {x} * {y}")
+        pairs += len(g7)
 
     # 3. group orders by closure from the generators
     order_h = _closure_order([SIGMA, TAU])
@@ -319,10 +332,6 @@ def _closure_order(gens) -> int:
                     nxt.append(p)
         frontier = nxt
     return len(seen)
-
-
-def commutator_mono(x: MonoMat, y: MonoMat) -> MonoMat:
-    return x * y * x.inv() * y.inv()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
+from typing import NamedTuple
 
 from .field import QQ, FF, DualDomain, DualNum, FieldElem
 from .formmat import FormMatrix, det_form, pfaffian_vector
@@ -42,6 +45,7 @@ from .poly import (
     linear_form,
     monomial_basis,
     parse_poly,
+    render_poly,
 )
 
 # ---------------------------------------------------------------------------
@@ -326,42 +330,82 @@ class AlphaMatrix:
 def _lin_coeffs(p: Poly):
     out = [QQ.zero] * 4
     for e, c in p.terms.items():
+        if sum(e) != 1:
+            raise ValueError(f"alpha entry {render_poly(p)} is not a linear form")
         out[e.index(1)] = c
     return out
 
 
-def alpha_compose(alpha: AlphaMatrix):
-    """3x3 array of 7x7 form-matrix blocks of alpha alpha'.
+@cache
+def composition_tensor():
+    """The composition table as a sparse integer 4x4x7x7x7 tensor.
+
+    A tuple of ((k, l), (((row, col, var), coeff), ...)) over the nonzero
+    compose_u(k, l), read once from those matrices: compose_u(k, l)[row, col]
+    is the sum of coeff * x_var over its entries.
+    """
+    table = []
+    for k in range(4):
+        for l in range(4):
+            m = compose_u(k, l)
+            entries = []
+            for row in range(7):
+                for col in range(7):
+                    for e, c in m[row, col].terms.items():
+                        if sum(e) != 1 or Fraction(c).denominator != 1:
+                            raise ValueError(
+                                f"compose_u({k}, {l}) entry ({row}, {col}) is "
+                                "not an integer linear form"
+                            )
+                        entries.append(((row, col, e.index(1)), int(c)))
+            if entries:
+                table.append(((k, l), tuple(entries)))
+    return tuple(table)
+
+
+class Composition(NamedTuple):
+    """alpha alpha' as exact integer data over one common denominator.
+
+    blocks[r][s] is a dict {(row, col, var): numerator} with no zero values;
+    entry (row, col) of block (r, s) is sum numerator / den * x_var.
+    """
+
+    blocks: list
+    den: int
+
+
+def alpha_compose(alpha: AlphaMatrix) -> Composition:
+    """The 3x3 blocks of alpha alpha', by integer contraction.
 
     Block (r, s) is the composition attached to the quadric
-    a_{r1} a_{s2} - a_{r2} a_{s1}, expanded through the wedge table.
+    a_{r1} a_{s2} - a_{r2} a_{s1}, i.e. sum_{k,l} c_kl compose_u(k, l) with
+    c_kl = a_{r1}[k] a_{s2}[l] - a_{r2}[k] a_{s1}[l].  The 24 coefficients
+    are cleared to integers by their lcm D, so every numerator is an exact
+    Python int over den = D^2 (any rational t stays exact).
     """
-    comp = {(i, j): compose_u(i, j) for i in range(4) for j in range(4)}
-    zero_block = FormMatrix(
-        [[Poly.zero(REG_X, QQ)] * 7 for _ in range(7)]
-    )
-    e = alpha.entries
+    coeffs = [[_lin_coeffs(p) for p in row] for row in alpha.entries]
+    d = lcm(*(c.denominator for row in coeffs for v in row for c in v))
+    ints = [[[int(c * d) for c in v] for v in row] for row in coeffs]
+    tensor = composition_tensor()
     blocks = []
     for r in range(3):
+        a1, b1 = ints[r]
         row = []
         for s in range(3):
-            a1 = _lin_coeffs(e[r][0])
-            a2 = _lin_coeffs(e[s][1])
-            b1 = _lin_coeffs(e[r][1])
-            b2 = _lin_coeffs(e[s][0])
-            acc = zero_block
-            for k in range(4):
-                for l in range(4):
-                    c = a1[k] * a2[l] - b1[k] * b2[l]
-                    if c:
-                        acc = acc + comp[(k, l)].scale(c)
-            row.append(acc)
+            b2, a2 = ints[s]
+            acc = {}
+            for (k, l), entries in tensor:
+                c = a1[k] * a2[l] - b1[k] * b2[l]
+                if c:
+                    for key, v in entries:
+                        acc[key] = acc.get(key, 0) + v * c
+            row.append({key: v for key, v in acc.items() if v})
         blocks.append(row)
-    return blocks
+    return Composition(blocks, d * d)
 
 
-def alpha_compose_is_zero(blocks) -> bool:
-    return all(b.is_zero() for row in blocks for b in row)
+def alpha_compose_is_zero(comp: Composition) -> bool:
+    return not any(block for row in comp.blocks for block in row)
 
 
 def delta_criterion(alpha: AlphaMatrix) -> bool:
@@ -660,8 +704,6 @@ class SurfaceIdeal:
         return GradedIdeal(REG_X, dom, gens)
 
     def to_json(self):
-        from .poly import render_poly
-
         return {
             "t": [str(x) for x in self.t],
             "generators": [render_poly(p) for p in self.basis],

@@ -4,14 +4,21 @@ The Betti-number oracle computes graded Betti numbers as Koszul homology
 with vectorized prime-field linear algebra: no Groebner bases, syzygy
 modules, or resolution code from the package are involved, so it provides a
 genuinely independent cross-check of the resolution engine.
+
+The composition oracle expands alpha alpha' as sums of scaled 7x7 form
+matrices c_kl * compose_u(k, l), the direct reading of the wedge table,
+against which the package's integer contraction is tested.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from heis7.field import QQ
+from heis7.formmat import FormMatrix
 from heis7.linalg import np_rank, np_rref
-from heis7.poly import monomial_basis
+from heis7.moduli import compose_u
+from heis7.poly import REG_X, Poly, monomial_basis
 
 
 class QuotientRing:
@@ -126,3 +133,32 @@ def betti_koszul(gens, reg, p, entries):
         rk_in = np_rank(d_in, p) if d_in is not None and d_in.size else 0
         result[(i, j)] = dim_here - rk_out - rk_in
     return result
+
+
+def alpha_compose_forms(alpha):
+    """3x3 blocks of alpha alpha' as FormMatrix sums over the wedge table."""
+
+    def coeffs(p):
+        out = [QQ.zero] * 4
+        for e, c in p.terms.items():
+            assert sum(e) == 1
+            out[e.index(1)] = c
+        return out
+
+    zero = FormMatrix([[Poly.zero(REG_X, QQ)] * 7 for _ in range(7)])
+    e = alpha.entries
+    blocks = []
+    for r in range(3):
+        row = []
+        for s in range(3):
+            a1, b1 = coeffs(e[r][0]), coeffs(e[r][1])
+            b2, a2 = coeffs(e[s][0]), coeffs(e[s][1])
+            acc = zero
+            for k in range(4):
+                for l in range(4):
+                    c = a1[k] * a2[l] - b1[k] * b2[l]
+                    if c:
+                        acc = acc + compose_u(k, l).scale(c)
+            row.append(acc)
+        blocks.append(row)
+    return blocks

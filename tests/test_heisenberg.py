@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from heis7 import heisenberg
 from heis7.field import Cyc7, gauss_sum, lam, zeta
 from heis7.heisenberg import (
+    GroupLawError,
     HElem,
     IOTA,
     MU,
@@ -58,9 +60,23 @@ def test_group_law_sampled():
 
 
 def test_build_heisenberg_orders():
-    _, _, stats = build_heisenberg(exhaustive=False)
+    _, _, stats = build_heisenberg()
+    assert stats["pairs_checked"] == 686 * 686 == 470596
     assert stats["order_h7"] == 343
     assert stats["order_g7"] == 686
+
+
+def test_build_heisenberg_rejects_a_wrong_cocycle(monkeypatch):
+    real = heisenberg._law
+
+    def opposite_cocycle(a1, m1, n1, b1, a2, m2, n2, b2):
+        # exponent 4(m n' - m' n) instead of the printed 3(m n' - m' n)
+        a, m, n, b = real(a1, m1, n1, b1, a2, m2, n2, b2)
+        return (a + (m1 * n2 - m2 * n1)) % 7, m, n, b
+
+    monkeypatch.setattr(heisenberg, "_law", opposite_cocycle)
+    with pytest.raises(GroupLawError, match="law mismatch"):
+        build_heisenberg()
 
 
 def test_normalizer_relations():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from heis7 import moduli
 from heis7.field import FF, QQ
 from heis7.linalg import rank
 from heis7.moduli import (
@@ -11,8 +12,10 @@ from heis7.moduli import (
     Wedge3,
     alpha_compose,
     alpha_compose_is_zero,
+    _lin_coeffs,
     alpha_t,
     composition_table_report,
+    composition_tensor,
     compose_u,
     d_vector,
     delta_criterion,
@@ -40,6 +43,8 @@ from heis7.moduli import (
     GrassPoint,
 )
 from heis7.poly import REG_U, REG_X, Poly, monomial_basis, parse_poly, render_poly
+
+from oracles import alpha_compose_forms
 
 
 def test_wedge_rep_entries():
@@ -103,13 +108,96 @@ def test_pure_square_matrix_composes_to_zero():
 
 def test_equivalence_on_seeded_matrices():
     rng = random.Random(42)
-    for _ in range(60):
+    for _ in range(200):
         coeffs = [
             [[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(2)]
             for _ in range(3)
         ]
         a = AlphaMatrix.from_coeffs(coeffs)
         assert alpha_compose_is_zero(alpha_compose(a)) == delta_criterion(a)
+
+
+def _entries_of_forms(blocks):
+    """{(r, s, row, col, var): coefficient} of a 3x3 array of form matrices."""
+    out = {}
+    for r in range(3):
+        for s in range(3):
+            for row in range(7):
+                for col in range(7):
+                    for e, c in blocks[r][s][row, col].terms.items():
+                        out[(r, s, row, col, e.index(1))] = c
+    return out
+
+
+def _entries_of_composition(comp):
+    return {
+        (r, s) + key: Fraction(v, comp.den)
+        for r in range(3)
+        for s in range(3)
+        for key, v in comp.blocks[r][s].items()
+    }
+
+
+def test_alpha_compose_matches_form_matrix_expansion():
+    rng = random.Random(7)
+    alphas = [AlphaMatrix.from_coeffs([[[0] * 4] * 2] * 3)]
+    for _ in range(40):
+        coeffs = [
+            [[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(2)]
+            for _ in range(3)
+        ]
+        alphas.append(AlphaMatrix.from_coeffs(coeffs))
+    # family points with denominators around 10^12
+    e12 = 10**12
+    for t in [
+        (1, 1, 1, 1),
+        (Fraction(e12 + 39, e12 - 11), Fraction(-3, e12 + 7), Fraction(7, e12 + 1), 3),
+        (Fraction(-1, e12 + 61), 2, Fraction(e12 - 17, e12 + 3), Fraction(-5, e12 - 59)),
+    ]:
+        alphas.append(alpha_t(t))
+    # a rational non-family matrix, so the contraction is tested off zero too
+    alphas.append(
+        AlphaMatrix.from_coeffs(
+            [
+                [[Fraction(1, 999983), 0, 2, 0], [0, Fraction(-3, 1000003), 0, 1]],
+                [[0, 1, Fraction(5, 999979), 0], [Fraction(7, 11), 0, 0, -1]],
+                [[1, 0, 0, Fraction(2, 1000037)], [0, 0, 1, 0]],
+            ]
+        )
+    )
+    assert max(alpha_compose(a).den for a in alphas) > 10**48
+    nonzero = 0
+    for a in alphas:
+        comp = alpha_compose(a)
+        assert all(isinstance(v, int) for row in comp.blocks for b in row for v in b.values())
+        want = _entries_of_forms(alpha_compose_forms(a))
+        assert _entries_of_composition(comp) == want
+        assert alpha_compose_is_zero(comp) == (not want)
+        nonzero += bool(want)
+    assert 0 < nonzero < len(alphas)
+
+
+def test_composition_tensor_is_read_from_compose_u(monkeypatch):
+    tensor = composition_tensor()
+    assert [kl for kl, _ in tensor] == [
+        (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 0), (2, 2), (3, 0), (3, 3)
+    ]
+    assert sum(len(entries) for _, entries in tensor) == 126
+    half = compose_u(0, 1).scale(Fraction(1, 2))
+    monkeypatch.setattr(moduli, "compose_u", lambda k, l: half)
+    composition_tensor.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not an integer linear form"):
+            composition_tensor()
+    finally:
+        composition_tensor.cache_clear()
+
+
+def test_lin_coeffs_rejects_nonlinear_entries():
+    assert _lin_coeffs(parse_poly("2*u0 - u3", REG_U)) == [2, 0, 0, -1]
+    for bad in ("u0*u1 + u2", "u0^3", "u1 + 1"):
+        with pytest.raises(ValueError, match="not a linear form"):
+            _lin_coeffs(parse_poly(bad, REG_U))
 
 
 def test_net_kernel_and_split():
