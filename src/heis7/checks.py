@@ -50,7 +50,6 @@ class RunConfig:
     coeff: str = "fp:31"
     budget_degree: int = 8
     timing: bool = False
-    time_budget: float = 900.0
     sample_points: int = 20
     random_alphas: int = 200
     extra_t: tuple = None  # an explicit parameter point to prepend
@@ -1474,11 +1473,7 @@ def check_surface_betti(ctx: Context) -> CheckResult:
             f"Hilbert numerator {sorted(hd.numerator.items())} differs from "
             "the expected alternating sums",
         )
-    bt = free_resolution(
-        ideal,
-        degree_cap=max(ctx.config.budget_degree, 9),
-        time_budget=ctx.config.time_budget,
-    )
+    bt = free_resolution(ideal, degree_cap=max(ctx.config.budget_degree, 9))
     want = {
         (0, 0): 1,
         (1, 3): 21,
@@ -1504,11 +1499,7 @@ def check_surface_betti(ctx: Context) -> CheckResult:
         )
     cross = ""
     if dom is not QQ:
-        bq = free_resolution(
-            S.ideal(QQ),
-            degree_cap=max(ctx.config.budget_degree, 9),
-            time_budget=ctx.config.time_budget,
-        )
+        bq = free_resolution(S.ideal(QQ), degree_cap=max(ctx.config.budget_degree, 9))
         if bq.complete and bq.entries != bt.entries:
             return CheckResult(
                 "moduli.surface_resolution",

@@ -142,9 +142,7 @@ def cmd_surface(args) -> int:
         "tool_version": __version__,
     }
     if args.betti:
-        bt = free_resolution(
-            S.ideal(dom), degree_cap=max(args.budget_degree, 9), time_budget=900.0
-        )
+        bt = free_resolution(S.ideal(dom), degree_cap=max(args.budget_degree, 9))
         payload["betti"] = bt.to_json()
         payload["betti_complete"] = bt.complete
     data = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -7,11 +7,12 @@ ascending lcm degree with a fixed tie-break, the chain and product criteria
 of the Gebauer-Moeller update prune the queue, and reducers are scanned in
 insertion order, so runs are reproducible for a fixed input sequence.
 
-When syzygy tracking is enabled each basis element carries its expression
-over the input generators, pairs dropped by the product criterion contribute
-their Koszul syzygy (same leading term in the induced order as the reduction
-syzygy they replace), and pairs dropped by the chain criterion contribute
-nothing (their syzygies are generated by the surviving ones).
+When syzygy tracking is enabled each basis element g_k carries its cofactor
+row over the input generators.  A pair (i, t) dropped by the product
+criterion contributes its full Koszul relation g_i * row_t - g_t * row_i,
+which is what its S-polynomial's standard representation would have given;
+pairs dropped by the chain criterion contribute nothing (their syzygies are
+generated by the surviving ones).
 """
 
 from __future__ import annotations
@@ -72,25 +73,20 @@ def normal_form(f, basis, dom, key=grevlex_key):
     return out
 
 
-class _SyzTracker:
-    """Cofactor rows over the input generators, as {(gen, exp): coeff}."""
+def _add_scaled(vec, other, exp, c, dom):
+    """vec += c * x^exp * other in place, for dicts {(slot, exp): coeff}.
 
-    def __init__(self, dom):
-        self.dom = dom
-
-    def unit(self, i):
-        return {}
-
-    def combine(self, row, other, exp, c):
-        dom = self.dom
-        for (g, e), v in other.items():
-            t = (g, _add_exp(e, exp))
-            s = dom.add(row.get(t, dom.zero), dom.mul(v, c))
-            if dom.is_zero(s):
-                row.pop(t, None)
-            else:
-                row[t] = s
-        return row
+    Cofactor rows (slot = input generator) and module vectors (slot =
+    component) share this form.
+    """
+    for (g, e), v in other.items():
+        t = (g, _add_exp(e, exp))
+        s = dom.add(vec.get(t, dom.zero), dom.mul(v, c))
+        if dom.is_zero(s):
+            vec.pop(t, None)
+        else:
+            vec[t] = s
+    return vec
 
 
 def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
@@ -98,12 +94,10 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
 
     Returns (basis, info) where basis is the auto-reduced monic basis and
     info carries: 'syzygies' (generating set of the syzygy module over the
-    *input* generators, if track), 'cofactors' (expression of each reduced
-    basis element over the inputs, if track), 'truncated' (True if a degree
-    cap dropped pairs).
+    *input* generators, if track) and 'truncated' (True if a degree cap
+    dropped pairs).
     """
     work = []  # list of (lt, poly, cofactor_row)
-    tracker = _SyzTracker(dom)
     syzygies = []
     truncated = False
 
@@ -140,7 +134,7 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
                 else:
                     f[t] = s
             if track:
-                tracker.combine(row, grow, m, dom.neg(lc))
+                _add_scaled(row, grow, m, dom.neg(lc), dom)
         return f, row
 
     pairs = []  # heap of (degree, lcm-key, i, j)
@@ -197,20 +191,23 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
         for i in kept:
             li = lcms[i]
             # product criterion: coprime leading terms reduce to zero; their
-            # Koszul relation still enters the syzygy generating set
+            # Koszul relation g_i * row_t - g_t * row_i still enters the
+            # syzygy generating set
             if li == _add_exp(work[i][0], lt_t):
                 if track:
+                    _, g_i, row_i = work[i]
+                    _, g_t, row_t = work[t]
                     row = {}
-                    tracker.combine(row, work[t][2], work[i][0], dom.one)
-                    tracker.combine(row, work[i][2], lt_t, dom.neg(dom.one))
+                    for e, c in g_i.items():
+                        _add_scaled(row, row_t, e, c, dom)
+                    for e, c in g_t.items():
+                        _add_scaled(row, row_i, e, dom.neg(c), dom)
                     _record_syzygy(row)
                 continue
             push_pair(i, t)
 
     def _record_syzygy(row):
-        # the cofactor rows express basis elements over the original inputs;
-        # combine with the unit contributions of the inputs themselves
-        if row:
+        if row:  # an empty row is no relation
             syzygies.append(row)
 
     # seed with the inputs
@@ -218,7 +215,6 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
         if not f:
             continue
         row = {(i, (0,) * len(next(iter(f)))): dom.one} if track else {}
-        before = len(work)
         # reduce new generator against current basis to keep things small
         f2, row = reduce_tracked(dict(f), row)
         if not f2:
@@ -250,8 +246,8 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
                 s[t2] = r
         row = {}
         if track:
-            tracker.combine(row, row_i, mi, dom.one)
-            tracker.combine(row, row_j, mj, dom.neg(dom.one))
+            _add_scaled(row, row_i, mi, dom.one, dom)
+            _add_scaled(row, row_j, mj, dom.neg(dom.one), dom)
         s, row = reduce_tracked(s, row)
         if s:
             t = add_poly(s, row)
@@ -271,11 +267,7 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
             reduced.append({e: dom.mul(v, inv) for e, v in nf.items()})
         basis[idx] = nf
     reduced.sort(key=lambda g: key(max(g, key=key)))
-    info = {
-        "truncated": truncated,
-        "syzygies": syzygies if track else None,
-        "cofactors": [r for _, _, r in work] if track else None,
-    }
+    info = {"truncated": truncated, "syzygies": syzygies if track else None}
     return reduced, info
 
 
@@ -379,20 +371,6 @@ class HilbertData:
 
     def hf_range(self, lo: int, hi: int):
         return [self.hf(d) for d in range(lo, hi + 1)]
-
-    def hilbert_polynomial_value(self, d: int) -> int:
-        """Value of the Hilbert polynomial at d (equals hf for d >> 0)."""
-        if self.dim == 0:
-            return 0
-        return sum(
-            c * _binom(d - j + self.dim - 1, self.dim - 1) for j, c in self.reduced.items()
-        )
-
-    def numerator_coeffs(self):
-        if not self.numerator:
-            return []
-        top = max(self.numerator)
-        return [self.numerator.get(d, 0) for d in range(top + 1)]
 
 
 def hilbert_data(lt_gens, nvars: int) -> HilbertData:

@@ -33,9 +33,6 @@ def mat_mul(a, b, dom=QQ):
                     oi[j] = dom.add(oi[j], dom.mul(c, bt[j]))
     return out
 
-def mat_vec(a, v, dom=QQ):
-    return [c[0] for c in mat_mul(a, [[x] for x in v], dom)]
-
 def identity(n, dom=QQ):
     return [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
 

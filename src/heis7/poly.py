@@ -5,9 +5,9 @@ blocks (for bigraded rings such as t-variables times u-variables).  Monomials
 are dense exponent tuples over the registry; polynomials map exponent tuples
 to nonzero coefficients of the attached domain.
 
-Monomial order inside a registry is graded reverse lexicographic; product
-registries compare block degrees first (block order), which is what the
-elimination and bigraded code paths rely on.
+Monomials are ordered graded reverse lexicographically over all of a
+registry's variables; blocks play no part in the order and only give
+multidegrees (Poly.bidegree).
 """
 
 from __future__ import annotations
@@ -69,17 +69,6 @@ REG_TU = product_registry(REG_T, REG_U)
 def grevlex_key(exp):
     """Sort key: max() of keys picks the grevlex-leading monomial."""
     return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
-def block_grevlex_key(exp, blocks):
-    out = []
-    start = 0
-    for b in blocks:
-        part = exp[start : start + b]
-        out.append(sum(part))
-        out.append(tuple(-e for e in reversed(part)))
-        start += b
-    return tuple(out)
 
 
 class Poly:

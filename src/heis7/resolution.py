@@ -7,28 +7,29 @@ terms, with position as the tie-break.  This keeps syzygy reductions short
 and makes the harvested relations a basis of the syzygy module level after
 level.
 
-A level is computed in two phases:
-  1. the raw syzygies harvested from the previous level's tracked Buchberger
-     run are trimmed to a minimal generating set with an incremental module
-     Groebner basis (a candidate is redundant iff its normal form vanishes
-     against the basis of the previously kept generators, completed through
-     the candidate's degree);
-  2. a tracked module Buchberger run on the kept generators produces the raw
-     syzygies of the next level.
-Minimality of the kept generators makes the graded Betti numbers plain
-counts, checked against the Hilbert-series alternating sums by callers.
+Level 1 trims the ideal's generators to minimal ones (minimal_ideal_gens)
+and takes their syzygies from a tracked ring-level Buchberger run.  Every
+later level is a single tracked ModuleGB run fed the previous level's
+syzygies by ascending degree.  Each candidate is reduced against the basis,
+completed through the candidate's degree.  A nonzero normal form is a new
+minimal generator: it takes the next component and enters the basis with a
+unit cofactor row.  A zero normal form is redundant and leaves nothing
+behind.  The S-pairs that reduce to zero along the way give the syzygies of
+the kept generators, which are the next level's candidates.  Minimality of
+the kept generators makes the graded Betti numbers plain counts, checked
+against the Hilbert-series alternating sums by callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import heapq
-import time
 
 from .field import QQ
 from .groebner import (
     GradedIdeal,
     _add_exp,
+    _add_scaled,
     _divides,
     _lcm,
     _sub_exp,
@@ -87,34 +88,26 @@ def pot_key(ring_key):
     return key
 
 
-def _vec_sub_scaled(f, g, exp, c, dom):
-    """f -= c * x^exp * g in place."""
-    for (gc, ge), gv in g.items():
-        t = (gc, _add_exp(ge, exp))
-        s = dom.sub(f.get(t, dom.zero), dom.mul(gv, c))
-        if dom.is_zero(s):
-            f.pop(t, None)
-        else:
-            f[t] = s
-
-
 class ModuleGB:
-    """Incremental module Groebner basis, complete through a moving degree."""
+    """Incremental module Groebner basis, complete through a moving degree.
 
-    def __init__(self, dom, key, gdeg, track=False, pair_cap=None):
+    Inputs arrive by ascending degree through add_input.  With track=True
+    every basis element carries its cofactor row over the kept inputs, and
+    each S-pair that reduces to zero leaves its row in syzygies.
+    """
+
+    def __init__(self, dom, key, gdeg, track=False):
         self.dom = dom
         self.key = key
         self.gdeg = gdeg
         self.track = track
         self.lts = []
         self.elems = []
-        self.rows = []  # cofactor rows over the input generators
+        self.rows = []  # cofactor rows over the kept inputs (None untracked)
         self.pairs = []  # heap (degree, lcm key, i, j)
         self.syzygies = []
         self.n_inputs = 0
-        self.pair_cap = pair_cap
         self.pairs_processed = 0
-        self.truncated = False
 
     # -- internals ------------------------------------------------------
 
@@ -134,16 +127,15 @@ class ModuleGB:
         if not self.dom.is_zero(self.dom.sub(lc, self.dom.one)):
             inv = self.dom.inv(lc)
             v = {t: self.dom.mul(c, inv) for t, c in v.items()}
-            if self.track:
+            if row:
                 row = {t: self.dom.mul(c, inv) for t, c in row.items()}
         self.lts.append(lt)
         self.elems.append(v)
         self.rows.append(row)
-        t = len(self.elems) - 1
-        self._push_pairs(t)
-        return t
+        self._push_pairs(len(self.elems) - 1)
 
-    def _reduce(self, v, row):
+    def _reduce(self, v, row=None):
+        """Normal form of v; a given row takes the reducers' cofactors."""
         dom, key = self.dom, self.key
         f = dict(v)
         out = {}
@@ -161,26 +153,16 @@ class ModuleGB:
                 del f[le]
                 continue
             m = _sub_exp(lc_exp, self.lts[hit][1])
-            _vec_sub_scaled(f, self.elems[hit], m, lc, dom)
-            if self.track:
-                for t, c in self.rows[hit].items():
-                    tc, te = t
-                    tt = (tc, _add_exp(te, m))
-                    s = dom.sub(row.get(tt, dom.zero), dom.mul(c, lc))
-                    if dom.is_zero(s):
-                        row.pop(tt, None)
-                    else:
-                        row[tt] = s
-        return out, row
+            c = dom.neg(lc)
+            _add_scaled(f, self.elems[hit], m, c, dom)
+            if row is not None:
+                _add_scaled(row, self.rows[hit], m, c, dom)
+        return out
 
-    def process_pairs_through(self, degree, deadline=None):
+    def process_pairs_through(self, degree):
+        dom = self.dom
+        minus_one = dom.neg(dom.one)
         while self.pairs and self.pairs[0][0] <= degree:
-            if deadline is not None and time.monotonic() > deadline:
-                self.truncated = True
-                return
-            if self.pair_cap is not None and self.pairs_processed >= self.pair_cap:
-                self.truncated = True
-                return
             self.pairs_processed += 1
             d, lk, i, j = heapq.heappop(self.pairs)
             # chain criterion: a third element divides the lcm strictly
@@ -201,55 +183,59 @@ class ModuleGB:
                 continue
             mi = _sub_exp(l, ei)
             mj = _sub_exp(l, ej)
-            s = {}
-            for (c, e), vv in self.elems[i].items():
-                s[(c, _add_exp(e, mi))] = vv
-            for (c, e), vv in self.elems[j].items():
-                t = (c, _add_exp(e, mj))
-                r = self.dom.sub(s.get(t, self.dom.zero), vv)
-                if self.dom.is_zero(r):
-                    s.pop(t, None)
-                else:
-                    s[t] = r
-            row = {}
+            s = _add_scaled({}, self.elems[i], mi, dom.one, dom)
+            _add_scaled(s, self.elems[j], mj, minus_one, dom)
+            row = None
             if self.track:
-                for t, c in self.rows[i].items():
-                    tc, te = t
-                    row[(tc, _add_exp(te, mi))] = c
-                for t, c in self.rows[j].items():
-                    tc, te = t
-                    tt = (tc, _add_exp(te, mj))
-                    rr = self.dom.sub(row.get(tt, self.dom.zero), c)
-                    if self.dom.is_zero(rr):
-                        row.pop(tt, None)
-                    else:
-                        row[tt] = rr
-            s, row = self._reduce(s, row)
+                row = _add_scaled({}, self.rows[i], mi, dom.one, dom)
+                _add_scaled(row, self.rows[j], mj, minus_one, dom)
+            s = self._reduce(s, row)
             if s:
                 self._add(s, row)
-            elif self.track and row:
+            elif row:
                 self.syzygies.append(row)
 
-    def add_input(self, v, deadline=None):
-        """Feed a generator (ascending degree).  Returns its normal form
-        (empty when the generator is redundant)."""
-        d = vec_degree(v, self.gdeg)
-        self.process_pairs_through(d, deadline)
-        idx = self.n_inputs
-        self.n_inputs += 1
-        row = {(idx, (0,) * _arity(v)): self.dom.one} if self.track else {}
-        nf, row = self._reduce(v, row)
+    def add_input(self, v):
+        """Feed a generator (ascending degree) and return its normal form.
+
+        The basis is first completed through v's degree.  An empty normal
+        form means v is redundant: it takes no input index and records no
+        syzygy.  A nonzero one becomes kept input number n_inputs and enters
+        the basis with a unit cofactor row.
+        """
+        self.process_pairs_through(vec_degree(v, self.gdeg))
+        nf = self._reduce(v)
         if nf:
+            row = None
+            if self.track:
+                zero = (0,) * len(next(iter(nf))[1])
+                row = {(self.n_inputs, zero): self.dom.one}
+            self.n_inputs += 1
             self._add(nf, row)
-        elif self.track and row:
-            self.syzygies.append(row)
         return nf
 
 
-def _arity(v):
-    for (_, e) in v:
-        return len(e)
-    raise ValueError("zero vector has no arity")
+def _feed(gb, vectors, tie, degree_cap=None):
+    """Feed vectors to gb by ascending degree, equal degrees ordered by tie.
+
+    Returns (kept, capped): the nonzero normal forms in feeding order, which
+    minimally generate what the vectors generate, and whether degree_cap
+    dropped any vector.  A tracked gb collects the kept forms' syzygies.
+    """
+    kept = []
+    capped = False
+    for v in sorted(vectors, key=lambda v: (vec_degree(v, gb.gdeg), tie(v))):
+        if degree_cap is not None and vec_degree(v, gb.gdeg) > degree_cap:
+            capped = True
+            continue
+        nf = gb.add_input(v)
+        if nf:
+            kept.append(nf)
+    return kept, capped
+
+
+def _lowest_component(v):
+    return min(c for c, _ in v)
 
 
 # ---------------------------------------------------------------------------
@@ -316,118 +302,61 @@ def syzygies_of_polys(gens, dom=QQ, key=grevlex_key, degree_cap=None):
     """Generating set of the syzygy module of the given polynomials.
 
     Returns (vectors, truncated): vectors live in the free module with one
-    component per generator and are exact syzygies (checked by the caller's
-    tests rather than trusted): sum_i v[i] * gens[i] = 0.
+    component per generator, and each is an exact syzygy,
+    sum_i v[i] * gens[i] = 0, the full Koszul relations of pairs dropped by
+    the product criterion included.  truncated says that degree_cap dropped
+    pairs, so that the vectors generate only through that degree.
     """
     dicts = [dict(g.terms) for g in gens]
     _, info = buchberger(dicts, dom, key, track=True, degree_cap=degree_cap)
     return info["syzygies"], info["truncated"]
 
 
-class ResolutionBudget(Exception):
-    pass
-
-
-def free_resolution(
-    ideal: GradedIdeal,
-    degree_cap: int = 8,
-    max_steps: int = 8,
-    time_budget: float = None,
-    pair_cap: int = None,
-):
+def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8):
     """Minimal graded free resolution of S/I, as a BettiTable.
 
-    Works level by level: trim to minimal generators (incremental module GB
-    membership), then harvest the next level's syzygies from a tracked run.
-    Betti numbers in internal degree <= degree_cap are exact; if the cap or
-    the time budget truncates the computation the table is flagged.
+    Level 1 is minimal_ideal_gens and a tracked ring-level Buchberger run;
+    every later level is one tracked ModuleGB run (module docstring).  Betti
+    numbers in internal degree <= degree_cap are exact; if the degree cap or
+    max_steps cuts the computation short, the table is flagged.
     """
     dom = ideal.dom
-    reg = ideal.reg
-    deadline = time.monotonic() + time_budget if time_budget else None
     entries = {(0, 0): 1}
-    complete = True
     note = []
 
-    # level 1: minimal generators of the ideal itself
-    gens = [dict(g.terms) for g in ideal.gens]
-    gens.sort(key=lambda g: (sum(next(iter(g))), grevlex_key(max(g, key=grevlex_key))))
-    trim = ModuleGB(dom, ring_to_module_key(grevlex_key), [0], track=False)
-    kept = []
-    for g in gens:
-        nf = trim.add_input({(0, e): c for e, c in g.items()}, deadline)
-        if nf:
-            kept.append(nf)
-    level_gens = [{e: c for (_, e), c in v.items()} for v in kept]
-    for g in level_gens:
-        d = max(sum(e) for e in g)
+    gens = [dict(g.terms) for g in minimal_ideal_gens(ideal.gens, dom)]
+    gdeg = [sum(next(iter(g))) for g in gens]
+    for d in gdeg:
         entries[(1, d)] = entries.get((1, d), 0) + 1
-
-    # tracked ring-level run for the first syzygies
-    polys = level_gens
-    _, info = buchberger(polys, dom, grevlex_key, track=True, degree_cap=degree_cap)
+    _, info = buchberger(gens, dom, grevlex_key, track=True, degree_cap=degree_cap)
     if info["truncated"]:
-        complete = False
         note.append("level 1 pair queue truncated at the degree cap")
     candidates = info["syzygies"]
-    gdeg = [max(sum(e) for e in g) for g in polys]
-    lts = [max(g, key=grevlex_key) for g in polys]
-    key = induced_key_from(lts, grevlex_key)
+    key = induced_key_from([max(g, key=grevlex_key) for g in gens], grevlex_key)
 
     step = 1
-    while candidates and step < max_steps:
+    while candidates:
+        if step >= max_steps:
+            note.append(f"max_steps stopped before homological step {step + 1}")
+            break
         step += 1
-        if deadline is not None and time.monotonic() > deadline:
-            complete = False
-            note.append(f"time budget reached before homological step {step}")
-            break
-        candidates = [v for v in candidates if v]
-        candidates.sort(key=lambda v: (vec_degree(v, gdeg), sorted(v)[0][0]))
-        trim = ModuleGB(dom, key, gdeg, track=False, pair_cap=pair_cap)
-        kept = []
-        truncated_here = False
-        for v in candidates:
-            d = vec_degree(v, gdeg)
-            if d > degree_cap:
-                truncated_here = True
-                continue
-            nf = trim.add_input(v, deadline)
-            if trim.truncated:
-                break
-            if nf:
-                kept.append(nf)
-        if trim.truncated:
-            complete = False
-            note.append(f"budget reached inside homological step {step}")
-            break
-        if truncated_here:
-            complete = False
+        gb = ModuleGB(dom, key, gdeg, track=True)
+        kept, capped = _feed(gb, candidates, _lowest_component, degree_cap)
+        if capped:
             note.append(f"degree cap dropped syzygy candidates at step {step}")
         if not kept:
             break
         for v in kept:
             d = vec_degree(v, gdeg)
             entries[(step, d)] = entries.get((step, d), 0) + 1
-
-        # harvest next level
-        tracked = ModuleGB(dom, key, gdeg, track=True, pair_cap=pair_cap)
-        for v in kept:
-            tracked.add_input(v, deadline)
-        tracked.process_pairs_through(degree_cap, deadline)
-        if tracked.truncated:
-            complete = False
-            note.append(f"budget reached harvesting step {step + 1}")
-            break
-        if tracked.pairs:
-            complete = False
+        gb.process_pairs_through(degree_cap)
+        if gb.pairs:
             note.append(f"degree cap left pairs unprocessed after step {step}")
-        candidates = tracked.syzygies
-        new_gdeg = [vec_degree(v, gdeg) for v in kept]
-        new_lts = [max(v, key=key) for v in kept]
-        key = induced_key_from(new_lts, key)
-        gdeg = new_gdeg
+        candidates = gb.syzygies
+        key = induced_key_from([max(v, key=key) for v in kept], key)
+        gdeg = [vec_degree(v, gdeg) for v in kept]
 
-    return BettiTable(entries, complete, "; ".join(note))
+    return BettiTable(entries, not note, "; ".join(note))
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +395,10 @@ def hilbert_burch(gens, dom=QQ):
     if _rank(rows, dom) != 3:
         raise NotHilbertBurch("quadrics are linearly dependent")
 
-    syz, truncated = syzygies_of_polys(gens, dom, degree_cap=8)
-    # trim to minimal generators
+    syz, _ = syzygies_of_polys(gens, dom, degree_cap=8)
     gdeg = [2, 2, 2]
-    lts = [max(g.terms, key=grevlex_key) for g in gens]
-    key = induced_key_from(lts, grevlex_key)
-    trim = ModuleGB(dom, key, gdeg, track=False)
-    kept = []
-    for v in sorted(syz, key=lambda v: (vec_degree(v, gdeg), sorted(v)[0][0])):
-        nf = trim.add_input(v)
-        if nf:
-            kept.append(nf)
+    key = induced_key_from([g.leading()[0] for g in gens], grevlex_key)
+    kept, _ = _feed(ModuleGB(dom, key, gdeg), syz, _lowest_component)
     if len(kept) != 2 or any(vec_degree(v, gdeg) != 3 for v in kept):
         shape = sorted(vec_degree(v, gdeg) - 2 for v in kept)
         raise NotHilbertBurch(
@@ -531,10 +453,8 @@ def intersect(a: GradedIdeal, b: GradedIdeal) -> GradedIdeal:
         v = {(0, e): dom.neg(c) for e, c in h.terms.items()}
         v[(1 + r + j, zero_exp)] = dom.one
         vecs.append(v)
-    key = pot_key(grevlex_key)
-    gb = ModuleGB(dom, key, gdeg, track=False)
-    for v in sorted(vecs, key=lambda v: vec_degree(v, gdeg)):
-        gb.add_input(v)
+    gb = ModuleGB(dom, pot_key(grevlex_key), gdeg)
+    _feed(gb, vecs, lambda v: 0)
     gb.process_pairs_through(10**9)
     out = []
     for lt, v in zip(gb.lts, gb.elems):
@@ -554,11 +474,7 @@ def minimal_ideal_gens(polys, dom=QQ):
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
-    polys.sort(key=lambda p: (p.degree(), grevlex_key(p.leading()[0])))
-    trim = ModuleGB(dom, ring_to_module_key(grevlex_key), [0], track=False)
-    kept = []
-    for p in polys:
-        nf = trim.add_input({(0, e): c for e, c in p.terms.items()})
-        if nf:
-            kept.append(Poly(p.reg, dom, {e: c for (_, e), c in nf.items()}))
-    return kept
+    gb = ModuleGB(dom, ring_to_module_key(grevlex_key), [0])
+    vecs = [{(0, e): c for e, c in p.terms.items()} for p in polys]
+    kept, _ = _feed(gb, vecs, lambda v: gb.key(max(v, key=gb.key)))
+    return [Poly(polys[0].reg, dom, {e: c for (_, e), c in v.items()}) for v in kept]

@@ -127,7 +127,7 @@ def test_criterion_08_surface_resolution():
     S = surface_ideal((1, 1, 1, 1))
     F31 = fp(31)
     ideal = S.ideal(F31)
-    bt = free_resolution(ideal, degree_cap=9, time_budget=900.0)
+    bt = free_resolution(ideal, degree_cap=9)
     want = {
         (0, 0): 1,
         (1, 3): 21,

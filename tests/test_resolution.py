@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from heis7.resolution import (
     minimal_ideal_gens,
     syzygies_of_polys,
 )
+from oracles import betti_koszul
 
 
 def u(s):
@@ -38,8 +40,17 @@ def test_apolar_ideal_resolution():
     assert bt.alternating_sums() == J.hilbert().numerator
 
 
-def test_syzygies_are_exact():
-    gens = [u("u1*u2"), u("u2*u3"), u("u3*u1"), u("u1^2+u0*u3")]
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ["u1*u2", "u2*u3", "u3*u1", "u1^2+u0*u3"],
+        # coprime leading terms: the product criterion drops the only pair
+        ["u2*u3", "u1^2+u0*u3"],
+    ],
+    ids=["four_forms", "coprime_leading_terms"],
+)
+def test_syzygies_are_exact(gens):
+    gens = [u(s) for s in gens]
     syz, truncated = syzygies_of_polys(gens, QQ)
     assert not truncated and syz
     for v in syz:
@@ -124,3 +135,39 @@ def test_truncation_flag():
     bt = free_resolution(J, degree_cap=3)
     assert not bt.complete
     assert bt.entries[(1, 2)] == 7
+    bt = free_resolution(J, max_steps=2)
+    assert not bt.complete and "max_steps" in bt.note
+    assert bt.max_step() == 2
+
+
+REG_ABCD = VarRegistry(["a", "b", "c", "d"])
+
+
+def _random_ideal(rng, dom):
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        monos = monomial_basis(REG_ABCD, rng.randint(2, 3))
+        picked = rng.sample(monos, rng.randint(1, 3))
+        terms = {e: dom.coerce(rng.randint(1, 30)) for e in picked}
+        gens.append(Poly(REG_ABCD, dom, terms))
+    return gens
+
+
+def test_betti_tables_against_koszul_oracle():
+    F31 = fp(31)
+    cap = 8
+    positions = [(i, j) for i in range(1, 5) for j in range(i, cap + 1)]
+    # gave a spurious beta_{2,6} = 1 while product-criterion pairs recorded
+    # only the leading binomial of their Koszul relation
+    counter_example = ["13*b^3 + 30*c^2*d + 21*c*d^2", "c*d", "20*a*c + 15*c*d + 30*d^2"]
+    cases = [[parse_poly(s, REG_ABCD, F31) for s in counter_example]]
+    rng = random.Random(1)
+    cases += [_random_ideal(rng, F31) for _ in range(40)]
+    for gens in cases:
+        I = GradedIdeal(REG_ABCD, F31, gens)
+        bt = free_resolution(I, degree_cap=cap)
+        oracle = betti_koszul(I.gens, REG_ABCD, 31, positions)
+        got = {k: b for k, b in bt.entries.items() if k != (0, 0) and k[1] <= cap}
+        assert got == {k: b for k, b in oracle.items() if b}, [str(g) for g in gens]
+        if bt.complete:
+            assert bt.alternating_sums() == I.hilbert().numerator
