@@ -44,13 +44,25 @@ def _add_exp(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+class _KeyMemo(dict):
+    """term -> key(term), each computed once in one reduction's lifetime."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __missing__(self, term):
+        k = self[term] = self.key(term)
+        return k
+
+
 def normal_form(f, basis, dom, key=grevlex_key):
     """Full normal form of the dict-polynomial f modulo the (monic) basis."""
     f = dict(f)
     out = {}
     lts = [(max(g, key=key), g) for g in basis if g]
+    lead = _KeyMemo(key).__getitem__
     while f:
-        le = max(f, key=key)
+        le = max(f, key=lead)
         lc = f[le]
         hit = None
         for lt, g in lts:
@@ -114,8 +126,9 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
 
     def reduce_tracked(f, row):
         f = dict(f)
+        lead = _KeyMemo(key).__getitem__
         while f:
-            le = max(f, key=key)
+            le = max(f, key=lead)
             lc = f[le]
             hit = -1
             for idx, (lt, _, _) in enumerate(work):

@@ -5,7 +5,10 @@ Each resolution level carries the classical induced monomial order: module
 terms compare through their images under the previous level's leading
 terms, with position as the tie-break.  This keeps syzygy reductions short
 and makes the harvested relations a basis of the syzygy module level after
-level.
+level.  Unrolled down to the ring, the key of a term (c, e) is
+grevlex(e + shift[c]) + tail[c], where shift[c] sums the leading exponents
+along component c's chain of leading terms and tail[c] lists the negated
+components along that chain, c last; both are fixed when the level is built.
 
 Level 1 trims the ideal's generators to minimal ones (minimal_ideal_gens)
 and takes their syzygies from a tracked ring-level Buchberger run.  Every
@@ -28,6 +31,7 @@ import heapq
 from .field import QQ
 from .groebner import (
     GradedIdeal,
+    _KeyMemo,
     _add_exp,
     _add_scaled,
     _divides,
@@ -48,33 +52,27 @@ def vec_degree(v, gdeg):
     return -1
 
 
-def induced_key_from(lts, prev_key):
+def induced_key_from(lts, prev=None):
     """Module order induced by assigned leading terms, position tie-break.
 
-    lts[c] is the leading term of the generator presented by component c;
-    prev_key maps that leading term's habitat to a sortable tuple.  For the
-    first syzygy level lts[c] is an exponent tuple and prev_key a ring key;
-    deeper levels pass terms (component, exponent) with the previous module
-    key, recursively.
+    lts[c] is the leading term of the generator presented by component c.
+    With prev None, lts are ring exponents compared by grevlex (the first
+    syzygy level); otherwise they are terms (component, exponent) of the
+    module whose induced key is prev.  The key of (c, e) is
+    grevlex(e + shift[c]) + tail[c], the same tuple as recursing through
+    every earlier level, at the cost of one exponent add.
     """
+    if prev is None:
+        shift, tail = list(lts), [(-c,) for c in range(len(lts))]
+    else:
+        shift = [_add_exp(e, prev.shift[b]) for b, e in lts]
+        tail = [prev.tail[b] + (-c,) for c, (b, _) in enumerate(lts)]
 
     def key(term):
         c, e = term
-        base = lts[c]
-        if len(base) == 2 and isinstance(base[1], tuple):
-            carrier = (base[0], _add_exp(e, base[1]))  # module leading term
-        else:
-            carrier = _add_exp(e, base)  # ring leading exponent
-        return prev_key(carrier) + (-c,)
+        return grevlex_key(_add_exp(e, shift[c])) + tail[c]
 
-    return key
-
-
-def ring_to_module_key(ring_key):
-    def key(term):
-        c, e = term
-        return ring_key(e) + (-c,)
-
+    key.shift, key.tail = shift, tail
     return key
 
 
@@ -136,11 +134,11 @@ class ModuleGB:
 
     def _reduce(self, v, row=None):
         """Normal form of v; a given row takes the reducers' cofactors."""
-        dom, key = self.dom, self.key
+        dom, lead = self.dom, _KeyMemo(self.key).__getitem__
         f = dict(v)
         out = {}
         while f:
-            le = max(f, key=key)
+            le = max(f, key=lead)
             lc = f[le]
             hit = -1
             lc_comp, lc_exp = le
@@ -332,7 +330,7 @@ def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8)
     if info["truncated"]:
         note.append("level 1 pair queue truncated at the degree cap")
     candidates = info["syzygies"]
-    key = induced_key_from([max(g, key=grevlex_key) for g in gens], grevlex_key)
+    key = induced_key_from([max(g, key=grevlex_key) for g in gens])
 
     step = 1
     while candidates:
@@ -397,7 +395,7 @@ def hilbert_burch(gens, dom=QQ):
 
     syz, _ = syzygies_of_polys(gens, dom, degree_cap=8)
     gdeg = [2, 2, 2]
-    key = induced_key_from([g.leading()[0] for g in gens], grevlex_key)
+    key = induced_key_from([g.leading()[0] for g in gens])
     kept, _ = _feed(ModuleGB(dom, key, gdeg), syz, _lowest_component)
     if len(kept) != 2 or any(vec_degree(v, gdeg) != 3 for v in kept):
         shape = sorted(vec_degree(v, gdeg) - 2 for v in kept)
@@ -474,7 +472,7 @@ def minimal_ideal_gens(polys, dom=QQ):
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
-    gb = ModuleGB(dom, ring_to_module_key(grevlex_key), [0])
+    gb = ModuleGB(dom, induced_key_from([(0,) * polys[0].reg.n]), [0])
     vecs = [{(0, e): c for e, c in p.terms.items()} for p in polys]
     kept, _ = _feed(gb, vecs, lambda v: gb.key(max(v, key=gb.key)))
     return [Poly(polys[0].reg, dom, {e: c for (_, e), c in v.items()}) for v in kept]

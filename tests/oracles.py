@@ -5,6 +5,10 @@ with vectorized prime-field linear algebra: no Groebner bases, syzygy
 modules, or resolution code from the package are involved, so it provides a
 genuinely independent cross-check of the resolution engine.
 
+The induced-key oracle is the recursive form of the resolution's module
+order: a module term's key is the previous level's key of its image under
+the assigned leading term, then its position, down to grevlex on the ring.
+
 The composition oracle expands alpha alpha' as sums of scaled 7x7 form
 matrices c_kl * compose_u(k, l), the direct reading of the wedge table,
 against which the package's integer contraction is tested.
@@ -15,6 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from heis7.field import QQ
+from heis7.groebner import _add_exp
 from heis7.formmat import FormMatrix
 from heis7.linalg import np_rank, np_rref
 from heis7.moduli import compose_u
@@ -133,6 +138,28 @@ def betti_koszul(gens, reg, p, entries):
         rk_in = np_rank(d_in, p) if d_in is not None and d_in.size else 0
         result[(i, j)] = dim_here - rk_out - rk_in
     return result
+
+
+def induced_key_recursive(lts, prev_key):
+    """Module order induced by assigned leading terms, position tie-break.
+
+    lts[c] is the leading term of the generator presented by component c;
+    prev_key maps that leading term's habitat to a sortable tuple.  For the
+    first syzygy level lts[c] is an exponent tuple and prev_key a ring key;
+    deeper levels pass terms (component, exponent) with the previous module
+    key, recursively.
+    """
+
+    def key(term):
+        c, e = term
+        base = lts[c]
+        if len(base) == 2 and isinstance(base[1], tuple):
+            carrier = (base[0], _add_exp(e, base[1]))  # module leading term
+        else:
+            carrier = _add_exp(e, base)  # ring leading exponent
+        return prev_key(carrier) + (-c,)
+
+    return key
 
 
 def alpha_compose_forms(alpha):

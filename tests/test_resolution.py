@@ -3,21 +3,23 @@ import random
 
 import pytest
 
+from heis7 import resolution
 from heis7.field import QQ, fp
 from heis7.groebner import GradedIdeal
 from heis7.linalg import rank
-from heis7.moduli import j_ideal
-from heis7.poly import Poly, REG_U, VarRegistry, monomial_basis, parse_poly
+from heis7.moduli import j_ideal, surface_ideal
+from heis7.poly import Poly, REG_U, VarRegistry, grevlex_key, monomial_basis, parse_poly
 from heis7.resolution import (
     NotHilbertBurch,
     free_resolution,
     hb_minors,
     hilbert_burch,
     intersect,
+    induced_key_from,
     minimal_ideal_gens,
     syzygies_of_polys,
 )
-from oracles import betti_koszul
+from oracles import betti_koszul, induced_key_recursive
 
 
 def u(s):
@@ -171,3 +173,68 @@ def test_betti_tables_against_koszul_oracle():
         assert got == {k: b for k, b in oracle.items() if b}, [str(g) for g in gens]
         if bt.complete:
             assert bt.alternating_sums() == I.hilbert().numerator
+
+
+def _surface_resolution_runs(monkeypatch):
+    """Resolve the F31 surface ideal at t = (1,1,1,1) through degree 9.
+
+    Returns the ideal, the tracked ModuleGB runs (one per level from 2 on)
+    and the (lts, prev, key) of every induced_key_from call, in call order.
+    """
+    runs, keys = [], []
+    init = resolution.ModuleGB.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.track:
+            runs.append(self)
+
+    def recording_key(lts, prev=None):
+        key = induced_key_from(lts, prev)
+        keys.append((lts, prev, key))
+        return key
+
+    monkeypatch.setattr(resolution.ModuleGB, "__init__", recording_init)
+    monkeypatch.setattr(resolution, "induced_key_from", recording_key)
+    ideal = surface_ideal((1, 1, 1, 1)).ideal(fp(31))
+    bt = free_resolution(ideal, degree_cap=9)
+    assert bt.complete and bt.entries[(2, 4)] == 49
+    return ideal, runs, keys
+
+
+def test_surface_resolution_does_the_same_work(monkeypatch):
+    _, runs, _ = _surface_resolution_runs(monkeypatch)
+    assert [len(gb.elems) for gb in runs] == [65, 45, 15, 2]
+    assert [sum(map(len, gb.syzygies)) for gb in runs] == [2827, 264, 15, 0]
+    assert [gb.pairs_processed for gb in runs] == [84, 19, 2, 0]
+    assert [gb.n_inputs for gb in runs] == [49, 42, 15, 2]
+
+
+def test_flat_induced_key_matches_recursive_oracle(monkeypatch):
+    ideal, runs, keys = _surface_resolution_runs(monkeypatch)
+    # minimal_ideal_gens builds its own key before the level keys start;
+    # run k compares its basis terms by key k and its syzygy terms (the
+    # next level's module) by key k + 1; the last level's key goes unused
+    keys = keys[[key for _, _, key in keys].index(runs[0].key):]
+    assert len(keys) == len(runs) + 1 and keys[0][1] is None
+    oracles = []
+    prev = grevlex_key
+    for lts, _, _ in keys:
+        prev = induced_key_recursive(lts, prev)
+        oracles.append(prev)
+    # hilbert_burch builds its ring-level key from Poly.leading
+    gens = minimal_ideal_gens(ideal.gens, ideal.dom)
+    ring_key = induced_key_from([g.leading()[0] for g in gens])
+    checked = 0
+    for k, gb in enumerate(runs):
+        assert gb.key is keys[k][2]
+        terms = {t for v in gb.elems for t in v}
+        for t in terms:
+            assert gb.key(t) == oracles[k](t)
+        if k == 0:
+            assert all(ring_key(t) == oracles[0](t) for t in terms)
+        checked += len(terms)
+        for t in {t for row in gb.syzygies for t in row}:
+            assert keys[k + 1][2](t) == oracles[k + 1](t)
+            checked += 1
+    assert checked > 1000
