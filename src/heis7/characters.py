@@ -17,6 +17,8 @@ Row conventions for the extended Heisenberg group G7:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from operator import mul
 
 from .field import (
     CYC,
@@ -40,6 +42,7 @@ from .heisenberg import (
     sl2_inv,
     sl2_mul,
 )
+from .linalg import rref
 
 _C0 = Cyc7.from_int(0)
 _C1 = Cyc7.from_int(1)
@@ -78,7 +81,6 @@ class Character:
         return hash(self.values)
 
 
-
 class CharTable:
     """Irreducible characters indexed by label, plus power/inverse maps."""
 
@@ -106,24 +108,28 @@ class CharTable:
 
     def inner(self, a: Character, b: Character) -> Fraction:
         """Exact inner product (1/|G|) sum |c| a(c) conj(b(c))."""
-        return self._pair(a.values, [v.conj() for v in b.values])
+        return self._pair(a.values, self._weighted_conj(b.values))
 
-    def _pair(self, values, conj_values) -> Fraction:
-        """(1/|G|) sum |c| values[c] conj_values[c], which must be rational."""
-        tot = _C0
-        sizes = self.classes.sizes
-        for c, (av, bv) in enumerate(zip(values, conj_values)):
-            if av.is_zero() or bv.is_zero():
-                continue
-            tot = tot + sizes[c] * (av * bv)
+    def _weighted_conj(self, values) -> list:
+        return [v.conj() * s for v, s in zip(values, self.classes.sizes)]
+
+    def _pair(self, values, weighted) -> Fraction:
+        """(1/|G|) sum values[c] weighted[c], which must be rational; one
+        Cyc7.dot unless a value is a FieldElem (the SL2(F7) table)."""
+        if all(type(v) is Cyc7 for v in values) and all(type(v) is Cyc7 for v in weighted):
+            tot = Cyc7.dot(values, weighted)
+        else:
+            tot = _C0
+            for av, bv in zip(values, weighted):
+                tot = tot + av * bv
         if not tot.is_rational():
             raise ValueError("inner product is not rational")
         return tot.rational_value() / self.classes.group_order()
 
     def decompose(self, chi: Character) -> "Decomposition":
         # <chi, row> is rational, so it equals its conjugate <row, chi>:
-        # conjugate chi once instead of every row
-        chi_conj = [v.conj() for v in chi.values]
+        # conjugate and weight chi once instead of every row
+        chi_conj = self._weighted_conj(chi.values)
         mults = {}
         for lb in self.labels:
             m = self._pair(self.rows[lb].values, chi_conj)
@@ -133,12 +139,9 @@ class CharTable:
                 mults[lb] = int(m)
         dec = Decomposition(mults)
         # reconstruction must be exact
-        recon = None
+        recon = Character(self.classes, [_C0] * self.classes.count)
         for lb, m in mults.items():
-            t = self.rows[lb] * m
-            recon = t if recon is None else recon + t
-        if recon is None:
-            recon = Character(self.classes, [_C0] * self.classes.count)
+            recon = recon + self.rows[lb] * m
         if recon != chi:
             raise ValueError("decomposition does not reconstruct the character")
         return dec
@@ -242,10 +245,6 @@ class Decomposition:
 # G7 table
 
 
-class _G7Tables:
-    _cache = None
-
-
 def _g7_power_fn(classes: ClassData):
     def fn(c: int, j: int) -> int:
         rep = classes.reps[c]
@@ -262,9 +261,8 @@ def _g7_power_fn(classes: ClassData):
     return fn
 
 
+@cache
 def g7_table() -> CharTable:
-    if _G7Tables._cache is not None:
-        return _G7Tables._cache
     classes = conjugacy_classes_g7()
     n = classes.count
     identity_class = classes.index_of[HElem(0, 0, 0, 0)]
@@ -308,9 +306,7 @@ def g7_table() -> CharTable:
                 vals.append(_C0)
         rows.append((f"Z({s},{t})", vals))
 
-    table = CharTable(classes, rows, _g7_power_fn(classes), identity_class)
-    _G7Tables._cache = table
-    return table
+    return CharTable(classes, rows, _g7_power_fn(classes), identity_class)
 
 
 def g7_v_character(i: int = 0) -> Character:
@@ -319,10 +315,6 @@ def g7_v_character(i: int = 0) -> Character:
 
 # ---------------------------------------------------------------------------
 # SL2(F7) table
-
-
-class _SL2Tables:
-    _cache = None
 
 
 def _sl2_power_fn(classes: ClassData):
@@ -339,9 +331,8 @@ def _sl2_power_fn(classes: ClassData):
     return fn
 
 
+@cache
 def sl2_table() -> CharTable:
-    if _SL2Tables._cache is not None:
-        return _SL2Tables._cache
     classes = conjugacy_classes_sl2()
     ap = FieldElem(alpha_plus(), 0)
     am = FieldElem(alpha_minus(), 0)
@@ -364,9 +355,7 @@ def sl2_table() -> CharTable:
         ("W", [fe(3), fe(3), fe(0), fe(0), -ap, -am, -am, -ap, fe(-1), fe(1), fe(1)]),
         ("W'", [fe(3), fe(3), fe(0), fe(0), -am, -ap, -ap, -am, fe(-1), fe(1), fe(1)]),
     ]
-    table = CharTable(classes, rows, _sl2_power_fn(classes), 0)
-    _SL2Tables._cache = table
-    return table
+    return CharTable(classes, rows, _sl2_power_fn(classes), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +433,8 @@ def omega3_sections_char(k: int):
     """
     table = g7_table()
     vd = table.dual(g7_v_character(0))
-    terms = []
-    for i in range(4):
-        lam = table.ext_power(vd, 3 - i)
-        sym = table.sym_power(vd, k - 3 + i)
-        terms.append(((-1) ** i, lam * sym))
-    chi = None
-    for sgn, t in terms:
-        tt = t if sgn == 1 else Character(table.classes, [-v for v in t.values])
-        chi = tt if chi is None else chi + tt
+    t = [table.ext_power(vd, 3 - i) * table.sym_power(vd, k - 3 + i) for i in range(4)]
+    chi = t[0] - t[1] + t[2] - t[3]
     try:
         return table.decompose(chi), False
     except ValueError:
@@ -509,95 +491,115 @@ def dual_substitution_images(g, reg, dom=CYC):
     return images
 
 
-class SpanSolver:
-    """Coordinates and operator traces on the span of a polynomial basis.
+def weight_blocks(basis):
+    """{w: [(pivot monomial, row dict)]}: the reduced rows spanning P_w(V).
 
-    The elimination transform is computed over the basis' own domain (the
-    invariant cubic systems are rational), while transformed polynomials
-    carry coefficients in Q(zeta7) (CYC); a rational transform entry times a
-    Cyc7 coefficient is a scaling, not a field multiplication.
+    tau scales x^e by z^-w(e), w(e) = sum k*e_k mod 7, so splitting each
+    basis polynomial by weight projects V onto the tau-eigenspaces without
+    field arithmetic.  The row count, dim sum_w P_w(V), is >= dim V, with
+    equality exactly when V is tau-stable.
+    """
+    dom = basis[0].dom
+    weights = {e: _weight(e) for p in basis for e in p.terms}
+    blocks = {}
+    for w in sorted(set(weights.values())):
+        monos = sorted((e for e in weights if weights[e] == w), reverse=True)
+        red, pivots = rref([[p.terms.get(e, dom.zero) for e in monos] for p in basis], dom)
+        blocks[w] = [
+            (monos[c], {monos[j]: x for j, x in enumerate(row) if not dom.is_zero(x)})
+            for row, c in zip(red, pivots)
+        ]
+    return blocks
+
+
+def _weight(e) -> int:
+    return sum(k * a for k, a in enumerate(e)) % 7
+
+
+# (-z)^k, k mod 14, runs once through the signed powers +-z^m: the phases
+# of a signed zeta-monomial map compose by adding exponents
+_PHASES = [Cyc7.zeta(k) if k % 2 == 0 else -Cyc7.zeta(k) for k in range(14)]
+_PHASE_INDEX = {v: k for k, v in enumerate(_PHASES)}
+
+
+def _phase_of(e, ks) -> Cyc7:
+    return _PHASES[sum(map(mul, e, ks)) % 14]
+
+
+class SpanSolver:
+    """Traces and stability of signed zeta-monomial substitutions
+    x_i -> +-z^m x_perm(i) on a tau-stable span, by weight block (the
+    surface span has seven 3x12 blocks, which sigma permutes).  Such a map
+    sends each monomial to one monomial times a phase, so the trace is one
+    lookup per reduced row r: r's coefficient at the preimage of its pivot
+    monomial, times the phase.  A dependent or non-tau-stable basis, or any
+    other map, is a ValueError.
     """
 
     def __init__(self, basis):
-        from .linalg import rref
-
         if not basis:
             raise ValueError("empty basis")
         self.reg = basis[0].reg
-        self.dom = basis[0].dom
-        self.n = len(basis)
-        monos = sorted({e for p in basis for e in p.terms}, reverse=True)
-        self.mono_index = {e: i for i, e in enumerate(monos)}
-        self.monos = monos
-        m = len(monos)
-        dom = self.dom
-        # solve B^T c = v via a precomputed elimination transform E
-        aug = []
-        for r, e in enumerate(monos):
-            row = [p.terms.get(e, dom.zero) for p in basis]
-            row += [dom.one if j == r else dom.zero for j in range(m)]
-            aug.append(row)
-        full, pivots = rref(aug, dom)
-        if sum(1 for c in pivots if c < self.n) != self.n:
+        self.blocks = weight_blocks(basis)
+        rank = sum(len(rows) for rows in self.blocks.values())
+        if rank < len(basis):
             raise ValueError("basis is linearly dependent")
-        self.transform = [row[self.n :] for row in full]
-        self.basis = basis
+        if rank > len(basis):
+            raise ValueError(f"span is not stable under tau: its weight parts span {rank} > {len(basis)} dimensions")
 
-    @staticmethod
-    def _is_zero_mixed(c):
-        return c == 0 if isinstance(c, (int, Fraction)) else c.is_zero()
-
-    def _vec(self, p):
-        out = {}
-        for e, c in p.terms.items():
-            i = self.mono_index.get(e)
-            if i is None:
-                return None
-            out[i] = c
-        return out
-
-    def coords(self, p):
-        """Exact coordinates of p in the basis; None if p is not in the span."""
-        v = self._vec(p)
-        if v is None:
-            return None
-        full = []
-        for r in range(len(self.monos)):
-            row = self.transform[r]
-            acc = None
-            for i, c in v.items():
-                if self._is_zero_mixed(row[i]):
-                    continue
-                t = row[i] * c
-                acc = t if acc is None else acc + t
-            full.append(acc)
-        if any(c is not None and not self._is_zero_mixed(c) for c in full[self.n :]):
-            return None
-        return [(_C0 if c is None else c) for c in full[: self.n]]
+    def _map(self, images):
+        """(perm, k) with images[i] = (-z)^k[i] x_perm[i]."""
+        perm, ks = [], []
+        for im in images:
+            [(e, c)] = im.terms.items() if len(im.terms) == 1 else [((), 0)]
+            ks.append(_PHASE_INDEX.get(CYC.coerce(c)) if sum(e) == 1 else None)
+            perm.append(e.index(1) if sum(e) == 1 else None)
+        if None in ks or sorted(perm) != list(range(self.reg.n)):
+            raise ValueError("substitution is not a signed zeta-monomial map")
+        return perm, ks
 
     def is_stable_under(self, images) -> bool:
-        return all(self.coords(p.substitute(images)) is not None for p in self.basis)
+        """Whether every row's image, split by weight, reduces to zero."""
+        perm, ks = self._map(images)
+        inv = sorted(range(len(perm)), key=perm.__getitem__)
+        for rows in self.blocks.values():
+            for _, row in rows:
+                parts = {}
+                for e, c in row.items():
+                    f = tuple(map(e.__getitem__, inv))
+                    parts.setdefault(_weight(f), {})[f] = _phase_of(e, ks) * c
+                for w, v in parts.items():
+                    for piv, r in self.blocks.get(w, ()):
+                        a = v.get(piv)
+                        if a is not None:
+                            for e, c in r.items():
+                                v[e] = v.get(e, _C0) - a * c
+                    if not all(x.is_zero() for x in v.values()):
+                        return False
+        return True
 
     def trace(self, images) -> Cyc7:
-        """Trace of the substitution operator, assuming stability."""
-        tr = _C0
-        for i, p in enumerate(self.basis):
-            v = self._vec(p.substitute(images))
-            if v is None:
-                raise ValueError("span is not stable under the substitution")
-            row = self.transform[i]
-            for j, c in v.items():
-                if not self._is_zero_mixed(row[j]):
-                    tr = tr + row[j] * c
-        return tr
+        """Trace of the substitution on the span, assuming it is stable."""
+        perm, ks = self._map(images)
+        coeffs, phases = [], []
+        for rows in self.blocks.values():
+            for piv, row in rows:
+                e = tuple(piv[p] for p in perm)
+                if e in row:
+                    coeffs.append(row[e])
+                    phases.append(_phase_of(e, ks))
+        return Cyc7.dot(coeffs, phases)
 
 
 def subspace_character(basis, table: CharTable = None, stability_generators=None) -> Character:
     """G7-character of a stable polynomial span via the dual coordinate action.
 
-    Stability is certified on `stability_generators` (default: sigma, tau,
-    iota), which generate the group, so traces on all class representatives
-    are well defined.
+    Each group element acts by a signed zeta-monomial substitution
+    (dual_substitution_images), whose trace SpanSolver reads off the weight
+    blocks.  Building the solver certifies tau-stability; stability is then
+    certified on `stability_generators` (default: sigma, tau, iota), which
+    generate the group, so traces on all class representatives are well
+    defined.
     """
     table = table or g7_table()
     solver = SpanSolver(basis)
@@ -606,8 +608,5 @@ def subspace_character(basis, table: CharTable = None, stability_generators=None
     for g in gens:
         if not solver.is_stable_under(dual_substitution_images(g, reg)):
             raise ValueError(f"span is not stable under generator {g}")
-    vals = []
-    for c in range(table.classes.count):
-        rep = table.classes.reps[c]
-        vals.append(solver.trace(dual_substitution_images(rep.matrix(), reg)))
+    vals = [solver.trace(dual_substitution_images(rep.matrix(), reg)) for rep in table.classes.reps]
     return Character(table.classes, vals)

@@ -1396,14 +1396,18 @@ def check_surface_pipeline(ctx: Context) -> CheckResult:
     from .resolution import NotHilbertBurch, hb_minors, hilbert_burch
 
     table = ctx.g7
-    dom = ctx.config.resolution_domain()
+    base = ctx.config.resolution_domain()
     failures = []
+    moved = []
     surfaces = ctx.surfaces()
     for S in surfaces:
         t = S.t
         if S.degenerate:
             failures.append(f"t={t}: span dimension != 21")
             continue
+        dom = S.coefficient_domain(base)
+        if dom is not base:
+            moved.append(f"t={t}: over {dom.name}, as {base.p} divides a denominator")
         gens_p = [p.map_coeffs(dom.coerce, dom) for p in S.basis] if dom is not QQ else S.basis
         hf = [ideal_hf_oracle(gens_p, k) for k in range(1, 5)]
         if hf != [7, 28, 63, 112]:
@@ -1446,14 +1450,15 @@ def check_surface_pipeline(ctx: Context) -> CheckResult:
         if mat_rank(coords(minors) + coords(q.quadrics()), QQ) != 3:
             failures.append(f"t={t}: round trip span")
     n = len(surfaces)
+    notes = "".join(f"; {m}" for m in moved)
     return _result(
         "moduli.surface_pipeline",
         not failures,
         f"at all {n} seeded admissible parameters: 21 independent cubics, "
         "quotient dimensions (7,28,63,112) [no quadrics], stable span with "
         "character 3 V4, net membership, curve resolutions of shape (1; 3 2) "
-        "with round trips",
-        "; ".join(failures[:4]) + (" ..." if len(failures) > 4 else ""),
+        "with round trips" + notes,
+        "; ".join(failures[:4]) + (" ..." if len(failures) > 4 else "") + notes,
     )
 
 
@@ -1461,8 +1466,10 @@ def check_surface_pipeline(ctx: Context) -> CheckResult:
 def check_surface_betti(ctx: Context) -> CheckResult:
     from .resolution import free_resolution
 
-    dom = ctx.config.resolution_domain()
+    base = ctx.config.resolution_domain()
     S = ctx.surfaces()[0]
+    dom = S.coefficient_domain(base)
+    moved = f" (over {dom.name}, as {base.p} divides a denominator)" if dom is not base else ""
     ideal = S.ideal(dom)
     hd = ideal.hilbert()
     want_numerator = {0: 1, 3: -21, 4: 49, 5: -42, 6: 14, 7: -1}
@@ -1471,7 +1478,7 @@ def check_surface_betti(ctx: Context) -> CheckResult:
             "moduli.surface_resolution",
             "fail",
             f"Hilbert numerator {sorted(hd.numerator.items())} differs from "
-            "the expected alternating sums",
+            "the expected alternating sums" + moved,
         )
     bt = free_resolution(ideal, degree_cap=max(ctx.config.budget_degree, 9))
     want = {
@@ -1487,7 +1494,7 @@ def check_surface_betti(ctx: Context) -> CheckResult:
         return CheckResult(
             "moduli.surface_resolution",
             "fail",
-            "resolution alternating sums disagree with the Hilbert numerator",
+            "resolution alternating sums disagree with the Hilbert numerator" + moved,
         )
     if not bt.complete:
         return CheckResult(
@@ -1495,7 +1502,7 @@ def check_surface_betti(ctx: Context) -> CheckResult:
             "flagged",
             f"budget exhausted ({bt.note}); partial table "
             f"{sorted(bt.entries.items())} is consistent with the Hilbert "
-            "numerator alternating sums",
+            "numerator alternating sums" + moved,
         )
     cross = ""
     if dom is not QQ:
@@ -1506,7 +1513,7 @@ def check_surface_betti(ctx: Context) -> CheckResult:
                 "flagged",
                 "prime-field and rational Betti tables disagree "
                 f"(semicontinuity proxy): fp {sorted(bt.entries.items())} vs "
-                f"Q {sorted(bq.entries.items())}",
+                f"Q {sorted(bq.entries.items())}" + moved,
             )
         cross = "; the rational-coefficient run gives the same table"
     ok = bt.entries == want
@@ -1516,8 +1523,8 @@ def check_surface_betti(ctx: Context) -> CheckResult:
         "minimal free resolution of the surface ideal matches the published "
         "table exactly: 21, 49, 42, 14, 2 in the cubic strand plus the lone "
         "degree-7 generator in homological position 4; alternating sums "
-        "match the Hilbert numerator" + cross,
-        f"betti={sorted(bt.entries.items())}",
+        "match the Hilbert numerator" + cross + moved,
+        f"betti={sorted(bt.entries.items())}" + moved,
     )
 
 
@@ -1529,7 +1536,11 @@ def check_surface_stability(ctx: Context) -> CheckResult:
 
     failures = []
     for S in ctx.surfaces()[:6]:
-        solver = SpanSolver(S.basis)
+        try:
+            solver = SpanSolver(S.basis)
+        except ValueError as exc:  # a dependent or non-tau-stable basis
+            failures.append(f"t={S.t}: {exc}")
+            continue
         if not solver.is_stable_under(sigma_x_images()):
             failures.append(f"t={S.t}: shift")
         if not solver.is_stable_under(iota_x_images()):

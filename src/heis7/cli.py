@@ -106,6 +106,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    from .field import QQ
     from .moduli import surface_ideal
     from .groebner import ideal_hf_oracle
     from .resolution import free_resolution
@@ -123,10 +124,11 @@ def cmd_surface(args) -> int:
             file=sys.stderr,
         )
         return 1
-    dom = config.resolution_domain()
-    gens = S.basis if dom.__class__.__name__ == "RatDomain" else [
-        p.map_coeffs(dom.coerce, dom) for p in S.basis
-    ]
+    base = config.resolution_domain()
+    # a prime dividing a coefficient denominator moves to the next good one
+    dom = S.coefficient_domain(base)
+    coeff = config.coeff if dom is base else ("q" if dom is QQ else f"fp:{dom.p}")
+    gens = S.basis if dom is QQ else [p.map_coeffs(dom.coerce, dom) for p in S.basis]
     payload = S.to_json()
     payload["hilbert_function"] = [1] + [ideal_hf_oracle(gens, d) for d in range(1, 6)]
     # provenance block: which certification checks the emitted system passed
@@ -138,7 +140,7 @@ def cmd_surface(args) -> int:
         "hilbert_function_seven_k_squared": payload["hilbert_function"]
         == [1, 7, 28, 63, 112, 175],
         "net_membership": member,
-        "coeff": config.coeff,
+        "coeff": coeff,
         "tool_version": __version__,
     }
     if args.betti:

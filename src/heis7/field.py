@@ -144,6 +144,51 @@ class Cyc7:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def dot(xs, ys) -> "Cyc7":
+        """sum x*y over paired Cyc7/int/Fraction entries, normalised once.
+
+        The products accumulate as integer numerators on 1..z^10 over one
+        common denominator; the fold mod Phi_7 and the gcd come at the end.
+        """
+        acc = [0] * 11
+        den = 1
+        for x, y in zip(xs, ys):
+            if type(x) is not Cyc7 or type(y) is not Cyc7:
+                x, y = _as_cyc(x), _as_cyc(y)
+                if x is NotImplemented or y is NotImplemented:
+                    raise TypeError("Cyc7.dot takes Cyc7, int or Fraction entries")
+            a, b = x.num, y.num
+            if a == _ZERO6 or b == _ZERO6:
+                continue
+            d = x.den * y.den
+            s = 1
+            if d != den:
+                up = d // gcd(den, d)
+                if up != 1:
+                    acc = [v * up for v in acc]
+                    den *= up
+                s = den // d
+            if a[1:] == _ZERO5:
+                f = a[0] * s
+                for j, bj in enumerate(b):
+                    acc[j] += f * bj
+            elif b[1:] == _ZERO5:
+                f = b[0] * s
+                for i, ai in enumerate(a):
+                    acc[i] += f * ai
+            else:
+                for i, ai in enumerate(a):
+                    if ai:
+                        ai *= s
+                        for j, bj in enumerate(b):
+                            if bj:
+                                acc[i + j] += ai * bj
+        for k in range(7, 11):
+            acc[k - 7] += acc[k]
+        c6 = acc[6]
+        return Cyc7(tuple(acc[i] - c6 for i in range(6)), den)
+
     def __pow__(self, n: int):
         if n < 0:
             return (self ** (-n)).inv()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import heapq
+from operator import add, sub
 
 from .field import QQ, FpDomain
 from .poly import Poly, VarRegistry, grevlex_key, monomial_basis
@@ -37,11 +38,11 @@ def _divides(a, b):
 
 
 def _sub_exp(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _add_exp(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class _KeyMemo(dict):

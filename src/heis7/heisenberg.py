@@ -128,18 +128,25 @@ def dense_of(m) -> list:
 
 def dense_mul(a, b):
     a, b = dense_of(a), dense_of(b)
-    out = [[_C0] * 7 for _ in range(7)]
-    for i in range(7):
-        for k in range(7):
-            c = a[i][k]
-            if c.is_zero():
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(7):
-                if not bk[j].is_zero():
-                    row[j] = row[j] + c * bk[j]
+    out = []
+    for row in a:
+        # the nonzero products of each output entry, summed by one Cyc7.dot
+        xs, ys = [[] for _ in range(7)], [[] for _ in range(7)]
+        for c, bk in zip(row, b):
+            if not c.is_zero():
+                for j, y in enumerate(bk):
+                    if not y.is_zero():
+                        xs[j].append(c)
+                        ys[j].append(y)
+        out.append([_sum_products(x, y) for x, y in zip(xs, ys)])
     return out
+
+
+def _sum_products(xs, ys) -> Cyc7:
+    # a lone product (monomial matrices) is cheaper without the accumulator
+    if len(xs) > 1:
+        return Cyc7.dot(xs, ys)
+    return xs[0] * ys[0] if xs else _C0
 
 
 def dense_eq(a, b) -> bool:

@@ -29,9 +29,10 @@ from functools import cache
 from math import lcm
 from typing import NamedTuple
 
-from .field import QQ, FF, DualDomain, DualNum, FieldElem
+from .field import QQ, FF, DualDomain, DualNum, FieldElem, FpDomain, fp
 from .formmat import FormMatrix, det_form, pfaffian_vector
 from .groebner import GradedIdeal
+from .characters import weight_blocks
 from .linalg import rank as mat_rank
 from .poly import (
     DiffOp,
@@ -688,6 +689,10 @@ def iota_x_images(dom=QQ):
     return out
 
 
+# primes for the surface checks over F_p, in order; 2 and 7 divide |G7|
+SURFACE_PRIMES = (3, 5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
 @dataclass
 class SurfaceIdeal:
     """The 21-dimensional invariant cubic system at a parameter point."""
@@ -702,6 +707,16 @@ class SurfaceIdeal:
             return GradedIdeal(REG_X, QQ, self.basis)
         gens = [p.map_coeffs(dom.coerce, dom) for p in self.basis]
         return GradedIdeal(REG_X, dom, gens)
+
+    def coefficient_domain(self, dom):
+        """dom, unless dom is F_p with p dividing a coefficient denominator:
+        then F_q for the next q of SURFACE_PRIMES dividing none, else Q."""
+        if not isinstance(dom, FpDomain):
+            return dom
+        den = lcm(*(c.denominator for p in self.basis for c in p.terms.values()))
+        if den % dom.p:
+            return dom
+        return next((fp(q) for q in SURFACE_PRIMES if q > dom.p and den % q), QQ)
 
     def to_json(self):
         return {
@@ -737,15 +752,9 @@ def surface_ideal(t) -> SurfaceIdeal:
         for _ in range(7):
             basis.append(cur)
             cur = cur.substitute(sig)
-    monos = sorted({e for p in basis for e in p.terms})
-    ix = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for p in basis:
-        row = [QQ.zero] * len(monos)
-        for e, c in p.terms.items():
-            row[ix[e]] = c
-        rows.append(row)
-    degenerate = mat_rank(rows, QQ) != 21
+    # every basis cubic has a single Heisenberg weight, so the weight blocks'
+    # ranks add up to the rank of the span
+    degenerate = sum(len(rows) for rows in weight_blocks(basis).values()) != 21
     return SurfaceIdeal(t, g, basis, degenerate)
 
 

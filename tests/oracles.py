@@ -12,16 +12,21 @@ the assigned leading term, then its position, down to grevlex on the ring.
 The composition oracle expands alpha alpha' as sums of scaled 7x7 form
 matrices c_kl * compose_u(k, l), the direct reading of the wedge table,
 against which the package's integer contraction is tested.
+
+The span oracle solves coordinates on a polynomial span through one
+elimination transform of the augmented matrix [B^T | I] over the basis'
+domain, and reads traces and stability from general substitutions; the
+package's weight-block SpanSolver is tested against it.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from heis7.field import QQ
+from heis7.field import QQ, Cyc7
 from heis7.groebner import _add_exp
 from heis7.formmat import FormMatrix
-from heis7.linalg import np_rank, np_rref
+from heis7.linalg import np_rank, np_rref, rref
 from heis7.moduli import compose_u
 from heis7.poly import REG_X, Poly, monomial_basis
 
@@ -189,3 +194,59 @@ def alpha_compose_forms(alpha):
             row.append(acc)
         blocks.append(row)
     return blocks
+
+
+class SpanSolverOracle:
+    """Coordinates and substitution traces on the span of a polynomial basis."""
+
+    def __init__(self, basis):
+        self.dom = basis[0].dom
+        self.n = len(basis)
+        monos = sorted({e for p in basis for e in p.terms}, reverse=True)
+        self.mono_index = {e: i for i, e in enumerate(monos)}
+        m = len(monos)
+        dom = self.dom
+        # solve B^T c = v via a precomputed elimination transform E
+        aug = []
+        for r, e in enumerate(monos):
+            row = [p.terms.get(e, dom.zero) for p in basis]
+            row += [dom.one if j == r else dom.zero for j in range(m)]
+            aug.append(row)
+        full, pivots = rref(aug, dom)
+        if sum(1 for c in pivots if c < self.n) != self.n:
+            raise ValueError("basis is linearly dependent")
+        self.transform = [row[self.n :] for row in full]
+        self.basis = basis
+
+    def _vec(self, p):
+        out = {}
+        for e, c in p.terms.items():
+            i = self.mono_index.get(e)
+            if i is None:
+                return None
+            out[i] = c
+        return out
+
+    def coords(self, p):
+        """Exact coordinates of p in the basis; None if p is not in the span."""
+        v = self._vec(p)
+        if v is None:
+            return None
+        full = [sum((row[i] * c for i, c in v.items() if row[i] != 0), Cyc7.from_int(0)) for row in self.transform]
+        if any(not c.is_zero() for c in full[self.n :]):
+            return None
+        return full[: self.n]
+
+    def is_stable_under(self, images) -> bool:
+        return all(self.coords(p.substitute(images)) is not None for p in self.basis)
+
+    def trace(self, images):
+        """Trace of the substitution operator, assuming stability."""
+        tr = Cyc7.from_int(0)
+        for i, p in enumerate(self.basis):
+            v = self._vec(p.substitute(images))
+            if v is None:
+                raise ValueError("span is not stable under the substitution")
+            row = self.transform[i]
+            tr = sum((row[j] * c for j, c in v.items() if row[j] != 0), tr)
+        return tr

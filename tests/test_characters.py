@@ -120,8 +120,70 @@ def test_subspace_character_instability(g7):
     from heis7.poly import Poly, REG_X
 
     basis = [Poly.var(REG_X, "x0")]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not stable under generator"):
         subspace_character(basis, g7)
+
+
+def test_span_solver_refusals():
+    from heis7.characters import SpanSolver, dual_substitution_images
+    from heis7.poly import Poly, REG_X, parse_poly
+
+    x = [Poly.var(REG_X, f"x{j}") for j in range(7)]
+    # x0 + x1 mixes two tau-eigenspaces: its weight parts span two dimensions
+    with pytest.raises(ValueError, match="not stable under tau"):
+        SpanSolver([x[0] + x[1]])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        SpanSolver([x[0], x[1], x[0] + x[1]])
+    with pytest.raises(ValueError, match="empty basis"):
+        SpanSolver([])
+    solver = SpanSolver(x)
+    images = dual_substitution_images(SIGMA, REG_X)
+    for bad in (x[0] + x[1], x[0] * x[1], x[0].scale(2), Poly.zero(REG_X)):
+        with pytest.raises(ValueError, match="signed zeta-monomial"):
+            solver.trace([bad] + images[1:])
+        with pytest.raises(ValueError, match="signed zeta-monomial"):
+            solver.is_stable_under([bad] + images[1:])
+    with pytest.raises(ValueError, match="signed zeta-monomial"):
+        solver.trace([x[0]] * 7)  # not a permutation of the variables
+    # a stable weight-mixed span is fine: all of the linear forms
+    solver = SpanSolver([x[0] + x[1]] + x[1:])
+    assert solver.is_stable_under(images)
+    assert solver.trace(images) == Cyc7.from_int(0)
+    assert not SpanSolver([parse_poly("x0^2", REG_X)]).is_stable_under(images)
+
+
+def test_cyc7_dot_sums_exactly():
+    import random
+    from fractions import Fraction
+
+    rng = random.Random(5)
+
+    def rand():
+        num = tuple(rng.randint(-4, 4) for _ in range(6))
+        return Cyc7(num, rng.randint(1, 6))
+
+    for n in (0, 1, 5, 20):
+        xs = [rand() for _ in range(n)]
+        ys = [rand() if i % 3 else Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for i in range(n)]
+        want = Cyc7.from_int(0)
+        for a, b in zip(xs, ys):
+            want = want + a * b
+        assert Cyc7.dot(xs, ys) == want
+        assert Cyc7.dot(ys, xs) == want
+    with pytest.raises(TypeError):
+        Cyc7.dot([FieldElem.sqrt2()], [Cyc7.from_int(1)])
+
+
+def test_pairing_with_sqrt2_values(sl2, g7):
+    # the SL2(F7) rows carry sqrt2, so their pairings take the FieldElem path
+    assert sl2.orthogonality_report()[0]
+    assert sl2.inner(sl2.rows["T1"], sl2.rows["T1"]) == 1
+    assert sl2.inner(sl2.rows["T1"], sl2.rows["T2"]) == 0
+    # 36 = 2*7 + 2*8 + 6
+    assert sl2.decompose(sl2.rows["T1"] * sl2.rows["T2"]) == {"L": 2, "M2": 2, "T": 1}
+    # a G7 class function scaled by a FieldElem pairs like its Cyc7 twin
+    v = g7.rows["V0"]
+    assert g7.inner(v * FieldElem(Cyc7.from_int(3), 0), v) == 3
 
 
 def test_sl2_sym_powers(sl2):

@@ -44,7 +44,7 @@ from heis7.moduli import (
 )
 from heis7.poly import REG_U, REG_X, Poly, monomial_basis, parse_poly, render_poly
 
-from oracles import alpha_compose_forms
+from oracles import SpanSolverOracle, alpha_compose_forms
 
 
 def test_wedge_rep_entries():
@@ -364,3 +364,80 @@ def test_iota_stability_of_surface():
     solver = SpanSolver(S.basis)
     assert solver.is_stable_under(iota_x_images())
     assert solver.is_stable_under(sigma_x_images())
+
+
+def _swap_x1_x2():
+    return [Poly.var(REG_X, f"x{j}") for j in (0, 2, 1, 3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_span_solver_against_oracle(g7, seed):
+    from heis7.characters import SpanSolver, dual_substitution_images, subspace_character
+    from heis7.field import CYC
+    from heis7.heisenberg import MU
+
+    rng = random.Random(seed)
+    t = (1, 1, 1, 1)
+    while t == (1, 1, 1, 1) or not all(t[1:]):
+        t = tuple(Fraction(rng.randint(-13, 13), rng.randint(1, 13)) for _ in range(4))
+    S = surface_ideal(t)
+    assert not S.degenerate
+    # a seeded invertible rational recombination: its members mix the weights
+    while True:
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(21)] for _ in range(21)]
+        if rank(m, QQ) == 21:
+            break
+    mixed = [sum((p.scale(c) for c, p in zip(row, S.basis)), Poly.zero(REG_X)) for row in m]
+    assert all(len({sum(k * a for k, a in enumerate(e)) % 7 for e in p.terms}) > 1 for p in mixed)
+    maps = [
+        sigma_x_images(),
+        iota_x_images(),
+        tau_x_images(),
+        tau_x_images(CYC, power=3),
+        dual_substitution_images(MU, REG_X),
+        _swap_x1_x2(),
+    ]
+    classes = [rep.matrix() for rep in g7.classes.reps]
+    for basis in (S.basis, mixed):
+        solver, oracle = SpanSolver(basis), SpanSolverOracle(basis)
+        assert [solver.is_stable_under(im) for im in maps] == [oracle.is_stable_under(im) for im in maps]
+        for g in classes:
+            images = dual_substitution_images(g, REG_X)
+            assert solver.trace(images) == oracle.trace(images)
+    assert g7.decompose(subspace_character(mixed, g7)) == {"V4": 3}
+    # a 20-cubic sub-span is tau-stable but not G7-stable
+    sub = S.basis[:20]
+    solver, oracle = SpanSolver(sub), SpanSolverOracle(sub)
+    verdicts = [solver.is_stable_under(im) for im in maps]
+    assert verdicts == [oracle.is_stable_under(im) for im in maps]
+    assert not verdicts[0]
+    with pytest.raises(ValueError, match="not stable under generator"):
+        subspace_character(sub, g7)
+    # 20 mixed members span a space that is not tau-stable
+    assert not SpanSolverOracle(mixed[:20]).is_stable_under(tau_x_images(CYC))
+    with pytest.raises(ValueError, match="not stable under tau"):
+        SpanSolver(mixed[:20])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        SpanSolver(mixed + [mixed[0] + mixed[1]])
+
+
+def test_bad_prime_point_is_certified_over_the_next_prime():
+    # 31 divides a coefficient denominator at t = (1/31, 1, 1, 1): the F31
+    # checks move to F37 and say so instead of crashing
+    from heis7.checks import Context, RunConfig, check_surface_betti, check_surface_pipeline
+    from heis7.field import fp
+
+    t = (Fraction(1, 31), 1, 1, 1)
+    S = surface_ideal(t)
+    assert S.coefficient_domain(fp(31)) == fp(37)
+    f37 = fp(37)
+    assert S.coefficient_domain(f37) is f37
+    assert S.coefficient_domain(QQ) is QQ
+    assert surface_ideal((Fraction(1, 31 * 37), 1, 1, 1)).coefficient_domain(fp(31)) == fp(41)
+    ctx = Context(RunConfig(extra_t=t, sample_points=2))
+    for check in (check_surface_pipeline, check_surface_betti):
+        res = check(ctx)
+        assert res.status == "pass", res.details
+        assert "over F37, as 31 divides a denominator" in res.details
+    # the default points keep their bytes: no note without a moved prime
+    assert "divides" not in check_surface_pipeline(Context(RunConfig(sample_points=2))).details
