@@ -12,6 +12,14 @@ Row conventions for the extended Heisenberg group G7:
 * Vi# = Vi tensor S, where S is the sign character of the involution coset.
 * Z(s,t) are the 24 two-dimensional characters pulled back from the quotient
   by the center; Z denotes their sum when all multiplicities agree.
+
+A Character stores its values as one field.CycArray: integer numerators
+over one common denominator, int64 while every numerator stays below 2^62
+and Python ints beyond (each operation checks its bound first).  Products,
+sums, power maps (row gathers), pairings with all rows at once, the
+reconstruction check (an integer matmul), both orthogonality relations
+(Gram matrices) and the Newton recursion run on these arrays; the Cyc7 or
+FieldElem values are built only when `Character.values` is read.
 """
 
 from __future__ import annotations
@@ -20,9 +28,12 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
+import numpy as np
+
 from .field import (
     CYC,
     Cyc7,
+    CycArray,
     FieldElem,
     alpha_minus,
     alpha_plus,
@@ -37,7 +48,6 @@ from .heisenberg import (
     conjugacy_classes_sl2,
     dense_mul,
     dense_of,
-    dense_trace,
     scalar_mono,
     sl2_inv,
     sl2_mul,
@@ -51,34 +61,58 @@ _C1 = Cyc7.from_int(1)
 class Character:
     """Class function: one value per conjugacy class of a ClassData.
 
-    G7 values are Cyc7 (Q(zeta7)); SL2(F7) values are FieldElem, the only
-    place sqrt2 appears.  Mixed arithmetic lifts to FieldElem.
+    The values are one CycArray `arr` of batch shape (classes,): Q(zeta7)
+    for G7, the sqrt2 tower for SL2(F7), the only place sqrt2 appears.
+    Mixed arithmetic lifts to the tower.
     """
 
-    __slots__ = ("classes", "values")
+    __slots__ = ("classes", "arr")
 
     def __init__(self, classes: ClassData, values):
-        if len(values) != classes.count:
+        arr = values if isinstance(values, CycArray) else CycArray.from_values(values)
+        if arr.shape != (classes.count,):
             raise ValueError("one value per conjugacy class required")
         self.classes = classes
-        self.values = tuple(values)
+        self.arr = arr
+
+    @property
+    def values(self) -> tuple:
+        """The values as Cyc7 (FieldElem in the tower), built on each access."""
+        return tuple(self.arr.tolist())
 
     def __mul__(self, other):
         if isinstance(other, Character):
-            return Character(self.classes, [a * b for a, b in zip(self.values, other.values)])
-        return Character(self.classes, [v * other for v in self.values])
+            other = other.arr
+        return Character(self.classes, self.arr * other)
 
     def __add__(self, other):
-        return Character(self.classes, [a + b for a, b in zip(self.values, other.values)])
+        return Character(self.classes, self.arr + other.arr)
 
     def __sub__(self, other):
-        return Character(self.classes, [a - b for a, b in zip(self.values, other.values)])
+        return Character(self.classes, self.arr - other.arr)
 
     def __eq__(self, other):
-        return isinstance(other, Character) and self.values == other.values
+        return isinstance(other, Character) and self.arr == other.arr
 
     def __hash__(self):
         return hash(self.values)
+
+
+def newton(power_sums: CycArray, alternating: bool = False) -> list:
+    """h_0..h_k from power sums p_1..p_k stacked on the first batch axis:
+    k h_k = sum_j p_j h_{k-j}, or with alternating=True the elementary
+    e_0..e_k, k e_k = sum_j (-1)^(j-1) p_j e_{k-j}.  With p_j = chi(g^j)
+    these are the characters of S^k and of the k-th exterior power at g."""
+    k = power_sums.shape[0]
+    rest = power_sums.shape[1:]
+    if alternating:
+        signs = np.array([1 if j % 2 else -1 for j in range(1, k + 1)])
+        power_sums = power_sums * CycArray.from_ints(signs.reshape(k, *[1] * len(rest)))
+    out = [CycArray.from_ints(np.ones(rest, dtype=np.int64))]
+    for kk in range(1, k + 1):
+        terms = power_sums[:kk] * CycArray.stack(out[::-1])
+        out.append(terms.sum(0) * Fraction(1, kk))
+    return out
 
 
 class CharTable:
@@ -88,6 +122,10 @@ class CharTable:
         self.classes = classes
         self.labels = [lb for lb, _ in rows]
         self.rows = {lb: Character(classes, vals) for lb, vals in rows}
+        # all rows as one (labels, classes) batch, for decompose and the
+        # orthogonality relations
+        self._table = CycArray.stack([self.rows[lb].arr for lb in self.labels])
+        self._sizes = CycArray.from_ints(classes.sizes)
         self.identity_class = identity_class
         # power_map[j][c] = class index of rep(c)^j
         self._power_fn = power_fn
@@ -98,53 +136,38 @@ class CharTable:
             self._power_cache[j] = [self._power_fn(c, j) for c in range(self.classes.count)]
         return self._power_cache[j]
 
-    def value_at_power(self, chi: Character, j: int):
-        pc = self.power_classes(j)
-        return [chi.values[pc[c]] for c in range(self.classes.count)]
-
     def dual(self, chi: Character) -> Character:
-        pc = self.power_classes(-1)
-        return Character(self.classes, [chi.values[pc[c]] for c in range(self.classes.count)])
+        return Character(self.classes, chi.arr[self.power_classes(-1)])
 
     def inner(self, a: Character, b: Character) -> Fraction:
         """Exact inner product (1/|G|) sum |c| a(c) conj(b(c))."""
-        return self._pair(a.values, self._weighted_conj(b.values))
-
-    def _weighted_conj(self, values) -> list:
-        return [v.conj() * s for v, s in zip(values, self.classes.sizes)]
-
-    def _pair(self, values, weighted) -> Fraction:
-        """(1/|G|) sum values[c] weighted[c], which must be rational; one
-        Cyc7.dot unless a value is a FieldElem (the SL2(F7) table)."""
-        if all(type(v) is Cyc7 for v in values) and all(type(v) is Cyc7 for v in weighted):
-            tot = Cyc7.dot(values, weighted)
-        else:
-            tot = _C0
-            for av, bv in zip(values, weighted):
-                tot = tot + av * bv
-        if not tot.is_rational():
+        [v] = self._pairs(a.arr[None], self._weighted_conj(b.arr))
+        if v is None:
             raise ValueError("inner product is not rational")
-        return tot.rational_value() / self.classes.group_order()
+        return v
+
+    def _weighted_conj(self, arr: CycArray) -> CycArray:
+        return arr.conj() * self._sizes
+
+    def _pairs(self, rows: CycArray, weighted: CycArray) -> list:
+        """(1/|G|) sum_c rows[i, c] weighted[c] for every row i, as one
+        contraction; None where the value is not rational."""
+        order = self.classes.group_order()
+        return [None if v is None else v / order for v in (rows @ weighted[:, None]).rationals()]
 
     def decompose(self, chi: Character) -> "Decomposition":
         # <chi, row> is rational, so it equals its conjugate <row, chi>:
-        # conjugate and weight chi once instead of every row
-        chi_conj = self._weighted_conj(chi.values)
-        mults = {}
-        for lb in self.labels:
-            m = self._pair(self.rows[lb].values, chi_conj)
+        # conjugate and weight chi once and pair it with all rows at once
+        mults = self._pairs(self._table, self._weighted_conj(chi.arr))
+        for lb, m in zip(self.labels, mults):
+            if m is None:
+                raise ValueError("inner product is not rational")
             if m.denominator != 1 or m < 0:
                 raise ValueError(f"not a character: multiplicity of {lb} is {m}")
-            if m:
-                mults[lb] = int(m)
-        dec = Decomposition(mults)
         # reconstruction must be exact
-        recon = Character(self.classes, [_C0] * self.classes.count)
-        for lb, m in mults.items():
-            recon = recon + self.rows[lb] * m
-        if recon != chi:
+        if self._table.lincomb(mults) != chi.arr:
             raise ValueError("decomposition does not reconstruct the character")
-        return dec
+        return Decomposition(dict(zip(self.labels, mults)))
 
     def sym_power(self, chi: Character, k: int) -> Character:
         """Newton recursion chi_{S^k}(g) = (1/k) sum_j chi(g^j) chi_{S^{k-j}}(g)."""
@@ -152,28 +175,16 @@ class CharTable:
 
     def sym_powers(self, chi: Character, k: int) -> list:
         """The symmetric powers S^0 .. S^k of chi, from one Newton recursion."""
-        return self._newton(chi, k, alternating=False)
+        return [Character(self.classes, a) for a in newton(self._power_sums(chi, k))]
 
     def ext_power(self, chi: Character, k: int) -> Character:
         """Alternating Newton recursion for exterior powers."""
-        return self._newton(chi, k, alternating=True)[k]
+        return Character(self.classes, newton(self._power_sums(chi, k), alternating=True)[k])
 
-    def _newton(self, chi: Character, k: int, alternating: bool) -> list:
-        n = self.classes.count
-        powers = [None] + [self.value_at_power(chi, j) for j in range(1, k + 1)]
-        rows = [[_C1] * n]
-        for kk in range(1, k + 1):
-            acc = [_C0] * n
-            for j in range(1, kk + 1):
-                pj = powers[j]
-                prev = rows[kk - j]
-                if alternating and j % 2 == 0:
-                    acc = [a - p * q for a, p, q in zip(acc, pj, prev)]
-                else:
-                    acc = [a + p * q for a, p, q in zip(acc, pj, prev)]
-            inv = Fraction(1, kk)
-            rows.append([v * inv for v in acc])
-        return [Character(self.classes, r) for r in rows]
+    def _power_sums(self, chi: Character, k: int) -> CycArray:
+        """chi(g^j) for j = 1..k, one power-map gather each."""
+        gather = np.array([self.power_classes(j) for j in range(1, k + 1)], dtype=np.intp)
+        return chi.arr[gather.reshape(k, self.classes.count)]
 
     def to_json(self):
         """Class labels, sizes, and rows of field-element strings."""
@@ -187,28 +198,24 @@ class CharTable:
         }
 
     def orthogonality_report(self):
-        """First and second orthogonality, checked exactly."""
-        n = len(self.labels)
+        """First and second orthogonality, each checked exactly as one Gram
+        matrix; a failure names the first failing pair of each relation."""
         order = self.classes.group_order()
-        for i in range(n):
-            for j in range(i, n):
-                v = self.inner(self.rows[self.labels[i]], self.rows[self.labels[j]])
-                want = Fraction(1 if i == j else 0)
-                if v != want:
-                    return False, f"row orthogonality fails at ({self.labels[i]}, {self.labels[j]}): {v}"
-        conj_rows = {lb: [v.conj() for v in self.rows[lb].values] for lb in self.labels}
-        for c1 in range(self.classes.count):
-            for c2 in range(c1, self.classes.count):
-                tot = _C0
-                for lb in self.labels:
-                    v1 = self.rows[lb].values[c1]
-                    v2 = conj_rows[lb][c2]
-                    if v1.is_zero() or v2.is_zero():
-                        continue
-                    tot = tot + v1 * v2
-                want = Fraction(order, self.classes.sizes[c1]) if c1 == c2 else Fraction(0)
-                if not tot.is_rational() or tot.rational_value() != want:
-                    return False, f"column orthogonality fails at ({c1}, {c2})"
+        rows = self._table
+        bad = []
+        gram = rows @ self._weighted_conj(rows).swapaxes(0, 1)
+        off = (gram - CycArray.from_ints(order * np.eye(len(self.labels), dtype=np.int64))).nonzero()
+        if np.triu(off).any():
+            i, j = np.argwhere(np.triu(off))[0]
+            v = (gram[i, j] * Fraction(1, order)).tolist()
+            bad.append(f"row orthogonality fails at ({self.labels[i]}, {self.labels[j]}): {v}")
+        cols = rows.swapaxes(0, 1) @ rows.conj()
+        off = (cols - CycArray.from_ints(np.diag([order // s for s in self.classes.sizes]))).nonzero()
+        if np.triu(off).any():
+            c1, c2 = np.argwhere(np.triu(off))[0]
+            bad.append(f"column orthogonality fails at ({c1}, {c2})")
+        if bad:
+            return False, "; ".join(bad)
         return True, "both orthogonality relations hold exactly"
 
 
@@ -379,17 +386,19 @@ def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> Charac
     io = dense_of(iota_img)
     idm = scalar_mono(0).dense()
 
-    def mpow(m, k):
-        acc = idm
-        for _ in range(k):
-            acc = dense_mul(acc, m)
-        return acc
+    def powers(m):
+        """m^0 .. m^7 as one batch."""
+        out = [idm]
+        for _ in range(7):
+            out.append(dense_mul(out[-1], m))
+        return CycArray.stack(out)
 
     from .heisenberg import dense_eq, dense_inv
 
     s_inv = dense_inv(s)
     t_inv = dense_inv(t)
-    if not dense_eq(mpow(s, 7), idm) or not dense_eq(mpow(t, 7), idm):
+    s_pows, t_pows = powers(s), powers(t)
+    if not dense_eq(s_pows[7], idm) or not dense_eq(t_pows[7], idm):
         raise RepError("generator of order != 7")
     if not dense_eq(dense_mul(io, io), idm):
         raise RepError("involution image has order != 2")
@@ -398,8 +407,9 @@ def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> Charac
     if not dense_eq(dense_mul(dense_mul(io, t), io), t_inv):
         raise RepError("iota tau iota != tau^-1")
     comm = dense_mul(dense_mul(s, t), dense_mul(s_inv, t_inv))
-    eps_img = mpow(comm, 6)  # [sigma, tau] = eps^6, so eps = commutator^6
-    if not dense_eq(mpow(eps_img, 7), idm):
+    eps_img = powers(comm)[6]  # [sigma, tau] = eps^6, so eps = commutator^6
+    eps_pows = powers(eps_img)
+    if not dense_eq(eps_pows[7], idm):
         raise RepError("central scalar has order != 7")
     # eps must commute with everything (scalar by Schur for irreducibles;
     # here just verify centrality)
@@ -407,16 +417,11 @@ def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> Charac
         if not dense_eq(dense_mul(eps_img, g), dense_mul(g, eps_img)):
             raise RepError("central image does not commute")
 
-    vals = []
-    for c in range(table.classes.count):
-        a, m, nn, b = table.classes.reps[c]
-        acc = mpow(eps_img, (a + 4 * m * nn) % 7)
-        acc = dense_mul(acc, mpow(s, m))
-        acc = dense_mul(acc, mpow(t, nn))
-        if b:
-            acc = dense_mul(acc, io)
-        vals.append(dense_trace(acc))
-    return Character(table.classes, vals)
+    # the class representatives' images, one batch
+    a, m, n, b = (np.array(col) for col in zip(*table.classes.reps))
+    acc = dense_mul(eps_pows[(a + 4 * m * n) % 7], s_pows[m])
+    acc = dense_mul(dense_mul(acc, t_pows[n]), CycArray.stack([idm, io])[b])
+    return Character(table.classes, acc.trace())
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +593,7 @@ class SpanSolver:
                 if e in row:
                     coeffs.append(row[e])
                     phases.append(_phase_of(e, ks))
-        return Cyc7.dot(coeffs, phases)
+        return (CycArray.from_values(coeffs) * CycArray.from_values(phases)).sum(0).tolist()
 
 
 def subspace_character(basis, table: CharTable = None, stability_generators=None) -> Character:

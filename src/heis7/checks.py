@@ -124,6 +124,11 @@ def _dec(table, chi):
     return table.decompose(chi)
 
 
+def _point(t) -> str:
+    """A parameter point as rationals: (1/31, 1, 1, 1)."""
+    return "(" + ", ".join(QQ.fmt(Fraction(x)) for x in t) + ")"
+
+
 def _sl2_char_sum(table, spec: dict):
     chi = None
     for lb, m in spec.items():
@@ -778,103 +783,72 @@ def check_a4_rows(ctx: Context) -> CheckResult:
     )
 
 
-def _a4_sample_traces(ctx: Context):
-    """Trace equality on products of Heisenberg class reps with normalizer
-    sample elements, for the tensor/wedge/symmetric normalizer rows."""
-    from .heisenberg import (
-        HElem,
-        IOTA,
-        MU,
-        NU,
-        delta_dense,
-        dense_mul,
-        dense_trace,
-    )
+def _a4_samples(ctx: Context):
+    """(name, matrix, SL2(F7) class) of the normalizer sample elements, and
+    the Heisenberg class reps they are multiplied with."""
+    from .heisenberg import HElem, IOTA, MU, NU, delta_dense, dense_mul
 
-    t_sl2 = ctx.sl2
-    cls = t_sl2.classes
-
-    id7 = HElem(0, 0, 0, 0).matrix().dense()
+    cls = ctx.sl2.classes
     samples = [
-        ("id", id7, cls.index_of[(1, 0, 0, 1)]),
+        ("id", HElem(0, 0, 0, 0).matrix().dense(), cls.index_of[(1, 0, 0, 1)]),
         ("iota", IOTA.dense(), cls.index_of[(6, 0, 0, 6)]),
         ("mu", MU.dense(), cls.index_of[(2, 0, 0, 4)]),
         ("nu", NU.dense(), cls.index_of[(1, 0, 2, 1)]),
-        ("nu3", None, cls.index_of[(1, 0, 6, 1)]),
+        ("nu3", dense_mul(NU, dense_mul(NU, NU)), cls.index_of[(1, 0, 6, 1)]),
         ("delta", delta_dense(), cls.index_of[(0, 6, 1, 0)]),
     ]
-    nu3 = dense_mul(NU.dense(), dense_mul(NU.dense(), NU.dense()))
-    samples[4] = ("nu3", nu3, samples[4][2])
-
     h_reps = [HElem(a, 0, 0, 0) for a in range(7)] + [
         HElem(0, m, n, 0) for m in range(7) for n in range(7) if (m, n) != (0, 0)
     ]
+    return samples, h_reps
 
-    def powers(g, upto):
-        out = {0: id7}
-        cur = id7
-        for p in range(1, upto + 1):
-            cur = dense_mul(cur, g)
-            out[p] = cur
-        return out
 
-    def sym_traces(trs, upto):
-        out = [Cyc7.from_int(1)]
-        for k in range(1, upto + 1):
-            acc = Cyc7.from_int(0)
-            for j in range(1, k + 1):
-                acc = acc + trs[j] * out[k - j]
-            out.append(acc * Cyc7.from_rat(Fraction(1, k)))
-        return out
+def _a4_power_traces(h_mats, s_mat):
+    """Traces of (h s)^p for p = 1..5, batch shape (5, len(h_mats))."""
+    from .field import CycArray
+    from .heisenberg import dense_mul
 
-    def ext_traces(trs, upto):
-        out = [Cyc7.from_int(1)]
-        for k in range(1, upto + 1):
-            acc = Cyc7.from_int(0)
-            for j in range(1, k + 1):
-                term = trs[j] * out[k - j]
-                acc = acc + (term if j % 2 == 1 else -term)
-            out.append(acc * Cyc7.from_rat(Fraction(1, k)))
-        return out
+    g = dense_mul(h_mats, s_mat)
+    powers = [g]
+    for _ in range(4):
+        powers.append(dense_mul(powers[-1], g))
+    return CycArray.stack([p.trace() for p in powers])
 
+
+def _a4_sample_traces(ctx: Context):
+    """Trace equality on products of Heisenberg class reps with normalizer
+    sample elements, for the tensor/wedge/symmetric normalizer rows.  The
+    products with one sample, and their powers, form one batch."""
+    from .characters import newton
+    from .field import CycArray
+
+    samples, h_reps = _a4_samples(ctx)
+    h_mats = CycArray.stack([h.matrix().dense() for h in h_reps])
     # the SL2 side of each row, one class function per spec
-    tensor_rhs = [_sl2_char_sum(t_sl2, spec).values for _, _, spec, _ in A4_TENSOR_ROWS]
-    ext_rhs = [_sl2_char_sum(t_sl2, spec).values for _, _, spec, _ in A4_EXT_ROWS]
-    sym_rhs = [_sl2_char_sum(t_sl2, spec).values for _, _, spec, _ in A4_SYM_ROWS]
+    tensor_rhs = [_sl2_char_sum(ctx.sl2, spec).arr for _, _, spec, _ in A4_TENSOR_ROWS]
+    ext_rhs = [_sl2_char_sum(ctx.sl2, spec).arr for _, _, spec, _ in A4_EXT_ROWS]
+    sym_rhs = [_sl2_char_sum(ctx.sl2, spec).arr for _, _, spec, _ in A4_SYM_ROWS]
 
     checked = 0
     for name, s_mat, s_class in samples:
-        for h in h_reps:
-            g = dense_mul(h.matrix().dense(), s_mat)
-            pw = powers(g, 5)
-            trs = {p: dense_trace(pw[p]) for p in range(1, 6)}
-            base = {j: {p: trs[p].galois(j) for p in trs} for j in range(6)}
-
-            def vtrace(i, p=1):
-                return base[i % 6][p]
-
-            # tensor rows
-            for (parity, offset, _, shift), sl2_vals in zip(A4_TENSOR_ROWS, tensor_rhs):
-                i = parity
-                lhs = vtrace(i) * vtrace(i + offset)
-                if lhs != sl2_vals[s_class] * vtrace(i + shift):
-                    return False, f"tensor trace mismatch at sample {name}"
-                checked += 1
-            # wedge and symmetric rows
-            for (k, parity, _, shift), sl2_vals in zip(A4_EXT_ROWS, ext_rhs):
-                i = parity
-                series = ext_traces({p: base[i][p] for p in base[i]}, k)
-                lhs = series[k]
-                if lhs != sl2_vals[s_class] * vtrace(i + shift):
-                    return False, f"wedge trace mismatch at sample {name}"
-                checked += 1
-            for (k, parity, _, shift), sl2_vals in zip(A4_SYM_ROWS, sym_rhs):
-                i = parity
-                series = sym_traces({p: base[i][p] for p in base[i]}, k)
-                lhs = series[k]
-                if lhs != sl2_vals[s_class] * vtrace(i + shift):
-                    return False, f"symmetric trace mismatch at sample {name}"
-                checked += 1
+        traces = _a4_power_traces(h_mats, s_mat)
+        vt = CycArray.stack([traces[0].galois(j) for j in range(6)])  # V_j traces
+        # power sums of the two parities' twists, (power, parity, product)
+        parity_sums = CycArray.stack([traces, traces.galois(1)]).swapaxes(0, 1)
+        ext = newton(parity_sums, alternating=True)
+        sym = newton(parity_sums)
+        for (i, offset, _, shift), rhs in zip(A4_TENSOR_ROWS, tensor_rhs):
+            if vt[i] * vt[(i + offset) % 6] != rhs[s_class] * vt[(i + shift) % 6]:
+                return False, f"tensor trace mismatch at sample {name}"
+            checked += len(h_reps)
+        for (k, i, _, shift), rhs in zip(A4_EXT_ROWS, ext_rhs):
+            if ext[k][i] != rhs[s_class] * vt[(i + shift) % 6]:
+                return False, f"wedge trace mismatch at sample {name}"
+            checked += len(h_reps)
+        for (k, i, _, shift), rhs in zip(A4_SYM_ROWS, sym_rhs):
+            if sym[k][i] != rhs[s_class] * vt[(i + shift) % 6]:
+                return False, f"symmetric trace mismatch at sample {name}"
+            checked += len(h_reps)
     return True, f"trace equality on {checked} sampled normalizer products"
 
 
@@ -891,31 +865,20 @@ def _j_ideal():
 @declare_id("syzygy.net_kernel")
 def check_j_kernel(ctx: Context) -> CheckResult:
     from .moduli import delta_ops, f_basis
-    from .poly import REG_U, kernel_of_operators, monomial_basis
+    from .poly import REG_U, coefficient_rows, kernel_of_operators, monomial_basis
 
     k2 = kernel_of_operators(delta_ops(), 2)
     k1 = kernel_of_operators(delta_ops(), 1)
     k_empty = kernel_of_operators([], 2, REG_U)
     f, v = f_basis()
     monos = monomial_basis(REG_U, 2)
-    ix = {e: i for i, e in enumerate(monos)}
-
-    def coords(ps):
-        out = []
-        for p in ps:
-            row = [Fraction(0)] * len(monos)
-            for e, c in p.terms.items():
-                row[ix[e]] = c
-            out.append(row)
-        return out
-
     gens = [f[i] for i in range(7)]
     ok = (
         len(k2) == 7
         and len(k1) == 4
         and len(k_empty) == 10
-        and mat_rank(coords(k2) + coords(gens), QQ) == 7
-        and mat_rank(coords(gens) + coords([v[1], v[2], v[3]]), QQ) == 10
+        and mat_rank(coefficient_rows([*k2, *gens], monos), QQ) == 7
+        and mat_rank(coefficient_rows([*gens, v[1], v[2], v[3]], monos), QQ) == 10
     )
     return _result(
         "syzygy.net_kernel",
@@ -986,23 +949,12 @@ def check_twisted_cubic(ctx: Context) -> CheckResult:
     hd = I.hilbert()
     mat = hilbert_burch(gens)
     minors = hb_minors(mat)
-    from .poly import monomial_basis
+    from .poly import coefficient_rows, monomial_basis
 
     monos = monomial_basis(REG_U, 2)
-    ix = {e: i for i, e in enumerate(monos)}
-
-    def coords(ps):
-        out = []
-        for p in ps:
-            row = [Fraction(0)] * len(monos)
-            for e, c in p.terms.items():
-                row[ix[e]] = c
-            out.append(row)
-        return out
-
     round_trip = (
-        mat_rank(coords(minors), QQ) == 3
-        and mat_rank(coords(minors) + coords(gens), QQ) == 3
+        mat_rank(coefficient_rows(minors, monos), QQ) == 3
+        and mat_rank(coefficient_rows([*minors, *gens], monos), QQ) == 3
     )
     alpha = AlphaMatrix([[mat[i, 0], mat[i, 1]] for i in range(3)])
     ok = (
@@ -1254,7 +1206,7 @@ def check_eta_membership(ctx: Context) -> CheckResult:
         got, _ = grass_membership(psi(t))
         if not got:
             return CheckResult(
-                "moduli.net_membership", "fail", f"parametrized point at t={t} fails"
+                "moduli.net_membership", "fail", f"parametrized point at t={_point(t)} fails"
             )
         count += 1
     rng = random.Random(ctx.config.seed + 13)
@@ -1292,14 +1244,14 @@ def check_alpha_family(ctx: Context) -> CheckResult:
         a = alpha_t(t)
         if not delta_criterion(a):
             return CheckResult(
-                "moduli.family_matrix", "fail", f"net criterion fails at t={t}"
+                "moduli.family_matrix", "fail", f"net criterion fails at t={_point(t)}"
             )
         pairings.add(minor_span_pairing(a, psi(t)))
         try:
             mat = hilbert_burch(a.minors())
         except NotHilbertBurch as exc:
             return CheckResult(
-                "moduli.family_matrix", "fail", f"round trip fails at t={t}: {exc}"
+                "moduli.family_matrix", "fail", f"round trip fails at t={_point(t)}: {exc}"
             )
     try:
         alpha_t((1, 0, 0, 0))
@@ -1403,52 +1355,41 @@ def check_surface_pipeline(ctx: Context) -> CheckResult:
     for S in surfaces:
         t = S.t
         if S.degenerate:
-            failures.append(f"t={t}: span dimension != 21")
+            failures.append(f"t={_point(t)}: span dimension != 21")
             continue
         dom = S.coefficient_domain(base)
         if dom is not base:
-            moved.append(f"t={t}: over {dom.name}, as {base.p} divides a denominator")
+            moved.append(f"t={_point(t)}: over {dom.name}, as {base.p} divides a denominator")
         gens_p = [p.map_coeffs(dom.coerce, dom) for p in S.basis] if dom is not QQ else S.basis
         hf = [ideal_hf_oracle(gens_p, k) for k in range(1, 5)]
         if hf != [7, 28, 63, 112]:
-            failures.append(f"t={t}: quotient dimensions {hf}")
+            failures.append(f"t={_point(t)}: quotient dimensions {hf}")
             continue
         try:
             chi = subspace_character(S.basis, table)
         except ValueError as exc:
-            failures.append(f"t={t}: stability: {exc}")
+            failures.append(f"t={_point(t)}: stability: {exc}")
             continue
         dec = table.decompose(chi)
         if dec != {"V4": 3}:
-            failures.append(f"t={t}: character {dec}")
+            failures.append(f"t={_point(t)}: character {dec}")
             continue
         q = psi(t)
         okm, _ = grass_membership(q)
         if not okm:
-            failures.append(f"t={t}: net membership")
+            failures.append(f"t={_point(t)}: net membership")
             continue
         try:
             mat = hilbert_burch(q.quadrics())
         except NotHilbertBurch as exc:
-            failures.append(f"t={t}: curve shape: {exc}")
+            failures.append(f"t={_point(t)}: curve shape: {exc}")
             continue
         minors = hb_minors(mat)
-        from .poly import monomial_basis, REG_U
+        from .poly import coefficient_rows, monomial_basis, REG_U
 
-        monos = monomial_basis(REG_U, 2)
-        ix = {e: i for i, e in enumerate(monos)}
-
-        def coords(ps):
-            rows = []
-            for p in ps:
-                row = [Fraction(0)] * len(monos)
-                for e, c in p.terms.items():
-                    row[ix[e]] = c
-                rows.append(row)
-            return rows
-
-        if mat_rank(coords(minors) + coords(q.quadrics()), QQ) != 3:
-            failures.append(f"t={t}: round trip span")
+        rows = coefficient_rows([*minors, *q.quadrics()], monomial_basis(REG_U, 2))
+        if mat_rank(rows, QQ) != 3:
+            failures.append(f"t={_point(t)}: round trip span")
     n = len(surfaces)
     notes = "".join(f"; {m}" for m in moved)
     return _result(
@@ -1539,14 +1480,14 @@ def check_surface_stability(ctx: Context) -> CheckResult:
         try:
             solver = SpanSolver(S.basis)
         except ValueError as exc:  # a dependent or non-tau-stable basis
-            failures.append(f"t={S.t}: {exc}")
+            failures.append(f"t={_point(S.t)}: {exc}")
             continue
         if not solver.is_stable_under(sigma_x_images()):
-            failures.append(f"t={S.t}: shift")
+            failures.append(f"t={_point(S.t)}: shift")
         if not solver.is_stable_under(iota_x_images()):
-            failures.append(f"t={S.t}: involution")
+            failures.append(f"t={_point(S.t)}: involution")
         if not solver.is_stable_under(tau_x_images(CYC)):
-            failures.append(f"t={S.t}: phase")
+            failures.append(f"t={_point(S.t)}: phase")
     return _result(
         "moduli.surface_stability",
         not failures,

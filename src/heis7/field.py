@@ -22,14 +22,26 @@ operation with a FieldElem operand returns a FieldElem, and a FieldElem with
 zero sqrt2 part equals (and hashes like) its Cyc7.
 
 Internally Cyc7 keeps an integer 6-vector plus a positive common denominator,
-reduced by gcd, which keeps the hot paths (character table work) in pure
-integer arithmetic.
+reduced by gcd.
+
+Batches of values (class functions, 7x7 matrices, traces of many matrices)
+are CycArray: one integer array whose last axis holds the 6 power-basis
+coordinates, over one Python-int common denominator; the sqrt2 tower adds a
+second-to-last axis of length 2 for the a and b of a + b*r2.  A product is
+one matmul against the fixed structure tensor of the basis, a Galois twist
+one matmul against a 6x6 integer matrix, and each result is normalised by
+one gcd over the whole array.  The numerators are int64 only while every one
+is below 2^62: each operation bounds its result from the operands' largest
+numerators first and, when the bound reaches 2^62, runs the same code on
+Python-int (dtype=object) arrays, so no value is ever reduced modulo 2^64.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+import numpy as np
 
 Rat = Fraction
 
@@ -143,51 +155,6 @@ class Cyc7:
         return Cyc7(tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def dot(xs, ys) -> "Cyc7":
-        """sum x*y over paired Cyc7/int/Fraction entries, normalised once.
-
-        The products accumulate as integer numerators on 1..z^10 over one
-        common denominator; the fold mod Phi_7 and the gcd come at the end.
-        """
-        acc = [0] * 11
-        den = 1
-        for x, y in zip(xs, ys):
-            if type(x) is not Cyc7 or type(y) is not Cyc7:
-                x, y = _as_cyc(x), _as_cyc(y)
-                if x is NotImplemented or y is NotImplemented:
-                    raise TypeError("Cyc7.dot takes Cyc7, int or Fraction entries")
-            a, b = x.num, y.num
-            if a == _ZERO6 or b == _ZERO6:
-                continue
-            d = x.den * y.den
-            s = 1
-            if d != den:
-                up = d // gcd(den, d)
-                if up != 1:
-                    acc = [v * up for v in acc]
-                    den *= up
-                s = den // d
-            if a[1:] == _ZERO5:
-                f = a[0] * s
-                for j, bj in enumerate(b):
-                    acc[j] += f * bj
-            elif b[1:] == _ZERO5:
-                f = b[0] * s
-                for i, ai in enumerate(a):
-                    acc[i] += f * ai
-            else:
-                for i, ai in enumerate(a):
-                    if ai:
-                        ai *= s
-                        for j, bj in enumerate(b):
-                            if bj:
-                                acc[i + j] += ai * bj
-        for k in range(7, 11):
-            acc[k - 7] += acc[k]
-        c6 = acc[6]
-        return Cyc7(tuple(acc[i] - c6 for i in range(6)), den)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -455,6 +422,283 @@ def _as_fe(x):
     if c is NotImplemented:
         return NotImplemented
     return FieldElem(c, 0)
+
+
+# ---------------------------------------------------------------------------
+# batches of Q(zeta7) values as integer arrays
+
+_WIDE = 1 << 62  # numerators at or above this bound live in Python ints
+
+
+def _product_table(width: int):
+    """(T, norm): row width*i + j of T holds the coordinates of e_i * e_j.
+
+    Width 6 is the basis 1, z, ..., z^5 mod Phi_7; width 12 is the tower
+    basis r2^s z^k at 6s + k, with r2^2 = 2.  `norm` bounds the absolute
+    sum over any output coordinate's column, for the overflow rule.
+    """
+    t6 = [Cyc7.zeta(i + j).num for i in range(6) for j in range(6)]
+    rows = t6
+    if width == 12:
+        rows = []
+        for s in range(2):
+            for i in range(6):
+                for u in range(2):
+                    c, part = (2, 0) if s + u == 2 else (1, s + u)
+                    for j in range(6):
+                        row = [0] * 12
+                        row[6 * part : 6 * part + 6] = [c * v for v in t6[6 * i + j]]
+                        rows.append(row)
+    norm = max(sum(abs(row[k]) for row in rows) for k in range(width))
+    return np.array(rows, dtype=np.int64), norm
+
+
+_PRODUCT = {6: _product_table(6), 12: _product_table(12)}
+_GALOIS = np.array(_galois_tables(), dtype=np.int64)  # [p][k]: z^k -> z^(k 3^p)
+
+
+def _top(a) -> int:
+    """Largest absolute numerator of an integer array (0 when empty)."""
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _wide(bound: int, *arrays):
+    """The arrays unchanged while `bound` < 2^62, else as Python-int arrays."""
+    if bound < _WIDE:
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
+class CycArray:
+    """A batch of Q(zeta7) values, or of Q(zeta7)(sqrt2) values when `r2`.
+
+    `num` has the batch shape followed by the coordinate axes: (6,) for the
+    power basis 1..z^5, or (2, 6) in the tower, num[..., s, k] being the
+    coordinate of r2^s z^k.  Every value is num / den for one positive
+    Python-int `den`, and the constructor divides num and den by their gcd,
+    so equal batches have equal (num, den).  num is int64 when every
+    numerator is below 2^62 in absolute value and a dtype=object array of
+    Python ints otherwise (see the module docstring for the overflow rule).
+    Indexing acts on the batch axes only.
+    """
+
+    __slots__ = ("num", "den", "r2")
+
+    def __init__(self, num, den: int = 1, r2: bool = False):
+        num = np.asarray(num)
+        if den <= 0:
+            raise ValueError("CycArray denominator must be positive")
+        h = int(np.gcd.reduce(num.ravel())) if num.size else 0
+        if h == 0:
+            den = 1
+        else:
+            g = gcd(den, h)
+            if g > 1:
+                num = num // g
+                den //= g
+        if num.dtype == object:
+            if _top(num) < _WIDE:
+                num = num.astype(np.int64)
+        elif num.dtype != np.int64:
+            num = num.astype(np.int64)
+        self.num = num
+        self.den = den
+        self.r2 = r2
+
+    # -- conversions ---------------------------------------------------
+
+    @staticmethod
+    def from_values(values) -> "CycArray":
+        """A 1-d batch of Cyc7/int/Fraction values; any FieldElem among
+        them puts the whole batch in the sqrt2 tower."""
+        vals = list(values)
+        r2 = any(isinstance(v, FieldElem) for v in vals)
+        conv = _as_fe if r2 else _as_cyc
+        parts = []
+        for v in vals:
+            c = conv(v)
+            if c is NotImplemented:
+                raise TypeError(f"cannot put {v!r} in a CycArray")
+            parts.append((c.a, c.b) if r2 else (c,))
+        den = lcm(1, *(c.den for p in parts for c in p))
+        flat = [n * (den // c.den) for p in parts for c in p for n in c.num]
+        num = np.array(flat, dtype=np.int64 if max(map(abs, flat), default=0) < _WIDE else object)
+        return CycArray(num.reshape(len(vals), *((2, 6) if r2 else (6,))), den, r2)
+
+    @staticmethod
+    def from_ints(ints) -> "CycArray":
+        """The rational integers of an int64-sized integer array, as a batch
+        of its shape."""
+        ints = np.asarray(ints, dtype=np.int64)
+        num = np.zeros(ints.shape + (6,), dtype=np.int64)
+        num[..., 0] = ints
+        return CycArray(num)
+
+    def tolist(self):
+        """The values as nested lists of Cyc7 (FieldElem in the tower); a
+        batch of shape () gives one value."""
+        den = self.den
+
+        def build(x, depth):
+            if depth:
+                return [build(y, depth - 1) for y in x]
+            if self.r2:
+                return FieldElem(Cyc7(x[0], den), Cyc7(x[1], den))
+            return Cyc7(x, den)
+
+        return build(self.num.tolist(), len(self.shape))
+
+    def rationals(self) -> list:
+        """The values in flat batch order as Fractions, None where a value
+        is not rational."""
+        x = self._flat()
+        irrational = (x[..., 1:] != 0).any(axis=-1).ravel().tolist()
+        return [
+            None if irr else Fraction(n, self.den)
+            for irr, n in zip(irrational, x[..., 0].ravel().tolist())
+        ]
+
+    def nonzero(self):
+        """Boolean array of the batch shape: where the value is not 0."""
+        return (self._flat() != 0).any(axis=-1)
+
+    # -- shape ---------------------------------------------------------
+
+    @property
+    def shape(self) -> tuple:
+        return self.num.shape[: -2 if self.r2 else -1]
+
+    def _flat(self):
+        """num with the coordinates on one last axis (width 6 or 12)."""
+        return self.num.reshape(*self.shape, 12) if self.r2 else self.num
+
+    @staticmethod
+    def _from_flat(flat, den, r2) -> "CycArray":
+        return CycArray(flat.reshape(*flat.shape[:-1], 2, 6) if r2 else flat, den, r2)
+
+    def __getitem__(self, index) -> "CycArray":
+        return CycArray(self.num[index], self.den, self.r2)
+
+    def reshape(self, *shape) -> "CycArray":
+        tail = self.num.shape[len(self.shape) :]
+        return CycArray(self.num.reshape(*shape, *tail), self.den, self.r2)
+
+    def swapaxes(self, i: int, j: int) -> "CycArray":
+        """Swap two batch axes (given as non-negative indices)."""
+        return CycArray(np.swapaxes(self.num, i, j), self.den, self.r2)
+
+    def _lift(self) -> "CycArray":
+        """The same values in the sqrt2 tower."""
+        if self.r2:
+            return self
+        return CycArray(np.stack([self.num, np.zeros_like(self.num)], axis=-2), self.den, True)
+
+    @staticmethod
+    def stack(arrays) -> "CycArray":
+        """Equal-shape batches stacked along a new first batch axis."""
+        r2 = any(a.r2 for a in arrays)
+        arrays = [a._lift() if r2 else a for a in arrays]
+        den = lcm(*(a.den for a in arrays))
+        ups = [den // a.den for a in arrays]
+        nums = _wide(max(_top(a.num) * u for a, u in zip(arrays, ups)), *(a.num for a in arrays))
+        return CycArray(np.stack([x * u for x, u in zip(nums, ups)]), den, r2)
+
+    def _meet(self, other):
+        """(self, other) in one field; a scalar becomes a batch of shape ()."""
+        if not isinstance(other, CycArray):
+            other = CycArray.from_values([other]).reshape()
+        if self.r2 == other.r2:
+            return self, other
+        return self._lift(), other._lift()
+
+    # -- arithmetic ----------------------------------------------------
+
+    def __add__(self, other) -> "CycArray":
+        a, b = self._meet(other)
+        den = lcm(a.den, b.den)
+        ua, ub = den // a.den, den // b.den
+        x, y = _wide(_top(a.num) * ua + _top(b.num) * ub, a.num, b.num)
+        return CycArray(x * ua + y * ub, den, a.r2)
+
+    def __neg__(self) -> "CycArray":
+        return CycArray(-self.num, self.den, self.r2)
+
+    def __sub__(self, other) -> "CycArray":
+        return self + (-other)
+
+    def __mul__(self, other) -> "CycArray":
+        """Elementwise product, broadcasting the batch shapes."""
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            (x,) = _wide(_top(self.num) * abs(q.numerator), self.num)
+            return CycArray(x * q.numerator, self.den * q.denominator, self.r2)
+        a, b = self._meet(other)
+        x, y = a._flat(), b._flat()
+        w = x.shape[-1]
+        table, norm = _PRODUCT[w]
+        x, y = _wide(_top(x) * _top(y) * norm, x, y)
+        outer = x[..., :, None] * y[..., None, :]
+        flat = outer.reshape(*outer.shape[:-2], w * w) @ table
+        return CycArray._from_flat(flat, a.den * b.den, a.r2)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other) -> "CycArray":
+        """Matrix product over the last two batch axes, broadcasting the
+        rest: the sum over basis elements e_i of the matrix of self's e_i
+        coordinates times other multiplied by e_i.  Temporaries stay the
+        size of the result."""
+        a, b = self._meet(other)
+        x, y = a._flat(), b._flat()
+        w = x.shape[-1]
+        table, norm = _PRODUCT[w]
+        x, y = _wide(_top(x) * _top(y) * norm * x.shape[-2], x, y)
+        cols = y.shape[-2] * w
+        out = 0
+        for i in range(w):
+            out = out + x[..., i] @ (y @ table[w * i : w * i + w]).reshape(*y.shape[:-2], cols)
+        return CycArray._from_flat(out.reshape(*out.shape[:-1], -1, w), a.den * b.den, a.r2)
+
+    def sum(self, axis: int = 0) -> "CycArray":
+        """Sum over one batch axis (a non-negative index)."""
+        (x,) = _wide(_top(self.num) * self.num.shape[axis], self.num)
+        return CycArray(x.sum(axis=axis), self.den, self.r2)
+
+    def trace(self) -> "CycArray":
+        """Trace over the last two batch axes."""
+        x = self._flat()
+        (x,) = _wide(_top(x) * x.shape[-2], x)
+        return CycArray._from_flat(np.trace(x, axis1=-3, axis2=-2), self.den, self.r2)
+
+    def lincomb(self, coeffs) -> "CycArray":
+        """sum_i coeffs[i] * self[i] for integer coeffs, one integer matmul."""
+        c = np.array([int(v) for v in coeffs], dtype=object)
+        x = self.num.reshape(len(c), -1)
+        if sum(map(abs, c)) * _top(x) < _WIDE:
+            c = c.astype(np.int64)
+        else:
+            x = x.astype(object)
+        return CycArray((c @ x).reshape(self.num.shape[1:]), self.den, self.r2)
+
+    def galois(self, power: int = 1) -> "CycArray":
+        """theta^power on every value, theta(z) = z^3 (sqrt2 is fixed)."""
+        (x,) = _wide(_top(self.num) * 6, self.num)
+        return CycArray(x @ _GALOIS[power % 6], self.den, self.r2)
+
+    def conj(self) -> "CycArray":
+        """Complex conjugation, = theta^3."""
+        return self.galois(3)
+
+    def __eq__(self, other):
+        if not isinstance(other, CycArray):
+            return NotImplemented
+        a, b = self._meet(other)
+        return a.den == b.den and a.num.shape == b.num.shape and bool((a.num == b.num).all())
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"CycArray(shape={self.shape}, den={self.den}, r2={self.r2})"
 
 
 class DualNum:

@@ -8,7 +8,8 @@ Matrix model (on V = C^7 with basis e_0..e_6, indices mod 7):
 
 with z = zeta7 and i*sqrt7 realized as the Gauss sum.  All of these except
 delta are signed monomial matrices, stored compactly as (permutation, signs,
-zeta-powers); delta is kept as a dense matrix over Q(zeta7).
+zeta-powers); delta is kept as a dense matrix over Q(zeta7).  A dense matrix,
+or a batch of them, is a CycArray of batch shape (..., 7, 7).
 
 The induced (pullback) action on the coordinate functions x_j of the dual
 basis is sigma x_j = x_{j-1}, tau x_j = z^{-j} x_j, iota x_j = -x_{-j}.
@@ -25,14 +26,16 @@ tau sigma = z sigma tau here.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .field import Cyc7, gauss_sum
+from .field import Cyc7, CycArray, gauss_sum
 from .linalg import det as _det
 
 ZETA = [Cyc7.zeta(k) for k in range(7)]
+_ZETA_NUM = np.array([z.num for z in ZETA], dtype=np.int64)
 _C0 = Cyc7.from_int(0)
 _C1 = Cyc7.from_int(1)
 
@@ -95,13 +98,23 @@ class MonoMat(NamedTuple):
         v = ZETA[sum(self.pw) % 7]
         return v if tot == 1 else -v
 
-    def dense(self):
-        """Expand to a 7x7 matrix over Cyc7 (rows x cols, column-action)."""
-        m = [[_C0] * 7 for _ in range(7)]
-        for l in range(7):
-            v = ZETA[self.pw[l]]
-            m[self.perm[l]][l] = v if self.sign[l] == 1 else -v
-        return m
+    def dense(self) -> CycArray:
+        """Expand to a 7x7 matrix over Q(zeta7) (rows x cols, column-action)."""
+        return _mono_dense(self.perm, self.sign, self.pw)
+
+
+def _mono_dense(perm, sign, pw) -> CycArray:
+    """Dense matrices of signed zeta-monomial matrices given as (..., 7)
+    int arrays: entry (perm[l], l) is sign[l] * z^pw[l]."""
+    perm, sign, pw = (np.asarray(x) for x in (perm, sign, pw))
+    hits = perm[..., :, None] == np.arange(7)  # [..., l, row]
+    vals = sign[..., None] * _ZETA_NUM[pw]  # [..., l, coordinate]
+    return CycArray(np.swapaxes(hits[..., None] * vals[..., :, None, :], -3, -2))
+
+
+def _stack_dense(mats) -> CycArray:
+    """The dense matrices of a list of MonoMat, as one batch."""
+    return _mono_dense(*(np.array(col) for col in zip(*mats)))
 
 
 MONO_ID = MonoMat(tuple(range(7)), (1,) * 7, (0,) * 7)
@@ -116,69 +129,47 @@ def scalar_mono(a: int) -> MonoMat:
     return MonoMat(tuple(range(7)), (1,) * 7, (a % 7,) * 7)
 
 
-def delta_dense():
+def delta_dense() -> CycArray:
     """delta e_j = (i/sqrt7) sum_k z^{kj} e_k, with i/sqrt7 = gauss_sum()/7."""
-    c = gauss_sum() * Cyc7.from_rat(__import__("fractions").Fraction(1, 7))
-    return [[c * ZETA[(k * j) % 7] for j in range(7)] for k in range(7)]
+    r = np.arange(7)
+    c = gauss_sum() * Cyc7.from_rat(Fraction(1, 7))
+    return CycArray(_ZETA_NUM[np.outer(r, r) % 7]) * c
 
 
-def dense_of(m) -> list:
+def dense_of(m) -> CycArray:
     return m.dense() if isinstance(m, MonoMat) else m
 
 
-def dense_mul(a, b):
-    a, b = dense_of(a), dense_of(b)
-    out = []
-    for row in a:
-        # the nonzero products of each output entry, summed by one Cyc7.dot
-        xs, ys = [[] for _ in range(7)], [[] for _ in range(7)]
-        for c, bk in zip(row, b):
-            if not c.is_zero():
-                for j, y in enumerate(bk):
-                    if not y.is_zero():
-                        xs[j].append(c)
-                        ys[j].append(y)
-        out.append([_sum_products(x, y) for x, y in zip(xs, ys)])
-    return out
-
-
-def _sum_products(xs, ys) -> Cyc7:
-    # a lone product (monomial matrices) is cheaper without the accumulator
-    if len(xs) > 1:
-        return Cyc7.dot(xs, ys)
-    return xs[0] * ys[0] if xs else _C0
+def dense_mul(a, b) -> CycArray:
+    """Matrix product; either side may be a batch of matrices."""
+    return dense_of(a) @ dense_of(b)
 
 
 def dense_eq(a, b) -> bool:
-    a, b = dense_of(a), dense_of(b)
-    return all(a[i][j] == b[i][j] for i in range(7) for j in range(7))
+    return dense_of(a) == dense_of(b)
 
 
 def dense_trace(a) -> Cyc7:
-    a = dense_of(a)
-    t = _C0
-    for i in range(7):
-        t = t + a[i][i]
-    return t
+    return dense_of(a).trace().tolist()
 
 
-def dense_galois(a, power: int):
-    return [[c.galois(power) for c in row] for row in dense_of(a)]
+def dense_galois(a, power: int) -> CycArray:
+    return dense_of(a).galois(power)
 
 
 def dense_det(a) -> Cyc7:
     from .field import FieldElem, FF
 
-    fe = [[FieldElem(c, 0) for c in row] for row in dense_of(a)]
+    fe = [[FieldElem(c, 0) for c in row] for row in dense_of(a).tolist()]
     return _det(fe, FF).a
 
 
-def dense_inv(a):
+def dense_inv(a) -> CycArray:
     from .field import FieldElem, FF
     from .linalg import inverse
 
-    fe = [[FieldElem(c, 0) for c in row] for row in dense_of(a)]
-    return [[c.a for c in row] for row in inverse(fe, FF)]
+    fe = [[FieldElem(c, 0) for c in row] for row in dense_of(a).tolist()]
+    return CycArray.from_values(c.a for row in inverse(fe, FF) for c in row).reshape(7, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -275,36 +266,43 @@ def build_heisenberg():
 
     h7 = h7_elements()
     g7 = g7_elements()
+    mats = {g: g.matrix() for g in g7}
+    A, M, N, B = (np.array(col) for col in zip(*g7))
+    P, S, W = (np.array(col) for col in zip(*mats.values()))
 
-    # 1. compact encoding vs dense matrix arithmetic
+    # 1. compact encoding vs dense matrix arithmetic, 49 elements per batch
+    # (numpy temporaries stay under 1 MB)
     sigma_pows = [MONO_ID.dense()]
     tau_pows = [MONO_ID.dense()]
     for _ in range(6):
         sigma_pows.append(dense_mul(sigma_pows[-1], SIGMA))
         tau_pows.append(dense_mul(tau_pows[-1], TAU))
-    dense_iota = IOTA.dense()
-    for g in g7:
+    sigma_pows, tau_pows = CycArray.stack(sigma_pows), CycArray.stack(tau_pows)
+    scalars = CycArray.stack([scalar_mono(a).dense() for a in range(7)])
+    iota_pows = CycArray.stack([MONO_ID.dense(), IOTA.dense()])
+    for lo in range(0, len(g7), 49):
+        blk = slice(lo, lo + 49)
         # right-multiplication composes in the same order as MonoMat.__mul__
-        cur = dense_mul(scalar_mono(g.a + 4 * g.m * g.n), sigma_pows[g.m])
-        cur = dense_mul(cur, tau_pows[g.n])
-        if g.b:
-            cur = dense_mul(cur, dense_iota)
-        if not dense_eq(cur, g.matrix()):
-            raise GroupLawError(f"compact matrix encoding disagrees with dense product at {g}")
+        cur = dense_mul(scalars[(A[blk] + 4 * M[blk] * N[blk]) % 7], sigma_pows[M[blk]])
+        cur = dense_mul(dense_mul(cur, tau_pows[N[blk]]), iota_pows[B[blk]])
+        bad = _differ(cur, _mono_dense(P[blk], S[blk], W[blk]))
+        if bad is not None:
+            raise GroupLawError(f"compact matrix encoding disagrees with dense product at {g7[lo + bad]}")
 
     rng = random.Random(2024)
     sample = [(rng.choice(g7), rng.choice(g7)) for _ in range(686)]
-    for x, y in sample:
-        if not dense_eq(dense_mul(x.matrix(), y.matrix()), x.matrix() * y.matrix()):
-            raise GroupLawError(f"compact product disagrees with dense product at {x}, {y}")
+    for lo in range(0, len(sample), 49):
+        xs, ys = zip(*sample[lo : lo + 49])
+        dense = dense_mul(_stack_dense([mats[x] for x in xs]), _stack_dense([mats[y] for y in ys]))
+        bad = _differ(dense, _stack_dense([mats[x] * mats[y] for x, y in zip(xs, ys)]))
+        if bad is not None:
+            raise GroupLawError(f"compact product disagrees with dense product at {xs[bad]}, {ys[bad]}")
 
     # 2. abstract law vs matrix products, one row x * (all of G7) at a time:
     # the law on arrays gives the 686 products' indices into the matrix
     # table, and the compact products mats[x] * mats[y] are gathers
-    A, M, N, B = (np.array(col) for col in zip(*g7))
     index = np.empty((7, 7, 7, 2), dtype=np.intp)
     index[A, M, N, B] = np.arange(len(g7))
-    P, S, W = (np.array(col) for col in zip(*(g.matrix() for g in g7)))
     pairs = 0
     for i, x in enumerate(g7):
         k = index[_law(*x, A, M, N, B)]
@@ -324,6 +322,12 @@ def build_heisenberg():
         raise GroupLawError(f"matrix group generated by sigma, tau, iota has order {order_g}")
 
     return h7, g7, {"pairs_checked": pairs, "order_h7": order_h, "order_g7": order_g}
+
+
+def _differ(a: CycArray, b: CycArray):
+    """Index of the first matrix where two batches of matrices differ, or None."""
+    bad = (a - b).nonzero().any(axis=(-2, -1))
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def _closure_order(gens) -> int:
@@ -589,7 +593,7 @@ def restrict_to_span(mat, basis):
     from .field import FieldElem, FF
     from .linalg import solve
 
-    dense = dense_of(mat)
+    dense = dense_of(mat).tolist()
     cols_basis = [[FieldElem(Cyc7.from_int(v), 0) for v in vec] for vec in basis]
     bmat = [[cols_basis[j][i] for j in range(len(basis))] for i in range(7)]
     images = []

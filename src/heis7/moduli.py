@@ -43,6 +43,7 @@ from .poly import (
     REG_V,
     REG_X,
     REG_Y,
+    coefficient_rows,
     linear_form,
     monomial_basis,
     parse_poly,
@@ -422,15 +423,7 @@ def minors_and_independence(alpha: AlphaMatrix, l_coeffs=None):
     l1 B1 + l2 B2 + l3 B3 | l0 B1 - l1 B3 | l0 B2 - l2 B1 | l0 B3 - l3 B2
     evaluated at the probe point (1, 2, ..., 7)."""
     minors = alpha.minors()
-    monos = monomial_basis(REG_U, 2)
-    ix = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for m in minors:
-        row = [QQ.zero] * len(monos)
-        for e, c in m.terms.items():
-            row[ix[e]] = c
-        rows.append(row)
-    rk = mat_rank(rows, QQ)
+    rk = mat_rank(coefficient_rows(minors, monomial_basis(REG_U, 2)), QQ)
     diagnostics = []
     if l_coeffs is not None:
         b1, b2, b3 = printed_b_matrices()
@@ -623,24 +616,13 @@ def minor_span_pairing(alpha: AlphaMatrix, point: GrassPoint):
     quadrics; the tests record which one the explicit family satisfies.
     """
     monos = monomial_basis(REG_U, 2)
-    ix = {e: i for i, e in enumerate(monos)}
-
-    def coords(ps):
-        out = []
-        for p in ps:
-            row = [QQ.zero] * len(monos)
-            for e, c in p.terms.items():
-                row[ix[e]] = c
-            out.append(row)
-        return out
-
     minors = alpha.minors()
-    mrows = coords(minors)
+    mrows = coefficient_rows(minors, monos)
     if mat_rank(mrows, QQ) != 3:
         return None
     for name, order in (("display-order", L_BASIS_ORDER), ("generator-list-order", L_GENLIST_ORDER)):
         qs = point.quadrics(order)
-        if mat_rank(mrows + coords(qs), QQ) == 3:
+        if mat_rank(mrows + coefficient_rows(qs, monos), QQ) == 3:
             return name
     return None
 
@@ -816,13 +798,7 @@ def pfaffian_apolarity_report():
 
     kernel = nullspace(cat, QQ)
     # span comparison: pfaffian cubics vs the kernel
-    ix = {e: i for i, e in enumerate(monos3)}
-    pf_rows = []
-    for p in pf:
-        row = [QQ.zero] * len(monos3)
-        for e, c in p.terms.items():
-            row[ix[e]] = c
-        pf_rows.append(row)
+    pf_rows = coefficient_rows(pf, monos3)
     same_span = (
         mat_rank(pf_rows, QQ) == len(kernel)
         and mat_rank(pf_rows + kernel, QQ) == len(kernel)

@@ -573,6 +573,19 @@ def monomial_basis(reg: VarRegistry, d: int):
     return out
 
 
+def coefficient_rows(polys, monos) -> list:
+    """One row per polynomial: its coefficients at `monos`, which must hold
+    every monomial of every polynomial."""
+    ix = {e: i for i, e in enumerate(monos)}
+    rows = []
+    for p in polys:
+        row = [p.dom.zero] * len(monos)
+        for e, c in p.terms.items():
+            row[ix[e]] = c
+        rows.append(row)
+    return rows
+
+
 def kernel_of_operators(ops, d: int, reg: VarRegistry = None, dom=QQ):
     """Echelonized basis of {f homogeneous of degree d : D f = 0 for all D}."""
     from .linalg import nullspace

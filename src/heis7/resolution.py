@@ -375,22 +375,14 @@ def hilbert_burch(gens, dom=QQ):
     """
     from .formmat import FormMatrix
     from .linalg import rank as _rank
-    from .poly import monomial_basis
+    from .poly import coefficient_rows, monomial_basis
 
     if len(gens) != 3:
         raise NotHilbertBurch("need exactly three quadrics")
     reg = gens[0].reg
     if any(g.degree() != 2 or not g.is_homogeneous() for g in gens):
         raise NotHilbertBurch("generators must be homogeneous quadrics")
-    monos = monomial_basis(reg, 2)
-    ix = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for g in gens:
-        row = [dom.zero] * len(monos)
-        for e, c in g.terms.items():
-            row[ix[e]] = c
-        rows.append(row)
-    if _rank(rows, dom) != 3:
+    if _rank(coefficient_rows(gens, monomial_basis(reg, 2)), dom) != 3:
         raise NotHilbertBurch("quadrics are linearly dependent")
 
     syz, _ = syzygies_of_polys(gens, dom, degree_cap=8)

@@ -17,11 +17,19 @@ The span oracle solves coordinates on a polynomial span through one
 elimination transform of the augmented matrix [B^T | I] over the basis'
 domain, and reads traces and stability from general substitutions; the
 package's weight-block SpanSolver is tested against it.
+
+The trace oracles multiply 7x7 matrices as nested lists of Cyc7, value by
+value, and run the Newton recursions on scalar traces; the orthogonality
+oracle pairs character values one by one.  The package's batched CycArray
+traces, `newton` and Gram-matrix orthogonality check are tested against
+them.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from fractions import Fraction
 
 from heis7.field import QQ, Cyc7
 from heis7.groebner import _add_exp
@@ -250,3 +258,81 @@ class SpanSolverOracle:
             row = self.transform[i]
             tr = sum((row[j] * c for j, c in v.items() if row[j] != 0), tr)
         return tr
+
+
+# ---------------------------------------------------------------------------
+# scalar traces, Newton recursions and orthogonality
+
+
+def mono_dense_oracle(m):
+    """A MonoMat as a 7x7 nested list: entry (perm[l], l) = sign[l] z^pw[l]."""
+    out = [[Cyc7.from_int(0)] * 7 for _ in range(7)]
+    for l in range(7):
+        out[m.perm[l]][l] = Cyc7.zeta(m.pw[l]) * m.sign[l]
+    return out
+
+
+def dense_mul_oracle(a, b):
+    """Product of 7x7 nested lists of Cyc7, skipping zero entries."""
+    out = []
+    for row in a:
+        out.append([
+            sum((x * col[j] for x, col in zip(row, b) if not x.is_zero() and not col[j].is_zero()), Cyc7.from_int(0))
+            for j in range(7)
+        ])
+    return out
+
+
+def power_traces_oracle(g, upto=5):
+    """[trace(g^p) for p = 1..upto] of a 7x7 nested list."""
+    out, cur = [], g
+    for p in range(upto):
+        if p:
+            cur = dense_mul_oracle(cur, g)
+        out.append(sum((cur[i][i] for i in range(7)), Cyc7.from_int(0)))
+    return out
+
+
+def sym_traces(trs, upto):
+    """Traces on S^0..S^upto from the power traces trs[0..] = tr(g^1..)."""
+    out = [Cyc7.from_int(1)]
+    for k in range(1, upto + 1):
+        acc = Cyc7.from_int(0)
+        for j in range(1, k + 1):
+            acc = acc + trs[j - 1] * out[k - j]
+        out.append(acc * Cyc7.from_rat(Fraction(1, k)))
+    return out
+
+
+def ext_traces(trs, upto):
+    """Traces on the exterior powers 0..upto, likewise."""
+    out = [Cyc7.from_int(1)]
+    for k in range(1, upto + 1):
+        acc = Cyc7.from_int(0)
+        for j in range(1, k + 1):
+            term = trs[j - 1] * out[k - j]
+            acc = acc + (term if j % 2 == 1 else -term)
+        out.append(acc * Cyc7.from_rat(Fraction(1, k)))
+    return out
+
+
+def first_orthogonality_failures(table):
+    """(first row pair, first class pair) at which the scalar orthogonality
+    loops fail, in row-major order over i <= j; None where a relation holds."""
+    labels = table.labels
+    vals = {lb: table.rows[lb].values for lb in labels}
+    sizes = table.classes.sizes
+    order = table.classes.group_order()
+    n = table.classes.count
+    row_fail = col_fail = None
+    for i, a in enumerate(labels):
+        for b in labels[i:]:
+            tot = sum((x * y.conj() * s for x, y, s in zip(vals[a], vals[b], sizes)), Cyc7.from_int(0))
+            if tot != (order if a == b else 0):
+                row_fail = row_fail or (a, b)
+    for c1 in range(n):
+        for c2 in range(c1, n):
+            tot = sum((vals[lb][c1] * vals[lb][c2].conj() for lb in labels), Cyc7.from_int(0))
+            if tot != (Fraction(order, sizes[c1]) if c1 == c2 else 0):
+                col_fail = col_fail or (c1, c2)
+    return row_fail, col_fail

@@ -152,30 +152,8 @@ def test_span_solver_refusals():
     assert not SpanSolver([parse_poly("x0^2", REG_X)]).is_stable_under(images)
 
 
-def test_cyc7_dot_sums_exactly():
-    import random
-    from fractions import Fraction
-
-    rng = random.Random(5)
-
-    def rand():
-        num = tuple(rng.randint(-4, 4) for _ in range(6))
-        return Cyc7(num, rng.randint(1, 6))
-
-    for n in (0, 1, 5, 20):
-        xs = [rand() for _ in range(n)]
-        ys = [rand() if i % 3 else Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for i in range(n)]
-        want = Cyc7.from_int(0)
-        for a, b in zip(xs, ys):
-            want = want + a * b
-        assert Cyc7.dot(xs, ys) == want
-        assert Cyc7.dot(ys, xs) == want
-    with pytest.raises(TypeError):
-        Cyc7.dot([FieldElem.sqrt2()], [Cyc7.from_int(1)])
-
-
 def test_pairing_with_sqrt2_values(sl2, g7):
-    # the SL2(F7) rows carry sqrt2, so their pairings take the FieldElem path
+    # the SL2(F7) rows carry sqrt2, so their pairings run in the sqrt2 tower
     assert sl2.orthogonality_report()[0]
     assert sl2.inner(sl2.rows["T1"], sl2.rows["T1"]) == 1
     assert sl2.inner(sl2.rows["T1"], sl2.rows["T2"]) == 0
@@ -190,3 +168,49 @@ def test_sl2_sym_powers(sl2):
     assert sl2.decompose(sl2.sym_power(sl2.rows["W'"], 4)) == {"I": 1, "M2": 1, "T": 1}
     assert sl2.decompose(sl2.rows["U"] * sl2.rows["U'"]) == {"I": 1, "M2": 1, "L": 1}
     assert sl2.decompose(sl2.rows["W"] * sl2.rows["W'"]) == {"I": 1, "M2": 1}
+
+
+def test_sample_traces_against_oracle():
+    # the batched normalizer sample traces, and their Newton series, against
+    # value-by-value matrix powers on all 330 sampled products
+    from heis7.characters import newton
+    from heis7.checks import Context, RunConfig, _a4_power_traces, _a4_samples
+    from heis7.field import CycArray
+    from oracles import dense_mul_oracle, ext_traces, mono_dense_oracle, power_traces_oracle, sym_traces
+
+    samples, h_reps = _a4_samples(Context(RunConfig()))
+    h_mats = CycArray.stack([h.matrix().dense() for h in h_reps])
+    checked = 0
+    for _, s_mat, _ in samples:
+        traces = _a4_power_traces(h_mats, s_mat)
+        got = traces.tolist()
+        sym = [a.tolist() for a in newton(traces)]
+        ext = [a.tolist() for a in newton(traces, alternating=True)]
+        s_list = s_mat.tolist()
+        for col, h in enumerate(h_reps):
+            want = power_traces_oracle(dense_mul_oracle(mono_dense_oracle(h.matrix()), s_list))
+            assert [got[p][col] for p in range(5)] == want
+            assert [row[col] for row in sym] == sym_traces(want, 5)
+            assert [row[col] for row in ext] == ext_traces(want, 5)
+            checked += 1
+    assert checked == 330
+
+
+@pytest.mark.parametrize("label, cls", [("V0", 9), ("T1", 4)])
+def test_orthogonality_detects_a_perturbed_value(g7, sl2, label, cls):
+    # one changed value must break both relations, each reported at the
+    # first failing pair of the value-by-value loops
+    from heis7.characters import CharTable
+    from oracles import first_orthogonality_failures
+
+    t = g7 if label == "V0" else sl2
+    rows = [(lb, list(t.rows[lb].values)) for lb in t.labels]
+    vals = dict(rows)[label]
+    vals[cls] = vals[cls] + Cyc7.zeta(2)
+    bad = CharTable(t.classes, rows, t._power_fn, t.identity_class)
+    ok, msg = bad.orthogonality_report()
+    (a, b), (c1, c2) = first_orthogonality_failures(bad)
+    assert not ok
+    assert f"row orthogonality fails at ({a}, {b}):" in msg
+    assert f"column orthogonality fails at ({c1}, {c2})" in msg
+    assert first_orthogonality_failures(t) == (None, None)

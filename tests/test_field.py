@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heis7.field import (
     Cyc7,
+    CycArray,
     DualDomain,
     DualNum,
     FieldElem,
@@ -205,3 +209,74 @@ def test_cyc7_mul_and_inv_against_sympy():
             want = _sympy_to_cyc(sympy.invert(sa, phi, z), z)
             assert a.inv() == want
             assert a * a.inv() == Cyc7.from_int(1)
+
+
+# ---------------------------------------------------------------------------
+# the CycArray kernel against scalar Cyc7/FieldElem arithmetic
+
+
+def _cyc_values(bound):
+    nums = st.lists(st.integers(-bound, bound), min_size=6, max_size=6)
+    return st.builds(lambda n, d: Cyc7(tuple(n), d), nums, st.integers(1, 60))
+
+
+def _field_values(bound):
+    c = _cyc_values(bound)
+    # some tower values with zero sqrt2 part, some rationals
+    return st.one_of(st.builds(FieldElem, c, c), st.builds(FieldElem, c), c.map(lambda x: FieldElem(x.num[0])))
+
+
+def _pairs(values):
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(st.lists(values, min_size=n, max_size=n), st.lists(values, min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([_cyc_values(40), _field_values(40), _cyc_values(1 << 41)]).flatmap(_pairs))
+def test_cycarray_matches_scalar_arithmetic(pair):
+    xs, ys = pair
+    a, b = CycArray.from_values(xs), CycArray.from_values(ys)
+    assert a.tolist() == xs and b.tolist() == ys
+    assert (a * b).tolist() == [x * y for x, y in zip(xs, ys)]
+    assert (a + b).tolist() == [x + y for x, y in zip(xs, ys)]
+    assert (a - b).tolist() == [x - y for x, y in zip(xs, ys)]
+    assert (a * ys[0]).tolist() == [x * ys[0] for x in xs]
+    assert (a * Fraction(3, 7)).tolist() == [x * Fraction(3, 7) for x in xs]
+    for p in range(6):
+        assert a.galois(p).tolist() == [x.galois(p) for x in xs]
+    assert a.conj().tolist() == [x.conj() for x in xs]
+    # the pairing sum_c x_c y_c as a 1 x n by n x 1 product, and a stack
+    dot = (a[None] @ b[:, None]).tolist()[0][0]
+    assert dot == sum((x * y for x, y in zip(xs, ys)), Cyc7.from_int(0))
+    qs = [Fraction(i - 3, i + 2) for i in range(len(xs))]
+    dot = (CycArray.from_values(qs)[None] @ b[:, None]).tolist()[0][0]
+    assert dot == sum((q * y for q, y in zip(qs, ys)), Cyc7.from_int(0))
+    assert CycArray.stack([a, b]).tolist() == [xs, ys]
+    assert a.sum(0).tolist() == sum(xs, Cyc7.from_int(0))
+    # normalisation: one reduced common denominator, so equal values give
+    # equal arrays whatever the route
+    parts = [p for x in xs for p in ((x.a, x.b) if isinstance(x, FieldElem) else (x,))]
+    assert a.den == lcm(*(p.den for p in parts))
+    assert (a * 6) * Fraction(1, 6) == a
+    assert (a + b) - b == a
+
+
+def test_cycarray_promotes_to_python_ints():
+    # numerators near 2^40: products reach 2^80 and must take the Python-int
+    # path; sums and results that fit come back to int64
+    big = Cyc7(((1 << 40) + 3, -(1 << 40), 5, 0, 1 << 39, -7), 3)
+    small = Cyc7((1, 2, 3, 4, 5, 6), 5)
+    a = CycArray.from_values([big, small, big])
+    assert a.num.dtype == np.int64
+    prod = a * a
+    assert prod.num.dtype == object
+    assert prod.tolist() == [big * big, small * small, big * big]
+    assert (prod + prod).tolist() == [2 * (big * big), 2 * (small * small), 2 * (big * big)]
+    assert (a * Fraction(1, 1 << 30)).tolist() == [x * Fraction(1, 1 << 30) for x in (big, small, big)]
+    m = CycArray.from_values([big] * 49).reshape(7, 7)
+    sq = (m @ m).tolist()
+    want = sum((big * big for _ in range(7)), Cyc7.from_int(0))
+    assert sq == [[want] * 7] * 7
+    assert (m @ m).trace().tolist() == want * 7
+    assert (prod - prod + a).num.dtype == np.int64
+    tower = CycArray.from_values([FieldElem(big, big)])
+    assert (tower * tower).tolist() == [FieldElem(big, big) * FieldElem(big, big)]

@@ -135,7 +135,7 @@ def test_restrict_rejects_unstable_span():
 
 
 def test_eigenspaces_are_iota_eigen():
-    iota = IOTA.dense()
+    iota = IOTA.dense().tolist()
     for vec, sign in [(VPLUS_BASIS, 1), (VMINUS_BASIS, -1)]:
         for v in vec:
             img = [Cyc7.from_int(0)] * 7

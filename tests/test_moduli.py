@@ -435,9 +435,14 @@ def test_bad_prime_point_is_certified_over_the_next_prime():
     assert S.coefficient_domain(QQ) is QQ
     assert surface_ideal((Fraction(1, 31 * 37), 1, 1, 1)).coefficient_domain(fp(31)) == fp(41)
     ctx = Context(RunConfig(extra_t=t, sample_points=2))
+    details = []
     for check in (check_surface_pipeline, check_surface_betti):
         res = check(ctx)
         assert res.status == "pass", res.details
         assert "over F37, as 31 divides a denominator" in res.details
+        details.append(res.details)
+    # points print as rationals, not as Python reprs
+    assert "t=(1/31, 1, 1, 1): over F37" in details[0]
+    assert not any("Fraction(" in d for d in details)
     # the default points keep their bytes: no note without a moved prime
     assert "divides" not in check_surface_pipeline(Context(RunConfig(sample_points=2))).details
