@@ -55,11 +55,21 @@ class RunConfig:
     extra_t: tuple = None  # an explicit parameter point to prepend
 
     def resolution_domain(self):
-        if self.coeff == "q":
-            return QQ
-        if self.coeff.startswith("fp:"):
-            return fp(int(self.coeff.split(":")[1]))
-        raise ValueError(f"unknown coefficient configuration {self.coeff!r}")
+        return coeff_domain(self.coeff)
+
+
+def coeff_domain(coeff: str):
+    """The coefficient domain a --coeff value names: q, or fp:<p> for an
+    admissible prime p; anything else raises ValueError."""
+    if coeff == "q":
+        return QQ
+    if coeff.startswith("fp:"):
+        try:
+            p = int(coeff[3:])
+        except ValueError:
+            raise ValueError(f"fp:<p> needs an integer prime, not {coeff[3:]!r}") from None
+        return fp(p)
+    raise ValueError(f"unknown coefficient configuration {coeff!r} (expected q or fp:<p>)")
 
 
 class Context:

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .checks import RunConfig, report_json_bytes, report_to_text, run_suite
+from .checks import RunConfig, coeff_domain, report_json_bytes, report_to_text, run_suite
 
 
 def _parse_t(s: str):
@@ -33,10 +33,19 @@ def _parse_t(s: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _parse_coeff(s: str) -> str:
+    try:
+        coeff_domain(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return s
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=42, help="seed for all sampled data")
     p.add_argument(
         "--coeff",
+        type=_parse_coeff,
         default="fp:31",
         help="coefficient field for resolutions: q or fp:<p> (default fp:31)",
     )

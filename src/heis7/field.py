@@ -39,7 +39,7 @@ Python-int (dtype=object) arrays, so no value is ever reduced modulo 2^64.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -908,9 +908,8 @@ class FpDomain:
     def __init__(self, p: int):
         if p in (2, 7):
             raise ValueError("prime modulus must avoid 2 and 7")
-        for d in range(2, int(p**0.5) + 1):
-            if p % d == 0:
-                raise ValueError(f"{p} is not prime")
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
         self.zero = 0

@@ -1,11 +1,32 @@
 """Deterministic Buchberger engine over exact fields, with Hilbert data.
 
-Polynomials inside the engine are plain dicts from exponent tuples to
-coefficients; the Poly wrapper enters and leaves at the API boundary.  The
-default term order is graded reverse lexicographic; pairs are processed by
-ascending lcm degree with a fixed tie-break, the chain and product criteria
-of the Gebauer-Moeller update prune the queue, and reducers are scanned in
-insertion order, so runs are reproducible for a fixed input sequence.
+Packed terms.  Inside the engines (buchberger and normal_form here,
+ModuleGB in resolution.py) a monomial is one Python int.  With field width
+W = 2^B and M = W - 1, the exponent tuple e of n variables packs to
+
+    P(e) = deg(e) W^n + sum_k (M - e_k) W^k,
+
+so comparing packed monomials as integers is the grevlex order of
+poly.grevlex_key, a polynomial is a dict {P(e): coeff} whose leading term
+is max(f), and multiplying by x^m adds the one integer P(m) - P(0).  While
+deg(e) <= DEGREE_LIMIT every field keeps its top (guard) bit set, so e | e'
+is one subtraction: P(e) - P(e') sets no guard bit (Monagan & Pearce,
+Sparse polynomial division using a heap, JSC 46 (2011)).  Packing a term of
+higher degree, or reaching one through an S-pair, raises ValueError, so a
+packed value never wraps into a wrong order.  resolution.py builds its
+module orders on the same fields.  Cofactor rows over the input generators
+are never ordered, only shifted and added, and use the plain packing
+i << nB | sum_k e_k W^k.
+
+Conversion happens only at the boundary: Poly terms enter through
+Monomials.pack_poly; results leave through GroebnerBasis (Polys, normal
+forms and the leading exponent tuples that hilbert_data reads) and through
+the callers in resolution.py.
+
+Pairs are processed by ascending lcm with a fixed tie-break, the chain and
+product criteria of the Gebauer-Moeller update prune the queue, and
+reducers are scanned in insertion order, so runs are reproducible for a
+fixed input sequence.
 
 When syzygy tracking is enabled each basis element g_k carries its cofactor
 row over the input generators.  A pair (i, t) dropped by the product
@@ -19,103 +40,117 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import heapq
-from operator import add, sub
+from operator import add, le
 
 from .field import QQ, FpDomain
-from .poly import Poly, VarRegistry, grevlex_key, monomial_basis
+from .poly import Poly, VarRegistry, monomial_basis
+
+B = 8  # bits per exponent field
+M = (1 << B) - 1
+DEGREE_LIMIT = (1 << (B - 1)) - 1  # the largest degree whose fields keep their guard bit
 
 
-def _lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+def check_degree(d, what="degree"):
+    """Refuse a term of degree d that would not fit the packed fields."""
+    if d > DEGREE_LIMIT:
+        raise ValueError(f"{what} {d} exceeds the packed-term limit {DEGREE_LIMIT}")
 
 
-def _divides(a, b):
-    """a | b as monomials."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+class Monomials:
+    """Packed grevlex monomials in n variables (module docstring)."""
+
+    __slots__ = ("bits", "ones", "one", "low", "guard")
+
+    def __init__(self, n):
+        self.bits = n * B
+        self.ones = sum(1 << (B * k) for k in range(n))
+        self.one = M * self.ones  # P(0)
+        self.low = (1 << self.bits) - 1
+        self.guard = self.ones << (B - 1)
+
+    def pack(self, e):
+        p = sum(e)
+        check_degree(p)
+        for x in reversed(e):
+            p = (p << B) | (M - x)
+        return p
+
+    def unpack(self, p):
+        return tuple(M - (p >> s & M) for s in range(0, self.bits, B))
+
+    def lcm(self, a, b):
+        """P(lcm) of two packed monomials: the smaller field of each pair."""
+        low, guard = self.low, self.guard
+        x, y = a & low, b & low
+        ge = (x - (y ^ guard)) & guard  # the guard bit of each field where x >= y
+        m = x ^ ((x ^ y) & ((ge << 1) - (ge >> (B - 1))))
+        return (self.field_sum(self.one - m) << self.bits) | m
+
+    def field_sum(self, x):
+        """Sum of the n fields of x; exact while every partial sum is below W."""
+        return (x * self.ones) >> (self.bits - B) & M
+
+    def plain(self, d):
+        """sum_k m_k W^k, the row shift of x^m, from d = P(m) - P(0)."""
+        return -d & self.low
+
+    def pack_poly(self, terms):
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack_poly(self, f):
+        return {self.unpack(p): c for p, c in f.items()}
 
 
-def _sub_exp(a, b):
-    return tuple(map(sub, a, b))
+def _add_scaled(vec, other, shift, c, dom):
+    """vec += c * x^m * other in place, where x^m adds `shift` to each term.
 
-
-def _add_exp(a, b):
-    return tuple(map(add, a, b))
-
-
-class _KeyMemo(dict):
-    """term -> key(term), each computed once in one reduction's lifetime."""
-
-    def __init__(self, key):
-        self.key = key
-
-    def __missing__(self, term):
-        k = self[term] = self.key(term)
-        return k
-
-
-def normal_form(f, basis, dom, key=grevlex_key):
-    """Full normal form of the dict-polynomial f modulo the (monic) basis."""
-    f = dict(f)
-    out = {}
-    lts = [(max(g, key=key), g) for g in basis if g]
-    lead = _KeyMemo(key).__getitem__
-    while f:
-        le = max(f, key=lead)
-        lc = f[le]
-        hit = None
-        for lt, g in lts:
-            if _divides(lt, le):
-                hit = (lt, g)
-                break
-        if hit is None:
-            out[le] = lc
-            del f[le]
-            continue
-        lt, g = hit
-        m = _sub_exp(le, lt)
-        for e, v in g.items():
-            t = _add_exp(e, m)
-            s = dom.sub(f.get(t, dom.zero), dom.mul(v, lc))
-            if dom.is_zero(s):
-                f.pop(t, None)
-            else:
-                f[t] = s
-    return out
-
-
-def _add_scaled(vec, other, exp, c, dom):
-    """vec += c * x^exp * other in place, for dicts {(slot, exp): coeff}.
-
-    Cofactor rows (slot = input generator) and module vectors (slot =
-    component) share this form.
+    Packed polynomials, module vectors and cofactor rows share this form.
     """
-    for (g, e), v in other.items():
-        t = (g, _add_exp(e, exp))
-        s = dom.add(vec.get(t, dom.zero), dom.mul(v, c))
-        if dom.is_zero(s):
+    get, zero, dmul, dadd, is_zero = vec.get, dom.zero, dom.mul, dom.add, dom.is_zero
+    for t, v in other.items():
+        t += shift
+        s = dadd(get(t, zero), dmul(v, c))
+        if is_zero(s):
             vec.pop(t, None)
         else:
             vec[t] = s
     return vec
 
 
-def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
-    """Reduced Groebner basis of homogeneous dict-polynomials.
+def normal_form(f, basis, ring, dom):
+    """Full normal form of the packed polynomial f modulo the monic basis."""
+    f = dict(f)
+    out = {}
+    guard = ring.guard
+    lts = [(max(g), g) for g in basis if g]
+    while f:
+        lead = max(f)
+        lc = f[lead]
+        for lt, g in lts:
+            if not (lt - lead) & guard:
+                _add_scaled(f, g, lead - lt, dom.neg(lc), dom)
+                break
+        else:
+            out[lead] = lc
+            del f[lead]
+    return out
 
-    Returns (basis, info) where basis is the auto-reduced monic basis and
-    info carries: 'syzygies' (generating set of the syzygy module over the
-    *input* generators, if track) and 'truncated' (True if a degree cap
-    dropped pairs).
+
+def buchberger(gens, ring, dom=QQ, track=False, degree_cap=None):
+    """Reduced Groebner basis of homogeneous packed polynomials.
+
+    Returns (basis, info) where basis is the auto-reduced monic basis in
+    ascending leading terms and info carries: 'syzygies' (generating set of
+    the syzygy module over the *input* generators, as plain-packed rows, if
+    track) and 'truncated' (True if a degree cap dropped pairs).
     """
     work = []  # list of (lt, poly, cofactor_row)
     syzygies = []
     truncated = False
+    guard, p0 = ring.guard, ring.one
 
     def add_poly(f, row):
-        lt = max(f, key=key)
+        lt = max(f)
         lc = f[lt]
         if not dom.is_zero(dom.sub(lc, dom.one)):
             inv = dom.inv(lc)
@@ -127,98 +162,55 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
 
     def reduce_tracked(f, row):
         f = dict(f)
-        lead = _KeyMemo(key).__getitem__
         while f:
-            le = max(f, key=lead)
-            lc = f[le]
-            hit = -1
-            for idx, (lt, _, _) in enumerate(work):
-                if _divides(lt, le):
-                    hit = idx
+            lead = max(f)
+            for lt, g, grow in work:
+                if not (lt - lead) & guard:
                     break
-            if hit < 0:
+            else:
                 break
-            lt, g, grow = work[hit]
-            m = _sub_exp(le, lt)
-            for e, v in g.items():
-                t = _add_exp(e, m)
-                s = dom.sub(f.get(t, dom.zero), dom.mul(v, lc))
-                if dom.is_zero(s):
-                    f.pop(t, None)
-                else:
-                    f[t] = s
+            c = dom.neg(f[lead])
+            _add_scaled(f, g, lead - lt, c, dom)
             if track:
-                _add_scaled(row, grow, m, dom.neg(lc), dom)
+                _add_scaled(row, grow, ring.plain(lead - lt), c, dom)
         return f, row
 
-    pairs = []  # heap of (degree, lcm-key, i, j)
-
-    def lcm_of(i, j):
-        return _lcm(work[i][0], work[j][0])
-
-    def push_pair(i, j):
-        l = lcm_of(i, j)
-        heapq.heappush(pairs, (sum(l), key(l), i, j))
+    pairs = []  # heap of (degree, lcm, i, j)
 
     def update_pairs(t):
         """Gebauer-Moeller update after appending element t."""
         lt_t = work[t][0]
-        new_pairs = []
-        for i in range(t):
-            new_pairs.append((i, t))
+        lcms = [ring.lcm(work[i][0], lt_t) for i in range(t)]
         # drop (i,t) when lcm(i,t) is strictly divisible by lcm(j,t) (chain
         # among the new pairs), keeping one representative per lcm
-        kept = []
-        lcms = {i: lcm_of(i, t) for i, _ in new_pairs}
-        for i, _ in new_pairs:
-            li = lcms[i]
-            drop = False
-            for j, _ in new_pairs:
-                if j == i:
-                    continue
-                lj = lcms[j]
-                if lj != li and _divides(lj, li):
-                    drop = True
-                    break
-            if not drop:
-                kept.append(i)
-        # among equal lcms keep the smallest index
         best = {}
-        for i in kept:
-            li = lcms[i]
-            if li not in best or i < best[li]:
-                best[li] = i
-        kept = sorted(best.values())
+        for i, li in enumerate(lcms):
+            if not any(lj != li and not (lj - li) & guard for lj in lcms):
+                best.setdefault(li, i)
         # old pairs made redundant by t (classic chain criterion)
-        survivors = []
-        for d, lk, i, j in pairs:
-            l = lcm_of(i, j)
-            if (
-                _divides(lt_t, l)
-                and lcm_of(i, t) != l
-                and lcm_of(j, t) != l
-            ):
-                continue
-            survivors.append((d, lk, i, j))
-        pairs[:] = survivors
+        pairs[:] = [
+            p
+            for p in pairs
+            if (lt_t - p[1]) & guard or lcms[p[2]] == p[1] or lcms[p[3]] == p[1]
+        ]
         heapq.heapify(pairs)
-        for i in kept:
+        for i in sorted(best.values()):
             li = lcms[i]
             # product criterion: coprime leading terms reduce to zero; their
             # Koszul relation g_i * row_t - g_t * row_i still enters the
             # syzygy generating set
-            if li == _add_exp(work[i][0], lt_t):
+            if li == work[i][0] + lt_t - p0:
                 if track:
                     _, g_i, row_i = work[i]
                     _, g_t, row_t = work[t]
                     row = {}
                     for e, c in g_i.items():
-                        _add_scaled(row, row_t, e, c, dom)
+                        _add_scaled(row, row_t, ring.plain(e - p0), c, dom)
                     for e, c in g_t.items():
-                        _add_scaled(row, row_i, e, dom.neg(c), dom)
+                        _add_scaled(row, row_i, ring.plain(e - p0), dom.neg(c), dom)
                     _record_syzygy(row)
                 continue
-            push_pair(i, t)
+            heapq.heappush(pairs, (li >> ring.bits, li, i, t))
 
     def _record_syzygy(row):
         if row:  # an empty row is no relation
@@ -228,9 +220,9 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
     for i, f in enumerate(gens):
         if not f:
             continue
-        row = {(i, (0,) * len(next(iter(f)))): dom.one} if track else {}
+        row = {i << ring.bits: dom.one} if track else {}
         # reduce new generator against current basis to keep things small
-        f2, row = reduce_tracked(dict(f), row)
+        f2, row = reduce_tracked(f, row)
         if not f2:
             if track:
                 _record_syzygy(row)
@@ -238,30 +230,21 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
         t = add_poly(f2, row)
         update_pairs(t)
 
+    minus_one = dom.neg(dom.one)
     while pairs:
-        d, lk, i, j = heapq.heappop(pairs)
+        d, l, i, j = heapq.heappop(pairs)
         if degree_cap is not None and d > degree_cap:
             truncated = True
             break
+        check_degree(d, "S-pair degree")
         lt_i, gi, row_i = work[i]
         lt_j, gj, row_j = work[j]
-        l = _lcm(lt_i, lt_j)
-        mi = _sub_exp(l, lt_i)
-        mj = _sub_exp(l, lt_j)
-        s = {}
-        for e, v in gi.items():
-            s[_add_exp(e, mi)] = v
-        for e, v in gj.items():
-            t2 = _add_exp(e, mj)
-            r = dom.sub(s.get(t2, dom.zero), v)
-            if dom.is_zero(r):
-                s.pop(t2, None)
-            else:
-                s[t2] = r
+        s = _add_scaled({}, gi, l - lt_i, dom.one, dom)
+        _add_scaled(s, gj, l - lt_j, minus_one, dom)
         row = {}
         if track:
-            _add_scaled(row, row_i, mi, dom.one, dom)
-            _add_scaled(row, row_j, mj, dom.neg(dom.one), dom)
+            _add_scaled(row, row_i, ring.plain(l - lt_i), dom.one, dom)
+            _add_scaled(row, row_j, ring.plain(l - lt_j), minus_one, dom)
         s, row = reduce_tracked(s, row)
         if s:
             t = add_poly(s, row)
@@ -274,13 +257,12 @@ def buchberger(gens, dom=QQ, key=grevlex_key, track=False, degree_cap=None):
     reduced = []
     for idx, f in enumerate(basis):
         others = [g for k, g in enumerate(basis) if k != idx and g]
-        nf = normal_form(f, others, dom, key)
+        nf = normal_form(f, others, ring, dom)
         if nf:
-            lt = max(nf, key=key)
-            inv = dom.inv(nf[lt])
+            inv = dom.inv(nf[max(nf)])
             reduced.append({e: dom.mul(v, inv) for e, v in nf.items()})
         basis[idx] = nf
-    reduced.sort(key=lambda g: key(max(g, key=key)))
+    reduced.sort(key=max)
     info = {"truncated": truncated, "syzygies": syzygies if track else None}
     return reduced, info
 
@@ -293,7 +275,7 @@ def _minimalize_monomials(gens):
     gens = sorted(set(gens), key=lambda e: (sum(e), e))
     out = []
     for g in gens:
-        if not any(_divides(h, g) for h in out):
+        if not any(all(map(le, h, g)) for h in out):
             out.append(g)
     return out
 
@@ -415,19 +397,19 @@ def hilbert_data(lt_gens, nvars: int) -> HilbertData:
 class GroebnerBasis:
     reg: VarRegistry
     dom: object
-    key: object
-    polys: list  # reduced, monic, sorted dict-polynomials
+    ring: Monomials
+    polys: list  # reduced, monic packed polynomials, ascending leading terms
     truncated: bool = False
 
     def as_polys(self):
-        return [Poly(self.reg, self.dom, dict(g)) for g in self.polys]
+        return [Poly(self.reg, self.dom, self.ring.unpack_poly(g), _clean=True) for g in self.polys]
 
     def leading_terms(self):
-        return [max(g, key=self.key) for g in self.polys]
+        return [self.ring.unpack(max(g)) for g in self.polys]
 
     def normal_form(self, p: Poly) -> Poly:
-        nf = normal_form(dict(p.terms), self.polys, self.dom, self.key)
-        return Poly(self.reg, self.dom, nf)
+        nf = normal_form(self.ring.pack_poly(p.terms), self.polys, self.ring, self.dom)
+        return Poly(self.reg, self.dom, self.ring.unpack_poly(nf), _clean=True)
 
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
@@ -453,8 +435,9 @@ class GradedIdeal:
 
     def gb(self) -> GroebnerBasis:
         if self._gb is None:
-            polys, info = buchberger([dict(g.terms) for g in self.gens], self.dom)
-            self._gb = GroebnerBasis(self.reg, self.dom, grevlex_key, polys, info["truncated"])
+            ring = Monomials(self.reg.n)
+            polys, info = buchberger([ring.pack_poly(g.terms) for g in self.gens], ring, self.dom)
+            self._gb = GroebnerBasis(self.reg, self.dom, ring, polys, info["truncated"])
         return self._gb
 
     def hilbert(self) -> HilbertData:
@@ -486,7 +469,7 @@ def ideal_hf_oracle(gens, d: int) -> int:
         for m in monomial_basis(reg, d - dg):
             row = [dom.zero] * len(monos)
             for e, c in g.terms.items():
-                row[ix[_add_exp(e, m)]] = c
+                row[ix[tuple(map(add, e, m))]] = c
             rows.append(row)
     if not rows:
         return len(monos)

@@ -1,14 +1,27 @@
 """Graded syzygies and minimal free resolutions by iterated module Buchberger.
 
-Free-module vectors are dicts {(component, exponent-tuple): coefficient}.
+Free-module terms are packed into one int each, on the fields of
+groebner.Monomials (see there for P(e)).  A ModuleOrder packs the term
+(c, e) as
+
+    K(c, e) = ((P(e) - P(0)) << tb) + base[c],
+
+so a vector is a dict {K: coefficient}, its leading term is max(v),
+multiplying by x^m adds (P(m) - P(0)) << tb to every key, and a reducer's
+leading term divides a term of its component when their difference sets no
+guard bit.  Cofactor rows use the plain packing of groebner.py.
+
 Each resolution level carries the classical induced monomial order: module
 terms compare through their images under the previous level's leading
 terms, with position as the tie-break.  This keeps syzygy reductions short
 and makes the harvested relations a basis of the syzygy module level after
-level.  Unrolled down to the ring, the key of a term (c, e) is
-grevlex(e + shift[c]) + tail[c], where shift[c] sums the leading exponents
-along component c's chain of leading terms and tail[c] lists the negated
-components along that chain, c last; both are fixed when the level is built.
+level.  Unrolled down to the ring, (c, e) compares by grevlex(e + shift[c])
+and then by tail[c], where shift[c] sums the leading exponents along
+component c's chain of leading terms and tail[c] lists the negated
+components along that chain, c last.  The induced order's base[c] is
+P(shift[c]) << tb plus the rank of tail[c] among the level's tails, so the
+integer order is that tuple order; tests/oracles.py keeps the recursive
+form.  pot_key puts the component's code above P(e) instead.
 
 Level 1 trims the ideal's generators to minimal ones (minimal_ideal_gens)
 and takes their syzygies from a tracked ring-level Buchberger run.  Every
@@ -21,6 +34,10 @@ behind.  The S-pairs that reduce to zero along the way give the syzygies of
 the kept generators, which are the next level's candidates.  Minimality of
 the kept generators makes the graded Betti numbers plain counts, checked
 against the Hilbert-series alternating sums by callers.
+
+Conversion happens only at the boundary: Polys enter packed, and
+syzygies_of_polys, the hilbert_burch columns, intersect and
+minimal_ideal_gens unpack what they return.
 """
 
 from __future__ import annotations
@@ -29,61 +46,107 @@ from dataclasses import dataclass
 import heapq
 
 from .field import QQ
-from .groebner import (
-    GradedIdeal,
-    _KeyMemo,
-    _add_exp,
-    _add_scaled,
-    _divides,
-    _lcm,
-    _sub_exp,
-    buchberger,
-)
-from .poly import Poly, grevlex_key
+from .groebner import B, GradedIdeal, Monomials, _add_scaled, buchberger, check_degree
+from .poly import Poly
 
 
 # ---------------------------------------------------------------------------
-# module vectors
+# module orders
 
 
-def vec_degree(v, gdeg):
-    for (c, e) in v:
-        return sum(e) + gdeg[c]
-    return -1
+class ModuleOrder:
+    """Packed terms of a free module over a Monomials ring (module docstring).
+
+    base[c] holds component c's code bits, P(shift[c]) << tb and a tail code
+    below 2^tb that names c; gdeg[c] is the degree of component c's
+    generator, so that deg(e) + gdeg[c] is the degree of the term (c, e).
+    """
+
+    def __init__(self, ring, base, tb, gdeg=None):
+        self.ring, self.base, self.tb = ring, base, tb
+        self.mask = (1 << tb) - 1
+        self.pmask = (1 << (ring.bits + B)) - 1
+        self.guard = ring.guard << tb
+        self.comp = [0] * len(base)  # tail code -> component
+        for c, b in enumerate(base):
+            self.comp[b & self.mask] = c
+        self.sdeg = [(b >> tb & self.pmask) >> ring.bits for b in base]
+        self.gdeg = self.sdeg if gdeg is None else gdeg
+
+    def component(self, k):
+        return self.comp[k & self.mask]
+
+    def pack(self, c, e):
+        check_degree(sum(e) + self.sdeg[c])
+        return ((self.ring.pack(e) - self.ring.one) << self.tb) + self.base[c]
+
+    def unpack(self, k):
+        c = self.component(k)
+        return c, self.ring.unpack(((k - self.base[c]) >> self.tb) + self.ring.one)
+
+    def degree(self, k):
+        c = self.component(k)
+        return ((((k - self.base[c]) >> self.tb) + self.ring.one) >> self.ring.bits) + self.gdeg[c]
+
+    def vec_degree(self, v):
+        """The degree of a nonzero homogeneous vector."""
+        return self.degree(next(iter(v)))
+
+    def lcm(self, a, b):
+        """The lcm of two terms of one component."""
+        tb, pmask = self.tb, self.pmask
+        pa = a >> tb & pmask
+        return a + ((self.ring.lcm(pa, b >> tb & pmask) - pa) << tb)
+
+    def plain(self, shift):
+        """The row shift of x^m from its term shift (P(m) - P(0)) << tb."""
+        return self.ring.plain(shift >> self.tb)
+
+    def from_row(self, row):
+        """The vector of a plain-packed row over this module's components."""
+        ring, tb, base, sdeg = self.ring, self.tb, self.base, self.sdeg
+        out = {}
+        for t, coeff in row.items():
+            c, x = t >> ring.bits, t & ring.low
+            d = ring.field_sum(x)
+            check_degree(d + sdeg[c])
+            out[(((d << ring.bits) - x) << tb) + base[c]] = coeff
+        return out
+
+    def lowest_component(self, v):
+        return min(map(self.component, v))
 
 
-def induced_key_from(lts, prev=None):
+def induced_key_from(lts, prev):
     """Module order induced by assigned leading terms, position tie-break.
 
-    lts[c] is the leading term of the generator presented by component c.
-    With prev None, lts are ring exponents compared by grevlex (the first
-    syzygy level); otherwise they are terms (component, exponent) of the
-    module whose induced key is prev.  The key of (c, e) is
-    grevlex(e + shift[c]) + tail[c], the same tuple as recursing through
-    every earlier level, at the cost of one exponent add.
+    lts[c] is the packed leading term of the generator presented by
+    component c.  prev is where those terms live: a Monomials ring for the
+    first syzygy level, otherwise the previous level's induced order.  The
+    key of (c, e) compares grevlex(e + shift[c]) and then tail[c], the same
+    order as recursing through every earlier level.
     """
-    if prev is None:
-        shift, tail = list(lts), [(-c,) for c in range(len(lts))]
+    if isinstance(prev, ModuleOrder):
+        ring = prev.ring
+        shifts = [k >> prev.tb for k in lts]
+        tails = [k & prev.mask for k in lts]
     else:
-        shift = [_add_exp(e, prev.shift[b]) for b, e in lts]
-        tail = [prev.tail[b] + (-c,) for c, (b, _) in enumerate(lts)]
-
-    def key(term):
-        c, e = term
-        return grevlex_key(_add_exp(e, shift[c])) + tail[c]
-
-    key.shift, key.tail = shift, tail
-    return key
+        ring, shifts, tails = prev, list(lts), [0] * len(lts)
+    tb = (len(lts) - 1).bit_length()
+    base = [0] * len(lts)
+    for code, c in enumerate(sorted(range(len(lts)), key=lambda c: (tails[c], -c))):
+        base[c] = (shifts[c] << tb) | code
+    return ModuleOrder(ring, base, tb)
 
 
-def pot_key(ring_key):
-    """Position-over-term: component 0 dominates (elimination order)."""
-
-    def key(term):
-        c, e = term
-        return (1 if c == 0 else 0, -c) + ring_key(e)
-
-    return key
+def pot_key(ring, gdeg):
+    """Position-over-term: lower components dominate (component 0 is
+    eliminated first), grevlex within a component."""
+    n = len(gdeg)
+    tb = (n - 1).bit_length()
+    top = ring.bits + B + tb
+    base = [((n - 1 - c) << top) | (ring.one << tb) | c for c in range(n)]
+    return ModuleOrder(ring, base, tb, list(gdeg))
 
 
 class ModuleGB:
@@ -94,99 +157,87 @@ class ModuleGB:
     each S-pair that reduces to zero leaves its row in syzygies.
     """
 
-    def __init__(self, dom, key, gdeg, track=False):
+    def __init__(self, dom, order, track=False):
         self.dom = dom
-        self.key = key
-        self.gdeg = gdeg
+        self.order = order
         self.track = track
         self.lts = []
         self.elems = []
         self.rows = []  # cofactor rows over the kept inputs (None untracked)
-        self.pairs = []  # heap (degree, lcm key, i, j)
+        self.reducers = {}  # component -> [(lt, index)] in insertion order
+        self.pairs = []  # heap (degree, lcm, i, j)
         self.syzygies = []
         self.n_inputs = 0
         self.pairs_processed = 0
 
     # -- internals ------------------------------------------------------
 
-    def _push_pairs(self, t):
-        ct, et = self.lts[t]
-        for i in range(t):
-            ci, ei = self.lts[i]
-            if ci != ct:
-                continue
-            l = _lcm(ei, et)
-            d = sum(l) + self.gdeg[ci]
-            heapq.heappush(self.pairs, (d, self.key((ci, l)), i, t))
-
     def _add(self, v, row):
-        lt = max(v, key=self.key)
+        dom, order = self.dom, self.order
+        lt = max(v)
         lc = v[lt]
-        if not self.dom.is_zero(self.dom.sub(lc, self.dom.one)):
-            inv = self.dom.inv(lc)
-            v = {t: self.dom.mul(c, inv) for t, c in v.items()}
+        if not dom.is_zero(dom.sub(lc, dom.one)):
+            inv = dom.inv(lc)
+            v = {t: dom.mul(c, inv) for t, c in v.items()}
             if row:
-                row = {t: self.dom.mul(c, inv) for t, c in row.items()}
+                row = {t: dom.mul(c, inv) for t, c in row.items()}
+        t = len(self.elems)
         self.lts.append(lt)
         self.elems.append(v)
         self.rows.append(row)
-        self._push_pairs(len(self.elems) - 1)
+        same = self.reducers.setdefault(order.component(lt), [])
+        for li, i in same:
+            l = order.lcm(li, lt)
+            heapq.heappush(self.pairs, (order.degree(l), l, i, t))
+        same.append((lt, t))
 
     def _reduce(self, v, row=None):
         """Normal form of v; a given row takes the reducers' cofactors."""
-        dom, lead = self.dom, _KeyMemo(self.key).__getitem__
+        dom, order = self.dom, self.order
+        guard, reducers = order.guard, self.reducers
         f = dict(v)
         out = {}
         while f:
-            le = max(f, key=lead)
+            le = max(f)
             lc = f[le]
-            hit = -1
-            lc_comp, lc_exp = le
-            for i, (bc, be) in enumerate(self.lts):
-                if bc == lc_comp and _divides(be, lc_exp):
-                    hit = i
+            for lt, i in reducers.get(order.component(le), ()):
+                if not (lt - le) & guard:
                     break
-            if hit < 0:
+            else:
                 out[le] = lc
                 del f[le]
                 continue
-            m = _sub_exp(lc_exp, self.lts[hit][1])
             c = dom.neg(lc)
-            _add_scaled(f, self.elems[hit], m, c, dom)
+            _add_scaled(f, self.elems[i], le - lt, c, dom)
             if row is not None:
-                _add_scaled(row, self.rows[hit], m, c, dom)
+                _add_scaled(row, self.rows[i], order.plain(le - lt), c, dom)
         return out
 
     def process_pairs_through(self, degree):
-        dom = self.dom
+        dom, order = self.dom, self.order
+        guard, lts = order.guard, self.lts
         minus_one = dom.neg(dom.one)
         while self.pairs and self.pairs[0][0] <= degree:
             self.pairs_processed += 1
-            d, lk, i, j = heapq.heappop(self.pairs)
+            d, l, i, j = heapq.heappop(self.pairs)
+            check_degree(d, "S-pair degree")
             # chain criterion: a third element divides the lcm strictly
-            ci, ei = self.lts[i]
-            cj, ej = self.lts[j]
-            l = _lcm(ei, ej)
-            skip = False
-            for k, (ck, ek) in enumerate(self.lts):
-                if k in (i, j) or ck != ci:
-                    continue
-                if _divides(ek, l):
-                    lik = _lcm(ei, ek)
-                    lkj = _lcm(ek, ej)
-                    if lik != l and lkj != l:
-                        skip = True
-                        break
-            if skip:
+            li, lj = lts[i], lts[j]
+            if any(
+                k != i
+                and k != j
+                and not (lk - l) & guard
+                and order.lcm(li, lk) != l
+                and order.lcm(lk, lj) != l
+                for lk, k in self.reducers[order.component(l)]
+            ):
                 continue
-            mi = _sub_exp(l, ei)
-            mj = _sub_exp(l, ej)
-            s = _add_scaled({}, self.elems[i], mi, dom.one, dom)
-            _add_scaled(s, self.elems[j], mj, minus_one, dom)
+            s = _add_scaled({}, self.elems[i], l - li, dom.one, dom)
+            _add_scaled(s, self.elems[j], l - lj, minus_one, dom)
             row = None
             if self.track:
-                row = _add_scaled({}, self.rows[i], mi, dom.one, dom)
-                _add_scaled(row, self.rows[j], mj, minus_one, dom)
+                row = _add_scaled({}, self.rows[i], order.plain(l - li), dom.one, dom)
+                _add_scaled(row, self.rows[j], order.plain(l - lj), minus_one, dom)
             s = self._reduce(s, row)
             if s:
                 self._add(s, row)
@@ -201,13 +252,12 @@ class ModuleGB:
         syzygy.  A nonzero one becomes kept input number n_inputs and enters
         the basis with a unit cofactor row.
         """
-        self.process_pairs_through(vec_degree(v, self.gdeg))
+        self.process_pairs_through(self.order.vec_degree(v))
         nf = self._reduce(v)
         if nf:
             row = None
             if self.track:
-                zero = (0,) * len(next(iter(nf))[1])
-                row = {(self.n_inputs, zero): self.dom.one}
+                row = {self.n_inputs << self.order.ring.bits: self.dom.one}
             self.n_inputs += 1
             self._add(nf, row)
         return nf
@@ -222,18 +272,15 @@ def _feed(gb, vectors, tie, degree_cap=None):
     """
     kept = []
     capped = False
-    for v in sorted(vectors, key=lambda v: (vec_degree(v, gb.gdeg), tie(v))):
-        if degree_cap is not None and vec_degree(v, gb.gdeg) > degree_cap:
+    degree = gb.order.vec_degree
+    for v in sorted(vectors, key=lambda v: (degree(v), tie(v))):
+        if degree_cap is not None and degree(v) > degree_cap:
             capped = True
             continue
         nf = gb.add_input(v)
         if nf:
             kept.append(nf)
     return kept, capped
-
-
-def _lowest_component(v):
-    return min(c for c, _ in v)
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +343,34 @@ class BettiTable:
 # syzygies and resolutions
 
 
-def syzygies_of_polys(gens, dom=QQ, key=grevlex_key, degree_cap=None):
-    """Generating set of the syzygy module of the given polynomials.
+def syzygies_of_polys(gens, dom=QQ, degree_cap=None):
+    """Generating set of the syzygy module of the given nonzero polynomials.
 
-    Returns (vectors, truncated): vectors live in the free module with one
-    component per generator, and each is an exact syzygy,
-    sum_i v[i] * gens[i] = 0, the full Koszul relations of pairs dropped by
-    the product criterion included.  truncated says that degree_cap dropped
-    pairs, so that the vectors generate only through that degree.
+    Returns (vectors, truncated): vectors {(i, exponent): coeff} live in the
+    free module with one component per generator, and each is an exact
+    syzygy, sum_i v[i] * gens[i] = 0, the full Koszul relations of pairs
+    dropped by the product criterion included.  truncated says that
+    degree_cap dropped pairs, so that the vectors generate only through
+    that degree.
     """
-    dicts = [dict(g.terms) for g in gens]
-    _, info = buchberger(dicts, dom, key, track=True, degree_cap=degree_cap)
-    return info["syzygies"], info["truncated"]
+    if not gens:
+        return [], False
+    order, vectors, truncated = _first_syzygies(gens, dom, degree_cap)
+    return [{order.unpack(k): c for k, c in v.items()} for v in vectors], truncated
+
+
+def _first_syzygies(gens, dom, degree_cap):
+    """The first syzygies of the nonzero polynomials gens.
+
+    Returns (order, vectors, truncated): the order induced by the
+    generators' leading terms, their syzygies packed in it, and whether the
+    degree cap truncated the Buchberger run.
+    """
+    ring = Monomials(gens[0].reg.n)
+    packed = [ring.pack_poly(g.terms) for g in gens]
+    _, info = buchberger(packed, ring, dom, track=True, degree_cap=degree_cap)
+    order = induced_key_from([max(f) for f in packed], ring)
+    return order, [order.from_row(r) for r in info["syzygies"]], info["truncated"]
 
 
 def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8):
@@ -322,15 +385,14 @@ def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8)
     entries = {(0, 0): 1}
     note = []
 
-    gens = [dict(g.terms) for g in minimal_ideal_gens(ideal.gens, dom)]
-    gdeg = [sum(next(iter(g))) for g in gens]
-    for d in gdeg:
-        entries[(1, d)] = entries.get((1, d), 0) + 1
-    _, info = buchberger(gens, dom, grevlex_key, track=True, degree_cap=degree_cap)
-    if info["truncated"]:
+    gens = minimal_ideal_gens(ideal.gens, dom)
+    for g in gens:
+        entries[(1, g.degree())] = entries.get((1, g.degree()), 0) + 1
+    if not gens:
+        return BettiTable(entries)
+    order, candidates, truncated = _first_syzygies(gens, dom, degree_cap)
+    if truncated:
         note.append("level 1 pair queue truncated at the degree cap")
-    candidates = info["syzygies"]
-    key = induced_key_from([max(g, key=grevlex_key) for g in gens])
 
     step = 1
     while candidates:
@@ -338,21 +400,20 @@ def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8)
             note.append(f"max_steps stopped before homological step {step + 1}")
             break
         step += 1
-        gb = ModuleGB(dom, key, gdeg, track=True)
-        kept, capped = _feed(gb, candidates, _lowest_component, degree_cap)
+        gb = ModuleGB(dom, order, track=True)
+        kept, capped = _feed(gb, candidates, order.lowest_component, degree_cap)
         if capped:
             note.append(f"degree cap dropped syzygy candidates at step {step}")
         if not kept:
             break
         for v in kept:
-            d = vec_degree(v, gdeg)
+            d = order.vec_degree(v)
             entries[(step, d)] = entries.get((step, d), 0) + 1
         gb.process_pairs_through(degree_cap)
         if gb.pairs:
             note.append(f"degree cap left pairs unprocessed after step {step}")
-        candidates = gb.syzygies
-        key = induced_key_from([max(v, key=key) for v in kept], key)
-        gdeg = [vec_degree(v, gdeg) for v in kept]
+        order = induced_key_from([max(v) for v in kept], order)
+        candidates = [order.from_row(r) for r in gb.syzygies]
 
     return BettiTable(entries, not note, "; ".join(note))
 
@@ -385,19 +446,18 @@ def hilbert_burch(gens, dom=QQ):
     if _rank(coefficient_rows(gens, monomial_basis(reg, 2)), dom) != 3:
         raise NotHilbertBurch("quadrics are linearly dependent")
 
-    syz, _ = syzygies_of_polys(gens, dom, degree_cap=8)
-    gdeg = [2, 2, 2]
-    key = induced_key_from([g.leading()[0] for g in gens])
-    kept, _ = _feed(ModuleGB(dom, key, gdeg), syz, _lowest_component)
-    if len(kept) != 2 or any(vec_degree(v, gdeg) != 3 for v in kept):
-        shape = sorted(vec_degree(v, gdeg) - 2 for v in kept)
+    order, syz, _ = _first_syzygies(gens, dom, 8)
+    kept, _ = _feed(ModuleGB(dom, order), syz, order.lowest_component)
+    degrees = [order.vec_degree(v) for v in kept]
+    if len(kept) != 2 or any(d != 3 for d in degrees):
         raise NotHilbertBurch(
-            f"syzygy shape is not two linear columns (column degrees {shape})"
+            f"syzygy shape is not two linear columns (column degrees {sorted(d - 2 for d in degrees)})"
         )
     cols = []
     for v in kept:
         col = [Poly.zero(reg, dom) for _ in range(3)]
-        for (c, e), coeff in v.items():
+        for k, coeff in v.items():
+            c, e = order.unpack(k)
             col[c] = col[c] + Poly.monomial(reg, e, coeff, dom)
         cols.append(col)
     mat = FormMatrix([[cols[0][i], cols[1][i]] for i in range(3)])
@@ -433,25 +493,27 @@ def intersect(a: GradedIdeal, b: GradedIdeal) -> GradedIdeal:
     reg, dom = a.reg, a.dom
     r, s = len(a.gens), len(b.gens)
     zero_exp = (0,) * reg.n
-    vecs = []
     gdeg = [0] + [g.degree() for g in a.gens] + [h.degree() for h in b.gens]
+    order = pot_key(Monomials(reg.n), gdeg)
+    vecs = []
     for i, g in enumerate(a.gens):
-        v = {(0, e): c for e, c in g.terms.items()}
-        v[(1 + i, zero_exp)] = dom.one
+        v = {order.pack(0, e): c for e, c in g.terms.items()}
+        v[order.pack(1 + i, zero_exp)] = dom.one
         vecs.append(v)
     for j, h in enumerate(b.gens):
-        v = {(0, e): dom.neg(c) for e, c in h.terms.items()}
-        v[(1 + r + j, zero_exp)] = dom.one
+        v = {order.pack(0, e): dom.neg(c) for e, c in h.terms.items()}
+        v[order.pack(1 + r + j, zero_exp)] = dom.one
         vecs.append(v)
-    gb = ModuleGB(dom, pot_key(grevlex_key), gdeg)
+    gb = ModuleGB(dom, order)
     _feed(gb, vecs, lambda v: 0)
     gb.process_pairs_through(10**9)
     out = []
     for lt, v in zip(gb.lts, gb.elems):
-        if lt[0] == 0:
+        if order.component(lt) == 0:
             continue  # still involves the eliminated slot
         p = Poly.zero(reg, dom)
-        for (c, e), coeff in v.items():
+        for k, coeff in v.items():
+            c, e = order.unpack(k)
             if 1 <= c <= r:
                 p = p + Poly.monomial(reg, e, coeff, dom) * a.gens[c - 1]
         if not p.is_zero():
@@ -464,7 +526,9 @@ def minimal_ideal_gens(polys, dom=QQ):
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
-    gb = ModuleGB(dom, induced_key_from([(0,) * polys[0].reg.n]), [0])
-    vecs = [{(0, e): c for e, c in p.terms.items()} for p in polys]
-    kept, _ = _feed(gb, vecs, lambda v: gb.key(max(v, key=gb.key)))
-    return [Poly(polys[0].reg, dom, {e: c for (_, e), c in v.items()}) for v in kept]
+    reg = polys[0].reg
+    ring = Monomials(reg.n)
+    order = induced_key_from([ring.one], ring)
+    vecs = [{order.pack(0, e): c for e, c in p.terms.items()} for p in polys]
+    kept, _ = _feed(ModuleGB(dom, order), vecs, max)
+    return [Poly(reg, dom, {order.unpack(k)[1]: c for k, c in v.items()}, _clean=True) for v in kept]

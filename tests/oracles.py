@@ -32,7 +32,6 @@ import numpy as np
 from fractions import Fraction
 
 from heis7.field import QQ, Cyc7
-from heis7.groebner import _add_exp
 from heis7.formmat import FormMatrix
 from heis7.linalg import np_rank, np_rref, rref
 from heis7.moduli import compose_u
@@ -151,6 +150,10 @@ def betti_koszul(gens, reg, p, entries):
         rk_in = np_rank(d_in, p) if d_in is not None and d_in.size else 0
         result[(i, j)] = dim_here - rk_out - rk_in
     return result
+
+
+def _add_exp(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def induced_key_recursive(lts, prev_key):

@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from heis7.cli import main
+
 CLI = [sys.executable, "-m", "heis7.cli"]
 
 
@@ -67,3 +71,17 @@ def test_grassmann_contraction_values():
     values = line.split(":", 1)[1].split(",")
     assert len(values) == 9
     assert all(v.strip() == "0" for v in values)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "syzygy"], ["verify", "moduli"], ["surface", "--t", "1,1,1,1"], ["grassmann", "--equational"]],
+    ids=["verify-syzygy", "verify-moduli", "surface", "grassmann"],
+)
+def test_bad_coeff_is_a_usage_error(argv, capsys):
+    for coeff in ["fp:4", "fp:2", "fp:7", "fp:x", "fp:1", "fp:-5", "nonsense"]:
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--coeff", coeff, "--quiet"])
+        assert exit_info.value.code == 2, coeff
+        err = capsys.readouterr().err
+        assert "error: argument --coeff:" in err and "Traceback" not in err, (coeff, err)

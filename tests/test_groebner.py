@@ -6,11 +6,12 @@ import pytest
 from heis7.field import QQ, fp
 from heis7.groebner import (
     GradedIdeal,
+    Monomials,
     buchberger,
     ideal_hf_oracle,
 )
 from heis7.moduli import f_basis, j_ideal
-from heis7.poly import Poly, REG_U, VarRegistry, parse_poly, render_poly
+from heis7.poly import Poly, REG_U, VarRegistry, grevlex_key, monomial_basis, parse_poly, render_poly
 
 
 def u(s):
@@ -25,8 +26,6 @@ def test_monomial_ideal_is_its_own_basis():
 
 def brute_standard_monomials(lt_gens, reg, d):
     """Count degree-d monomials not divisible by any generator (oracle)."""
-    from heis7.poly import monomial_basis
-
     count = 0
     for e in monomial_basis(reg, d):
         if not any(all(x >= y for x, y in zip(e, g)) for g in lt_gens):
@@ -98,8 +97,9 @@ def test_normal_form_is_zero_exactly_for_members():
 
 def test_deterministic_output():
     gens = [u("u1^2+u0*u3"), u("u3^2+u0*u2"), u("u2^2+u0*u1")]
-    a1, _ = buchberger([dict(g.terms) for g in gens], QQ)
-    a2, _ = buchberger([dict(g.terms) for g in gens], QQ)
+    ring = Monomials(REG_U.n)
+    a1, _ = buchberger([ring.pack_poly(g.terms) for g in gens], ring, QQ)
+    a2, _ = buchberger([ring.pack_poly(g.terms) for g in gens], ring, QQ)
     assert a1 == a2
 
 
@@ -120,3 +120,49 @@ def test_surface_cubics_form_groebner_basis():
 def test_inhomogeneous_rejected():
     with pytest.raises(ValueError):
         GradedIdeal(REG_U, QQ, [u("u0^2 + u1")])
+
+
+def test_sympy_grevlex_matches_grevlex_key():
+    """sympy's grevlex on exponent tuples in registry order is grevlex_key."""
+    from sympy.polys.orderings import grevlex
+
+    for d in (2, 3):
+        monos = monomial_basis(REG_U, d)
+        assert sorted(monos, key=grevlex) == sorted(monos, key=grevlex_key)
+
+
+def _sympy_basis(gens, dom):
+    """Monic reduced grevlex basis from sympy, as sorted {exponent: coeff} dicts."""
+    import sympy
+
+    xs = sympy.symbols(REG_U.names)
+    exprs = []
+    for g in gens:
+        expr = 0
+        for e, c in g.terms.items():
+            c = sympy.Rational(c.numerator, c.denominator) if dom is QQ else c
+            expr += c * sympy.prod(x**k for x, k in zip(xs, e))
+        exprs.append(expr)
+    if dom is QQ:
+        basis = sympy.groebner(exprs, *xs, order="grevlex", domain="QQ")
+        polys = [{e: Fraction(int(c.p), int(c.q)) for e, c in p.terms()} for p in basis.polys]
+    else:
+        basis = sympy.groebner(exprs, *xs, order="grevlex", modulus=dom.p)
+        polys = [{e: int(c) % dom.p for e, c in p.terms()} for p in basis.polys]
+    # sympy's Poly.monic divides by the lex leading coefficient
+    polys = [{e: dom.mul(c, dom.inv(g[max(g, key=grevlex_key)])) for e, c in g.items()} for g in polys]
+    return sorted(polys, key=lambda g: grevlex_key(max(g, key=grevlex_key)))
+
+
+def test_buchberger_against_sympy():
+    rng = random.Random(11)
+    for dom in (QQ, fp(31)):
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randint(2, 4)):
+                monos = monomial_basis(REG_U, rng.randint(2, 3))
+                terms = {e: dom.coerce(rng.randint(-9, 9) or 1) for e in rng.sample(monos, rng.randint(2, 4))}
+                gens.append(Poly(REG_U, dom, terms))
+            got = [dict(p.terms) for p in GradedIdeal(REG_U, dom, gens).gb().as_polys()]
+            assert got == _sympy_basis(gens, dom), [str(g) for g in gens]
+            assert got == sorted(got, key=lambda g: grevlex_key(max(g, key=grevlex_key)))

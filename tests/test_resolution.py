@@ -5,7 +5,7 @@ import pytest
 
 from heis7 import resolution
 from heis7.field import QQ, fp
-from heis7.groebner import GradedIdeal
+from heis7.groebner import GradedIdeal, Monomials
 from heis7.linalg import rank
 from heis7.moduli import j_ideal, surface_ideal
 from heis7.poly import Poly, REG_U, VarRegistry, grevlex_key, monomial_basis, parse_poly
@@ -212,29 +212,36 @@ def test_surface_resolution_does_the_same_work(monkeypatch):
 
 def test_flat_induced_key_matches_recursive_oracle(monkeypatch):
     ideal, runs, keys = _surface_resolution_runs(monkeypatch)
-    # minimal_ideal_gens builds its own key before the level keys start;
-    # run k compares its basis terms by key k and its syzygy terms (the
-    # next level's module) by key k + 1; the last level's key goes unused
-    keys = keys[[key for _, _, key in keys].index(runs[0].key):]
-    assert len(keys) == len(runs) + 1 and keys[0][1] is None
+    # minimal_ideal_gens builds its own order before the level orders start;
+    # run k packs its basis terms in order k, and its syzygy rows become the
+    # next level's vectors in order k + 1; the last level's order goes unused
+    keys = keys[[key for _, _, key in keys].index(runs[0].order):]
+    ring = keys[0][1]
+    assert len(keys) == len(runs) + 1 and isinstance(ring, Monomials)
     oracles = []
-    prev = grevlex_key
-    for lts, _, _ in keys:
-        prev = induced_key_recursive(lts, prev)
+    prev, unpack = grevlex_key, ring.unpack
+    for lts, _, order in keys:
+        prev = induced_key_recursive([unpack(t) for t in lts], prev)
+        unpack = order.unpack
         oracles.append(prev)
-    # hilbert_burch builds its ring-level key from Poly.leading
+
+    def same_order(order, oracle, terms):
+        """Sorting packed terms as ints sorts them by the oracle, and
+        every term survives an unpack/pack round trip."""
+        terms = sorted(terms)
+        decoded = [order.unpack(t) for t in terms]
+        assert [order.pack(c, e) for c, e in decoded] == terms
+        assert decoded == sorted(decoded, key=oracle)
+        return len(terms)
+
+    # hilbert_burch and Poly.leading pick the same ring leading terms
     gens = minimal_ideal_gens(ideal.gens, ideal.dom)
-    ring_key = induced_key_from([g.leading()[0] for g in gens])
+    assert keys[0][0] == [ring.pack(g.leading()[0]) for g in gens]
     checked = 0
     for k, gb in enumerate(runs):
-        assert gb.key is keys[k][2]
-        terms = {t for v in gb.elems for t in v}
-        for t in terms:
-            assert gb.key(t) == oracles[k](t)
-        if k == 0:
-            assert all(ring_key(t) == oracles[0](t) for t in terms)
-        checked += len(terms)
-        for t in {t for row in gb.syzygies for t in row}:
-            assert keys[k + 1][2](t) == oracles[k + 1](t)
-            checked += 1
+        assert gb.order is keys[k][2]
+        checked += same_order(gb.order, oracles[k], {t for v in gb.elems for t in v})
+        nxt = keys[k + 1][2]
+        syz = {t for row in gb.syzygies for t in nxt.from_row(row)}
+        checked += same_order(nxt, oracles[k + 1], syz)
     assert checked > 1000
