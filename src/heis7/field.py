@@ -9,7 +9,8 @@ Conventions
   a FieldElem is a pair (a, b) of Cyc7 values meaning a + b*r2 with r2^2 = 2.
 * i*sqrt(7) is never a separate generator; it is the quadratic Gauss sum
   1 + 2(z + z^2 + z^4) inside Q(zeta7).
-* Fp is the prime field Z/p for p not in {2, 7}; elements are plain ints in
+* Fp is the prime field Z/p for a prime p not in {2, 7} and below PRIME_LIMIT
+  (deterministic Miller-Rabin); elements are plain ints in
   [0, p), wrapped by the FpDomain adapter below.
 * DualNum is a + b*eps with eps^2 = 0 over an arbitrary coefficient domain.
 
@@ -39,7 +40,7 @@ Python-int (dtype=object) arrays, so no value is ever reduced modulo 2^64.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -904,11 +905,44 @@ class RatDomain:
         return False
 
 
+# Miller-Rabin with the first 13 prime bases decides every n below
+# PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Strong pseudoprimes to twelve prime bases, Math. Comp. 86 (2017)).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_LIMIT; ValueError above it."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic primality bound {PRIME_LIMIT}")
+    if n < 2:
+        return False
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class FpDomain:
     def __init__(self, p: int):
         if p in (2, 7):
             raise ValueError("prime modulus must avoid 2 and 7")
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

@@ -1,4 +1,4 @@
-"""Deterministic Buchberger engine over exact fields, with Hilbert data.
+"""Deterministic Buchberger engine over Q and F_p, with Hilbert data.
 
 Packed terms.  Inside the engines (buchberger and normal_form here,
 ModuleGB in resolution.py) a monomial is one Python int.  With field width
@@ -18,10 +18,30 @@ module orders on the same fields.  Cofactor rows over the input generators
 are never ordered, only shifted and added, and use the plain packing
 i << nB | sum_k e_k W^k.
 
+Integer coefficients.  The engines run over Q (QQ) and the prime fields
+F_p (FpDomain) only; Coeffs refuses any other domain with ValueError.
+Inside them every coefficient is a Python int.  Over F_p it is a value in
+[0, p), reduced by an inline % p.  Over Q a vector in flight, with its
+cofactor row, is a dict of integer numerators F over one positive
+denominator D, and a basis element is a triple (G, RG, L): the monic vector
+G/L and its row RG/L, with G[lt] = L > 0 and gcd 1 over G, RG and L.
+Reducing the term with numerator a by x^m g is fraction-free: with
+h = gcd(a, L),
+
+    F <- (L/h) F - (a/h) x^m G,    D <- D L/h,
+
+and the same on the row and on the terms already set aside.  An S-vector
+of two elements is built the same way over lcm(L_i, L_j).  Once D passes
+2^CONTENT_BITS the common gcd of D and every numerator is divided out.
+Over F_p, L = D = 1 and the step is F <- F - a x^m G.  A value is the same
+either way, so zero tests, and with them the dicts' insertion orders, are
+those of plain Fraction arithmetic.
+
 Conversion happens only at the boundary: Poly terms enter through
-Monomials.pack_poly; results leave through GroebnerBasis (Polys, normal
-forms and the leading exponent tuples that hilbert_data reads) and through
-the callers in resolution.py.
+Monomials.pack_poly and Coeffs.lift; results leave through Coeffs.export
+as Fractions or ints, through GroebnerBasis (Polys, normal forms and the
+leading exponent tuples that hilbert_data reads) and through the callers
+in resolution.py.
 
 Pairs are processed by ascending lcm with a fixed tie-break, the chain and
 product criteria of the Gebauer-Moeller update prune the queue, and
@@ -39,15 +59,19 @@ generated by the surviving ones).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 import heapq
+from math import gcd, lcm
 from operator import add, le
 
-from .field import QQ, FpDomain
+from .field import QQ, FpDomain, RatDomain
 from .poly import Poly, VarRegistry, monomial_basis
 
 B = 8  # bits per exponent field
 M = (1 << B) - 1
 DEGREE_LIMIT = (1 << (B - 1)) - 1  # the largest degree whose fields keep their guard bit
+CONTENT_BITS = 512  # a reduction over Q removes content once its denominator passes 2^512
 
 
 def check_degree(d, what="degree"):
@@ -101,39 +125,152 @@ class Monomials:
         return {self.unpack(p): c for p, c in f.items()}
 
 
-def _add_scaled(vec, other, shift, c, dom):
-    """vec += c * x^m * other in place, where x^m adds `shift` to each term.
-
-    Packed polynomials, module vectors and cofactor rows share this form.
-    """
-    get, zero, dmul, dadd, is_zero = vec.get, dom.zero, dom.mul, dom.add, dom.is_zero
+def _axpy(vec, other, shift, c):
+    """vec += c * x^m * other in place over Z, where x^m adds `shift` to each term."""
+    get = vec.get
     for t, v in other.items():
         t += shift
-        s = dadd(get(t, zero), dmul(v, c))
-        if is_zero(s):
-            vec.pop(t, None)
+        x = get(t, 0) + c * v
+        if x:
+            vec[t] = x
         else:
-            vec[t] = s
+            del vec[t]
     return vec
 
 
-def normal_form(f, basis, ring, dom):
-    """Full normal form of the packed polynomial f modulo the monic basis."""
-    f = dict(f)
+def _axpy_mod(vec, other, shift, c, p):
+    """vec += c * x^m * other in place over F_p."""
+    get = vec.get
+    for t, v in other.items():
+        t += shift
+        x = (get(t, 0) + c * v) % p
+        if x:
+            vec[t] = x
+        else:
+            del vec[t]
+    return vec
+
+
+class Coeffs:
+    """The integer coefficient kernel of both engines (module docstring).
+
+    An element is a triple (G, RG, L): integer numerators of a monic vector
+    G/L and of its cofactor row RG/L (None untracked), with G[lt] = L > 0.
+    Over F_p, L = 1 and every value is an int in [0, p).
+    """
+
+    __slots__ = ("p",)
+
+    def __init__(self, dom):
+        if isinstance(dom, RatDomain):
+            self.p = 0
+        elif isinstance(dom, FpDomain):
+            self.p = dom.p
+        else:
+            raise ValueError(f"the Groebner engines run over Q or F_p, not {dom.name}")
+
+    def axpy(self, vec, other, shift, c):
+        if self.p:
+            return _axpy_mod(vec, other, shift, c, self.p)
+        return _axpy(vec, other, shift, c)
+
+    def lift(self, v):
+        """(F, D) with F/D = v, for a dict of domain values."""
+        if self.p:
+            return {t: c % self.p for t, c in v.items()}, 1
+        D = lcm(*(c.denominator for c in v.values()))
+        return {t: c.numerator * (D // c.denominator) for t, c in v.items()}, D
+
+    def export(self, F, D):
+        """The dict of domain values F/D, in F's order."""
+        if self.p:
+            return dict(F)
+        return {t: Fraction(n, D) for t, n in F.items()}
+
+    def element(self, F, R):
+        """The element (G, RG, L) of the nonzero vector F and its row R
+        (None untracked), divided by F's leading coefficient."""
+        a = F[max(F)]
+        if self.p:
+            p = self.p
+            inv = pow(a, p - 2, p)
+            G = {t: v * inv % p for t, v in F.items()}
+            RG = None if R is None else {t: v * inv % p for t, v in R.items()}
+            return G, RG, 1
+        g = gcd(*F.values(), *R.values()) if R is not None else gcd(*F.values())
+        if a < 0:
+            g = -g
+        if g != 1:
+            F = {t: v // g for t, v in F.items()}
+            if R is not None:
+                R = {t: v // g for t, v in R.items()}
+        return F, R, a // g
+
+    def pair(self, ei, ej, si, sj, rsi, rsj):
+        """(F, R, D): the S-vector x^si g_i - x^sj g_j of two elements over
+        D = lcm(L_i, L_j), and the same combination R of their rows."""
+        (Gi, Ri, Li), (Gj, Rj, Lj) = ei, ej
+        h = gcd(Li, Lj)
+        ci, cj = Lj // h, -(Li // h)
+        F = self.axpy(self.axpy({}, Gi, si, ci), Gj, sj, cj)
+        R = None if Ri is None else self.axpy(self.axpy({}, Ri, rsi, ci), Rj, rsj, cj)
+        return F, R, Li * ci
+
+    def step(self, D, a, elem, shift, rshift, F, R=None, out=None):
+        """One fraction-free reduction of F/D by elem at the term with
+        numerator a; R (row) and out (terms already set aside) share D.
+
+        With h = gcd(a, L): F <- (L/h) F - (a/h) x^m G and D <- D L/h, the
+        same on R and out.  Returns the new D.
+        """
+        G, RG, L = elem
+        if L != 1:
+            h = gcd(a, L)
+            s = L // h
+            a //= h
+            if s != 1:
+                D *= s
+                for vec in (F, R, out):
+                    if vec:
+                        for t, v in vec.items():
+                            vec[t] = v * s
+        self.axpy(F, G, shift, -a)
+        if R is not None:
+            self.axpy(R, RG, rshift, -a)
+        if D >> CONTENT_BITS:
+            D = _remove_content(D, F, R, out)
+        return D
+
+
+def _remove_content(D, F, R, out):
+    """Divide D and every numerator of F, R and out by their common gcd."""
+    vecs = [vec for vec in (F, R, out) if vec]
+    g = D
+    for vec in vecs:
+        g = gcd(g, *vec.values())
+        if g == 1:
+            return D
+    for vec in vecs:
+        for t, v in vec.items():
+            vec[t] = v // g
+    return D // g
+
+
+def normal_form(F, D, basis, ring, kern):
+    """Full normal form (out, D) of the packed vector F/D modulo the basis
+    elements; F is reduced in place."""
     out = {}
     guard = ring.guard
-    lts = [(max(g), g) for g in basis if g]
-    while f:
-        lead = max(f)
-        lc = f[lead]
+    lts = [(max(g[0]), g) for g in basis if g[0]]
+    while F:
+        lead = max(F)
         for lt, g in lts:
             if not (lt - lead) & guard:
-                _add_scaled(f, g, lead - lt, dom.neg(lc), dom)
+                D = kern.step(D, F[lead], g, lead - lt, 0, F, None, out)
                 break
         else:
-            out[lead] = lc
-            del f[lead]
-    return out
+            out[lead] = F.pop(lead)
+    return out, D
 
 
 def buchberger(gens, ring, dom=QQ, track=False, degree_cap=None):
@@ -144,36 +281,27 @@ def buchberger(gens, ring, dom=QQ, track=False, degree_cap=None):
     the syzygy module over the *input* generators, as plain-packed rows, if
     track) and 'truncated' (True if a degree cap dropped pairs).
     """
-    work = []  # list of (lt, poly, cofactor_row)
+    kern = Coeffs(dom)
+    work = []  # list of (lt, element)
     syzygies = []
     truncated = False
     guard, p0 = ring.guard, ring.one
 
-    def add_poly(f, row):
-        lt = max(f)
-        lc = f[lt]
-        if not dom.is_zero(dom.sub(lc, dom.one)):
-            inv = dom.inv(lc)
-            f = {e: dom.mul(v, inv) for e, v in f.items()}
-            if track:
-                row = {t: dom.mul(v, inv) for t, v in row.items()}
-        work.append((lt, f, row))
+    def add_poly(F, R):
+        work.append((max(F), kern.element(F, R)))
         return len(work) - 1
 
-    def reduce_tracked(f, row):
-        f = dict(f)
-        while f:
-            lead = max(f)
-            for lt, g, grow in work:
+    def reduce_top(F, R, D):
+        while F:
+            lead = max(F)
+            for lt, g in work:
                 if not (lt - lead) & guard:
                     break
             else:
                 break
-            c = dom.neg(f[lead])
-            _add_scaled(f, g, lead - lt, c, dom)
-            if track:
-                _add_scaled(row, grow, ring.plain(lead - lt), c, dom)
-        return f, row
+            rshift = ring.plain(lead - lt) if track else 0
+            D = kern.step(D, F[lead], g, lead - lt, rshift, F, R)
+        return F, R, D
 
     pairs = []  # heap of (degree, lcm, i, j)
 
@@ -201,70 +329,61 @@ def buchberger(gens, ring, dom=QQ, track=False, degree_cap=None):
             # syzygy generating set
             if li == work[i][0] + lt_t - p0:
                 if track:
-                    _, g_i, row_i = work[i]
-                    _, g_t, row_t = work[t]
+                    G_i, R_i, L_i = work[i][1]
+                    G_t, R_t, L_t = work[t][1]
                     row = {}
-                    for e, c in g_i.items():
-                        _add_scaled(row, row_t, ring.plain(e - p0), c, dom)
-                    for e, c in g_t.items():
-                        _add_scaled(row, row_i, ring.plain(e - p0), dom.neg(c), dom)
-                    _record_syzygy(row)
+                    for e, c in G_i.items():
+                        kern.axpy(row, R_t, ring.plain(e - p0), c)
+                    for e, c in G_t.items():
+                        kern.axpy(row, R_i, ring.plain(e - p0), -c)
+                    record_syzygy(row, L_i * L_t)
                 continue
             heapq.heappush(pairs, (li >> ring.bits, li, i, t))
 
-    def _record_syzygy(row):
-        if row:  # an empty row is no relation
-            syzygies.append(row)
+    def record_syzygy(R, D):
+        if R:  # an empty row is no relation
+            syzygies.append(kern.export(R, D))
 
     # seed with the inputs
     for i, f in enumerate(gens):
         if not f:
             continue
-        row = {i << ring.bits: dom.one} if track else {}
+        F, D = kern.lift(f)
+        R = {i << ring.bits: D} if track else None
         # reduce new generator against current basis to keep things small
-        f2, row = reduce_tracked(f, row)
-        if not f2:
+        F, R, D = reduce_top(F, R, D)
+        if not F:
             if track:
-                _record_syzygy(row)
+                record_syzygy(R, D)
             continue
-        t = add_poly(f2, row)
-        update_pairs(t)
+        update_pairs(add_poly(F, R))
 
-    minus_one = dom.neg(dom.one)
     while pairs:
         d, l, i, j = heapq.heappop(pairs)
         if degree_cap is not None and d > degree_cap:
             truncated = True
             break
         check_degree(d, "S-pair degree")
-        lt_i, gi, row_i = work[i]
-        lt_j, gj, row_j = work[j]
-        s = _add_scaled({}, gi, l - lt_i, dom.one, dom)
-        _add_scaled(s, gj, l - lt_j, minus_one, dom)
-        row = {}
-        if track:
-            _add_scaled(row, row_i, ring.plain(l - lt_i), dom.one, dom)
-            _add_scaled(row, row_j, ring.plain(l - lt_j), minus_one, dom)
-        s, row = reduce_tracked(s, row)
-        if s:
-            t = add_poly(s, row)
-            update_pairs(t)
+        lt_i, lt_j = work[i][0], work[j][0]
+        F, R, D = kern.pair(
+            work[i][1], work[j][1], l - lt_i, l - lt_j, ring.plain(l - lt_i), ring.plain(l - lt_j)
+        )
+        F, R, D = reduce_top(F, R, D)
+        if F:
+            update_pairs(add_poly(F, R))
         elif track:
-            _record_syzygy(row)
+            record_syzygy(R, D)
 
-    # auto-reduce: full normal form of each element against the others
-    basis = [f for _, f, _ in work]
-    reduced = []
-    for idx, f in enumerate(basis):
-        others = [g for k, g in enumerate(basis) if k != idx and g]
-        nf = normal_form(f, others, ring, dom)
-        if nf:
-            inv = dom.inv(nf[max(nf)])
-            reduced.append({e: dom.mul(v, inv) for e, v in nf.items()})
-        basis[idx] = nf
-    reduced.sort(key=max)
+    # auto-reduce: full normal form of each element against the others; a
+    # reduced element serves the later ones in its monic form
+    basis = [g for _, g in work]
+    for idx, (G, _, L) in enumerate(basis):
+        others = [g for k, g in enumerate(basis) if k != idx and g[0]]
+        nf, _ = normal_form(dict(G), L, others, ring, kern)
+        basis[idx] = kern.element(nf, None) if nf else ({}, None, 1)
+    reduced = sorted((g for g in basis if g[0]), key=lambda g: max(g[0]))
     info = {"truncated": truncated, "syzygies": syzygies if track else None}
-    return reduced, info
+    return [kern.export(G, L) for G, _, L in reduced], info
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +526,15 @@ class GroebnerBasis:
     def leading_terms(self):
         return [self.ring.unpack(max(g)) for g in self.polys]
 
+    @cached_property
+    def _kernel(self):
+        kern = Coeffs(self.dom)
+        return kern, [(G, None, L) for G, L in map(kern.lift, self.polys)]
+
     def normal_form(self, p: Poly) -> Poly:
-        nf = normal_form(self.ring.pack_poly(p.terms), self.polys, self.ring, self.dom)
+        kern, basis = self._kernel
+        F, D = kern.lift(self.ring.pack_poly(p.terms))
+        nf = kern.export(*normal_form(F, D, basis, self.ring, kern))
         return Poly(self.reg, self.dom, self.ring.unpack_poly(nf), _clean=True)
 
     def contains(self, p: Poly) -> bool:

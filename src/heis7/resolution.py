@@ -35,6 +35,12 @@ the kept generators, which are the next level's candidates.  Minimality of
 the kept generators makes the graded Betti numbers plain counts, checked
 against the Hilbert-series alternating sums by callers.
 
+Coefficients are groebner.Coeffs integers, over Q or F_p only: ModuleGB
+keeps its basis as (G, RG, L) elements and reduces fraction-free (see
+groebner.py).  Vectors enter add_input as dicts of Fractions or ints and
+leave the same way: its normal forms, the syzygies, and the elems and rows
+views of the basis.
+
 Conversion happens only at the boundary: Polys enter packed, and
 syzygies_of_polys, the hilbert_burch columns, intersect and
 minimal_ideal_gens unpack what they return.
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 import heapq
 
 from .field import QQ
-from .groebner import B, GradedIdeal, Monomials, _add_scaled, buchberger, check_degree
+from .groebner import B, Coeffs, GradedIdeal, Monomials, buchberger, check_degree
 from .poly import Poly
 
 
@@ -158,65 +164,62 @@ class ModuleGB:
     """
 
     def __init__(self, dom, order, track=False):
-        self.dom = dom
+        self.kern = Coeffs(dom)
         self.order = order
         self.track = track
         self.lts = []
-        self.elems = []
-        self.rows = []  # cofactor rows over the kept inputs (None untracked)
+        self.basis = []  # kernel elements (G, RG, L); RG over the kept inputs, None untracked
         self.reducers = {}  # component -> [(lt, index)] in insertion order
         self.pairs = []  # heap (degree, lcm, i, j)
         self.syzygies = []
         self.n_inputs = 0
         self.pairs_processed = 0
 
+    @property
+    def elems(self):
+        """The monic basis vectors, as dicts of domain values."""
+        return [self.kern.export(G, L) for G, _, L in self.basis]
+
+    @property
+    def rows(self):
+        """The basis vectors' cofactor rows (None untracked)."""
+        return [None if RG is None else self.kern.export(RG, L) for _, RG, L in self.basis]
+
     # -- internals ------------------------------------------------------
 
-    def _add(self, v, row):
-        dom, order = self.dom, self.order
-        lt = max(v)
-        lc = v[lt]
-        if not dom.is_zero(dom.sub(lc, dom.one)):
-            inv = dom.inv(lc)
-            v = {t: dom.mul(c, inv) for t, c in v.items()}
-            if row:
-                row = {t: dom.mul(c, inv) for t, c in row.items()}
-        t = len(self.elems)
+    def _add(self, F, R):
+        order = self.order
+        lt = max(F)
+        t = len(self.basis)
         self.lts.append(lt)
-        self.elems.append(v)
-        self.rows.append(row)
+        self.basis.append(self.kern.element(F, R))
         same = self.reducers.setdefault(order.component(lt), [])
         for li, i in same:
             l = order.lcm(li, lt)
             heapq.heappush(self.pairs, (order.degree(l), l, i, t))
         same.append((lt, t))
 
-    def _reduce(self, v, row=None):
-        """Normal form of v; a given row takes the reducers' cofactors."""
-        dom, order = self.dom, self.order
+    def _reduce(self, F, D, R=None):
+        """Normal form (out, D) of F/D, reducing F in place; a given row R
+        over D takes the reducers' cofactors."""
+        kern, order, basis = self.kern, self.order, self.basis
         guard, reducers = order.guard, self.reducers
-        f = dict(v)
         out = {}
-        while f:
-            le = max(f)
-            lc = f[le]
+        while F:
+            le = max(F)
             for lt, i in reducers.get(order.component(le), ()):
                 if not (lt - le) & guard:
                     break
             else:
-                out[le] = lc
-                del f[le]
+                out[le] = F.pop(le)
                 continue
-            c = dom.neg(lc)
-            _add_scaled(f, self.elems[i], le - lt, c, dom)
-            if row is not None:
-                _add_scaled(row, self.rows[i], order.plain(le - lt), c, dom)
-        return out
+            rshift = 0 if R is None else order.plain(le - lt)
+            D = kern.step(D, F[le], basis[i], le - lt, rshift, F, R, out)
+        return out, D
 
     def process_pairs_through(self, degree):
-        dom, order = self.dom, self.order
-        guard, lts = order.guard, self.lts
-        minus_one = dom.neg(dom.one)
+        kern, order = self.kern, self.order
+        guard, lts, basis = order.guard, self.lts, self.basis
         while self.pairs and self.pairs[0][0] <= degree:
             self.pairs_processed += 1
             d, l, i, j = heapq.heappop(self.pairs)
@@ -232,17 +235,12 @@ class ModuleGB:
                 for lk, k in self.reducers[order.component(l)]
             ):
                 continue
-            s = _add_scaled({}, self.elems[i], l - li, dom.one, dom)
-            _add_scaled(s, self.elems[j], l - lj, minus_one, dom)
-            row = None
-            if self.track:
-                row = _add_scaled({}, self.rows[i], order.plain(l - li), dom.one, dom)
-                _add_scaled(row, self.rows[j], order.plain(l - lj), minus_one, dom)
-            s = self._reduce(s, row)
-            if s:
-                self._add(s, row)
-            elif row:
-                self.syzygies.append(row)
+            F, R, D = kern.pair(basis[i], basis[j], l - li, l - lj, order.plain(l - li), order.plain(l - lj))
+            F, D = self._reduce(F, D, R)
+            if F:
+                self._add(F, R)
+            elif R:
+                self.syzygies.append(kern.export(R, D))
 
     def add_input(self, v):
         """Feed a generator (ascending degree) and return its normal form.
@@ -253,13 +251,16 @@ class ModuleGB:
         the basis with a unit cofactor row.
         """
         self.process_pairs_through(self.order.vec_degree(v))
-        nf = self._reduce(v)
-        if nf:
-            row = None
-            if self.track:
-                row = {self.n_inputs << self.order.ring.bits: self.dom.one}
-            self.n_inputs += 1
-            self._add(nf, row)
+        F, D = self.kern.lift(v)
+        F, D = self._reduce(F, D)
+        if not F:
+            return {}
+        R = None
+        if self.track:
+            R = {self.n_inputs << self.order.ring.bits: D}
+        self.n_inputs += 1
+        nf = self.kern.export(F, D)
+        self._add(F, R)
         return nf
 
 

@@ -18,6 +18,10 @@ elimination transform of the augmented matrix [B^T | I] over the basis'
 domain, and reads traces and stability from general substitutions; the
 package's weight-block SpanSolver is tested against it.
 
+The normal-form oracle reduces a polynomial by monic divisors in plain
+Fraction arithmetic, the reading of the engines' integer kernel without its
+common denominators.
+
 The trace oracles multiply 7x7 matrices as nested lists of Cyc7, value by
 value, and run the Newton recursions on scalar traces; the orthogonality
 oracle pairs character values one by one.  The package's batched CycArray
@@ -154,6 +158,27 @@ def betti_koszul(gens, reg, p, entries):
 
 def _add_exp(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+def fraction_normal_form(f, basis, divides):
+    """Full normal form of the dict f modulo monic dicts, term by term in
+    Fractions: the first basis element whose leading key divides f's
+    leading key (divides(lt, lead)) cancels it."""
+    f, out = dict(f), {}
+    while f:
+        lead = max(f)
+        g = next((g for g in basis if divides(max(g), lead)), None)
+        if g is None:
+            out[lead] = f.pop(lead)
+            continue
+        c, shift = f[lead], lead - max(g)
+        for t, v in g.items():
+            x = f.get(t + shift, 0) - c * v
+            if x:
+                f[t + shift] = x
+            else:
+                del f[t + shift]
+    return out
 
 
 def induced_key_recursive(lts, prev_key):

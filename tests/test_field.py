@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from heis7.field import (
     Cyc7,
@@ -18,6 +19,7 @@ from heis7.field import (
     eta,
     fp,
     galois_theta,
+    is_prime,
     gauss_sum,
     lam,
     parse_cyc,
@@ -174,6 +176,30 @@ def test_fp_guards():
         p.inv(0)
 
 
+def test_fp_primality_is_deterministic():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(3000) if is_prime(n)] == list(sympy.primerange(3000))
+    rng = random.Random(7)
+    for n in [rng.getrandbits(64) | 1 for _ in range(200)]:
+        assert is_prime(n) == sympy.isprime(n), n
+    for p in (3, 31, 1_000_000_007, 2**61 - 1, 1000000000000000003, sympy.prevprime(3317044064679887385961981)):
+        assert is_prime(p)
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+    # strong pseudoprimes to every prime base through 7, through 23 and
+    # through 37: only the later bases expose them
+    pseudo = (3215031751, 3825123056546413051, 318665857834031151167461)
+    for n in carmichael + pseudo + (1, 33, 91, 2**64 + 1, 1_000_000_007 * 1_000_000_009, 3317044064679887385961979):
+        assert not is_prime(n), n
+    t0 = time.perf_counter()
+    assert fp(1000000000000000003).p == 1000000000000000003
+    assert time.perf_counter() - t0 < 1.0
+    # beyond the proven range of the 13 bases a modulus is refused, not guessed
+    with pytest.raises(ValueError, match="bound"):
+        fp(3317044064679887385961987)
+    with pytest.raises(ValueError, match="bound"):
+        fp(3317044064679887385961981)
+
+
 def _cyc_to_sympy(x, z):
     return sum(Fraction(n, x.den) * z**k for k, n in enumerate(x.num))
 
@@ -229,6 +255,34 @@ def _field_values(bound):
 def _pairs(values):
     return st.integers(1, 8).flatmap(lambda n: st.tuples(st.lists(values, min_size=n, max_size=n), st.lists(values, min_size=n, max_size=n)))
 
+
+def _field_to_sympy(x, z, r):
+    return _cyc_to_sympy(x.a, z) + _cyc_to_sympy(x.b, z) * r
+
+
+def _sympy_to_field(expr, z, r):
+    """The FieldElem of a polynomial in z and r, reduced modulo r^2 - 2 and
+    the 7th cyclotomic polynomial (a Groebner basis: coprime leading terms)."""
+    import sympy
+
+    phi = sympy.cyclotomic_poly(7, z)
+    rem = sympy.reduced(sympy.expand(expr), [r**2 - 2, phi], r, z)[1]
+    rem = sympy.Poly(rem, r)
+    return FieldElem(_sympy_to_cyc(rem.coeff_monomial(1), z), _sympy_to_cyc(rem.coeff_monomial(r), z))
+
+
+@seed(2024)
+@settings(max_examples=30, deadline=None)
+@given(_field_values(40), _field_values(40))
+def test_fieldelem_arithmetic_against_sympy(x, y):
+    sympy = pytest.importorskip("sympy")
+    z, r = sympy.symbols("z r")
+    sx, sy = _field_to_sympy(x, z, r), _field_to_sympy(y, z, r)
+    assert x + y == _sympy_to_field(sx + sy, z, r)
+    assert x * y == _sympy_to_field(sx * sy, z, r)
+    if not x.is_zero():
+        # the inverse is the one value whose product with x reduces to 1
+        assert _sympy_to_field(sx * _field_to_sympy(x.inv(), z, r), z, r) == FieldElem(1, 0)
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([_cyc_values(40), _field_values(40), _cyc_values(1 << 41)]).flatmap(_pairs))

@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heis7.field import QQ, fp
+from heis7.field import CYC, QQ, fp
 from heis7.groebner import (
+    Coeffs,
     GradedIdeal,
     Monomials,
     buchberger,
     ideal_hf_oracle,
+    normal_form,
 )
 from heis7.moduli import f_basis, j_ideal
 from heis7.poly import Poly, REG_U, VarRegistry, grevlex_key, monomial_basis, parse_poly, render_poly
+from oracles import fraction_normal_form
 
 
 def u(s):
@@ -166,3 +171,78 @@ def test_buchberger_against_sympy():
             got = [dict(p.terms) for p in GradedIdeal(REG_U, dom, gens).gb().as_polys()]
             assert got == _sympy_basis(gens, dom), [str(g) for g in gens]
             assert got == sorted(got, key=lambda g: grevlex_key(max(g, key=grevlex_key)))
+
+
+def test_engines_refuse_other_domains():
+    from heis7.resolution import ModuleGB, induced_key_from
+
+    ring = Monomials(REG_U.n)
+    with pytest.raises(ValueError, match="Q or F_p"):
+        buchberger([ring.pack_poly({(1, 0, 0, 0): CYC.one})], ring, CYC)
+    with pytest.raises(ValueError, match="Q or F_p"):
+        ModuleGB(CYC, induced_key_from([ring.one], ring))
+
+
+@pytest.mark.parametrize("dom", [QQ, fp(31)], ids=["QQ", "F31"])
+def test_degree_capped_auto_reduce_returns(dom):
+    # the cap stops before the pair of u0^2*u1 + 2*u2^3 and u0^2; the
+    # auto-reduce turns the first into 2*u2^3, and the reducer it leaves for
+    # u2^4 must be monic (a non-monic one made that reduction cycle forever)
+    gens = [parse_poly(s, REG_U, dom) for s in ("u0^2*u1 + 2*u2^3", "u0^2", "u2^4")]
+    ring = Monomials(REG_U.n)
+    basis, info = buchberger([ring.pack_poly(g.terms) for g in gens], ring, dom, degree_cap=2)
+    assert info["truncated"]
+    assert basis == [ring.pack_poly({(2, 0, 0, 0): dom.one}), ring.pack_poly({(0, 0, 3, 0): dom.one})]
+
+
+_COEFFS = st.builds(Fraction, st.integers(-(2**70), 2**70).filter(bool), st.integers(1, 10**12))
+
+
+def _polys(top, size):
+    return st.dictionaries(st.tuples(*[st.integers(0, top)] * 3), _COEFFS, min_size=1, max_size=size)
+
+
+# divisors of low degree against dividends of higher degree, so that a
+# normal form takes many steps and its denominator passes CONTENT_BITS
+@settings(max_examples=80, deadline=None)
+@given(_polys(4, 10), st.lists(_polys(1, 4), min_size=1, max_size=3), _polys(4, 6), _polys(1, 4))
+def test_fraction_free_reduction_matches_fractions(f, divisors, row, cofactor):
+    ring = Monomials(3)
+    kern = Coeffs(QQ)
+    f = ring.pack_poly(f)
+    basis = []
+    for g in map(ring.pack_poly, divisors):
+        lc = g[max(g)]
+        basis.append({t: c / lc for t, c in g.items()})
+    elems = [(G, None, L) for G, L in map(kern.lift, basis)]
+
+    def divides(a, b):
+        return not (a - b) & ring.guard
+
+    want = fraction_normal_form(f, basis, divides)
+    F, D = kern.lift(f)
+    got = kern.export(*normal_form(F, D, elems, ring, kern))
+    assert list(got.items()) == list(want.items())
+    # one tracked step: f and its row r lose c x^m g and c x^m rg, for f's
+    # leading coefficient c and the monic g's row rg
+    g, rg, r = basis[0], ring.pack_poly(cofactor), ring.pack_poly(row)
+    lead, shift = max(f), max(f) - max(g)
+    if not divides(max(g), lead):
+        return
+    (G, RG), L = _over_common(g, rg)
+    elem = kern.element(G, RG)
+    (F, R), D = _over_common(f, r)
+    D = kern.step(D, F[lead], elem, shift, shift, F, R)
+    for vec, got, other in ((f, F, g), (r, R, rg)):
+        want = dict(vec)
+        for t, v in other.items():
+            want[t + shift] = want.get(t + shift, 0) - f[lead] * v
+            if not want[t + shift]:
+                del want[t + shift]
+        assert list(kern.export(got, D).items()) == list(want.items())
+
+
+def _over_common(*vecs):
+    """Integer numerators of dicts of Fractions over their common denominator."""
+    D = lcm(*(c.denominator for v in vecs for c in v.values()))
+    return [{t: c.numerator * (D // c.denominator) for t, c in v.items()} for v in vecs], D

@@ -8,7 +8,7 @@ from heis7.field import QQ, fp
 from heis7.groebner import GradedIdeal, Monomials
 from heis7.linalg import rank
 from heis7.moduli import j_ideal, surface_ideal
-from heis7.poly import Poly, REG_U, VarRegistry, grevlex_key, monomial_basis, parse_poly
+from heis7.poly import Poly, REG_U, REG_X, VarRegistry, grevlex_key, monomial_basis, parse_poly
 from heis7.resolution import (
     NotHilbertBurch,
     free_resolution,
@@ -245,3 +245,79 @@ def test_flat_induced_key_matches_recursive_oracle(monkeypatch):
         syz = {t for row in gb.syzygies for t in nxt.from_row(row)}
         checked += same_order(nxt, oracles[k + 1], syz)
     assert checked > 1000
+
+
+def _surface_points(seed, count):
+    """Seeded non-degenerate surface points with F31-integral coefficients."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        t = tuple(Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(4))
+        if not (t[1] and t[2] and t[3]):
+            continue
+        S = surface_ideal(t)
+        if not S.degenerate and S.coefficient_domain(fp(31)) == fp(31):
+            out.append(S)
+    return out
+
+
+def _engine_output_digest(monkeypatch, ideal):
+    """sha256 of every value the engines hand out while resolving ideal.
+
+    Reprs keep dict insertion order, so a reordered vector changes the
+    digest as much as a changed coefficient does.
+    """
+    import hashlib
+
+    from heis7 import groebner
+
+    h = hashlib.sha256()
+
+    def put(*values):
+        h.update(repr(values).encode())
+
+    runs = []
+    init = resolution.ModuleGB.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runs.append(self)
+
+    def recording_buchberger(*args, **kwargs):
+        basis, info = real_buchberger(*args, **kwargs)
+        put("buchberger", basis, info)
+        return basis, info
+
+    def recording_feed(*args, **kwargs):
+        kept, capped = real_feed(*args, **kwargs)
+        put("kept", kept, capped)
+        return kept, capped
+
+    real_buchberger, real_feed = groebner.buchberger, resolution._feed
+    with monkeypatch.context() as mp:
+        mp.setattr(resolution.ModuleGB, "__init__", recording_init)
+        mp.setattr(groebner, "buchberger", recording_buchberger)
+        mp.setattr(resolution, "buchberger", recording_buchberger)
+        mp.setattr(resolution, "_feed", recording_feed)
+        gb = ideal.gb()
+        put("gb", gb.polys, gb.truncated)
+        for s in ("x0^4", "x0*x1*x2*x3 + x4^2*x5*x6", "x1^3*x2 - 3*x3^2*x5^2 + x6^4", "x0^2*x1*x2*x3*x4"):
+            put("nf", gb.normal_form(parse_poly(s, REG_X, ideal.dom)).terms)
+        bt = free_resolution(ideal, degree_cap=9)
+    put("betti", sorted(bt.entries.items()), bt.complete)
+    for run in runs:
+        put("run", run.elems, run.rows, run.syzygies, run.pairs_processed, run.n_inputs)
+    return h.hexdigest()
+
+
+def test_engine_outputs_are_unchanged(monkeypatch):
+    # digests captured from engines on plain Fraction arithmetic; the
+    # integer kernel must hand out the same values in the same order
+    points = _surface_points(7, 2)
+    got = [_engine_output_digest(monkeypatch, S.ideal(dom)) for dom in (QQ, fp(31)) for S in points]
+    assert got == [
+        "c4366031b03ecefb71374eebfd5f902b066214cd196de2f20287bb5165a81aa4",
+        "a68b69956a4f4cce5c3f2caed64eaeb49cc30c84f74cfd7f0de6286a05550664",
+        "0c0f57924c6b491b81d5066289adf8e5186830e793d14e46a66b12d06bdfc3fb",
+        "175a429e50bb0b6012c5ac5e6f8fe2bcb8a855b23f38d8a0e0652d58dd08b8cd",
+    ]
