@@ -1055,28 +1055,30 @@ def check_pfaffian_det(ctx: Context) -> CheckResult:
 
 @declare_id("syzygy.field_agreement")
 def check_q_vs_fp(ctx: Context) -> CheckResult:
-    from .field import fp as _fp
     from .groebner import GradedIdeal
     from .poly import REG_U
     from .resolution import free_resolution
 
     J = _j_ideal()
-    F31 = _fp(31)
-    J31 = GradedIdeal(REG_U, F31, [g.map_coeffs(F31.coerce, F31) for g in J.gens])
+    dom = ctx.config.resolution_domain()
+    if dom is QQ:
+        dom = fp(31)
+    default = dom.p == 31
+    Jp = GradedIdeal(REG_U, dom, [g.map_coeffs(dom.coerce, dom) for g in J.gens])
     bq = free_resolution(J)
-    bp = free_resolution(J31)
+    bp = free_resolution(Jp)
     if bq.entries == bp.entries:
         return CheckResult(
             "syzygy.field_agreement",
             "pass",
-            "Betti tables over Q and over the default prime field agree on "
-            "the apolar-ideal fixture",
+            f"Betti tables over Q and over {'the default prime field' if default else dom.name} "
+            "agree on the apolar-ideal fixture",
         )
     return CheckResult(
         "syzygy.field_agreement",
         "flagged",
         f"semicontinuity proxy disagrees: Q gives {sorted(bq.entries.items())}, "
-        f"prime field gives {sorted(bp.entries.items())}",
+        f"{'prime field' if default else dom.name} gives {sorted(bp.entries.items())}",
     )
 
 

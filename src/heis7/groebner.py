@@ -1,26 +1,47 @@
-"""Deterministic Buchberger engine over Q and F_p, with Hilbert data.
+"""The Groebner engine over Q and F_p: ModuleGB, reduced bases, Hilbert data.
 
-Packed terms.  Inside the engines (buchberger and normal_form here,
-ModuleGB in resolution.py) a monomial is one Python int.  With field width
-W = 2^B and M = W - 1, the exponent tuple e of n variables packs to
+One engine.  ModuleGB computes every Groebner basis in heis7: the reduced
+bases of ideals (buchberger, a rank-1 run plus an auto-reduce), each level
+of a free resolution (resolution.py) and the module eliminations of
+resolution.intersect.  There is one pair update and one reduction loop
+(_reduce), which normal_form shares.
+
+Packed terms.  A monomial is one Python int.  With field width W = 2^B and
+M = W - 1, the exponent tuple e of n variables packs to
 
     P(e) = deg(e) W^n + sum_k (M - e_k) W^k,
 
 so comparing packed monomials as integers is the grevlex order of
-poly.grevlex_key, a polynomial is a dict {P(e): coeff} whose leading term
-is max(f), and multiplying by x^m adds the one integer P(m) - P(0).  While
-deg(e) <= DEGREE_LIMIT every field keeps its top (guard) bit set, so e | e'
-is one subtraction: P(e) - P(e') sets no guard bit (Monagan & Pearce,
-Sparse polynomial division using a heap, JSC 46 (2011)).  Packing a term of
-higher degree, or reaching one through an S-pair, raises ValueError, so a
-packed value never wraps into a wrong order.  resolution.py builds its
-module orders on the same fields.  Cofactor rows over the input generators
-are never ordered, only shifted and added, and use the plain packing
+poly.grevlex_key, and multiplying by x^m adds the one integer P(m) - P(0).
+While deg(e) <= DEGREE_LIMIT every field keeps its top (guard) bit set, so
+e | e' is one subtraction: P(e) - P(e') sets no guard bit (Monagan &
+Pearce, Sparse polynomial division using a heap, JSC 46 (2011)).  Packing a
+term of higher degree, or reaching one through an S-pair, raises
+ValueError, so a packed value never wraps into a wrong order.
+
+Module orders.  A ModuleOrder packs the term (c, e) of a free module as
+
+    K(c, e) = ((P(e) - P(0)) << tb) + base[c],
+
+so a vector is a dict {K: coefficient} whose leading term is max(v), x^m
+adds (P(m) - P(0)) << tb to every key, and a leading term divides a term of
+its component when their difference sets no guard bit.  The induced order
+of a resolution level compares module terms through their images under the
+previous level's leading terms, position breaking ties.  Unrolled down to
+the ring, (c, e) compares by grevlex(e + shift[c]) and then by tail[c],
+where shift[c] sums the leading exponents along component c's chain of
+leading terms and tail[c] lists the negated components along that chain, c
+last; base[c] is P(shift[c]) << tb plus the rank of tail[c] among the
+level's tails, so the integer order is that tuple order (tests/oracles.py
+keeps the recursive form).  induced_key_from([ring.one], ring) is the ring
+as a rank-1 module, whose keys are the P(e) themselves.  pot_key puts the
+component's code above P(e) instead.  Cofactor rows over the inputs are
+never ordered, only shifted and added, and use the plain packing
 i << nB | sum_k e_k W^k.
 
-Integer coefficients.  The engines run over Q (QQ) and the prime fields
+Integer coefficients.  The engine runs over Q (QQ) and the prime fields
 F_p (FpDomain) only; Coeffs refuses any other domain with ValueError.
-Inside them every coefficient is a Python int.  Over F_p it is a value in
+Inside it every coefficient is a Python int.  Over F_p it is a value in
 [0, p), reduced by an inline % p.  Over Q a vector in flight, with its
 cofactor row, is a dict of integer numerators F over one positive
 denominator D, and a basis element is a triple (G, RG, L): the monic vector
@@ -35,25 +56,28 @@ of two elements is built the same way over lcm(L_i, L_j).  Once D passes
 2^CONTENT_BITS the common gcd of D and every numerator is divided out.
 Over F_p, L = D = 1 and the step is F <- F - a x^m G.  A value is the same
 either way, so zero tests, and with them the dicts' insertion orders, are
-those of plain Fraction arithmetic.
+those of plain Fraction arithmetic.  Inputs enter ModuleGB.add_input and
+syzygies leave it in this integer form, so a resolution hands its
+syzygies from one level to the next without conversion.  Results leave
+through Coeffs.export as Fractions or ints: the normal forms add_input
+returns, the elems and rows views, and the reduced bases and normal forms
+of GroebnerBasis.
 
-Conversion happens only at the boundary: Poly terms enter through
-Monomials.pack_poly and Coeffs.lift; results leave through Coeffs.export
-as Fractions or ints, through GroebnerBasis (Polys, normal forms and the
-leading exponent tuples that hilbert_data reads) and through the callers
-in resolution.py.
+Pairs (Gebauer & Moeller, On an installation of Buchberger's algorithm,
+JSC 6 (1988)).  When an element enters, its pairs with the earlier elements
+of its component are pruned by the chain criterion and one pair is kept per
+lcm; the queued pairs of that component whose lcm it divides strictly are
+dropped.  At rank 1 the product criterion drops pairs with coprime leading
+terms.  Pairs are processed by ascending degree and lcm with a fixed
+tie-break, and reducers are scanned in insertion order, so runs are
+reproducible for a fixed input sequence.
 
-Pairs are processed by ascending lcm with a fixed tie-break, the chain and
-product criteria of the Gebauer-Moeller update prune the queue, and
-reducers are scanned in insertion order, so runs are reproducible for a
-fixed input sequence.
-
-When syzygy tracking is enabled each basis element g_k carries its cofactor
-row over the input generators.  A pair (i, t) dropped by the product
-criterion contributes its full Koszul relation g_i * row_t - g_t * row_i,
-which is what its S-polynomial's standard representation would have given;
-pairs dropped by the chain criterion contribute nothing (their syzygies are
-generated by the surviving ones).
+Syzygies.  A tracked ModuleGB gives every element its cofactor row over the
+kept inputs.  An S-pair that reduces to zero leaves its row; a pair
+dropped by the product criterion leaves its full Koszul relation
+g_i * row_t - g_t * row_i, which is what its S-vector's standard
+representation would have given; pairs dropped by the chain criterion
+leave nothing, as their syzygies are generated by the others.
 """
 
 from __future__ import annotations
@@ -62,7 +86,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 import heapq
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add, le
 
 from .field import QQ, FpDomain, RatDomain
@@ -256,134 +280,315 @@ def _remove_content(D, F, R, out):
     return D // g
 
 
-def normal_form(F, D, basis, ring, kern):
-    """Full normal form (out, D) of the packed vector F/D modulo the basis
-    elements; F is reduced in place."""
+# ---------------------------------------------------------------------------
+# module orders
+
+
+class ModuleOrder:
+    """Packed terms of a free module over a Monomials ring (module docstring).
+
+    base[c] holds component c's code bits, P(shift[c]) << tb and a tail code
+    below 2^tb that names c; gdeg[c] is the degree of component c's
+    generator, so that deg(e) + gdeg[c] is the degree of the term (c, e).
+    """
+
+    def __init__(self, ring, base, tb, gdeg=None):
+        self.ring, self.base, self.tb = ring, base, tb
+        self.mask = (1 << tb) - 1
+        self.pmask = (1 << (ring.bits + B)) - 1
+        self.guard = ring.guard << tb
+        self.comp = [0] * len(base)  # tail code -> component
+        for c, b in enumerate(base):
+            self.comp[b & self.mask] = c
+        self.sdeg = [(b >> tb & self.pmask) >> ring.bits for b in base]
+        self.gdeg = self.sdeg if gdeg is None else gdeg
+
+    def component(self, k):
+        return self.comp[k & self.mask]
+
+    def pack(self, c, e):
+        check_degree(sum(e) + self.sdeg[c])
+        return ((self.ring.pack(e) - self.ring.one) << self.tb) + self.base[c]
+
+    def unpack(self, k):
+        c = self.component(k)
+        return c, self.ring.unpack(((k - self.base[c]) >> self.tb) + self.ring.one)
+
+    def degree(self, k):
+        c = self.component(k)
+        return ((((k - self.base[c]) >> self.tb) + self.ring.one) >> self.ring.bits) + self.gdeg[c]
+
+    def vec_degree(self, v):
+        """The degree of a nonzero homogeneous vector."""
+        return self.degree(next(iter(v)))
+
+    def lcm(self, a, b):
+        """The lcm of two terms of one component."""
+        tb, pmask = self.tb, self.pmask
+        pa = a >> tb & pmask
+        return a + ((self.ring.lcm(pa, b >> tb & pmask) - pa) << tb)
+
+    def plain(self, shift):
+        """The row shift of x^m from its term shift (P(m) - P(0)) << tb."""
+        return self.ring.plain(shift >> self.tb)
+
+    def from_row(self, row):
+        """The vector of a plain-packed row over this module's components;
+        the coefficients are moved, not converted."""
+        ring, tb, base, sdeg = self.ring, self.tb, self.base, self.sdeg
+        out = {}
+        for t, coeff in row.items():
+            c, x = t >> ring.bits, t & ring.low
+            d = ring.field_sum(x)
+            check_degree(d + sdeg[c])
+            out[(((d << ring.bits) - x) << tb) + base[c]] = coeff
+        return out
+
+    def lowest_component(self, v):
+        return min(map(self.component, v))
+
+
+def induced_key_from(lts, prev):
+    """Module order induced by assigned leading terms, position tie-break.
+
+    lts[c] is the packed leading term of the generator presented by
+    component c.  prev is where those terms live: a Monomials ring, or the
+    previous level's order.  The key of (c, e) compares grevlex(e + shift[c])
+    and then tail[c], the same order as recursing through every earlier
+    level.  induced_key_from([ring.one], ring) is the ring itself as a
+    rank-1 module: its keys are the packed monomials P(e).
+    """
+    if isinstance(prev, ModuleOrder):
+        ring = prev.ring
+        shifts = [k >> prev.tb for k in lts]
+        tails = [k & prev.mask for k in lts]
+    else:
+        ring, shifts, tails = prev, list(lts), [0] * len(lts)
+    tb = (len(lts) - 1).bit_length()
+    base = [0] * len(lts)
+    for code, c in enumerate(sorted(range(len(lts)), key=lambda c: (tails[c], -c))):
+        base[c] = (shifts[c] << tb) | code
+    return ModuleOrder(ring, base, tb)
+
+
+def pot_key(ring, gdeg):
+    """Position-over-term: lower components dominate (component 0 is
+    eliminated first), grevlex within a component."""
+    n = len(gdeg)
+    tb = (n - 1).bit_length()
+    top = ring.bits + B + tb
+    base = [((n - 1 - c) << top) | (ring.one << tb) | c for c in range(n)]
+    return ModuleOrder(ring, base, tb, list(gdeg))
+
+
+# ---------------------------------------------------------------------------
+# the engine
+
+
+def _reduce(F, D, basis, reducers, order, kern, R=None):
+    """Full normal form (out, D) of the packed vector F/D; F is reduced in place.
+
+    Each leading term is cancelled by the first reducer of its component
+    (reducers[c] lists (lt, index into basis) in insertion order) whose
+    leading term divides it, and set aside otherwise.  A given row R over D
+    takes the reducers' cofactors.
+    """
+    guard, component = order.guard, order.component
     out = {}
-    guard = ring.guard
-    lts = [(max(g[0]), g) for g in basis if g[0]]
     while F:
-        lead = max(F)
-        for lt, g in lts:
-            if not (lt - lead) & guard:
-                D = kern.step(D, F[lead], g, lead - lt, 0, F, None, out)
+        le = max(F)
+        for lt, i in reducers.get(component(le), ()):
+            if not (lt - le) & guard:
                 break
         else:
-            out[lead] = F.pop(lead)
+            out[le] = F.pop(le)
+            continue
+        rshift = 0 if R is None else order.plain(le - lt)
+        D = kern.step(D, F[le], basis[i], le - lt, rshift, F, R, out)
     return out, D
 
 
-def buchberger(gens, ring, dom=QQ, track=False, degree_cap=None):
-    """Reduced Groebner basis of homogeneous packed polynomials.
+def normal_form(F, D, basis, ring, kern):
+    """Full normal form (out, D) of the packed ring vector F/D modulo the
+    basis elements; F is reduced in place."""
+    reducers = {0: [(max(g[0]), i) for i, g in enumerate(basis) if g[0]]}
+    return _reduce(F, D, basis, reducers, induced_key_from([ring.one], ring), kern)
 
-    Returns (basis, info) where basis is the auto-reduced monic basis in
-    ascending leading terms and info carries: 'syzygies' (generating set of
-    the syzygy module over the *input* generators, as plain-packed rows, if
-    track) and 'truncated' (True if a degree cap dropped pairs).
+
+class ModuleGB:
+    """Incremental module Groebner basis, complete through a moving degree.
+
+    Inputs arrive by ascending degree through add_input.  Pairs are updated
+    by Gebauer-Moeller when an element enters, within its component, and at
+    rank 1 the product criterion drops pairs with coprime leading terms.
+    With track=True every basis element carries its cofactor row over the
+    kept inputs, and syzygies collects, as integer numerators over one
+    denominator (R, D), the row of each S-pair that reduces to zero and the
+    full Koszul row g_i row_t - g_t row_i of each pair the product criterion
+    drops (what its standard representation would have given).  Pairs
+    dropped by the chain criterion leave nothing: their syzygies are
+    generated by the others.
     """
-    kern = Coeffs(dom)
-    work = []  # list of (lt, element)
-    syzygies = []
-    truncated = False
-    guard, p0 = ring.guard, ring.one
 
-    def add_poly(F, R):
-        work.append((max(F), kern.element(F, R)))
-        return len(work) - 1
+    def __init__(self, dom, order, track=False):
+        self.kern = Coeffs(dom)
+        self.order = order
+        self.track = track
+        self.lts = []
+        self.basis = []  # kernel elements (G, RG, L); RG over the kept inputs, None untracked
+        self.reducers = {}  # component -> [(lt, index)] in insertion order
+        self.pairs = []  # heap (degree, lcm, i, j)
+        self.syzygies = []  # (R, D) over the kept inputs
+        self.n_inputs = 0
+        self.pairs_processed = 0
 
-    def reduce_top(F, R, D):
-        while F:
-            lead = max(F)
-            for lt, g in work:
-                if not (lt - lead) & guard:
-                    break
-            else:
-                break
-            rshift = ring.plain(lead - lt) if track else 0
-            D = kern.step(D, F[lead], g, lead - lt, rshift, F, R)
-        return F, R, D
+    @property
+    def elems(self):
+        """The monic basis vectors, as dicts of domain values."""
+        return [self.kern.export(G, L) for G, _, L in self.basis]
 
-    pairs = []  # heap of (degree, lcm, i, j)
+    @property
+    def rows(self):
+        """The basis vectors' cofactor rows (None untracked)."""
+        return [None if RG is None else self.kern.export(RG, L) for _, RG, L in self.basis]
 
-    def update_pairs(t):
-        """Gebauer-Moeller update after appending element t."""
-        lt_t = work[t][0]
-        lcms = [ring.lcm(work[i][0], lt_t) for i in range(t)]
-        # drop (i,t) when lcm(i,t) is strictly divisible by lcm(j,t) (chain
-        # among the new pairs), keeping one representative per lcm
+    # -- internals ------------------------------------------------------
+
+    def _add(self, F, R):
+        """Insert the element of F (row R) and update the pairs."""
+        order, lts, pairs = self.order, self.lts, self.pairs
+        guard = order.guard
+        lt = max(F)
+        t = len(self.basis)
+        lts.append(lt)
+        self.basis.append(self.kern.element(F, R))
+        same = self.reducers.setdefault(order.component(lt), [])
+        lcms = {i: order.lcm(li, lt) for li, i in same}
+        # drop (i, t) when lcm(i, t) is strictly divisible by some lcm(j, t)
+        # (chain among the new pairs), keeping one representative per lcm
         best = {}
-        for i, li in enumerate(lcms):
-            if not any(lj != li and not (lj - li) & guard for lj in lcms):
-                best.setdefault(li, i)
-        # old pairs made redundant by t (classic chain criterion)
-        pairs[:] = [
+        for i, l in lcms.items():
+            if not any(m != l and not (m - l) & guard for m in lcms.values()):
+                best.setdefault(l, i)
+        # old pairs of this component made redundant by t (chain criterion)
+        left = [
             p
             for p in pairs
-            if (lt_t - p[1]) & guard or lcms[p[2]] == p[1] or lcms[p[3]] == p[1]
+            if p[2] not in lcms or (lt - p[1]) & guard or lcms[p[2]] == p[1] or lcms[p[3]] == p[1]
         ]
-        heapq.heapify(pairs)
+        if len(left) < len(pairs):
+            heapq.heapify(left)
+            pairs[:] = left
+        one = order.base[0]
         for i in sorted(best.values()):
-            li = lcms[i]
-            # product criterion: coprime leading terms reduce to zero; their
-            # Koszul relation g_i * row_t - g_t * row_i still enters the
-            # syzygy generating set
-            if li == work[i][0] + lt_t - p0:
-                if track:
-                    G_i, R_i, L_i = work[i][1]
-                    G_t, R_t, L_t = work[t][1]
-                    row = {}
-                    for e, c in G_i.items():
-                        kern.axpy(row, R_t, ring.plain(e - p0), c)
-                    for e, c in G_t.items():
-                        kern.axpy(row, R_i, ring.plain(e - p0), -c)
-                    record_syzygy(row, L_i * L_t)
+            l = lcms[i]
+            if len(order.base) == 1 and l == lts[i] + lt - one:
+                # product criterion: coprime leading terms reduce to zero
+                if self.track:
+                    self._koszul(i, t)
                 continue
-            heapq.heappush(pairs, (li >> ring.bits, li, i, t))
+            heapq.heappush(pairs, (order.degree(l), l, i, t))
+        same.append((lt, t))
 
-    def record_syzygy(R, D):
+    def _koszul(self, i, t):
+        """Record g_i row_t - g_t row_i for a pair of a rank-1 module."""
+        kern, plain, one = self.kern, self.order.plain, self.order.base[0]
+        (Gi, Ri, Li), (Gt, Rt, Lt) = self.basis[i], self.basis[t]
+        row = {}
+        for e, c in Gi.items():
+            kern.axpy(row, Rt, plain(e - one), c)
+        for e, c in Gt.items():
+            kern.axpy(row, Ri, plain(e - one), -c)
+        self._record(row, Li * Lt)
+
+    def _record(self, R, D):
         if R:  # an empty row is no relation
-            syzygies.append(kern.export(R, D))
+            self.syzygies.append((R, D))
 
-    # seed with the inputs
-    for i, f in enumerate(gens):
-        if not f:
-            continue
-        F, D = kern.lift(f)
-        R = {i << ring.bits: D} if track else None
-        # reduce new generator against current basis to keep things small
-        F, R, D = reduce_top(F, R, D)
+    def process_pairs_through(self, degree):
+        """Process the queued pairs up to the given degree."""
+        kern, order = self.kern, self.order
+        lts, basis = self.lts, self.basis
+        while self.pairs and self.pairs[0][0] <= degree:
+            self.pairs_processed += 1
+            d, l, i, j = heapq.heappop(self.pairs)
+            check_degree(d, "S-pair degree")
+            li, lj = lts[i], lts[j]
+            F, R, D = kern.pair(basis[i], basis[j], l - li, l - lj, order.plain(l - li), order.plain(l - lj))
+            F, D = _reduce(F, D, basis, self.reducers, order, kern, R)
+            if F:
+                self._add(F, R)
+            else:
+                self._record(R, D)
+
+    def add_input(self, F, D, through=None):
+        """Feed the integer vector F/D (ascending degree) and return its
+        normal form as a dict of domain values; F is reduced in place.
+
+        The basis is first completed through degree `through`, by default
+        F's degree.  An empty normal form means F is redundant: it takes no
+        input index and records no syzygy.  A nonzero one becomes kept input
+        number n_inputs and enters the basis with a unit cofactor row.
+        """
+        self.process_pairs_through(self.order.vec_degree(F) if through is None else through)
+        F, D = _reduce(F, D, self.basis, self.reducers, self.order, self.kern)
         if not F:
-            if track:
-                record_syzygy(R, D)
+            return {}
+        R = None
+        if self.track:
+            R = {self.n_inputs << self.order.ring.bits: D}
+        self.n_inputs += 1
+        nf = self.kern.export(F, D)
+        self._add(F, R)
+        return nf
+
+
+def _feed(gb, vectors, tie, degree_cap=None):
+    """Feed integer vectors (F, D) to gb by ascending degree, equal degrees
+    ordered by tie(F).
+
+    Returns (kept, capped): the nonzero normal forms in feeding order, which
+    minimally generate what the vectors generate, and whether degree_cap
+    dropped any vector.  A tracked gb collects the kept forms' syzygies.
+    """
+    kept = []
+    capped = False
+    degree = gb.order.vec_degree
+    for F, D in sorted(vectors, key=lambda v: (degree(v[0]), tie(v[0]))):
+        if degree_cap is not None and degree(F) > degree_cap:
+            capped = True
             continue
-        update_pairs(add_poly(F, R))
+        nf = gb.add_input(F, D)
+        if nf:
+            kept.append(nf)
+    return kept, capped
 
-    while pairs:
-        d, l, i, j = heapq.heappop(pairs)
-        if degree_cap is not None and d > degree_cap:
-            truncated = True
-            break
-        check_degree(d, "S-pair degree")
-        lt_i, lt_j = work[i][0], work[j][0]
-        F, R, D = kern.pair(
-            work[i][1], work[j][1], l - lt_i, l - lt_j, ring.plain(l - lt_i), ring.plain(l - lt_j)
-        )
-        F, R, D = reduce_top(F, R, D)
-        if F:
-            update_pairs(add_poly(F, R))
-        elif track:
-            record_syzygy(R, D)
 
+def buchberger(gens, ring, dom=QQ, degree_cap=None):
+    """Reduced Groebner basis of homogeneous packed polynomials.
+
+    A rank-1 ModuleGB takes every nonzero input in turn, each after the
+    S-pairs up to its degree, and is completed through degree_cap (without a
+    cap, completely); then each element is fully reduced against the
+    others.  Returns (basis, info): the monic reduced basis in ascending
+    leading terms, and info['truncated'], True if the cap left S-pairs
+    unprocessed.
+    """
+    gb = ModuleGB(dom, induced_key_from([ring.one], ring))
+    kern = gb.kern
+    cap = inf if degree_cap is None else degree_cap
+    for F, D in map(kern.lift, filter(None, gens)):
+        gb.add_input(F, D, min(cap, max(F) >> ring.bits))
+    gb.process_pairs_through(cap)
     # auto-reduce: full normal form of each element against the others; a
     # reduced element serves the later ones in its monic form
-    basis = [g for _, g in work]
+    basis = list(gb.basis)
     for idx, (G, _, L) in enumerate(basis):
         others = [g for k, g in enumerate(basis) if k != idx and g[0]]
         nf, _ = normal_form(dict(G), L, others, ring, kern)
         basis[idx] = kern.element(nf, None) if nf else ({}, None, 1)
     reduced = sorted((g for g in basis if g[0]), key=lambda g: max(g[0]))
-    info = {"truncated": truncated, "syzygies": syzygies if track else None}
-    return [kern.export(G, L) for G, _, L in reduced], info
+    return [kern.export(G, L) for G, _, L in reduced], {"truncated": bool(gb.pairs)}
 
 
 # ---------------------------------------------------------------------------

@@ -85,3 +85,16 @@ def test_bad_coeff_is_a_usage_error(argv, capsys):
         assert exit_info.value.code == 2, coeff
         err = capsys.readouterr().err
         assert "error: argument --coeff:" in err and "Traceback" not in err, (coeff, err)
+
+
+def test_syzygy_field_agreement_reads_coeff(tmp_path):
+    def detail(*coeff):
+        out = tmp_path / "r.json"
+        r = run("verify", "syzygy", *coeff, "--quiet", "--json", str(out))
+        assert r.returncode == 0, r.stderr
+        checks = json.loads(out.read_text())["checks"]
+        return next(c for c in checks if c["id"] == "syzygy.field_agreement")["details"]
+
+    assert "over Q and over F37 agree" in detail("--coeff", "fp:37")
+    # the default prime goes unnamed, as before --coeff was read here
+    assert "over Q and over the default prime field agree" in detail()

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from operator import add
 import random
 
 import pytest
 
 from heis7 import resolution
 from heis7.field import QQ, fp
-from heis7.groebner import GradedIdeal, Monomials
+from heis7.groebner import B, M, GradedIdeal, Monomials
 from heis7.linalg import rank
 from heis7.moduli import j_ideal, surface_ideal
 from heis7.poly import Poly, REG_U, REG_X, VarRegistry, grevlex_key, monomial_basis, parse_poly
@@ -17,7 +18,6 @@ from heis7.resolution import (
     intersect,
     induced_key_from,
     minimal_ideal_gens,
-    syzygies_of_polys,
 )
 from oracles import betti_koszul, induced_key_recursive
 
@@ -53,18 +53,77 @@ def test_apolar_ideal_resolution():
 )
 def test_syzygies_are_exact(gens):
     gens = [u(s) for s in gens]
-    syz, truncated = syzygies_of_polys(gens, QQ)
-    assert not truncated and syz
-    for v in syz:
+    order, gb, kept, capped = next(resolution._levels(gens, QQ, 8))
+    # the generators are monic and reduced, so level 1 keeps them as they
+    # are, in ascending leading terms
+    kept = [Poly(REG_U, QQ, {order.unpack(k)[1]: c for k, c in v.items()}) for v in kept]
+    assert sorted(map(str, kept)) == sorted(map(str, gens))
+    assert not capped and not gb.pairs and gb.syzygies
+    for R, D in gb.syzygies:
         acc = Poly.zero(REG_U, QQ)
-        for (gi, e), c in v.items():
-            acc = acc + Poly.monomial(REG_U, e, c) * gens[gi]
+        for (gi, e), c in _row_terms(order, gb.kern.export(R, D)):
+            acc = acc + Poly.monomial(REG_U, e, c) * kept[gi]
         assert acc.is_zero()
 
 
 def test_single_form_has_no_syzygies():
-    syz, truncated = syzygies_of_polys([u("u0^2 + u1*u2")], QQ)
-    assert not truncated and syz == []
+    _, gb, kept, capped = next(resolution._levels([u("u0^2 + u1*u2")], QQ, 8))
+    assert len(kept) == 1 and not capped and gb.syzygies == []
+
+
+def _row_terms(order, row):
+    """The terms ((input index, exponent), coeff) of a plain-packed row."""
+    ring = order.ring
+    for t, c in row.items():
+        yield (t >> ring.bits, tuple(t >> (B * k) & M for k in range(ring.bits // B))), c
+
+
+def _applied(order, kept, row, dom):
+    """The nonzero terms of sum_i row_i * kept_i, on unpacked terms (c, e)."""
+    acc = {}
+    for (i, m), c in _row_terms(order, row):
+        for k, v in kept[i].items():
+            comp, e = order.unpack(k)
+            key = (comp, tuple(map(add, e, m)))
+            acc[key] = dom.add(acc.get(key, dom.zero), dom.mul(c, v))
+    return {t: v for t, v in acc.items() if not dom.is_zero(v)}
+
+
+# the F31 counter-example of test_betti_tables_against_koszul_oracle
+COUNTER_EXAMPLE = ["13*b^3 + 30*c^2*d + 21*c*d^2", "c*d", "20*a*c + 15*c*d + 30*d^2"]
+
+
+@pytest.mark.parametrize("case", ["surface_F31", "surface_QQ", "counter_example"])
+def test_every_level_syzygy_is_exact(case, monkeypatch):
+    if case == "counter_example":
+        dom = fp(31)
+        gens = GradedIdeal(REG_ABCD, dom, [parse_poly(s, REG_ABCD, dom) for s in COUNTER_EXAMPLE]).gens
+    else:
+        dom = fp(31) if case == "surface_F31" else QQ
+        gens = surface_ideal((1, 1, 1, 1)).ideal(dom).gens
+    koszul = []
+    record = resolution.ModuleGB._koszul
+
+    def spy(self, i, t):
+        record(self, i, t)
+        koszul.append(self)
+
+    monkeypatch.setattr(resolution.ModuleGB, "_koszul", spy)
+    runs = []
+    for order, gb, kept, _ in resolution._levels(gens, dom, 9):
+        for R, D in gb.syzygies:
+            row = gb.kern.export(R, D)
+            assert row and _applied(order, kept, row, dom) == {}
+        runs.append(gb)
+        if gb.syzygies:
+            # a row with one coefficient changed is no syzygy
+            t, c = next(iter(row.items()))
+            row[t] = dom.add(c, dom.one)
+            assert _applied(order, kept, row, dom) != {}
+    # only level 1 applies the product criterion; on the counter-example it
+    # recorded full Koszul rows, checked with the rest
+    assert len(runs) >= 3 and all(gb is runs[0] for gb in koszul)
+    assert koszul or case != "counter_example"
 
 
 def test_hilbert_burch_roundtrip():
@@ -178,7 +237,7 @@ def test_betti_tables_against_koszul_oracle():
 def _surface_resolution_runs(monkeypatch):
     """Resolve the F31 surface ideal at t = (1,1,1,1) through degree 9.
 
-    Returns the ideal, the tracked ModuleGB runs (one per level from 2 on)
+    Returns the ideal, the tracked ModuleGB runs (one per level from 1 on)
     and the (lts, prev, key) of every induced_key_from call, in call order.
     """
     runs, keys = [], []
@@ -204,19 +263,20 @@ def _surface_resolution_runs(monkeypatch):
 
 def test_surface_resolution_does_the_same_work(monkeypatch):
     _, runs, _ = _surface_resolution_runs(monkeypatch)
-    assert [len(gb.elems) for gb in runs] == [65, 45, 15, 2]
-    assert [sum(map(len, gb.syzygies)) for gb in runs] == [2827, 264, 15, 0]
-    assert [gb.pairs_processed for gb in runs] == [84, 19, 2, 0]
-    assert [gb.n_inputs for gb in runs] == [49, 42, 15, 2]
+    assert [len(gb.elems) for gb in runs] == [21, 65, 45, 15, 2]
+    assert [sum(len(R) for R, _ in gb.syzygies) for gb in runs] == [372, 2827, 264, 15, 0]
+    assert [len(gb.syzygies) for gb in runs] == [51, 65, 16, 2, 0]
+    assert [gb.pairs_processed for gb in runs] == [51, 81, 19, 2, 0]
+    assert [gb.n_inputs for gb in runs] == [21, 49, 42, 15, 2]
 
 
 def test_flat_induced_key_matches_recursive_oracle(monkeypatch):
     ideal, runs, keys = _surface_resolution_runs(monkeypatch)
-    # minimal_ideal_gens builds its own order before the level orders start;
-    # run k packs its basis terms in order k, and its syzygy rows become the
-    # next level's vectors in order k + 1; the last level's order goes unused
-    keys = keys[[key for _, _, key in keys].index(runs[0].order):]
+    # level 1 runs in the ring as a rank-1 module; run k packs its basis
+    # terms in order k, and its syzygy rows become the next level's vectors
+    # in order k + 1; the last level's order goes unused
     ring = keys[0][1]
+    assert keys[0][0] == [ring.one] and runs[0].order is keys[0][2]
     assert len(keys) == len(runs) + 1 and isinstance(ring, Monomials)
     oracles = []
     prev, unpack = grevlex_key, ring.unpack
@@ -234,15 +294,16 @@ def test_flat_induced_key_matches_recursive_oracle(monkeypatch):
         assert decoded == sorted(decoded, key=oracle)
         return len(terms)
 
-    # hilbert_burch and Poly.leading pick the same ring leading terms
+    # level 1's kept forms have the leading terms that Poly.leading picks
+    # for the minimal generators (one echelon basis of the cubics)
     gens = minimal_ideal_gens(ideal.gens, ideal.dom)
-    assert keys[0][0] == [ring.pack(g.leading()[0]) for g in gens]
+    assert sorted(keys[1][0]) == sorted(ring.pack(g.leading()[0]) for g in gens)
     checked = 0
     for k, gb in enumerate(runs):
         assert gb.order is keys[k][2]
         checked += same_order(gb.order, oracles[k], {t for v in gb.elems for t in v})
         nxt = keys[k + 1][2]
-        syz = {t for row in gb.syzygies for t in nxt.from_row(row)}
+        syz = {t for row, _ in gb.syzygies for t in nxt.from_row(row)}
         checked += same_order(nxt, oracles[k + 1], syz)
     assert checked > 1000
 
@@ -261,19 +322,21 @@ def _surface_points(seed, count):
     return out
 
 
-def _engine_output_digest(monkeypatch, ideal):
-    """sha256 of every value the engines hand out while resolving ideal.
+def _engine_digests(monkeypatch, ideal):
+    """sha256 digests (outputs, runs) of what the engines hand out for ideal.
 
-    Reprs keep dict insertion order, so a reordered vector changes the
-    digest as much as a changed coefficient does.
+    outputs covers what any correct engine must give: the reduced basis,
+    normal forms of four fixed forms and the Betti table at degree_cap=9
+    with its complete flag.  runs covers how this engine got there: every
+    ModuleGB run's basis vectors, rows, syzygies and counts, and the kept
+    forms of every level.  Reprs keep dict insertion order, so a reordered
+    vector changes a digest as much as a changed coefficient does.
     """
     import hashlib
 
-    from heis7 import groebner
+    outputs, work = hashlib.sha256(), hashlib.sha256()
 
-    h = hashlib.sha256()
-
-    def put(*values):
+    def put(h, *values):
         h.update(repr(values).encode())
 
     runs = []
@@ -283,41 +346,48 @@ def _engine_output_digest(monkeypatch, ideal):
         init(self, *args, **kwargs)
         runs.append(self)
 
-    def recording_buchberger(*args, **kwargs):
-        basis, info = real_buchberger(*args, **kwargs)
-        put("buchberger", basis, info)
-        return basis, info
-
     def recording_feed(*args, **kwargs):
         kept, capped = real_feed(*args, **kwargs)
-        put("kept", kept, capped)
+        put(work, "kept", kept, capped)
         return kept, capped
 
-    real_buchberger, real_feed = groebner.buchberger, resolution._feed
+    real_feed = resolution._feed
     with monkeypatch.context() as mp:
         mp.setattr(resolution.ModuleGB, "__init__", recording_init)
-        mp.setattr(groebner, "buchberger", recording_buchberger)
-        mp.setattr(resolution, "buchberger", recording_buchberger)
         mp.setattr(resolution, "_feed", recording_feed)
         gb = ideal.gb()
-        put("gb", gb.polys, gb.truncated)
+        put(outputs, "gb", gb.polys, gb.truncated)
         for s in ("x0^4", "x0*x1*x2*x3 + x4^2*x5*x6", "x1^3*x2 - 3*x3^2*x5^2 + x6^4", "x0^2*x1*x2*x3*x4"):
-            put("nf", gb.normal_form(parse_poly(s, REG_X, ideal.dom)).terms)
+            put(outputs, "nf", gb.normal_form(parse_poly(s, REG_X, ideal.dom)).terms)
         bt = free_resolution(ideal, degree_cap=9)
-    put("betti", sorted(bt.entries.items()), bt.complete)
+    put(outputs, "betti", sorted(bt.entries.items()), bt.complete)
     for run in runs:
-        put("run", run.elems, run.rows, run.syzygies, run.pairs_processed, run.n_inputs)
-    return h.hexdigest()
+        syzygies = [run.kern.export(R, D) for R, D in run.syzygies]
+        put(work, "run", run.elems, run.rows, syzygies, run.pairs_processed, run.n_inputs)
+    return outputs.hexdigest(), work.hexdigest()
 
 
 def test_engine_outputs_are_unchanged(monkeypatch):
-    # digests captured from engines on plain Fraction arithmetic; the
-    # integer kernel must hand out the same values in the same order
+    # captured at the commit before ModuleGB became the only engine, from
+    # the two-engine code (buchberger for reduced bases and level 1)
     points = _surface_points(7, 2)
-    got = [_engine_output_digest(monkeypatch, S.ideal(dom)) for dom in (QQ, fp(31)) for S in points]
+    got = [_engine_digests(monkeypatch, S.ideal(dom))[0] for dom in (QQ, fp(31)) for S in points]
     assert got == [
-        "c4366031b03ecefb71374eebfd5f902b066214cd196de2f20287bb5165a81aa4",
-        "a68b69956a4f4cce5c3f2caed64eaeb49cc30c84f74cfd7f0de6286a05550664",
-        "0c0f57924c6b491b81d5066289adf8e5186830e793d14e46a66b12d06bdfc3fb",
-        "175a429e50bb0b6012c5ac5e6f8fe2bcb8a855b23f38d8a0e0652d58dd08b8cd",
+        "803c3adfd3e5826d298d9709f31fa87c795519039077cf4e21750fcad8cb85fd",
+        "32f28ee6be897f552dde1f51a6dcbcf4656b37b85ce1b80009bb7487550e6410",
+        "b383ab8185f59753fcb1df8953413418b4dfcdfd9d30d00a0183c91cb5600ea8",
+        "c802dfbb8be9244afcbf89e0036b25a734f381dc25a211953b3db0ab166b2908",
+    ]
+
+
+def test_engine_runs_are_unchanged(monkeypatch):
+    # every basis vector, row and syzygy of every run, pinned when level 1
+    # and the reduced bases moved onto ModuleGB
+    points = _surface_points(7, 2)
+    got = [_engine_digests(monkeypatch, S.ideal(dom))[1] for dom in (QQ, fp(31)) for S in points]
+    assert got == [
+        "f4bed6a560840a825cff8d95f79f7016a59f8212edaab031d4bcb9d9d412132c",
+        "2332500f6d1b581a1f816fd04345752801beb737b7aaf1e8e72c261c67754ee8",
+        "dd337ba6368c48a0975f3a05c7760cf79f23fc66e5d987372b7939793c888215",
+        "cf8490b79463ee0925923d01f392e179d1fad49ad717f9935f16c561ba3598af",
     ]
