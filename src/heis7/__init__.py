@@ -11,7 +11,6 @@ from .field import (  # noqa: F401
     DualNum,
     FieldElem,
     QQ,
-    FF,
     Rat,
     fp,
     galois_theta,

@@ -393,13 +393,12 @@ def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> Charac
             out.append(dense_mul(out[-1], m))
         return CycArray.stack(out)
 
-    from .heisenberg import dense_eq, dense_inv
+    from .heisenberg import dense_eq
 
-    s_inv = dense_inv(s)
-    t_inv = dense_inv(t)
     s_pows, t_pows = powers(s), powers(t)
     if not dense_eq(s_pows[7], idm) or not dense_eq(t_pows[7], idm):
         raise RepError("generator of order != 7")
+    s_inv, t_inv = s_pows[6], t_pows[6]
     if not dense_eq(dense_mul(io, io), idm):
         raise RepError("involution image has order != 2")
     if not dense_eq(dense_mul(dense_mul(io, s), io), s_inv):

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .field import (
+    CYC,
     Cyc7,
     QQ,
     alpha_minus,
@@ -1336,10 +1337,8 @@ def check_d_vector(ctx: Context) -> CheckResult:
     ]
     ok = d == expected
     taui = tau_x_images()
-    from .field import FF
-
     for p in d:
-        q = p.map_coeffs(FF.coerce, FF)
+        q = p.map_coeffs(CYC.coerce, CYC)
         ok = ok and q.substitute(taui) == q
     return _result(
         "moduli.invariant_cubics",
@@ -1354,7 +1353,6 @@ def check_d_vector(ctx: Context) -> CheckResult:
 @declare_id("moduli.surface_pipeline")
 def check_surface_pipeline(ctx: Context) -> CheckResult:
     from .characters import subspace_character
-    from .field import FF
     from .groebner import ideal_hf_oracle
     from .moduli import grass_membership, iota_x_images, psi, sigma_x_images, tau_x_images
     from .resolution import NotHilbertBurch, hb_minors, hilbert_burch
@@ -1484,7 +1482,6 @@ def check_surface_betti(ctx: Context) -> CheckResult:
 @declare_id("moduli.surface_stability")
 def check_surface_stability(ctx: Context) -> CheckResult:
     from .characters import SpanSolver
-    from .field import CYC
     from .moduli import iota_x_images, sigma_x_images, tau_x_images
 
     failures = []
@@ -1498,7 +1495,7 @@ def check_surface_stability(ctx: Context) -> CheckResult:
             failures.append(f"t={_point(S.t)}: shift")
         if not solver.is_stable_under(iota_x_images()):
             failures.append(f"t={_point(S.t)}: involution")
-        if not solver.is_stable_under(tau_x_images(CYC)):
+        if not solver.is_stable_under(tau_x_images()):
             failures.append(f"t={_point(S.t)}: phase")
     return _result(
         "moduli.surface_stability",

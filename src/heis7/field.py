@@ -14,11 +14,12 @@ Conventions
   [0, p), wrapped by the FpDomain adapter below.
 * DualNum is a + b*eps with eps^2 = 0 over an arbitrary coefficient domain.
 
-Coefficient domains for the polynomial and linear-algebra layers: QQ
-(RatDomain, Fraction), CYC (CycDomain, Q(zeta7) as Cyc7), FF (FieldDomain,
-Q(zeta7)(sqrt2) as FieldElem), fp(p) (FpDomain) and DualDomain over any of
-them.  G7 class functions and polynomial-span traces live in Q(zeta7); only
-the SL2(F7) character table needs sqrt2.  Cyc7 and FieldElem mix freely: an
+Coefficient domains for the polynomial layer: QQ (RatDomain, Fraction),
+CYC (CycDomain, Q(zeta7) as Cyc7), fp(p) (FpDomain) and DualDomain over any
+of them; linear algebra (linalg) and the Groebner engine take QQ and fp(p)
+only.  G7 class functions, polynomial-span traces and the 7x7 matrices live
+in Q(zeta7); only the SL2(F7) character table needs sqrt2, and FieldElem is
+its value type (and that of parse_field).  Cyc7 and FieldElem mix freely: an
 operation with a FieldElem operand returns a FieldElem, and a FieldElem with
 zero sqrt2 part equals (and hashes like) its Cyc7.
 
@@ -993,8 +994,12 @@ class FpDomain:
         return hash(("FpDomain", self.p))
 
 
-class _ExactFieldOps:
-    """Domain operations shared by the Cyc7 and FieldElem domains."""
+class CycDomain:
+    """Q(zeta7) as a coefficient domain."""
+
+    name = "Q(z7)"
+    zero = Cyc7.from_int(0)
+    one = Cyc7.from_int(1)
 
     @staticmethod
     def add(a, b):
@@ -1020,14 +1025,6 @@ class _ExactFieldOps:
     def is_zero(a):
         return a.is_zero()
 
-
-class CycDomain(_ExactFieldOps):
-    """Q(zeta7) as a coefficient domain."""
-
-    name = "Q(z7)"
-    zero = Cyc7.from_int(0)
-    one = Cyc7.from_int(1)
-
     @staticmethod
     def coerce(x):
         if isinstance(x, FieldElem):
@@ -1050,33 +1047,6 @@ class CycDomain(_ExactFieldOps):
     @staticmethod
     def needs_parens(a):
         return not a.is_rational()
-
-
-class FieldDomain(_ExactFieldOps):
-    """Q(zeta7)(sqrt2) as a coefficient domain."""
-
-    name = "Q(z7,r2)"
-    zero = FieldElem(0, 0)
-    one = FieldElem(1, 0)
-
-    @staticmethod
-    def coerce(x):
-        v = _as_fe(x)
-        if v is NotImplemented:
-            raise TypeError(f"cannot coerce {x!r} into Q(zeta7)(sqrt2)")
-        return v
-
-    @staticmethod
-    def fmt(a):
-        return render_field(a)
-
-    @staticmethod
-    def is_unit_coeff(a):
-        return a == FieldElem(1, 0)
-
-    @staticmethod
-    def needs_parens(a):
-        return not (a.b.is_zero() and a.a.is_rational())
 
 
 class DualDomain:
@@ -1132,7 +1102,6 @@ class DualDomain:
 
 QQ = RatDomain()
 CYC = CycDomain()
-FF = FieldDomain()
 
 
 def fp(p: int = 31) -> FpDomain:

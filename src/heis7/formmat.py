@@ -112,14 +112,6 @@ class FormMatrix:
         """Evaluate every entry; returns a scalar matrix (list of lists)."""
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
-    def submatrix(self, rows, cols):
-        return FormMatrix([[self.entries[i][j] for j in cols] for i in rows])
-
-    def to_lists(self):
-        from .poly import render_poly
-
-        return [[render_poly(p) for p in row] for row in self.entries]
-
     def __repr__(self):
         return f"FormMatrix({self.nrows}x{self.ncols} over {self.reg.names})"
 

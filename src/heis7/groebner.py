@@ -176,7 +176,8 @@ def _axpy_mod(vec, other, shift, c, p):
 
 
 class Coeffs:
-    """The integer coefficient kernel of both engines (module docstring).
+    """The integer coefficient kernel of the engine and of linalg.rref
+    (module docstring).
 
     An element is a triple (G, RG, L): integer numerators of a monic vector
     G/L and of its cofactor row RG/L (None untracked), with G[lt] = L > 0.
@@ -191,7 +192,7 @@ class Coeffs:
         elif isinstance(dom, FpDomain):
             self.p = dom.p
         else:
-            raise ValueError(f"the Groebner engines run over Q or F_p, not {dom.name}")
+            raise ValueError(f"exact elimination runs over Q or F_p, not {dom.name}")
 
     def axpy(self, vec, other, shift, c):
         if self.p:

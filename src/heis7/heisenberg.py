@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import Cyc7, CycArray, gauss_sum
-from .linalg import det as _det
+from .field import QQ, Cyc7, CycArray, gauss_sum
+from .linalg import inverse
 
 ZETA = [Cyc7.zeta(k) for k in range(7)]
 _ZETA_NUM = np.array([z.num for z in ZETA], dtype=np.int64)
@@ -158,18 +158,17 @@ def dense_galois(a, power: int) -> CycArray:
 
 
 def dense_det(a) -> Cyc7:
-    from .field import FieldElem, FF
+    """det of a 7x7 matrix: MonoMat.det(), or for a dense matrix A the
+    elementary symmetric e_7 of its eigenvalues, from the power sums
+    tr A^1 .. tr A^7 by the Newton recursion."""
+    if isinstance(a, MonoMat):
+        return a.det()
+    from .characters import newton
 
-    fe = [[FieldElem(c, 0) for c in row] for row in dense_of(a).tolist()]
-    return _det(fe, FF).a
-
-
-def dense_inv(a) -> CycArray:
-    from .field import FieldElem, FF
-    from .linalg import inverse
-
-    fe = [[FieldElem(c, 0) for c in row] for row in dense_of(a).tolist()]
-    return CycArray.from_values(c.a for row in inverse(fe, FF) for c in row).reshape(7, 7)
+    pows = [a]
+    for _ in range(6):
+        pows.append(pows[-1] @ a)
+    return newton(CycArray.stack(pows).trace(), alternating=True)[7].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -359,26 +358,27 @@ def verify_normalizer_relations():
     mu_d = MU.dense()
     nu_d = NU.dense()
 
-    def conj(g, h):
-        return dense_mul(dense_mul(g, h), dense_inv(g))
+    def conj_is(g, h, k):
+        """g h g^-1 = k, as g h = k g (det g = 1 is checked below)."""
+        return dense_eq(dense_mul(g, h), dense_mul(k, g))
 
     checks = {}
-    checks["mu sigma mu^-1 = sigma^2"] = dense_eq(conj(mu_d, sigma_d), (SIGMA * SIGMA).dense())
-    checks["mu tau mu^-1 = tau^4"] = dense_eq(conj(mu_d, tau_d), _tau_pow(4).dense())
-    checks["iota sigma iota = sigma^-1"] = dense_eq(conj(iota_d, sigma_d), SIGMA.inv().dense())
-    checks["iota tau iota = tau^-1"] = dense_eq(conj(iota_d, tau_d), TAU.inv().dense())
+    checks["mu sigma mu^-1 = sigma^2"] = conj_is(mu_d, sigma_d, (SIGMA * SIGMA).dense())
+    checks["mu tau mu^-1 = tau^4"] = conj_is(mu_d, tau_d, _tau_pow(4).dense())
+    checks["iota sigma iota = sigma^-1"] = conj_is(iota_d, sigma_d, SIGMA.inv().dense())
+    checks["iota tau iota = tau^-1"] = conj_is(iota_d, tau_d, TAU.inv().dense())
     zst2 = dense_mul(scalar_mono(8).dense(), dense_mul(sigma_d, (TAU * TAU).dense()))
-    checks["nu sigma nu^-1 = z^8 sigma tau^2"] = dense_eq(conj(nu_d, sigma_d), zst2)
-    checks["nu tau nu^-1 = tau"] = dense_eq(conj(nu_d, tau_d), tau_d)
-    checks["delta sigma delta^-1 = tau"] = dense_eq(conj(delta, sigma_d), tau_d)
-    checks["delta tau delta^-1 = sigma^-1"] = dense_eq(conj(delta, tau_d), SIGMA.inv().dense())
+    checks["nu sigma nu^-1 = z^8 sigma tau^2"] = conj_is(nu_d, sigma_d, zst2)
+    checks["nu tau nu^-1 = tau"] = conj_is(nu_d, tau_d, tau_d)
+    checks["delta sigma delta^-1 = tau"] = conj_is(delta, sigma_d, tau_d)
+    checks["delta tau delta^-1 = sigma^-1"] = conj_is(delta, tau_d, SIGMA.inv().dense())
     checks["delta^2 = iota"] = dense_eq(dense_mul(delta, delta), iota_d)
     for name, mat in [
-        ("sigma", sigma_d),
-        ("tau", tau_d),
-        ("iota", iota_d),
-        ("mu", mu_d),
-        ("nu", nu_d),
+        ("sigma", SIGMA),
+        ("tau", TAU),
+        ("iota", IOTA),
+        ("mu", MU),
+        ("nu", NU),
         ("delta", delta),
     ]:
         checks[f"det({name}) = 1"] = dense_det(mat) == _C1
@@ -586,43 +586,20 @@ VMINUS_BASIS = [  # 2e0, e1+e6, e4+e3, e2+e5
 
 
 def restrict_to_span(mat, basis):
-    """Matrix of `mat` on the span of `basis` (columns are images).
+    """Matrix X of `mat` on the span of the integer vectors `basis` (its
+    columns are the images): M B = B X for B with the vectors as columns.
 
-    Raises ValueError if the span is not invariant.
+    X is read off M B through a rational left inverse of B, and M B = B X
+    is then checked exactly; raises ValueError if the span is not invariant.
     """
-    from .field import FieldElem, FF
-    from .linalg import solve
-
-    dense = dense_of(mat).tolist()
-    cols_basis = [[FieldElem(Cyc7.from_int(v), 0) for v in vec] for vec in basis]
-    bmat = [[cols_basis[j][i] for j in range(len(basis))] for i in range(7)]
-    images = []
-    for vec in cols_basis:
-        img = [FF.zero] * 7
-        for i in range(7):
-            for j in range(7):
-                c = dense[i][j]
-                if not c.is_zero():
-                    img[i] = img[i] + FieldElem(c, 0) * vec[j]
-        images.append(img)
-    rhs = [[images[j][i] for j in range(len(basis))] for i in range(7)]
-    try:
-        sol = solve(bmat, rhs, FF)
-    except ValueError as exc:
-        raise ValueError("span is not invariant under the matrix") from exc
-    # solve() only returns a candidate; verify residual exactly
-    for i in range(7):
-        for j in range(len(basis)):
-            acc = FF.zero
-            for k in range(len(basis)):
-                acc = acc + bmat[i][k] * sol[k][j]
-            if not (acc - rhs[i][j]).is_zero():
-                raise ValueError("span is not invariant under the matrix")
-    for row in sol:
-        for v in row:
-            if not v.b.is_zero():
-                raise ValueError("restriction left Q(zeta7)")
-    return [[sol[i][j].a for j in range(len(basis))] for i in range(len(basis))]
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]
+    left = [[sum(g * v[i] for g, v in zip(row, basis)) for i in range(7)] for row in inverse(gram, QQ)]
+    b = CycArray.from_ints(np.array(basis).T)
+    mb = dense_of(mat) @ b
+    x = CycArray.from_values(q for row in left for q in row).reshape(len(basis), 7) @ mb
+    if b @ x != mb:
+        raise ValueError("span is not invariant under the matrix")
+    return x.tolist()
 
 
 def restriction_matrices():

@@ -1,82 +1,72 @@
-"""Exact dense linear algebra over a coefficient domain, plus fast F_p paths.
+"""Exact dense linear algebra over Q and F_p, plus fast numpy F_p paths.
 
-Matrices are plain lists of lists of domain elements.  Everything is
-deterministic: pivots are chosen as the first nonzero entry in column order,
-so echelon forms (and hence kernel bases) are canonical for a fixed input.
+Matrices are plain lists of lists of domain values: Fractions over QQ, ints
+in [0, p) over fp(p).  Elimination runs on the integer kernel of the
+Groebner engines (groebner.Coeffs), which refuses any other domain with
+ValueError.  Inside rref a row is a dict {-column: integer numerator} over
+one positive denominator, so max(row) is its first nonzero column; over
+F_p every numerator is reduced by an inline % p and the denominator stays 1.
+A row is cleared by a pivot row fraction-free, as the engines reduce a
+vector (groebner module docstring), and every value equals the plain
+Fraction value, so zero tests are those of exact arithmetic.
+
+Everything is deterministic: the pivot for a column is the first remaining
+row, in the order that row swaps leave, that is nonzero there, so echelon
+forms (and hence kernel bases) are canonical for a fixed input.
 
 The numpy helpers at the bottom operate on int64 arrays modulo a prime and
 are used where exact prime-field ranks of large matrices are needed.  They
 form products of two residues, so they take only p < 2^31; np_rank and
-np_nullspace fall back to the generic path over fp(p) above that.
+np_nullspace fall back to rank and nullspace over fp(p) above that.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .field import QQ, fp
-
-
-def mat_mul(a, b, dom=QQ):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[dom.zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if dom.is_zero(c):
-                continue
-            bt = b[t]
-            for j in range(m):
-                if not dom.is_zero(bt[j]):
-                    oi[j] = dom.add(oi[j], dom.mul(c, bt[j]))
-    return out
-
-def identity(n, dom=QQ):
-    return [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
-
-def mat_eq(a, b, dom=QQ):
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        return False
-    return all(
-        dom.is_zero(dom.sub(a[i][j], b[i][j]))
-        for i in range(len(a))
-        for j in range(len(a[0]) if a else 0)
-    )
-
-def transpose(a):
-    return [list(r) for r in zip(*a)] if a else []
+from .groebner import Coeffs
 
 
 def rref(rows, dom=QQ, width=None):
-    """Reduced row echelon form.  Returns (rref rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    w = width if width is not None else len(m[0])
+    """Reduced row echelon form.  Returns (rref rows, pivot column list).
+
+    Only the first `width` columns (default all) take pivots.
+    """
+    kern = Coeffs(dom)
+    ncols = len(rows[0]) if rows else 0
+    w = ncols if width is None else width
+    m = []
+    for row in rows:
+        F, D = kern.lift({-c: x for c, x in enumerate(row) if x})
+        m.append([{t: v for t, v in F.items() if v}, D])  # x % p may vanish
     pivots = []
     r = 0
-    for c in range(w):
-        piv = None
-        for i in range(r, len(m)):
-            if not dom.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = dom.inv(m[r][c])
-        m[r] = [dom.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not dom.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(m[i], m[r])]
+    while r < len(m):
+        # the first column below w met by a remaining row, and its first row
+        c, i = w, None
+        for k in range(r, len(m)):
+            F = m[k][0]
+            if F and -max(F) < c:
+                c, i = -max(F), k
+        if i is None:
+            break
+        m[r], m[i] = m[i], m[r]
+        elem = kern.element(m[r][0], None)
+        m[r] = [elem[0], elem[2]]
+        for k, row in enumerate(m):
+            a = row[0].get(-c)
+            if a and k != r:
+                row[1] = kern.step(row[1], a, elem, 0, 0, row[0])
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    if kern.p:
+        red = [[F.get(-c, 0) for c in range(ncols)] for F, _ in m[:r]]
+    else:
+        red = [[Fraction(F.get(-c, 0), D) for c in range(ncols)] for F, D in m[:r]]
+    return red, pivots
 
 
 def rank(rows, dom=QQ):
@@ -84,15 +74,15 @@ def rank(rows, dom=QQ):
 
 
 def nullspace(rows, dom=QQ, width=None):
-    """Echelonized kernel basis (as row vectors) of the matrix `rows`."""
-    if not rows:
-        return []
-    w = width if width is not None else len(rows[0])
+    """Echelonized kernel basis (as row vectors) of the matrix `rows`;
+    `width` gives the column count of a matrix with no rows."""
+    w = width if width is not None else len(rows[0]) if rows else 0
     red, pivots = rref(rows, dom, w)
     pivset = set(pivots)
-    free = [c for c in range(w) if c not in pivset]
     basis = []
-    for fc in free:
+    for fc in range(w):
+        if fc in pivset:
+            continue
         v = [dom.zero] * w
         v[fc] = dom.one
         for r, pc in enumerate(pivots):
@@ -108,62 +98,25 @@ def solve(a, b, dom=QQ):
     """
     vec = not isinstance(b[0], list)
     rhs = [[x] for x in b] if vec else b
-    n = len(a)
     w = len(a[0])
-    aug = [list(a[i]) + list(rhs[i]) for i in range(n)]
-    red, pivots = rref(aug, dom, w)
-    # inconsistency: a nonzero row with zero coefficient part
-    full, _ = rref(aug, dom, w + len(rhs[0]))
-    if len(full) > len(red):
-        raise ValueError("inconsistent linear system")
     cols = len(rhs[0])
+    red, pivots = rref([list(a[i]) + list(rhs[i]) for i in range(len(a))], dom, w + cols)
+    # inconsistency: a pivot in the right-hand side
+    if pivots and pivots[-1] >= w:
+        raise ValueError("inconsistent linear system")
     out = [[dom.zero] * cols for _ in range(w)]
     for r, pc in enumerate(pivots):
-        for j in range(cols):
-            out[pc][j] = red[r][w + j]
+        out[pc] = red[r][w:]
     return [row[0] for row in out] if vec else out
 
 
 def inverse(a, dom=QQ):
     n = len(a)
-    aug = [list(a[i]) + identity(n, dom)[i] for i in range(n)]
+    aug = [list(a[i]) + [dom.one if j == i else dom.zero for j in range(n)] for i in range(n)]
     red, pivots = rref(aug, dom, n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return [red[i][n:] for i in range(n)]
-
-
-def det(a, dom=QQ):
-    """Determinant by fraction-free-ish Gaussian elimination over a field."""
-    n = len(a)
-    m = [list(r) for r in a]
-    sign = False
-    acc = dom.one
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not dom.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            return dom.zero
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = not sign
-        acc = dom.mul(acc, m[c][c])
-        inv = dom.inv(m[c][c])
-        for i in range(c + 1, n):
-            if not dom.is_zero(m[i][c]):
-                f = dom.mul(m[i][c], inv)
-                m[i] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(m[i], m[c])]
-    return dom.neg(acc) if sign else acc
-
-
-def trace(a, dom=QQ):
-    t = dom.zero
-    for i in range(len(a)):
-        t = dom.add(t, a[i][i])
-    return t
+    return [row[n:] for row in red]
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +169,16 @@ def np_rank(a, p):
 
 
 def np_nullspace(a, p):
+    """Kernel basis mod p as the rows of an array, one per free column; a
+    matrix with no rows has the identity basis of its width."""
+    arr = np.array(a, dtype=object if p >= NP_MAX_PRIME else np.int64)
+    cols = arr.shape[1] if arr.ndim == 2 else 0
     if p >= NP_MAX_PRIME:
-        rows = [[int(x) for x in row] for row in a]
-        width = len(rows[0]) if rows else 0
-        return np.array(nullspace(rows, fp(p)), dtype=object).reshape(-1, width)
-    arr = np.array(a, dtype=np.int64)
+        rows = [[int(x) for x in row] for row in arr]
+        return np.array(nullspace(rows, fp(p), cols), dtype=object).reshape(-1, cols)
     if arr.size == 0:
-        return np.zeros((0, 0), dtype=np.int64)
+        return np.eye(cols, dtype=np.int64)
     red, pivots = np_rref(arr, p)
-    cols = arr.shape[1]
     pivset = set(pivots)
     free = [c for c in range(cols) if c not in pivset]
     out = np.zeros((len(free), cols), dtype=np.int64)

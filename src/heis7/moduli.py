@@ -29,7 +29,7 @@ from functools import cache
 from math import lcm
 from typing import NamedTuple
 
-from .field import QQ, FF, DualDomain, DualNum, FieldElem, FpDomain, fp
+from .field import CYC, QQ, DualDomain, DualNum, FpDomain, fp
 from .formmat import FormMatrix, det_form, pfaffian_vector
 from .groebner import GradedIdeal
 from .characters import weight_blocks
@@ -648,7 +648,7 @@ def sigma_x_images(shift=1):
     return [Poly.var(REG_X, f"x{(j - shift) % 7}") for j in range(7)]
 
 
-def tau_x_images(dom=FF, power=1):
+def tau_x_images(dom=CYC, power=1):
     from .field import Cyc7
 
     return [
@@ -761,12 +761,10 @@ def klein_invariance_report():
     from .heisenberg import MU, NU, delta_dense, restrict_to_span
     from .poly import substitution_for
 
-    f = klein_quartic().map_coeffs(FF.coerce, FF)
+    f = klein_quartic().map_coeffs(CYC.coerce, CYC)
     results = {}
     for name, mat in (("mu", MU), ("nu", NU), ("delta", delta_dense())):
-        small = restrict_to_span(mat, KLEIN_VBASIS)
-        fe = [[FieldElem(c, 0) for c in row] for row in small]
-        images = substitution_for(REG_V, fe, FF)
+        images = substitution_for(REG_V, restrict_to_span(mat, KLEIN_VBASIS), CYC)
         results[name] = f.substitute(images) == f
     return results
 

@@ -411,7 +411,7 @@ def render_poly(p: Poly, key=grevlex_key) -> str:
 
 def parse_poly(s: str, reg: VarRegistry, dom=QQ) -> Poly:
     """Parse the grammar produced by render_poly."""
-    from .field import parse_field, FieldElem, FF
+    from .field import parse_field
 
     i = 0
     n = len(s)
@@ -465,9 +465,7 @@ def parse_poly(s: str, reg: VarRegistry, dom=QQ) -> Poly:
             inner = s[i + 1 : j]
             i = j + 1
             fe = parse_field(inner)
-            if dom is FF:
-                return Poly.const(reg, fe, dom)
-            if isinstance(fe, FieldElem) and fe.is_rational():
+            if fe.is_rational():
                 return Poly.const(reg, fe.rational_value(), dom)
             return Poly.const(reg, dom.coerce(fe), dom)
         if c.isdigit():

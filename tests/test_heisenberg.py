@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heis7 import heisenberg
-from heis7.field import Cyc7, gauss_sum, lam, zeta
+from heis7.field import Cyc7, CycArray, gauss_sum, lam, parse_cyc, zeta
 from heis7.heisenberg import (
     GroupLawError,
     HElem,
@@ -93,6 +94,31 @@ def test_delta_square_and_determinants():
     assert dense_trace(IOTA.dense()) == Cyc7.from_int(-1)
 
 
+def test_dense_det_matches_monomial_det():
+    rng = random.Random(77)
+    gens = [SIGMA, TAU, IOTA, MU, NU, scalar_mono(3)]
+    delta = delta_dense()
+    for _ in range(20):
+        m = scalar_mono(0)
+        for _ in range(rng.randrange(1, 6)):
+            m = m * rng.choice(gens)
+        assert dense_det(m) == m.det()
+        assert dense_det(m.dense()) == m.det()
+        # det delta = 1, and delta mixes every coordinate
+        assert dense_det(dense_mul(delta, m)) == m.det()
+
+
+def test_dense_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(78)
+    mats = [[[rng.randrange(-4, 5) for _ in range(7)] for _ in range(7)] for _ in range(6)]
+    singular = mats[0][:6] + [[x + y for x, y in zip(mats[0][0], mats[0][1])]]
+    for m in mats + [singular]:
+        want = int(sympy.Matrix(m).det())
+        assert dense_det(CycArray.from_ints(np.array(m))) == Cyc7.from_int(want)
+    assert int(sympy.Matrix(singular).det()) == 0
+
+
 def test_g7_classes():
     cd = conjugacy_classes_g7()
     assert cd.count == 38
@@ -127,6 +153,42 @@ def test_restriction_matrices():
     # doubling-map restriction is the transpose of the displayed matrix
     mt = restrict_to_span(MU, VPLUS_BASIS)
     assert mt == [[c0, c1, c0], [c0, c0, c1], [c1, c0, c0]]
+
+
+# Restrictions of mu^-1, nu, delta and mu to V+, V- and the Klein plane,
+# pinned as rendered Q(zeta7) entries: A..C and D..G are the entries of delta
+_A = "-1/7 + 3/7*z^2 + 1/7*z^3 + 1/7*z^4 + 3/7*z^5"
+_B = "-4/7 - 2/7*z^2 - 3/7*z^3 - 3/7*z^4 - 2/7*z^5"
+_C = "-2/7 - 1/7*z^2 + 2/7*z^3 + 2/7*z^4 - 1/7*z^5"
+_D = "1/7 + 2/7*z + 2/7*z^2 + 2/7*z^4"
+_D2 = "2/7 + 4/7*z + 4/7*z^2 + 4/7*z^4"
+_E = "1/7 + 2/7*z + 1/7*z^2 + 3/7*z^3 - 1/7*z^4 + 1/7*z^5"
+_F = "-2/7*z^2 - 1/7*z^3 + 1/7*z^4 + 2/7*z^5"
+_G = "-2/7 - 4/7*z - 1/7*z^2 - 2/7*z^3 - 2/7*z^4 - 3/7*z^5"
+PINNED_RESTRICTIONS = {
+    ("mu^-1", "V+"): ["001", "100", "010"],
+    ("mu^-1", "V-"): ["1000", "0001", "0100", "0010"],
+    ("mu^-1", "Klein"): ["010", "001", "100"],
+    ("nu", "V+"): [["z", "0", "0"], ["0", "z^2", "0"], ["0", "0", "z^4"]],
+    ("nu", "V-"): [["1", "0", "0", "0"], ["0", "z", "0", "0"], ["0", "0", "z^2", "0"], ["0", "0", "0", "z^4"]],
+    ("nu", "Klein"): [["z", "0", "0"], ["0", "z^4", "0"], ["0", "0", "z^2"]],
+    ("delta", "V+"): [[_A, _B, _C], [_B, _C, _A], [_C, _A, _B]],
+    ("delta", "V-"): [[_D, _D, _D, _D], [_D2, _E, _F, _G], [_D2, _F, _G, _E], [_D2, _G, _E, _F]],
+    ("delta", "Klein"): [[_A, _C, _B], [_C, _B, _A], [_B, _A, _C]],
+    ("mu", "V+"): ["010", "001", "100"],
+    ("mu", "V-"): ["1000", "0010", "0001", "0100"],
+    ("mu", "Klein"): ["001", "100", "010"],
+}
+
+
+def test_restrictions_match_pinned_values():
+    from heis7.moduli import KLEIN_VBASIS
+
+    mats = {"mu^-1": MU.inv(), "nu": NU, "delta": delta_dense(), "mu": MU}
+    bases = {"V+": VPLUS_BASIS, "V-": VMINUS_BASIS, "Klein": KLEIN_VBASIS}
+    for (m, b), rows in PINNED_RESTRICTIONS.items():
+        want = [[parse_cyc(x) for x in row] for row in rows]
+        assert restrict_to_span(mats[m], bases[b]) == want, (m, b)
 
 
 def test_restrict_rejects_unstable_span():

@@ -3,14 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from heis7.field import FF, FieldElem, fp, zeta
+from heis7.field import CYC, QQ, DualDomain, fp
 from heis7.linalg import (
-    det,
-    identity,
     inverse,
-    mat_eq,
-    mat_mul,
     np_nullspace,
     np_rank,
     np_rref,
@@ -20,30 +17,56 @@ from heis7.linalg import (
     solve,
 )
 
+F = Fraction
+
 
 def test_rank_and_rref():
-    assert rank(identity(7)) == 7
-    m = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
+    eye = [[F(int(i == j)) for j in range(7)] for i in range(7)]
+    assert rank(eye) == 7
+    m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
     red, piv = rref(m)
     assert piv == [0]
+    assert red == [[1, 2, 3]] and all(type(x) is Fraction for x in red[0])
     assert len(nullspace(m)) == 2
+    # right of `width` the rows are not canonical: the pivot for a column is
+    # the first remaining row in the order that row swaps leave
+    rows = [[F(0), F(1), F(5)], [F(0), F(1), F(7)], [F(1), F(0), F(9)]]
+    assert rref(rows, QQ, 2) == ([[1, 0, 9], [0, 1, 7]], [0, 1])
+    red, piv = rref([[3, 1, 4], [1, 5, 9]], fp(31))
+    assert piv == [0, 1] and all(type(x) is int and 0 <= x < 31 for row in red for x in row)
 
 
 def test_solve_and_inverse():
-    a = [[Fraction(2), Fraction(1)], [Fraction(5), Fraction(3)]]
-    assert mat_eq(mat_mul(a, inverse(a)), identity(2))
-    x = solve(a, [Fraction(1), Fraction(0)])
-    assert x == [Fraction(3), Fraction(-5)]
+    a = [[F(2), F(1)], [F(5), F(3)]]
+    assert inverse(a) == [[3, -1], [-5, 2]]
+    x = solve(a, [F(1), F(0)])
+    assert x == [F(3), F(-5)]
+    assert solve(a, [[F(1), F(0)], [F(0), F(1)]]) == inverse(a)
     with pytest.raises(ValueError):
-        solve([[Fraction(1)], [Fraction(1)]], [Fraction(0), Fraction(1)])
-    assert det(a) == Fraction(1)
+        solve([[F(1)], [F(1)]], [F(0), F(1)])
+    with pytest.raises(ValueError):
+        inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
-def test_field_domain_linear_algebra():
-    z = zeta(1)
-    a = [[FieldElem(z, 0), FieldElem(1, 0)], [FieldElem(0, 1), FieldElem(z, 0)]]
-    ai = inverse(a, FF)
-    assert mat_eq(mat_mul(a, ai, FF), identity(2, FF), FF)
+def test_empty_systems_have_the_identity_kernel():
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert nullspace([], QQ, width=3) == eye == nullspace([[F(0)] * 3], QQ)
+    assert nullspace([], fp(31), width=3) == eye
+    assert rref([], QQ) == ([], []) and rank([], QQ) == 0
+    for p in (31, 2**31 - 1):
+        ns = np_nullspace(np.zeros((0, 3), dtype=np.int64), p)
+        assert ns.shape == (3, 3) and (ns == np.eye(3, dtype=np.int64)).all()
+        assert (ns == np_nullspace([[0, 0, 0]], p)).all()
+
+
+@pytest.mark.parametrize("dom", [CYC, DualDomain(QQ)], ids=["CYC", "dual"])
+def test_other_domains_are_refused(dom):
+    m = [[dom.one, dom.zero], [dom.zero, dom.one]]
+    for call in (rref, rank, nullspace, inverse):
+        with pytest.raises(ValueError):
+            call(m, dom)
+    with pytest.raises(ValueError):
+        nullspace([], dom, width=2)
 
 
 def test_numpy_mod_p():
@@ -83,3 +106,141 @@ def test_numpy_path_large_prime_rank():
                 assert all(sum(int(x) * int(y) for x, y in zip(row, v)) % p == 0 for row in m)
     with pytest.raises(OverflowError):
         np_rref([[1, 2], [3, 4]], 4294967311)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy's exact matrices over QQ and GF(p)
+
+# p = 2^31 - 1 is the largest prime below the numpy path's bound and is
+# taken by np_rank/np_nullspace through the fallback to rank/nullspace
+DOMAINS = [QQ, fp(31), fp(2**31 - 1)]
+
+
+@st.composite
+def _matrices(draw, dom):
+    """(rows, ncols, width): up to 6 rows mixing random, zero and repeated
+    rows, and a width that may stop short of the last column."""
+    ncols = draw(st.integers(1, 6))
+    if dom is QQ:
+        nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    else:
+        nonzero = st.one_of(st.integers(1, 4), st.integers(0, dom.p - 1), st.just(dom.p - 1))
+    zero = F(0) if dom is QQ else 0
+    entry = st.one_of(st.just(zero), nonzero)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([zero] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows, ncols, draw(st.integers(0, ncols))
+
+
+def _any_matrix():
+    return st.sampled_from(DOMAINS).flatmap(lambda dom: st.tuples(st.just(dom), _matrices(dom)))
+
+
+def _dm(rows, ncols, dom):
+    """rows as a sympy DomainMatrix over QQ or GF(p)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    K = sympy.QQ if dom is QQ else sympy.GF(dom.p)
+    conv = (lambda x: K(x.numerator, x.denominator)) if dom is QQ else K
+    return DomainMatrix([[conv(x) for x in row] for row in rows], (len(rows), ncols), K)
+
+
+def _values(dm, dom):
+    """A DomainMatrix as lists of Fractions (QQ) or ints in [0, p)."""
+    if dom is QQ:
+        return [[F(int(x.numerator), int(x.denominator)) for x in row] for row in dm.to_list()]
+    return [[int(x) % dom.p for x in row] for row in dm.to_list()]
+
+
+def _cut(rows, w):
+    return [row[:w] for row in rows]
+
+
+def _check_kernel(basis, a, dom):
+    """basis is the kernel of the DomainMatrix a with the identity on its
+    free columns, which determines it."""
+    w = a.shape[1]
+    free = [c for c in range(w) if c not in a.rref()[1]]
+    assert len(basis) == len(free) == a.nullspace().shape[0]
+    assert [[v[c] for c in free] for v in basis] == [[int(i == j) for j in free] for i in free]
+    if basis and a.shape[0]:
+        product = a * _dm([list(col) for col in zip(*basis)], len(basis), dom)
+        assert product.is_zero_matrix
+
+
+@seed(7001)
+@settings(max_examples=150, deadline=None)
+@given(_any_matrix())
+def test_rref_rank_nullspace_against_sympy(case):
+    dom, (rows, ncols, w) = case
+    a = _dm(_cut(rows, w), w, dom)
+    want_red, want_piv = a.rref()
+    want_piv = list(want_piv)
+    red, piv = rref(rows, dom, w)
+    # the pivots and the reduced first w columns are canonical
+    assert piv == want_piv
+    assert _cut(red, w) == _values(want_red, dom)[: len(piv)]
+    assert all(type(x) is (Fraction if dom is QQ else int) for row in red for x in row)
+    # every reduced row, right of column w too, lies in the row space
+    full = _dm(rows, ncols, dom)
+    assert _dm(rows + red, ncols, dom).rank() == full.rank()
+    if w == ncols:
+        assert (red, piv) == (_values(full.rref()[0], dom)[: len(piv)], want_piv)
+    assert rank(rows, dom) == full.rank()
+    _check_kernel(nullspace(rows, dom, w), a, dom)
+
+
+@seed(7002)
+@settings(max_examples=150, deadline=None)
+@given(_any_matrix(), st.randoms(use_true_random=False))
+def test_solve_and_inverse_against_sympy(case, rnd):
+    dom, (rows, ncols, _) = case
+    if not rows:
+        return
+    a = _dm(rows, ncols, dom)
+    # a right-hand side in the column space half the time
+    if rnd.random() < 0.5:
+        coeffs = [rnd.randrange(-3, 4) for _ in range(ncols)]
+        b = [sum(c * x for c, x in zip(coeffs, row)) for row in rows]
+        b = [F(x) if dom is QQ else x % dom.p for x in b]
+    else:
+        b = [F(rnd.randrange(-3, 4)) if dom is QQ else rnd.randrange(dom.p) for _ in rows]
+    aug = [row + [x] for row, x in zip(rows, b)]
+    if _dm(aug, ncols + 1, dom).rank() > a.rank():
+        with pytest.raises(ValueError):
+            solve(rows, b, dom)
+    else:
+        x = solve(rows, b, dom)
+        free = set(range(ncols)) - set(a.rref()[1])
+        assert all(x[c] == 0 for c in free)
+        assert _values(a * _dm([[v] for v in x], 1, dom), dom) == [[v] for v in b]
+    k = min(len(rows), ncols)
+    sq = _cut(rows[:k], k)
+    if _dm(sq, k, dom).rank() < k:
+        with pytest.raises(ValueError):
+            inverse(sq, dom)
+    else:
+        assert inverse(sq, dom) == _values(_dm(sq, k, dom).inv(), dom)
+
+
+@seed(7003)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DOMAINS[1:]).flatmap(_matrices))
+def test_numpy_paths_against_sympy(case):
+    rows, ncols, _ = case
+    for dom in DOMAINS[1:]:
+        rows_p = [[x % dom.p for x in row] for row in rows]
+        arr = np.array(rows_p, dtype=np.int64).reshape(len(rows), ncols)
+        want = _dm(rows_p, ncols, dom)
+        assert np_rank(arr, dom.p) == want.rank()
+        ns = np_nullspace(arr, dom.p)
+        assert ns.shape == (ncols - want.rank(), ncols)
+        _check_kernel([[int(x) for x in row] for row in ns], want, dom)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heis7 import moduli
-from heis7.field import FF, QQ
+from heis7.field import CYC, QQ
 from heis7.linalg import rank
 from heis7.moduli import (
     AlphaMatrix,
@@ -289,7 +289,7 @@ def test_d_vector_values():
     assert d[6] == parse_poly("x1*x2*x4+x3*x5*x6-x0^3", REG_X)
     taui = tau_x_images()
     for p in d:
-        q = p.map_coeffs(FF.coerce, FF)
+        q = p.map_coeffs(CYC.coerce, CYC)
         assert q.substitute(taui) == q
 
 
@@ -299,7 +299,7 @@ def test_surface_ideal_at_ones():
     assert len(S.basis) == 21
     taui = tau_x_images()
     for g in S.g:
-        gq = g.map_coeffs(FF.coerce, FF)
+        gq = g.map_coeffs(CYC.coerce, CYC)
         assert gq.substitute(taui) == gq
     data = S.to_json()
     assert len(data["generators"]) == 21
@@ -373,7 +373,6 @@ def _swap_x1_x2():
 @pytest.mark.parametrize("seed", [3, 11])
 def test_span_solver_against_oracle(g7, seed):
     from heis7.characters import SpanSolver, dual_substitution_images, subspace_character
-    from heis7.field import CYC
     from heis7.heisenberg import MU
 
     rng = random.Random(seed)

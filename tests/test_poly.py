@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heis7.field import FF, QQ
+from heis7.field import CYC, QQ
 from heis7.moduli import delta_ops
 from heis7.poly import (
     Poly,
@@ -103,8 +103,10 @@ def test_homogeneity_preserved():
 def test_parse_render():
     f = parse_poly("3*x0^2*x1 - x2*x3*x6 + 1/2*x4^3", REG_X)
     assert parse_poly(render_poly(f), REG_X) == f
-    g = parse_poly("(z^2)*x4 - x0", REG_X, FF)
-    assert parse_poly(render_poly(g), REG_X, FF) == g
+    g = parse_poly("(z^2)*x4 - x0", REG_X, CYC)
+    assert parse_poly(render_poly(g), REG_X, CYC) == g
+    with pytest.raises(ValueError):
+        parse_poly("(z + r2)*x4", REG_X, CYC)
     with pytest.raises(ValueError):
         parse_poly("x9", REG_X)
 
