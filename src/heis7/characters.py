@@ -20,12 +20,21 @@ sums, power maps (row gathers), pairings with all rows at once, the
 reconstruction check (an integer matmul), both orthogonality relations
 (Gram matrices) and the Newton recursion run on these arrays; the Cyc7 or
 FieldElem values are built only when `Character.values` is read.
+
+CharTable.decompose, sym_power/sym_powers and ext_power also take a batch
+of characters, a CycArray of batch shape (n, classes) or a list of
+Characters, and one Character runs as a batch of one.  A batch takes one
+Newton recursion to the highest degree asked for, and one contraction
+against all rows; its multiplicities are decided on the integer numerators
+of that contraction, without a Fraction per label: a pairing is rational
+iff its coordinates other than the rational one are zero, and a
+non-negative integer iff its numerator is >= 0 and divisible by den |G|.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from operator import mul
 
 import numpy as np
@@ -108,22 +117,31 @@ def newton(power_sums: CycArray, alternating: bool = False) -> list:
     if alternating:
         signs = np.array([1 if j % 2 else -1 for j in range(1, k + 1)])
         power_sums = power_sums * CycArray.from_ints(signs.reshape(k, *[1] * len(rest)))
+    # each sum over j is a matmul of the row p_1..p_kk and the column
+    # h_(kk-1)..h_0 at every batch index, so temporaries stay result-sized
+    nd = len(rest)
+    rows = np.expand_dims(np.moveaxis(power_sums.num, 0, nd), nd)  # rest + (1, k)
     out = [CycArray.from_ints(np.ones(rest, dtype=np.int64))]
     for kk in range(1, k + 1):
-        terms = power_sums[:kk] * CycArray.stack(out[::-1])
-        out.append(terms.sum(0) * Fraction(1, kk))
+        row = CycArray(rows.take(range(kk), axis=nd + 1), power_sums.den, power_sums.r2)
+        h = CycArray.stack(out[::-1])
+        col = CycArray(np.expand_dims(np.moveaxis(h.num, 0, nd), nd + 1), h.den, h.r2)  # rest + (kk, 1)
+        out.append((row @ col).reshape(*rest) * Fraction(1, kk))
     return out
 
 
 class CharTable:
-    """Irreducible characters indexed by label, plus power/inverse maps."""
+    """Irreducible characters indexed by label, plus power/inverse maps.
+    A Character passed in gives Characters (one Decomposition) back, a batch
+    gives CycArray batches (a list of Decompositions)."""
 
     def __init__(self, classes: ClassData, rows, power_fn, identity_class: int):
         self.classes = classes
         self.labels = [lb for lb, _ in rows]
         self.rows = {lb: Character(classes, vals) for lb, vals in rows}
-        # all rows as one (labels, classes) batch, for decompose and the
-        # orthogonality relations
+        self._index = {lb: i for i, lb in enumerate(self.labels)}
+        # all rows as one (labels, classes) batch, for the reconstruction
+        # check and the orthogonality relations
         self._table = CycArray.stack([self.rows[lb].arr for lb in self.labels])
         self._sizes = CycArray.from_ints(classes.sizes)
         self.identity_class = identity_class
@@ -136,55 +154,102 @@ class CharTable:
             self._power_cache[j] = [self._power_fn(c, j) for c in range(self.classes.count)]
         return self._power_cache[j]
 
+    @cached_property
+    def _paired(self) -> CycArray:
+        """|c| conj(row(c)) as a (classes, labels) batch: chis @ _paired is
+        |G| <chi, row> for every item and row at once."""
+        return self._weighted_conj(self._table).swapaxes(0, 1)
+
+    def stack(self, labels) -> CycArray:
+        """The rows with these labels as one (len(labels), classes) batch."""
+        return self._table[[self._index[lb] for lb in labels]]
+
     def dual(self, chi: Character) -> Character:
         return Character(self.classes, chi.arr[self.power_classes(-1)])
 
+    def _batch(self, chi):
+        """(batch, single): chi as a (n, classes) CycArray, single when chi is
+        one Character."""
+        if isinstance(chi, Character):
+            return chi.arr[None], True
+        arr = chi if isinstance(chi, CycArray) else CycArray.stack([c.arr for c in chi])
+        if len(arr.shape) != 2 or arr.shape[1] != self.classes.count:
+            raise ValueError("a batch of characters has batch shape (n, classes)")
+        return arr, False
+
     def inner(self, a: Character, b: Character) -> Fraction:
         """Exact inner product (1/|G|) sum |c| a(c) conj(b(c))."""
-        [v] = self._pairs(a.arr[None], self._weighted_conj(b.arr))
-        if v is None:
+        num, den, irrational = self._pairings(a.arr[None], self._weighted_conj(b.arr)[:, None])
+        if irrational[0, 0]:
             raise ValueError("inner product is not rational")
-        return v
+        return Fraction(int(num[0, 0]), den)
 
     def _weighted_conj(self, arr: CycArray) -> CycArray:
         return arr.conj() * self._sizes
 
-    def _pairs(self, rows: CycArray, weighted: CycArray) -> list:
-        """(1/|G|) sum_c rows[i, c] weighted[c] for every row i, as one
-        contraction; None where the value is not rational."""
-        order = self.classes.group_order()
-        return [None if v is None else v / order for v in (rows @ weighted[:, None]).rationals()]
+    def _pairings(self, rows: CycArray, weighted: CycArray):
+        """(1/|G|) rows @ weighted in one contraction, as (num, den,
+        irrational): a value is num / den where it is rational, i.e. where its
+        coordinates other than the rational one (z^1..z^5, sqrt2) are zero."""
+        p = rows @ weighted
+        flat = p.num.reshape(*p.shape, -1)
+        den = p.den * self.classes.group_order()
+        # int64 numerators meet den in numpy only while den fits in int64
+        num = flat[..., 0] if den < 1 << 62 else flat[..., 0].astype(object)
+        return num, den, (flat[..., 1:] != 0).any(axis=-1)
 
-    def decompose(self, chi: Character) -> "Decomposition":
-        # <chi, row> is rational, so it equals its conjugate <row, chi>:
-        # conjugate and weight chi once and pair it with all rows at once
-        mults = self._pairs(self._table, self._weighted_conj(chi.arr))
-        for lb, m in zip(self.labels, mults):
-            if m is None:
+    def decompose(self, chi):
+        """Multiplicities of chi (one Character or a batch) in the rows.
+
+        A multiplicity is a non-negative integer iff its numerator is >= 0
+        and divisible by den |G|, and the multiplicities must reconstruct
+        each item exactly (one integer matmul with the table).  A batch
+        raises ValueError for its first item that is not a character, with
+        the message that item alone would give.
+        """
+        arr, single = self._batch(chi)
+        num, den, irrational = self._pairings(arr, self._paired)
+        bad = irrational | (num < 0) | (num % den != 0)
+        mults = np.where(bad, 0, num // den)
+        wrong = bad.any(axis=1) | (self._table.lincomb(mults) - arr).nonzero().any(axis=1)
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            if not bad[i].any():
+                raise ValueError("decomposition does not reconstruct the character")
+            j = int(np.argmax(bad[i]))
+            if irrational[i, j]:
                 raise ValueError("inner product is not rational")
-            if m.denominator != 1 or m < 0:
-                raise ValueError(f"not a character: multiplicity of {lb} is {m}")
-        # reconstruction must be exact
-        if self._table.lincomb(mults) != chi.arr:
-            raise ValueError("decomposition does not reconstruct the character")
-        return Decomposition(dict(zip(self.labels, mults)))
+            m = Fraction(int(num[i, j]), den)
+            raise ValueError(f"not a character: multiplicity of {self.labels[j]} is {m}")
+        decs = [Decomposition(dict(zip(self.labels, row))) for row in mults.tolist()]
+        return decs[0] if single else decs
 
-    def sym_power(self, chi: Character, k: int) -> Character:
-        """Newton recursion chi_{S^k}(g) = (1/k) sum_j chi(g^j) chi_{S^{k-j}}(g)."""
-        return self.sym_powers(chi, k)[k]
+    def sym_power(self, chi, k):
+        """S^k of chi by the Newton recursion k h_k = sum_j chi(g^j) h_{k-j}.
+        For a sequence of degrees k, one recursion to max(k) gives the list
+        of those powers."""
+        return self._powers(chi, k, alternating=False)
 
-    def sym_powers(self, chi: Character, k: int) -> list:
+    def sym_powers(self, chi, k: int) -> list:
         """The symmetric powers S^0 .. S^k of chi, from one Newton recursion."""
-        return [Character(self.classes, a) for a in newton(self._power_sums(chi, k))]
+        return self.sym_power(chi, range(k + 1))
 
-    def ext_power(self, chi: Character, k: int) -> Character:
-        """Alternating Newton recursion for exterior powers."""
-        return Character(self.classes, newton(self._power_sums(chi, k), alternating=True)[k])
+    def ext_power(self, chi, k):
+        """Exterior powers by the alternating Newton recursion; k as in
+        sym_power."""
+        return self._powers(chi, k, alternating=True)
 
-    def _power_sums(self, chi: Character, k: int) -> CycArray:
-        """chi(g^j) for j = 1..k, one power-map gather each."""
-        gather = np.array([self.power_classes(j) for j in range(1, k + 1)], dtype=np.intp)
-        return chi.arr[gather.reshape(k, self.classes.count)]
+    def _powers(self, chi, k, alternating: bool):
+        degrees = [k] if isinstance(k, int) else list(k)
+        if not degrees or min(degrees) < 0:
+            raise ValueError("power degrees must be non-negative")
+        arr, single = self._batch(chi)
+        top = max(degrees)
+        # chi(g^j) for j = 1..top, one power-map gather, on the first axis
+        gather = np.array([self.power_classes(j) for j in range(1, top + 1)], dtype=np.intp)
+        series = newton(arr[:, gather.reshape(top, self.classes.count)].swapaxes(0, 1), alternating)
+        out = [Character(self.classes, series[j][0]) if single else series[j] for j in degrees]
+        return out[0] if isinstance(k, int) else out
 
     def to_json(self):
         """Class labels, sizes, and rows of field-element strings."""
@@ -203,7 +268,7 @@ class CharTable:
         order = self.classes.group_order()
         rows = self._table
         bad = []
-        gram = rows @ self._weighted_conj(rows).swapaxes(0, 1)
+        gram = rows @ self._paired
         off = (gram - CycArray.from_ints(order * np.eye(len(self.labels), dtype=np.int64))).nonzero()
         if np.triu(off).any():
             i, j = np.argwhere(np.triu(off))[0]
@@ -427,28 +492,40 @@ def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> Charac
 # cohomology-style virtual characters
 
 
-def omega3_sections_char(k: int):
+def omega3_sections_char(k):
     """Sections of three-forms twisted by O(k) on P(V), as a G7 character.
 
     Computed as the alternating truncated-Koszul combination of exterior and
-    symmetric powers of the dual representation; valid (all multiplicities
-    nonnegative) for k >= 3.  Returns (Decomposition, flagged) where flagged
-    reports negative virtual multiplicities.
+    symmetric powers of the dual representation, with S^j = 0 for j < 0;
+    valid (all multiplicities nonnegative) for k >= 1.  Returns
+    (Decomposition, flagged) where flagged reports negative virtual
+    multiplicities.  For a sequence of k it returns the list of those pairs,
+    from one exterior recursion to degree 3, one symmetric recursion to the
+    largest k and one decomposition of the batch.
     """
+    ks = np.array([k] if isinstance(k, int) else list(k))
     table = g7_table()
     vd = table.dual(g7_v_character(0))
-    t = [table.ext_power(vd, 3 - i) * table.sym_power(vd, k - 3 + i) for i in range(4)]
-    chi = t[0] - t[1] + t[2] - t[3]
+    ext = table.ext_power(vd, range(4))
+    # S^(j-3) at row j: three zero rows ahead of S^0 .. S^max(k)
+    zero = CycArray.from_ints(np.zeros(table.classes.count, dtype=np.int64))
+    sym = CycArray.stack([zero] * 3 + [s.arr for s in table.sym_powers(vd, max(ks.max(), 0))])
+    t = [sym[np.maximum(ks + i, 0)] * ext[3 - i].arr for i in range(4)]
+    chis = t[0] - t[1] + t[2] - t[3]
+    try:
+        out = [(dec, False) for dec in table.decompose(chis)]
+    except ValueError:
+        # outside the validity range: item by item, with the virtual
+        # multiplicities of an item that is no character
+        out = [_sections_or_virtual(table, Character(table.classes, chis[i])) for i in range(len(ks))]
+    return out[0] if isinstance(k, int) else out
+
+
+def _sections_or_virtual(table: CharTable, chi: Character):
     try:
         return table.decompose(chi), False
     except ValueError:
-        # leave the validity range: report the virtual multiplicities
-        mults = {}
-        for lb in table.labels:
-            m = table.inner(chi, table.rows[lb])
-            if m:
-                mults[lb] = m
-        return mults, True
+        return {lb: m for lb in table.labels if (m := table.inner(chi, table.rows[lb]))}, True
 
 
 def h0_oa_decomposition(k: int) -> Decomposition:

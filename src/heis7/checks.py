@@ -16,11 +16,15 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+
+import numpy as np
 
 from . import __version__
 from .field import (
     CYC,
     Cyc7,
+    CycArray,
     QQ,
     alpha_minus,
     alpha_plus,
@@ -131,21 +135,14 @@ class Context:
 # small helpers
 
 
-def _dec(table, chi):
-    return table.decompose(chi)
-
-
 def _point(t) -> str:
     """A parameter point as rationals: (1/31, 1, 1, 1)."""
     return "(" + ", ".join(QQ.fmt(Fraction(x)) for x in t) + ")"
 
 
-def _sl2_char_sum(table, spec: dict):
-    chi = None
-    for lb, m in spec.items():
-        t = table.rows[lb] * m
-        chi = t if chi is None else chi + t
-    return chi
+def _sl2_char_sum(table, spec: dict) -> CycArray:
+    """sum m row(lb) over spec = {lb: m}, one integer matmul."""
+    return table.stack(spec).lincomb(list(spec.values()))
 
 
 def declare_id(check_id):
@@ -248,30 +245,18 @@ def check_field_identities(ctx: Context) -> CheckResult:
 
 @declare_id("appendix.chars.g7")
 def check_orthogonality_g7(ctx: Context) -> CheckResult:
-    t = ctx.g7
-    ok, msg = t.orthogonality_report()
-    dimsq = sum(
-        int(t.rows[lb].values[t.identity_class].rational_value()) ** 2 for lb in t.labels
-    )
-    return _result(
-        "appendix.chars.g7",
-        ok and dimsq == 686,
-        f"{msg}; sum of squared degrees = {dimsq}",
-        msg,
-    )
+    return _orthogonality("appendix.chars.g7", ctx.g7, 686)
 
 
 @declare_id("appendix.chars.sl2")
 def check_orthogonality_sl2(ctx: Context) -> CheckResult:
-    t = ctx.sl2
+    return _orthogonality("appendix.chars.sl2", ctx.sl2, 336)
+
+
+def _orthogonality(check_id, t, order: int) -> CheckResult:
     ok, msg = t.orthogonality_report()
-    dimsq = sum(int(t.rows[lb].values[0].rational_value()) ** 2 for lb in t.labels)
-    return _result(
-        "appendix.chars.sl2",
-        ok and dimsq == 336,
-        f"{msg}; sum of squared degrees = {dimsq}",
-        msg,
-    )
+    dimsq = sum(int(t.rows[lb].values[t.identity_class].rational_value()) ** 2 for lb in t.labels)
+    return _result(check_id, ok and dimsq == order, f"{msg}; sum of squared degrees = {dimsq}", msg)
 
 
 @declare_id("appendix.chars.matrix_rows")
@@ -295,24 +280,24 @@ def check_char_of_rep(ctx: Context) -> CheckResult:
     return _result("appendix.chars.matrix_rows", ok, detail)
 
 
-def _twist_name(i, sharp):
-    return f"V{i % 6}{'#' if sharp else ''}"
+def _twist_row(twist, a, b=0):
+    """a V_twist + b V_twist#, twist mod 6 (zero multiplicities compare as
+    absent)."""
+    return {f"V{twist % 6}": a, f"V{twist % 6}#": b}
 
 
 @declare_id("appendix.decomp.tensor")
 def check_tensor_rows(ctx: Context) -> CheckResult:
     t = ctx.g7
-    V = [t.rows[f"V{i}"] for i in range(6)]
+    V = t.stack([f"V{i}" for i in range(6)])
+    # V_i V_(i+d) for d = 0..3, at item 4 i + d
+    products = CycArray.stack([V * V[[(i + d) % 6 for i in range(6)]] for d in range(4)])
+    got = t.decompose(products.swapaxes(0, 1).reshape(24, t.classes.count))
     bad = []
     for i in range(6):
-        cases = [
-            (V[i] * V[i], {_twist_name(i + 2, False): 3, _twist_name(i + 2, True): 4}),
-            (V[i] * V[(i + 1) % 6], {_twist_name(i + 4, False): 3, _twist_name(i + 4, True): 4}),
-            (V[i] * V[(i + 2) % 6], {_twist_name(i + 1, False): 3, _twist_name(i + 1, True): 4}),
-            (V[i] * V[(i + 3) % 6], {"I": 1, "Z": 1}),
-        ]
-        for k, (chi, want) in enumerate(cases):
-            if _dec(t, chi) != want:
+        cases = [_twist_row(i + 2, 3, 4), _twist_row(i + 4, 3, 4), _twist_row(i + 1, 3, 4), {"I": 1, "Z": 1}]
+        for k, want in enumerate(cases):
+            if got[4 * i + k] != want:
                 bad.append(f"tensor case {k} at twist {i}")
     return _result(
         "appendix.decomp.tensor",
@@ -325,19 +310,22 @@ def check_tensor_rows(ctx: Context) -> CheckResult:
 @declare_id("appendix.decomp.exterior")
 def check_exterior_rows(ctx: Context) -> CheckResult:
     t = ctx.g7
-    V = [t.rows[f"V{i}"] for i in range(6)]
+    V = t.stack([f"V{i}" for i in range(6)])
     expected = {
-        2: lambda i: {_twist_name(i + 2, False): 3},
-        3: lambda i: {_twist_name(i + 1, False): 1, _twist_name(i + 1, True): 4},
-        4: lambda i: {_twist_name(i + 4, False): 1, _twist_name(i + 4, True): 4},
-        5: lambda i: {_twist_name(i + 5, False): 3},
-        6: lambda i: {_twist_name(i + 3, False): 1},
+        2: lambda i: _twist_row(i + 2, 3),
+        3: lambda i: _twist_row(i + 1, 1, 4),
+        4: lambda i: _twist_row(i + 4, 1, 4),
+        5: lambda i: _twist_row(i + 5, 3),
+        6: lambda i: _twist_row(i + 3, 1),
         7: lambda i: {"I": 1},
     }
+    # every degree of every twist from one recursion, at item 6 (k - 2) + i
+    powers = CycArray.stack(t.ext_power(V, list(expected)))
+    got = t.decompose(powers.reshape(36, t.classes.count))
     bad = []
-    for k, exp in expected.items():
+    for n, (k, exp) in enumerate(expected.items()):
         for i in range(6):
-            if _dec(t, t.ext_power(V[i], k)) != exp(i):
+            if got[6 * n + i] != exp(i):
                 bad.append(f"wedge^{k} of twist {i}")
     return _result(
         "appendix.decomp.exterior",
@@ -373,11 +361,12 @@ SYM_PRINTED_DISCREPANCIES = {
 
 @declare_id("appendix.decomp.symmetric")
 def check_symmetric_rows(ctx: Context) -> CheckResult:
-    from math import comb
-
     t = ctx.g7
-    # S^0..S^14 of every twist, each from one Newton recursion
-    series = [t.sym_powers(t.rows[f"V{i}"], 14) for i in range(6)]
+    # S^2..S^14 of every twist from one Newton recursion, decomposed as one
+    # batch: S^k of twist i at got[k][i]
+    series = t.sym_power(t.stack([f"V{i}" for i in range(6)]), range(2, 15))
+    decs = t.decompose(CycArray.stack(series).reshape(78, t.classes.count))
+    got = {k: decs[6 * (k - 2) : 6 * (k - 1)] for k in range(2, 15)}
     bad = []
     for k, (a, b, shift) in SYM_ROWS.items():
         # independent oracles first: dimension and involution trace
@@ -388,23 +377,12 @@ def check_symmetric_rows(ctx: Context) -> CheckResult:
         if b - a != trace:
             bad.append(f"S^{k}: frozen row fails the involution trace oracle")
             continue
-        want = {}
-        if a:
-            want[_twist_name(shift, False)] = a
-        if b:
-            want[_twist_name(shift, True)] = b
         for i in range(6):
-            got = _dec(t, series[i][k])
-            wanted = {}
-            if a:
-                wanted[_twist_name(shift + i, False)] = a
-            if b:
-                wanted[_twist_name(shift + i, True)] = b
-            if got != wanted:
+            if got[k][i] != _twist_row(shift + i, a, b):
                 bad.append(f"S^{k} of twist {i}")
     for k, want in ((7, {"I": 8, "S": 28, "Z": 35}), (14, {"I": 456, "S": 336, "Z": 791})):
         for i in range(6):
-            if _dec(t, series[i][k]) != want:
+            if got[k][i] != want:
                 bad.append(f"S^{k} of twist {i}")
     return _result(
         "appendix.decomp.symmetric",
@@ -442,8 +420,7 @@ def check_omega3_rows(ctx: Context) -> CheckResult:
         10: {"V4": 1704, "V4#": 1728},
     }
     bad = []
-    for k, want in expected.items():
-        got, flagged = omega3_sections_char(k)
+    for (k, want), (got, flagged) in zip(expected.items(), omega3_sections_char(list(expected))):
         if flagged or got != want:
             bad.append(f"twisted three-forms at k={k}")
     return _result(
@@ -556,9 +533,10 @@ SL2_PRODUCTS = {
 @declare_id("appendix.decomp.sl2_products")
 def check_sl2_products(ctx: Context) -> CheckResult:
     t = ctx.sl2
+    left, right = zip(*SL2_PRODUCTS)
+    decs = t.decompose(t.stack(left) * t.stack(right))
     bad = []
-    for (a, b), want in SL2_PRODUCTS.items():
-        got = _dec(t, t.rows[a] * t.rows[b])
+    for ((a, b), want), got in zip(SL2_PRODUCTS.items(), decs):
         if got.mults != {k: v for k, v in want.items()}:
             bad.append(f"{a} x {b}: got {got}")
     return _result(
@@ -581,13 +559,12 @@ def check_sym_w_rows(ctx: Context) -> CheckResult:
         ("W'", 3, {"L": 1, "W": 1}),
         ("W'", 4, {"I": 1, "M2": 1, "T": 1}),
     ]
-    bad = []
-    for lb, k, want in cases:
-        if _dec(t, t.sym_power(t.rows[lb], k)) != want:
-            bad.append(f"S^{k} {lb}")
+    # S^2..S^4 of W and W' from one recursion, in the order of the cases
+    series = t.sym_power(t.stack(["W", "W'"]), range(2, 5))
+    got = t.decompose(CycArray.stack(series).swapaxes(0, 1).reshape(6, t.classes.count))
+    bad = [f"S^{k} {lb}" for (lb, k, want), dec in zip(cases, got) if dec != want]
     # unique invariant quartic
-    s4 = _dec(t, t.sym_power(t.rows["W'"], 4))
-    unique = s4.mults.get("I", 0) == 1
+    unique = got[5].mults.get("I", 0) == 1
     return _result(
         "appendix.decomp.plane_quartics",
         not bad and unique,
@@ -602,11 +579,9 @@ def check_vv_dual(ctx: Context) -> CheckResult:
     from .heisenberg import HElem, MU, NU, delta_dense, dense_mul, dense_trace
 
     t = ctx.g7
-    bad = []
-    for i in range(6):
-        got = _dec(t, t.rows[f"V{i}"] * t.dual(t.rows[f"V{i}"]))
-        if got != {"I": 1, "Z": 1}:
-            bad.append(f"twist {i}")
+    V = t.stack([f"V{i}" for i in range(6)])
+    got = t.decompose(V * V[:, t.power_classes(-1)])
+    bad = [f"twist {i}" for i in range(6) if got[i] != {"I": 1, "Z": 1}]
     # spot traces: the trace-zero complement takes rational values on
     # normalizer sample elements (delta is the dense one)
     samples = [MU.dense(), NU.dense(), delta_dense()]
@@ -708,10 +683,9 @@ A4_OMEGA_ROWS = {
 
 def _sl2_restriction_split(ctx, spec):
     """dim and (a, b) with X|G7 = a I + b S for an SL2 character sum."""
-    t = ctx.sl2
-    chi = _sl2_char_sum(t, spec)
-    dim = int(chi.values[0].rational_value())
-    at_iota = int(chi.values[1].rational_value())
+    vals = _sl2_char_sum(ctx.sl2, spec).tolist()
+    dim = int(vals[0].rational_value())
+    at_iota = int(vals[1].rational_value())
     a = (dim + at_iota) // 2
     b = (dim - at_iota) // 2
     return dim, a, b
@@ -722,64 +696,44 @@ def check_a4_rows(ctx: Context) -> CheckResult:
     from .characters import omega3_sections_char
 
     t = ctx.g7
-    V = [t.rows[f"V{i}"] for i in range(6)]
+    V = t.stack([f"V{i}" for i in range(6)])
     bad = []
 
-    def g7_expect(a, b, twist):
-        want = {}
-        if a:
-            want[_twist_name(twist, False)] = a
-        if b:
-            want[_twist_name(twist, True)] = b
-        return want
-
-    # tensors of consecutive twists, for both parities and all j
-    for parity, offset, spec, shift in A4_TENSOR_ROWS:
+    # the tensor, wedge and symmetric rows at the twists parity, parity + 2
+    # and parity + 4, decomposed as one batch; a row is (dimension failure,
+    # twist failure prefix, dimension oracle, SL2 spec, shift, parity, chis)
+    ext, sym = t.ext_power(V, range(6)), t.sym_power(V, range(6))
+    rows = [
+        (f"tensor parity {p} offset {o}: dimension", f"tensor parity {p} offset {o}", 49, spec, shift, p,
+         V[p::2] * V[(np.arange(p, 6, 2) + o) % 6])
+        for p, o, spec, shift in A4_TENSOR_ROWS
+    ]
+    rows += [(f"wedge^{k} parity {p}: dimension", f"wedge^{k}", comb(7, k), spec, shift, p, ext[k][p::2])
+             for k, p, spec, shift in A4_EXT_ROWS]
+    rows += [(f"S^{k} normalizer row: dimension", f"normalizer S^{k}", comb(k + 6, 6), spec, shift, p, sym[k][p::2])
+             for k, p, spec, shift in A4_SYM_ROWS]
+    decs = t.decompose(CycArray.stack([row[-1] for row in rows]).reshape(3 * len(rows), t.classes.count))
+    for n, (dim_fail, name, dim_want, spec, shift, p, _) in enumerate(rows):
         dim, a, b = _sl2_restriction_split(ctx, spec)
-        if dim * 7 != 49:
-            bad.append(f"tensor parity {parity} offset {offset}: dimension")
+        if dim * 7 != dim_want:
+            bad.append(dim_fail)
             continue
-        for j in range(0, 6, 2):
-            i = j + parity
-            got = _dec(t, V[i % 6] * V[(i + offset) % 6])
-            if got != g7_expect(a, b, i + shift):
-                bad.append(f"tensor parity {parity} offset {offset} twist {i}")
-    from math import comb
-
-    for k, parity, spec, shift in A4_EXT_ROWS:
-        dim, a, b = _sl2_restriction_split(ctx, spec)
-        if dim * 7 != comb(7, k):
-            bad.append(f"wedge^{k} parity {parity}: dimension")
-            continue
-        for j in range(0, 6, 2):
-            i = (j + parity) % 6
-            got = _dec(t, t.ext_power(V[i], k))
-            if got != g7_expect(a, b, i + shift):
-                bad.append(f"wedge^{k} twist {i}")
-    for k, parity, spec, shift in A4_SYM_ROWS:
-        dim, a, b = _sl2_restriction_split(ctx, spec)
-        if dim * 7 != comb(k + 6, 6):
-            bad.append(f"S^{k} normalizer row: dimension")
-            continue
-        for j in range(0, 6, 2):
-            i = (j + parity) % 6
-            got = _dec(t, t.sym_power(V[i], k))
-            if got != g7_expect(a, b, i + shift):
-                bad.append(f"normalizer S^{k} twist {i}")
+        for i, got in zip(range(p, 6, 2), decs[3 * n : 3 * n + 3]):
+            if got != _twist_row(i + shift, a, b):
+                bad.append(f"{name} twist {i}")
     # three-form rows: restriction consistency with the Koszul computation,
     # seeded with the vanishing row at the lowest twist
     checks = {3: {}}
     for k, spec in A4_OMEGA_ROWS.items():
         dim, a, b = _sl2_restriction_split(ctx, spec)
         shift = {4: 1, 5: 2, 6: 0}[k]
-        checks[k] = g7_expect(a, b, shift)
+        checks[k] = _twist_row(shift, a, b)
     # k = 7: (I + 2L + U + 2U' + W' + T1 + T2 + T)(I + Z) + Z
     _, a7, b7 = _sl2_restriction_split(
         ctx, {"I": 1, "L": 2, "U": 1, "U'": 2, "W'": 1, "T1": 1, "T2": 1, "T": 1}
     )
     checks[7] = {"I": a7, "S": b7, "Z": a7 + b7 + 1}
-    for k, want in checks.items():
-        got, flagged = omega3_sections_char(k)
+    for (k, want), (got, flagged) in zip(checks.items(), omega3_sections_char(list(checks))):
         if flagged or got != want:
             bad.append(f"three-form row k={k} restriction")
     ok_c, detail_c = _a4_sample_traces(ctx)
@@ -816,7 +770,6 @@ def _a4_samples(ctx: Context):
 
 def _a4_power_traces(h_mats, s_mat):
     """Traces of (h s)^p for p = 1..5, batch shape (5, len(h_mats))."""
-    from .field import CycArray
     from .heisenberg import dense_mul
 
     g = dense_mul(h_mats, s_mat)
@@ -831,14 +784,13 @@ def _a4_sample_traces(ctx: Context):
     sample elements, for the tensor/wedge/symmetric normalizer rows.  The
     products with one sample, and their powers, form one batch."""
     from .characters import newton
-    from .field import CycArray
 
     samples, h_reps = _a4_samples(ctx)
     h_mats = CycArray.stack([h.matrix().dense() for h in h_reps])
     # the SL2 side of each row, one class function per spec
-    tensor_rhs = [_sl2_char_sum(ctx.sl2, spec).arr for _, _, spec, _ in A4_TENSOR_ROWS]
-    ext_rhs = [_sl2_char_sum(ctx.sl2, spec).arr for _, _, spec, _ in A4_EXT_ROWS]
-    sym_rhs = [_sl2_char_sum(ctx.sl2, spec).arr for _, _, spec, _ in A4_SYM_ROWS]
+    tensor_rhs = [_sl2_char_sum(ctx.sl2, spec) for _, _, spec, _ in A4_TENSOR_ROWS]
+    ext_rhs = [_sl2_char_sum(ctx.sl2, spec) for _, _, spec, _ in A4_EXT_ROWS]
+    sym_rhs = [_sl2_char_sum(ctx.sl2, spec) for _, _, spec, _ in A4_SYM_ROWS]
 
     checked = 0
     for name, s_mat, s_class in samples:

@@ -550,16 +550,6 @@ class CycArray:
 
         return build(self.num.tolist(), len(self.shape))
 
-    def rationals(self) -> list:
-        """The values in flat batch order as Fractions, None where a value
-        is not rational."""
-        x = self._flat()
-        irrational = (x[..., 1:] != 0).any(axis=-1).ravel().tolist()
-        return [
-            None if irr else Fraction(n, self.den)
-            for irr, n in zip(irrational, x[..., 0].ravel().tolist())
-        ]
-
     def nonzero(self):
         """Boolean array of the batch shape: where the value is not 0."""
         return (self._flat() != 0).any(axis=-1)
@@ -673,14 +663,12 @@ class CycArray:
         return CycArray._from_flat(np.trace(x, axis1=-3, axis2=-2), self.den, self.r2)
 
     def lincomb(self, coeffs) -> "CycArray":
-        """sum_i coeffs[i] * self[i] for integer coeffs, one integer matmul."""
-        c = np.array([int(v) for v in coeffs], dtype=object)
-        x = self.num.reshape(len(c), -1)
-        if sum(map(abs, c)) * _top(x) < _WIDE:
-            c = c.astype(np.int64)
-        else:
-            x = x.astype(object)
-        return CycArray((c @ x).reshape(self.num.shape[1:]), self.den, self.r2)
+        """coeffs @ self over the first batch axis, for an integer array
+        coeffs whose last axis runs over it: one integer matmul."""
+        c = np.asarray(coeffs)
+        x = self.num.reshape(self.num.shape[0], -1)
+        c, x = _wide(_top(c) * c.shape[-1] * _top(x), c, x)
+        return CycArray((c @ x).reshape(*c.shape[:-1], *self.num.shape[1:]), self.den, self.r2)
 
     def galois(self, power: int = 1) -> "CycArray":
         """theta^power on every value, theta(z) = z^3 (sqrt2 is fixed)."""
@@ -883,7 +871,7 @@ class RatDomain:
 
     @staticmethod
     def inv(a):
-        return 1 / a
+        return 1 / Fraction(a)
 
     @staticmethod
     def is_zero(a):

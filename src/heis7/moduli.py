@@ -265,27 +265,24 @@ def net_matrices():
     ]
 
 
-def _u(s: str) -> Poly:
-    return parse_poly(s, REG_U)
+@cache
+def _parsed(s: str, reg) -> tuple:
+    """The terms of a constant table entry, parsed once and kept as an
+    immutable tuple of (exponent, coefficient) pairs."""
+    return tuple(parse_poly(s, reg).terms.items())
+
+
+def _poly(s: str, reg) -> Poly:
+    """A constant table entry as a Poly of its own, so that no caller can
+    change the parsed table."""
+    return Poly(reg, QQ, dict(_parsed(s, reg)), _clean=True)
 
 
 def f_basis():
     """f0..f6: the V22-net quadrics, plus the complementary triple v1..v3."""
-    f = {
-        0: _u("u0^2"),
-        1: _u("u2*u3"),
-        2: _u("u3*u1"),
-        3: _u("u1*u2"),
-        4: _u("u0*u3+u1^2"),
-        5: _u("u0*u1+u2^2"),
-        6: _u("u0*u2+u3^2"),
-    }
-    v = {
-        3: _u("u0*u3-u1^2"),
-        2: _u("u0*u1-u2^2"),
-        1: _u("u0*u2-u3^2"),
-    }
-    return f, v
+    f = ["u0^2", "u2*u3", "u3*u1", "u1*u2", "u0*u3+u1^2", "u0*u1+u2^2", "u0*u2+u3^2"]
+    v = {3: "u0*u3-u1^2", 2: "u0*u1-u2^2", 1: "u0*u2-u3^2"}
+    return {i: _poly(s, REG_U) for i, s in enumerate(f)}, {i: _poly(s, REG_U) for i, s in v.items()}
 
 
 L_BASIS_ORDER = (3, 1, 2, 4, 5, 6, 0)  # the fixed ordering (f3,f1,f2,f4,f5,f6,f0)
@@ -446,10 +443,6 @@ def minors_and_independence(alpha: AlphaMatrix, l_coeffs=None):
 # the explicit parametrization
 
 
-def _t(s: str) -> Poly:
-    return parse_poly(s, REG_T)
-
-
 def psi_matrix() -> FormMatrix:
     rows = [
         ["-t0*t3", "t0*t1+t2^2", "-t3^2", "0", "t1*t3", "-t2*t3", "0"],
@@ -464,7 +457,7 @@ def psi_matrix() -> FormMatrix:
             "t1*t2*t3",
         ],
     ]
-    return FormMatrix([[_t(s) for s in row] for row in rows])
+    return FormMatrix([[_poly(s, REG_T) for s in row] for row in rows])
 
 
 @dataclass
@@ -513,7 +506,7 @@ def eta_klein() -> FormMatrix:
         ["y2", "0", "0", "y3", "-y1", "0", "0"],
         ["-y1", "-y2", "-y3", "0", "0", "0", "0"],
     ]
-    return FormMatrix([[parse_poly(s, REG_Y) for s in row] for row in rows], skew=True)
+    return FormMatrix([[_poly(s, REG_Y) for s in row] for row in rows], skew=True)
 
 
 def eta_coefficient_matrices():
@@ -570,7 +563,7 @@ def alpha_family() -> FormMatrix:
         ["u1", "u2", "u3"],
         ["t1", "t2", "t3"],
     ]
-    return FormMatrix([[parse_poly(s, REG_TU) for s in row] for row in rows])
+    return FormMatrix([[_poly(s, REG_TU) for s in row] for row in rows])
 
 
 class DegenerateParameter(ValueError):
@@ -627,21 +620,11 @@ def minor_span_pairing(alpha: AlphaMatrix, point: GrassPoint):
     return None
 
 
-def _x(s: str) -> Poly:
-    return parse_poly(s, REG_X)
-
-
 def d_vector():
     """Seven invariant cubics pairing with the quadric basis order."""
-    return [
-        _x("x0*x3*x4"),
-        _x("x0*x1*x6"),
-        _x("x0*x2*x5"),
-        _x("x2^2*x3+x5^2*x4"),
-        _x("x1^2*x5+x6^2*x2"),
-        _x("x4^2*x6+x3^2*x1"),
-        _x("x1*x2*x4+x3*x5*x6-x0^3"),
-    ]
+    cubics = ["x0*x3*x4", "x0*x1*x6", "x0*x2*x5", "x2^2*x3+x5^2*x4", "x1^2*x5+x6^2*x2", "x4^2*x6+x3^2*x1",
+              "x1*x2*x4+x3*x5*x6-x0^3"]
+    return [_poly(s, REG_X) for s in cubics]
 
 
 def sigma_x_images(shift=1):
@@ -745,7 +728,7 @@ def surface_ideal(t) -> SurfaceIdeal:
 
 
 def klein_quartic() -> Poly:
-    return parse_poly("v1^3*v2+v2^3*v3+v3^3*v1", REG_V)
+    return _poly("v1^3*v2+v2^3*v3+v3^3*v1", REG_V)
 
 
 KLEIN_VBASIS = [

@@ -27,6 +27,10 @@ value, and run the Newton recursions on scalar traces; the orthogonality
 oracle pairs character values one by one.  The package's batched CycArray
 traces, `newton` and Gram-matrix orthogonality check are tested against
 them.
+
+The decomposition oracle pairs a character with each row value by value in
+Cyc7/FieldElem arithmetic and rebuilds it from Fraction multiplicities;
+the package's batched integer decomposition is tested against it.
 """
 
 from itertools import combinations
@@ -364,3 +368,26 @@ def first_orthogonality_failures(table):
             if tot != (Fraction(order, sizes[c1]) if c1 == c2 else 0):
                 col_fail = col_fail or (c1, c2)
     return row_fail, col_fail
+
+
+def decompose_oracle(table, chi):
+    """{label: multiplicity} of chi in the table's rows, from per-label inner
+    products (1/|G|) sum_c |c| chi(c) conj(row(c)) over Character.values;
+    ValueError, with the package's message, where chi is no character."""
+    vals = chi.values
+    sizes = table.classes.sizes
+    order = table.classes.group_order()
+    mults = {}
+    for lb in table.labels:
+        row = table.rows[lb].values
+        tot = sum((x * y.conj() * s for x, y, s in zip(vals, row, sizes)), Cyc7.from_int(0))
+        if not tot.is_rational():
+            raise ValueError("inner product is not rational")
+        m = tot.rational_value() / order
+        if m.denominator != 1 or m < 0:
+            raise ValueError(f"not a character: multiplicity of {lb} is {m}")
+        mults[lb] = int(m)
+    rebuilt = [sum((table.rows[lb].values[c] * m for lb, m in mults.items()), Cyc7.from_int(0)) for c in range(len(vals))]
+    if rebuilt != list(vals):
+        raise ValueError("decomposition does not reconstruct the character")
+    return {lb: m for lb, m in mults.items() if m}

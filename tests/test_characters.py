@@ -1,7 +1,11 @@
+import re
+
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from heis7.field import Cyc7, FieldElem, alpha_minus, alpha_plus
 from heis7.characters import (
+    Character,
     RepError,
     char_of_rep,
     h0_oa_decomposition,
@@ -214,3 +218,125 @@ def test_orthogonality_detects_a_perturbed_value(g7, sl2, label, cls):
     assert f"row orthogonality fails at ({a}, {b}):" in msg
     assert f"column orthogonality fails at ({c1}, {c2})" in msg
     assert first_orthogonality_failures(t) == (None, None)
+
+
+def test_negative_degrees_are_refused(g7):
+    v = g7.rows["V0"]
+    for power in (g7.sym_power, g7.ext_power):
+        with pytest.raises(ValueError, match="non-negative"):
+            power(v, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            power(v, [2, -1])
+    with pytest.raises(ValueError, match="non-negative"):
+        g7.sym_powers(v, -1)
+    assert g7.sym_power(v, 0) == g7.rows["I"] == g7.ext_power(v, 0)
+
+
+def test_omega3_below_the_validity_range():
+    # S^j = 0 for j < 0: the truncated Koszul sum vanishes at k = 1, 2 and is
+    # the virtual -I at k = 0
+    assert omega3_sections_char(2) == ({}, False)
+    assert omega3_sections_char(1) == ({}, False)
+    dec, flagged = omega3_sections_char(0)
+    assert flagged and dec == {"I": -1}
+    assert omega3_sections_char([0, 2, 4]) == [(dec, True), ({}, False), ({"V1": 1, "V1#": 4}, False)]
+
+
+# ---------------------------------------------------------------------------
+# batched decompositions against the value-by-value oracle
+
+
+def _item(t, coeffs):
+    chi = t.rows["I"] * 0
+    for lb, c in zip(t.labels, coeffs):
+        if c:
+            chi = chi + t.rows[lb] * c
+    return chi
+
+
+def _broken(t):
+    """t with its second row replaced by the trivial one: an item without
+    those two rows still decomposes, one with I pairs 1 with both and
+    rebuilds as 2I."""
+    from heis7.characters import CharTable
+
+    rows = [(lb, list(t.rows["I" if k == 1 else lb].values)) for k, lb in enumerate(t.labels)]
+    return CharTable(t.classes, rows, t._power_fn, t.identity_class)
+
+
+@pytest.mark.parametrize("kind", [None, "negative", "irrational", "perturbed", "unreconstructed"])
+@pytest.mark.parametrize("name", ["g7", "sl2"])
+@seed(1212)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_batched_decompose_against_oracle(g7, sl2, name, kind, data):
+    # integer combinations of the rows, one of them made bad at a random
+    # position: the batch agrees with the oracle item by item, with n
+    # batches of one, and with a lone bad item's error message
+    from heis7.field import CycArray
+    from oracles import decompose_oracle
+
+    t = g7 if name == "g7" else sl2
+    if kind == "unreconstructed":
+        t = _broken(t)
+    width = len(t.labels)
+    n = data.draw(st.integers(1, 4))
+    coeff = st.lists(st.integers(0, 3) | st.just(0), min_size=width, max_size=width)
+    rows = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    if kind == "unreconstructed":
+        rows = [[0, 0] + r[2:] for r in rows]
+    items = [_item(t, r) for r in rows]
+    pos = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, width - 1))
+    if kind == "negative":
+        items[pos] = items[pos] - t.rows[t.labels[j]] * (1 + rows[pos][j])
+    elif kind == "irrational":
+        items[pos] = items[pos] + t.rows[t.labels[j]] * Cyc7.zeta(data.draw(st.integers(1, 6)))
+    elif kind == "perturbed":
+        vals = list(items[pos].values)
+        c = data.draw(st.integers(0, len(vals) - 1))
+        vals[c] = vals[c] + data.draw(st.integers(1, 5))
+        items[pos] = Character(t.classes, vals)
+    elif kind == "unreconstructed":
+        items[pos] = items[pos] + t.rows["I"]
+    batch = CycArray.stack([chi.arr for chi in items])
+    if kind is None:
+        want = [decompose_oracle(t, chi) for chi in items]
+        assert [d.mults for d in t.decompose(batch)] == want
+        assert [d.mults for d in t.decompose(items)] == want
+        assert [t.decompose(batch[i : i + 1])[0].mults for i in range(n)] == want
+        assert [t.decompose(chi).mults for chi in items] == want
+        return
+    # the items before pos are characters, so the batch fails at pos, also
+    # with another bad item (multiplicity -7 of I) after it
+    with pytest.raises(ValueError) as oracle_exc:
+        decompose_oracle(t, items[pos])
+    with pytest.raises(ValueError) as single_exc:
+        t.decompose(items[pos])
+    with pytest.raises(ValueError) as batch_exc:
+        t.decompose(CycArray.stack([*(chi.arr for chi in items), (t.rows["I"] * -7).arr]))
+    assert str(batch_exc.value) == str(single_exc.value) == str(oracle_exc.value)
+    reason = {"negative": "not a character", "irrational": "not rational", "unreconstructed": "not reconstruct"}
+    assert reason.get(kind, "") in str(single_exc.value)
+    with pytest.raises(ValueError, match=re.escape(str(single_exc.value))):
+        t.decompose(items)
+
+
+@seed(1213)
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["g7", "sl2"]), st.lists(st.integers(0, 2), min_size=3, max_size=3), st.integers(0, 8))
+def test_batched_powers_against_oracle(g7, sl2, name, picks, top):
+    from heis7.field import CycArray
+    from oracles import ext_traces, sym_traces
+
+    t = g7 if name == "g7" else sl2
+    items = [t.rows[t.labels[(2 + 3 * i + p) % len(t.labels)]] + t.rows[t.labels[p]] for i, p in enumerate(picks)]
+    batch = CycArray.stack([chi.arr for chi in items])
+    sym = [a.tolist() for a in t.sym_powers(batch, top)]
+    ext = [a.tolist() for a in t.ext_power(batch, range(top + 1))]
+    for n, chi in enumerate(items):
+        for c in range(t.classes.count):
+            trs = [chi.values[t.power_classes(j)[c]] for j in range(1, top + 1)]
+            assert [s[n][c] for s in sym] == sym_traces(trs, top)
+            assert [e[n][c] for e in ext] == ext_traces(trs, top)
+        assert t.sym_power(chi, top) == Character(t.classes, t.sym_powers(batch, top)[top][n])

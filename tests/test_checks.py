@@ -1,6 +1,9 @@
 import hashlib
 
-from heis7 import heisenberg
+import pytest
+
+from heis7 import heisenberg, moduli
+from heis7.characters import CharTable
 from heis7.checks import SUITES, RunConfig, check_group_law, report_json_bytes, run_suite
 
 
@@ -22,11 +25,50 @@ def test_crashing_check_is_reported_under_its_id(monkeypatch):
 SCALED_SHA_42 = "2454e9171fed5dcf010b510836120f04b9ae425b7555ce3b52a20823b5e003c8"
 
 
-def test_declared_ids_are_the_reported_ids():
+# the character-table methods the certify benchmark traces by name; each
+# must run at least once in the scaled suite, or its traced count reads 0
+TRACED_CHARTABLE = ("decompose", "sym_power", "ext_power")
+
+
+@pytest.fixture(scope="module")
+def scaled_run():
+    """A scaled seed-42 run (every check, fewer samples), with the calls of
+    the traced CharTable methods counted: (report, {name: calls})."""
+    calls = dict.fromkeys(TRACED_CHARTABLE, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in TRACED_CHARTABLE:
+            mp.setattr(CharTable, name, counting(name, getattr(CharTable, name)))
+        report = run_suite("all", RunConfig(seed=42, sample_points=2, random_alphas=24))
+    return report, calls
+
+
+def test_declared_ids_are_the_reported_ids(scaled_run):
     fns = [fn for name in ("appendix", "syzygy", "moduli") for fn in SUITES[name]]
     declared = [fn.check_id for fn in fns]
     assert len(set(declared)) == len(declared) == 38
-    # a scaled run: every check still runs, on fewer samples
-    report = run_suite("all", RunConfig(seed=42, sample_points=2, random_alphas=24))
+    report, _ = scaled_run
     assert [c["id"] for c in report["checks"]] == sorted(declared)
     assert hashlib.sha256(report_json_bytes(report)).hexdigest() == SCALED_SHA_42
+
+
+def test_traced_character_methods_run_in_the_scaled_suite(scaled_run):
+    _, calls = scaled_run
+    assert all(calls[name] >= 1 for name in TRACED_CHARTABLE), calls
+
+
+def test_cached_moduli_tables_survive_a_run(scaled_run, monkeypatch):
+    # after a whole run, the tables built from the parse cache equal tables
+    # parsed afresh
+    tables = (moduli.f_basis, moduli.psi_matrix, moduli.eta_klein, moduli.alpha_family, moduli.d_vector, moduli.klein_quartic)
+    cached = [table() for table in tables]
+    assert moduli._parsed.cache_info().hits > 0
+    monkeypatch.setattr(moduli, "_parsed", moduli._parsed.__wrapped__)
+    assert [table() for table in tables] == cached

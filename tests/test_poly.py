@@ -127,3 +127,11 @@ def test_bidegree():
     assert q.bidegree() == (2, 1)
     with pytest.raises(ValueError):
         (p + q).bidegree()
+
+
+def test_monic_over_q_with_int_coefficients():
+    # a raw Q polynomial with int coefficients is divided exactly, not in floats
+    p = Poly(REG_X, QQ, {(1, 0, 0, 0, 0, 0, 0): 3, (0, 1, 0, 0, 0, 0, 0): 1}).monic()
+    assert p.terms == {(1, 0, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0, 0): Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
