@@ -34,6 +34,7 @@ from .field import (
     lam,
 )
 from .linalg import rank as mat_rank
+from .poly import VarRegistry
 
 SCHEMA = "heis7-report-v1"
 
@@ -769,14 +770,14 @@ def _a4_samples(ctx: Context):
 
 
 def _a4_power_traces(h_mats, s_mat):
-    """Traces of (h s)^p for p = 1..5, batch shape (5, len(h_mats))."""
+    """Traces of (h s)^p for p = 1..5, batch shape (5, len(h_mats)): g, g^2
+    and g^3 are formed, tr g^4 and tr g^5 are trace pairings of them."""
     from .heisenberg import dense_mul
 
     g = dense_mul(h_mats, s_mat)
-    powers = [g]
-    for _ in range(4):
-        powers.append(dense_mul(powers[-1], g))
-    return CycArray.stack([p.trace() for p in powers])
+    g2 = dense_mul(g, g)
+    g3 = dense_mul(g2, g)
+    return CycArray.stack([g.trace(), g2.trace(), g3.trace(), g2.trace_dot(g2), g3.trace_dot(g2)])
 
 
 def _a4_sample_traces(ctx: Context):
@@ -877,11 +878,12 @@ def check_j_resolution(ctx: Context) -> CheckResult:
 
 @declare_id("syzygy.membership")
 def check_j_membership(ctx: Context) -> CheckResult:
-    from .poly import REG_U, parse_poly
+    from .moduli import _poly
+    from .poly import REG_U
 
     J = _j_ideal()
     gb = J.gb()
-    u = lambda s: parse_poly(s, REG_U)
+    u = lambda s: _poly(s, REG_U)
     ok = (
         gb.contains(u("u0^2"))
         and gb.contains(u("u0^4"))
@@ -901,11 +903,11 @@ def check_j_membership(ctx: Context) -> CheckResult:
 @declare_id("syzygy.twisted_cubic")
 def check_twisted_cubic(ctx: Context) -> CheckResult:
     from .groebner import GradedIdeal
-    from .moduli import delta_criterion, AlphaMatrix
-    from .poly import REG_U, parse_poly
+    from .moduli import delta_criterion, AlphaMatrix, _poly
+    from .poly import REG_U
     from .resolution import free_resolution, hb_minors, hilbert_burch
 
-    u = lambda s: parse_poly(s, REG_U)
+    u = lambda s: _poly(s, REG_U)
     gens = [u("u1*u2"), u("u2*u3"), u("u3*u1")]
     I = GradedIdeal(REG_U, QQ, gens)
     bt = free_resolution(I)
@@ -937,16 +939,19 @@ def check_twisted_cubic(ctx: Context) -> CheckResult:
     )
 
 
+# the ring of the plane-cubic-union-point fixture
+REG_W = VarRegistry(["w", "x", "y", "z"])
+
+
 @declare_id("syzygy.plane_cubic_point")
 def check_fixture_betti(ctx: Context) -> CheckResult:
     from .groebner import GradedIdeal
-    from .poly import VarRegistry, parse_poly
+    from .moduli import _poly
     from .resolution import free_resolution, intersect
 
-    RW = VarRegistry(["w", "x", "y", "z"])
-    w = lambda s: parse_poly(s, RW)
-    A = GradedIdeal(RW, QQ, [w("w"), w("x^3+y^3+z^3")])
-    B = GradedIdeal(RW, QQ, [w("x"), w("y"), w("z")])
+    w = lambda s: _poly(s, REG_W)
+    A = GradedIdeal(REG_W, QQ, [w("w"), w("x^3+y^3+z^3")])
+    B = GradedIdeal(REG_W, QQ, [w("x"), w("y"), w("z")])
     C = intersect(A, B)
     bt = free_resolution(C)
     want = {(0, 0): 1, (1, 2): 3, (1, 3): 1, (2, 3): 3, (2, 4): 1, (3, 4): 1}
@@ -964,10 +969,11 @@ def check_fixture_betti(ctx: Context) -> CheckResult:
 
 @declare_id("syzygy.common_factor_reject")
 def check_hb_reject(ctx: Context) -> CheckResult:
-    from .poly import REG_U, parse_poly
+    from .moduli import _poly
+    from .poly import REG_U
     from .resolution import NotHilbertBurch, hilbert_burch
 
-    u = lambda s: parse_poly(s, REG_U)
+    u = lambda s: _poly(s, REG_U)
     try:
         hilbert_burch([u("u0*u1"), u("u0*u2"), u("u0*u3")])
     except NotHilbertBurch as exc:
@@ -1273,11 +1279,11 @@ def check_klein_suite(ctx: Context) -> CheckResult:
 
 @declare_id("moduli.invariant_cubics")
 def check_d_vector(ctx: Context) -> CheckResult:
-    from .moduli import d_vector, tau_x_images
-    from .poly import parse_poly, REG_X
+    from .moduli import _poly, d_vector, tau_x_images
+    from .poly import REG_X
 
     d = d_vector()
-    x = lambda s: parse_poly(s, REG_X)
+    x = lambda s: _poly(s, REG_X)
     expected = [
         x("x0*x3*x4"),
         x("x0*x1*x6"),

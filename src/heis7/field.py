@@ -662,6 +662,25 @@ class CycArray:
         (x,) = _wide(_top(x) * x.shape[-2], x)
         return CycArray._from_flat(np.trace(x, axis1=-3, axis2=-2), self.den, self.r2)
 
+    def trace_dot(self, other) -> "CycArray":
+        """tr(self @ other) over the last two batch axes, broadcasting the
+        rest, without forming the product: the integer coordinates are
+        contracted over both matrix axes first, and the product table is
+        applied once to the (coordinate, coordinate) sums."""
+        a, b = self._meet(other)
+        x, y = a._flat(), b._flat()
+        if x.shape[-3:-1] != y.shape[-3:-1][::-1]:
+            raise ValueError(f"trace_dot of {a.shape[-2:]} and {b.shape[-2:]} matrices")
+        w = x.shape[-1]
+        table, norm = _PRODUCT[w]
+        cells = x.shape[-3] * x.shape[-2]
+        x, y = _wide(_top(x) * _top(y) * norm * cells, x, y)
+        # x[..., i, j, c] against y[..., j, i, d]: (i, j) flattened on both sides
+        x = np.swapaxes(x.reshape(*x.shape[:-3], cells, w), -2, -1)
+        y = np.swapaxes(y, -3, -2).reshape(*y.shape[:-3], cells, w)
+        pairs = x @ y  # [..., c, d]
+        return CycArray._from_flat(pairs.reshape(*pairs.shape[:-2], w * w) @ table, a.den * b.den, a.r2)
+
     def lincomb(self, coeffs) -> "CycArray":
         """coeffs @ self over the first batch axis, for an integer array
         coeffs whose last axis runs over it: one integer matmul."""

@@ -117,30 +117,32 @@ class FormMatrix:
 
 
 def det_form(m: FormMatrix) -> Poly:
-    """Symbolic determinant by cofactor expansion (small matrices only)."""
+    """Symbolic determinant by cofactor expansion along the first row, each
+    minor memoised on its column tuple: the minor on columns `cols` always
+    takes the last len(cols) rows, so an n x n matrix forms at most 2^n
+    minors instead of n! expansions.  Terms with a zero entry are skipped."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    return _det_rec(m.entries, list(range(n)), list(range(n)))
+    return _minor(m, tuple(range(n)), {})
 
 
-def _det_rec(e, rows, cols):
-    if len(rows) == 1:
-        return e[rows[0]][cols[0]]
-    first = rows[0]
-    rest = rows[1:]
+def _minor(m: FormMatrix, cols: tuple, memo: dict) -> Poly:
+    if cols in memo:
+        return memo[cols]
+    row = m.entries[m.nrows - len(cols)]
+    if len(cols) == 1:
+        return row[cols[0]]
     total = None
     for k, c in enumerate(cols):
-        p = e[first][c]
+        p = row[c]
         if p.is_zero():
             continue
-        sub = _det_rec(e, rest, cols[:k] + cols[k + 1 :])
+        sub = _minor(m, cols[:k] + cols[k + 1 :], memo)
         term = p * sub if k % 2 == 0 else -(p * sub)
         total = term if total is None else total + term
-    if total is None:
-        r = e[first][cols[0]]
-        return Poly.zero(r.reg, r.dom)
-    return total
+    memo[cols] = Poly.zero(m.reg, m.dom) if total is None else total
+    return memo[cols]
 
 
 def pfaffian(m: FormMatrix, subset=None) -> Poly:

@@ -112,11 +112,6 @@ def _mono_dense(perm, sign, pw) -> CycArray:
     return CycArray(np.swapaxes(hits[..., None] * vals[..., :, None, :], -3, -2))
 
 
-def _stack_dense(mats) -> CycArray:
-    """The dense matrices of a list of MonoMat, as one batch."""
-    return _mono_dense(*(np.array(col) for col in zip(*mats)))
-
-
 MONO_ID = MonoMat(tuple(range(7)), (1,) * 7, (0,) * 7)
 SIGMA = MonoMat(tuple((l + 1) % 7 for l in range(7)), (1,) * 7, (0,) * 7)
 TAU = MonoMat(tuple(range(7)), (1,) * 7, tuple(range(7)))
@@ -160,15 +155,18 @@ def dense_galois(a, power: int) -> CycArray:
 def dense_det(a) -> Cyc7:
     """det of a 7x7 matrix: MonoMat.det(), or for a dense matrix A the
     elementary symmetric e_7 of its eigenvalues, from the power sums
-    tr A^1 .. tr A^7 by the Newton recursion."""
+    tr A^1 .. tr A^7 by the Newton recursion; A^2, A^3, A^4 are formed and
+    tr A^5 .. tr A^7 are trace pairings of them."""
     if isinstance(a, MonoMat):
         return a.det()
     from .characters import newton
 
-    pows = [a]
-    for _ in range(6):
-        pows.append(pows[-1] @ a)
-    return newton(CycArray.stack(pows).trace(), alternating=True)[7].tolist()
+    a2 = a @ a
+    a3 = a2 @ a
+    a4 = a2 @ a2
+    pows = [a, a2, a3, a4]
+    traces = [p.trace() for p in pows] + [a4.trace_dot(p) for p in pows[:3]]
+    return newton(CycArray.stack(traces), alternating=True)[7].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +211,17 @@ class HElem(NamedTuple):
         return core_inv * e
 
     def matrix(self) -> MonoMat:
+        """z^(a+4mn) sigma^m tau^n iota^b, column by column: iota^b sends
+        e_l to (-1)^b e_j with j = (-1)^b l, tau^n scales e_j by z^(nj)
+        and sigma^m moves it to e_(j+m)."""
         a, m, n, b = self
-        g = scalar_mono(a + 4 * m * n)
-        g = g * _sigma_pow(m) * _tau_pow(n)
-        if b:
-            g = g * IOTA
-        return g
-
-
-def _sigma_pow(m: int) -> MonoMat:
-    m %= 7
-    return MonoMat(tuple((l + m) % 7 for l in range(7)), (1,) * 7, (0,) * 7)
+        sg = 1 - 2 * b
+        cols = [sg * l % 7 for l in range(7)]
+        return MonoMat(
+            tuple((j + m) % 7 for j in cols),
+            (sg,) * 7,
+            tuple((a + 4 * m * n + n * j) % 7 for j in cols),
+        )
 
 
 def _tau_pow(n: int) -> MonoMat:
@@ -248,16 +246,66 @@ class GroupLawError(Exception):
     pass
 
 
+# A compact matrix's column l is coded as one small int,
+# perm[l] * 14 + (sign[l] < 0) * 7 + pw[l], so a matrix is a 7-vector of
+# codes in [0, 98).  Column l of x * y is x's column perm_y[l] with y's
+# sign and power multiplied in: _COMPOSE[x's code there, y's code % 14].
+# (Both tables are built from Python ints, so importing the module runs no
+# numpy arithmetic.)
+_CODE = np.arange(98)
+_COMPOSE = np.array(
+    [[c // 14 * 14 + (c // 7 % 2 ^ t // 7) * 7 + (c + t) % 7 for t in range(14)] for c in range(98)],
+    dtype=np.uint8,
+)
+_PACK = np.array([98**k for k in range(7)], dtype=np.int64)  # one int64 key per matrix: 98^7 < 2^63
+
+
+def _codes(mats) -> np.ndarray:
+    """The column codes of a list of MonoMat, shape (len(mats), 7)."""
+    perm, sign, pw = (np.array(col) for col in zip(*mats))
+    return (perm * 14 + (sign < 0) * 7 + pw).astype(np.uint8)
+
+
+def _code_dense(codes) -> CycArray:
+    """The dense matrices of a (..., 7) array of column codes."""
+    codes = codes.astype(np.intp)
+    return _mono_dense(codes // 14, 1 - 2 * (codes // 7 % 2), codes % 7)
+
+
+def _code_map(x) -> np.ndarray:
+    """For the codes of x, shape (..., 7): the (..., 98) map from a column
+    code of y to the code of that column of x * y."""
+    return _COMPOSE[x[..., _CODE // 14], _CODE % 14]
+
+
+def _compose(x, y) -> np.ndarray:
+    """Column codes of the compact products x * y, for (..., 7) code
+    arrays with the same number of axes and broadcasting batch shapes."""
+    return np.take_along_axis(_code_map(x), y, axis=-1)
+
+
+# step 3: each matrix group, its generators and the order it must have
+CLOSURES = (("sigma, tau", (SIGMA, TAU), 343), ("sigma, tau, iota", (SIGMA, TAU, IOTA), 686))
+
+
 def build_heisenberg():
     """Cross-validate the abstract law against the matrix model.
 
     Checks, in order:
-      1. every abstract element's compact matrix agrees with a dense product
-         of dense generator matrices (validates the compact encoding), and
-         686 seeded compact products agree with dense products;
+      1. every abstract element's compact matrix agrees with the dense
+         product of dense generator matrices (validates the compact
+         encoding): the 98 dense sigma^m tau^n iota^b come from batched
+         products of the dense generator powers, and z^(a+4mn) scales
+         their entries; then 686 seeded compact products, formed on
+         column codes by the table _COMPOSE, agree with dense products;
       2. abstract products match compact-matrix products for all
-         686^2 = 470596 ordered pairs of G7 elements;
-      3. the generated matrix groups have orders 343 and 686.
+         686^2 = 470596 ordered pairs of G7 elements: for each x, the law
+         on arrays gives the indices of the 686 products x * y, and their
+         compact products are one gather of all codes through x's code map
+         (x's rows of _COMPOSE), compared with the products' codes;
+      3. the matrix groups generated by sigma, tau and by sigma, tau, iota
+         have orders 343 and 686, by breadth-first closure on codes, each
+         matrix packed into one int64 key.
 
     Returns (H7 element list, G7 element list, stats dict).
     """
@@ -265,62 +313,69 @@ def build_heisenberg():
 
     h7 = h7_elements()
     g7 = g7_elements()
-    mats = {g: g.matrix() for g in g7}
-    A, M, N, B = (np.array(col) for col in zip(*g7))
-    P, S, W = (np.array(col) for col in zip(*mats.values()))
+    # int16 keeps the law's arithmetic on 7 x 686 arrays cheap
+    A, M, N, B = (np.array(col, dtype=np.int16) for col in zip(*g7))
+    E = _codes([g.matrix() for g in g7])
+
+    index = np.empty((7, 7, 7, 2), dtype=np.intp)  # G7 position of (a, m, n, b)
+    index[A, M, N, B] = np.arange(len(g7))
 
     # 1. compact encoding vs dense matrix arithmetic, 49 elements per batch
-    # (numpy temporaries stay under 1 MB)
-    sigma_pows = [MONO_ID.dense()]
-    tau_pows = [MONO_ID.dense()]
-    for _ in range(6):
-        sigma_pows.append(dense_mul(sigma_pows[-1], SIGMA))
-        tau_pows.append(dense_mul(tau_pows[-1], TAU))
-    sigma_pows, tau_pows = CycArray.stack(sigma_pows), CycArray.stack(tau_pows)
-    scalars = CycArray.stack([scalar_mono(a).dense() for a in range(7)])
-    iota_pows = CycArray.stack([MONO_ID.dense(), IOTA.dense()])
-    for lo in range(0, len(g7), 49):
-        blk = slice(lo, lo + 49)
-        # right-multiplication composes in the same order as MonoMat.__mul__
-        cur = dense_mul(scalars[(A[blk] + 4 * M[blk] * N[blk]) % 7], sigma_pows[M[blk]])
-        cur = dense_mul(dense_mul(cur, tau_pows[N[blk]]), iota_pows[B[blk]])
-        bad = _differ(cur, _mono_dense(P[blk], S[blk], W[blk]))
-        if bad is not None:
-            raise GroupLawError(f"compact matrix encoding disagrees with dense product at {g7[lo + bad]}")
+    # (numpy temporaries stay under 128 KB)
+    gens = CycArray.stack([SIGMA.dense(), TAU.dense()])
+    pows = [CycArray.stack([MONO_ID.dense()] * 2), gens]
+    for _ in range(5):
+        pows.append(dense_mul(pows[-1], gens))
+    pows = CycArray.stack(pows)  # [power, generator]
+    # right-multiplication composes in the same order as MonoMat.__mul__
+    st = dense_mul(pows[:, 0][:, None], pows[:, 1][None, :]).reshape(49, 7, 7)  # sigma^m tau^n
+    mn = np.arange(49)
+    zeta = CycArray(_ZETA_NUM)
+    for b, dense in enumerate((st, dense_mul(st, IOTA))):  # ... iota^b
+        for a in range(7):
+            pos = index[a, :, :, b].ravel()
+            central = zeta[(a + 4 * (mn // 7) * (mn % 7)) % 7].reshape(49, 1, 1)
+            # each matrix's 49 entries times its scalar, as a product with a
+            # 1 x 1 matrix: its temporaries stay the size of the result
+            scaled = (dense.reshape(49, 49, 1) @ central).reshape(49, 7, 7)
+            bad = _differ(scaled, _code_dense(E[pos]))
+            if bad is not None:
+                raise GroupLawError(f"compact matrix encoding disagrees with dense product at {g7[pos[bad]]}")
 
     rng = random.Random(2024)
-    sample = [(rng.choice(g7), rng.choice(g7)) for _ in range(686)]
+    sample = np.array([(rng.randrange(len(g7)), rng.randrange(len(g7))) for _ in range(686)])
     for lo in range(0, len(sample), 49):
-        xs, ys = zip(*sample[lo : lo + 49])
-        dense = dense_mul(_stack_dense([mats[x] for x in xs]), _stack_dense([mats[y] for y in ys]))
-        bad = _differ(dense, _stack_dense([mats[x] * mats[y] for x, y in zip(xs, ys)]))
+        xs, ys = sample[lo : lo + 49].T
+        dense = dense_mul(_code_dense(E[xs]), _code_dense(E[ys]))
+        bad = _differ(dense, _code_dense(_compose(E[xs], E[ys])))
         if bad is not None:
-            raise GroupLawError(f"compact product disagrees with dense product at {xs[bad]}, {ys[bad]}")
+            raise GroupLawError(f"compact product disagrees with dense product at {g7[xs[bad]]}, {g7[ys[bad]]}")
 
-    # 2. abstract law vs matrix products, one row x * (all of G7) at a time:
-    # the law on arrays gives the 686 products' indices into the matrix
-    # table, and the compact products mats[x] * mats[y] are gathers
-    index = np.empty((7, 7, 7, 2), dtype=np.intp)
-    index[A, M, N, B] = np.arange(len(g7))
+    # 2. abstract law vs compact products, one row x * (all of G7) at a
+    # time: the law on arrays (7 rows at once) gives the products' indices,
+    # and x's code map turns the codes of every y into those of the compact
+    # product x * y in one gather
+    maps = _code_map(E)
     pairs = 0
-    for i, x in enumerate(g7):
-        k = index[_law(*x, A, M, N, B)]
-        sp, ss, sw = P[i], S[i], W[i]
-        ok = (P[k] == sp[P]) & (S[k] == S * ss[P]) & (W[k] == (W + sw[P]) % 7)
-        if not ok.all():
-            y = g7[int(np.argmin(ok.all(axis=1)))]
-            raise GroupLawError(f"law mismatch at {x} * {y}")
-        pairs += len(g7)
+    for lo in range(0, len(g7), 7):
+        blk = slice(lo, lo + 7)
+        ks = index[_law(A[blk, None], M[blk, None], N[blk, None], B[blk, None], A, M, N, B)]
+        for i, k in enumerate(ks, lo):
+            ok = np.take(maps[i], E) == np.take(E, k, axis=0)
+            if not ok.all():
+                y = g7[int(np.argmin(ok.all(axis=1)))]
+                raise GroupLawError(f"law mismatch at {g7[i]} * {y}")
+            pairs += len(g7)
 
     # 3. group orders by closure from the generators
-    order_h = _closure_order([SIGMA, TAU])
-    order_g = _closure_order([SIGMA, TAU, IOTA])
-    if order_h != 343:
-        raise GroupLawError(f"matrix group generated by sigma, tau has order {order_h}")
-    if order_g != 686:
-        raise GroupLawError(f"matrix group generated by sigma, tau, iota has order {order_g}")
+    orders = []
+    for names, generators, want in CLOSURES:
+        order = _closure_order(generators)
+        if order != want:
+            raise GroupLawError(f"matrix group generated by {names} has order {order}")
+        orders.append(order)
 
-    return h7, g7, {"pairs_checked": pairs, "order_h7": order_h, "order_g7": order_g}
+    return h7, g7, {"pairs_checked": pairs, "order_h7": orders[0], "order_g7": orders[1]}
 
 
 def _differ(a: CycArray, b: CycArray):
@@ -330,17 +385,16 @@ def _differ(a: CycArray, b: CycArray):
 
 
 def _closure_order(gens) -> int:
-    seen = {MONO_ID}
-    frontier = [MONO_ID]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = m * g
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
+    """Order of the group a list of MonoMat generates, by breadth-first
+    closure on column codes."""
+    gens = _codes(gens)
+    frontier = _codes([MONO_ID])
+    seen = set((frontier @ _PACK).tolist())
+    while len(frontier):
+        prods = _compose(frontier[:, None], gens[None]).reshape(-1, 7)
+        new = {key: i for i, key in enumerate((prods @ _PACK).tolist()) if key not in seen}
+        seen.update(new)
+        frontier = prods[list(new.values())]
     return len(seen)
 
 

@@ -2,8 +2,10 @@ import hashlib
 
 import pytest
 
-from heis7 import heisenberg, moduli
+from heis7 import formmat, heisenberg, moduli, poly
 from heis7.characters import CharTable
+from heis7.field import CycArray
+from heis7.poly import Poly
 from heis7.checks import SUITES, RunConfig, check_group_law, report_json_bytes, run_suite
 
 
@@ -25,6 +27,11 @@ def test_crashing_check_is_reported_under_its_id(monkeypatch):
 SCALED_SHA_42 = "2454e9171fed5dcf010b510836120f04b9ae425b7555ce3b52a20823b5e003c8"
 
 
+# CycArray.__matmul__ calls, and Poly.__mul__ calls inside det_form, of
+# the scaled seed-42 run below
+MATMUL_CALLS = 364
+DET_FORM_MULS = 184
+
 # the character-table methods the certify benchmark traces by name; each
 # must run at least once in the scaled suite, or its traced count reads 0
 TRACED_CHARTABLE = ("decompose", "sym_power", "ext_power")
@@ -33,8 +40,10 @@ TRACED_CHARTABLE = ("decompose", "sym_power", "ext_power")
 @pytest.fixture(scope="module")
 def scaled_run():
     """A scaled seed-42 run (every check, fewer samples), with the calls of
-    the traced CharTable methods counted: (report, {name: calls})."""
-    calls = dict.fromkeys(TRACED_CHARTABLE, 0)
+    the traced CharTable methods, of CycArray.__matmul__ and of Poly.__mul__
+    inside det_form counted: (report, {name: calls})."""
+    calls = dict.fromkeys((*TRACED_CHARTABLE, "matmul", "det_form_mul"), 0)
+    in_det = [False]
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -43,9 +52,30 @@ def scaled_run():
 
         return wrapper
 
+    def inside_det(fn):
+        def wrapper(*args, **kwargs):
+            in_det[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                in_det[0] = False
+
+        return wrapper
+
+    def counting_mul(fn):
+        def wrapper(*args, **kwargs):
+            calls["det_form_mul"] += in_det[0]
+            return fn(*args, **kwargs)
+
+        return wrapper
+
     with pytest.MonkeyPatch.context() as mp:
         for name in TRACED_CHARTABLE:
             mp.setattr(CharTable, name, counting(name, getattr(CharTable, name)))
+        mp.setattr(CycArray, "__matmul__", counting("matmul", CycArray.__matmul__))
+        mp.setattr(Poly, "__mul__", counting_mul(Poly.__mul__))
+        for owner in (formmat, moduli):  # moduli imported det_form by name
+            mp.setattr(owner, "det_form", inside_det(formmat.det_form))
         report = run_suite("all", RunConfig(seed=42, sample_points=2, random_alphas=24))
     return report, calls
 
@@ -72,3 +102,28 @@ def test_cached_moduli_tables_survive_a_run(scaled_run, monkeypatch):
     assert moduli._parsed.cache_info().hits > 0
     monkeypatch.setattr(moduli, "_parsed", moduli._parsed.__wrapped__)
     assert [table() for table in tables] == cached
+
+
+def test_work_counts_of_the_scaled_suite(scaled_run):
+    # deterministic work counts of the scaled run; a change that brings back
+    # redundant exact products (full powers where traces are read, cofactor
+    # expansion without memoised minors) raises them
+    _, calls = scaled_run
+    assert calls["matmul"] == MATMUL_CALLS
+    assert calls["det_form_mul"] == DET_FORM_MULS
+
+
+def test_constant_polynomials_are_parsed_once(scaled_run, monkeypatch):
+    # after one run every constant polynomial string is in the parse cache,
+    # so a second run parses none
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    real = poly.parse_poly
+    for owner in (poly, moduli):  # moduli imported parse_poly by name
+        monkeypatch.setattr(owner, "parse_poly", counting)
+    run_suite("all", RunConfig(seed=42, sample_points=2, random_alphas=24))
+    assert calls == []

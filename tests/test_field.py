@@ -334,3 +334,38 @@ def test_cycarray_promotes_to_python_ints():
     assert (prod - prod + a).num.dtype == np.int64
     tower = CycArray.from_values([FieldElem(big, big)])
     assert (tower * tower).tolist() == [FieldElem(big, big) * FieldElem(big, big)]
+
+
+def _rand_batch(rng, shape, tower=False, top=9):
+    n = int(np.prod(shape))
+    cyc = lambda: Cyc7(tuple(rng.randint(-top, top) for _ in range(6)), rng.randint(1, 9))
+    vals = [FieldElem(cyc(), cyc()) if tower else cyc() for _ in range(n)]
+    return CycArray.from_values(vals).reshape(*shape)
+
+
+def test_trace_dot_matches_trace_of_product():
+    rng = random.Random(17)
+    big = (1 << 40) + 5
+    cases = [
+        ((4, 5), (5, 4), False, 9),  # rectangular (r x k)(k x r)
+        ((3, 4, 5), (3, 5, 4), False, 9),  # batched
+        ((4, 5), (3, 5, 4), False, 9),  # broadcast one side
+        ((2, 1, 3, 3), (4, 3, 3), False, 9),  # broadcast both sides
+        ((3, 2, 4), (3, 4, 2), True, 9),  # sqrt2 tower
+        ((2, 7, 7), (2, 7, 7), False, big),  # numerators near 2^40: Python ints
+        ((2, 3, 3), (2, 3, 3), True, big),
+    ]
+    for sa, sb, tower, top in cases:
+        a, b = _rand_batch(rng, sa, tower, top), _rand_batch(rng, sb, False, top)
+        got = a.trace_dot(b)
+        assert got == (a @ b).trace() and got.shape == (a @ b).trace().shape
+        assert got.r2 == tower
+        if top == big:
+            assert a.num.dtype == np.int64 and got.num.dtype == object
+    # against scalar arithmetic
+    a, b = _rand_batch(rng, (3, 4)), _rand_batch(rng, (4, 3), True)
+    xs, ys = a.tolist(), b.tolist()
+    want = sum((xs[i][j] * ys[j][i] for i in range(3) for j in range(4)), Cyc7.from_int(0))
+    assert a.trace_dot(b).tolist() == want
+    with pytest.raises(ValueError, match="trace_dot"):
+        a.trace_dot(a)

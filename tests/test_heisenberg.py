@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,67 @@ def test_build_heisenberg_rejects_a_wrong_cocycle(monkeypatch):
     monkeypatch.setattr(heisenberg, "_law", opposite_cocycle)
     with pytest.raises(GroupLawError, match="law mismatch"):
         build_heisenberg()
+
+
+def test_build_heisenberg_checks_every_pair(monkeypatch):
+    # a law that is wrong at the last ordered pair only is caught there
+    real = heisenberg._law
+    last = HElem(6, 6, 6, 1)
+
+    def wrong_at_last(a1, m1, n1, b1, a2, m2, n2, b2):
+        a, m, n, b = real(a1, m1, n1, b1, a2, m2, n2, b2)
+        hit = (a1 == 6) & (m1 == 6) & (n1 == 6) & (b1 == 1) & (a2 == 6) & (m2 == 6) & (n2 == 6) & (b2 == 1)
+        return (a + hit) % 7, m, n, b
+
+    monkeypatch.setattr(heisenberg, "_law", wrong_at_last)
+    with pytest.raises(GroupLawError, match=rf"law mismatch at {re.escape(repr(last))} \* {re.escape(repr(last))}$"):
+        build_heisenberg()
+
+
+def test_build_heisenberg_rejects_a_flipped_phase(monkeypatch):
+    # one element's compact matrix with one entry's zeta power moved
+    real = HElem.matrix
+    target = HElem(3, 2, 5, 1)
+
+    def flipped(g):
+        mat = real(g)
+        if g != target:
+            return mat
+        pw = list(mat.pw)
+        pw[4] = (pw[4] + 1) % 7
+        return mat._replace(pw=tuple(pw))
+
+    monkeypatch.setattr(HElem, "matrix", flipped)
+    with pytest.raises(GroupLawError, match=r"compact matrix encoding disagrees with dense product at HElem\(a=3, m=2, n=5, b=1\)"):
+        build_heisenberg()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_build_heisenberg_rejects_a_corrupted_compact_product(monkeypatch, seed):
+    # one entry of the column-code composition table gets the opposite sign
+    rng = random.Random(seed)
+    code, twist = rng.randrange(98), rng.randrange(14)
+    table = heisenberg._COMPOSE.copy()
+    entry = int(table[code, twist])
+    table[code, twist] = entry - 7 if entry // 7 % 2 else entry + 7
+    monkeypatch.setattr(heisenberg, "_COMPOSE", table)
+    with pytest.raises(GroupLawError, match="compact product disagrees with dense product"):
+        build_heisenberg()
+
+
+def test_build_heisenberg_rejects_a_wrong_closure_order(monkeypatch):
+    # mu normalizes H7 with order 3, so sigma, tau, mu generate 3 * 343 elements
+    monkeypatch.setattr(heisenberg, "CLOSURES", (("sigma, tau, mu", (SIGMA, TAU, MU), 343),))
+    with pytest.raises(GroupLawError, match="matrix group generated by sigma, tau, mu has order 1029"):
+        build_heisenberg()
+
+
+def test_compose_matches_monomial_products():
+    rng = random.Random(12)
+    mats = [g.matrix() for g in g7_elements()] + [MU, NU, scalar_mono(5)]
+    pairs = [(rng.choice(mats), rng.choice(mats)) for _ in range(300)]
+    xs, ys = (heisenberg._codes(col) for col in zip(*pairs))
+    assert (heisenberg._compose(xs, ys) == heisenberg._codes([x * y for x, y in pairs])).all()
 
 
 def test_normalizer_relations():

@@ -135,3 +135,37 @@ def test_monic_over_q_with_int_coefficients():
     assert p.terms == {(1, 0, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0, 0): Fraction(1, 3)}
     assert all(type(c) is Fraction for c in p.terms.values())
     assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+
+
+def _det_cases(rng):
+    """Seeded square matrices of integer coefficient triples (linear forms
+    in y1, y2, y3), sizes 1-6, with zero entries, a zero row and repeated
+    rows."""
+    for size in range(1, 7):
+        for _ in range(3):
+            # about one entry in four is the zero form
+            entry = lambda: [0, 0, 0] if rng.random() < 0.25 else [rng.randint(-3, 3) for _ in range(3)]
+            yield [[entry() for _ in range(size)] for _ in range(size)]
+        rows = [[[rng.randint(-3, 3) for _ in range(3)] for _ in range(size)] for _ in range(size)]
+        yield rows[:-1] + [[[0, 0, 0]] * size]
+        if size > 1:
+            yield rows[:-1] + [rows[0]]
+
+
+def test_det_form_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    from heis7.formmat import FormMatrix, det_form
+    from heis7.poly import REG_Y
+
+    ring = sympy.ZZ[sympy.symbols("y1 y2 y3")]
+    rng = random.Random(91)
+    for case in _det_cases(rng):
+        m = FormMatrix([[linear_form(REG_Y, c) for c in row] for row in case])
+        forms = [[sum((a * y for a, y in zip(c, ring.gens)), ring.zero) for c in row] for row in case]
+        want = DomainMatrix(forms, (len(case), len(case)), ring).det()
+        got = det_form(m)
+        assert got.terms == {e: Fraction(int(c)) for e, c in want.terms() if c != 0}, case
+    with pytest.raises(ValueError, match="non-square"):
+        det_form(FormMatrix([[linear_form(REG_Y, [1, 0, 0]), linear_form(REG_Y, [0, 1, 0])]]))
