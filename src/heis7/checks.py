@@ -1,8 +1,18 @@
 """The certification checks behind the command-line verifier.
 
-Every check is a pure function of the run configuration returning a
-CheckResult; the runner assembles them into a Report ordered by check id so
-output is deterministic for a fixed (version, seed, configuration).
+Every check is a pure function of the run context returning a CheckResult;
+the runner assembles them into a Report ordered by check id so output is
+deterministic for a fixed (version, seed, configuration).
+
+A check is added with one decorator and nothing else:
+
+    @declare_id("<suite>.<name>")
+    def check_<name>(ctx):
+        ...
+        return _result(ok, detail_pass, detail_fail)
+
+The decorator registers it in the suite its id begins with (SUITES, in
+definition order), and the body returns only (status, details).
 
 Status semantics: 'pass' and 'fail' are verification verdicts; 'flagged'
 marks findings that need attention but are not artifact failures (resource
@@ -11,6 +21,7 @@ budgets, printed-value discrepancies that independent arithmetic resolves).
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -78,6 +89,15 @@ def coeff_domain(coeff: str):
     raise ValueError(f"unknown coefficient configuration {coeff!r} (expected q or fp:<p>)")
 
 
+def admissible_point(t) -> tuple:
+    """An explicit parameter point as four Fractions; ValueError unless
+    t1 t2 t3 != 0."""
+    t = tuple(Fraction(x) for x in t)
+    if not (t[1] and t[2] and t[3]):
+        raise ValueError("explicit parameter must satisfy t1 t2 t3 != 0")
+    return t
+
+
 class Context:
     """Lazily built shared state for the checks."""
 
@@ -109,10 +129,7 @@ class Context:
             rng = random.Random(self.config.seed)
             out = [(Fraction(1), Fraction(1), Fraction(1), Fraction(1))]
             if self.config.extra_t is not None:
-                t = tuple(Fraction(x) for x in self.config.extra_t)
-                if not (t[1] and t[2] and t[3]):
-                    raise ValueError("explicit parameter must satisfy t1 t2 t3 != 0")
-                out.insert(0, t)
+                out.insert(0, admissible_point(self.config.extra_t))
             while len(out) < self.config.sample_points:
                 t = tuple(
                     Fraction(rng.randint(-13, 13), rng.randint(1, 13)) for _ in range(4)
@@ -146,19 +163,33 @@ def _sl2_char_sum(table, spec: dict) -> CycArray:
     return table.stack(spec).lincomb(list(spec.values()))
 
 
+# the checks of each suite in definition order, keyed by the first
+# component of their ids; filled by @declare_id
+SUITES = {}
+
+
 def declare_id(check_id):
-    """Declare the stable report id of a check, as its `check_id` attribute;
-    a check that crashes is reported under it."""
+    """Register a check under its stable report id, in the suite named by the
+    id's first component.  The body returns (status, details); the
+    registered callable returns the CheckResult under this id, and carries
+    it as `check_id`, so that a crash is reported under it too."""
+    if any(fn.check_id == check_id for fns in SUITES.values() for fn in fns):
+        raise ValueError(f"check id {check_id!r} is already declared")
 
-    def mark(fn):
-        fn.check_id = check_id
-        return fn
+    def register(body):
+        @functools.wraps(body)
+        def check(ctx):
+            return CheckResult(check_id, *body(ctx))
 
-    return mark
+        check.check_id = check_id
+        SUITES.setdefault(check_id.split(".")[0], []).append(check)
+        return check
+
+    return register
 
 
-def _result(check_id, ok, detail_pass, detail_fail=None):
-    return CheckResult(check_id, "pass" if ok else "fail", detail_pass if ok else (detail_fail or detail_pass))
+def _result(ok, detail_pass, detail_fail=None):
+    return ("pass", detail_pass) if ok else ("fail", detail_fail or detail_pass)
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +197,15 @@ def _result(check_id, ok, detail_pass, detail_fail=None):
 
 
 @declare_id("appendix.group.law")
-def check_group_law(ctx: Context) -> CheckResult:
+def check_group_law(ctx: Context):
     from .heisenberg import build_heisenberg, GroupLawError
 
     try:
         h7, g7, stats = build_heisenberg()
     except GroupLawError as exc:
-        return CheckResult("appendix.group.law", "fail", str(exc))
+        return "fail", str(exc)
     ok = stats["order_h7"] == 343 and stats["order_g7"] == 686
     return _result(
-        "appendix.group.law",
         ok,
         f"abstract law agrees with the matrix model on {stats['pairs_checked']} "
         f"pairs; |H7|={stats['order_h7']}, |G7|={stats['order_g7']}; the "
@@ -185,13 +215,12 @@ def check_group_law(ctx: Context) -> CheckResult:
 
 
 @declare_id("appendix.group.normalizer")
-def check_normalizer(ctx: Context) -> CheckResult:
+def check_normalizer(ctx: Context):
     from .heisenberg import verify_normalizer_relations
 
     rels = verify_normalizer_relations()
     bad = [k for k, v in rels.items() if not v]
     return _result(
-        "appendix.group.normalizer",
         not bad,
         f"all {len(rels)} relations hold (conjugations, delta^2 = iota, unit determinants)",
         "failed: " + ", ".join(bad),
@@ -199,7 +228,7 @@ def check_normalizer(ctx: Context) -> CheckResult:
 
 
 @declare_id("appendix.group.classes")
-def check_classes(ctx: Context) -> CheckResult:
+def check_classes(ctx: Context):
     t = ctx.g7
     sizes = sorted(t.classes.sizes)
     ok = (
@@ -210,7 +239,6 @@ def check_classes(ctx: Context) -> CheckResult:
     s = ctx.sl2
     ok2 = s.classes.sizes == (1, 1, 56, 56, 24, 24, 24, 24, 42, 42, 42) and s.classes.group_order() == 336
     return _result(
-        "appendix.group.classes",
         ok and ok2,
         "38 classes with sizes 1/14/49 summing to 686; 11 classes of the "
         "modular group with the printed sizes summing to 336",
@@ -218,7 +246,7 @@ def check_classes(ctx: Context) -> CheckResult:
 
 
 @declare_id("appendix.field.identities")
-def check_field_identities(ctx: Context) -> CheckResult:
+def check_field_identities(ctx: Context):
     a = gauss_sum()
     checks = [
         a * a == Cyc7.from_int(-7),
@@ -238,30 +266,29 @@ def check_field_identities(ctx: Context) -> CheckResult:
         a * eta_const(3) == lam(3) - 2 * lam(1),
     ]
     return _result(
-        "appendix.field.identities",
         all(checks),
         f"all {len(checks)} scalar identities of the eigenvalue bookkeeping hold",
     )
 
 
 @declare_id("appendix.chars.g7")
-def check_orthogonality_g7(ctx: Context) -> CheckResult:
-    return _orthogonality("appendix.chars.g7", ctx.g7, 686)
+def check_orthogonality_g7(ctx: Context):
+    return _orthogonality(ctx.g7, 686)
 
 
 @declare_id("appendix.chars.sl2")
-def check_orthogonality_sl2(ctx: Context) -> CheckResult:
-    return _orthogonality("appendix.chars.sl2", ctx.sl2, 336)
+def check_orthogonality_sl2(ctx: Context):
+    return _orthogonality(ctx.sl2, 336)
 
 
-def _orthogonality(check_id, t, order: int) -> CheckResult:
+def _orthogonality(t, order: int):
     ok, msg = t.orthogonality_report()
     dimsq = sum(int(t.rows[lb].values[t.identity_class].rational_value()) ** 2 for lb in t.labels)
-    return _result(check_id, ok and dimsq == order, f"{msg}; sum of squared degrees = {dimsq}", msg)
+    return _result(ok and dimsq == order, f"{msg}; sum of squared degrees = {dimsq}", msg)
 
 
 @declare_id("appendix.chars.matrix_rows")
-def check_char_of_rep(ctx: Context) -> CheckResult:
+def check_char_of_rep(ctx: Context):
     from .characters import char_of_rep
     from .heisenberg import IOTA, SIGMA, TAU, dense_galois
 
@@ -278,7 +305,7 @@ def check_char_of_rep(ctx: Context) -> CheckResult:
         "on the unsharped rows (the classical display attaches that sign to "
         "the sharped rows)"
     )
-    return _result("appendix.chars.matrix_rows", ok, detail)
+    return _result(ok, detail)
 
 
 def _twist_row(twist, a, b=0):
@@ -288,7 +315,7 @@ def _twist_row(twist, a, b=0):
 
 
 @declare_id("appendix.decomp.tensor")
-def check_tensor_rows(ctx: Context) -> CheckResult:
+def check_tensor_rows(ctx: Context):
     t = ctx.g7
     V = t.stack([f"V{i}" for i in range(6)])
     # V_i V_(i+d) for d = 0..3, at item 4 i + d
@@ -301,7 +328,6 @@ def check_tensor_rows(ctx: Context) -> CheckResult:
             if got[4 * i + k] != want:
                 bad.append(f"tensor case {k} at twist {i}")
     return _result(
-        "appendix.decomp.tensor",
         not bad,
         "all 24 displayed tensor-square decompositions reproduce exactly",
         "; ".join(bad),
@@ -309,7 +335,7 @@ def check_tensor_rows(ctx: Context) -> CheckResult:
 
 
 @declare_id("appendix.decomp.exterior")
-def check_exterior_rows(ctx: Context) -> CheckResult:
+def check_exterior_rows(ctx: Context):
     t = ctx.g7
     V = t.stack([f"V{i}" for i in range(6)])
     expected = {
@@ -329,7 +355,6 @@ def check_exterior_rows(ctx: Context) -> CheckResult:
             if got[6 * n + i] != exp(i):
                 bad.append(f"wedge^{k} of twist {i}")
     return _result(
-        "appendix.decomp.exterior",
         not bad,
         "all 36 displayed exterior-power rows reproduce exactly",
         "; ".join(bad),
@@ -361,7 +386,7 @@ SYM_PRINTED_DISCREPANCIES = {
 
 
 @declare_id("appendix.decomp.symmetric")
-def check_symmetric_rows(ctx: Context) -> CheckResult:
+def check_symmetric_rows(ctx: Context):
     t = ctx.g7
     # S^2..S^14 of every twist from one Newton recursion, decomposed as one
     # batch: S^k of twist i at got[k][i]
@@ -386,7 +411,6 @@ def check_symmetric_rows(ctx: Context) -> CheckResult:
             if got[k][i] != want:
                 bad.append(f"S^{k} of twist {i}")
     return _result(
-        "appendix.decomp.symmetric",
         not bad,
         "all symmetric-power rows S^2..S^14 reproduce exactly for every twist "
         "(four printed rows corrected by the dimension and involution-trace "
@@ -396,17 +420,13 @@ def check_symmetric_rows(ctx: Context) -> CheckResult:
 
 
 @declare_id("appendix.decomp.symmetric_printed_errata")
-def check_symmetric_errata(ctx: Context) -> CheckResult:
+def check_symmetric_errata(ctx: Context):
     lines = [f"S^{k}: {msg}" for k, msg in sorted(SYM_PRINTED_DISCREPANCIES.items())]
-    return CheckResult(
-        "appendix.decomp.symmetric_printed_errata",
-        "flagged",
-        "printed symmetric-power values needing correction: " + " | ".join(lines),
-    )
+    return "flagged", "printed symmetric-power values needing correction: " + " | ".join(lines)
 
 
 @declare_id("appendix.decomp.omega3")
-def check_omega3_rows(ctx: Context) -> CheckResult:
+def check_omega3_rows(ctx: Context):
     from .characters import omega3_sections_char
 
     t = ctx.g7
@@ -425,7 +445,6 @@ def check_omega3_rows(ctx: Context) -> CheckResult:
         if flagged or got != want:
             bad.append(f"twisted three-forms at k={k}")
     return _result(
-        "appendix.decomp.omega3",
         not bad,
         "the eight displayed section rows k=3..10 reproduce exactly via the "
         "truncated Koszul alternating sum",
@@ -434,7 +453,7 @@ def check_omega3_rows(ctx: Context) -> CheckResult:
 
 
 @declare_id("appendix.decomp.sections")
-def check_h0_oa_rows(ctx: Context) -> CheckResult:
+def check_h0_oa_rows(ctx: Context):
     from .characters import h0_oa_decomposition
 
     expected = {
@@ -463,7 +482,6 @@ def check_h0_oa_rows(ctx: Context) -> CheckResult:
         if dim != 7 * k * k or dim != dim_want or tr != want_tr:
             bad.append(f"k={k} consistency")
     return _result(
-        "appendix.decomp.sections",
         not bad,
         "the fourteen section rows reproduce (k=7,14 checked for dimension "
         "7k^2 and involution trace, the split being irrecoverable from the "
@@ -532,7 +550,7 @@ SL2_PRODUCTS = {
 
 
 @declare_id("appendix.decomp.sl2_products")
-def check_sl2_products(ctx: Context) -> CheckResult:
+def check_sl2_products(ctx: Context):
     t = ctx.sl2
     left, right = zip(*SL2_PRODUCTS)
     decs = t.decompose(t.stack(left) * t.stack(right))
@@ -541,7 +559,6 @@ def check_sl2_products(ctx: Context) -> CheckResult:
         if got.mults != {k: v for k, v in want.items()}:
             bad.append(f"{a} x {b}: got {got}")
     return _result(
-        "appendix.decomp.sl2_products",
         not bad,
         f"all {len(SL2_PRODUCTS)} displayed products of modular-group "
         "characters decompose exactly as printed",
@@ -550,7 +567,7 @@ def check_sl2_products(ctx: Context) -> CheckResult:
 
 
 @declare_id("appendix.decomp.plane_quartics")
-def check_sym_w_rows(ctx: Context) -> CheckResult:
+def check_sym_w_rows(ctx: Context):
     t = ctx.sl2
     cases = [
         ("W", 2, {"T": 1}),
@@ -567,7 +584,6 @@ def check_sym_w_rows(ctx: Context) -> CheckResult:
     # unique invariant quartic
     unique = got[5].mults.get("I", 0) == 1
     return _result(
-        "appendix.decomp.plane_quartics",
         not bad and unique,
         "symmetric powers of the plane representations match; the quartic "
         "invariant line is unique (multiplicity of I in S^4 W' is 1)",
@@ -576,7 +592,7 @@ def check_sym_w_rows(ctx: Context) -> CheckResult:
 
 
 @declare_id("appendix.decomp.schroedinger_dual")
-def check_vv_dual(ctx: Context) -> CheckResult:
+def check_vv_dual(ctx: Context):
     from .heisenberg import HElem, MU, NU, delta_dense, dense_mul, dense_trace
 
     t = ctx.g7
@@ -596,7 +612,6 @@ def check_vv_dual(ctx: Context) -> CheckResult:
             if not val.is_rational():
                 rationals = False
     return _result(
-        "appendix.decomp.schroedinger_dual",
         not bad and rationals,
         "V tensor V-dual contains the trivial character exactly once, the "
         "complement summing all 24 two-dimensional characters; its character "
@@ -606,7 +621,7 @@ def check_vv_dual(ctx: Context) -> CheckResult:
 
 
 @declare_id("appendix.restrictions")
-def check_restrictions(ctx: Context) -> CheckResult:
+def check_restrictions(ctx: Context):
     from .heisenberg import MU, VPLUS_BASIS, restrict_to_span, restriction_matrices
     from .field import zeta
 
@@ -638,7 +653,6 @@ def check_restrictions(ctx: Context) -> CheckResult:
     mt = restrict_to_span(MU, VPLUS_BASIS)
     ok &= mt == [[c0, c1, c0], [c0, c0, c1], [c1, c0, c0]]
     return _result(
-        "appendix.restrictions",
         bool(ok),
         "all six displayed eigenspace restrictions match entry for entry "
         "(the displayed permutation matrices belong to the index-halving map, "
@@ -693,7 +707,7 @@ def _sl2_restriction_split(ctx, spec):
 
 
 @declare_id("appendix.decomp.normalizer_rows")
-def check_a4_rows(ctx: Context) -> CheckResult:
+def check_a4_rows(ctx: Context):
     from .characters import omega3_sections_char
 
     t = ctx.g7
@@ -741,7 +755,6 @@ def check_a4_rows(ctx: Context) -> CheckResult:
     if not ok_c:
         bad.append(detail_c)
     return _result(
-        "appendix.decomp.normalizer_rows",
         not bad,
         "all normalizer-level rows verified: dimensions, restriction to the "
         f"Heisenberg-involution group, and {detail_c}",
@@ -827,7 +840,7 @@ def _j_ideal():
 
 
 @declare_id("syzygy.net_kernel")
-def check_j_kernel(ctx: Context) -> CheckResult:
+def check_j_kernel(ctx: Context):
     from .moduli import delta_ops, f_basis
     from .poly import REG_U, coefficient_rows, kernel_of_operators, monomial_basis
 
@@ -845,7 +858,6 @@ def check_j_kernel(ctx: Context) -> CheckResult:
         and mat_rank(coefficient_rows([*gens, v[1], v[2], v[3]], monos), QQ) == 10
     )
     return _result(
-        "syzygy.net_kernel",
         ok,
         "the annihilated quadrics form the 7-dimensional span of the seven "
         "printed generators; degree-1 kernel is everything; the complement "
@@ -854,7 +866,7 @@ def check_j_kernel(ctx: Context) -> CheckResult:
 
 
 @declare_id("syzygy.apolar_ideal")
-def check_j_resolution(ctx: Context) -> CheckResult:
+def check_j_resolution(ctx: Context):
     from .resolution import free_resolution
 
     J = _j_ideal()
@@ -868,7 +880,6 @@ def check_j_resolution(ctx: Context) -> CheckResult:
         and bt.alternating_sums() == hd.numerator
     )
     return _result(
-        "syzygy.apolar_ideal",
         ok,
         "minimal resolution (1; 7 8; 3 8 3) over Q, Hilbert function "
         "(1,4,3,0), alternating sums match the Hilbert numerator exactly",
@@ -877,7 +888,7 @@ def check_j_resolution(ctx: Context) -> CheckResult:
 
 
 @declare_id("syzygy.membership")
-def check_j_membership(ctx: Context) -> CheckResult:
+def check_j_membership(ctx: Context):
     from .moduli import _poly
     from .poly import REG_U
 
@@ -892,7 +903,6 @@ def check_j_membership(ctx: Context) -> CheckResult:
         and not gb.contains(u("u0*u1"))
     )
     return _result(
-        "syzygy.membership",
         ok,
         "normal forms certify membership: the pure square and its powers lie "
         "in the ideal (every cubic does, the quotient vanishing in degree 3), "
@@ -901,7 +911,7 @@ def check_j_membership(ctx: Context) -> CheckResult:
 
 
 @declare_id("syzygy.twisted_cubic")
-def check_twisted_cubic(ctx: Context) -> CheckResult:
+def check_twisted_cubic(ctx: Context):
     from .groebner import GradedIdeal
     from .moduli import delta_criterion, AlphaMatrix, _poly
     from .poly import REG_U
@@ -931,7 +941,6 @@ def check_twisted_cubic(ctx: Context) -> CheckResult:
         and delta_criterion(alpha)
     )
     return _result(
-        "syzygy.twisted_cubic",
         ok,
         "the equational curve: resolution (1; 3 2), Hilbert function 3d+1, "
         "degree 3, syzygy matrix round trip regenerates the ideal, and the "
@@ -944,7 +953,7 @@ REG_W = VarRegistry(["w", "x", "y", "z"])
 
 
 @declare_id("syzygy.plane_cubic_point")
-def check_fixture_betti(ctx: Context) -> CheckResult:
+def check_fixture_betti(ctx: Context):
     from .groebner import GradedIdeal
     from .moduli import _poly
     from .resolution import free_resolution, intersect
@@ -959,7 +968,6 @@ def check_fixture_betti(ctx: Context) -> CheckResult:
     same = sorted(str(g) for g in idem.gens) == sorted(str(g) for g in A.gens)
     ok = bt.entries == want and same
     return _result(
-        "syzygy.plane_cubic_point",
         ok,
         "the plane-cubic-union-point fixture resolves as (1; 3 3 1; 1 1) via "
         "block-order intersection; intersection is idempotent",
@@ -968,7 +976,7 @@ def check_fixture_betti(ctx: Context) -> CheckResult:
 
 
 @declare_id("syzygy.common_factor_reject")
-def check_hb_reject(ctx: Context) -> CheckResult:
+def check_hb_reject(ctx: Context):
     from .moduli import _poly
     from .poly import REG_U
     from .resolution import NotHilbertBurch, hilbert_burch
@@ -977,18 +985,12 @@ def check_hb_reject(ctx: Context) -> CheckResult:
     try:
         hilbert_burch([u("u0*u1"), u("u0*u2"), u("u0*u3")])
     except NotHilbertBurch as exc:
-        return CheckResult(
-            "syzygy.common_factor_reject",
-            "pass",
-            f"common-linear-factor fixture rejected: {exc}",
-        )
-    return CheckResult(
-        "syzygy.common_factor_reject", "fail", "dependent-minors fixture was accepted"
-    )
+        return "pass", f"common-linear-factor fixture rejected: {exc}"
+    return "fail", "dependent-minors fixture was accepted"
 
 
 @declare_id("syzygy.pfaffian_square")
-def check_pfaffian_det(ctx: Context) -> CheckResult:
+def check_pfaffian_det(ctx: Context):
     from .formmat import FormMatrix, det_form, pfaffian
     from .poly import REG_Y, Poly, linear_form
 
@@ -1005,7 +1007,6 @@ def check_pfaffian_det(ctx: Context) -> CheckResult:
         m = FormMatrix(e)
         ok &= pfaffian(m) * pfaffian(m) == det_form(m)
     return _result(
-        "syzygy.pfaffian_square",
         bool(ok),
         "squared Pfaffians equal determinants on seeded alternating matrices "
         "of sizes 2, 4, 6",
@@ -1013,7 +1014,7 @@ def check_pfaffian_det(ctx: Context) -> CheckResult:
 
 
 @declare_id("syzygy.field_agreement")
-def check_q_vs_fp(ctx: Context) -> CheckResult:
+def check_q_vs_fp(ctx: Context):
     from .groebner import GradedIdeal
     from .poly import REG_U
     from .resolution import free_resolution
@@ -1027,14 +1028,12 @@ def check_q_vs_fp(ctx: Context) -> CheckResult:
     bq = free_resolution(J)
     bp = free_resolution(Jp)
     if bq.entries == bp.entries:
-        return CheckResult(
-            "syzygy.field_agreement",
+        return (
             "pass",
             f"Betti tables over Q and over {'the default prime field' if default else dom.name} "
             "agree on the apolar-ideal fixture",
         )
-    return CheckResult(
-        "syzygy.field_agreement",
+    return (
         "flagged",
         f"semicontinuity proxy disagrees: Q gives {sorted(bq.entries.items())}, "
         f"{'prime field' if default else dom.name} gives {sorted(bp.entries.items())}",
@@ -1046,7 +1045,7 @@ def check_q_vs_fp(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.wedge_vectors")
-def check_wedge(ctx: Context) -> CheckResult:
+def check_wedge(ctx: Context):
     from .moduli import Wedge3, wedge_reps
 
     reps, comp = wedge_reps()
@@ -1057,7 +1056,6 @@ def check_wedge(ctx: Context) -> CheckResult:
     ok &= reps[3].entries[0] == Wedge3.term(0, 4, 3)
     ok &= comp[0] == Wedge3.term(1, 4, 2) + Wedge3.term(6, 3, 5)
     return _result(
-        "moduli.wedge_vectors",
         bool(ok),
         "the four equivariant wedge vectors and the invariant complement "
         "line match the displays, with shift-equivariant entries",
@@ -1065,12 +1063,11 @@ def check_wedge(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.composition_matrices")
-def check_b_matrices(ctx: Context) -> CheckResult:
+def check_b_matrices(ctx: Context):
     from .moduli import composition_table_report
 
     fails = composition_table_report()
     return _result(
-        "moduli.composition_matrices",
         not fails,
         "all sixteen wedge compositions match: three displayed matrices with "
         "their sign relations, commutativity, and the seven vanishing pairs",
@@ -1079,8 +1076,8 @@ def check_b_matrices(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.block_rank_probe")
-def check_b_rank_probe(ctx: Context) -> CheckResult:
-    from .moduli import AlphaMatrix, minors_and_independence, alpha_t
+def check_b_rank_probe(ctx: Context):
+    from .moduli import minors_and_independence, alpha_t
 
     rng = random.Random(ctx.config.seed + 7)
     ok = True
@@ -1096,7 +1093,6 @@ def check_b_rank_probe(ctx: Context) -> CheckResult:
                 ok = False
             trials += 1
     return _result(
-        "moduli.block_rank_probe",
         ok,
         f"each nonzero block combination has rank exactly 6 at the probe "
         f"point (1..7); {trials} blocks sampled",
@@ -1104,7 +1100,7 @@ def check_b_rank_probe(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.annihilation_equivalence")
-def check_delta_equivalence(ctx: Context) -> CheckResult:
+def check_delta_equivalence(ctx: Context):
     from .moduli import (
         AlphaMatrix,
         alpha_compose,
@@ -1140,7 +1136,6 @@ def check_delta_equivalence(ctx: Context) -> CheckResult:
     if not (alpha_compose_is_zero(alpha_compose(zero_alpha)) and delta_criterion(zero_alpha)):
         mismatches += 1
     return _result(
-        "moduli.annihilation_equivalence",
         mismatches == 0,
         f"composition vanishing and the net criterion agree on {n} seeded "
         f"matrices ({zero_cases} generically zero), the pipeline matrices, "
@@ -1150,7 +1145,7 @@ def check_delta_equivalence(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.parametrization_point")
-def check_psi(ctx: Context) -> CheckResult:
+def check_psi(ctx: Context):
     from .moduli import psi
 
     p = psi((1, 1, 1, 1))
@@ -1158,7 +1153,6 @@ def check_psi(ctx: Context) -> CheckResult:
     ok = p.rows[0] == row and p.rank() == 3
     ok &= psi((1, 0, 0, 0)).rank() < 3
     return _result(
-        "moduli.parametrization_point",
         bool(ok),
         "first row at the all-ones point is (-1,2,-1,0,1,-1,0) with full "
         "rank; the point (1:0:0:0) is rank-deficient",
@@ -1166,19 +1160,17 @@ def check_psi(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.net_membership")
-def check_eta_membership(ctx: Context) -> CheckResult:
+def check_eta_membership(ctx: Context):
     from .moduli import equational_point, grass_membership, psi, GrassPoint
 
     ok, vals = grass_membership(equational_point())
     if not ok:
-        return CheckResult("moduli.net_membership", "fail", "equational point fails")
+        return "fail", "equational point fails"
     count = 0
     for t in ctx.sample_ts():
         got, _ = grass_membership(psi(t))
         if not got:
-            return CheckResult(
-                "moduli.net_membership", "fail", f"parametrized point at t={_point(t)} fails"
-            )
+            return "fail", f"parametrized point at t={_point(t)} fails"
         count += 1
     rng = random.Random(ctx.config.seed + 13)
     negatives = 0
@@ -1190,7 +1182,6 @@ def check_eta_membership(ctx: Context) -> CheckResult:
             if not got:
                 negatives += 1
     return _result(
-        "moduli.net_membership",
         negatives > 0,
         f"the equational point and {count} parametrized points satisfy all "
         f"nine contraction conditions; {negatives}/5 seeded random planes "
@@ -1200,7 +1191,7 @@ def check_eta_membership(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.family_matrix")
-def check_alpha_family(ctx: Context) -> CheckResult:
+def check_alpha_family(ctx: Context):
     from .moduli import (
         DegenerateParameter,
         alpha_t,
@@ -1208,32 +1199,25 @@ def check_alpha_family(ctx: Context) -> CheckResult:
         minor_span_pairing,
         psi,
     )
-    from .resolution import NotHilbertBurch, hb_minors, hilbert_burch
+    from .resolution import NotHilbertBurch, hilbert_burch
 
     pairings = set()
     for t in ctx.sample_ts()[:8]:
         a = alpha_t(t)
         if not delta_criterion(a):
-            return CheckResult(
-                "moduli.family_matrix", "fail", f"net criterion fails at t={_point(t)}"
-            )
+            return "fail", f"net criterion fails at t={_point(t)}"
         pairings.add(minor_span_pairing(a, psi(t)))
         try:
             mat = hilbert_burch(a.minors())
         except NotHilbertBurch as exc:
-            return CheckResult(
-                "moduli.family_matrix", "fail", f"round trip fails at t={_point(t)}: {exc}"
-            )
+            return "fail", f"round trip fails at t={_point(t)}: {exc}"
     try:
         alpha_t((1, 0, 0, 0))
-        return CheckResult(
-            "moduli.family_matrix", "fail", "degenerate parameter accepted"
-        )
+        return "fail", "degenerate parameter accepted"
     except DegenerateParameter:
         pass
     ok = pairings == {"generator-list-order"}
     return _result(
-        "moduli.family_matrix",
         ok,
         "minor spans match the parametrization rows under the net-kernel "
         "generator enumeration (the display enumeration transposes the two "
@@ -1243,7 +1227,7 @@ def check_alpha_family(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.plane_quartic")
-def check_klein_suite(ctx: Context) -> CheckResult:
+def check_klein_suite(ctx: Context):
     from .moduli import (
         epsilon_identity_report,
         klein_invariance_report,
@@ -1265,7 +1249,6 @@ def check_klein_suite(ctx: Context) -> CheckResult:
         and all(eps.values())
     )
     return _result(
-        "moduli.plane_quartic",
         ok,
         "the quartic is invariant under all three restricted generators; the "
         "seven principal sub-Pfaffians annihilate it and span the full "
@@ -1278,7 +1261,7 @@ def check_klein_suite(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.invariant_cubics")
-def check_d_vector(ctx: Context) -> CheckResult:
+def check_d_vector(ctx: Context):
     from .moduli import _poly, d_vector, tau_x_images
     from .poly import REG_X
 
@@ -1299,7 +1282,6 @@ def check_d_vector(ctx: Context) -> CheckResult:
         q = p.map_coeffs(CYC.coerce, CYC)
         ok = ok and q.substitute(taui) == q
     return _result(
-        "moduli.invariant_cubics",
         bool(ok),
         "all seven phase-invariant cubics match the classical display (one "
         "variant display prints a degree-six fourth entry; homogeneity and "
@@ -1309,10 +1291,11 @@ def check_d_vector(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.surface_pipeline")
-def check_surface_pipeline(ctx: Context) -> CheckResult:
+def check_surface_pipeline(ctx: Context):
     from .characters import subspace_character
     from .groebner import ideal_hf_oracle
-    from .moduli import grass_membership, iota_x_images, psi, sigma_x_images, tau_x_images
+    from .moduli import grass_membership, psi
+    from .poly import REG_U, coefficient_rows, monomial_basis
     from .resolution import NotHilbertBurch, hb_minors, hilbert_burch
 
     table = ctx.g7
@@ -1353,15 +1336,12 @@ def check_surface_pipeline(ctx: Context) -> CheckResult:
             failures.append(f"t={_point(t)}: curve shape: {exc}")
             continue
         minors = hb_minors(mat)
-        from .poly import coefficient_rows, monomial_basis, REG_U
-
         rows = coefficient_rows([*minors, *q.quadrics()], monomial_basis(REG_U, 2))
         if mat_rank(rows, QQ) != 3:
             failures.append(f"t={_point(t)}: round trip span")
     n = len(surfaces)
     notes = "".join(f"; {m}" for m in moved)
     return _result(
-        "moduli.surface_pipeline",
         not failures,
         f"at all {n} seeded admissible parameters: 21 independent cubics, "
         "quotient dimensions (7,28,63,112) [no quadrics], stable span with "
@@ -1372,7 +1352,7 @@ def check_surface_pipeline(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.surface_resolution")
-def check_surface_betti(ctx: Context) -> CheckResult:
+def check_surface_betti(ctx: Context):
     from .resolution import free_resolution
 
     base = ctx.config.resolution_domain()
@@ -1383,8 +1363,7 @@ def check_surface_betti(ctx: Context) -> CheckResult:
     hd = ideal.hilbert()
     want_numerator = {0: 1, 3: -21, 4: 49, 5: -42, 6: 14, 7: -1}
     if hd.numerator != want_numerator:
-        return CheckResult(
-            "moduli.surface_resolution",
+        return (
             "fail",
             f"Hilbert numerator {sorted(hd.numerator.items())} differs from "
             "the expected alternating sums" + moved,
@@ -1400,14 +1379,9 @@ def check_surface_betti(ctx: Context) -> CheckResult:
         (5, 7): 2,
     }
     if bt.alternating_sums() != hd.numerator:
-        return CheckResult(
-            "moduli.surface_resolution",
-            "fail",
-            "resolution alternating sums disagree with the Hilbert numerator" + moved,
-        )
+        return "fail", "resolution alternating sums disagree with the Hilbert numerator" + moved
     if not bt.complete:
-        return CheckResult(
-            "moduli.surface_resolution",
+        return (
             "flagged",
             f"budget exhausted ({bt.note}); partial table "
             f"{sorted(bt.entries.items())} is consistent with the Hilbert "
@@ -1417,8 +1391,7 @@ def check_surface_betti(ctx: Context) -> CheckResult:
     if dom is not QQ:
         bq = free_resolution(S.ideal(QQ), degree_cap=max(ctx.config.budget_degree, 9))
         if bq.complete and bq.entries != bt.entries:
-            return CheckResult(
-                "moduli.surface_resolution",
+            return (
                 "flagged",
                 "prime-field and rational Betti tables disagree "
                 f"(semicontinuity proxy): fp {sorted(bt.entries.items())} vs "
@@ -1427,7 +1400,6 @@ def check_surface_betti(ctx: Context) -> CheckResult:
         cross = "; the rational-coefficient run gives the same table"
     ok = bt.entries == want
     return _result(
-        "moduli.surface_resolution",
         ok,
         "minimal free resolution of the surface ideal matches the published "
         "table exactly: 21, 49, 42, 14, 2 in the cubic strand plus the lone "
@@ -1438,7 +1410,7 @@ def check_surface_betti(ctx: Context) -> CheckResult:
 
 
 @declare_id("moduli.surface_stability")
-def check_surface_stability(ctx: Context) -> CheckResult:
+def check_surface_stability(ctx: Context):
     from .characters import SpanSolver
     from .moduli import iota_x_images, sigma_x_images, tau_x_images
 
@@ -1456,7 +1428,6 @@ def check_surface_stability(ctx: Context) -> CheckResult:
         if not solver.is_stable_under(tau_x_images()):
             failures.append(f"t={_point(S.t)}: phase")
     return _result(
-        "moduli.surface_stability",
         not failures,
         "the 21-dimensional cubic spans are stable under the shift, phase "
         "and involution substitutions at the sampled parameters",
@@ -1465,66 +1436,21 @@ def check_surface_stability(ctx: Context) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# suites and the report
-
-
-SUITES = {
-    "appendix": [
-        check_group_law,
-        check_normalizer,
-        check_classes,
-        check_field_identities,
-        check_orthogonality_g7,
-        check_orthogonality_sl2,
-        check_char_of_rep,
-        check_tensor_rows,
-        check_exterior_rows,
-        check_symmetric_rows,
-        check_symmetric_errata,
-        check_omega3_rows,
-        check_h0_oa_rows,
-        check_sl2_products,
-        check_sym_w_rows,
-        check_vv_dual,
-        check_restrictions,
-        check_a4_rows,
-    ],
-    "syzygy": [
-        check_j_kernel,
-        check_j_resolution,
-        check_j_membership,
-        check_twisted_cubic,
-        check_fixture_betti,
-        check_hb_reject,
-        check_pfaffian_det,
-        check_q_vs_fp,
-    ],
-    "moduli": [
-        check_wedge,
-        check_b_matrices,
-        check_b_rank_probe,
-        check_delta_equivalence,
-        check_psi,
-        check_eta_membership,
-        check_alpha_family,
-        check_klein_suite,
-        check_d_vector,
-        check_surface_stability,
-        check_surface_pipeline,
-        check_surface_betti,
-    ],
-}
+# running suites and the report
 
 
 def run_suite(suite: str, config: RunConfig = None) -> dict:
-    """Run a named suite ('appendix' | 'syzygy' | 'moduli' | 'all')."""
+    """Run a suite of SUITES, or 'all' of them.  An unknown suite or an
+    inadmissible explicit point raises ValueError before any check runs."""
     config = config or RunConfig()
     if suite == "all":
-        fns = [f for name in ("appendix", "syzygy", "moduli") for f in SUITES[name]]
+        fns = [fn for checks in SUITES.values() for fn in checks]
     elif suite in SUITES:
         fns = SUITES[suite]
     else:
         raise ValueError(f"unknown suite {suite!r}")
+    if config.extra_t is not None:
+        admissible_point(config.extra_t)
     ctx = Context(config)
     results = []
     for fn in fns:

@@ -20,17 +20,20 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .checks import RunConfig, coeff_domain, report_json_bytes, report_to_text, run_suite
+from .checks import SUITES, RunConfig, coeff_domain, report_json_bytes, report_to_text, run_suite
 
 
 def _parse_t(s: str):
-    parts = s.split(",")
+    parts = [p.strip() for p in s.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected four comma-separated rationals")
-    try:
-        return tuple(Fraction(p.strip()) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    t = []
+    for p in parts:
+        try:
+            t.append(Fraction(p))
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"{p!r} is not a rational number") from None
+    return tuple(t)
 
 
 def _parse_coeff(s: str) -> str:
@@ -67,7 +70,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=["appendix", "syzygy", "moduli", "all"])
+    v.add_argument("suite", choices=[*SUITES, "all"])
     v.add_argument("--t", type=_parse_t, default=None, help="extra parameter point")
     _add_common(v)
 

@@ -6,7 +6,18 @@ from heis7 import formmat, heisenberg, moduli, poly
 from heis7.characters import CharTable
 from heis7.field import CycArray
 from heis7.poly import Poly
-from heis7.checks import SUITES, RunConfig, check_group_law, report_json_bytes, run_suite
+from heis7 import checks
+from heis7.checks import (
+    SUITES,
+    CheckResult,
+    RunConfig,
+    _result,
+    check_group_law,
+    declare_id,
+    report_json_bytes,
+    run_suite,
+)
+from heis7.cli import build_parser
 
 
 def test_crashing_check_is_reported_under_its_id(monkeypatch):
@@ -20,6 +31,44 @@ def test_crashing_check_is_reported_under_its_id(monkeypatch):
         {"id": "appendix.group.law", "status": "fail", "details": "unhandled error: boom", "ms": 0}
     ]
     assert report["summary"] == {"pass": 0, "fail": 1, "flagged": 0}
+
+
+def test_declare_id_registers_each_check_once_in_definition_order(monkeypatch):
+    registry = {}
+    monkeypatch.setattr(checks, "SUITES", registry)
+
+    @declare_id("demo.second")
+    def check_second(ctx):
+        return "flagged", "noted"
+
+    @declare_id("demo.first")
+    def check_first(ctx):
+        return _result(False, "fine", "broken")
+
+    assert registry == {"demo": [check_second, check_first]}
+    assert check_second.__name__ == "check_second" and check_second.check_id == "demo.second"
+    assert check_first(None) == CheckResult("demo.first", "fail", "broken")
+    # run_suite reads the registry when it is called; reports sort by id
+    report = run_suite("demo")
+    assert [(c["id"], c["status"]) for c in report["checks"]] == [("demo.first", "fail"), ("demo.second", "flagged")]
+
+
+def test_declaring_a_registered_id_is_refused():
+    with pytest.raises(ValueError, match="'appendix.group.law' is already declared"):
+        declare_id("appendix.group.law")
+    assert [fn.check_id for fn in SUITES["appendix"]].count("appendix.group.law") == 1
+
+
+def test_suites_hold_38_checks_named_by_their_suite():
+    assert {suite: len(fns) for suite, fns in SUITES.items()} == {"appendix": 18, "syzygy": 8, "moduli": 12}
+    for suite, fns in SUITES.items():
+        assert all(fn.check_id.startswith(suite + ".") for fn in fns), suite
+
+
+def test_verify_accepts_exactly_the_registered_suites():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert suite.choices == [*SUITES, "all"]
 
 
 # report sha256 of the scaled seed-42 run below; the certify benchmark gates

@@ -34,6 +34,24 @@ def test_verify_unknown_suite_usage_error():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("t", ["1,0,1,1", "0,0,0,0"])
+def test_verify_refuses_an_inadmissible_point(t, capsys):
+    # refused before any check runs: no report, a usage error
+    assert main(["verify", "moduli", "--t", t]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: explicit parameter must satisfy t1 t2 t3 != 0\n"
+
+
+@pytest.mark.parametrize("t, part", [("1/0,1,1,1", "'1/0'"), ("1,1,x,1", "'x'")])
+def test_verify_names_a_part_of_t_that_is_not_rational(t, part, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "moduli", "--t", t, "--quiet"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --t: {part} is not a rational number" in err, err
+
+
 def test_surface_degenerate_parameter():
     r = run("surface", "--t", "1,0,0,0", "--quiet")
     assert r.returncode != 0
