@@ -191,7 +191,11 @@ def cmd_grassmann(args) -> int:
         point = GrassPoint([vals[0:7], vals[7:14], vals[14:21]])
         label = "raw plane"
     elif args.t is not None:
-        point = psi(args.t)
+        try:
+            point = psi(args.t)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         label = f"parametrized plane at ({':'.join(str(x) for x in args.t)})"
     else:
         print("error: need one of --t, --equational, --raw", file=sys.stderr)

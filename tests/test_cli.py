@@ -43,6 +43,11 @@ def test_verify_refuses_an_inadmissible_point(t, capsys):
     assert err == "error: explicit parameter must satisfy t1 t2 t3 != 0\n"
 
 
+def test_grassmann_refuses_the_zero_point(capsys):
+    assert main(["grassmann", "--t", "0,0,0,0"]) == 2
+    assert capsys.readouterr().err == "error: t must be a point of projective 3-space\n"
+
+
 @pytest.mark.parametrize("t, part", [("1/0,1,1,1", "'1/0'"), ("1,1,x,1", "'x'")])
 def test_verify_names_a_part_of_t_that_is_not_rational(t, part, capsys):
     with pytest.raises(SystemExit) as exit_info:
