@@ -29,7 +29,9 @@ from functools import cache
 from math import lcm
 from typing import NamedTuple
 
-from .field import CYC, QQ, DualDomain, DualNum, FpDomain, fp
+import numpy as np
+
+from .field import _WIDE, CYC, QQ, DualDomain, DualNum, FpDomain, fp
 from .formmat import FormMatrix, det_form, pfaffian_vector
 from .groebner import GradedIdeal
 from .characters import weight_blocks
@@ -327,12 +329,35 @@ class AlphaMatrix:
 
 
 def _lin_coeffs(p: Poly):
+    if p.dom is not QQ:
+        raise ValueError(f"alpha entry {render_poly(p)} is over {p.dom.name}, not Q")
     out = [QQ.zero] * 4
     for e, c in p.terms.items():
         if sum(e) != 1:
             raise ValueError(f"alpha entry {render_poly(p)} is not a linear form")
         out[e.index(1)] = c
     return out
+
+
+def _coefficient_products(alpha: AlphaMatrix, norm: int):
+    """(C, den): the products of alpha's coefficients that both criteria
+    contract, as a 9 x 16 integer array over one denominator.
+
+    The 24 coefficients are cleared to integers a_rc[k] by their lcm D, and
+    C[3r + s, 4k + l] = a_r0[k] a_s1[l] - a_r1[k] a_s0[l] over den = D^2, so
+    that a_r0 a_s1 - a_r1 a_s0 = sum_kl C[3r + s, 4k + l] u_k u_l / den.  C
+    is int64 while its contraction with any integer matrix whose columns
+    have absolute sums at most `norm` stays below 2^62, and Python ints
+    otherwise.
+    """
+    coeffs = [_lin_coeffs(p) for row in alpha.entries for p in row]
+    d = lcm(*(c.denominator for v in coeffs for c in v))
+    ints = [c.numerator * (d // c.denominator) for v in coeffs for c in v]
+    top = max(map(abs, ints))
+    a = np.array(ints, dtype=np.int64 if 2 * top * top * norm < _WIDE else object)
+    x, y = a.reshape(3, 2, 4).transpose(1, 0, 2)
+    c = x[:, None, :, None] * y[None, :, None, :] - y[:, None, :, None] * x[None, :, None, :]
+    return c.reshape(9, 16), d * d
 
 
 @cache
@@ -362,6 +387,24 @@ def composition_tensor():
     return tuple(table)
 
 
+@cache
+def _composition_columns():
+    """(T, keys, norm): composition_tensor() as a dense 16 x m int64 matrix.
+
+    T[4k + l, i] is the coefficient of x_var at (row, col) = keys[i][:2] of
+    compose_u(k, l), var = keys[i][2], over the m positions that some
+    compose_u(k, l) uses; norm is T's largest absolute column sum.
+    """
+    tensor = composition_tensor()
+    keys = sorted({key for _, entries in tensor for key, _ in entries})
+    index = {key: i for i, key in enumerate(keys)}
+    t = np.zeros((16, len(keys)), dtype=np.int64)
+    for (k, l), entries in tensor:
+        for key, v in entries:
+            t[4 * k + l, index[key]] = v
+    return t, keys, int(np.abs(t).sum(axis=0).max())
+
+
 class Composition(NamedTuple):
     """alpha alpha' as exact integer data over one common denominator.
 
@@ -374,42 +417,78 @@ class Composition(NamedTuple):
 
 
 def alpha_compose(alpha: AlphaMatrix) -> Composition:
-    """The 3x3 blocks of alpha alpha', by integer contraction.
+    """The 3x3 blocks of alpha alpha', by one integer contraction.
 
     Block (r, s) is the composition attached to the quadric
-    a_{r1} a_{s2} - a_{r2} a_{s1}, i.e. sum_{k,l} c_kl compose_u(k, l) with
-    c_kl = a_{r1}[k] a_{s2}[l] - a_{r2}[k] a_{s1}[l].  The 24 coefficients
-    are cleared to integers by their lcm D, so every numerator is an exact
-    Python int over den = D^2 (any rational t stays exact).
+    a_r0 a_s1 - a_r1 a_s0, i.e. sum_kl c_kl compose_u(k, l), where c_kl is
+    row 3r + s of the coefficient products C (`_coefficient_products`).  So
+    the blocks are C @ T with T the dense composition table, every
+    numerator an exact Python int over den = D^2 (any rational t stays
+    exact).
     """
-    coeffs = [[_lin_coeffs(p) for p in row] for row in alpha.entries]
-    d = lcm(*(c.denominator for row in coeffs for v in row for c in v))
-    ints = [[[int(c * d) for c in v] for v in row] for row in coeffs]
-    tensor = composition_tensor()
-    blocks = []
-    for r in range(3):
-        a1, b1 = ints[r]
-        row = []
-        for s in range(3):
-            b2, a2 = ints[s]
-            acc = {}
-            for (k, l), entries in tensor:
-                c = a1[k] * a2[l] - b1[k] * b2[l]
-                if c:
-                    for key, v in entries:
-                        acc[key] = acc.get(key, 0) + v * c
-            row.append({key: v for key, v in acc.items() if v})
-        blocks.append(row)
-    return Composition(blocks, d * d)
+    table, keys, norm = _composition_columns()
+    c, den = _coefficient_products(alpha, norm)
+    blocks = [{k: v for k, v in zip(keys, row) if v} for row in (c @ table).tolist()]
+    return Composition([blocks[3 * r : 3 * r + 3] for r in range(3)], den)
 
 
 def alpha_compose_is_zero(comp: Composition) -> bool:
     return not any(block for row in comp.blocks for block in row)
 
 
-def delta_criterion(alpha: AlphaMatrix) -> bool:
+@cache
+def _pairing():
+    """(P, norm): the 16 x 3 int64 matrix P[4k + l, j] = d_j(u_k u_l) of the
+    three net operators on the quadratic monomials, read once from
+    delta_ops() through DiffOp.apply; norm is its largest absolute column
+    sum.  A value that is not an integer constant is refused."""
     ops = delta_ops()
-    return all(op.apply(m).is_zero() for m in alpha.minors() for op in ops)
+    p = np.zeros((16, 3), dtype=np.int64)
+    for k in range(4):
+        for l in range(4):
+            e = [0] * 4
+            e[k] += 1
+            e[l] += 1
+            for j, op in enumerate(ops):
+                value = op.apply(Poly.monomial(REG_U, e, 1))
+                for e_val, c in value.terms.items():
+                    if any(e_val) or Fraction(c).denominator != 1:
+                        raise ValueError(
+                            f"{op!r} takes u{k}*u{l} to {render_poly(value)}, "
+                            "not an integer constant"
+                        )
+                    p[4 * k + l, j] = int(c)
+    return p, int(np.abs(p).sum(axis=0).max())
+
+
+_MINOR_ROWS = [1, 2, 5]  # rows (r, s) = (0, 1), (0, 2), (1, 2) of C
+
+
+def _delta_numerators(alpha: AlphaMatrix):
+    pairing, norm = _pairing()
+    c, den = _coefficient_products(alpha, norm)
+    return c[_MINOR_ROWS] @ pairing, den
+
+
+def delta_values(alpha: AlphaMatrix) -> list:
+    """values[m][j] = d_j applied to minor m of alpha, a rational constant.
+
+    The minors are taken over the row pairs (0, 1), (0, 2), (1, 2), and
+    d_j(minor) is the contraction of its coefficient products with column j
+    of the pairing P[4k + l, j] = d_j(u_k u_l), so no minor is formed.
+    """
+    nums, den = _delta_numerators(alpha)
+    return [[Fraction(v, den) for v in row] for row in nums.tolist()]
+
+
+def delta_criterion(alpha: AlphaMatrix) -> bool:
+    """Whether the three net operators annihilate the three minors of alpha.
+
+    Decided on the same coefficient products as alpha_compose: the nine
+    values d_j(minor) are one integer contraction (`delta_values`), all
+    zero exactly when alpha is annihilated.
+    """
+    return not _delta_numerators(alpha)[0].any()
 
 
 PROBE_POINT = [Fraction(k) for k in range(1, 8)]

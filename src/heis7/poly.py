@@ -358,14 +358,14 @@ class Poly:
 
 def linear_form(reg, coeffs, dom=QQ):
     """sum coeffs[i] * reg.names[i]."""
-    out = Poly.zero(reg, dom)
+    terms = {}
     for i, c in enumerate(coeffs):
         cc = dom.coerce(c)
         if not dom.is_zero(cc):
             e = [0] * reg.n
             e[i] = 1
-            out = out + Poly(reg, dom, {tuple(e): cc}, _clean=True)
-    return out
+            terms[tuple(e)] = cc
+    return Poly(reg, dom, terms, _clean=True)
 
 
 def substitution_for(reg, matrix, dom=QQ):

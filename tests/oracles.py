@@ -11,7 +11,10 @@ the assigned leading term, then its position, down to grevlex on the ring.
 
 The composition oracle expands alpha alpha' as sums of scaled 7x7 form
 matrices c_kl * compose_u(k, l), the direct reading of the wedge table,
-against which the package's integer contraction is tested.
+against which the package's integer contraction is tested.  The
+annihilation oracle forms the three 2x2 minors of alpha as Poly products and
+applies the net operators to them with DiffOp.apply, the direct reading of
+the criterion, against which the package's pairing contraction is tested.
 
 The span oracle solves coordinates on a polynomial span through one
 elimination transform of the augmented matrix [B^T | I] over the basis'
@@ -42,7 +45,7 @@ from fractions import Fraction
 from heis7.field import QQ, Cyc7
 from heis7.formmat import FormMatrix
 from heis7.linalg import np_rank, np_rref, rref
-from heis7.moduli import compose_u
+from heis7.moduli import compose_u, delta_ops
 from heis7.poly import REG_X, Poly, monomial_basis
 
 
@@ -234,6 +237,22 @@ def alpha_compose_forms(alpha):
             row.append(acc)
         blocks.append(row)
     return blocks
+
+
+def delta_criterion_forms(alpha):
+    """values[m][j] = d_j applied to the Poly minor m of alpha, over the row
+    pairs (0, 1), (0, 2), (1, 2); alpha is annihilated when all are zero."""
+    e = alpha.entries
+    values = []
+    for r, s in ((0, 1), (0, 2), (1, 2)):
+        minor = e[r][0] * e[s][1] - e[r][1] * e[s][0]
+        row = []
+        for op in delta_ops():
+            image = op.apply(minor)
+            assert all(not any(exp) for exp in image.terms)
+            row.append(Fraction(image.terms.get((0, 0, 0, 0), 0)))
+        values.append(row)
+    return values
 
 
 class SpanSolverOracle:

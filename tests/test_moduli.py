@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from heis7 import moduli
-from heis7.field import CYC, QQ
+from heis7.field import CYC, QQ, fp
 from heis7.linalg import rank
 from heis7.moduli import (
     AlphaMatrix,
@@ -20,6 +22,7 @@ from heis7.moduli import (
     d_vector,
     delta_criterion,
     delta_ops,
+    delta_values,
     epsilon_identity_report,
     equational_point,
     eta_klein,
@@ -42,9 +45,9 @@ from heis7.moduli import (
     wedge_reps,
     GrassPoint,
 )
-from heis7.poly import REG_U, REG_X, Poly, monomial_basis, parse_poly, render_poly
+from heis7.poly import REG_U, REG_X, DiffOp, Poly, monomial_basis, parse_poly, render_poly
 
-from oracles import SpanSolverOracle, alpha_compose_forms
+from oracles import SpanSolverOracle, alpha_compose_forms, delta_criterion_forms
 
 
 def test_wedge_rep_entries():
@@ -195,9 +198,178 @@ def test_composition_tensor_is_read_from_compose_u(monkeypatch):
 
 def test_lin_coeffs_rejects_nonlinear_entries():
     assert _lin_coeffs(parse_poly("2*u0 - u3", REG_U)) == [2, 0, 0, -1]
+    u0 = parse_poly("u0", REG_U)
     for bad in ("u0*u1 + u2", "u0^3", "u1 + 1"):
         with pytest.raises(ValueError, match="not a linear form"):
             _lin_coeffs(parse_poly(bad, REG_U))
+        alpha = AlphaMatrix([[u0, u0], [u0, parse_poly(bad, REG_U)], [u0, u0]])
+        for criterion in (alpha_compose, delta_criterion):
+            with pytest.raises(ValueError, match="not a linear form"):
+                criterion(alpha)
+
+
+def test_alpha_entries_outside_q_are_refused():
+    # over F31 all three minors vanish (16 * 2 - 1 = 31), while the same
+    # residues read as integers do not compose to zero: refuse, do not guess
+    f31 = fp(31)
+    u1 = Poly.var(REG_U, "u1", f31)
+    zero = Poly.zero(REG_U, f31)
+    alpha = AlphaMatrix([[u1.scale(16), u1], [u1, u1.scale(2)], [zero, zero]])
+    assert all(m.is_zero() for m in alpha.minors())
+    for criterion in (alpha_compose, delta_criterion, delta_values):
+        with pytest.raises(ValueError, match="is over F31, not Q"):
+            criterion(alpha)
+
+
+def _alpha_of(flat):
+    """The alpha matrix of 24 coefficients, entry (r, c) holding flat[8r + 4c:][:4]."""
+    return AlphaMatrix.from_coeffs(
+        [[flat[8 * r + 4 * c : 8 * r + 4 * c + 4] for c in range(2)] for r in range(3)]
+    )
+
+
+_COEFF = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=12)
+)
+
+
+@seed(1717)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_COEFF, min_size=24, max_size=24))
+@example([0] * 24)
+def test_delta_values_match_the_poly_oracle(flat):
+    alpha = _alpha_of(flat)
+    want = delta_criterion_forms(alpha)
+    assert delta_values(alpha) == want
+    assert delta_criterion(alpha) == (not any(v for row in want for v in row))
+
+
+_E12 = 10**12
+_NEAR_E12 = st.integers(_E12 - 100, _E12 + 100)
+
+
+@seed(1718)
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.tuples(st.integers(-_E12, _E12).filter(bool), _NEAR_E12), min_size=4, max_size=4))
+def test_delta_values_match_the_poly_oracle_on_wide_family_points(parts):
+    alpha = alpha_t([Fraction(n, d) for n, d in parts])
+    # denominators near 10^12 overflow int64, so the products are Python ints
+    products, _ = moduli._coefficient_products(alpha, 1)
+    assert products.dtype == object
+    want = delta_criterion_forms(alpha)
+    assert want == [[0] * 3] * 3
+    assert delta_values(alpha) == want
+    assert delta_criterion(alpha) and alpha_compose_is_zero(alpha_compose(alpha))
+
+
+def test_delta_values_equal_a_sympy_expansion():
+    # the nine values are quadratic forms in the 24 coefficients of alpha;
+    # their coefficients, read off by polarization (at e_i and e_i + e_j),
+    # equal those of a sympy expansion of d_j applied to the minors
+    sympy = pytest.importorskip("sympy")
+    a = sympy.symbols("a0:24")
+    u0, u1, u2, u3 = u = sympy.symbols("u0:4")
+    half = sympy.Rational(1, 2)
+    ops = [
+        lambda f: sympy.diff(f, u0, u1) - half * sympy.diff(f, u2, 2),
+        lambda f: sympy.diff(f, u0, u2) - half * sympy.diff(f, u3, 2),
+        lambda f: sympy.diff(f, u0, u3) - half * sympy.diff(f, u1, 2),
+    ]
+    entry = [[sum(a[8 * r + 4 * c + k] * u[k] for k in range(4)) for c in range(2)] for r in range(3)]
+    want = [
+        [sympy.Poly(sympy.expand(op(entry[r][0] * entry[s][1] - entry[r][1] * entry[s][0])), *a) for op in ops]
+        for r, s in ((0, 1), (0, 2), (1, 2))
+    ]
+
+    def values(*ones):
+        flat = [0] * 24
+        for i in ones:
+            flat[i] += 1
+        return delta_values(_alpha_of(flat))
+
+    square = [values(i) for i in range(24)]
+    for m in range(3):
+        for j in range(3):
+            got = {}
+            for i in range(24):
+                e = [0] * 24
+                e[i] = 2
+                got[tuple(e)] = square[i][m][j]
+                for k in range(i + 1, 24):
+                    e = [0] * 24
+                    e[i] = e[k] = 1
+                    got[tuple(e)] = values(i, k)[m][j] - square[i][m][j] - square[k][m][j]
+            assert {e: c for e, c in got.items() if c} == {e: Fraction(int(c.p), int(c.q)) for e, c in want[m][j].terms()}
+    rng = random.Random(3)
+    for _ in range(5):
+        flat = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(24)]
+        point = dict(zip(a, map(sympy.Rational, flat)))
+        assert delta_values(_alpha_of(flat)) == [
+            [Fraction(str(w.as_expr().subs(point))) for w in row] for row in want
+        ]
+
+
+def test_pairing_is_read_from_delta_ops(monkeypatch):
+    fixture = alpha_t((1, 1, 1, 1))
+    assert delta_criterion(fixture)
+    pairing, _ = moduli._pairing()
+    real = moduli.delta_ops
+
+    def with_d1_square(c):
+        def ops():
+            d1, d2, d3 = real()
+            return [DiffOp(REG_U, {**d1.terms, (0, 0, 2, 0): c}), d2, d3]
+
+        return ops
+
+    try:
+        # d1 = d0 d1 - d2^2 takes u2^2 to -2: one pairing entry moves, and
+        # the family matrix is no longer annihilated
+        monkeypatch.setattr(moduli, "delta_ops", with_d1_square(-1))
+        moduli._pairing.cache_clear()
+        moved, _ = moduli._pairing()
+        assert np.argwhere(moved != pairing).tolist() == [[10, 0]] and moved[10, 0] == -2
+        assert not delta_criterion(fixture)
+        # d1 = d0 d1 - d2^2 / 4 takes u2^2 to -1/2, which is refused
+        monkeypatch.setattr(moduli, "delta_ops", with_d1_square(Fraction(-1, 4)))
+        moduli._pairing.cache_clear()
+        with pytest.raises(ValueError, match="not an integer constant"):
+            delta_criterion(fixture)
+        # a first-order term leaves a linear form, which is refused
+        monkeypatch.setattr(
+            moduli, "delta_ops", lambda: [DiffOp(REG_U, {(1, 0, 0, 0): 1}), *real()[1:]]
+        )
+        moduli._pairing.cache_clear()
+        with pytest.raises(ValueError, match="not an integer constant"):
+            delta_criterion(fixture)
+    finally:
+        moduli._pairing.cache_clear()
+
+
+def test_annihilation_forms_no_poly_product(monkeypatch):
+    # after one warm call (which reads the tables), deciding annihilation
+    # multiplies no Poly and applies no DiffOp: both criteria contract the
+    # integer coefficient products
+    rng = random.Random(17)
+    alphas = [
+        _alpha_of([Fraction(rng.randint(-5, 5)) for _ in range(24)]) for _ in range(45)
+    ] + [alpha_t((k, 1, k + 1, 2 - k)) for k in range(1, 6)]
+    alpha_compose(alphas[0])
+    delta_criterion(alphas[0])
+    calls = {"mul": 0, "apply": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Poly, "__mul__", counting("mul", Poly.__mul__))
+    monkeypatch.setattr(DiffOp, "apply", counting("apply", DiffOp.apply))
+    verdicts = [(alpha_compose_is_zero(alpha_compose(a)), delta_criterion(a)) for a in alphas]
+    assert calls == {"mul": 0, "apply": 0}
+    assert all(x == y for x, y in verdicts) and sum(y for _, y in verdicts) >= 5
 
 
 def test_net_kernel_and_split():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heis7.field import CYC, QQ
+from heis7.field import CYC, QQ, fp
 from heis7.moduli import delta_ops
 from heis7.poly import (
     Poly,
@@ -17,6 +17,21 @@ from heis7.poly import (
     parse_poly,
     render_poly,
 )
+
+
+@pytest.mark.parametrize("dom", [QQ, fp(31)], ids=["QQ", "F31"])
+def test_linear_form_is_the_sum_of_its_monomials(dom):
+    # zero coefficients (0, and 31 over F31) leave no term
+    coeffs = [0, Fraction(3, 4), -2, 31]
+    want = Poly.zero(REG_U, dom)
+    for i, c in enumerate(coeffs):
+        e = [0] * 4
+        e[i] = 1
+        want = want + Poly.monomial(REG_U, e, c, dom)
+    got = linear_form(REG_U, coeffs, dom)
+    assert got == want and got.terms == want.terms and got.dom == dom
+    assert len(got.terms) == (3 if dom is QQ else 2)
+    assert linear_form(REG_U, [Fraction(0)] * 4, dom).is_zero()
 
 
 def rand_poly(rng, reg, deg, terms=4):
