@@ -41,6 +41,7 @@ import numpy as np
 
 from .field import (
     CYC,
+    QQ,
     Cyc7,
     CycArray,
     FieldElem,
@@ -52,7 +53,6 @@ from .heisenberg import (
     HElem,
     IOTA,
     SIGMA,
-    TAU,
     conjugacy_classes_g7,
     conjugacy_classes_sl2,
     dense_mul,
@@ -573,56 +573,55 @@ def dual_substitution_images(g, reg, dom=CYC):
 
 
 def weight_blocks(basis):
-    """{w: [(pivot monomial, row dict)]}: the reduced rows spanning P_w(V).
+    """{pivot monomial: row dict}: the reduced rows spanning the P_w(V),
+    each weight block row-reduced on its own over Q.
 
     tau scales x^e by z^-w(e), w(e) = sum k*e_k mod 7, so splitting each
     basis polynomial by weight projects V onto the tau-eigenspaces without
     field arithmetic.  The row count, dim sum_w P_w(V), is >= dim V, with
     equality exactly when V is tau-stable.
     """
-    dom = basis[0].dom
-    weights = {e: _weight(e) for p in basis for e in p.terms}
-    blocks = {}
+    weights = {e: sum(k * a for k, a in enumerate(e)) % 7 for p in basis for e in p.terms}
+    rows = {}
     for w in sorted(set(weights.values())):
         monos = sorted((e for e in weights if weights[e] == w), reverse=True)
-        red, pivots = rref([[p.terms.get(e, dom.zero) for e in monos] for p in basis], dom)
-        blocks[w] = [
-            (monos[c], {monos[j]: x for j, x in enumerate(row) if not dom.is_zero(x)})
-            for row, c in zip(red, pivots)
-        ]
-    return blocks
-
-
-def _weight(e) -> int:
-    return sum(k * a for k, a in enumerate(e)) % 7
+        red, pivots = rref([[p.terms.get(e, 0) for e in monos] for p in basis])
+        rows.update((monos[c], {monos[j]: x for j, x in enumerate(row) if x}) for row, c in zip(red, pivots))
+    return rows
 
 
 # (-z)^k, k mod 14, runs once through the signed powers +-z^m: the phases
 # of a signed zeta-monomial map compose by adding exponents
-_PHASES = [Cyc7.zeta(k) if k % 2 == 0 else -Cyc7.zeta(k) for k in range(14)]
-_PHASE_INDEX = {v: k for k, v in enumerate(_PHASES)}
+_PHASE_INDEX = {Cyc7.zeta(k) if k % 2 == 0 else -Cyc7.zeta(k): k for k in range(14)}
 
 
-def _phase_of(e, ks) -> Cyc7:
-    return _PHASES[sum(map(mul, e, ks)) % 14]
+def _phase_part(e, ks, c):
+    """(m, q) with (-z)^k c = q z^m, k the phase exponent of x^e."""
+    k = sum(map(mul, e, ks)) % 14
+    return k % 7, -c if k % 2 else c
 
 
 class SpanSolver:
     """Traces and stability of signed zeta-monomial substitutions
-    x_i -> +-z^m x_perm(i) on a tau-stable span, by weight block (the
-    surface span has seven 3x12 blocks, which sigma permutes).  Such a map
-    sends each monomial to one monomial times a phase, so the trace is one
-    lookup per reduced row r: r's coefficient at the preimage of its pivot
-    monomial, times the phase.  A dependent or non-tau-stable basis, or any
-    other map, is a ValueError.
+    x_i -> +-z^m x_perm(i) on a tau-stable span over Q, from its reduced
+    weight-block rows (the surface span has seven 3x12 blocks, which sigma
+    permutes).  Such a map sends each monomial to one relabelled monomial
+    times a phase (-z)^k, so all work is over Q: a row's image splits into
+    seven rational phase parts, and the trace into seven rational phase
+    buckets.  A basis not over Q, a dependent or non-tau-stable basis, and
+    any other map are a ValueError.
     """
 
     def __init__(self, basis):
         if not basis:
             raise ValueError("empty basis")
+        for p in basis:
+            if p.dom is not QQ:  # the phases live in Q(z7), never reduced mod p
+                raise ValueError(f"span basis is over {p.dom.name}, not Q")
         self.reg = basis[0].reg
-        self.blocks = weight_blocks(basis)
-        rank = sum(len(rows) for rows in self.blocks.values())
+        # each row has coefficient 1 at its pivot and 0 at every other pivot
+        self.rows = weight_blocks(basis)
+        rank = len(self.rows)
         if rank < len(basis):
             raise ValueError("basis is linearly dependent")
         if rank > len(basis):
@@ -639,55 +638,63 @@ class SpanSolver:
             raise ValueError("substitution is not a signed zeta-monomial map")
         return perm, ks
 
+    def _remainder(self, v):
+        """v, a {monomial: Fraction} dict, reduced modulo the span in place:
+        every pivot cleared with its row, which touches no other pivot."""
+        for piv in [e for e in v if e in self.rows]:
+            a = v[piv]
+            for e, c in self.rows[piv].items():
+                v[e] = v.get(e, 0) - a * c
+        return {e: c for e, c in v.items() if c}
+
     def is_stable_under(self, images) -> bool:
-        """Whether every row's image, split by weight, reduces to zero."""
+        """Whether every reduced row's image lies in the span.
+
+        The image is sum_m z^m u_m with rational parts u_m, the sign of each
+        phase folded in.  As z^6 = -(1 + ... + z^5), it lies in the span iff
+        every u_m - u_6 does, that is iff the seven parts leave one remainder
+        modulo the span.  For an element of G7 only one part is nonempty.
+        """
         perm, ks = self._map(images)
         inv = sorted(range(len(perm)), key=perm.__getitem__)
-        for rows in self.blocks.values():
-            for _, row in rows:
-                parts = {}
-                for e, c in row.items():
-                    f = tuple(map(e.__getitem__, inv))
-                    parts.setdefault(_weight(f), {})[f] = _phase_of(e, ks) * c
-                for w, v in parts.items():
-                    for piv, r in self.blocks.get(w, ()):
-                        a = v.get(piv)
-                        if a is not None:
-                            for e, c in r.items():
-                                v[e] = v.get(e, _C0) - a * c
-                    if not all(x.is_zero() for x in v.values()):
-                        return False
+        for row in self.rows.values():
+            parts = [{} for _ in range(7)]
+            for e, c in row.items():
+                m, q = _phase_part(e, ks, c)
+                parts[m][tuple(map(e.__getitem__, inv))] = q
+            first, *rest = map(self._remainder, parts)
+            if any(r != first for r in rest):
+                return False
         return True
 
     def trace(self, images) -> Cyc7:
-        """Trace of the substitution on the span, assuming it is stable."""
+        """Trace of the substitution on the span, assuming it is stable: the
+        image of each row at its own pivot, summed into seven rational phase
+        buckets q_m, then sum_m z^m q_m."""
         perm, ks = self._map(images)
-        coeffs, phases = [], []
-        for rows in self.blocks.values():
-            for piv, row in rows:
-                e = tuple(piv[p] for p in perm)
-                if e in row:
-                    coeffs.append(row[e])
-                    phases.append(_phase_of(e, ks))
-        return (CycArray.from_values(coeffs) * CycArray.from_values(phases)).sum(0).tolist()
+        buckets = [0] * 7
+        for piv, row in self.rows.items():
+            e = tuple(piv[p] for p in perm)
+            if e in row:
+                m, q = _phase_part(e, ks, row[e])
+                buckets[m] += q
+        return sum((Cyc7.zeta(m) * q for m, q in enumerate(buckets) if q), _C0)
 
 
-def subspace_character(basis, table: CharTable = None, stability_generators=None) -> Character:
+def subspace_character(span, table: CharTable = None) -> Character:
     """G7-character of a stable polynomial span via the dual coordinate action.
 
-    Each group element acts by a signed zeta-monomial substitution
-    (dual_substitution_images), whose trace SpanSolver reads off the weight
-    blocks.  Building the solver certifies tau-stability; stability is then
-    certified on `stability_generators` (default: sigma, tau, iota), which
-    generate the group, so traces on all class representatives are well
-    defined.
+    `span` is a basis over Q or its SpanSolver.  Each group element acts by
+    a signed zeta-monomial substitution (dual_substitution_images), whose
+    trace the solver reads off the weight blocks.  Building the solver
+    certifies tau-stability; stability is then certified on sigma and iota,
+    which generate the group together with tau, so traces on all class
+    representatives are well defined.
     """
     table = table or g7_table()
-    solver = SpanSolver(basis)
-    reg = solver.reg
-    gens = stability_generators if stability_generators is not None else [SIGMA, TAU, IOTA]
-    for g in gens:
-        if not solver.is_stable_under(dual_substitution_images(g, reg)):
+    solver = span if isinstance(span, SpanSolver) else SpanSolver(span)
+    for g in (SIGMA, IOTA):
+        if not solver.is_stable_under(dual_substitution_images(g, solver.reg)):
             raise ValueError(f"span is not stable under generator {g}")
-    vals = [solver.trace(dual_substitution_images(rep.matrix(), reg)) for rep in table.classes.reps]
+    vals = [solver.trace(dual_substitution_images(rep.matrix(), solver.reg)) for rep in table.classes.reps]
     return Character(table.classes, vals)

@@ -91,25 +91,6 @@ def nullspace(rows, dom=QQ, width=None):
     return basis
 
 
-def solve(a, b, dom=QQ):
-    """Solve a x = b exactly; raises ValueError if inconsistent.
-
-    b may be a vector or a matrix of column right-hand sides.
-    """
-    vec = not isinstance(b[0], list)
-    rhs = [[x] for x in b] if vec else b
-    w = len(a[0])
-    cols = len(rhs[0])
-    red, pivots = rref([list(a[i]) + list(rhs[i]) for i in range(len(a))], dom, w + cols)
-    # inconsistency: a pivot in the right-hand side
-    if pivots and pivots[-1] >= w:
-        raise ValueError("inconsistent linear system")
-    out = [[dom.zero] * cols for _ in range(w)]
-    for r, pc in enumerate(pivots):
-        out[pc] = red[r][w:]
-    return [row[0] for row in out] if vec else out
-
-
 def inverse(a, dom=QQ):
     n = len(a)
     aug = [list(a[i]) + [dom.one if j == i else dom.zero for j in range(n)] for i in range(n)]

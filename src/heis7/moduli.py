@@ -23,7 +23,7 @@ Conventions fixed here (each one is verified by tests, not assumed):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -34,7 +34,7 @@ import numpy as np
 from .field import _WIDE, CYC, QQ, DualDomain, DualNum, FpDomain, fp
 from .formmat import FormMatrix, det_form, pfaffian_vector
 from .groebner import GradedIdeal
-from .characters import weight_blocks
+from .characters import SpanSolver
 from .linalg import rank as mat_rank
 from .poly import (
     DiffOp,
@@ -739,12 +739,18 @@ SURFACE_PRIMES = (3, 5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 
 
 @dataclass
 class SurfaceIdeal:
-    """The 21-dimensional invariant cubic system at a parameter point."""
+    """The 21-dimensional invariant cubic system at a parameter point, with
+    the SpanSolver of its span that every surface check reads."""
 
     t: tuple
     g: list  # three tau-invariant cubics
-    basis: list  # 21 shifted cubics (independent iff not degenerate)
-    degenerate: bool
+    basis: list  # 21 shifted cubics
+    # their weight blocks, or None when the cubics are dependent
+    solver: SpanSolver | None = field(compare=False, repr=False)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.solver is None
 
     def ideal(self, dom=QQ) -> GradedIdeal:
         if dom is QQ:
@@ -796,10 +802,13 @@ def surface_ideal(t) -> SurfaceIdeal:
         for _ in range(7):
             basis.append(cur)
             cur = cur.substitute(sig)
-    # every basis cubic has a single Heisenberg weight, so the weight blocks'
-    # ranks add up to the rank of the span
-    degenerate = sum(len(rows) for rows in weight_blocks(basis).values()) != 21
-    return SurfaceIdeal(t, g, basis, degenerate)
+    # every basis cubic has a single Heisenberg weight, so the span is
+    # tau-stable and the solver refuses it only when the cubics are dependent
+    try:
+        solver = SpanSolver(basis)
+    except ValueError:
+        solver = None
+    return SurfaceIdeal(t, g, basis, solver)
 
 
 # ---------------------------------------------------------------------------

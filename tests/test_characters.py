@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from heis7.field import Cyc7, FieldElem, alpha_minus, alpha_plus
+from heis7.field import Cyc7, FieldElem, alpha_minus, alpha_plus, fp
 from heis7.characters import (
     Character,
     RepError,
@@ -154,6 +154,14 @@ def test_span_solver_refusals():
     assert solver.is_stable_under(images)
     assert solver.trace(images) == Cyc7.from_int(0)
     assert not SpanSolver([parse_poly("x0^2", REG_X)]).is_stable_under(images)
+    # over F31 the swap x1<->x2, x5<->x6 maps p to -p, a stable span, but
+    # the phases live in Q(z7), which is never reduced mod 31
+    f31 = fp(31)
+    p = parse_poly("x1*x6-x2*x5", REG_X).map_coeffs(f31.coerce, f31)
+    swap = [Poly.var(REG_X, f"x{j}", f31) for j in (0, 2, 1, 3, 4, 6, 5)]
+    assert p.substitute(swap) == p.scale(-1)
+    with pytest.raises(ValueError, match="span basis is over F31, not Q"):
+        SpanSolver([p])
 
 
 def test_pairing_with_sqrt2_values(sl2, g7):

@@ -2,9 +2,9 @@ import hashlib
 
 import pytest
 
-from heis7 import formmat, heisenberg, moduli, poly
-from heis7.characters import CharTable
-from heis7.field import CycArray
+from heis7 import characters, formmat, heisenberg, moduli, poly
+from heis7.characters import CharTable, SpanSolver
+from heis7.field import Cyc7, CycArray
 from heis7.poly import Poly
 from heis7 import checks
 from heis7.checks import (
@@ -80,6 +80,7 @@ SCALED_SHA_42 = "2454e9171fed5dcf010b510836120f04b9ae425b7555ce3b52a20823b5e003c
 # the scaled seed-42 run below
 MATMUL_CALLS = 364
 DET_FORM_MULS = 184
+SURFACES_BUILT = 2
 
 # the character-table methods the certify benchmark traces by name; each
 # must run at least once in the scaled suite, or its traced count reads 0
@@ -89,32 +90,30 @@ TRACED_CHARTABLE = ("decompose", "sym_power", "ext_power")
 @pytest.fixture(scope="module")
 def scaled_run():
     """A scaled seed-42 run (every check, fewer samples), with the calls of
-    the traced CharTable methods, of CycArray.__matmul__ and of Poly.__mul__
-    inside det_form counted: (report, {name: calls})."""
-    calls = dict.fromkeys((*TRACED_CHARTABLE, "matmul", "det_form_mul"), 0)
+    the traced CharTable methods, of CycArray.__matmul__, of Poly.__mul__
+    inside det_form, of surface_ideal and weight_blocks, and of Cyc7
+    products and differences inside SpanSolver.is_stable_under counted:
+    (report, {name: calls})."""
+    names = (*TRACED_CHARTABLE, "matmul", "det_form_mul", "surface_ideal", "weight_blocks", "stable_cyc7")
+    calls = dict.fromkeys(names, 0)
     in_det = [False]
+    in_stable = [False]
 
-    def counting(name, fn):
+    def counting(name, fn, inside=(True,)):
+        # counts the calls made while inside[0] is set
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += inside[0]
             return fn(*args, **kwargs)
 
         return wrapper
 
-    def inside_det(fn):
+    def setting(flag, fn):
         def wrapper(*args, **kwargs):
-            in_det[0] = True
+            flag[0] = True
             try:
                 return fn(*args, **kwargs)
             finally:
-                in_det[0] = False
-
-        return wrapper
-
-    def counting_mul(fn):
-        def wrapper(*args, **kwargs):
-            calls["det_form_mul"] += in_det[0]
-            return fn(*args, **kwargs)
+                flag[0] = False
 
         return wrapper
 
@@ -122,9 +121,14 @@ def scaled_run():
         for name in TRACED_CHARTABLE:
             mp.setattr(CharTable, name, counting(name, getattr(CharTable, name)))
         mp.setattr(CycArray, "__matmul__", counting("matmul", CycArray.__matmul__))
-        mp.setattr(Poly, "__mul__", counting_mul(Poly.__mul__))
+        mp.setattr(Poly, "__mul__", counting("det_form_mul", Poly.__mul__, in_det))
         for owner in (formmat, moduli):  # moduli imported det_form by name
-            mp.setattr(owner, "det_form", inside_det(formmat.det_form))
+            mp.setattr(owner, "det_form", setting(in_det, formmat.det_form))
+        mp.setattr(moduli, "surface_ideal", counting("surface_ideal", moduli.surface_ideal))
+        mp.setattr(characters, "weight_blocks", counting("weight_blocks", characters.weight_blocks))
+        mp.setattr(SpanSolver, "is_stable_under", setting(in_stable, SpanSolver.is_stable_under))
+        for name in ("__mul__", "__sub__"):
+            mp.setattr(Cyc7, name, counting("stable_cyc7", getattr(Cyc7, name), in_stable))
         report = run_suite("all", RunConfig(seed=42, sample_points=2, random_alphas=24))
     return report, calls
 
@@ -160,6 +164,10 @@ def test_work_counts_of_the_scaled_suite(scaled_run):
     _, calls = scaled_run
     assert calls["matmul"] == MATMUL_CALLS
     assert calls["det_form_mul"] == DET_FORM_MULS
+    # each surface's weight blocks are built once, and its stability is
+    # decided over Q
+    assert calls["weight_blocks"] == calls["surface_ideal"] == SURFACES_BUILT
+    assert calls["stable_cyc7"] == 0
 
 
 def test_constant_polynomials_are_parsed_once(scaled_run, monkeypatch):

@@ -14,7 +14,6 @@ from heis7.linalg import (
     nullspace,
     rank,
     rref,
-    solve,
 )
 
 F = Fraction
@@ -36,14 +35,9 @@ def test_rank_and_rref():
     assert piv == [0, 1] and all(type(x) is int and 0 <= x < 31 for row in red for x in row)
 
 
-def test_solve_and_inverse():
+def test_inverse():
     a = [[F(2), F(1)], [F(5), F(3)]]
     assert inverse(a) == [[3, -1], [-5, 2]]
-    x = solve(a, [F(1), F(0)])
-    assert x == [F(3), F(-5)]
-    assert solve(a, [[F(1), F(0)], [F(0), F(1)]]) == inverse(a)
-    with pytest.raises(ValueError):
-        solve([[F(1)], [F(1)]], [F(0), F(1)])
     with pytest.raises(ValueError):
         inverse([[F(1), F(2)], [F(2), F(4)]])
 
@@ -200,28 +194,11 @@ def test_rref_rank_nullspace_against_sympy(case):
 
 @seed(7002)
 @settings(max_examples=150, deadline=None)
-@given(_any_matrix(), st.randoms(use_true_random=False))
-def test_solve_and_inverse_against_sympy(case, rnd):
+@given(_any_matrix())
+def test_inverse_against_sympy(case):
     dom, (rows, ncols, _) = case
     if not rows:
         return
-    a = _dm(rows, ncols, dom)
-    # a right-hand side in the column space half the time
-    if rnd.random() < 0.5:
-        coeffs = [rnd.randrange(-3, 4) for _ in range(ncols)]
-        b = [sum(c * x for c, x in zip(coeffs, row)) for row in rows]
-        b = [F(x) if dom is QQ else x % dom.p for x in b]
-    else:
-        b = [F(rnd.randrange(-3, 4)) if dom is QQ else rnd.randrange(dom.p) for _ in rows]
-    aug = [row + [x] for row, x in zip(rows, b)]
-    if _dm(aug, ncols + 1, dom).rank() > a.rank():
-        with pytest.raises(ValueError):
-            solve(rows, b, dom)
-    else:
-        x = solve(rows, b, dom)
-        free = set(range(ncols)) - set(a.rref()[1])
-        assert all(x[c] == 0 for c in free)
-        assert _values(a * _dm([[v] for v in x], 1, dom), dom) == [[v] for v in b]
     k = min(len(rows), ncols)
     sq = _cut(rows[:k], k)
     if _dm(sq, k, dom).rank() < k:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from heis7 import moduli
-from heis7.field import CYC, QQ, fp
+from heis7.field import CYC, QQ, Cyc7, fp
 from heis7.linalg import rank
 from heis7.moduli import (
     AlphaMatrix,
@@ -542,6 +542,12 @@ def _swap_x1_x2():
     return [Poly.var(REG_X, f"x{j}") for j in (0, 2, 1, 3, 4, 5, 6)]
 
 
+def _scale_one(j, c):
+    """x_j -> c x_j, the other variables fixed: its phase varies within a
+    weight block."""
+    return [Poly.monomial(REG_X, tuple(int(i == k) for i in range(7)), c if k == j else 1, CYC) for k in range(7)]
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 def test_span_solver_against_oracle(g7, seed):
     from heis7.characters import SpanSolver, dual_substitution_images, subspace_character
@@ -567,6 +573,8 @@ def test_span_solver_against_oracle(g7, seed):
         tau_x_images(CYC, power=3),
         dual_substitution_images(MU, REG_X),
         _swap_x1_x2(),
+        _scale_one(0, Cyc7.zeta(1)),
+        _scale_one(2, -Cyc7.zeta(3)),
     ]
     classes = [rep.matrix() for rep in g7.classes.reps]
     for basis in (S.basis, mixed):
@@ -590,6 +598,12 @@ def test_span_solver_against_oracle(g7, seed):
         SpanSolver(mixed[:20])
     with pytest.raises(ValueError, match="linearly dependent"):
         SpanSolver(mixed + [mixed[0] + mixed[1]])
+    # one weight-0 polynomial: x0 -> z x0 splits it into two phase parts,
+    # and x1 -> -x1 (phase (-z)^7) flips the sign of one term
+    one = [parse_poly("x0^2+x1*x6", REG_X)]
+    ones = [*maps[-2:], _scale_one(1, -1)]
+    verdicts = [SpanSolver(one).is_stable_under(im) for im in ones]
+    assert verdicts == [SpanSolverOracle(one).is_stable_under(im) for im in ones] == [False, True, False]
 
 
 def test_bad_prime_point_is_certified_over_the_next_prime():
@@ -617,3 +631,17 @@ def test_bad_prime_point_is_certified_over_the_next_prime():
     assert not any("Fraction(" in d for d in details)
     # the default points keep their bytes: no note without a moved prime
     assert "divides" not in check_surface_pipeline(Context(RunConfig(sample_points=2))).details
+
+
+def test_degenerate_surface_fails_both_surface_checks(monkeypatch):
+    # at t = (1, 0, 0, 0) the 21 cubics are dependent: the point has no solver
+    from heis7.checks import Context, RunConfig, check_surface_pipeline, check_surface_stability
+
+    S = surface_ideal((1, 0, 0, 0))
+    assert S.degenerate and S.solver is None
+    ctx = Context(RunConfig(sample_points=2))
+    monkeypatch.setattr(ctx, "surfaces", lambda: [S])
+    res = check_surface_stability(ctx)
+    assert (res.status, res.details) == ("fail", "t=(1, 0, 0, 0): basis is linearly dependent")
+    res = check_surface_pipeline(ctx)
+    assert res.status == "fail" and res.details.startswith("t=(1, 0, 0, 0): span dimension != 21")
