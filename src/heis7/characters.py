@@ -40,7 +40,6 @@ from operator import mul
 import numpy as np
 
 from .field import (
-    CYC,
     QQ,
     Cyc7,
     CycArray,
@@ -552,26 +551,6 @@ def h0_oa_decomposition(k: int) -> Decomposition:
 # characters of polynomial subspaces
 
 
-def dual_substitution_images(g, reg, dom=CYC):
-    """Variable images of the contragredient action of a MonoMat.
-
-    For g: e_l -> sign_l z^{p_l} e_{perm(l)} the induced action on the dual
-    coordinates is x_k -> sign_k z^{-p_k} x_{perm(k)}, which makes the span
-    of the x-variables a copy of the dual representation.
-    """
-    from .poly import Poly
-
-    images = []
-    for k in range(reg.n):
-        c = Cyc7.zeta(-g.pw[k])
-        if g.sign[k] < 0:
-            c = -c
-        e = [0] * reg.n
-        e[g.perm[k]] = 1
-        images.append(Poly.monomial(reg, tuple(e), c, dom))
-    return images
-
-
 def weight_blocks(basis):
     """{pivot monomial: row dict}: the reduced rows spanning the P_w(V),
     each weight block row-reduced on its own over Q.
@@ -590,26 +569,28 @@ def weight_blocks(basis):
     return rows
 
 
-# (-z)^k, k mod 14, runs once through the signed powers +-z^m: the phases
-# of a signed zeta-monomial map compose by adding exponents
-_PHASE_INDEX = {Cyc7.zeta(k) if k % 2 == 0 else -Cyc7.zeta(k): k for k in range(14)}
-
-
 def _phase_part(e, ks, c):
     """(m, q) with (-z)^k c = q z^m, k the phase exponent of x^e."""
     k = sum(map(mul, e, ks)) % 14
     return k % 7, -c if k % 2 else c
 
 
+def _phases(g):
+    """The phase exponents k_i of a MonoMat, sign[i] z^pw[i] = (-z)^k_i with
+    k_i mod 14: the phases of a monomial's image compose by adding them."""
+    return [p + 7 * ((p + (sg < 0)) % 2) for sg, p in zip(g.sign, g.pw)]
+
+
 class SpanSolver:
-    """Traces and stability of signed zeta-monomial substitutions
-    x_i -> +-z^m x_perm(i) on a tau-stable span over Q, from its reduced
+    """Traces and stability of a signed zeta-monomial substitution, a MonoMat
+    read as x_i -> sign[i] z^pw[i] x_perm[i] (the heisenberg module docstring
+    fixes this action), on a tau-stable span over Q, from its reduced
     weight-block rows (the surface span has seven 3x12 blocks, which sigma
     permutes).  Such a map sends each monomial to one relabelled monomial
     times a phase (-z)^k, so all work is over Q: a row's image splits into
     seven rational phase parts, and the trace into seven rational phase
-    buckets.  A basis not over Q, a dependent or non-tau-stable basis, and
-    any other map are a ValueError.
+    buckets.  A basis not over Q and a dependent or non-tau-stable basis
+    are a ValueError.
     """
 
     def __init__(self, basis):
@@ -618,7 +599,6 @@ class SpanSolver:
         for p in basis:
             if p.dom is not QQ:  # the phases live in Q(z7), never reduced mod p
                 raise ValueError(f"span basis is over {p.dom.name}, not Q")
-        self.reg = basis[0].reg
         # each row has coefficient 1 at its pivot and 0 at every other pivot
         self.rows = weight_blocks(basis)
         rank = len(self.rows)
@@ -626,17 +606,6 @@ class SpanSolver:
             raise ValueError("basis is linearly dependent")
         if rank > len(basis):
             raise ValueError(f"span is not stable under tau: its weight parts span {rank} > {len(basis)} dimensions")
-
-    def _map(self, images):
-        """(perm, k) with images[i] = (-z)^k[i] x_perm[i]."""
-        perm, ks = [], []
-        for im in images:
-            [(e, c)] = im.terms.items() if len(im.terms) == 1 else [((), 0)]
-            ks.append(_PHASE_INDEX.get(CYC.coerce(c)) if sum(e) == 1 else None)
-            perm.append(e.index(1) if sum(e) == 1 else None)
-        if None in ks or sorted(perm) != list(range(self.reg.n)):
-            raise ValueError("substitution is not a signed zeta-monomial map")
-        return perm, ks
 
     def _remainder(self, v):
         """v, a {monomial: Fraction} dict, reduced modulo the span in place:
@@ -647,34 +616,41 @@ class SpanSolver:
                 v[e] = v.get(e, 0) - a * c
         return {e: c for e, c in v.items() if c}
 
-    def is_stable_under(self, images) -> bool:
-        """Whether every reduced row's image lies in the span.
+    def is_stable_under(self, g) -> bool:
+        """Whether g keeps the span V: the image of a row v is sum_m z^m u_m
+        with rational phase parts u_m, and g keeps V iff every part of every
+        row lies in V.
 
-        The image is sum_m z^m u_m with rational parts u_m, the sign of each
-        phase folded in.  As z^6 = -(1 + ... + z^5), it lies in the span iff
-        every u_m - u_6 does, that is iff the seven parts leave one remainder
-        modulo the span.  For an element of G7 only one part is nonempty.
+        "If" is plain.  For "only if", write g = P S sum_m z^m E_m, with P
+        relabelling monomials, S their signs and E_m the projection onto the
+        monomials of phase m.  If g keeps V(z) = V tensor Q(z), then, V being
+        defined over Q, so does each Galois conjugate g_a (z -> z^a,
+        a = 1..6), and so does g_a g_b^-1 = sum_m z^(cm) Q_m, with c = a - b
+        and Q_m = P E_m P^-1.  Every c mod 7 occurs, and the sum over c with
+        weights z^(-ck) is 7 Q_k, so Q_k keeps V(z).  Then Q_k g v =
+        z^k P S E_k v = z^k u_k lies in V(z), and u_k, being rational, lies
+        in V.  So the parts are tested one by one, up to the first one
+        outside the span.
         """
-        perm, ks = self._map(images)
-        inv = sorted(range(len(perm)), key=perm.__getitem__)
+        ks = _phases(g)
+        inv = sorted(range(7), key=g.perm.__getitem__)
         for row in self.rows.values():
             parts = [{} for _ in range(7)]
             for e, c in row.items():
                 m, q = _phase_part(e, ks, c)
                 parts[m][tuple(map(e.__getitem__, inv))] = q
-            first, *rest = map(self._remainder, parts)
-            if any(r != first for r in rest):
+            if any(self._remainder(u) for u in parts if u):
                 return False
         return True
 
-    def trace(self, images) -> Cyc7:
-        """Trace of the substitution on the span, assuming it is stable: the
-        image of each row at its own pivot, summed into seven rational phase
-        buckets q_m, then sum_m z^m q_m."""
-        perm, ks = self._map(images)
+    def trace(self, g) -> Cyc7:
+        """Trace of g on the span, assuming it is stable: the image of each
+        row at its own pivot, summed into seven rational phase buckets q_m,
+        then sum_m z^m q_m."""
+        ks = _phases(g)
         buckets = [0] * 7
         for piv, row in self.rows.items():
-            e = tuple(piv[p] for p in perm)
+            e = tuple(piv[p] for p in g.perm)
             if e in row:
                 m, q = _phase_part(e, ks, row[e])
                 buckets[m] += q
@@ -682,11 +658,12 @@ class SpanSolver:
 
 
 def subspace_character(span, table: CharTable = None) -> Character:
-    """G7-character of a stable polynomial span via the dual coordinate action.
+    """G7-character of a stable polynomial span under the contragredient
+    coordinate action, g acting by the substitution g.conj() (see the
+    heisenberg module docstring).
 
-    `span` is a basis over Q or its SpanSolver.  Each group element acts by
-    a signed zeta-monomial substitution (dual_substitution_images), whose
-    trace the solver reads off the weight blocks.  Building the solver
+    `span` is a basis over Q or its SpanSolver, which reads each class
+    representative's trace off the weight blocks.  Building the solver
     certifies tau-stability; stability is then certified on sigma and iota,
     which generate the group together with tau, so traces on all class
     representatives are well defined.
@@ -694,7 +671,7 @@ def subspace_character(span, table: CharTable = None) -> Character:
     table = table or g7_table()
     solver = span if isinstance(span, SpanSolver) else SpanSolver(span)
     for g in (SIGMA, IOTA):
-        if not solver.is_stable_under(dual_substitution_images(g, solver.reg)):
+        if not solver.is_stable_under(g.conj()):
             raise ValueError(f"span is not stable under generator {g}")
-    vals = [solver.trace(dual_substitution_images(rep.matrix(), solver.reg)) for rep in table.classes.reps]
+    vals = [solver.trace(rep.matrix().conj()) for rep in table.classes.reps]
     return Character(table.classes, vals)

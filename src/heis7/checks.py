@@ -1262,7 +1262,8 @@ def check_klein_suite(ctx: Context):
 
 @declare_id("moduli.invariant_cubics")
 def check_d_vector(ctx: Context):
-    from .moduli import _poly, d_vector, tau_x_images
+    from .heisenberg import TAU
+    from .moduli import _poly, d_vector
     from .poly import REG_X
 
     d = d_vector()
@@ -1277,7 +1278,7 @@ def check_d_vector(ctx: Context):
         x("x1*x2*x4+x3*x5*x6-x0^3"),
     ]
     ok = d == expected
-    taui = tau_x_images()
+    taui = TAU.conj().images(REG_X, CYC)
     for p in d:
         q = p.map_coeffs(CYC.coerce, CYC)
         ok = ok and q.substitute(taui) == q
@@ -1411,7 +1412,7 @@ def check_surface_betti(ctx: Context):
 
 @declare_id("moduli.surface_stability")
 def check_surface_stability(ctx: Context):
-    from .moduli import iota_x_images, sigma_x_images
+    from .heisenberg import IOTA, SIGMA
 
     # each surface's solver exists only for a span split into tau-stable
     # weight blocks, which is its stability under the phase map
@@ -1420,9 +1421,9 @@ def check_surface_stability(ctx: Context):
         if S.solver is None:
             failures.append(f"t={_point(S.t)}: basis is linearly dependent")
             continue
-        if not S.solver.is_stable_under(sigma_x_images()):
+        if not S.solver.is_stable_under(SIGMA.inv()):
             failures.append(f"t={_point(S.t)}: shift")
-        if not S.solver.is_stable_under(iota_x_images()):
+        if not S.solver.is_stable_under(IOTA):
             failures.append(f"t={_point(S.t)}: involution")
     return _result(
         not failures,

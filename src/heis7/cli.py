@@ -23,17 +23,27 @@ from . import __version__
 from .checks import SUITES, RunConfig, coeff_domain, report_json_bytes, report_to_text, run_suite
 
 
-def _parse_t(s: str):
+def _rationals(s: str, count: int, words: str) -> tuple:
+    """The `count` comma-separated rationals of s; a usage error names the
+    first part that is not one."""
     parts = [p.strip() for p in s.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated rationals")
-    t = []
+    if len(parts) != count:
+        raise argparse.ArgumentTypeError(f"expected {words} comma-separated rationals")
+    out = []
     for p in parts:
         try:
-            t.append(Fraction(p))
+            out.append(Fraction(p))
         except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(f"{p!r} is not a rational number") from None
-    return tuple(t)
+    return tuple(out)
+
+
+def _parse_t(s: str):
+    return _rationals(s, 4, "four")
+
+
+def _parse_raw(s: str):
+    return _rationals(s, 21, "21")
 
 
 def _parse_coeff(s: str) -> str:
@@ -87,6 +97,7 @@ def build_parser():
     )
     g.add_argument(
         "--raw",
+        type=_parse_raw,
         help="21 comma-separated rationals, row-major 3x7 coordinate matrix",
     )
     _add_common(g)
@@ -184,11 +195,7 @@ def cmd_grassmann(args) -> int:
         point = equational_point()
         label = "equational point"
     elif args.raw:
-        vals = [Fraction(v.strip()) for v in args.raw.split(",")]
-        if len(vals) != 21:
-            print("error: --raw needs 21 entries", file=sys.stderr)
-            return 2
-        point = GrassPoint([vals[0:7], vals[7:14], vals[14:21]])
+        point = GrassPoint([list(args.raw[k : k + 7]) for k in (0, 7, 14)])
         label = "raw plane"
     elif args.t is not None:
         try:

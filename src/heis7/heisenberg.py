@@ -11,8 +11,16 @@ delta are signed monomial matrices, stored compactly as (permutation, signs,
 zeta-powers); delta is kept as a dense matrix over Q(zeta7).  A dense matrix,
 or a batch of them, is a CycArray of batch shape (..., 7, 7).
 
-The induced (pullback) action on the coordinate functions x_j of the dual
-basis is sigma x_j = x_{j-1}, tau x_j = z^{-j} x_j, iota x_j = -x_{-j}.
+The coordinate action is written once, here.  A MonoMat g is also the
+substitution x_i -> sign[i] z^pw[i] x_perm[i] of the coordinate functions
+x_0..x_6 of the dual basis (MonoMat.images builds its Poly images, and
+SpanSolver reads g itself).  The pullback p -> p o g of a polynomial is the
+substitution of g's transpose, g.inv().conj(); the contragredient
+p -> p o g^-1, which makes the x_j a copy of the dual representation, is
+the substitution of g.conj(), since for these unitary matrices the
+entrywise conjugate is the inverse transpose.  So sigma and iota pull x_j
+back to x_{j-1} and -x_{-j} (SIGMA.inv() and IOTA), and tau acts
+contragrediently by x_j -> z^{-j} x_j (TAU.conj()).
 
 Direction conventions are forced empirically: with sigma raising the index,
 all eight conjugation relations for mu, nu, iota, delta hold verbatim, and
@@ -31,8 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import QQ, Cyc7, CycArray, gauss_sum
+from .field import CYC, QQ, Cyc7, CycArray, gauss_sum
 from .linalg import inverse
+from .poly import Poly
 
 ZETA = [Cyc7.zeta(k) for k in range(7)]
 _ZETA_NUM = np.array([z.num for z in ZETA], dtype=np.int64)
@@ -68,6 +77,21 @@ class MonoMat(NamedTuple):
             sign[t] = self.sign[l]
             pw[t] = (-self.pw[l]) % 7
         return MonoMat(tuple(perm), tuple(sign), tuple(pw))
+
+    def conj(self) -> "MonoMat":
+        """The entrywise complex conjugate: z^pw -> z^-pw."""
+        return MonoMat(self.perm, self.sign, tuple(-p % 7 for p in self.pw))
+
+    def images(self, reg, dom=QQ) -> list:
+        """The Poly images of x_i -> sign[i] z^pw[i] x_perm[i] over dom; a
+        nonzero pw is refused over any domain but Q(zeta7)."""
+        if dom is not CYC and any(self.pw):
+            raise ValueError(f"a zeta-phase is not over {dom.name}")
+        out = []
+        for t, s, p in zip(self.perm, self.sign, self.pw):
+            c = ZETA[p] * s if dom is CYC else dom.coerce(s)
+            out.append(Poly.monomial(reg, tuple(int(j == t) for j in range(7)), c, dom))
+        return out
 
     def trace(self) -> Cyc7:
         t = _C0

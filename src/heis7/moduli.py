@@ -35,6 +35,7 @@ from .field import _WIDE, CYC, QQ, DualDomain, DualNum, FpDomain, fp
 from .formmat import FormMatrix, det_form, pfaffian_vector
 from .groebner import GradedIdeal
 from .characters import SpanSolver
+from .heisenberg import SIGMA
 from .linalg import rank as mat_rank
 from .poly import (
     DiffOp,
@@ -104,20 +105,13 @@ class Wedge3(dict):
         return out
 
 
-_PERM_SIGN_CACHE = {}
-
-
-def _perm_sign(seq):
-    seq = tuple(seq)
-    if seq in _PERM_SIGN_CACHE:
-        return _PERM_SIGN_CACHE[seq]
-    s = list(seq)
+@cache
+def _perm_sign(seq: tuple) -> int:
     sign = 1
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if s[i] > s[j]:
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
                 sign = -sign
-    _PERM_SIGN_CACHE[seq] = sign
     return sign
 
 
@@ -169,21 +163,12 @@ def wedge_reps():
     return reps, comp_vec
 
 
-_COMPOSE_CACHE = {}
-
-
+@cache
 def compose_u(i: int, j: int) -> FormMatrix:
     """The 7x7 matrix of linear forms of the composition of wedge vectors."""
-    if (i, j) in _COMPOSE_CACHE:
-        return _COMPOSE_CACHE[(i, j)]
     reps, _ = wedge_reps()
     ui, uj = reps[i], reps[j]
-    rows = []
-    for r in range(7):
-        rows.append([wedge_pair_to_dual(ui.entries[r], uj.entries[s]) for s in range(7)])
-    m = FormMatrix(rows)
-    _COMPOSE_CACHE[(i, j)] = m
-    return m
+    return FormMatrix([[wedge_pair_to_dual(ui.entries[r], uj.entries[s]) for s in range(7)] for r in range(7)])
 
 
 def _b_from_pattern(pattern):
@@ -706,33 +691,6 @@ def d_vector():
     return [_poly(s, REG_X) for s in cubics]
 
 
-def sigma_x_images(shift=1):
-    return [Poly.var(REG_X, f"x{(j - shift) % 7}") for j in range(7)]
-
-
-def tau_x_images(dom=CYC, power=1):
-    from .field import Cyc7
-
-    return [
-        Poly.monomial(
-            REG_X,
-            tuple(1 if i == j else 0 for i in range(7)),
-            Cyc7.zeta(-j * power),
-            dom,
-        )
-        for j in range(7)
-    ]
-
-
-def iota_x_images(dom=QQ):
-    out = []
-    for j in range(7):
-        e = [0] * 7
-        e[(-j) % 7] = 1
-        out.append(Poly.monomial(REG_X, tuple(e), dom.coerce(-1), dom))
-    return out
-
-
 # primes for the surface checks over F_p, in order; 2 and 7 divide |G7|
 SURFACE_PRIMES = (3, 5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -795,7 +753,7 @@ def surface_ideal(t) -> SurfaceIdeal:
     if all(x == 0 for x in t):
         raise ValueError("t must be a point of projective 3-space")
     g = surface_cubics(t)
-    sig = sigma_x_images()
+    sig = SIGMA.inv().images(REG_X)
     basis = []
     for gi in g:
         cur = gi

@@ -19,7 +19,9 @@ the criterion, against which the package's pairing contraction is tested.
 The span oracle solves coordinates on a polynomial span through one
 elimination transform of the augmented matrix [B^T | I] over the basis'
 domain, and reads traces and stability from general substitutions; the
-package's weight-block SpanSolver is tested against it.
+package's weight-block SpanSolver is tested against it.  Its Poly images
+of a signed zeta-monomial map are built here from the map's fields
+(perm, sign, pw) alone.
 
 The normal-form oracle reduces a polynomial by monic divisors in plain
 Fraction arithmetic, the reading of the engines' integer kernel without its
@@ -42,7 +44,7 @@ import numpy as np
 
 from fractions import Fraction
 
-from heis7.field import QQ, Cyc7
+from heis7.field import CYC, QQ, Cyc7
 from heis7.formmat import FormMatrix
 from heis7.linalg import np_rank, np_rref, rref
 from heis7.moduli import compose_u, delta_ops
@@ -309,6 +311,16 @@ class SpanSolverOracle:
             row = self.transform[i]
             tr = sum((row[j] * c for j, c in v.items() if row[j] != 0), tr)
         return tr
+
+
+def substitution_images(perm, sign, pw):
+    """Poly images over Q(z7) of x_i -> sign[i] z^pw[i] x_perm[i]."""
+    images = []
+    for i in range(7):
+        e = [0] * 7
+        e[perm[i]] = 1
+        images.append(Poly(REG_X, CYC, {tuple(e): Cyc7.zeta(pw[i]) * sign[i]}))
+    return images
 
 
 # ---------------------------------------------------------------------------

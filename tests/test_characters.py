@@ -129,7 +129,7 @@ def test_subspace_character_instability(g7):
 
 
 def test_span_solver_refusals():
-    from heis7.characters import SpanSolver, dual_substitution_images
+    from heis7.characters import SpanSolver
     from heis7.poly import Poly, REG_X, parse_poly
 
     x = [Poly.var(REG_X, f"x{j}") for j in range(7)]
@@ -140,20 +140,11 @@ def test_span_solver_refusals():
         SpanSolver([x[0], x[1], x[0] + x[1]])
     with pytest.raises(ValueError, match="empty basis"):
         SpanSolver([])
-    solver = SpanSolver(x)
-    images = dual_substitution_images(SIGMA, REG_X)
-    for bad in (x[0] + x[1], x[0] * x[1], x[0].scale(2), Poly.zero(REG_X)):
-        with pytest.raises(ValueError, match="signed zeta-monomial"):
-            solver.trace([bad] + images[1:])
-        with pytest.raises(ValueError, match="signed zeta-monomial"):
-            solver.is_stable_under([bad] + images[1:])
-    with pytest.raises(ValueError, match="signed zeta-monomial"):
-        solver.trace([x[0]] * 7)  # not a permutation of the variables
     # a stable weight-mixed span is fine: all of the linear forms
     solver = SpanSolver([x[0] + x[1]] + x[1:])
-    assert solver.is_stable_under(images)
-    assert solver.trace(images) == Cyc7.from_int(0)
-    assert not SpanSolver([parse_poly("x0^2", REG_X)]).is_stable_under(images)
+    assert solver.is_stable_under(SIGMA)
+    assert solver.trace(SIGMA) == Cyc7.from_int(0)
+    assert not SpanSolver([parse_poly("x0^2", REG_X)]).is_stable_under(SIGMA)
     # over F31 the swap x1<->x2, x5<->x6 maps p to -p, a stable span, but
     # the phases live in Q(z7), which is never reduced mod 31
     f31 = fp(31)

@@ -91,29 +91,32 @@ TRACED_CHARTABLE = ("decompose", "sym_power", "ext_power")
 def scaled_run():
     """A scaled seed-42 run (every check, fewer samples), with the calls of
     the traced CharTable methods, of CycArray.__matmul__, of Poly.__mul__
-    inside det_form, of surface_ideal and weight_blocks, and of Cyc7
-    products and differences inside SpanSolver.is_stable_under counted:
-    (report, {name: calls})."""
-    names = (*TRACED_CHARTABLE, "matmul", "det_form_mul", "surface_ideal", "weight_blocks", "stable_cyc7")
+    inside det_form, of surface_ideal and weight_blocks, of Cyc7 products
+    and differences inside SpanSolver.is_stable_under, and of Poly
+    constructions inside subspace_character and the SpanSolver methods
+    counted: (report, {name: calls})."""
+    names = (*TRACED_CHARTABLE, "matmul", "det_form_mul", "surface_ideal", "weight_blocks", "stable_cyc7", "span_poly")
     calls = dict.fromkeys(names, 0)
-    in_det = [False]
-    in_stable = [False]
+    in_det = [0]
+    in_stable = [0]
+    in_span = [0]
 
-    def counting(name, fn, inside=(True,)):
+    def counting(name, fn, inside=(1,)):
         # counts the calls made while inside[0] is set
         def wrapper(*args, **kwargs):
-            calls[name] += inside[0]
+            calls[name] += inside[0] > 0
             return fn(*args, **kwargs)
 
         return wrapper
 
     def setting(flag, fn):
+        # flag[0] counts the open calls of fn, so a nested call leaves it set
         def wrapper(*args, **kwargs):
-            flag[0] = True
+            flag[0] += 1
             try:
                 return fn(*args, **kwargs)
             finally:
-                flag[0] = False
+                flag[0] -= 1
 
         return wrapper
 
@@ -126,9 +129,13 @@ def scaled_run():
             mp.setattr(owner, "det_form", setting(in_det, formmat.det_form))
         mp.setattr(moduli, "surface_ideal", counting("surface_ideal", moduli.surface_ideal))
         mp.setattr(characters, "weight_blocks", counting("weight_blocks", characters.weight_blocks))
+        for name in ("__init__", "is_stable_under", "trace"):
+            mp.setattr(SpanSolver, name, setting(in_span, getattr(SpanSolver, name)))
         mp.setattr(SpanSolver, "is_stable_under", setting(in_stable, SpanSolver.is_stable_under))
+        mp.setattr(characters, "subspace_character", setting(in_span, characters.subspace_character))
         for name in ("__mul__", "__sub__"):
             mp.setattr(Cyc7, name, counting("stable_cyc7", getattr(Cyc7, name), in_stable))
+        mp.setattr(Poly, "__init__", counting("span_poly", Poly.__init__, in_span))
         report = run_suite("all", RunConfig(seed=42, sample_points=2, random_alphas=24))
     return report, calls
 
@@ -168,6 +175,8 @@ def test_work_counts_of_the_scaled_suite(scaled_run):
     # decided over Q
     assert calls["weight_blocks"] == calls["surface_ideal"] == SURFACES_BUILT
     assert calls["stable_cyc7"] == 0
+    # the solver reads each group element's MonoMat, with no Poly images
+    assert calls["span_poly"] == 0
 
 
 def test_constant_polynomials_are_parsed_once(scaled_run, monkeypatch):

@@ -57,6 +57,17 @@ def test_verify_names_a_part_of_t_that_is_not_rational(t, part, capsys):
     assert f"error: argument --t: {part} is not a rational number" in err, err
 
 
+@pytest.mark.parametrize("entry", ["x", "1/0"])
+def test_grassmann_names_a_raw_entry_that_is_not_rational(entry, capsys):
+    raw = ",".join([entry] + ["0"] * 20)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["grassmann", "--raw", raw, "--quiet"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --raw: {entry!r} is not a rational number\n"), err
+    assert "Traceback" not in err
+
+
 def test_surface_degenerate_parameter():
     r = run("surface", "--t", "1,0,0,0", "--quiet")
     assert r.returncode != 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heis7 import heisenberg
-from heis7.field import Cyc7, CycArray, gauss_sum, lam, parse_cyc, zeta
+from heis7.field import CYC, QQ, Cyc7, CycArray, gauss_sum, lam, parse_cyc, zeta
 from heis7.heisenberg import (
     GroupLawError,
     HElem,
@@ -34,6 +34,9 @@ from heis7.heisenberg import (
     sl2_mul,
     verify_normalizer_relations,
 )
+from heis7.poly import REG_X, Poly
+
+from oracles import dense_mul_oracle, mono_dense_oracle, substitution_images
 
 
 def test_monomial_matrices_match_dense():
@@ -140,6 +143,35 @@ def test_compose_matches_monomial_products():
     pairs = [(rng.choice(mats), rng.choice(mats)) for _ in range(300)]
     xs, ys = (heisenberg._codes(col) for col in zip(*pairs))
     assert (heisenberg._compose(xs, ys) == heisenberg._codes([x * y for x, y in pairs])).all()
+
+
+def test_conj_is_the_inverse_transpose():
+    # conj(g)^T g = I for all 686 elements, on nested lists of Cyc7: the
+    # substitution of g.conj() is the contragredient action
+    one, zero = Cyc7.from_int(1), Cyc7.from_int(0)
+    eye = [[one if i == j else zero for j in range(7)] for i in range(7)]
+    for h in g7_elements():
+        g = h.matrix()
+        conj_t = [list(col) for col in zip(*mono_dense_oracle(g.conj()))]
+        assert dense_mul_oracle(conj_t, mono_dense_oracle(g)) == eye, h
+
+
+def test_coordinate_action_images():
+    # the module docstring's action: sigma and iota pull x_j back to x_{j-1}
+    # and -x_{-j}, and tau acts contragrediently by x_j -> z^-j x_j
+    x = [Poly.var(REG_X, f"x{j}") for j in range(7)]
+    sigma, iota = SIGMA.inv().images(REG_X), IOTA.images(REG_X)
+    assert sigma == [x[(j - 1) % 7] for j in range(7)]
+    assert iota == [-x[-j % 7] for j in range(7)]
+    assert all(p.dom is QQ for p in sigma + iota)
+    tau = TAU.conj().images(REG_X, CYC)
+    assert tau == [x[j].map_coeffs(CYC.coerce, CYC).scale(Cyc7.zeta(-j)) for j in range(7)]
+    assert all(p.dom is CYC for p in tau)
+    with pytest.raises(ValueError, match="zeta-phase is not over Q"):
+        TAU.images(REG_X)
+    for h in g7_elements():
+        g = h.matrix()
+        assert g.images(REG_X, CYC) == substitution_images(*g), h
 
 
 def test_normalizer_relations():

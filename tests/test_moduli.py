@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from heis7 import moduli
-from heis7.field import CYC, QQ, Cyc7, fp
+from heis7.field import CYC, QQ, fp
+from heis7.heisenberg import IOTA, MU, SIGMA, TAU, MonoMat
 from heis7.linalg import rank
 from heis7.moduli import (
     AlphaMatrix,
@@ -28,7 +29,6 @@ from heis7.moduli import (
     eta_klein,
     f_basis,
     grass_membership,
-    iota_x_images,
     klein_invariance_report,
     klein_quartic,
     minor_span_pairing,
@@ -39,15 +39,13 @@ from heis7.moduli import (
     pfaffian_apolarity_report,
     printed_b_matrices,
     psi,
-    sigma_x_images,
     surface_ideal,
-    tau_x_images,
     wedge_reps,
     GrassPoint,
 )
 from heis7.poly import REG_U, REG_X, DiffOp, Poly, monomial_basis, parse_poly, render_poly
 
-from oracles import SpanSolverOracle, alpha_compose_forms, delta_criterion_forms
+from oracles import SpanSolverOracle, alpha_compose_forms, delta_criterion_forms, substitution_images
 
 
 def test_wedge_rep_entries():
@@ -459,7 +457,7 @@ def test_d_vector_values():
     assert d[1] == parse_poly("x0*x1*x6", REG_X)
     assert d[3] == parse_poly("x2^2*x3+x5^2*x4", REG_X)
     assert d[6] == parse_poly("x1*x2*x4+x3*x5*x6-x0^3", REG_X)
-    taui = tau_x_images()
+    taui = TAU.conj().images(REG_X, CYC)
     for p in d:
         q = p.map_coeffs(CYC.coerce, CYC)
         assert q.substitute(taui) == q
@@ -469,7 +467,7 @@ def test_surface_ideal_at_ones():
     S = surface_ideal((1, 1, 1, 1))
     assert not S.degenerate
     assert len(S.basis) == 21
-    taui = tau_x_images()
+    taui = TAU.conj().images(REG_X, CYC)
     for g in S.g:
         gq = g.map_coeffs(CYC.coerce, CYC)
         assert gq.substitute(taui) == gq
@@ -534,24 +532,22 @@ def test_iota_stability_of_surface():
 
     S = surface_ideal((2, 1, 3, 5))
     solver = SpanSolver(S.basis)
-    assert solver.is_stable_under(iota_x_images())
-    assert solver.is_stable_under(sigma_x_images())
+    assert solver.is_stable_under(IOTA)
+    assert solver.is_stable_under(SIGMA.inv())
 
 
-def _swap_x1_x2():
-    return [Poly.var(REG_X, f"x{j}") for j in (0, 2, 1, 3, 4, 5, 6)]
+_SWAP_X1_X2 = MonoMat((0, 2, 1, 3, 4, 5, 6), (1,) * 7, (0,) * 7)
 
 
-def _scale_one(j, c):
-    """x_j -> c x_j, the other variables fixed: its phase varies within a
-    weight block."""
-    return [Poly.monomial(REG_X, tuple(int(i == k) for i in range(7)), c if k == j else 1, CYC) for k in range(7)]
+def _scale_one(j, sign, pw):
+    """x_j -> sign z^pw x_j, the other variables fixed: its phase varies
+    within a weight block."""
+    return MonoMat(tuple(range(7)), tuple(sign if k == j else 1 for k in range(7)), tuple(pw * (k == j) for k in range(7)))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_span_solver_against_oracle(g7, seed):
-    from heis7.characters import SpanSolver, dual_substitution_images, subspace_character
-    from heis7.heisenberg import MU
+    from heis7.characters import SpanSolver, subspace_character
 
     rng = random.Random(seed)
     t = (1, 1, 1, 1)
@@ -567,33 +563,33 @@ def test_span_solver_against_oracle(g7, seed):
     mixed = [sum((p.scale(c) for c, p in zip(row, S.basis)), Poly.zero(REG_X)) for row in m]
     assert all(len({sum(k * a for k, a in enumerate(e)) % 7 for e in p.terms}) > 1 for p in mixed)
     maps = [
-        sigma_x_images(),
-        iota_x_images(),
-        tau_x_images(),
-        tau_x_images(CYC, power=3),
-        dual_substitution_images(MU, REG_X),
-        _swap_x1_x2(),
-        _scale_one(0, Cyc7.zeta(1)),
-        _scale_one(2, -Cyc7.zeta(3)),
+        SIGMA.inv(),
+        IOTA,
+        TAU.conj(),
+        (TAU * TAU * TAU).conj(),
+        MU.conj(),
+        _SWAP_X1_X2,
+        _scale_one(0, 1, 1),
+        _scale_one(2, -1, 3),
     ]
-    classes = [rep.matrix() for rep in g7.classes.reps]
+    images = [substitution_images(*g) for g in maps]
+    classes = [rep.matrix().conj() for rep in g7.classes.reps]
     for basis in (S.basis, mixed):
         solver, oracle = SpanSolver(basis), SpanSolverOracle(basis)
-        assert [solver.is_stable_under(im) for im in maps] == [oracle.is_stable_under(im) for im in maps]
+        assert [solver.is_stable_under(g) for g in maps] == [oracle.is_stable_under(im) for im in images]
         for g in classes:
-            images = dual_substitution_images(g, REG_X)
-            assert solver.trace(images) == oracle.trace(images)
+            assert solver.trace(g) == oracle.trace(substitution_images(*g))
     assert g7.decompose(subspace_character(mixed, g7)) == {"V4": 3}
     # a 20-cubic sub-span is tau-stable but not G7-stable
     sub = S.basis[:20]
     solver, oracle = SpanSolver(sub), SpanSolverOracle(sub)
-    verdicts = [solver.is_stable_under(im) for im in maps]
-    assert verdicts == [oracle.is_stable_under(im) for im in maps]
+    verdicts = [solver.is_stable_under(g) for g in maps]
+    assert verdicts == [oracle.is_stable_under(im) for im in images]
     assert not verdicts[0]
     with pytest.raises(ValueError, match="not stable under generator"):
         subspace_character(sub, g7)
     # 20 mixed members span a space that is not tau-stable
-    assert not SpanSolverOracle(mixed[:20]).is_stable_under(tau_x_images(CYC))
+    assert not SpanSolverOracle(mixed[:20]).is_stable_under(images[2])
     with pytest.raises(ValueError, match="not stable under tau"):
         SpanSolver(mixed[:20])
     with pytest.raises(ValueError, match="linearly dependent"):
@@ -601,9 +597,31 @@ def test_span_solver_against_oracle(g7, seed):
     # one weight-0 polynomial: x0 -> z x0 splits it into two phase parts,
     # and x1 -> -x1 (phase (-z)^7) flips the sign of one term
     one = [parse_poly("x0^2+x1*x6", REG_X)]
-    ones = [*maps[-2:], _scale_one(1, -1)]
-    verdicts = [SpanSolver(one).is_stable_under(im) for im in ones]
-    assert verdicts == [SpanSolverOracle(one).is_stable_under(im) for im in ones] == [False, True, False]
+    ones = [*maps[-2:], _scale_one(1, -1, 0)]
+    verdicts = [SpanSolver(one).is_stable_under(g) for g in ones]
+    oracle = SpanSolverOracle(one)
+    assert verdicts == [oracle.is_stable_under(substitution_images(*g)) for g in ones] == [False, True, False]
+
+
+def test_span_solver_tests_every_phase_part():
+    # g relabels x0 -> x1 -> x2 -> x5 -> x3 -> x6 -> x4 -> x0, with x5 ->
+    # z^2 x3 and x6 -> z^2 x4.  It maps x0*x3*x4 and x1*x2*x4 to x0*x1*x6
+    # and x0*x2*x5 at phase 0, so each row's phase-0 part is +-(r1 + r2),
+    # inside V = <r1, r2>; each row's phase-2 part, the image of its pivot,
+    # is one monomial, outside V.  The central twist z^c moves the parts to
+    # phases 3c and 2 + 3c, so every phase is once the only one outside V,
+    # and a test that skips any one phase part, or reads only each row's
+    # first part, calls one of these maps stable.
+    from heis7.characters import SpanSolver
+
+    basis = [parse_poly("x0*x1*x6+x0*x3*x4+x1*x2*x4", REG_X), parse_poly("x0*x2*x5-x0*x3*x4-x1*x2*x4", REG_X)]
+    solver, oracle = SpanSolver(basis), SpanSolverOracle(basis)
+    pivots = [(1, 1, 0, 0, 0, 0, 1), (1, 0, 1, 0, 0, 1, 0)]  # x0*x1*x6, x0*x2*x5
+    assert [solver.rows[e] for e in pivots] == [p.terms for p in basis]  # r1, r2 are the reduced rows
+    for c in range(7):
+        g = MonoMat((1, 2, 5, 6, 0, 3, 4), (1,) * 7, tuple((p + c) % 7 for p in (0, 0, 0, 0, 0, 2, 2)))
+        assert not solver.is_stable_under(g)
+        assert not oracle.is_stable_under(substitution_images(*g))
 
 
 def test_bad_prime_point_is_certified_over_the_next_prime():
