@@ -662,7 +662,7 @@ def check_restrictions(ctx: Context):
 
 
 A4_TENSOR_ROWS = [
-    # (parity of first факт, offset of second factor, SL2 part, twist shift)
+    # (parity of first factor, offset of second factor, SL2 part, twist shift)
     (0, 0, {"U'": 1, "W'": 1}, 2),
     (1, 0, {"U": 1, "W": 1}, 2),
     (0, 1, {"U": 1, "W": 1}, 4),
@@ -1312,8 +1312,8 @@ def check_surface_pipeline(ctx: Context):
         dom = S.coefficient_domain(base)
         if dom is not base:
             moved.append(f"t={_point(t)}: over {dom.name}, as {base.p} divides a denominator")
-        gens_p = [p.map_coeffs(dom.coerce, dom) for p in S.basis] if dom is not QQ else S.basis
-        hf = [ideal_hf_oracle(gens_p, k) for k in range(1, 5)]
+        gens = S.ideal(dom).gens
+        hf = [ideal_hf_oracle(gens, k) for k in range(1, 5)]
         if hf != [7, 28, 63, 112]:
             failures.append(f"t={_point(t)}: quotient dimensions {hf}")
             continue

@@ -65,13 +65,7 @@ def _add_common(p):
     p.add_argument(
         "--budget-degree", type=int, default=8, help="resolution degree budget"
     )
-    p.add_argument("--json", dest="json_path", help="write the JSON report here")
     p.add_argument("--quiet", action="store_true", help="suppress the text projection")
-    p.add_argument(
-        "--timing",
-        action="store_true",
-        help="record wall-clock milliseconds (breaks byte-reproducibility)",
-    )
 
 
 def build_parser():
@@ -82,6 +76,12 @@ def build_parser():
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=[*SUITES, "all"])
     v.add_argument("--t", type=_parse_t, default=None, help="extra parameter point")
+    v.add_argument("--json", dest="json_path", help="write the JSON report here")
+    v.add_argument(
+        "--timing",
+        action="store_true",
+        help="record wall-clock milliseconds (breaks byte-reproducibility)",
+    )
     _add_common(v)
 
     s = sub.add_parser("surface", help="emit the invariant cubic system at t")
@@ -151,9 +151,9 @@ def cmd_surface(args) -> int:
     # a prime dividing a coefficient denominator moves to the next good one
     dom = S.coefficient_domain(base)
     coeff = config.coeff if dom is base else ("q" if dom is QQ else f"fp:{dom.p}")
-    gens = S.basis if dom is QQ else [p.map_coeffs(dom.coerce, dom) for p in S.basis]
+    ideal = S.ideal(dom)
     payload = S.to_json()
-    payload["hilbert_function"] = [1] + [ideal_hf_oracle(gens, d) for d in range(1, 6)]
+    payload["hilbert_function"] = [1] + [ideal_hf_oracle(ideal.gens, d) for d in range(1, 6)]
     # provenance block: which certification checks the emitted system passed
     from .moduli import grass_membership, psi
 
@@ -167,7 +167,7 @@ def cmd_surface(args) -> int:
         "tool_version": __version__,
     }
     if args.betti:
-        bt = free_resolution(S.ideal(dom), degree_cap=max(args.budget_degree, 9))
+        bt = free_resolution(ideal, degree_cap=max(args.budget_degree, 9))
         payload["betti"] = bt.to_json()
         payload["betti_complete"] = bt.complete
     data = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

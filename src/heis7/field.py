@@ -23,6 +23,18 @@ its value type (and that of parse_field).  Cyc7 and FieldElem mix freely: an
 operation with a FieldElem operand returns a FieldElem, and a FieldElem with
 zero sqrt2 part equals (and hashes like) its Cyc7.
 
+Field elements and polynomials share one text grammar: render_cyc,
+render_field and poly.render_poly write it, parse_cyc, parse_field and
+poly.parse_poly read it with one scanner.
+
+    sum  := term (("+" | "-") term)*
+    term := ("+" | "-")* atom ("*" atom)*
+
+Whitespace between tokens is ignored, and each reader supplies its atoms.  A
+field element's atoms are "(" sum ")", a rational n or n/d (decimal digits,
+d != 0), z or z^k, and r2.  A rendered coefficient is put in parentheses
+exactly when it is not a plain signed rational.
+
 Internally Cyc7 keeps an integer 6-vector plus a positive common denominator,
 reduced by gcd.
 
@@ -40,6 +52,7 @@ Python-int (dtype=object) arrays, so no value is ever reduced modulo 2^64.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -730,33 +743,46 @@ class DualNum:
 
 
 # ---------------------------------------------------------------------------
-# rendering and parsing: `a0 + a1*z + ... (+ (b0 + ...)*r2)`
+# rendering and parsing: the text grammar of the module docstring
+
+_PLAIN_RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
 def _render_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def render_cyc(x: Cyc7) -> str:
-    parts = []
-    for k, n in enumerate(x.num):
-        if n == 0:
-            continue
-        q = Fraction(n, x.den)
-        if k == 0:
-            parts.append(_render_rat(q))
-        elif q == 1:
-            parts.append("z" if k == 1 else f"z^{k}")
-        elif q == -1:
-            parts.append("-z" if k == 1 else f"-z^{k}")
-        else:
-            parts.append(f"{_render_rat(q)}*z" + ("" if k == 1 else f"^{k}"))
-    if not parts:
+def _render_term(c: str, mono: str) -> str:
+    """The term with rendered coefficient c on the monomial text mono ("" for
+    a constant); c is put in parentheses unless it is a plain signed rational."""
+    if not _PLAIN_RATIONAL.fullmatch(c):
+        c = f"({c})"
+    if not mono:
+        return c
+    if c == "1":
+        return mono
+    if c == "-1":
+        return f"-{mono}"
+    return f"{c}*{mono}"
+
+
+def _join_terms(terms) -> str:
+    """Signed terms as one sum, `a + b - c`; "0" for none."""
+    if not terms:
         return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    out = terms[0]
+    for t in terms[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
     return out
+
+
+def render_cyc(x: Cyc7) -> str:
+    terms = []
+    for k, n in enumerate(x.num):
+        if n:
+            mono = "" if k == 0 else "z" if k == 1 else f"z^{k}"
+            terms.append(_render_term(_render_rat(Fraction(n, x.den)), mono))
+    return _join_terms(terms)
 
 
 def render_field(x: FieldElem) -> str:
@@ -764,15 +790,19 @@ def render_field(x: FieldElem) -> str:
         return render_cyc(x.a)
     bs = render_cyc(x.b)
     rb = "r2" if bs == "1" else ("-r2" if bs == "-1" else f"({bs})*r2")
-    if x.a.is_zero():
-        return rb
-    return f"{render_cyc(x.a)} + {rb}" if not rb.startswith("-") else f"{render_cyc(x.a)} - {rb[1:]}"
+    return _join_terms([rb] if x.a.is_zero() else [render_cyc(x.a), rb])
 
 
 class _Scanner:
+    """Reader of the text grammar; an atom reader atom(scanner) supplies the
+    values that sum, term and parse combine."""
+
     def __init__(self, s: str):
         self.s = s
         self.i = 0
+
+    def error(self, what: str):
+        return ValueError(f"{what} at position {self.i} in {self.s!r}")
 
     def peek(self):
         while self.i < len(self.s) and self.s[self.i].isspace():
@@ -782,78 +812,88 @@ class _Scanner:
     def take(self, ch=None):
         c = self.peek()
         if ch is not None and c != ch:
-            raise ValueError(f"expected {ch!r} at position {self.i} in {self.s!r}")
+            raise self.error(f"expected {ch!r}")
         self.i += 1
         return c
 
-    def number(self) -> int:
-        c = self.peek()
+    def _span(self, ok, what: str) -> str:
+        self.peek()
         j = self.i
-        while j < len(self.s) and self.s[j].isdigit():
+        while j < len(self.s) and ok(self.s[j]):
             j += 1
         if j == self.i:
-            raise ValueError(f"expected number at position {self.i} in {self.s!r}")
-        n = int(self.s[self.i : j])
-        self.i = j
-        return n
+            raise self.error(f"expected {what}")
+        w, self.i = self.s[self.i : j], j
+        return w
+
+    def number(self) -> int:
+        return int(self._span(str.isdigit, "number"))
+
+    def name(self) -> str:
+        return self._span(lambda c: c.isalnum() or c == "_", "name")
+
+    def rational(self) -> Fraction:
+        n = self.number()
+        if self.peek() != "/":
+            return Fraction(n)
+        self.take("/")
+        d = self.number()
+        if d == 0:
+            raise self.error("zero denominator")
+        return Fraction(n, d)
+
+    def power(self) -> int:
+        """The exponent of an optional `^k`; 1 without one."""
+        if self.peek() != "^":
+            return 1
+        self.take("^")
+        return self.number()
+
+    def term(self, atom):
+        neg = False
+        while self.peek() in ("+", "-"):
+            neg ^= self.take() == "-"
+        v = atom(self)
+        while self.peek() == "*":
+            self.take("*")
+            v = v * atom(self)
+        return -v if neg else v
+
+    def sum(self, atom):
+        v = self.term(atom)
+        while self.peek() in ("+", "-"):
+            if self.take() == "+":
+                v = v + self.term(atom)
+            else:
+                v = v - self.term(atom)
+        return v
+
+    def parse(self, atom):
+        v = self.sum(atom)
+        if self.peek() != "":
+            raise self.error("trailing input")
+        return v
 
 
-def _parse_atom(sc: _Scanner) -> FieldElem:
-    c = sc.peek()
-    if c == "(":
+def _field_atom(sc: _Scanner) -> FieldElem:
+    """`( sum )`, a rational, `z` or `z^k`, or `r2`."""
+    if sc.peek() == "(":
         sc.take("(")
-        v = _parse_sum(sc)
+        v = sc.sum(_field_atom)
         sc.take(")")
         return v
-    if c.isdigit():
-        n = sc.number()
-        if sc.peek() == "/":
-            sc.take("/")
-            d = sc.number()
-            return _as_fe(Fraction(n, d))
-        return _as_fe(n)
-    if c == "z":
-        sc.take()
-        if sc.peek() == "^":
-            sc.take("^")
-            return _as_fe(Cyc7.zeta(sc.number()))
-        return _as_fe(Cyc7.zeta(1))
-    if c == "r":
-        sc.take()
-        sc.take("2")
+    if sc.peek().isdigit():
+        return _as_fe(sc.rational())
+    w = sc.name()
+    if w == "z":
+        return _as_fe(Cyc7.zeta(sc.power()))
+    if w == "r2":
         return FieldElem.sqrt2()
-    raise ValueError(f"unexpected character {c!r} at position {sc.i} in {sc.s!r}")
-
-
-def _parse_term(sc: _Scanner) -> FieldElem:
-    neg = False
-    while sc.peek() in ("+", "-"):
-        if sc.take() == "-":
-            neg = not neg
-    v = _parse_atom(sc)
-    while sc.peek() == "*":
-        sc.take("*")
-        v = v * _parse_atom(sc)
-    return -v if neg else v
-
-
-def _parse_sum(sc: _Scanner) -> FieldElem:
-    v = _parse_term(sc)
-    while sc.peek() in ("+", "-"):
-        sign = 1 if sc.peek() == "+" else -1
-        sc.take()
-        t = _parse_term(sc)
-        v = v + t if sign == 1 else v - t
-    return v
+    raise sc.error(f"unexpected {w!r}")
 
 
 def parse_field(s: str) -> FieldElem:
-    """Parse the grammar produced by render_field (z = zeta7, r2 = sqrt2)."""
-    sc = _Scanner(s)
-    v = _parse_sum(sc)
-    if sc.peek() != "":
-        raise ValueError(f"trailing input at position {sc.i} in {s!r}")
-    return v
+    return _Scanner(s).parse(_field_atom)
 
 
 def parse_cyc(s: str) -> Cyc7:
@@ -903,14 +943,6 @@ class RatDomain:
     @staticmethod
     def fmt(a):
         return _render_rat(a)
-
-    @staticmethod
-    def is_unit_coeff(a):
-        return a == 1
-
-    @staticmethod
-    def needs_parens(a):
-        return False
 
 
 # Miller-Rabin with the first 13 prime bases decides every n below
@@ -987,13 +1019,6 @@ class FpDomain:
     def fmt(self, a):
         return str(a % self.p)
 
-    def is_unit_coeff(self, a):
-        return a % self.p == 1
-
-    @staticmethod
-    def needs_parens(a):
-        return False
-
     def __eq__(self, other):
         return isinstance(other, FpDomain) and other.p == self.p
 
@@ -1047,14 +1072,6 @@ class CycDomain:
     def fmt(a):
         return render_cyc(a)
 
-    @staticmethod
-    def is_unit_coeff(a):
-        return a == CycDomain.one
-
-    @staticmethod
-    def needs_parens(a):
-        return not a.is_rational()
-
 
 class DualDomain:
     """Dual numbers base[eps]/(eps^2) over a coefficient domain."""
@@ -1098,13 +1115,6 @@ class DualDomain:
         if self.base.is_zero(x.b):
             return self.base.fmt(x.a)
         return f"{self.base.fmt(x.a)} + ({self.base.fmt(x.b)})*eps"
-
-    def is_unit_coeff(self, x):
-        return self.base.is_unit_coeff(x.a) and self.base.is_zero(x.b)
-
-    @staticmethod
-    def needs_parens(a):
-        return True
 
 
 QQ = RatDomain()

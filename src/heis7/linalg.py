@@ -16,8 +16,8 @@ forms (and hence kernel bases) are canonical for a fixed input.
 
 The numpy helpers at the bottom operate on int64 arrays modulo a prime and
 are used where exact prime-field ranks of large matrices are needed.  They
-form products of two residues, so they take only p < 2^31; np_rank and
-np_nullspace fall back to rank and nullspace over fp(p) above that.
+form products of two residues, so they take only p < 2^31; np_rank falls
+back to rank over fp(p) above that.
 """
 
 from __future__ import annotations
@@ -148,23 +148,3 @@ def np_rank(a, p):
         return 0
     return len(np_rref(arr, p)[1])
 
-
-def np_nullspace(a, p):
-    """Kernel basis mod p as the rows of an array, one per free column; a
-    matrix with no rows has the identity basis of its width."""
-    arr = np.array(a, dtype=object if p >= NP_MAX_PRIME else np.int64)
-    cols = arr.shape[1] if arr.ndim == 2 else 0
-    if p >= NP_MAX_PRIME:
-        rows = [[int(x) for x in row] for row in arr]
-        return np.array(nullspace(rows, fp(p), cols), dtype=object).reshape(-1, cols)
-    if arr.size == 0:
-        return np.eye(cols, dtype=np.int64)
-    red, pivots = np_rref(arr, p)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    out = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        out[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            out[k, pc] = (-int(red[r, fc])) % p
-    return out

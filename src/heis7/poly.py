@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import QQ
+from .field import QQ, _field_atom, _join_terms, _render_term, _Scanner
 
 
 class VarRegistry:
@@ -214,14 +214,14 @@ class Poly:
             raise ValueError("polynomial is not bihomogeneous")
         return bids.pop() if bids else None
 
-    def leading(self, key=grevlex_key):
-        e = max(self.terms, key=key)
+    def leading(self):
+        e = max(self.terms, key=grevlex_key)
         return e, self.terms[e]
 
-    def monic(self, key=grevlex_key):
+    def monic(self):
         if self.is_zero():
             return self
-        _, c = self.leading(key)
+        _, c = self.leading()
         return self.scale(self.dom.inv(c))
 
     def coeff(self, exp):
@@ -379,133 +379,39 @@ def substitution_for(reg, matrix, dom=QQ):
 
 
 # ---------------------------------------------------------------------------
-# text form: `3*x0^2*x1 - x2*x3 + (z^2)*x4`
+# text form: `3*x0^2*x1 - x2*x3 + (z^2)*x4`, in the field module's grammar
 
 
-def render_poly(p: Poly, key=grevlex_key) -> str:
-    if p.is_zero():
-        return "0"
-    dom = p.dom
-    parts = []
-    for e in sorted(p.terms, key=key, reverse=True):
-        c = p.terms[e]
+def render_poly(p: Poly) -> str:
+    terms = []
+    for e in sorted(p.terms, key=grevlex_key, reverse=True):
         mono = "*".join(
             n if a == 1 else f"{n}^{a}" for n, a in zip(p.reg.names, e) if a
         )
-        cs = dom.fmt(c)
-        if dom.needs_parens(c):
-            cs = f"({cs})"
-        if not mono:
-            parts.append(cs)
-        elif dom.is_unit_coeff(c):
-            parts.append(mono)
-        elif cs == "-1":
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{cs}*{mono}")
-    out = parts[0]
-    for t in parts[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+        terms.append(_render_term(p.dom.fmt(p.terms[e]), mono))
+    return _join_terms(terms)
 
 
 def parse_poly(s: str, reg: VarRegistry, dom=QQ) -> Poly:
-    """Parse the grammar produced by render_poly."""
-    from .field import parse_field
+    """Parse the text grammar of the field module.  The atoms are a
+    parenthesized field element, a rational and a variable of reg with an
+    optional `^k`; a coefficient outside dom is a ValueError."""
 
-    i = 0
-    n = len(s)
-
-    def skip():
-        nonlocal i
-        while i < n and s[i].isspace():
-            i += 1
-
-    def peek():
-        skip()
-        return s[i] if i < n else ""
-
-    def number():
-        nonlocal i
-        skip()
-        j = i
-        while j < n and s[j].isdigit():
-            j += 1
-        if j == i:
-            raise ValueError(f"expected number at {i} in {s!r}")
-        v = int(s[i:j])
-        i = j
-        return v
-
-    def name():
-        nonlocal i
-        skip()
-        j = i
-        while j < n and (s[j].isalnum() or s[j] == "_"):
-            j += 1
-        w = s[i:j]
-        i = j
-        return w
-
-    def atom():
-        nonlocal i
-        c = peek()
-        if c == "(":
-            # parenthesized field-element coefficient
-            depth = 0
-            j = i
-            while j < n:
-                if s[j] == "(":
-                    depth += 1
-                elif s[j] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            inner = s[i + 1 : j]
-            i = j + 1
-            fe = parse_field(inner)
-            if fe.is_rational():
-                return Poly.const(reg, fe.rational_value(), dom)
-            return Poly.const(reg, dom.coerce(fe), dom)
-        if c.isdigit():
-            v = number()
-            if peek() == "/":
-                i += 1
-                d = number()
-                return Poly.const(reg, Fraction(v, d), dom)
-            return Poly.const(reg, v, dom)
-        w = name()
-        if w not in reg._index:
+    def atom(sc):
+        if sc.peek() == "(" or sc.peek().isdigit():
+            c = _field_atom(sc)
+            try:
+                return Poly.const(reg, c.rational_value() if c.is_rational() else c, dom)
+            except (TypeError, ZeroDivisionError):
+                raise ValueError(f"coefficient {c} of {s!r} is not in {dom.name}") from None
+        w = sc.name()
+        if w not in reg.names:
             raise ValueError(f"unknown variable {w!r} for registry {reg.names}")
-        p = Poly.var(reg, w, dom)
-        if peek() == "^":
-            i += 1
-            p = p ** number()
-        return p
+        e = [0] * reg.n
+        e[reg.index(w)] = sc.power()
+        return Poly.monomial(reg, e, 1, dom)
 
-    def term():
-        nonlocal i
-        neg = False
-        while peek() in ("+", "-"):
-            if s[i] == "-":
-                neg = not neg
-            i += 1
-        p = atom()
-        while peek() == "*":
-            i += 1
-            p = p * atom()
-        return -p if neg else p
-
-    total = Poly.zero(reg, dom)
-    while True:
-        total = total + term()
-        if peek() in ("+", "-"):
-            continue
-        break
-    if peek() != "":
-        raise ValueError(f"trailing input at {i} in {s!r}")
-    return total
+    return _Scanner(s).parse(atom)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,20 @@ def test_bad_coeff_is_a_usage_error(argv, capsys):
         assert "error: argument --coeff:" in err and "Traceback" not in err, (coeff, err)
 
 
+@pytest.mark.parametrize("flag", [["--json", "r.json"], ["--timing"]], ids=["json", "timing"])
+@pytest.mark.parametrize(
+    "argv", [["surface", "--t", "1,1,1,1"], ["grassmann", "--t", "1,1,1,1"]], ids=["surface", "grassmann"]
+)
+def test_report_flags_belong_to_verify(argv, flag, tmp_path, monkeypatch, capsys):
+    # surface and grassmann write no report, so they refuse its flags
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, *flag, "--quiet"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_syzygy_field_agreement_reads_coeff(tmp_path):
     def detail(*coeff):
         out = tmp_path / "r.json"

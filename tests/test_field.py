@@ -148,6 +148,8 @@ def test_render_parse_roundtrip():
     assert parse_field("(1/2 + z)*r2 - 3") == FieldElem(-3, Cyc7.from_rat(Fraction(1, 2)) + zeta(1))
     with pytest.raises(ValueError):
         parse_field("z + q")
+    with pytest.raises(ValueError):
+        parse_field("1/0")
 
 
 def test_dual_numbers():

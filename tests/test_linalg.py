@@ -8,7 +8,6 @@ from hypothesis import given, seed, settings, strategies as st
 from heis7.field import CYC, QQ, DualDomain, fp
 from heis7.linalg import (
     inverse,
-    np_nullspace,
     np_rank,
     np_rref,
     nullspace,
@@ -47,10 +46,6 @@ def test_empty_systems_have_the_identity_kernel():
     assert nullspace([], QQ, width=3) == eye == nullspace([[F(0)] * 3], QQ)
     assert nullspace([], fp(31), width=3) == eye
     assert rref([], QQ) == ([], []) and rank([], QQ) == 0
-    for p in (31, 2**31 - 1):
-        ns = np_nullspace(np.zeros((0, 3), dtype=np.int64), p)
-        assert ns.shape == (3, 3) and (ns == np.eye(3, dtype=np.int64)).all()
-        assert (ns == np_nullspace([[0, 0, 0]], p)).all()
 
 
 @pytest.mark.parametrize("dom", [CYC, DualDomain(QQ)], ids=["CYC", "dual"])
@@ -66,10 +61,6 @@ def test_other_domains_are_refused(dom):
 def test_numpy_mod_p():
     assert np_rank([[1, 2], [2, 4]], 31) == 1
     assert np_rank(np.eye(6, dtype=np.int64), 31) == 6
-    ns = np_nullspace([[1, 2, 3], [2, 4, 6]], 31)
-    assert ns.shape[0] == 2
-    for row in ns:
-        assert (np.dot([[1, 2, 3], [2, 4, 6]], row) % 31 == 0).all()
     red, piv = np_rref([[2, 1], [1, 1]], 31)
     assert piv == [0, 1]
 
@@ -94,10 +85,6 @@ def test_numpy_path_large_prime_rank():
             want = rank(m, fp(p))
             assert want == 5
             assert np_rank(m, p) == want
-            ns = np_nullspace(m, p)
-            assert ns.shape == (2, 7)
-            for v in ns:
-                assert all(sum(int(x) * int(y) for x, y in zip(row, v)) % p == 0 for row in m)
     with pytest.raises(OverflowError):
         np_rref([[1, 2], [3, 4]], 4294967311)
 
@@ -106,7 +93,7 @@ def test_numpy_path_large_prime_rank():
 # differential tests against sympy's exact matrices over QQ and GF(p)
 
 # p = 2^31 - 1 is the largest prime below the numpy path's bound and is
-# taken by np_rank/np_nullspace through the fallback to rank/nullspace
+# taken by np_rank through the fallback to rank
 DOMAINS = [QQ, fp(31), fp(2**31 - 1)]
 
 
@@ -218,6 +205,3 @@ def test_numpy_paths_against_sympy(case):
         arr = np.array(rows_p, dtype=np.int64).reshape(len(rows), ncols)
         want = _dm(rows_p, ncols, dom)
         assert np_rank(arr, dom.p) == want.rank()
-        ns = np_nullspace(arr, dom.p)
-        assert ns.shape == (ncols - want.rank(), ncols)
-        _check_kernel([[int(x) for x in row] for row in ns], want, dom)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heis7.field import CYC, QQ, fp
+from heis7.field import CYC, QQ, fp, zeta
 from heis7.moduli import delta_ops
 from heis7.poly import (
     Poly,
@@ -124,6 +124,30 @@ def test_parse_render():
         parse_poly("(z + r2)*x4", REG_X, CYC)
     with pytest.raises(ValueError):
         parse_poly("x9", REG_X)
+    # an unclosed parenthesis, a zero denominator and a coefficient outside Q
+    for bad in ["(1", "x0*(2", "2/0*x0", "(z)*x0"]:
+        with pytest.raises(ValueError):
+            parse_poly(bad, REG_X)
+    # seeded round trips with negative, fractional and irrational
+    # coefficients and a constant term
+    rng = random.Random(20)
+    for dom in (QQ, fp(31), CYC):
+        texts = []
+        for _ in range(20):
+            terms = {(0,) * 7: dom.coerce(rng.randint(1, 9))}
+            for _ in range(rng.randint(1, 5)):
+                c = dom.coerce(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                if dom is CYC:
+                    c = c + zeta(rng.randrange(1, 7)) * rng.randint(-2, 2)
+                terms[tuple(rng.choice((0, 0, 1, 2)) for _ in range(7))] = c
+            p = Poly(REG_X, dom, terms)
+            texts.append(render_poly(p))
+            assert parse_poly(texts[-1], REG_X, dom) == p, texts[-1]
+        assert any(t[-1].isdigit() for t in texts)
+        if dom is QQ:
+            assert any(" - " in t for t in texts) and any("/" in t for t in texts)
+        if dom is CYC:
+            assert any("(" in t for t in texts)
 
 
 def test_registry_mismatch():
