@@ -363,16 +363,16 @@ def g7_table() -> CharTable:
             seen.add(((-s) % 7, (-t) % 7))
             zlabels.append((s, t))
     assert len(zlabels) == 24
+    two = Cyc7.from_int(2)
+    z_pairs = [Cyc7.zeta(e) + Cyc7.zeta(-e) for e in range(7)]  # z^e + z^-e
     for s, t in zlabels:
         vals = []
         for c in range(n):
             lb = classes.labels[c]
             if lb[0] == "central":
-                vals.append(Cyc7.from_int(2))
+                vals.append(two)
             elif lb[0] == "C":
-                m, nn = lb[1], lb[2]
-                e = (s * m + t * nn) % 7
-                vals.append(Cyc7.zeta(e) + Cyc7.zeta(-e))
+                vals.append(z_pairs[(s * lb[1] + t * lb[2]) % 7])
             else:
                 vals.append(_C0)
         rows.append((f"Z({s},{t})", vals))

@@ -74,6 +74,10 @@ class RunConfig:
     def resolution_domain(self):
         return coeff_domain(self.coeff)
 
+    def resolution_degree_cap(self) -> int:
+        """Resolutions run through degree max(budget_degree, 9)."""
+        return max(self.budget_degree, 9)
+
 
 def coeff_domain(coeff: str):
     """The coefficient domain a --coeff value names: q, or fp:<p> for an
@@ -87,6 +91,11 @@ def coeff_domain(coeff: str):
             raise ValueError(f"fp:<p> needs an integer prime, not {coeff[3:]!r}") from None
         return fp(p)
     raise ValueError(f"unknown coefficient configuration {coeff!r} (expected q or fp:<p>)")
+
+
+def coeff_name(dom) -> str:
+    """The canonical --coeff value of a coefficient domain: q or fp:<p>."""
+    return "q" if dom is QQ else f"fp:{dom.p}"
 
 
 def admissible_point(t) -> tuple:
@@ -1369,7 +1378,7 @@ def check_surface_betti(ctx: Context):
             f"Hilbert numerator {sorted(hd.numerator.items())} differs from "
             "the expected alternating sums" + moved,
         )
-    bt = free_resolution(ideal, degree_cap=max(ctx.config.budget_degree, 9))
+    bt = free_resolution(ideal, degree_cap=ctx.config.resolution_degree_cap())
     want = {
         (0, 0): 1,
         (1, 3): 21,
@@ -1390,7 +1399,7 @@ def check_surface_betti(ctx: Context):
         )
     cross = ""
     if dom is not QQ:
-        bq = free_resolution(S.ideal(QQ), degree_cap=max(ctx.config.budget_degree, 9))
+        bq = free_resolution(S.ideal(QQ), degree_cap=ctx.config.resolution_degree_cap())
         if bq.complete and bq.entries != bt.entries:
             return (
                 "flagged",

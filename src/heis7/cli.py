@@ -20,7 +20,15 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .checks import SUITES, RunConfig, coeff_domain, report_json_bytes, report_to_text, run_suite
+from .checks import (
+    SUITES,
+    RunConfig,
+    coeff_domain,
+    coeff_name,
+    report_json_bytes,
+    report_to_text,
+    run_suite,
+)
 
 
 def _rationals(s: str, count: int, words: str) -> tuple:
@@ -47,11 +55,22 @@ def _parse_raw(s: str):
 
 
 def _parse_coeff(s: str) -> str:
+    """The canonical spelling of a --coeff value (fp:031 is fp:31), so one
+    field gives one report."""
     try:
-        coeff_domain(s)
+        return coeff_name(coeff_domain(s))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return s
+
+
+def _parse_budget(s: str) -> int:
+    try:
+        budget = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{s!r} is not an integer") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"the degree budget must be >= 0, not {budget}")
+    return budget
 
 
 def _add_common(p):
@@ -63,7 +82,10 @@ def _add_common(p):
         help="coefficient field for resolutions: q or fp:<p> (default fp:31)",
     )
     p.add_argument(
-        "--budget-degree", type=int, default=8, help="resolution degree budget"
+        "--budget-degree",
+        type=_parse_budget,
+        default=8,
+        help="resolution degree budget, >= 0; resolutions run through degree max(budget, 9) (default 8)",
     )
     p.add_argument("--quiet", action="store_true", help="suppress the text projection")
 
@@ -129,7 +151,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    from .field import QQ
     from .moduli import surface_ideal
     from .groebner import ideal_hf_oracle
     from .resolution import free_resolution
@@ -147,10 +168,8 @@ def cmd_surface(args) -> int:
             file=sys.stderr,
         )
         return 1
-    base = config.resolution_domain()
     # a prime dividing a coefficient denominator moves to the next good one
-    dom = S.coefficient_domain(base)
-    coeff = config.coeff if dom is base else ("q" if dom is QQ else f"fp:{dom.p}")
+    dom = S.coefficient_domain(config.resolution_domain())
     ideal = S.ideal(dom)
     payload = S.to_json()
     payload["hilbert_function"] = [1] + [ideal_hf_oracle(ideal.gens, d) for d in range(1, 6)]
@@ -163,11 +182,11 @@ def cmd_surface(args) -> int:
         "hilbert_function_seven_k_squared": payload["hilbert_function"]
         == [1, 7, 28, 63, 112, 175],
         "net_membership": member,
-        "coeff": coeff,
+        "coeff": coeff_name(dom),
         "tool_version": __version__,
     }
     if args.betti:
-        bt = free_resolution(ideal, degree_cap=max(args.budget_degree, 9))
+        bt = free_resolution(ideal, degree_cap=config.resolution_degree_cap())
         payload["betti"] = bt.to_json()
         payload["betti_complete"] = bt.complete
     data = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -483,38 +483,53 @@ class ClassData(NamedTuple):
         return sum(self.sizes)
 
 
+def _orbits(perms) -> list:
+    """The orbits of the group generated by index permutations of range(n),
+    each a list of indices, in order of their least index.  The group is
+    finite, so an orbit is closed under the generators alone."""
+    seen = [False] * len(perms[0])
+    orbits = []
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for i in orbit:  # the walk appends to the list it reads
+            for p in perms:
+                j = p[i]
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
+        orbits.append(orbit)
+    return orbits
+
+
+# sigma, tau and iota generate G7 (CLOSURES), so conjugation by them
+# generates its inner automorphisms
+G7_CONJUGATORS = (H_GEN_SIGMA, H_GEN_TAU, H_GEN_IOTA)
+
+
 def conjugacy_classes_g7() -> ClassData:
-    """Brute-force orbit enumeration of the 686 elements of G7.
+    """Orbits of the 686 elements of G7 under conjugation by G7_CONJUGATORS.
+
+    Each conjugation x -> g x g^-1 is an index permutation of g7_elements(),
+    read off the law on plain int tuples (no HElem is built per element);
+    the orbits are walked on those indices.
 
     Labels: ('central', a) for z^a; ('C', m, n) with (m, n) the lexicographic
     minimum of +/-(m, n); ('Ca', a) for the involution coset, where z^a is the
-    square root (unique in mu7) of the central square of the class.
+    square root (unique in mu7) of the central square of the class.  The
+    classes are in label order, each represented by its least element.
     """
-    elems = g7_elements()
-    gens = [H_GEN_SIGMA, H_GEN_TAU, H_GEN_IOTA, HElem(1, 0, 0, 0)]
-    gens = gens + [g.inv() for g in gens]
-    index_of = {}
-    labels = []
-    reps = []
-    sizes = []
-    for e in elems:
-        if e in index_of:
-            continue
-        orbit = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = g * x * g.inv()
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        ci = len(labels)
-        rep = min(orbit)
-        for x in orbit:
-            index_of[x] = ci
+    g7 = g7_elements()
+    pos = {x: i for i, x in enumerate(g7)}
+    perms = []
+    for g in G7_CONJUGATORS:
+        g_inv = g.inv()
+        perms.append([pos[_law(*g, *_law(*x, *g_inv))] for x in g7])
+    classes = []
+    for orbit in _orbits(perms):
+        rep = min(g7[i] for i in orbit)
         if rep.b == 0 and rep.m == 0 and rep.n == 0:
             label = ("central", rep.a)
         elif rep.b == 0:
@@ -525,17 +540,13 @@ def conjugacy_classes_g7() -> ClassData:
             if sq.m or sq.n or sq.b:
                 raise GroupLawError("involution-coset square is not central")
             label = ("Ca", (4 * sq.a) % 7)  # alpha with alpha^2 = z^(sq.a)
-        labels.append(label)
-        reps.append(rep)
-        sizes.append(len(orbit))
-    order = [i for i in range(len(labels))]
-    order.sort(key=lambda i: labels[i])
-    remap = {old: new for new, old in enumerate(order)}
+        classes.append((label, rep, orbit))
+    classes.sort(key=lambda c: c[0])
     return ClassData(
-        tuple(labels[i] for i in order),
-        tuple(reps[i] for i in order),
-        tuple(sizes[i] for i in order),
-        {e: remap[ci] for e, ci in index_of.items()},
+        tuple(label for label, _, _ in classes),
+        tuple(rep for _, rep, _ in classes),
+        tuple(len(orbit) for _, _, orbit in classes),
+        {g7[i]: ci for ci, (_, _, orbit) in enumerate(classes) for i in orbit},
     )
 
 
@@ -597,52 +608,30 @@ SL2_CLASS_REPS = [
 
 
 def conjugacy_classes_sl2() -> ClassData:
+    """Orbits of the 336 elements of SL2(F7) under conjugation by nu, delta
+    and mu, each an index permutation of sl2_elements(); the classes are
+    those of SL2_CLASS_REPS, in its order."""
     elems = sl2_elements()
-    universe = set(elems)
-    index_of = {}
-    parts = []
-    for e in elems:
-        if e in index_of:
-            continue
-        orbit = {e}
-        frontier = [e]
-        gens = [SL2_NU, SL2_DELTA, SL2_MU]
-        gens += [sl2_inv(g) for g in gens]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = sl2_mul(sl2_mul(g, x), sl2_inv(g))
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        ci = len(parts)
-        for x in orbit:
-            index_of[x] = ci
-        parts.append(orbit)
-    if len(parts) != 11:
-        raise GroupLawError(f"SL2(F7) has {len(parts)} classes, expected 11")
-    labels = []
-    reps = []
-    sizes = []
-    used = set()
-    for name, rep in SL2_CLASS_REPS:
-        ci = index_of[rep]
-        if ci in used:
-            raise GroupLawError(f"representative {name} repeats class {ci}")
-        used.add(ci)
-        labels.append(name)
-        reps.append(rep)
-        sizes.append(len(parts[ci]))
+    pos = {x: i for i, x in enumerate(elems)}
+    perms = []
+    for g in (SL2_NU, SL2_DELTA, SL2_MU):
+        g_inv = sl2_inv(g)
+        perms.append([pos[sl2_mul(sl2_mul(g, x), g_inv)] for x in elems])
+    orbits = _orbits(perms)
+    if len(orbits) != 11:
+        raise GroupLawError(f"SL2(F7) has {len(orbits)} classes, expected 11")
+    class_of = {elems[i]: ci for ci, orbit in enumerate(orbits) for i in orbit}
     remap = {}
-    for new, (name, rep) in enumerate(SL2_CLASS_REPS):
-        remap[index_of[rep]] = new
+    for name, rep in SL2_CLASS_REPS:
+        ci = class_of[rep]
+        if ci in remap:
+            raise GroupLawError(f"representative {name} repeats class {ci}")
+        remap[ci] = len(remap)
     return ClassData(
-        tuple(labels),
-        tuple(reps),
-        tuple(sizes),
-        {e: remap[ci] for e, ci in index_of.items()},
+        tuple(name for name, _ in SL2_CLASS_REPS),
+        tuple(rep for _, rep in SL2_CLASS_REPS),
+        tuple(len(orbits[ci]) for ci in remap),
+        {e: remap[ci] for e, ci in class_of.items()},
     )
 
 

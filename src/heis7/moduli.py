@@ -164,11 +164,19 @@ def wedge_reps():
 
 
 @cache
+def _compose_table() -> dict:
+    """compose_u of all 16 pairs, from one set of wedge vectors."""
+    reps, _ = wedge_reps()
+    return {
+        (i, j): FormMatrix([[wedge_pair_to_dual(ui.entries[r], uj.entries[s]) for s in range(7)] for r in range(7)])
+        for i, ui in reps.items()
+        for j, uj in reps.items()
+    }
+
+
 def compose_u(i: int, j: int) -> FormMatrix:
     """The 7x7 matrix of linear forms of the composition of wedge vectors."""
-    reps, _ = wedge_reps()
-    ui, uj = reps[i], reps[j]
-    return FormMatrix([[wedge_pair_to_dual(ui.entries[r], uj.entries[s]) for s in range(7)] for r in range(7)])
+    return _compose_table()[i, j]
 
 
 def _b_from_pattern(pattern):

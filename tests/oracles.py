@@ -36,6 +36,11 @@ them.
 The decomposition oracle pairs a character with each row value by value in
 Cyc7/FieldElem arithmetic and rebuilds it from Fraction multiplicities;
 the package's batched integer decomposition is tested against it.
+
+The class oracles enumerate the conjugacy classes of G7 and SL2(F7)
+breadth-first on the group elements themselves, conjugating by the
+generators and their inverses with HElem products and sl2_mul; the
+package's orbits of index permutations are tested against them.
 """
 
 from itertools import combinations
@@ -46,6 +51,18 @@ from fractions import Fraction
 
 from heis7.field import CYC, QQ, Cyc7
 from heis7.formmat import FormMatrix
+from heis7.heisenberg import (
+    SL2_CLASS_REPS,
+    SL2_DELTA,
+    SL2_MU,
+    SL2_NU,
+    ClassData,
+    HElem,
+    g7_elements,
+    sl2_elements,
+    sl2_inv,
+    sl2_mul,
+)
 from heis7.linalg import np_rank, np_rref, rref
 from heis7.moduli import compose_u, delta_ops
 from heis7.poly import REG_X, Poly, monomial_basis
@@ -422,3 +439,68 @@ def decompose_oracle(table, chi):
     if rebuilt != list(vals):
         raise ValueError("decomposition does not reconstruct the character")
     return {lb: m for lb, m in mults.items() if m}
+
+
+# ---------------------------------------------------------------------------
+# conjugacy classes
+
+
+def _orbits_by_search(elems, gens, mul, inv):
+    """The orbits of elems under conjugation by gens and their inverses,
+    each a set, in order of their first element in elems."""
+    gens = [*gens, *(inv(g) for g in gens)]
+    orbits, seen = [], set()
+    for e in elems:
+        if e in seen:
+            continue
+        orbit, frontier = {e}, [e]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = mul(mul(g, x), inv(g))
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+def g7_classes_oracle() -> ClassData:
+    """G7's classes in label order, each represented by its least element
+    (labels as documented at heisenberg.conjugacy_classes_g7)."""
+    gens = [HElem(0, 1, 0, 0), HElem(0, 0, 1, 0), HElem(0, 0, 0, 1), HElem(1, 0, 0, 0)]
+    classes = []
+    for orbit in _orbits_by_search(g7_elements(), gens, HElem.__mul__, HElem.inv):
+        rep = min(orbit)
+        if rep.b == 0 and rep.m == 0 and rep.n == 0:
+            label = ("central", rep.a)
+        elif rep.b == 0:
+            label = ("C", *min((rep.m, rep.n), ((-rep.m) % 7, (-rep.n) % 7)))
+        else:
+            sq = rep * rep
+            assert (sq.m, sq.n, sq.b) == (0, 0, 0)
+            label = ("Ca", (4 * sq.a) % 7)
+        classes.append((label, rep, orbit))
+    classes.sort(key=lambda c: c[0])
+    return ClassData(
+        tuple(c[0] for c in classes),
+        tuple(c[1] for c in classes),
+        tuple(len(c[2]) for c in classes),
+        {x: ci for ci, c in enumerate(classes) for x in c[2]},
+    )
+
+
+def sl2_classes_oracle() -> ClassData:
+    """SL2(F7)'s classes in the order of SL2_CLASS_REPS."""
+    orbits = _orbits_by_search(sl2_elements(), [SL2_NU, SL2_DELTA, SL2_MU], sl2_mul, sl2_inv)
+    ordered = [next(o for o in orbits if rep in o) for _, rep in SL2_CLASS_REPS]
+    assert len(orbits) == len(ordered)
+    return ClassData(
+        tuple(name for name, _ in SL2_CLASS_REPS),
+        tuple(rep for _, rep in SL2_CLASS_REPS),
+        tuple(len(o) for o in ordered),
+        {x: ci for ci, o in enumerate(ordered) for x in o},
+    )

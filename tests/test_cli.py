@@ -146,3 +146,39 @@ def test_syzygy_field_agreement_reads_coeff(tmp_path):
     assert "over Q and over F37 agree" in detail("--coeff", "fp:37")
     # the default prime goes unnamed, as before --coeff was read here
     assert "over Q and over the default prime field agree" in detail()
+
+
+def test_spellings_of_one_prime_give_one_report(tmp_path, capsys):
+    # the report records the canonical fp:<p>, not the spelling given
+    reports = []
+    for i, coeff in enumerate(["fp:31", "fp:031", "fp:+31", "fp: 31"]):
+        out = tmp_path / f"r{i}.json"
+        assert main(["verify", "syzygy", "--coeff", coeff, "--quiet", "--json", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1:] == reports[:1] * 3
+    assert json.loads(reports[0])["config"]["coeff"] == "fp:31"
+    out = tmp_path / "big.json"
+    assert main(["verify", "syzygy", "--coeff", "fp:1_000_003", "--quiet", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["coeff"] == "fp:1000003"
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "syzygy"], ["surface", "--t", "1,1,1,1"]], ids=["verify", "surface"]
+)
+@pytest.mark.parametrize(
+    "budget, why",
+    [("-1", "the degree budget must be >= 0, not -1"), ("x", "'x' is not an integer")],
+    ids=["negative", "not-an-integer"],
+)
+def test_bad_budget_is_a_usage_error(argv, budget, why, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--budget-degree", budget, "--quiet"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --budget-degree: {why}" in err and "Traceback" not in err, err
+
+
+def test_budget_help_names_the_degree_floor(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "max(budget, 9)" in " ".join(capsys.readouterr().out.split())

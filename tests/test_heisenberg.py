@@ -36,7 +36,13 @@ from heis7.heisenberg import (
 )
 from heis7.poly import REG_X, Poly
 
-from oracles import dense_mul_oracle, mono_dense_oracle, substitution_images
+from oracles import (
+    dense_mul_oracle,
+    g7_classes_oracle,
+    mono_dense_oracle,
+    sl2_classes_oracle,
+    substitution_images,
+)
 
 
 def test_monomial_matrices_match_dense():
@@ -229,6 +235,45 @@ def test_sl2_classes():
     assert len(sl2_elements()) == 336
     m = (2, 2, 5, 2)
     assert sl2_mul(m, sl2_inv(m)) == (1, 0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "build, oracle",
+    [(conjugacy_classes_g7, g7_classes_oracle), (conjugacy_classes_sl2, sl2_classes_oracle)],
+    ids=["g7", "sl2"],
+)
+def test_class_data_against_oracle(build, oracle):
+    got, want = build(), oracle()
+    assert got.labels == want.labels
+    assert got.reps == want.reps
+    assert got.sizes == want.sizes
+    assert got.index_of == want.index_of
+
+
+def test_g7_classes_need_iota(monkeypatch):
+    # conjugation by sigma and tau alone splits the classes iota fuses
+    monkeypatch.setattr(heisenberg, "G7_CONJUGATORS", heisenberg.G7_CONJUGATORS[:2])
+    assert conjugacy_classes_g7().count != 38
+
+
+def test_g7_classes_make_few_helem_products(monkeypatch):
+    # the classes are orbits of index permutations read off the law on int
+    # tuples: a handful of HElem products, not several per element
+    calls = {"__mul__": 0, "inv": 0}
+
+    def counted(name):
+        fn = getattr(HElem, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(HElem, name, counted(name))
+    assert conjugacy_classes_g7().count == 38
+    assert calls["__mul__"] <= 64 and calls["inv"] <= 64, calls
 
 
 def test_restriction_matrices():
