@@ -52,6 +52,7 @@ from .heisenberg import (
     HElem,
     IOTA,
     SIGMA,
+    TAU,
     conjugacy_classes_g7,
     conjugacy_classes_sl2,
     dense_mul,
@@ -555,30 +556,19 @@ def weight_blocks(basis):
     """{pivot monomial: row dict}: the reduced rows spanning the P_w(V),
     each weight block row-reduced on its own over Q.
 
-    tau scales x^e by z^-w(e), w(e) = sum k*e_k mod 7, so splitting each
-    basis polynomial by weight projects V onto the tau-eigenspaces without
+    TAU scales x^e by z^w(e), w(e) = sum k*e_k mod 7, so TAU.act(p.terms)[w]
+    is the weight-w part of p: it projects V onto a tau-eigenspace without
     field arithmetic.  The row count, dim sum_w P_w(V), is >= dim V, with
     equality exactly when V is tau-stable.
     """
-    weights = {e: sum(k * a for k, a in enumerate(e)) % 7 for p in basis for e in p.terms}
+    parts = [TAU.act(p.terms) for p in basis]
     rows = {}
-    for w in sorted(set(weights.values())):
-        monos = sorted((e for e in weights if weights[e] == w), reverse=True)
-        red, pivots = rref([[p.terms.get(e, 0) for e in monos] for p in basis])
-        rows.update((monos[c], {monos[j]: x for j, x in enumerate(row) if x}) for row, c in zip(red, pivots))
+    for w in range(7):
+        monos = sorted({e for part in parts for e in part[w]}, reverse=True)
+        if monos:
+            red, pivots = rref([[part[w].get(e, 0) for e in monos] for part in parts])
+            rows.update((monos[c], {monos[j]: x for j, x in enumerate(row) if x}) for row, c in zip(red, pivots))
     return rows
-
-
-def _phase_part(e, ks, c):
-    """(m, q) with (-z)^k c = q z^m, k the phase exponent of x^e."""
-    k = sum(map(mul, e, ks)) % 14
-    return k % 7, -c if k % 2 else c
-
-
-def _phases(g):
-    """The phase exponents k_i of a MonoMat, sign[i] z^pw[i] = (-z)^k_i with
-    k_i mod 14: the phases of a monomial's image compose by adding them."""
-    return [p + 7 * ((p + (sg < 0)) % 2) for sg, p in zip(g.sign, g.pw)]
 
 
 class SpanSolver:
@@ -588,9 +578,9 @@ class SpanSolver:
     weight-block rows (the surface span has seven 3x12 blocks, which sigma
     permutes).  Such a map sends each monomial to one relabelled monomial
     times a phase (-z)^k, so all work is over Q: a row's image splits into
-    seven rational phase parts, and the trace into seven rational phase
-    buckets.  A basis not over Q and a dependent or non-tau-stable basis
-    are a ValueError.
+    seven rational phase parts (g.act), and the trace into seven rational
+    phase buckets (read with g.phases()).  A basis not over Q and a
+    dependent or non-tau-stable basis are a ValueError.
     """
 
     def __init__(self, basis):
@@ -632,28 +622,19 @@ class SpanSolver:
         in V.  So the parts are tested one by one, up to the first one
         outside the span.
         """
-        ks = _phases(g)
-        inv = sorted(range(7), key=g.perm.__getitem__)
-        for row in self.rows.values():
-            parts = [{} for _ in range(7)]
-            for e, c in row.items():
-                m, q = _phase_part(e, ks, c)
-                parts[m][tuple(map(e.__getitem__, inv))] = q
-            if any(self._remainder(u) for u in parts if u):
-                return False
-        return True
+        return not any(self._remainder(u) for row in self.rows.values() for u in g.act(row) if u)
 
     def trace(self, g) -> Cyc7:
         """Trace of g on the span, assuming it is stable: the image of each
         row at its own pivot, summed into seven rational phase buckets q_m,
         then sum_m z^m q_m."""
-        ks = _phases(g)
+        ks = g.phases()
         buckets = [0] * 7
         for piv, row in self.rows.items():
             e = tuple(piv[p] for p in g.perm)
             if e in row:
-                m, q = _phase_part(e, ks, row[e])
-                buckets[m] += q
+                k = sum(map(mul, e, ks)) % 14
+                buckets[k % 7] += -row[e] if k % 2 else row[e]
         return sum((Cyc7.zeta(m) * q for m, q in enumerate(buckets) if q), _C0)
 
 

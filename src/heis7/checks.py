@@ -33,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .field import (
-    CYC,
     Cyc7,
     CycArray,
     QQ,
@@ -61,8 +60,11 @@ class CheckResult:
         return {"id": self.id, "status": self.status, "details": self.details, "ms": self.ms}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """Canonical once built (coeff fp:031 is fp:31, extra_t four Fractions);
+    a bad coeff, budget_degree or extra_t is a ValueError, as on the CLI."""
+
     seed: int = 42
     coeff: str = "fp:31"
     budget_degree: int = 8
@@ -70,6 +72,12 @@ class RunConfig:
     sample_points: int = 20
     random_alphas: int = 200
     extra_t: tuple = None  # an explicit parameter point to prepend
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeff", coeff_name(coeff_domain(self.coeff)))
+        object.__setattr__(self, "budget_degree", degree_budget(self.budget_degree))
+        if self.extra_t is not None:
+            object.__setattr__(self, "extra_t", admissible_point(self.extra_t))
 
     def resolution_domain(self):
         return coeff_domain(self.coeff)
@@ -84,7 +92,7 @@ def coeff_domain(coeff: str):
     admissible prime p; anything else raises ValueError."""
     if coeff == "q":
         return QQ
-    if coeff.startswith("fp:"):
+    if isinstance(coeff, str) and coeff.startswith("fp:"):
         try:
             p = int(coeff[3:])
         except ValueError:
@@ -98,10 +106,21 @@ def coeff_name(dom) -> str:
     return "q" if dom is QQ else f"fp:{dom.p}"
 
 
+def degree_budget(budget) -> int:
+    """A resolution degree budget: a non-negative int, else ValueError."""
+    if type(budget) is not int:
+        raise ValueError(f"the degree budget must be an integer, not {budget!r}")
+    if budget < 0:
+        raise ValueError(f"the degree budget must be >= 0, not {budget}")
+    return budget
+
+
 def admissible_point(t) -> tuple:
-    """An explicit parameter point as four Fractions; ValueError unless
-    t1 t2 t3 != 0."""
+    """An explicit parameter point as four Fractions; ValueError unless it
+    has four coordinates with t1 t2 t3 != 0."""
     t = tuple(Fraction(x) for x in t)
+    if len(t) != 4:
+        raise ValueError(f"explicit parameter must have four coordinates, not {len(t)}")
     if not (t[1] and t[2] and t[3]):
         raise ValueError("explicit parameter must satisfy t1 t2 t3 != 0")
     return t
@@ -138,7 +157,7 @@ class Context:
             rng = random.Random(self.config.seed)
             out = [(Fraction(1), Fraction(1), Fraction(1), Fraction(1))]
             if self.config.extra_t is not None:
-                out.insert(0, admissible_point(self.config.extra_t))
+                out.insert(0, self.config.extra_t)
             while len(out) < self.config.sample_points:
                 t = tuple(
                     Fraction(rng.randint(-13, 13), rng.randint(1, 13)) for _ in range(4)
@@ -1287,10 +1306,8 @@ def check_d_vector(ctx: Context):
         x("x1*x2*x4+x3*x5*x6-x0^3"),
     ]
     ok = d == expected
-    taui = TAU.conj().images(REG_X, CYC)
-    for p in d:
-        q = p.map_coeffs(CYC.coerce, CYC)
-        ok = ok and q.substitute(taui) == q
+    # tau's sign-free action keeps an invariant cubic whole in phase 0
+    ok = ok and all(TAU.conj().act(p.terms) == [p.terms] + [{}] * 6 for p in d)
     return _result(
         bool(ok),
         "all seven phase-invariant cubics match the classical display (one "
@@ -1447,8 +1464,8 @@ def check_surface_stability(ctx: Context):
 
 
 def run_suite(suite: str, config: RunConfig = None) -> dict:
-    """Run a suite of SUITES, or 'all' of them.  An unknown suite or an
-    inadmissible explicit point raises ValueError before any check runs."""
+    """Run a suite of SUITES, or 'all' of them; an unknown suite raises
+    ValueError before any check runs."""
     config = config or RunConfig()
     if suite == "all":
         fns = [fn for checks in SUITES.values() for fn in checks]
@@ -1456,8 +1473,6 @@ def run_suite(suite: str, config: RunConfig = None) -> dict:
         fns = SUITES[suite]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    if config.extra_t is not None:
-        admissible_point(config.extra_t)
     ctx = Context(config)
     results = []
     for fn in fns:
@@ -1484,6 +1499,7 @@ def run_suite(suite: str, config: RunConfig = None) -> dict:
             "budget_degree": config.budget_degree,
             "suite": suite,
             "timing": config.timing,
+            **({} if config.extra_t is None else {"extra_t": [str(x) for x in config.extra_t]}),
         },
         "checks": [r.to_json() for r in results],
         "summary": summary,

@@ -25,6 +25,7 @@ from .checks import (
     RunConfig,
     coeff_domain,
     coeff_name,
+    degree_budget,
     report_json_bytes,
     report_to_text,
     run_suite,
@@ -68,9 +69,10 @@ def _parse_budget(s: str) -> int:
         budget = int(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{s!r} is not an integer") from None
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"the degree budget must be >= 0, not {budget}")
-    return budget
+    try:
+        return degree_budget(budget)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _add_common(p):
@@ -127,20 +129,12 @@ def build_parser():
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig(
-        seed=args.seed,
-        coeff=args.coeff,
-        budget_degree=args.budget_degree,
-        timing=args.timing,
-        extra_t=args.t,
-    )
     try:
+        config = RunConfig(args.seed, args.coeff, args.budget_degree, args.timing, extra_t=args.t)
         report = run_suite(args.suite, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.t is not None:
-        report["config"]["extra_t"] = [str(x) for x in args.t]
     payload = report_json_bytes(report)
     if args.json_path:
         with open(args.json_path, "wb") as fh:

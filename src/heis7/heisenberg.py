@@ -13,14 +13,15 @@ or a batch of them, is a CycArray of batch shape (..., 7, 7).
 
 The coordinate action is written once, here.  A MonoMat g is also the
 substitution x_i -> sign[i] z^pw[i] x_perm[i] of the coordinate functions
-x_0..x_6 of the dual basis (MonoMat.images builds its Poly images, and
-SpanSolver reads g itself).  The pullback p -> p o g of a polynomial is the
-substitution of g's transpose, g.inv().conj(); the contragredient
-p -> p o g^-1, which makes the x_j a copy of the dual representation, is
-the substitution of g.conj(), since for these unitary matrices the
-entrywise conjugate is the inverse transpose.  So sigma and iota pull x_j
-back to x_{j-1} and -x_{-j} (SIGMA.inv() and IOTA), and tau acts
-contragrediently by x_j -> z^{-j} x_j (TAU.conj()).
+x_0..x_6 of the dual basis; MonoMat.act applies it to a polynomial's
+terms by relabelling exponents and splitting the image into seven rational
+phase parts, with no field arithmetic.  The pullback p -> p o g of a
+polynomial is the substitution of g's transpose, g.inv().conj(); the
+contragredient p -> p o g^-1, which makes the x_j a copy of the dual
+representation, is the substitution of g.conj(), since for these unitary
+matrices the entrywise conjugate is the inverse transpose.  So sigma and
+iota pull x_j back to x_{j-1} and -x_{-j} (SIGMA.inv() and IOTA), and tau
+acts contragrediently by x_j -> z^{-j} x_j (TAU.conj()).
 
 Direction conventions are forced empirically: with sigma raising the index,
 all eight conjugation relations for mu, nu, iota, delta hold verbatim, and
@@ -35,13 +36,13 @@ tau sigma = z sigma tau here.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .field import CYC, QQ, Cyc7, CycArray, gauss_sum
+from .field import QQ, Cyc7, CycArray, gauss_sum
 from .linalg import inverse
-from .poly import Poly
 
 ZETA = [Cyc7.zeta(k) for k in range(7)]
 _ZETA_NUM = np.array([z.num for z in ZETA], dtype=np.int64)
@@ -82,16 +83,22 @@ class MonoMat(NamedTuple):
         """The entrywise complex conjugate: z^pw -> z^-pw."""
         return MonoMat(self.perm, self.sign, tuple(-p % 7 for p in self.pw))
 
-    def images(self, reg, dom=QQ) -> list:
-        """The Poly images of x_i -> sign[i] z^pw[i] x_perm[i] over dom; a
-        nonzero pw is refused over any domain but Q(zeta7)."""
-        if dom is not CYC and any(self.pw):
-            raise ValueError(f"a zeta-phase is not over {dom.name}")
-        out = []
-        for t, s, p in zip(self.perm, self.sign, self.pw):
-            c = ZETA[p] * s if dom is CYC else dom.coerce(s)
-            out.append(Poly.monomial(reg, tuple(int(j == t) for j in range(7)), c, dom))
-        return out
+    def phases(self) -> list:
+        """The phase exponents k_i mod 14 with sign[i] z^pw[i] = (-z)^k_i:
+        the phases of a monomial's image compose by adding them."""
+        return [p + 7 * ((p + (sg < 0)) % 2) for sg, p in zip(self.sign, self.pw)]
+
+    def act(self, terms) -> list:
+        """The image sum_m z^m u_m of the polynomial {e: rational c_e} under
+        x_i -> sign[i] z^pw[i] x_perm[i], as its seven phase parts u_m: x^e
+        goes to x^f, f[perm[i]] = e[i], times (-z)^k, k = sum k_i e_i."""
+        ks = self.phases()
+        inv = sorted(range(7), key=self.perm.__getitem__)
+        parts = [{} for _ in range(7)]
+        for e, c in terms.items():
+            k = sum(map(mul, e, ks)) % 14
+            parts[k % 7][tuple(map(e.__getitem__, inv))] = -c if k % 2 else c
+        return parts
 
     def trace(self) -> Cyc7:
         t = _C0

@@ -761,13 +761,13 @@ def surface_ideal(t) -> SurfaceIdeal:
     if all(x == 0 for x in t):
         raise ValueError("t must be a point of projective 3-space")
     g = surface_cubics(t)
-    sig = SIGMA.inv().images(REG_X)
+    # each cubic, then its shifts by sigma's pullback x_j -> x_{j-1} (no phase)
+    shift = SIGMA.inv()
     basis = []
-    for gi in g:
-        cur = gi
+    for cur in g:
         for _ in range(7):
             basis.append(cur)
-            cur = cur.substitute(sig)
+            cur = Poly(REG_X, QQ, shift.act(cur.terms)[0], _clean=True)
     # every basis cubic has a single Heisenberg weight, so the span is
     # tau-stable and the solver refuses it only when the cubics are dependent
     try:

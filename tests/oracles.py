@@ -340,6 +340,14 @@ def substitution_images(perm, sign, pw):
     return images
 
 
+def phase_sum(parts):
+    """sum_m z^m u_m over Q(z7), for seven {exponent: rational} phase parts."""
+    out = Poly.zero(REG_X, CYC)
+    for m, u in enumerate(parts):
+        out = out + Poly(REG_X, CYC, {e: Cyc7.zeta(m) * CYC.coerce(c) for e, c in u.items()})
+    return out
+
+
 # ---------------------------------------------------------------------------
 # scalar traces, Newton recursions and orthogonality
 

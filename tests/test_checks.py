@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -91,15 +92,20 @@ TRACED_CHARTABLE = ("decompose", "sym_power", "ext_power")
 def scaled_run():
     """A scaled seed-42 run (every check, fewer samples), with the calls of
     the traced CharTable methods, of CycArray.__matmul__, of Poly.__mul__
-    inside det_form, of surface_ideal and weight_blocks, of Cyc7 products
-    and differences inside SpanSolver.is_stable_under, and of Poly
-    constructions inside subspace_character and the SpanSolver methods
-    counted: (report, {name: calls})."""
-    names = (*TRACED_CHARTABLE, "matmul", "det_form_mul", "surface_ideal", "weight_blocks", "stable_cyc7", "span_poly")
+    inside det_form, of surface_ideal and weight_blocks, of Poly.substitute
+    inside surface_ideal, of Cyc7 products and differences inside
+    SpanSolver.is_stable_under, and of Poly constructions inside
+    subspace_character and the SpanSolver methods counted:
+    (report, {name: calls})."""
+    names = (
+        *TRACED_CHARTABLE, "matmul", "det_form_mul", "surface_ideal", "surface_substitute", "weight_blocks",
+        "stable_cyc7", "span_poly",
+    )
     calls = dict.fromkeys(names, 0)
     in_det = [0]
     in_stable = [0]
     in_span = [0]
+    in_surface = [0]
 
     def counting(name, fn, inside=(1,)):
         # counts the calls made while inside[0] is set
@@ -127,7 +133,8 @@ def scaled_run():
         mp.setattr(Poly, "__mul__", counting("det_form_mul", Poly.__mul__, in_det))
         for owner in (formmat, moduli):  # moduli imported det_form by name
             mp.setattr(owner, "det_form", setting(in_det, formmat.det_form))
-        mp.setattr(moduli, "surface_ideal", counting("surface_ideal", moduli.surface_ideal))
+        mp.setattr(moduli, "surface_ideal", counting("surface_ideal", setting(in_surface, moduli.surface_ideal)))
+        mp.setattr(Poly, "substitute", counting("surface_substitute", Poly.substitute, in_surface))
         mp.setattr(characters, "weight_blocks", counting("weight_blocks", characters.weight_blocks))
         for name in ("__init__", "is_stable_under", "trace"):
             mp.setattr(SpanSolver, name, setting(in_span, getattr(SpanSolver, name)))
@@ -177,6 +184,8 @@ def test_work_counts_of_the_scaled_suite(scaled_run):
     assert calls["stable_cyc7"] == 0
     # the solver reads each group element's MonoMat, with no Poly images
     assert calls["span_poly"] == 0
+    # the surface shifts relabel exponents (MonoMat.act): no substitution
+    assert calls["surface_substitute"] == 0
 
 
 def test_constant_polynomials_are_parsed_once(scaled_run, monkeypatch):
@@ -193,3 +202,41 @@ def test_constant_polynomials_are_parsed_once(scaled_run, monkeypatch):
         monkeypatch.setattr(owner, "parse_poly", counting)
     run_suite("all", RunConfig(seed=42, sample_points=2, random_alphas=24))
     assert calls == []
+
+
+def test_library_spellings_of_one_prime_give_one_report():
+    # RunConfig stores the canonical coefficient name, as the CLI does
+    assert RunConfig(coeff="fp:031").coeff == "fp:31"
+    reports = [report_json_bytes(run_suite("syzygy", RunConfig(coeff=c))) for c in ("fp:31", "fp:031")]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "budget, why",
+    [(-3, ">= 0, not -3"), (2.5, "an integer, not 2.5"), ("8", "an integer, not '8'"), (True, "an integer, not True")],
+    ids=["negative", "float", "str", "bool"],
+)
+def test_library_refuses_a_bad_budget(budget, why):
+    with pytest.raises(ValueError, match=f"the degree budget must be {why}"):
+        RunConfig(budget_degree=budget)
+
+
+@pytest.mark.parametrize("coeff", ["bogus", "fp:x", "fp:9", None])
+def test_library_refuses_a_bad_coefficient(coeff):
+    # refused when the config is built, before any check can run
+    with pytest.raises(ValueError):
+        RunConfig(coeff=coeff)
+
+
+def test_library_report_names_its_explicit_point(monkeypatch):
+    # the point is normalised to Fractions and recorded only when given
+    monkeypatch.setitem(SUITES, "appendix", [])
+    config = RunConfig(extra_t=(1, "2/4", 3, -1))
+    assert config.extra_t == (1, Fraction(1, 2), 3, -1)
+    assert all(isinstance(x, Fraction) for x in config.extra_t)
+    assert run_suite("appendix", config)["config"]["extra_t"] == ["1", "1/2", "3", "-1"]
+    assert "extra_t" not in run_suite("appendix", RunConfig())["config"]
+    with pytest.raises(ValueError, match="t1 t2 t3 != 0"):
+        RunConfig(extra_t=(1, 1, 0, 1))
+    with pytest.raises(ValueError, match="four coordinates, not 2"):
+        RunConfig(extra_t=(1, 1))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -41,6 +42,17 @@ def test_verify_refuses_an_inadmissible_point(t, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: explicit parameter must satisfy t1 t2 t3 != 0\n"
+
+
+# sha256 of the report `verify moduli --t 2,1,3,5` writes with --json
+MODULI_T_SHA = "600fe62fbcfc8fd7c19b146202cc9db01867d198ed8a93d754f079f959f6fbe8"
+
+
+def test_verify_records_the_explicit_point(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify", "moduli", "--t", "2,1,3,5", "--quiet", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["extra_t"] == ["2", "1", "3", "5"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MODULI_T_SHA
 
 
 def test_grassmann_refuses_the_zero_point(capsys):

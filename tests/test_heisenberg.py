@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heis7 import heisenberg
-from heis7.field import CYC, QQ, Cyc7, CycArray, gauss_sum, lam, parse_cyc, zeta
+from heis7.field import CYC, Cyc7, CycArray, gauss_sum, lam, parse_cyc, zeta
 from heis7.heisenberg import (
     GroupLawError,
     HElem,
@@ -34,12 +34,14 @@ from heis7.heisenberg import (
     sl2_mul,
     verify_normalizer_relations,
 )
+from heis7.moduli import d_vector
 from heis7.poly import REG_X, Poly
 
 from oracles import (
     dense_mul_oracle,
     g7_classes_oracle,
     mono_dense_oracle,
+    phase_sum,
     sl2_classes_oracle,
     substitution_images,
 )
@@ -165,19 +167,22 @@ def test_conj_is_the_inverse_transpose():
 def test_coordinate_action_images():
     # the module docstring's action: sigma and iota pull x_j back to x_{j-1}
     # and -x_{-j}, and tau acts contragrediently by x_j -> z^-j x_j
-    x = [Poly.var(REG_X, f"x{j}") for j in range(7)]
-    sigma, iota = SIGMA.inv().images(REG_X), IOTA.images(REG_X)
-    assert sigma == [x[(j - 1) % 7] for j in range(7)]
-    assert iota == [-x[-j % 7] for j in range(7)]
-    assert all(p.dom is QQ for p in sigma + iota)
-    tau = TAU.conj().images(REG_X, CYC)
-    assert tau == [x[j].map_coeffs(CYC.coerce, CYC).scale(Cyc7.zeta(-j)) for j in range(7)]
-    assert all(p.dom is CYC for p in tau)
-    with pytest.raises(ValueError, match="zeta-phase is not over Q"):
-        TAU.images(REG_X)
+    def x(j, c=1):
+        return {tuple(int(k == j % 7) for k in range(7)): c}
+
+    for j in range(7):
+        assert SIGMA.inv().act(x(j)) == [x(j - 1)] + [{}] * 6
+        assert IOTA.act(x(j)) == [x(-j, -1)] + [{}] * 6
+        assert TAU.conj().act(x(j)) == [x(j) if m == -j % 7 else {} for m in range(7)]
+    # for every element, the phase parts of the image of each coordinate and
+    # each invariant cubic sum to the oracle's substitution over Q(z7)
+    polys = [Poly.var(REG_X, f"x{j}") for j in range(7)] + d_vector()
+    lifted = [p.map_coeffs(CYC.coerce, CYC) for p in polys]
     for h in g7_elements():
         g = h.matrix()
-        assert g.images(REG_X, CYC) == substitution_images(*g), h
+        images = substitution_images(*g)
+        for p, q in zip(polys, lifted):
+            assert phase_sum(g.act(p.terms)) == q.substitute(images), (h, p)
 
 
 def test_normalizer_relations():

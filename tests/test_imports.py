@@ -64,3 +64,12 @@ def test_the_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(), reexports=path.name == "__init__.py") == []
+
+
+def test_the_group_layer_needs_no_polynomials():
+    # MonoMat.act works on exponent dicts, so heisenberg imports nothing
+    # from the polynomial layer and no Q(zeta7) coefficient domain
+    tree = ast.parse((SRC / "heisenberg.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert not [n.module for n in imports if n.module in ("poly", "heis7.poly")]
+    assert "CYC" not in {alias.name for n in imports for alias in n.names}

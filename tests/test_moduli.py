@@ -457,22 +457,58 @@ def test_d_vector_values():
     assert d[1] == parse_poly("x0*x1*x6", REG_X)
     assert d[3] == parse_poly("x2^2*x3+x5^2*x4", REG_X)
     assert d[6] == parse_poly("x1*x2*x4+x3*x5*x6-x0^3", REG_X)
-    taui = TAU.conj().images(REG_X, CYC)
-    for p in d:
+    _assert_tau_invariant(d)
+
+
+def _assert_tau_invariant(cubics):
+    # tau's action keeps each cubic whole in phase 0, and the oracle's
+    # substitution over Q(z7) fixes it
+    tau = TAU.conj()
+    images = substitution_images(*tau)
+    for p in cubics:
+        assert tau.act(p.terms) == [p.terms] + [{}] * 6
         q = p.map_coeffs(CYC.coerce, CYC)
-        assert q.substitute(taui) == q
+        assert q.substitute(images) == q
+
+
+@pytest.mark.parametrize("extra, status", [("x0*x1*x2", "fail"), ("x1*x2*x4", "pass")], ids=["weight-3", "weight-0"])
+def test_invariant_cubics_check_tests_the_phase(extra, status, monkeypatch):
+    # x0*x1*x6 plus a monomial, in d_vector and in the display alike, so
+    # only the phase test can tell: x0*x1*x2 has weight 3 and must fail the
+    # check, x1*x2*x4 has weight 0 and keeps it passing
+    from heis7.checks import Context, RunConfig, check_d_vector
+
+    real = moduli._poly
+
+    def mutated(s, reg):
+        p = real(s, reg)
+        return p + real(extra, reg) if s == "x0*x1*x6" else p
+
+    monkeypatch.setattr(moduli, "_poly", mutated)
+    assert d_vector()[1] == parse_poly(f"x0*x1*x6+{extra}", REG_X)
+    assert check_d_vector(Context(RunConfig())).status == status
 
 
 def test_surface_ideal_at_ones():
     S = surface_ideal((1, 1, 1, 1))
     assert not S.degenerate
     assert len(S.basis) == 21
-    taui = TAU.conj().images(REG_X, CYC)
-    for g in S.g:
-        gq = g.map_coeffs(CYC.coerce, CYC)
-        assert gq.substitute(taui) == gq
+    _assert_tau_invariant(S.g)
     data = S.to_json()
     assert len(data["generators"]) == 21
+
+
+@pytest.mark.parametrize("t", [(1, 1, 1, 1), (Fraction(-2, 3), 5, Fraction(1, 7), -4)], ids=["ones", "mixed"])
+def test_surface_shifts_are_the_sigma_substitution(t):
+    # each cubic is followed by its six shifts, each the oracle's sigma
+    # substitution x_j -> x_{j-1} of the one before; a seventh closes up
+    S = surface_ideal(t)
+    sig = substitution_images(*SIGMA.inv())
+    for i, g in enumerate(S.g):
+        block = [p.map_coeffs(CYC.coerce, CYC) for p in S.basis[7 * i : 7 * i + 7]]
+        assert S.basis[7 * i] == g
+        assert [p.substitute(sig) for p in block] == block[1:] + block[:1]
+    assert all(p.dom is QQ for p in S.basis)
 
 
 def test_surface_character(g7):
