@@ -1320,26 +1320,19 @@ def check_d_vector(ctx: Context):
 @declare_id("moduli.surface_pipeline")
 def check_surface_pipeline(ctx: Context):
     from .characters import subspace_character
-    from .groebner import ideal_hf_oracle
     from .moduli import grass_membership, psi
     from .poly import REG_U, coefficient_rows, monomial_basis
     from .resolution import NotHilbertBurch, hb_minors, hilbert_burch
 
     table = ctx.g7
-    base = ctx.config.resolution_domain()
     failures = []
-    moved = []
     surfaces = ctx.surfaces()
     for S in surfaces:
         t = S.t
         if S.degenerate:
             failures.append(f"t={_point(t)}: span dimension != 21")
             continue
-        dom = S.coefficient_domain(base)
-        if dom is not base:
-            moved.append(f"t={_point(t)}: over {dom.name}, as {base.p} divides a denominator")
-        gens = S.ideal(dom).gens
-        hf = [ideal_hf_oracle(gens, k) for k in range(1, 5)]
+        hf = S.ideal().hilbert().hf_range(1, 4)
         if hf != [7, 28, 63, 112]:
             failures.append(f"t={_point(t)}: quotient dimensions {hf}")
             continue
@@ -1366,15 +1359,13 @@ def check_surface_pipeline(ctx: Context):
         rows = coefficient_rows([*minors, *q.quadrics()], monomial_basis(REG_U, 2))
         if mat_rank(rows, QQ) != 3:
             failures.append(f"t={_point(t)}: round trip span")
-    n = len(surfaces)
-    notes = "".join(f"; {m}" for m in moved)
     return _result(
         not failures,
-        f"at all {n} seeded admissible parameters: 21 independent cubics, "
+        f"at all {len(surfaces)} seeded admissible parameters: 21 independent cubics, "
         "quotient dimensions (7,28,63,112) [no quadrics], stable span with "
         "character 3 V4, net membership, curve resolutions of shape (1; 3 2) "
-        "with round trips" + notes,
-        "; ".join(failures[:4]) + (" ..." if len(failures) > 4 else "") + notes,
+        "with round trips",
+        "; ".join(failures[:4]) + (" ..." if len(failures) > 4 else ""),
     )
 
 
@@ -1385,7 +1376,7 @@ def check_surface_betti(ctx: Context):
     base = ctx.config.resolution_domain()
     S = ctx.surfaces()[0]
     dom = S.coefficient_domain(base)
-    moved = f" (over {dom.name}, as {base.p} divides a denominator)" if dom is not base else ""
+    moved = f" (over {dom.name}, {S.bad_prime(base.p)})" if dom is not base else ""
     ideal = S.ideal(dom)
     hd = ideal.hilbert()
     want_numerator = {0: 1, 3: -21, 4: 49, 5: -42, 6: 14, 7: -1}

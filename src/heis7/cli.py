@@ -146,7 +146,6 @@ def cmd_verify(args) -> int:
 
 def cmd_surface(args) -> int:
     from .moduli import surface_ideal
-    from .groebner import ideal_hf_oracle
     from .resolution import free_resolution
 
     config = RunConfig(seed=args.seed, coeff=args.coeff, budget_degree=args.budget_degree)
@@ -162,11 +161,11 @@ def cmd_surface(args) -> int:
             file=sys.stderr,
         )
         return 1
-    # a prime dividing a coefficient denominator moves to the next good one
+    # a bad prime (SurfaceIdeal.bad_prime) moves to the next good one
     dom = S.coefficient_domain(config.resolution_domain())
     ideal = S.ideal(dom)
     payload = S.to_json()
-    payload["hilbert_function"] = [1] + [ideal_hf_oracle(ideal.gens, d) for d in range(1, 6)]
+    payload["hilbert_function"] = ideal.hilbert().hf_range(0, 5)
     # provenance block: which certification checks the emitted system passed
     from .moduli import grass_membership, psi
 

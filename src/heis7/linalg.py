@@ -14,8 +14,8 @@ Everything is deterministic: the pivot for a column is the first remaining
 row, in the order that row swaps leave, that is nonzero there, so echelon
 forms (and hence kernel bases) are canonical for a fixed input.
 
-The numpy helpers at the bottom operate on int64 arrays modulo a prime and
-are used where exact prime-field ranks of large matrices are needed.  They
+The numpy helpers at the bottom operate on int64 arrays modulo a prime for
+groebner.ideal_hf_oracle and the test oracles; no check calls them.  They
 form products of two residues, so they take only p < 2^31; np_rank falls
 back to rank over fp(p) above that.
 """

@@ -724,15 +724,21 @@ class SurfaceIdeal:
         gens = [p.map_coeffs(dom.coerce, dom) for p in self.basis]
         return GradedIdeal(REG_X, dom, gens)
 
+    def bad_prime(self, q) -> str:
+        """Why F_q cannot stand in for Q at this point, or "": q divides a
+        coefficient denominator, or the 21 cubics are dependent mod q (every
+        wrong Hilbert numerator seen over a surface prime was such a drop)."""
+        if any(c.denominator % q == 0 for p in self.basis for c in p.terms.values()):
+            return f"as {q} divides a denominator"
+        rows = coefficient_rows(self.ideal(fp(q)).gens, monomial_basis(REG_X, 3))
+        return "" if mat_rank(rows, fp(q)) == 21 else f"as the cubics are dependent mod {q}"
+
     def coefficient_domain(self, dom):
-        """dom, unless dom is F_p with p dividing a coefficient denominator:
-        then F_q for the next q of SURFACE_PRIMES dividing none, else Q."""
-        if not isinstance(dom, FpDomain):
+        """dom, unless dom is F_p for a bad prime p (bad_prime): then F_q for
+        the next good q of SURFACE_PRIMES, else Q."""
+        if not isinstance(dom, FpDomain) or not self.bad_prime(dom.p):
             return dom
-        den = lcm(*(c.denominator for p in self.basis for c in p.terms.values()))
-        if den % dom.p:
-            return dom
-        return next((fp(q) for q in SURFACE_PRIMES if q > dom.p and den % q), QQ)
+        return next((fp(q) for q in SURFACE_PRIMES if q > dom.p and not self.bad_prime(q)), QQ)
 
     def to_json(self):
         return {

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heis7 import characters, formmat, heisenberg, moduli, poly
+from heis7 import characters, formmat, groebner, heisenberg, moduli, poly
 from heis7.characters import CharTable, SpanSolver
 from heis7.field import Cyc7, CycArray
 from heis7.poly import Poly
@@ -94,12 +94,12 @@ def scaled_run():
     the traced CharTable methods, of CycArray.__matmul__, of Poly.__mul__
     inside det_form, of surface_ideal and weight_blocks, of Poly.substitute
     inside surface_ideal, of Cyc7 products and differences inside
-    SpanSolver.is_stable_under, and of Poly constructions inside
-    subspace_character and the SpanSolver methods counted:
-    (report, {name: calls})."""
+    SpanSolver.is_stable_under, of Poly constructions inside
+    subspace_character and the SpanSolver methods, and of ideal_hf_oracle
+    counted: (report, {name: calls})."""
     names = (
         *TRACED_CHARTABLE, "matmul", "det_form_mul", "surface_ideal", "surface_substitute", "weight_blocks",
-        "stable_cyc7", "span_poly",
+        "stable_cyc7", "span_poly", "hf_oracle",
     )
     calls = dict.fromkeys(names, 0)
     in_det = [0]
@@ -143,6 +143,7 @@ def scaled_run():
         for name in ("__mul__", "__sub__"):
             mp.setattr(Cyc7, name, counting("stable_cyc7", getattr(Cyc7, name), in_stable))
         mp.setattr(Poly, "__init__", counting("span_poly", Poly.__init__, in_span))
+        mp.setattr(groebner, "ideal_hf_oracle", counting("hf_oracle", groebner.ideal_hf_oracle))
         report = run_suite("all", RunConfig(seed=42, sample_points=2, random_alphas=24))
     return report, calls
 
@@ -186,6 +187,9 @@ def test_work_counts_of_the_scaled_suite(scaled_run):
     assert calls["span_poly"] == 0
     # the surface shifts relabel exponents (MonoMat.act): no substitution
     assert calls["surface_substitute"] == 0
+    # quotient dimensions come from the Groebner basis over Q, not from
+    # dense ranks of generator multiples
+    assert calls["hf_oracle"] == 0
 
 
 def test_constant_polynomials_are_parsed_once(scaled_run, monkeypatch):

@@ -55,6 +55,25 @@ def test_verify_records_the_explicit_point(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MODULI_T_SHA
 
 
+# every cubic vanishes mod 3 at this point, and 5 divides a denominator
+CUBICS_VANISH_MOD_3 = "6/5,-3/8,6,3"
+
+
+def test_surface_moves_a_prime_that_kills_the_cubics(tmp_path):
+    out = tmp_path / "s.json"
+    assert main(["surface", "--t", CUBICS_VANISH_MOD_3, "--coeff", "fp:3", "--quiet", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["hilbert_function"] == [1, 7, 28, 63, 112, 175]
+    assert payload["provenance"]["coeff"] == "fp:11"
+
+
+def test_verify_moves_a_prime_that_kills_the_cubics(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify", "moduli", "--coeff", "fp:3", "--t", CUBICS_VANISH_MOD_3, "--quiet", "--json", str(out)]) == 0
+    details = {c["id"]: c["details"] for c in json.loads(out.read_text())["checks"]}
+    assert details["moduli.surface_resolution"].endswith("(over F11, as the cubics are dependent mod 3)")
+
+
 def test_grassmann_refuses_the_zero_point(capsys):
     assert main(["grassmann", "--t", "0,0,0,0"]) == 2
     assert capsys.readouterr().err == "error: t must be a point of projective 3-space\n"

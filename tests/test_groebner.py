@@ -85,6 +85,18 @@ def test_hf_oracle_matches_groebner():
         assert ideal_hf_oracle(J.gens, d) == hd.hf(d)
 
 
+@pytest.mark.parametrize("t", ["-5/4,-13/11,12/5,12/5", "1,-6,-3/2,7/5"])
+def test_surface_hilbert_function_over_q_matches_the_dense_oracle(t):
+    # two seed-4 sample points, where the cubics are dependent mod 3 and the
+    # dense F3 ranks read the quotient dimensions [7, 28, 70, 140]
+    from heis7.moduli import surface_ideal
+
+    S = surface_ideal(Fraction(x) for x in t.split(","))
+    I = S.ideal()
+    assert I.hilbert().hf_range(1, 4) == [ideal_hf_oracle(I.gens, d) for d in range(1, 5)] == [7, 28, 63, 112]
+    assert [ideal_hf_oracle(S.ideal(fp(3)).gens, d) for d in range(1, 5)] == [7, 28, 70, 140]
+
+
 def test_normal_form_is_zero_exactly_for_members():
     J = j_ideal()
     gb = J.gb()

@@ -662,7 +662,8 @@ def test_span_solver_tests_every_phase_part():
 
 def test_bad_prime_point_is_certified_over_the_next_prime():
     # 31 divides a coefficient denominator at t = (1/31, 1, 1, 1): the F31
-    # checks move to F37 and say so instead of crashing
+    # resolution moves to F37 and says so instead of crashing, while the
+    # pipeline reads its quotient dimensions over Q and moves no prime
     from heis7.checks import Context, RunConfig, check_surface_betti, check_surface_pipeline
     from heis7.field import fp
 
@@ -674,17 +675,54 @@ def test_bad_prime_point_is_certified_over_the_next_prime():
     assert S.coefficient_domain(QQ) is QQ
     assert surface_ideal((Fraction(1, 31 * 37), 1, 1, 1)).coefficient_domain(fp(31)) == fp(41)
     ctx = Context(RunConfig(extra_t=t, sample_points=2))
-    details = []
-    for check in (check_surface_pipeline, check_surface_betti):
-        res = check(ctx)
-        assert res.status == "pass", res.details
-        assert "over F37, as 31 divides a denominator" in res.details
-        details.append(res.details)
+    res = check_surface_betti(ctx)
+    assert res.status == "pass", res.details
+    assert "over F37, as 31 divides a denominator" in res.details
+    res = check_surface_pipeline(ctx)
+    assert res.status == "pass" and "divides" not in res.details, res.details
+
+
+def test_cubics_dependent_mod_p_move_the_prime():
+    # at t = (6/5, -3/8, 6, 3) every cubic vanishes mod 3, though 3 divides
+    # no denominator; 5 divides one, so the resolution prime is 11
+    from heis7.field import fp
+
+    S = surface_ideal((Fraction(6, 5), Fraction(-3, 8), 6, 3))
+    assert [S.bad_prime(q) for q in (3, 5, 11)] == [
+        "as the cubics are dependent mod 3",
+        "as 5 divides a denominator",
+        "",
+    ]
+    assert S.coefficient_domain(fp(3)) == fp(11)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_surface_pipeline_needs_no_good_prime(seed):
+    # under --coeff fp:3, seed 1 holds points whose cubics vanish mod 3 and
+    # seed 4 points whose cubics are dependent mod 3; the quotient
+    # dimensions are read over Q, so neither point is a failure
+    from heis7.checks import Context, RunConfig, check_surface_pipeline
+
+    res = check_surface_pipeline(Context(RunConfig(seed=seed, coeff="fp:3")))
+    assert res.status == "pass", res.details
+
+
+def test_surface_pipeline_reads_the_quotient_dimensions_of_the_basis(monkeypatch):
+    # x0^3 in place of one basis cubic, with the solver of the true span
+    # kept: only the ideal that the dimensions are read from changes
+    from dataclasses import replace
+
+    from heis7.checks import Context, RunConfig, check_surface_pipeline
+
+    ctx = Context(RunConfig(sample_points=2))
+    S = ctx.surfaces()[1]
+    bad = replace(S, basis=[parse_poly("x0^3", REG_X), *S.basis[1:]])
+    monkeypatch.setattr(ctx, "surfaces", lambda: [bad])
+    res = check_surface_pipeline(ctx)
+    assert res.status == "fail", res.details
     # points print as rationals, not as Python reprs
-    assert "t=(1/31, 1, 1, 1): over F37" in details[0]
-    assert not any("Fraction(" in d for d in details)
-    # the default points keep their bytes: no note without a moved prime
-    assert "divides" not in check_surface_pipeline(Context(RunConfig(sample_points=2))).details
+    t = ", ".join(str(x) for x in S.t)
+    assert res.details.startswith(f"t=({t}): quotient dimensions ["), res.details
 
 
 def test_degenerate_surface_fails_both_surface_checks(monkeypatch):
