@@ -1105,7 +1105,7 @@ def check_b_matrices(ctx: Context):
 
 @declare_id("moduli.block_rank_probe")
 def check_b_rank_probe(ctx: Context):
-    from .moduli import minors_and_independence, alpha_t
+    from .moduli import block_ranks
 
     rng = random.Random(ctx.config.seed + 7)
     ok = True
@@ -1114,9 +1114,7 @@ def check_b_rank_probe(ctx: Context):
         l = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
         if not any(l):
             continue
-        a = alpha_t((1, 1, 1, 1))
-        _, _, diag = minors_and_independence(a, l_coeffs=l)
-        for r in diag:
+        for r in block_ranks(l):
             if r not in (0, 6):
                 ok = False
             trials += 1

@@ -36,6 +36,7 @@ tau sigma = z sigma tau here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import mul
 from typing import NamedTuple
 
@@ -92,8 +93,7 @@ class MonoMat(NamedTuple):
         """The image sum_m z^m u_m of the polynomial {e: rational c_e} under
         x_i -> sign[i] z^pw[i] x_perm[i], as its seven phase parts u_m: x^e
         goes to x^f, f[perm[i]] = e[i], times (-z)^k, k = sum k_i e_i."""
-        ks = self.phases()
-        inv = sorted(range(7), key=self.perm.__getitem__)
+        ks, inv = _substitution(self)
         parts = [{} for _ in range(7)]
         for e, c in terms.items():
             k = sum(map(mul, e, ks)) % 14
@@ -132,6 +132,13 @@ class MonoMat(NamedTuple):
     def dense(self) -> CycArray:
         """Expand to a 7x7 matrix over Q(zeta7) (rows x cols, column-action)."""
         return _mono_dense(self.perm, self.sign, self.pw)
+
+
+@cache
+def _substitution(g: MonoMat) -> tuple:
+    """(g.phases(), the inverse permutation of g.perm): what g.act reads,
+    formed once per map."""
+    return tuple(g.phases()), tuple(sorted(range(7), key=g.perm.__getitem__))
 
 
 def _mono_dense(perm, sign, pw) -> CycArray:

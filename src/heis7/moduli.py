@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
 from typing import NamedTuple
 
 import numpy as np
 
-from .field import _WIDE, CYC, QQ, DualDomain, DualNum, FpDomain, fp
+from .field import _WIDE, _top, _wide, CYC, QQ, DualDomain, DualNum, FpDomain, fp
 from .formmat import FormMatrix, det_form, pfaffian_vector
 from .groebner import GradedIdeal
 from .characters import SpanSolver
@@ -300,9 +300,12 @@ def j_ideal() -> GradedIdeal:
 # alpha matrices and the annihilation criterion
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlphaMatrix:
-    """3x2 matrix of linear forms in the u-variables."""
+    """3x2 matrix of linear forms in the u-variables.
+
+    Frozen, so that `entries` is never rebound under the cached `products`.
+    """
 
     entries: list  # 3x2 of Poly over REG_U
 
@@ -312,6 +315,13 @@ class AlphaMatrix:
         for r, s in ((0, 1), (0, 2), (1, 2)):
             out.append(e[r][0] * e[s][1] - e[r][1] * e[s][0])
         return out
+
+    @cached_property
+    def products(self):
+        """(C, den): the coefficient products of `_coefficient_products`,
+        formed on first use and shared by every contraction of this matrix.
+        A refused entry raises on every call, as nothing is cached then."""
+        return _coefficient_products(self)
 
     @staticmethod
     def from_coeffs(coeffs):
@@ -332,25 +342,33 @@ def _lin_coeffs(p: Poly):
     return out
 
 
-def _coefficient_products(alpha: AlphaMatrix, norm: int):
+def _coefficient_products(alpha: AlphaMatrix):
     """(C, den): the products of alpha's coefficients that both criteria
     contract, as a 9 x 16 integer array over one denominator.
 
     The 24 coefficients are cleared to integers a_rc[k] by their lcm D, and
     C[3r + s, 4k + l] = a_r0[k] a_s1[l] - a_r1[k] a_s0[l] over den = D^2, so
     that a_r0 a_s1 - a_r1 a_s0 = sum_kl C[3r + s, 4k + l] u_k u_l / den.  C
-    is int64 while its contraction with any integer matrix whose columns
-    have absolute sums at most `norm` stays below 2^62, and Python ints
-    otherwise.
+    is int64 while its entries stay below 2^62, and Python ints otherwise;
+    `_contract` widens an int64 C whenever a contraction could pass 2^62.
     """
     coeffs = [_lin_coeffs(p) for row in alpha.entries for p in row]
     d = lcm(*(c.denominator for v in coeffs for c in v))
     ints = [c.numerator * (d // c.denominator) for v in coeffs for c in v]
     top = max(map(abs, ints))
-    a = np.array(ints, dtype=np.int64 if 2 * top * top * norm < _WIDE else object)
+    a = np.array(ints, dtype=np.int64 if 2 * top * top < _WIDE else object)
     x, y = a.reshape(3, 2, 4).transpose(1, 0, 2)
     c = x[:, None, :, None] * y[None, :, None, :] - y[:, None, :, None] * x[None, :, None, :]
     return c.reshape(9, 16), d * d
+
+
+def _contract(c, table, norm: int):
+    """c @ table, exact: an int64 c is taken as Python ints when the
+    contraction with `table`, whose columns have absolute sums at most
+    `norm`, could reach 2^62."""
+    if c.dtype != object:
+        (c,) = _wide(_top(c) * norm, c)
+    return c @ table
 
 
 @cache
@@ -399,14 +417,23 @@ def _composition_columns():
 
 
 class Composition(NamedTuple):
-    """alpha alpha' as exact integer data over one common denominator.
+    """alpha alpha' as an integer array over one common denominator.
 
-    blocks[r][s] is a dict {(row, col, var): numerator} with no zero values;
-    entry (row, col) of block (r, s) is sum numerator / den * x_var.
+    nums[3r + s, i] / den is the coefficient of x_var at (row, col) of block
+    (r, s), where (row, col, var) = keys[i]; nums is int64 or, past the
+    int64 bound, Python ints.
     """
 
-    blocks: list
+    nums: np.ndarray
+    keys: list
     den: int
+
+    @property
+    def blocks(self) -> list:
+        """blocks[r][s]: block (r, s) as a dict {(row, col, var): numerator}
+        of Python ints, with no zero values."""
+        rows = [{k: v for k, v in zip(self.keys, row) if v} for row in self.nums.tolist()]
+        return [rows[3 * r : 3 * r + 3] for r in range(3)]
 
 
 def alpha_compose(alpha: AlphaMatrix) -> Composition:
@@ -414,19 +441,17 @@ def alpha_compose(alpha: AlphaMatrix) -> Composition:
 
     Block (r, s) is the composition attached to the quadric
     a_r0 a_s1 - a_r1 a_s0, i.e. sum_kl c_kl compose_u(k, l), where c_kl is
-    row 3r + s of the coefficient products C (`_coefficient_products`).  So
-    the blocks are C @ T with T the dense composition table, every
-    numerator an exact Python int over den = D^2 (any rational t stays
-    exact).
+    row 3r + s of alpha's cached coefficient products C (`products`).  So
+    the blocks are nums = C @ T with T the dense composition table, every
+    numerator exact over den = D^2 (any rational t stays exact).
     """
     table, keys, norm = _composition_columns()
-    c, den = _coefficient_products(alpha, norm)
-    blocks = [{k: v for k, v in zip(keys, row) if v} for row in (c @ table).tolist()]
-    return Composition([blocks[3 * r : 3 * r + 3] for r in range(3)], den)
+    c, den = alpha.products
+    return Composition(_contract(c, table, norm), keys, den)
 
 
 def alpha_compose_is_zero(comp: Composition) -> bool:
-    return not any(block for row in comp.blocks for block in row)
+    return not comp.nums.any()
 
 
 @cache
@@ -459,8 +484,8 @@ _MINOR_ROWS = [1, 2, 5]  # rows (r, s) = (0, 1), (0, 2), (1, 2) of C
 
 def _delta_numerators(alpha: AlphaMatrix):
     pairing, norm = _pairing()
-    c, den = _coefficient_products(alpha, norm)
-    return c[_MINOR_ROWS] @ pairing, den
+    c, den = alpha.products
+    return _contract(c[_MINOR_ROWS], pairing, norm), den
 
 
 def delta_values(alpha: AlphaMatrix) -> list:
@@ -477,38 +502,61 @@ def delta_values(alpha: AlphaMatrix) -> list:
 def delta_criterion(alpha: AlphaMatrix) -> bool:
     """Whether the three net operators annihilate the three minors of alpha.
 
-    Decided on the same coefficient products as alpha_compose: the nine
-    values d_j(minor) are one integer contraction (`delta_values`), all
-    zero exactly when alpha is annihilated.
+    Decided on the same cached coefficient products as alpha_compose: the
+    nine values d_j(minor) are one integer contraction (`delta_values`),
+    all zero exactly when alpha is annihilated.
     """
     return not _delta_numerators(alpha)[0].any()
+
+
+@cache
+def _monomial_fold():
+    """(F, norm): the 16 x 10 0/1 matrix taking position 4k + l of u_k u_l
+    to its quadratic monomial, in monomial_basis(REG_U, 2) order."""
+    index = {e: i for i, e in enumerate(monomial_basis(REG_U, 2))}
+    f = np.zeros((16, len(index)), dtype=np.int64)
+    for k in range(4):
+        for l in range(4):
+            e = [0] * 4
+            e[k] += 1
+            e[l] += 1
+            f[4 * k + l, index[tuple(e)]] = 1
+    return f, int(f.sum(axis=0).max())
+
+
+def minor_rows(alpha: AlphaMatrix) -> list:
+    """The coefficient rows of alpha's three minors over
+    monomial_basis(REG_U, 2), all scaled by den: the cached coefficient
+    products folded into the quadratic monomials, with no Poly product."""
+    fold, norm = _monomial_fold()
+    c, _ = alpha.products
+    return _contract(c[_MINOR_ROWS], fold, norm).tolist()
 
 
 PROBE_POINT = [Fraction(k) for k in range(1, 8)]
 
 
-def minors_and_independence(alpha: AlphaMatrix, l_coeffs=None):
-    """Minors, their rank, and the rank table of the four block combinations
+@cache
+def _probe_blocks():
+    """B1, B2, B3 evaluated at the probe point, as object arrays."""
+    return tuple(np.array(b.evaluate(PROBE_POINT), dtype=object) for b in printed_b_matrices())
+
+
+def block_ranks(l_coeffs) -> list:
+    """The ranks of the four block combinations
     l1 B1 + l2 B2 + l3 B3 | l0 B1 - l1 B3 | l0 B2 - l2 B1 | l0 B3 - l3 B2
-    evaluated at the probe point (1, 2, ..., 7)."""
-    minors = alpha.minors()
-    rk = mat_rank(coefficient_rows(minors, monomial_basis(REG_U, 2)), QQ)
-    diagnostics = []
-    if l_coeffs is not None:
-        b1, b2, b3 = printed_b_matrices()
-        l0, l1, l2, l3 = [Fraction(x) for x in l_coeffs]
-        combos = [
-            b1.scale(l1) + b2.scale(l2) + b3.scale(l3),
-            b1.scale(l0) - b3.scale(l1),
-            b2.scale(l0) - b1.scale(l2),
-            b3.scale(l0) - b2.scale(l3),
-        ]
-        for m in combos:
-            if m.is_zero():
-                diagnostics.append(0)
-            else:
-                diagnostics.append(mat_rank(m.evaluate(PROBE_POINT), QQ))
-    return minors, rk == 3, diagnostics
+    at the probe point (1, 2, ..., 7).  Evaluation is linear, so each is
+    the same scalar combination of the evaluated blocks; a zero
+    combination has rank 0."""
+    b1, b2, b3 = _probe_blocks()
+    l0, l1, l2, l3 = [Fraction(x) for x in l_coeffs]
+    combos = [
+        l1 * b1 + l2 * b2 + l3 * b3,
+        l0 * b1 - l1 * b3,
+        l0 * b2 - l2 * b1,
+        l0 * b3 - l3 * b2,
+    ]
+    return [mat_rank(m.tolist(), QQ) for m in combos]
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +729,7 @@ def minor_span_pairing(alpha: AlphaMatrix, point: GrassPoint):
     quadrics; the tests record which one the explicit family satisfies.
     """
     monos = monomial_basis(REG_U, 2)
-    minors = alpha.minors()
-    mrows = coefficient_rows(minors, monos)
+    mrows = minor_rows(alpha)
     if mat_rank(mrows, QQ) != 3:
         return None
     for name, order in (("display-order", L_BASIS_ORDER), ("generator-list-order", L_GENLIST_ORDER)):

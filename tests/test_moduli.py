@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from heis7.moduli import (
     alpha_compose_is_zero,
     _lin_coeffs,
     alpha_t,
+    block_ranks,
     composition_table_report,
     composition_tensor,
     compose_u,
@@ -31,8 +33,8 @@ from heis7.moduli import (
     grass_membership,
     klein_invariance_report,
     klein_quartic,
+    minor_rows,
     minor_span_pairing,
-    minors_and_independence,
     net_discriminant,
     net_discriminant_ratio,
     net_matrices,
@@ -43,7 +45,7 @@ from heis7.moduli import (
     wedge_reps,
     GrassPoint,
 )
-from heis7.poly import REG_U, REG_X, DiffOp, Poly, monomial_basis, parse_poly, render_poly
+from heis7.poly import REG_U, REG_X, DiffOp, Poly, coefficient_rows, monomial_basis, parse_poly, render_poly
 
 from oracles import SpanSolverOracle, alpha_compose_forms, delta_criterion_forms, substitution_images
 
@@ -75,15 +77,37 @@ def test_displayed_matrices_rank_six_at_probe():
 
 
 def test_block_rank_probe():
-    a = alpha_t((1, 1, 1, 1))
-    minors, indep, diag = minors_and_independence(a, l_coeffs=(1, 2, 3, 5))
-    assert indep
-    assert diag == [6, 6, 6, 6]
+    assert rank(minor_rows(alpha_t((1, 1, 1, 1)))) == 3
+    assert block_ranks((1, 2, 3, 5)) == [6, 6, 6, 6]
     dep = AlphaMatrix.from_coeffs(
         [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 0, 0], [0, 0, 0, 0]]]
     )
-    _, indep2, _ = minors_and_independence(dep)
-    assert not indep2
+    assert rank(minor_rows(dep)) < 3
+
+
+def _form_block_ranks(l_coeffs):
+    # the four combinations as FormMatrix sums, evaluated one by one
+    b1, b2, b3 = printed_b_matrices()
+    l0, l1, l2, l3 = [Fraction(x) for x in l_coeffs]
+    combos = [
+        b1.scale(l1) + b2.scale(l2) + b3.scale(l3),
+        b1.scale(l0) - b3.scale(l1),
+        b2.scale(l0) - b1.scale(l2),
+        b3.scale(l0) - b2.scale(l3),
+    ]
+    return [0 if m.is_zero() else rank(m.evaluate(moduli.PROBE_POINT)) for m in combos]
+
+
+def test_block_ranks_equal_the_form_matrix_combinations():
+    # l = (1, 0, 0, 0) makes the first combination the zero form, and
+    # (0, 1, 0, 0) the last two; evaluation at the probe point is linear
+    rng = random.Random(5)
+    ls = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)] + [
+        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)) for _ in range(8)
+    ]
+    assert block_ranks((1, 0, 0, 0))[0] == 0 and block_ranks((0, 0, 0, 0)) == [0] * 4
+    for l in ls:
+        assert block_ranks(l) == _form_block_ranks(l), l
 
 
 def test_delta_criterion_cases():
@@ -201,7 +225,8 @@ def test_lin_coeffs_rejects_nonlinear_entries():
         with pytest.raises(ValueError, match="not a linear form"):
             _lin_coeffs(parse_poly(bad, REG_U))
         alpha = AlphaMatrix([[u0, u0], [u0, parse_poly(bad, REG_U)], [u0, u0]])
-        for criterion in (alpha_compose, delta_criterion):
+        # nothing is cached for a refused matrix: every call raises
+        for criterion in (alpha_compose, delta_criterion, alpha_compose, minor_rows):
             with pytest.raises(ValueError, match="not a linear form"):
                 criterion(alpha)
 
@@ -214,7 +239,7 @@ def test_alpha_entries_outside_q_are_refused():
     zero = Poly.zero(REG_U, f31)
     alpha = AlphaMatrix([[u1.scale(16), u1], [u1, u1.scale(2)], [zero, zero]])
     assert all(m.is_zero() for m in alpha.minors())
-    for criterion in (alpha_compose, delta_criterion, delta_values):
+    for criterion in (alpha_compose, delta_criterion, delta_values, delta_criterion):
         with pytest.raises(ValueError, match="is over F31, not Q"):
             criterion(alpha)
 
@@ -240,6 +265,9 @@ def test_delta_values_match_the_poly_oracle(flat):
     want = delta_criterion_forms(alpha)
     assert delta_values(alpha) == want
     assert delta_criterion(alpha) == (not any(v for row in want for v in row))
+    den = alpha.products[1]
+    minors = coefficient_rows(alpha.minors(), monomial_basis(REG_U, 2))
+    assert minor_rows(alpha) == [[c * den for c in row] for row in minors]
 
 
 _E12 = 10**12
@@ -252,7 +280,7 @@ _NEAR_E12 = st.integers(_E12 - 100, _E12 + 100)
 def test_delta_values_match_the_poly_oracle_on_wide_family_points(parts):
     alpha = alpha_t([Fraction(n, d) for n, d in parts])
     # denominators near 10^12 overflow int64, so the products are Python ints
-    products, _ = moduli._coefficient_products(alpha, 1)
+    products, _ = alpha.products
     assert products.dtype == object
     want = delta_criterion_forms(alpha)
     assert want == [[0] * 3] * 3
@@ -368,6 +396,44 @@ def test_annihilation_forms_no_poly_product(monkeypatch):
     verdicts = [(alpha_compose_is_zero(alpha_compose(a)), delta_criterion(a)) for a in alphas]
     assert calls == {"mul": 0, "apply": 0}
     assert all(x == y for x, y in verdicts) and sum(y for _, y in verdicts) >= 5
+
+
+def test_each_matrix_is_lifted_once(monkeypatch):
+    # both criteria and delta_values read one cached lift: the six entries
+    # are read once, not once per contraction
+    calls = []
+    real = moduli._lin_coeffs
+    monkeypatch.setattr(moduli, "_lin_coeffs", lambda p: calls.append(p) or real(p))
+    for alpha in (_alpha_of([Fraction(k - 11, k % 5 + 1) for k in range(24)]), alpha_t((2, 1, 3, 5))):
+        calls.clear()
+        alpha_compose(alpha)
+        delta_criterion(alpha)
+        delta_values(alpha)
+        minor_rows(alpha)
+        assert len(calls) == 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alpha.entries = alpha.entries
+
+
+def test_cached_int64_products_widen_for_a_larger_bound(monkeypatch):
+    # products cached as int64 under the real pairing stay exact when a
+    # later pairing's bound passes 2^62: scaled by 2^30, the int64
+    # contraction would wrap
+    rng = random.Random(29)
+    alpha = _alpha_of([rng.randint(-(2**20), 2**20) for _ in range(24)])
+    want = delta_criterion_forms(alpha)
+    assert delta_values(alpha) == want
+    c, _ = alpha.products
+    assert c.dtype == np.int64
+    pairing, norm = moduli._pairing()
+    scaled = pairing << 30
+    assert int(np.abs(c).max()) * (norm << 30) >= 2**62
+    assert (c[moduli._MINOR_ROWS] @ scaled).tolist() != [
+        [int(v * alpha.products[1]) << 30 for v in row] for row in want
+    ]
+    monkeypatch.setattr(moduli, "_pairing", lambda: (scaled, norm << 30))
+    assert delta_values(alpha) == [[v * 2**30 for v in row] for row in want]
+    assert alpha.products[0] is c
 
 
 def test_net_kernel_and_split():
