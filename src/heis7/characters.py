@@ -117,16 +117,10 @@ def newton(power_sums: CycArray, alternating: bool = False) -> list:
     if alternating:
         signs = np.array([1 if j % 2 else -1 for j in range(1, k + 1)])
         power_sums = power_sums * CycArray.from_ints(signs.reshape(k, *[1] * len(rest)))
-    # each sum over j is a matmul of the row p_1..p_kk and the column
-    # h_(kk-1)..h_0 at every batch index, so temporaries stay result-sized
-    nd = len(rest)
-    rows = np.expand_dims(np.moveaxis(power_sums.num, 0, nd), nd)  # rest + (1, k)
     out = [CycArray.from_ints(np.ones(rest, dtype=np.int64))]
     for kk in range(1, k + 1):
-        row = CycArray(rows.take(range(kk), axis=nd + 1), power_sums.den, power_sums.r2)
-        h = CycArray.stack(out[::-1])
-        col = CycArray(np.expand_dims(np.moveaxis(h.num, 0, nd), nd + 1), h.den, h.r2)  # rest + (kk, 1)
-        out.append((row @ col).reshape(*rest) * Fraction(1, kk))
+        # p_1..p_kk against h_(kk-1)..h_0
+        out.append((power_sums[:kk] * CycArray.stack(out[::-1])).sum(0) * Fraction(1, kk))
     return out
 
 

@@ -42,19 +42,23 @@ Batches of values (class functions, 7x7 matrices, traces of many matrices)
 are CycArray: one integer array whose last axis holds the 6 power-basis
 coordinates, over one Python-int common denominator; the sqrt2 tower adds a
 second-to-last axis of length 2 for the a and b of a + b*r2.  A product is
-one matmul against the fixed structure tensor of the basis, a Galois twist
+a matmul against the fixed structure tensor of the basis, a Galois twist
 one matmul against a 6x6 integer matrix, and each result is normalised by
-one gcd over the whole array.  The numerators are int64 only while every one
-is below 2^62: each operation bounds its result from the operands' largest
-numerators first and, when the bound reaches 2^62, runs the same code on
-Python-int (dtype=object) arrays, so no value is ever reduced modulo 2^64.
+one gcd over the whole array.  Every integer matrix product goes through
+one helper, _imatmul, which each operation hands a bound on the sum of the
+absolute values of the terms of any output entry, computed from the
+operands' largest numerators.  The bound picks the route: below 2^53 the
+product runs in float64 (BLAS), where every such integer and partial sum
+is exact; below 2^62 in int64; otherwise on Python-int (dtype=object)
+arrays.  The numerators are int64 while every one is below 2^62 and Python
+ints otherwise, so no value is ever rounded or reduced modulo 2^64.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -443,6 +447,7 @@ def _as_fe(x):
 # batches of Q(zeta7) values as integer arrays
 
 _WIDE = 1 << 62  # numerators at or above this bound live in Python ints
+_EXACT_FLOAT = 1 << 53  # integer products below this bound run in float64
 
 
 def _product_table(width: int):
@@ -484,6 +489,22 @@ def _wide(bound: int, *arrays):
     return tuple(a.astype(object) for a in arrays)
 
 
+def _imatmul(x, y, bound: int):
+    """x @ y for integer-valued arrays, exactly, where `bound` bounds the sum
+    of the absolute values of the terms of every entry, so every partial
+    sum in any order.  Below 2^53 it runs in float64 (BLAS) and returns
+    float64, for the caller to accumulate in and CycArray to turn back to
+    int64; below 2^62 in int64; otherwise on Python ints.  A zero bound
+    means a zero operand, whose partner need not fit a float."""
+    if y.ndim == 2 and x.ndim > 2:  # one product over all of x's rows
+        rows = x.reshape(prod(x.shape[:-1]), x.shape[-1])
+        return _imatmul(rows, y, bound).reshape(*x.shape[:-1], y.shape[-1])
+    if 0 < bound < _EXACT_FLOAT:
+        return x.astype(np.float64, copy=False) @ y.astype(np.float64, copy=False)
+    x, y = _wide(bound, x, y)
+    return x @ y
+
+
 class CycArray:
     """A batch of Q(zeta7) values, or of Q(zeta7)(sqrt2) values when `r2`.
 
@@ -493,7 +514,8 @@ class CycArray:
     Python-int `den`, and the constructor divides num and den by their gcd,
     so equal batches have equal (num, den).  num is int64 when every
     numerator is below 2^62 in absolute value and a dtype=object array of
-    Python ints otherwise (see the module docstring for the overflow rule).
+    Python ints otherwise (see the module docstring for the overflow rule);
+    the constructor also takes the integer-valued float64 of _imatmul.
     Indexing acts on the batch axes only.
     """
 
@@ -503,18 +525,18 @@ class CycArray:
         num = np.asarray(num)
         if den <= 0:
             raise ValueError("CycArray denominator must be positive")
-        h = int(np.gcd.reduce(num.ravel())) if num.size else 0
-        if h == 0:
-            den = 1
-        else:
-            g = gcd(den, h)
-            if g > 1:
-                num = num // g
-                den //= g
-        if num.dtype == object:
-            if _top(num) < _WIDE:
-                num = num.astype(np.int64)
-        elif num.dtype != np.int64:
+        if num.dtype != object:
+            num = num.astype(np.int64, copy=False)
+        if den > 1:  # over den 1 the gcd cannot reduce anything
+            h = int(np.gcd.reduce(num.ravel())) if num.size else 0
+            if h == 0:
+                den = 1
+            else:
+                g = gcd(den, h)
+                if g > 1:
+                    num = num // g
+                    den //= g
+        if num.dtype == object and _top(num) < _WIDE:
             num = num.astype(np.int64)
         self.num = num
         self.den = den
@@ -639,12 +661,22 @@ class CycArray:
             return CycArray(x * q.numerator, self.den * q.denominator, self.r2)
         a, b = self._meet(other)
         x, y = a._flat(), b._flat()
+        if x.ndim == 1:  # the product commutes: one value goes on the right
+            x, y = y, x
         w = x.shape[-1]
         table, norm = _PRODUCT[w]
-        x, y = _wide(_top(x) * _top(y) * norm, x, y)
-        outer = x[..., :, None] * y[..., None, :]
-        flat = outer.reshape(*outer.shape[:-2], w * w) @ table
-        return CycArray._from_flat(flat, a.den * b.den, a.r2)
+        bound = _top(x) * _top(y) * norm
+        if y.ndim == 1:
+            # x's rows times the matrix of multiplication by the value y (the
+            # table is symmetric in its two factors)
+            by_y = _imatmul(y, table.reshape(w, w * w), bound).reshape(w, w)
+            return CycArray._from_flat(_imatmul(x, by_y, bound), a.den * b.den, a.r2)
+        # the sum over basis elements e_i of x's e_i coordinate times y
+        # multiplied by e_i: temporaries stay the size of the result
+        out = 0
+        for i in range(w):
+            out = out + x[..., i, None] * _imatmul(y, table[w * i : w * i + w], bound)
+        return CycArray._from_flat(out, a.den * b.den, a.r2)
 
     __rmul__ = __mul__
 
@@ -657,11 +689,12 @@ class CycArray:
         x, y = a._flat(), b._flat()
         w = x.shape[-1]
         table, norm = _PRODUCT[w]
-        x, y = _wide(_top(x) * _top(y) * norm * x.shape[-2], x, y)
+        bound = _top(x) * _top(y) * norm * x.shape[-2]
         cols = y.shape[-2] * w
         out = 0
         for i in range(w):
-            out = out + x[..., i] @ (y @ table[w * i : w * i + w]).reshape(*y.shape[:-2], cols)
+            by_e = _imatmul(y, table[w * i : w * i + w], bound).reshape(*y.shape[:-2], cols)
+            out = out + _imatmul(x[..., i], by_e, bound)
         return CycArray._from_flat(out.reshape(*out.shape[:-1], -1, w), a.den * b.den, a.r2)
 
     def sum(self, axis: int = 0) -> "CycArray":
@@ -687,25 +720,26 @@ class CycArray:
         w = x.shape[-1]
         table, norm = _PRODUCT[w]
         cells = x.shape[-3] * x.shape[-2]
-        x, y = _wide(_top(x) * _top(y) * norm * cells, x, y)
+        bound = _top(x) * _top(y) * norm * cells
         # x[..., i, j, c] against y[..., j, i, d]: (i, j) flattened on both sides
         x = np.swapaxes(x.reshape(*x.shape[:-3], cells, w), -2, -1)
         y = np.swapaxes(y, -3, -2).reshape(*y.shape[:-3], cells, w)
-        pairs = x @ y  # [..., c, d]
-        return CycArray._from_flat(pairs.reshape(*pairs.shape[:-2], w * w) @ table, a.den * b.den, a.r2)
+        pairs = _imatmul(x, y, bound)  # [..., c, d]
+        flat = _imatmul(pairs.reshape(*pairs.shape[:-2], w * w), table, bound)
+        return CycArray._from_flat(flat, a.den * b.den, a.r2)
 
     def lincomb(self, coeffs) -> "CycArray":
         """coeffs @ self over the first batch axis, for an integer array
         coeffs whose last axis runs over it: one integer matmul."""
         c = np.asarray(coeffs)
         x = self.num.reshape(self.num.shape[0], -1)
-        c, x = _wide(_top(c) * c.shape[-1] * _top(x), c, x)
-        return CycArray((c @ x).reshape(*c.shape[:-1], *self.num.shape[1:]), self.den, self.r2)
+        out = _imatmul(c, x, _top(c) * c.shape[-1] * _top(x))
+        return CycArray(out.reshape(*c.shape[:-1], *self.num.shape[1:]), self.den, self.r2)
 
     def galois(self, power: int = 1) -> "CycArray":
         """theta^power on every value, theta(z) = z^3 (sqrt2 is fixed)."""
-        (x,) = _wide(_top(self.num) * 6, self.num)
-        return CycArray(x @ _GALOIS[power % 6], self.den, self.r2)
+        out = _imatmul(self.num, _GALOIS[power % 6], _top(self.num) * 6)
+        return CycArray(out, self.den, self.r2)
 
     def conj(self) -> "CycArray":
         """Complex conjugation, = theta^3."""

@@ -64,9 +64,6 @@ class FormMatrix:
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
-    def transpose(self) -> "FormMatrix":
-        return FormMatrix([list(r) for r in zip(*self.entries)])
-
     def __add__(self, other):
         return FormMatrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]

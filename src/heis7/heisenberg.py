@@ -373,9 +373,7 @@ def build_heisenberg():
         for a in range(7):
             pos = index[a, :, :, b].ravel()
             central = zeta[(a + 4 * (mn // 7) * (mn % 7)) % 7].reshape(49, 1, 1)
-            # each matrix's 49 entries times its scalar, as a product with a
-            # 1 x 1 matrix: its temporaries stay the size of the result
-            scaled = (dense.reshape(49, 49, 1) @ central).reshape(49, 7, 7)
+            scaled = dense * central  # each matrix times its scalar
             bad = _differ(scaled, _code_dense(E[pos]))
             if bad is not None:
                 raise GroupLawError(f"compact matrix encoding disagrees with dense product at {g7[pos[bad]]}")

@@ -79,7 +79,7 @@ SCALED_SHA_42 = "2454e9171fed5dcf010b510836120f04b9ae425b7555ce3b52a20823b5e003c
 
 # CycArray.__matmul__ calls, and Poly.__mul__ calls inside det_form, of
 # the scaled seed-42 run below
-MATMUL_CALLS = 364
+MATMUL_CALLS = 225
 DET_FORM_MULS = 184
 SURFACES_BUILT = 2
 

@@ -1,3 +1,4 @@
+import ast
 import random
 import time
 from fractions import Fraction
@@ -371,3 +372,184 @@ def test_trace_dot_matches_trace_of_product():
     assert a.trace_dot(b).tolist() == want
     with pytest.raises(ValueError, match="trace_dot"):
         a.trace_dot(a)
+
+
+# ---------------------------------------------------------------------------
+# the three product routes of CycArray: float64 below 2^53, int64 below 2^62
+
+
+def _as_objects(a):
+    """The values of a CycArray as a numpy object array of its batch shape."""
+    out = np.empty(a.shape, dtype=object)
+    out[...] = a.tolist()
+    return out
+
+
+def _recording_routes(monkeypatch):
+    """(bound, result dtype) of every _imatmul call from here on."""
+    from heis7 import field
+
+    seen, inner = [], field._imatmul
+
+    def spy(x, y, bound):
+        out = inner(x, y, bound)
+        seen.append((bound, out.dtype))
+        return out
+
+    monkeypatch.setattr(field, "_imatmul", spy)
+    return seen
+
+
+def _product_cases():
+    rng = random.Random(53)
+    coeffs = np.array([[3, -1, 0, 2], [1, 1, -2, 5]])
+    # (name, left shape, right shape or None, tower, the product, its scalar reference)
+    mul = lambda a, b: a * b
+    matmul = lambda a, b: a @ b
+    trace_dot = lambda a, b: a.trace_dot(b)
+    galois = lambda a, _: a.galois(2)
+    lincomb = lambda a, _: a.lincomb(coeffs)
+    ref_trace = lambda x, y: (x @ y).diagonal(axis1=-2, axis2=-1).sum(-1)
+    ref_galois = lambda x, _: np.vectorize(lambda v: v.galois(2), otypes=[object])(x)
+    ref_lincomb = lambda x, _: np.array([sum(int(c) * x[j] for j, c in enumerate(row)) for row in coeffs])
+    cases = [
+        ("mul broadcast", (3, 1, 4), (2, 1), False, mul, lambda x, y: x * y),
+        ("mul tower", (3, 4), (3, 4), True, mul, lambda x, y: x * y),
+        ("mul one value", (), (5,), True, mul, lambda x, y: x * y),
+        ("matmul broadcast", (2, 3, 4), (4, 2), False, matmul, lambda x, y: x @ y),
+        ("matmul tower", (3, 3), (2, 3, 3), True, matmul, lambda x, y: x @ y),
+        ("trace_dot broadcast", (2, 3, 4), (4, 3), False, trace_dot, ref_trace),
+        ("trace_dot tower", (3, 2), (2, 2, 3), True, trace_dot, ref_trace),
+        ("galois", (2, 3), None, False, galois, ref_galois),
+        ("galois tower", (4,), None, True, galois, ref_galois),
+        ("lincomb", (4, 3), None, False, lincomb, ref_lincomb),
+        ("lincomb tower", (4, 2), None, True, lincomb, ref_lincomb),
+    ]
+    for name, sa, sb, tower, op, ref in cases:
+        # the left operand over den 1, so that scaling it scales the bound
+        a = _rand_batch(rng, sa, tower)
+        a = CycArray(a.num, 1, tower)
+        b = _rand_batch(rng, sb, False) if sb is not None else None
+        yield pytest.param(a, b, op, ref, id=name)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("a, b, op, ref", list(_product_cases()))
+def test_products_take_the_route_of_their_bound(monkeypatch, a, b, op, ref, side):
+    # the bound of an operation is linear in the left operand's largest
+    # numerator: scale it to put the bound just below 2^53, then just above
+    seen = _recording_routes(monkeypatch)
+    op(a, b)
+    base = seen[0][0]
+    assert base > 0 and all(bound == base for bound, _ in seen)
+    scale = ((1 << 53) - 1) // base + (side == "above")
+    big = CycArray(a.num * scale, 1, a.r2)
+    seen.clear()
+    got = op(big, b)
+    bound = scale * base
+    assert (bound < 1 << 53) == (side == "below") and bound < 1 << 62
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float64 if side == "below" else np.int64)}
+    want = ref(_as_objects(big), _as_objects(b) if b is not None else None)
+    assert _as_objects(got).tolist() == np.asarray(want, dtype=object).tolist()
+
+
+def test_results_past_2_53_stay_exact():
+    # float64 holds only even integers above 2^53; each result below is odd
+    # and above it, and each bound is below 2^62, so these run in int64
+    A, B = (1 << 27) + 1, (1 << 26) + 1
+    assert A * B > 1 << 53 and A * B % 2 == 1
+    x, y = Cyc7.from_int(A), Cyc7((0, 0, B, 0, 0, 0))
+    a, b = CycArray.from_values([x]), CycArray.from_values([y])
+    assert (a * b).tolist() == [x * y]
+    assert (a[None] @ b[:, None]).tolist() == [[x * y]]
+    assert a[None].trace_dot(b[:, None]).tolist() == x * y
+    assert b.lincomb([[A]]).tolist() == [x * y]
+    tower = CycArray.from_values([FieldElem(x, x)])
+    assert (tower * b).tolist() == [FieldElem(x * y, x * y)]
+    # 16 terms, each below 2^53 / 11, whose sum passes 2^53: the bound
+    # counts the length of the sum
+    A, B = (1 << 25) + 1, (1 << 24) + (1 << 22) + (1 << 21)
+    xs, ys = [Cyc7.from_int(A)] * 16, [Cyc7.from_int(B)] * 15 + [Cyc7.from_int(B + 1)]
+    want = Cyc7.from_int(A * (16 * B + 1))
+    assert 11 * A * (B + 1) < 1 << 53 < A * (16 * B + 1)
+    a, b = CycArray.from_values(xs), CycArray.from_values(ys)
+    assert (a[None] @ b[:, None]).tolist() == [[want]]
+    assert a[None].trace_dot(b[:, None]).tolist() == want
+    assert b.lincomb([[A] * 16]).tolist() == [want]
+    # odd coordinates just below 2^26 on 1, z, z^2: each term is below 2^52,
+    # and the z^2 coordinate of a product sums three of them
+    rng = random.Random(7)
+    odd = lambda: rng.randrange((1 << 26) - (1 << 22), 1 << 26) | 1
+    xs, ys = ([Cyc7((odd(), odd(), odd(), 0, 0, 0)) for _ in range(4)] for _ in range(2))
+    prod = (CycArray.from_values(xs) * CycArray.from_values(ys)).tolist()
+    assert prod == [u * v for u, v in zip(xs, ys)]
+    assert max(abs(n) for v in prod for n in v.num) > 1 << 53
+    # theta(z) = z^3 and theta(z^2) = z^6 = -(1 + z + ... + z^5), so the z^3
+    # coordinate of theta(v) is v_1 - v_2
+    v = Cyc7((0, (1 << 52) + 1, -(1 << 52), 0, 0, 0))
+    twisted = CycArray.from_values([v]).galois(1)
+    assert twisted.tolist() == [v.galois(1)]
+    assert twisted.num[0, 3] == (1 << 53) + 1
+    # a zero operand makes a zero bound, and its partner may be too large
+    # for a float
+    huge, zero = CycArray.from_values([Cyc7.from_int(1 << 1100)]), CycArray.from_values([0])
+    assert (huge * zero).tolist() == [Cyc7.from_int(0)]
+    assert (huge[None] @ zero[:, None]).tolist() == [[Cyc7.from_int(0)]]
+
+
+def test_elementwise_product_temporaries_stay_near_the_result_size():
+    # the product accumulates one basis element at a time; an outer product
+    # of the coordinates would be 12 times the result in the tower
+    import tracemalloc
+
+    rng = random.Random(11)
+    a, b = _rand_batch(rng, (64, 11), True), _rand_batch(rng, (64, 11), True)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        prod = a * b
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert prod.num.shape == (64, 11, 2, 6)
+    assert peak < 6 * prod.num.nbytes
+
+
+def matmuls_outside(source, helper):
+    """The line of each matrix product in source outside the function
+    `helper`: an @ operator, or a call of matmul, dot, tensordot or einsum."""
+    tree = ast.parse(source)
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == helper for n in ast.walk(f)}
+    names = {"matmul", "dot", "tensordot", "einsum"}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in names:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_finds_matrix_products():
+    source = (
+        "def _imatmul(x, y):\n"
+        "    return x @ y\n"
+        "def f(x, y):\n"
+        "    x @= y\n"
+        "    return np.dot(x, y) + (x @ y)\n"
+        "z = matmul(1, 2)\n"
+    )
+    assert matmuls_outside(source, "_imatmul") == [4, 5, 5, 6]
+
+
+def test_every_field_product_goes_through_the_helper():
+    # the bound rule lives in _imatmul: no other code of field.py may form a
+    # matrix product, so no call site can skip it
+    from pathlib import Path
+
+    import heis7.field
+
+    assert matmuls_outside(Path(heis7.field.__file__).read_text(), "_imatmul") == []
