@@ -493,7 +493,7 @@ def _imatmul(x, y, bound: int):
     """x @ y for integer-valued arrays, exactly, where `bound` bounds the sum
     of the absolute values of the terms of every entry, so every partial
     sum in any order.  Below 2^53 it runs in float64 (BLAS) and returns
-    float64, for the caller to accumulate in and CycArray to turn back to
+    float64, for the caller to accumulate in and _ints to turn back to
     int64; below 2^62 in int64; otherwise on Python ints.  A zero bound
     means a zero operand, whose partner need not fit a float."""
     if y.ndim == 2 and x.ndim > 2:  # one product over all of x's rows
@@ -505,6 +505,11 @@ def _imatmul(x, y, bound: int):
     return x @ y
 
 
+def _ints(a):
+    """An _imatmul result as an integer array: float64 becomes int64."""
+    return a.astype(np.int64) if a.dtype == np.float64 else a
+
+
 class CycArray:
     """A batch of Q(zeta7) values, or of Q(zeta7)(sqrt2) values when `r2`.
 
@@ -514,8 +519,7 @@ class CycArray:
     Python-int `den`, and the constructor divides num and den by their gcd,
     so equal batches have equal (num, den).  num is int64 when every
     numerator is below 2^62 in absolute value and a dtype=object array of
-    Python ints otherwise (see the module docstring for the overflow rule);
-    the constructor also takes the integer-valued float64 of _imatmul.
+    Python ints otherwise (see the module docstring for the overflow rule).
     Indexing acts on the batch axes only.
     """
 
@@ -526,6 +530,8 @@ class CycArray:
         if den <= 0:
             raise ValueError("CycArray denominator must be positive")
         if num.dtype != object:
+            if num.dtype.kind not in "iu" and num.size:
+                raise TypeError(f"CycArray numerators must be integers, not {num.dtype}")
             num = num.astype(np.int64, copy=False)
         if den > 1:  # over den 1 the gcd cannot reduce anything
             h = int(np.gcd.reduce(num.ravel())) if num.size else 0
@@ -601,6 +607,7 @@ class CycArray:
 
     @staticmethod
     def _from_flat(flat, den, r2) -> "CycArray":
+        flat = _ints(flat)
         return CycArray(flat.reshape(*flat.shape[:-1], 2, 6) if r2 else flat, den, r2)
 
     def __getitem__(self, index) -> "CycArray":
@@ -661,16 +668,9 @@ class CycArray:
             return CycArray(x * q.numerator, self.den * q.denominator, self.r2)
         a, b = self._meet(other)
         x, y = a._flat(), b._flat()
-        if x.ndim == 1:  # the product commutes: one value goes on the right
-            x, y = y, x
         w = x.shape[-1]
         table, norm = _PRODUCT[w]
         bound = _top(x) * _top(y) * norm
-        if y.ndim == 1:
-            # x's rows times the matrix of multiplication by the value y (the
-            # table is symmetric in its two factors)
-            by_y = _imatmul(y, table.reshape(w, w * w), bound).reshape(w, w)
-            return CycArray._from_flat(_imatmul(x, by_y, bound), a.den * b.den, a.r2)
         # the sum over basis elements e_i of x's e_i coordinate times y
         # multiplied by e_i: temporaries stay the size of the result
         out = 0
@@ -733,12 +733,12 @@ class CycArray:
         coeffs whose last axis runs over it: one integer matmul."""
         c = np.asarray(coeffs)
         x = self.num.reshape(self.num.shape[0], -1)
-        out = _imatmul(c, x, _top(c) * c.shape[-1] * _top(x))
+        out = _ints(_imatmul(c, x, _top(c) * c.shape[-1] * _top(x)))
         return CycArray(out.reshape(*c.shape[:-1], *self.num.shape[1:]), self.den, self.r2)
 
     def galois(self, power: int = 1) -> "CycArray":
         """theta^power on every value, theta(z) = z^3 (sqrt2 is fixed)."""
-        out = _imatmul(self.num, _GALOIS[power % 6], _top(self.num) * 6)
+        out = _ints(_imatmul(self.num, _GALOIS[power % 6], _top(self.num) * 6))
         return CycArray(out, self.den, self.r2)
 
     def conj(self) -> "CycArray":

@@ -453,6 +453,16 @@ def test_products_take_the_route_of_their_bound(monkeypatch, a, b, op, ref, side
     assert _as_objects(got).tolist() == np.asarray(want, dtype=object).tolist()
 
 
+def test_cycarray_refuses_float_numerators():
+    # only products turn their float64 results back into integers; the
+    # constructor cuts no value down to an integer
+    for num in (np.full(6, 0.5), np.ones((2, 6))):
+        with pytest.raises(TypeError, match="integers"):
+            CycArray(num)
+        with pytest.raises(TypeError, match="integers"):
+            CycArray(num, 3)
+
+
 def test_results_past_2_53_stay_exact():
     # float64 holds only even integers above 2^53; each result below is odd
     # and above it, and each bound is below 2^62, so these run in int64
