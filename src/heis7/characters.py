@@ -55,8 +55,7 @@ from .heisenberg import (
     TAU,
     conjugacy_classes_g7,
     conjugacy_classes_sl2,
-    dense_mul,
-    dense_of,
+    differs,
     scalar_mono,
     sl2_inv,
     sl2_mul,
@@ -435,50 +434,51 @@ class RepError(Exception):
 def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> Character:
     """Character of the G7 representation with the given generator images.
 
-    The images must be dense 7x7 matrices over Q(zeta7) (or MonoMat).  The
-    defining relations are verified first; the central scalar is recovered
-    from the commutator of the sigma and tau images.
+    The images must be dense 7x7 CycArray matrices over Q(zeta7).  The
+    defining relations are verified first, on stacked products.  The
+    central image eps is recovered from the commutator c of the sigma and
+    tau images: [sigma, tau] = eps^6 with eps of order 7, so c has order 7
+    and eps = c^6.
     """
     table = table or g7_table()
-    s = dense_of(sigma_img)
-    t = dense_of(tau_img)
-    io = dense_of(iota_img)
+    s, t, io = sigma_img, tau_img, iota_img
     idm = scalar_mono(0).dense()
 
     def powers(m):
-        """m^0 .. m^7 as one batch."""
-        out = [idm]
-        for _ in range(7):
-            out.append(dense_mul(out[-1], m))
+        """m^1 .. m^7 of a batch of matrices, along a new first axis; once
+        m^7 = 1 is checked, m^k sits at k - 1 for every k = 0..7."""
+        out = [m]
+        while len(out) < 7:
+            out.append(out[-1] @ m)
         return CycArray.stack(out)
 
-    from .heisenberg import dense_eq
-
-    s_pows, t_pows = powers(s), powers(t)
-    if not dense_eq(s_pows[7], idm) or not dense_eq(t_pows[7], idm):
+    g_pows = powers(CycArray.stack([s, t]))
+    if differs(g_pows[6], idm).any():
         raise RepError("generator of order != 7")
-    s_inv, t_inv = s_pows[6], t_pows[6]
-    if not dense_eq(dense_mul(io, io), idm):
-        raise RepError("involution image has order != 2")
-    if not dense_eq(dense_mul(dense_mul(io, s), io), s_inv):
-        raise RepError("iota sigma iota != sigma^-1")
-    if not dense_eq(dense_mul(dense_mul(io, t), io), t_inv):
-        raise RepError("iota tau iota != tau^-1")
-    comm = dense_mul(dense_mul(s, t), dense_mul(s_inv, t_inv))
-    eps_img = powers(comm)[6]  # [sigma, tau] = eps^6, so eps = commutator^6
-    eps_pows = powers(eps_img)
-    if not dense_eq(eps_pows[7], idm):
+    s_pows, t_pows = g_pows[:, 0], g_pows[:, 1]
+    s_inv, t_inv = s_pows[5], t_pows[5]
+    # io io, io s, io t, s t, s^-1 t^-1; then io s io, io t io and c
+    ab = CycArray.stack([io, io, io, s, s_inv]) @ CycArray.stack([io, s, t, t, t_inv])
+    abc = ab[1:4] @ CycArray.stack([io, io, ab[4]])
+    bad = differs(CycArray.stack([ab[0], abc[0], abc[1]]), CycArray.stack([idm, s_inv, t_inv]))
+    for fails, reason in zip(
+        bad.tolist(), ("involution image has order != 2", "iota sigma iota != sigma^-1", "iota tau iota != tau^-1")
+    ):
+        if fails:
+            raise RepError(reason)
+    c_pows = powers(abc[2])
+    if differs(c_pows[6], idm):
         raise RepError("central scalar has order != 7")
     # eps must commute with everything (scalar by Schur for irreducibles;
     # here just verify centrality)
-    for g in (s, t, io):
-        if not dense_eq(dense_mul(eps_img, g), dense_mul(g, eps_img)):
-            raise RepError("central image does not commute")
+    eps, gens = c_pows[5], CycArray.stack([s, t, io])
+    if differs(eps @ gens, gens @ eps).any():
+        raise RepError("central image does not commute")
 
-    # the class representatives' images, one batch
+    # the class representatives' images, one batch: eps^k = c^(7 - k)
     a, m, n, b = (np.array(col) for col in zip(*table.classes.reps))
-    acc = dense_mul(eps_pows[(a + 4 * m * n) % 7], s_pows[m])
-    acc = dense_mul(dense_mul(acc, t_pows[n]), CycArray.stack([idm, io])[b])
+    acc = c_pows[6 - (a + 4 * m * n) % 7] @ s_pows[m - 1]
+    acc = acc @ t_pows[n - 1] @ CycArray.stack([idm, io])[b]
     return Character(table.classes, acc.trace())
 
 

@@ -318,14 +318,13 @@ def _orthogonality(t, order: int):
 @declare_id("appendix.chars.matrix_rows")
 def check_char_of_rep(ctx: Context):
     from .characters import char_of_rep
-    from .heisenberg import IOTA, SIGMA, TAU, dense_galois
+    from .heisenberg import IOTA, SIGMA, TAU
 
     t = ctx.g7
-    ch = char_of_rep(SIGMA, TAU, IOTA, t)
+    images = [g.dense() for g in (SIGMA, TAU, IOTA)]
+    ch = char_of_rep(*images, t)
     ok = ch == t.rows["V0"]
-    tw = char_of_rep(
-        dense_galois(SIGMA, 1), dense_galois(TAU, 1), dense_galois(IOTA, 1), t
-    )
+    tw = char_of_rep(*(m.galois(1) for m in images), t)
     ok = ok and tw == t.rows["V1"] and tw != ch
     detail = (
         "matrix-model character equals the V0 row and its Galois twist the V1 "
@@ -621,7 +620,7 @@ def check_sym_w_rows(ctx: Context):
 
 @declare_id("appendix.decomp.schroedinger_dual")
 def check_vv_dual(ctx: Context):
-    from .heisenberg import HElem, MU, NU, delta_dense, dense_mul, dense_trace
+    from .heisenberg import HElem, MU, NU, delta_dense
 
     t = ctx.g7
     V = t.stack([f"V{i}" for i in range(6)])
@@ -629,16 +628,12 @@ def check_vv_dual(ctx: Context):
     bad = [f"twist {i}" for i in range(6) if got[i] != {"I": 1, "Z": 1}]
     # spot traces: the trace-zero complement takes rational values on
     # normalizer sample elements (delta is the dense one)
-    samples = [MU.dense(), NU.dense(), delta_dense()]
+    samples = CycArray.stack([MU.dense(), NU.dense(), delta_dense()])
     h_reps = [HElem(a, 0, 0, 0) for a in range(7)] + [HElem(0, 1, 2, 0), HElem(0, 3, 0, 0)]
-    rationals = True
-    for s in samples:
-        for h in h_reps:
-            g = dense_mul(h.matrix().dense(), s)
-            tr = dense_trace(g)
-            val = tr * tr.galois(3) - Cyc7.from_int(1)  # character of the complement
-            if not val.is_rational():
-                rationals = False
+    h_mats = CycArray.stack([h.matrix().dense() for h in h_reps])
+    tr = (h_mats @ samples[:, None]).trace()  # [sample, h]
+    val = tr * tr.galois(3) - 1  # character of the complement
+    rationals = all(v.is_rational() for row in val.tolist() for v in row)
     return _result(
         not bad and rationals,
         "V tensor V-dual contains the trivial character exactly once, the "
@@ -678,7 +673,7 @@ def check_restrictions(ctx: Context):
     ok &= dm[0] == [isq7] * 4 and dm[1][0] == isq7 * Cyc7.from_int(2)
     ok &= dm[1][1] == isq7 * eta_const(1) and dm[2][2] == isq7 * eta_const(3) and dm[3][3] == isq7 * eta_const(2)
     # the doubling map restricts to the transpose of the displayed matrix
-    mt = restrict_to_span(MU, VPLUS_BASIS)
+    mt = restrict_to_span(MU.dense(), VPLUS_BASIS)
     ok &= mt == [[c0, c1, c0], [c0, c0, c1], [c1, c0, c0]]
     return _result(
         bool(ok),
@@ -793,7 +788,7 @@ def check_a4_rows(ctx: Context):
 def _a4_samples(ctx: Context):
     """(name, matrix, SL2(F7) class) of the normalizer sample elements, and
     the Heisenberg class reps they are multiplied with."""
-    from .heisenberg import HElem, IOTA, MU, NU, delta_dense, dense_mul
+    from .heisenberg import HElem, IOTA, MU, NU, delta_dense
 
     cls = ctx.sl2.classes
     samples = [
@@ -801,7 +796,7 @@ def _a4_samples(ctx: Context):
         ("iota", IOTA.dense(), cls.index_of[(6, 0, 0, 6)]),
         ("mu", MU.dense(), cls.index_of[(2, 0, 0, 4)]),
         ("nu", NU.dense(), cls.index_of[(1, 0, 2, 1)]),
-        ("nu3", dense_mul(NU, dense_mul(NU, NU)), cls.index_of[(1, 0, 6, 1)]),
+        ("nu3", (NU * NU * NU).dense(), cls.index_of[(1, 0, 6, 1)]),
         ("delta", delta_dense(), cls.index_of[(0, 6, 1, 0)]),
     ]
     h_reps = [HElem(a, 0, 0, 0) for a in range(7)] + [
@@ -813,11 +808,9 @@ def _a4_samples(ctx: Context):
 def _a4_power_traces(h_mats, s_mat):
     """Traces of (h s)^p for p = 1..5, batch shape (5, len(h_mats)): g, g^2
     and g^3 are formed, tr g^4 and tr g^5 are trace pairings of them."""
-    from .heisenberg import dense_mul
-
-    g = dense_mul(h_mats, s_mat)
-    g2 = dense_mul(g, g)
-    g3 = dense_mul(g2, g)
+    g = h_mats @ s_mat
+    g2 = g @ g
+    g3 = g2 @ g
     return CycArray.stack([g.trace(), g2.trace(), g3.trace(), g2.trace_dot(g2), g3.trace_dot(g2)])
 
 

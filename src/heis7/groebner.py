@@ -786,7 +786,10 @@ def ideal_hf_oracle(gens, d: int) -> int:
     Independent of the Buchberger path; exact over the generators' domain,
     with a vectorized fast path for prime fields.  The dense reference the
     tests compare GradedIdeal.hilbert() against; no check calls it, and it
-    stays here because the benchmark tracer wraps it by name.
+    stays here because the benchmark tracer wraps it by name.  Zero
+    generators span the zero ideal, whose quotient has dim S_d; an empty
+    list is refused, as it carries no registry to count the monomials of
+    degree d in.
     """
     from .linalg import np_rank, rank as _rank
 

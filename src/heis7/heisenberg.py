@@ -9,7 +9,11 @@ Matrix model (on V = C^7 with basis e_0..e_6, indices mod 7):
 with z = zeta7 and i*sqrt7 realized as the Gauss sum.  All of these except
 delta are signed monomial matrices, stored compactly as (permutation, signs,
 zeta-powers); delta is kept as a dense matrix over Q(zeta7).  A dense matrix,
-or a batch of them, is a CycArray of batch shape (..., 7, 7).
+or a batch of them, is a CycArray of batch shape (..., 7, 7), and
+MonoMat.dense() expands a compact one: every dense 7x7 product, comparison,
+trace and Galois twist is the CycArray operator (@, ==, .trace(),
+.galois()), and relations over many matrices are decided on stacked
+products.
 
 The coordinate action is written once, here.  A MonoMat g is also the
 substitution x_i -> sign[i] z^pw[i] x_perm[i] of the coordinate functions
@@ -169,34 +173,11 @@ def delta_dense() -> CycArray:
     return CycArray(_ZETA_NUM[np.outer(r, r) % 7]) * c
 
 
-def dense_of(m) -> CycArray:
-    return m.dense() if isinstance(m, MonoMat) else m
-
-
-def dense_mul(a, b) -> CycArray:
-    """Matrix product; either side may be a batch of matrices."""
-    return dense_of(a) @ dense_of(b)
-
-
-def dense_eq(a, b) -> bool:
-    return dense_of(a) == dense_of(b)
-
-
-def dense_trace(a) -> Cyc7:
-    return dense_of(a).trace().tolist()
-
-
-def dense_galois(a, power: int) -> CycArray:
-    return dense_of(a).galois(power)
-
-
-def dense_det(a) -> Cyc7:
-    """det of a 7x7 matrix: MonoMat.det(), or for a dense matrix A the
-    elementary symmetric e_7 of its eigenvalues, from the power sums
-    tr A^1 .. tr A^7 by the Newton recursion; A^2, A^3, A^4 are formed and
-    tr A^5 .. tr A^7 are trace pairings of them."""
-    if isinstance(a, MonoMat):
-        return a.det()
+def dense_det(a: CycArray) -> Cyc7:
+    """det of a dense 7x7 matrix A: the elementary symmetric e_7 of its
+    eigenvalues, from the power sums tr A^1 .. tr A^7 by the Newton
+    recursion; A^2, A^3, A^4 are formed and tr A^5 .. tr A^7 are trace
+    pairings of them.  (A MonoMat has its own det().)"""
     from .characters import newton
 
     a2 = a @ a
@@ -363,13 +344,13 @@ def build_heisenberg():
     gens = CycArray.stack([SIGMA.dense(), TAU.dense()])
     pows = [CycArray.stack([MONO_ID.dense()] * 2), gens]
     for _ in range(5):
-        pows.append(dense_mul(pows[-1], gens))
+        pows.append(pows[-1] @ gens)
     pows = CycArray.stack(pows)  # [power, generator]
     # right-multiplication composes in the same order as MonoMat.__mul__
-    st = dense_mul(pows[:, 0][:, None], pows[:, 1][None, :]).reshape(49, 7, 7)  # sigma^m tau^n
+    st = (pows[:, 0][:, None] @ pows[:, 1][None, :]).reshape(49, 7, 7)  # sigma^m tau^n
     mn = np.arange(49)
     zeta = CycArray(_ZETA_NUM)
-    for b, dense in enumerate((st, dense_mul(st, IOTA))):  # ... iota^b
+    for b, dense in enumerate((st, st @ IOTA.dense())):  # ... iota^b
         for a in range(7):
             pos = index[a, :, :, b].ravel()
             central = zeta[(a + 4 * (mn // 7) * (mn % 7)) % 7].reshape(49, 1, 1)
@@ -382,7 +363,7 @@ def build_heisenberg():
     sample = np.array([(rng.randrange(len(g7)), rng.randrange(len(g7))) for _ in range(686)])
     for lo in range(0, len(sample), 49):
         xs, ys = sample[lo : lo + 49].T
-        dense = dense_mul(_code_dense(E[xs]), _code_dense(E[ys]))
+        dense = _code_dense(E[xs]) @ _code_dense(E[ys])
         bad = _differ(dense, _code_dense(_compose(E[xs], E[ys])))
         if bad is not None:
             raise GroupLawError(f"compact product disagrees with dense product at {g7[xs[bad]]}, {g7[ys[bad]]}")
@@ -414,9 +395,14 @@ def build_heisenberg():
     return h7, g7, {"pairs_checked": pairs, "order_h7": orders[0], "order_g7": orders[1]}
 
 
+def differs(a: CycArray, b: CycArray) -> np.ndarray:
+    """Boolean array of the batch shape: where two batches of matrices differ."""
+    return (a - b).nonzero().any(axis=(-2, -1))
+
+
 def _differ(a: CycArray, b: CycArray):
     """Index of the first matrix where two batches of matrices differ, or None."""
-    bad = (a - b).nonzero().any(axis=(-2, -1))
+    bad = differs(a, b)
     return int(np.argmax(bad)) if bad.any() else None
 
 
@@ -440,38 +426,30 @@ def _closure_order(gens) -> int:
 
 def verify_normalizer_relations():
     """All printed conjugation relations for mu, nu, iota, delta, plus
-    delta^2 = iota and det = 1 for every generator.  Returns a report dict."""
+    delta^2 = iota and det = 1 for every generator.  Returns a report dict.
+
+    Each matrix relation is written a b = c d, a conjugation g h g^-1 = k
+    as g h = k g (det g = 1 is checked below), and all of them are decided
+    by two stacked products."""
     delta = delta_dense()
-    sigma_d = SIGMA.dense()
-    tau_d = TAU.dense()
-    iota_d = IOTA.dense()
-    mu_d = MU.dense()
-    nu_d = NU.dense()
-
-    def conj_is(g, h, k):
-        """g h g^-1 = k, as g h = k g (det g = 1 is checked below)."""
-        return dense_eq(dense_mul(g, h), dense_mul(k, g))
-
-    checks = {}
-    checks["mu sigma mu^-1 = sigma^2"] = conj_is(mu_d, sigma_d, (SIGMA * SIGMA).dense())
-    checks["mu tau mu^-1 = tau^4"] = conj_is(mu_d, tau_d, _tau_pow(4).dense())
-    checks["iota sigma iota = sigma^-1"] = conj_is(iota_d, sigma_d, SIGMA.inv().dense())
-    checks["iota tau iota = tau^-1"] = conj_is(iota_d, tau_d, TAU.inv().dense())
-    zst2 = dense_mul(scalar_mono(8).dense(), dense_mul(sigma_d, (TAU * TAU).dense()))
-    checks["nu sigma nu^-1 = z^8 sigma tau^2"] = conj_is(nu_d, sigma_d, zst2)
-    checks["nu tau nu^-1 = tau"] = conj_is(nu_d, tau_d, tau_d)
-    checks["delta sigma delta^-1 = tau"] = conj_is(delta, sigma_d, tau_d)
-    checks["delta tau delta^-1 = sigma^-1"] = conj_is(delta, tau_d, SIGMA.inv().dense())
-    checks["delta^2 = iota"] = dense_eq(dense_mul(delta, delta), iota_d)
-    for name, mat in [
-        ("sigma", SIGMA),
-        ("tau", TAU),
-        ("iota", IOTA),
-        ("mu", MU),
-        ("nu", NU),
-        ("delta", delta),
-    ]:
-        checks[f"det({name}) = 1"] = dense_det(mat) == _C1
+    s, t, io, mu, nu, one = (g.dense() for g in (SIGMA, TAU, IOTA, MU, NU, MONO_ID))
+    s_inv = SIGMA.inv().dense()
+    relations = {  # name: (a, b, c, d) with a b = c d
+        "mu sigma mu^-1 = sigma^2": (mu, s, (SIGMA * SIGMA).dense(), mu),
+        "mu tau mu^-1 = tau^4": (mu, t, _tau_pow(4).dense(), mu),
+        "iota sigma iota = sigma^-1": (io, s, s_inv, io),
+        "iota tau iota = tau^-1": (io, t, TAU.inv().dense(), io),
+        "nu sigma nu^-1 = z^8 sigma tau^2": (nu, s, (scalar_mono(8) * SIGMA * TAU * TAU).dense(), nu),
+        "nu tau nu^-1 = tau": (nu, t, t, nu),
+        "delta sigma delta^-1 = tau": (delta, s, t, delta),
+        "delta tau delta^-1 = sigma^-1": (delta, t, s_inv, delta),
+        "delta^2 = iota": (delta, delta, io, one),
+    }
+    a, b, c, d = (CycArray.stack(col) for col in zip(*relations.values()))
+    checks = dict(zip(relations, (~differs(a @ b, c @ d)).tolist()))
+    for name, g in [("sigma", SIGMA), ("tau", TAU), ("iota", IOTA), ("mu", MU), ("nu", NU)]:
+        checks[f"det({name}) = 1"] = g.det() == _C1
+    checks["det(delta) = 1"] = dense_det(delta) == _C1
     return checks
 
 
@@ -664,9 +642,10 @@ VMINUS_BASIS = [  # 2e0, e1+e6, e4+e3, e2+e5
 ]
 
 
-def restrict_to_span(mat, basis):
-    """Matrix X of `mat` on the span of the integer vectors `basis` (its
-    columns are the images): M B = B X for B with the vectors as columns.
+def restrict_to_span(mat: CycArray, basis):
+    """Matrix X of the dense 7x7 matrix `mat` on the span of the integer
+    vectors `basis` (its columns are the images): M B = B X for B with the
+    vectors as columns.
 
     X is read off M B through a rational left inverse of B, and M B = B X
     is then checked exactly; raises ValueError if the span is not invariant.
@@ -674,7 +653,7 @@ def restrict_to_span(mat, basis):
     gram = [[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]
     left = [[sum(g * v[i] for g, v in zip(row, basis)) for i in range(7)] for row in inverse(gram, QQ)]
     b = CycArray.from_ints(np.array(basis).T)
-    mb = dense_of(mat) @ b
+    mb = mat @ b
     x = CycArray.from_values(q for row in left for q in row).reshape(len(basis), 7) @ mb
     if b @ x != mb:
         raise ValueError("span is not invariant under the matrix")
@@ -691,7 +670,7 @@ def restriction_matrices():
     permutation matrices (a checked fact, not an assumption).
     """
     out = {}
-    for name, mat in [("mu", MU.inv()), ("nu", NU), ("delta", delta_dense())]:
+    for name, mat in [("mu", MU.inv().dense()), ("nu", NU.dense()), ("delta", delta_dense())]:
         out[name + "+"] = restrict_to_span(mat, VPLUS_BASIS)
         out[name + "-"] = restrict_to_span(mat, VMINUS_BASIS)
     return out

@@ -853,7 +853,7 @@ def klein_invariance_report():
 
     f = klein_quartic().map_coeffs(CYC.coerce, CYC)
     results = {}
-    for name, mat in (("mu", MU), ("nu", NU), ("delta", delta_dense())):
+    for name, mat in (("mu", MU.dense()), ("nu", NU.dense()), ("delta", delta_dense())):
         images = substitution_for(REG_V, restrict_to_span(mat, KLEIN_VBASIS), CYC)
         results[name] = f.substitute(images) == f
     return results

@@ -12,7 +12,7 @@ from heis7.characters import (
     omega3_sections_char,
     subspace_character,
 )
-from heis7.heisenberg import IOTA, SIGMA, TAU, dense_galois
+from heis7.heisenberg import IOTA, MU, SIGMA, TAU, MonoMat, scalar_mono
 
 
 def test_degrees(g7, sl2):
@@ -57,17 +57,38 @@ def test_value_types(g7, sl2):
 
 
 def test_char_of_rep_rows(g7):
-    ch = char_of_rep(SIGMA, TAU, IOTA, g7)
+    images = [g.dense() for g in (SIGMA, TAU, IOTA)]
+    ch = char_of_rep(*images, g7)
     assert ch == g7.rows["V0"]
-    tw = char_of_rep(dense_galois(SIGMA, 1), dense_galois(TAU, 1), dense_galois(IOTA, 1), g7)
+    tw = char_of_rep(*(m.galois(1) for m in images), g7)
     assert tw == g7.rows["V1"] and tw != ch
 
 
-def test_char_of_rep_rejects_bad_images(g7):
-    from heis7.heisenberg import MU
+def _perm(*images):
+    """The permutation matrix e_l -> e_images[l]."""
+    return MonoMat(images, (1,) * 7, (0,) * 7)
 
-    with pytest.raises(RepError):
-        char_of_rep(SIGMA, TAU, MU, g7)  # involution image has order 3
+
+# (sigma, tau, iota images, the refusal): one set per relation.  Each of
+# the last three pairs sigma with a 7-cycle or a diagonal matrix that iota
+# inverts, so only the commutator c = [sigma, tau] is wrong: of order 5,
+# of order 2 (then c^6 = 1 is central, yet [sigma, tau] is not its sixth
+# power), and diagonal of order 7 but not scalar.
+BROKEN_RELATIONS = [
+    (MU, TAU, IOTA, "generator of order != 7"),
+    (SIGMA, TAU, MU, "involution image has order != 2"),
+    (SIGMA, TAU, _perm(1, 0, 2, 3, 4, 5, 6), "iota sigma iota != sigma^-1"),
+    (SIGMA, scalar_mono(1), IOTA, "iota tau iota != tau^-1"),
+    (SIGMA, _perm(2, 3, 1, 4, 6, 0, 5), IOTA, "central scalar has order != 7"),
+    (SIGMA, _perm(1, 5, 6, 4, 2, 3, 0), IOTA, "central scalar has order != 7"),
+    (SIGMA, MonoMat(tuple(range(7)), (1,) * 7, tuple(j**3 % 7 for j in range(7))), IOTA, "central image does not commute"),
+]
+
+
+def test_char_of_rep_rejects_bad_images(g7):
+    for *images, reason in BROKEN_RELATIONS:
+        with pytest.raises(RepError, match=re.escape(reason)):
+            char_of_rep(*(m.dense() for m in images), g7)
 
 
 def test_key_decompositions(g7):

@@ -15,7 +15,7 @@ from heis7.groebner import (
     normal_form,
 )
 from heis7.moduli import f_basis, j_ideal
-from heis7.poly import Poly, REG_U, VarRegistry, grevlex_key, monomial_basis, parse_poly, render_poly
+from heis7.poly import Poly, REG_U, REG_X, VarRegistry, grevlex_key, monomial_basis, parse_poly, render_poly
 from oracles import fraction_normal_form
 
 
@@ -95,6 +95,15 @@ def test_surface_hilbert_function_over_q_matches_the_dense_oracle(t):
     I = S.ideal()
     assert I.hilbert().hf_range(1, 4) == [ideal_hf_oracle(I.gens, d) for d in range(1, 5)] == [7, 28, 63, 112]
     assert [ideal_hf_oracle(S.ideal(fp(3)).gens, d) for d in range(1, 5)] == [7, 28, 70, 140]
+
+
+def test_hf_oracle_of_the_zero_ideal():
+    # zero generators leave all of S_2 (28 quadrics in 7 variables); an
+    # empty list has no registry to count monomials in
+    for dom in (QQ, fp(31)):
+        assert ideal_hf_oracle([Poly.zero(REG_X, dom)] * 3, 2) == 28
+    with pytest.raises(ValueError, match="need generators"):
+        ideal_hf_oracle([], 2)
 
 
 def test_normal_form_is_zero_exactly_for_members():
