@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 from operator import mul
 
 import numpy as np
@@ -60,7 +61,9 @@ from .heisenberg import (
     sl2_inv,
     sl2_mul,
 )
-from .linalg import rref
+from .groebner import Coeffs
+from .linalg import echelon
+from .poly import coefficient_rows
 
 _C0 = Cyc7.from_int(0)
 _C1 = Cyc7.from_int(1)
@@ -546,35 +549,20 @@ def h0_oa_decomposition(k: int) -> Decomposition:
 # characters of polynomial subspaces
 
 
-def weight_blocks(basis):
-    """{pivot monomial: row dict}: the reduced rows spanning the P_w(V),
-    each weight block row-reduced on its own over Q.
-
-    TAU scales x^e by z^w(e), w(e) = sum k*e_k mod 7, so TAU.act(p.terms)[w]
-    is the weight-w part of p: it projects V onto a tau-eigenspace without
-    field arithmetic.  The row count, dim sum_w P_w(V), is >= dim V, with
-    equality exactly when V is tau-stable.
-    """
-    parts = [TAU.act(p.terms) for p in basis]
-    rows = {}
-    for w in range(7):
-        monos = sorted({e for part in parts for e in part[w]}, reverse=True)
-        if monos:
-            red, pivots = rref([[part[w].get(e, 0) for e in monos] for part in parts])
-            rows.update((monos[c], {monos[j]: x for j, x in enumerate(row) if x}) for row, c in zip(red, pivots))
-    return rows
-
-
 class SpanSolver:
     """Traces and stability of a signed zeta-monomial substitution, a MonoMat
     read as x_i -> sign[i] z^pw[i] x_perm[i] (the heisenberg module docstring
-    fixes this action), on a tau-stable span over Q, from its reduced
-    weight-block rows (the surface span has seven 3x12 blocks, which sigma
-    permutes).  Such a map sends each monomial to one relabelled monomial
-    times a phase (-z)^k, so all work is over Q: a row's image splits into
-    seven rational phase parts (g.act), and the trace into seven rational
-    phase buckets (read with g.phases()).  A basis not over Q and a
-    dependent or non-tau-stable basis are a ValueError.
+    fixes this action), on a tau-stable span over Q in the 7 coordinates.
+
+    rows maps each pivot monomial to its reduced row (linalg.echelon over
+    the sorted monomials) as a groebner.Coeffs element (G, None, L): integer
+    numerators over L > 0, L at the pivot and absent at every other pivot.
+    A map sends each monomial to one relabelled monomial times a phase
+    (-z)^k, so all work is on integers: a row's image splits into seven
+    integer phase parts (g.act), reduced fraction-free, and the trace into
+    seven integer phase buckets (read with g.phases()).  A basis not over Q
+    or not in 7 variables, and a dependent or non-tau-stable basis, are a
+    ValueError.
     """
 
     def __init__(self, basis):
@@ -583,22 +571,26 @@ class SpanSolver:
         for p in basis:
             if p.dom is not QQ:  # the phases live in Q(z7), never reduced mod p
                 raise ValueError(f"span basis is over {p.dom.name}, not Q")
-        # each row has coefficient 1 at its pivot and 0 at every other pivot
-        self.rows = weight_blocks(basis)
-        rank = len(self.rows)
-        if rank < len(basis):
+            if p.reg.n != 7:  # a MonoMat acts on the 7 coordinates
+                raise ValueError(f"span basis is in {p.reg.n} variables, not 7")
+        monos = sorted({e for p in basis for e in p.terms}, reverse=True)
+        red, pivots = echelon(coefficient_rows(basis, monos))
+        if len(pivots) < len(basis):
             raise ValueError("basis is linearly dependent")
-        if rank > len(basis):
-            raise ValueError(f"span is not stable under tau: its weight parts span {rank} > {len(basis)} dimensions")
+        self.kern = Coeffs(QQ)
+        # the first column of a row is its pivot, the largest of its monomials
+        self.rows = {monos[c]: ({monos[-t]: v for t, v in F.items()}, None, D) for (F, D), c in zip(red, pivots)}
+        if not self.is_stable_under(TAU):
+            raise ValueError("span is not stable under tau")
 
     def _remainder(self, v):
-        """v, a {monomial: Fraction} dict, reduced modulo the span in place:
-        every pivot cleared with its row, which touches no other pivot."""
+        """v, a {monomial: int} dict, reduced modulo the span in place up to
+        a nonzero factor: every pivot cleared with its row, which touches no
+        other pivot."""
+        D = 1
         for piv in [e for e in v if e in self.rows]:
-            a = v[piv]
-            for e, c in self.rows[piv].items():
-                v[e] = v.get(e, 0) - a * c
-        return {e: c for e, c in v.items() if c}
+            D = self.kern.step(D, v[piv], self.rows[piv], (), None, v)
+        return v
 
     def is_stable_under(self, g) -> bool:
         """Whether g keeps the span V: the image of a row v is sum_m z^m u_m
@@ -613,23 +605,25 @@ class SpanSolver:
         and Q_m = P E_m P^-1.  Every c mod 7 occurs, and the sum over c with
         weights z^(-ck) is 7 Q_k, so Q_k keeps V(z).  Then Q_k g v =
         z^k P S E_k v = z^k u_k lies in V(z), and u_k, being rational, lies
-        in V.  So the parts are tested one by one, up to the first one
-        outside the span.
+        in V.  So the parts are tested one by one, on their numerators, up to
+        the first one outside the span.
         """
-        return not any(self._remainder(u) for row in self.rows.values() for u in g.act(row) if u)
+        return not any(self._remainder(u) for G, _, _ in self.rows.values() for u in g.act(G) if u)
 
     def trace(self, g) -> Cyc7:
         """Trace of g on the span, assuming it is stable: the image of each
-        row at its own pivot, summed into seven rational phase buckets q_m,
-        then sum_m z^m q_m."""
+        row at its own pivot, summed into seven integer phase buckets q_m
+        over the rows' common denominator, then sum_m z^m q_m with
+        z^6 = -(1 + z + ... + z^5)."""
         ks = g.phases()
+        den = lcm(*(L for _, _, L in self.rows.values()))
         buckets = [0] * 7
-        for piv, row in self.rows.items():
+        for piv, (G, _, L) in self.rows.items():
             e = tuple(piv[p] for p in g.perm)
-            if e in row:
+            if e in G:
                 k = sum(map(mul, e, ks)) % 14
-                buckets[k % 7] += -row[e] if k % 2 else row[e]
-        return sum((Cyc7.zeta(m) * q for m, q in enumerate(buckets) if q), _C0)
+                buckets[k % 7] += (-G[e] if k % 2 else G[e]) * (den // L)
+        return Cyc7(tuple(q - buckets[6] for q in buckets[:6]), den)
 
 
 def subspace_character(span, table: CharTable = None) -> Character:
@@ -638,7 +632,7 @@ def subspace_character(span, table: CharTable = None) -> Character:
     heisenberg module docstring).
 
     `span` is a basis over Q or its SpanSolver, which reads each class
-    representative's trace off the weight blocks.  Building the solver
+    representative's trace off its reduced rows.  Building the solver
     certifies tau-stability; stability is then certified on sigma and iota,
     which generate the group together with tau, so traces on all class
     representatives are well defined.

@@ -1422,8 +1422,8 @@ def check_surface_betti(ctx: Context):
 def check_surface_stability(ctx: Context):
     from .heisenberg import IOTA, SIGMA
 
-    # each surface's solver exists only for a span split into tau-stable
-    # weight blocks, which is its stability under the phase map
+    # each surface's solver exists only for an independent span that its
+    # constructor found stable under tau, the phase map
     failures = []
     for S in ctx.surfaces()[:6]:
         if S.solver is None:

@@ -150,7 +150,8 @@ class Monomials:
 
 
 def _axpy(vec, other, shift, c):
-    """vec += c * x^m * other in place over Z, where x^m adds `shift` to each term."""
+    """vec += c * x^m * other in place over Z, where x^m adds `shift` to each
+    term (the shift () leaves tuple keys as they are)."""
     get = vec.get
     for t, v in other.items():
         t += shift
@@ -176,8 +177,8 @@ def _axpy_mod(vec, other, shift, c, p):
 
 
 class Coeffs:
-    """The integer coefficient kernel of the engine and of linalg.rref
-    (module docstring).
+    """The integer coefficient kernel of the engine, of linalg.echelon and
+    of characters.SpanSolver (module docstring).
 
     An element is a triple (G, RG, L): integer numerators of a monic vector
     G/L and of its cofactor row RG/L (None untracked), with G[lt] = L > 0.
@@ -801,7 +802,7 @@ def ideal_hf_oracle(gens, d: int) -> int:
     rows = []
     for g in gens:
         dg = g.degree()
-        if dg > d:
+        if not 0 <= dg <= d:  # a zero generator (degree -1) adds no rows
             continue
         for m in monomial_basis(reg, d - dg):
             row = [dom.zero] * len(monos)

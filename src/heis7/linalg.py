@@ -3,12 +3,13 @@
 Matrices are plain lists of lists of domain values: Fractions over QQ, ints
 in [0, p) over fp(p).  Elimination runs on the integer kernel of the
 Groebner engines (groebner.Coeffs), which refuses any other domain with
-ValueError.  Inside rref a row is a dict {-column: integer numerator} over
-one positive denominator, so max(row) is its first nonzero column; over
+ValueError.  echelon runs it: a row is a dict {-column: integer numerator}
+over one positive denominator, so max(row) is its first nonzero column; over
 F_p every numerator is reduced by an inline % p and the denominator stays 1.
 A row is cleared by a pivot row fraction-free, as the engines reduce a
 vector (groebner module docstring), and every value equals the plain
-Fraction value, so zero tests are those of exact arithmetic.
+Fraction value, so zero tests are those of exact arithmetic.  rref exports
+echelon's rows as domain values; rank only counts their pivots.
 
 Everything is deterministic: the pivot for a column is the first remaining
 row, in the order that row swaps leave, that is nonzero there, so echelon
@@ -26,18 +27,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import QQ, fp
+from .field import QQ, RatDomain, fp
 from .groebner import Coeffs
 
 
-def rref(rows, dom=QQ, width=None):
-    """Reduced row echelon form.  Returns (rref rows, pivot column list).
-
-    Only the first `width` columns (default all) take pivots.
-    """
+def echelon(rows, dom=QQ, width=None):
+    """(reduced rows, pivot columns): each row (F, D) holds integer numerators
+    {-column: n} over D > 0, with n = D at its own pivot and absent at every
+    other; only the first `width` columns (default all) take pivots."""
     kern = Coeffs(dom)
-    ncols = len(rows[0]) if rows else 0
-    w = ncols if width is None else width
+    w = (len(rows[0]) if rows else 0) if width is None else width
     m = []
     for row in rows:
         F, D = kern.lift({-c: x for c, x in enumerate(row) if x})
@@ -62,15 +61,20 @@ def rref(rows, dom=QQ, width=None):
                 row[1] = kern.step(row[1], a, elem, 0, 0, row[0])
         pivots.append(c)
         r += 1
-    if kern.p:
-        red = [[F.get(-c, 0) for c in range(ncols)] for F, _ in m[:r]]
-    else:
-        red = [[Fraction(F.get(-c, 0), D) for c in range(ncols)] for F, D in m[:r]]
-    return red, pivots
+    return m[:r], pivots
+
+
+def rref(rows, dom=QQ, width=None):
+    """echelon's rows as dense rows of domain values, and its pivots."""
+    red, pivots = echelon(rows, dom, width)
+    ncols = len(rows[0]) if rows else 0
+    if isinstance(dom, RatDomain):
+        return [[Fraction(F.get(-c, 0), D) for c in range(ncols)] for F, D in red], pivots
+    return [[F.get(-c, 0) for c in range(ncols)] for F, _ in red], pivots
 
 
 def rank(rows, dom=QQ):
-    return len(rref(rows, dom)[1])
+    return len(echelon(rows, dom)[1])
 
 
 def nullspace(rows, dom=QQ, width=None):

@@ -758,7 +758,7 @@ class SurfaceIdeal:
     t: tuple
     g: list  # three tau-invariant cubics
     basis: list  # 21 shifted cubics
-    # their weight blocks, or None when the cubics are dependent
+    # the solver of their span, or None when the cubics are dependent
     solver: SpanSolver | None = field(compare=False, repr=False)
 
     @property

@@ -151,16 +151,20 @@ def test_subspace_character_instability(g7):
 
 def test_span_solver_refusals():
     from heis7.characters import SpanSolver
-    from heis7.poly import Poly, REG_X, parse_poly
+    from heis7.poly import REG_V, REG_X, Poly, VarRegistry, parse_poly
 
     x = [Poly.var(REG_X, f"x{j}") for j in range(7)]
-    # x0 + x1 mixes two tau-eigenspaces: its weight parts span two dimensions
+    # x0 + x1 mixes two tau-eigenspaces, so tau maps it out of its span
     with pytest.raises(ValueError, match="not stable under tau"):
         SpanSolver([x[0] + x[1]])
     with pytest.raises(ValueError, match="linearly dependent"):
         SpanSolver([x[0], x[1], x[0] + x[1]])
     with pytest.raises(ValueError, match="empty basis"):
         SpanSolver([])
+    # two copies of x0 + x1 and x2..x6 span 6 dimensions, though their weight
+    # parts span all 7
+    with pytest.raises(ValueError, match="linearly dependent"):
+        SpanSolver([x[0] + x[1], x[0] + x[1], *x[2:]])
     # a stable weight-mixed span is fine: all of the linear forms
     solver = SpanSolver([x[0] + x[1]] + x[1:])
     assert solver.is_stable_under(SIGMA)
@@ -174,6 +178,13 @@ def test_span_solver_refusals():
     assert p.substitute(swap) == p.scale(-1)
     with pytest.raises(ValueError, match="span basis is over F31, not Q"):
         SpanSolver([p])
+    # a MonoMat acts on x0..x6: a span in 3 or 8 variables is refused, not
+    # read with the wrong number of phases
+    with pytest.raises(ValueError, match="in 3 variables, not 7"):
+        SpanSolver([parse_poly("v1^2", REG_V)])
+    reg8 = VarRegistry([f"y{j}" for j in range(8)])
+    with pytest.raises(ValueError, match="in 8 variables, not 7"):
+        subspace_character([parse_poly("y7^2", reg8)])
 
 
 def test_pairing_with_sqrt2_values(sl2, g7):

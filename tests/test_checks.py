@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heis7 import characters, formmat, groebner, heisenberg, moduli, poly
+from heis7 import characters, formmat, groebner, heisenberg, linalg, moduli, poly
 from heis7.characters import CharTable, SpanSolver
 from heis7.field import Cyc7, CycArray
 from heis7.poly import Poly
@@ -92,20 +92,22 @@ TRACED_CHARTABLE = ("decompose", "sym_power", "ext_power")
 def scaled_run():
     """A scaled seed-42 run (every check, fewer samples), with the calls of
     the traced CharTable methods, of CycArray.__matmul__, of Poly.__mul__
-    inside det_form, of surface_ideal and weight_blocks, of Poly.substitute
-    inside surface_ideal, of Cyc7 products and differences inside
-    SpanSolver.is_stable_under, of Poly constructions inside
-    subspace_character and the SpanSolver methods, and of ideal_hf_oracle
-    counted: (report, {name: calls})."""
+    inside det_form, of surface_ideal and SpanSolver.__init__, of
+    Poly.substitute inside surface_ideal, of Cyc7 products and differences
+    and Fraction arithmetic inside SpanSolver.is_stable_under, of Poly
+    constructions inside subspace_character and the SpanSolver methods, of
+    linalg.rank and the Fraction constructions in linalg inside it, and of
+    ideal_hf_oracle counted: (report, {name: calls})."""
     names = (
-        *TRACED_CHARTABLE, "matmul", "det_form_mul", "surface_ideal", "surface_substitute", "weight_blocks",
-        "stable_cyc7", "span_poly", "hf_oracle",
+        *TRACED_CHARTABLE, "matmul", "det_form_mul", "surface_ideal", "surface_substitute", "span_solver",
+        "stable_cyc7", "stable_fraction", "span_poly", "rank", "rank_fraction", "hf_oracle",
     )
     calls = dict.fromkeys(names, 0)
     in_det = [0]
     in_stable = [0]
     in_span = [0]
     in_surface = [0]
+    in_rank = [0]
 
     def counting(name, fn, inside=(1,)):
         # counts the calls made while inside[0] is set
@@ -135,13 +137,18 @@ def scaled_run():
             mp.setattr(owner, "det_form", setting(in_det, formmat.det_form))
         mp.setattr(moduli, "surface_ideal", counting("surface_ideal", setting(in_surface, moduli.surface_ideal)))
         mp.setattr(Poly, "substitute", counting("surface_substitute", Poly.substitute, in_surface))
-        mp.setattr(characters, "weight_blocks", counting("weight_blocks", characters.weight_blocks))
         for name in ("__init__", "is_stable_under", "trace"):
             mp.setattr(SpanSolver, name, setting(in_span, getattr(SpanSolver, name)))
+        mp.setattr(SpanSolver, "__init__", counting("span_solver", SpanSolver.__init__))
         mp.setattr(SpanSolver, "is_stable_under", setting(in_stable, SpanSolver.is_stable_under))
         mp.setattr(characters, "subspace_character", setting(in_span, characters.subspace_character))
         for name in ("__mul__", "__sub__"):
             mp.setattr(Cyc7, name, counting("stable_cyc7", getattr(Cyc7, name), in_stable))
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            mp.setattr(Fraction, name, counting("stable_fraction", getattr(Fraction, name), in_stable))
+        for owner in (linalg, checks, moduli):  # checks and moduli imported rank by name
+            mp.setattr(owner, "rank" if owner is linalg else "mat_rank", counting("rank", setting(in_rank, linalg.rank)))
+        mp.setattr(linalg, "Fraction", counting("rank_fraction", Fraction, in_rank))
         mp.setattr(Poly, "__init__", counting("span_poly", Poly.__init__, in_span))
         mp.setattr(groebner, "ideal_hf_oracle", counting("hf_oracle", groebner.ideal_hf_oracle))
         report = run_suite("all", RunConfig(seed=42, sample_points=2, random_alphas=24))
@@ -179,10 +186,12 @@ def test_work_counts_of_the_scaled_suite(scaled_run):
     _, calls = scaled_run
     assert calls["matmul"] == MATMUL_CALLS
     assert calls["det_form_mul"] == DET_FORM_MULS
-    # each surface's weight blocks are built once, and its stability is
-    # decided over Q
-    assert calls["weight_blocks"] == calls["surface_ideal"] == SURFACES_BUILT
-    assert calls["stable_cyc7"] == 0
+    # each surface's solver is built once, and its stability is decided on
+    # integer numerators
+    assert calls["span_solver"] == calls["surface_ideal"] == SURFACES_BUILT
+    assert calls["stable_cyc7"] == calls["stable_fraction"] == 0
+    # a rank counts pivots of the integer rows, with no Fraction matrix
+    assert calls["rank"] > 0 and calls["rank_fraction"] == 0
     # the solver reads each group element's MonoMat, with no Poly images
     assert calls["span_poly"] == 0
     # the surface shifts relabel exponents (MonoMat.act): no substitution

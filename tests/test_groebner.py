@@ -97,11 +97,20 @@ def test_surface_hilbert_function_over_q_matches_the_dense_oracle(t):
     assert [ideal_hf_oracle(S.ideal(fp(3)).gens, d) for d in range(1, 5)] == [7, 28, 70, 140]
 
 
-def test_hf_oracle_of_the_zero_ideal():
-    # zero generators leave all of S_2 (28 quadrics in 7 variables); an
-    # empty list has no registry to count monomials in
+def test_hf_oracle_of_the_zero_ideal(monkeypatch):
+    # zero generators leave all of S_2 (28 quadrics in 7 variables) and add
+    # no rows to rank; an empty list has no registry to count monomials in
+    from heis7 import linalg
+
+    ranked = []
+    for name in ("rank", "np_rank"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda rows, dom, fn=fn: ranked.append(len(rows)) or fn(rows, dom))
     for dom in (QQ, fp(31)):
         assert ideal_hf_oracle([Poly.zero(REG_X, dom)] * 3, 2) == 28
+    assert sum(ranked) == 0
+    assert ideal_hf_oracle([Poly.zero(REG_X, QQ), Poly.var(REG_X, "x0")], 2) == 21
+    assert ranked == [7]
     with pytest.raises(ValueError, match="need generators"):
         ideal_hf_oracle([], 2)
 

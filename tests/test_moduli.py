@@ -643,7 +643,7 @@ _SWAP_X1_X2 = MonoMat((0, 2, 1, 3, 4, 5, 6), (1,) * 7, (0,) * 7)
 
 def _scale_one(j, sign, pw):
     """x_j -> sign z^pw x_j, the other variables fixed: its phase varies
-    within a weight block."""
+    within a Heisenberg weight."""
     return MonoMat(tuple(range(7)), tuple(sign if k == j else 1 for k in range(7)), tuple(pw * (k == j) for k in range(7)))
 
 
@@ -657,13 +657,28 @@ def test_span_solver_against_oracle(g7, seed):
         t = tuple(Fraction(rng.randint(-13, 13), rng.randint(1, 13)) for _ in range(4))
     S = surface_ideal(t)
     assert not S.degenerate
-    # a seeded invertible rational recombination: its members mix the weights
-    while True:
-        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(21)] for _ in range(21)]
-        if rank(m, QQ) == 21:
-            break
-    mixed = [sum((p.scale(c) for c, p in zip(row, S.basis)), Poly.zero(REG_X)) for row in m]
-    assert all(len({sum(k * a for k, a in enumerate(e)) % 7 for e in p.terms}) > 1 for p in mixed)
+
+    def recombination(coefficient):
+        # a seeded invertible recombination of the basis by m
+        while True:
+            m = [[coefficient(i, j) for j in range(21)] for i in range(21)]
+            if rank(m, QQ) == 21:
+                return [sum((p.scale(c) for c, p in zip(row, S.basis) if c), Poly.zero(REG_X)) for row in m]
+
+    def wide_entry(i, j):
+        # c basis[i] + d basis[i + 1], with numerators and denominators in
+        # [2^64, 2^65], past machine words
+        while j in (i, (i + 1) % 21):
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(2**64, 2**65), rng.randint(2**64, 2**65))
+            if min(abs(c.numerator), c.denominator) > 2**64:
+                return c
+        return 0
+
+    # every member of both mixes the weights
+    mixed = recombination(lambda i, j: Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    wide = recombination(wide_entry)
+    for p in (*mixed, *wide):
+        assert len({sum(k * a for k, a in enumerate(e)) % 7 for e in p.terms}) > 1
     maps = [
         SIGMA.inv(),
         IOTA,
@@ -676,7 +691,7 @@ def test_span_solver_against_oracle(g7, seed):
     ]
     images = [substitution_images(*g) for g in maps]
     classes = [rep.matrix().conj() for rep in g7.classes.reps]
-    for basis in (S.basis, mixed):
+    for basis in (S.basis, mixed, wide):
         solver, oracle = SpanSolver(basis), SpanSolverOracle(basis)
         assert [solver.is_stable_under(g) for g in maps] == [oracle.is_stable_under(im) for im in images]
         for g in classes:
@@ -719,7 +734,10 @@ def test_span_solver_tests_every_phase_part():
     basis = [parse_poly("x0*x1*x6+x0*x3*x4+x1*x2*x4", REG_X), parse_poly("x0*x2*x5-x0*x3*x4-x1*x2*x4", REG_X)]
     solver, oracle = SpanSolver(basis), SpanSolverOracle(basis)
     pivots = [(1, 1, 0, 0, 0, 0, 1), (1, 0, 1, 0, 0, 1, 0)]  # x0*x1*x6, x0*x2*x5
-    assert [solver.rows[e] for e in pivots] == [p.terms for p in basis]  # r1, r2 are the reduced rows
+    # r1, r2 are the reduced rows, held as integer numerators G over L
+    assert all(type(v) is int for G, _, L in solver.rows.values() for v in (*G.values(), L))
+    rows = [solver.rows[e] for e in pivots]
+    assert [{e: Fraction(v, L) for e, v in G.items()} for G, _, L in rows] == [p.terms for p in basis]
     for c in range(7):
         g = MonoMat((1, 2, 5, 6, 0, 3, 4), (1,) * 7, tuple((p + c) % 7 for p in (0, 0, 0, 0, 0, 2, 2)))
         assert not solver.is_stable_under(g)
