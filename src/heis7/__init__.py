@@ -6,14 +6,10 @@ quartic models, all behind a batch verification command line."""
 __version__ = "0.1.0"
 
 from .field import (  # noqa: F401
-    CYC,
     Cyc7,
-    DualNum,
     FieldElem,
     QQ,
-    Rat,
     fp,
-    galois_theta,
     gauss_sum,
     parse_cyc,
     parse_field,

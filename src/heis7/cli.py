@@ -190,11 +190,8 @@ def cmd_surface(args) -> int:
         print(f"t = ({':'.join(str(x) for x in S.t)})")
         print(f"hilbert function (degrees 0..5): {payload['hilbert_function']}")
         if args.betti:
-            from .resolution import BettiTable
-
-            bt_obj = BettiTable({(e['i'], e['j']): e['beta'] for e in payload['betti']})
             print("betti table (rows are degree minus step):")
-            print(bt_obj.render())
+            print(bt.render())
         for line in payload["generators"]:
             print(" ", line)
     return 0

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q, Q(zeta7), Q(zeta7)(sqrt2), prime fields and dual numbers.
+"""Exact arithmetic in Q, Q(zeta7), Q(zeta7)(sqrt2) and prime fields.
 
 Conventions
 -----------
@@ -12,16 +12,15 @@ Conventions
 * Fp is the prime field Z/p for a prime p not in {2, 7} and below PRIME_LIMIT
   (deterministic Miller-Rabin); elements are plain ints in
   [0, p), wrapped by the FpDomain adapter below.
-* DualNum is a + b*eps with eps^2 = 0 over an arbitrary coefficient domain.
 
-Coefficient domains for the polynomial layer: QQ (RatDomain, Fraction),
-CYC (CycDomain, Q(zeta7) as Cyc7), fp(p) (FpDomain) and DualDomain over any
-of them; linear algebra (linalg) and the Groebner engine take QQ and fp(p)
-only.  G7 class functions, polynomial-span traces and the 7x7 matrices live
-in Q(zeta7); only the SL2(F7) character table needs sqrt2, and FieldElem is
-its value type (and that of parse_field).  Cyc7 and FieldElem mix freely: an
-operation with a FieldElem operand returns a FieldElem, and a FieldElem with
-zero sqrt2 part equals (and hashes like) its Cyc7.
+The polynomial layer, linear algebra (linalg) and the Groebner engine take
+two coefficient domains: QQ (RatDomain, Fraction) and fp(p) (FpDomain).  G7
+class functions, polynomial-span traces and the 7x7 matrices live in
+Q(zeta7) as Cyc7 and CycArray values; only the SL2(F7) character table needs
+sqrt2, and FieldElem is its value type (and that of parse_field).  Cyc7 and
+FieldElem mix freely: an operation with a FieldElem operand returns a
+FieldElem, and a FieldElem with zero sqrt2 part equals (and hashes like) its
+Cyc7.
 
 Field elements and polynomials share one text grammar: render_cyc,
 render_field and poly.render_poly write it, parse_cyc, parse_field and
@@ -61,8 +60,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import numpy as np
-
-Rat = Fraction
 
 _ZERO6 = (0, 0, 0, 0, 0, 0)
 _ZERO5 = (0, 0, 0, 0, 0)
@@ -314,10 +311,6 @@ def alpha_plus() -> Cyc7:
 
 def alpha_minus() -> Cyc7:
     return (Cyc7.from_int(1) - gauss_sum()) * Cyc7.from_rat(Fraction(1, 2))
-
-
-def galois_theta(x: Cyc7, power: int = 1) -> Cyc7:
-    return _as_cyc(x).galois(power)
 
 
 # ---------------------------------------------------------------------------
@@ -757,25 +750,6 @@ class CycArray:
         return f"CycArray(shape={self.shape}, den={self.den}, r2={self.r2})"
 
 
-class DualNum:
-    """a + b*eps with eps^2 = 0; parts live in a coefficient domain."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def __eq__(self, other):
-        return isinstance(other, DualNum) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"DualNum({self.a!r}, {self.b!r})"
-
-
 # ---------------------------------------------------------------------------
 # rendering and parsing: the text grammar of the module docstring
 
@@ -1060,99 +1034,7 @@ class FpDomain:
         return hash(("FpDomain", self.p))
 
 
-class CycDomain:
-    """Q(zeta7) as a coefficient domain."""
-
-    name = "Q(z7)"
-    zero = Cyc7.from_int(0)
-    one = Cyc7.from_int(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return a.inv()
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, FieldElem):
-            if not x.b.is_zero():
-                raise ValueError(f"{x} is not in Q(zeta7)")
-            return x.a
-        v = _as_cyc(x)
-        if v is NotImplemented:
-            raise TypeError(f"cannot coerce {x!r} into Q(zeta7)")
-        return v
-
-    @staticmethod
-    def fmt(a):
-        return render_cyc(a)
-
-
-class DualDomain:
-    """Dual numbers base[eps]/(eps^2) over a coefficient domain."""
-
-    def __init__(self, base):
-        self.base = base
-        self.name = f"{base.name}[eps]"
-        self.zero = DualNum(base.zero, base.zero)
-        self.one = DualNum(base.one, base.zero)
-
-    def add(self, x, y):
-        return DualNum(self.base.add(x.a, y.a), self.base.add(x.b, y.b))
-
-    def sub(self, x, y):
-        return DualNum(self.base.sub(x.a, y.a), self.base.sub(x.b, y.b))
-
-    def mul(self, x, y):
-        b = self.base
-        return DualNum(b.mul(x.a, y.a), b.add(b.mul(x.a, y.b), b.mul(x.b, y.a)))
-
-    def neg(self, x):
-        return DualNum(self.base.neg(x.a), self.base.neg(x.b))
-
-    def inv(self, x):
-        # (a + b eps)^-1 = a^-1 - a^-2 b eps, needs a invertible
-        ai = self.base.inv(x.a)
-        return DualNum(ai, self.base.neg(self.base.mul(self.base.mul(ai, ai), x.b)))
-
-    def is_zero(self, x):
-        return self.base.is_zero(x.a) and self.base.is_zero(x.b)
-
-    def coerce(self, x):
-        if isinstance(x, DualNum):
-            return x
-        return DualNum(self.base.coerce(x), self.base.zero)
-
-    def eps(self):
-        return DualNum(self.base.zero, self.base.one)
-
-    def fmt(self, x):
-        if self.base.is_zero(x.b):
-            return self.base.fmt(x.a)
-        return f"{self.base.fmt(x.a)} + ({self.base.fmt(x.b)})*eps"
-
-
 QQ = RatDomain()
-CYC = CycDomain()
 
 
 def fp(p: int = 31) -> FpDomain:

@@ -1,4 +1,4 @@
-"""Matrices with homogeneous-form entries: determinants, Pfaffians, profiles.
+"""Matrices with homogeneous-form entries: determinants and Pfaffians.
 
 Sign conventions
 ----------------
@@ -18,7 +18,7 @@ class FormMatrix:
 
     __slots__ = ("entries", "reg", "dom")
 
-    def __init__(self, entries, profile=None, skew=False):
+    def __init__(self, entries, skew=False):
         self.entries = [list(r) for r in entries]
         first = self.entries[0][0]
         self.reg = first.reg
@@ -29,12 +29,6 @@ class FormMatrix:
                     raise ValueError("mixed registries in form matrix")
                 if not p.is_homogeneous():
                     raise ValueError("form matrix entries must be homogeneous")
-        if profile is not None:
-            for i, row in enumerate(self.entries):
-                for j, p in enumerate(row):
-                    want = profile[i][j] if isinstance(profile[0], (list, tuple)) else profile
-                    if not p.is_zero() and p.degree() != want:
-                        raise ValueError(f"entry ({i},{j}) has degree {p.degree()}, expected {want}")
         if skew and not self.is_skew():
             raise ValueError("matrix is not alternating")
 

@@ -727,9 +727,6 @@ class GroebnerBasis:
     polys: list  # reduced, monic packed polynomials, ascending leading terms
     truncated: bool = False
 
-    def as_polys(self):
-        return [Poly(self.reg, self.dom, self.ring.unpack_poly(g), _clean=True) for g in self.polys]
-
     def leading_terms(self):
         return [self.ring.unpack(max(g)) for g in self.polys]
 

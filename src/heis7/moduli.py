@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import lcm
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .field import _WIDE, _top, _wide, CYC, QQ, DualDomain, DualNum, FpDomain, fp
+from .field import _WIDE, _top, _wide, QQ, CycArray, FpDomain, fp
 from .formmat import FormMatrix, det_form, pfaffian_vector
 from .groebner import GradedIdeal
 from .characters import SpanSolver
@@ -40,6 +41,7 @@ from .linalg import rank as mat_rank
 from .poly import (
     DiffOp,
     Poly,
+    VarRegistry,
     REG_T,
     REG_TU,
     REG_U,
@@ -483,27 +485,20 @@ _MINOR_ROWS = [1, 2, 5]  # rows (r, s) = (0, 1), (0, 2), (1, 2) of C
 
 
 def _delta_numerators(alpha: AlphaMatrix):
+    """(N, den): N[m][j] / den = d_j applied to minor m of alpha, over the row
+    pairs (0, 1), (0, 2), (1, 2); the contraction of the minor's coefficient
+    products with column j of the pairing P[4k + l, j] = d_j(u_k u_l), so no
+    minor is formed."""
     pairing, norm = _pairing()
     c, den = alpha.products
     return _contract(c[_MINOR_ROWS], pairing, norm), den
-
-
-def delta_values(alpha: AlphaMatrix) -> list:
-    """values[m][j] = d_j applied to minor m of alpha, a rational constant.
-
-    The minors are taken over the row pairs (0, 1), (0, 2), (1, 2), and
-    d_j(minor) is the contraction of its coefficient products with column j
-    of the pairing P[4k + l, j] = d_j(u_k u_l), so no minor is formed.
-    """
-    nums, den = _delta_numerators(alpha)
-    return [[Fraction(v, den) for v in row] for row in nums.tolist()]
 
 
 def delta_criterion(alpha: AlphaMatrix) -> bool:
     """Whether the three net operators annihilate the three minors of alpha.
 
     Decided on the same cached coefficient products as alpha_compose: the
-    nine values d_j(minor) are one integer contraction (`delta_values`),
+    nine values d_j(minor) are one integer contraction (`_delta_numerators`),
     all zero exactly when alpha is annihilated.
     """
     return not _delta_numerators(alpha)[0].any()
@@ -845,18 +840,47 @@ KLEIN_VBASIS = [
 ]
 
 
+# the principal lattice of degree 4: a in Z>=0^3 with a1 + a2 + a3 = 4
+QUARTIC_LATTICE = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+
+
+def _values_at(f: Poly, points: CycArray) -> CycArray:
+    """The form f (of positive degree) at each row of an (n, 3) batch."""
+    cols = [points[:, i] for i in range(3)]
+    terms = (reduce(mul, [cols[i] for i, a in enumerate(e) for _ in range(a)]) * c for e, c in f.terms.items())
+    return reduce(add, terms)
+
+
+def quartic_invariant_under(f: Poly, mats) -> list:
+    """For each 3x3 matrix X over Q(zeta7) (nested lists), whether
+    f(X^T v) = f(v) for the ternary quartic f, decided at the 15 points of
+    QUARTIC_LATTICE.
+
+    This is exact.  g = f(X^T v) - f(v) is a quartic form; if it vanishes at
+    the lattice, then on the plane a1 + a2 + a3 = 4 it is a bivariate
+    polynomial of degree <= 4 vanishing on the principal lattice, which is
+    unisolvent for that degree (Chung and Yao, SIAM J. Numer. Anal. 14
+    (1977)), so g vanishes on the plane, hence by homogeneity on the dense
+    set a1 + a2 + a3 != 0, hence g = 0.
+    """
+    xs = [CycArray.from_values(c for row in x for c in row).reshape(3, 3) for x in mats]
+    # row a of an image block is a^T X = (X^T a)^T: one integer matmul
+    images = CycArray.stack([x.lincomb(QUARTIC_LATTICE) for x in xs])
+    n = len(QUARTIC_LATTICE)
+    values = _values_at(f, images.reshape(len(mats) * n, 3)).reshape(len(mats), n)
+    want = _values_at(f, CycArray.from_ints(QUARTIC_LATTICE))
+    return [values[k] == want for k in range(len(mats))]
+
+
 def klein_invariance_report():
     """Invariance of the quartic under the three generators restricted to the
-    plane-quartic eigenbasis.  Exact substitution over Q(zeta7)."""
+    plane-quartic eigenbasis (quartic_invariant_under, exact over
+    Q(zeta7))."""
     from .heisenberg import MU, NU, delta_dense, restrict_to_span
-    from .poly import substitution_for
 
-    f = klein_quartic().map_coeffs(CYC.coerce, CYC)
-    results = {}
-    for name, mat in (("mu", MU.dense()), ("nu", NU.dense()), ("delta", delta_dense())):
-        images = substitution_for(REG_V, restrict_to_span(mat, KLEIN_VBASIS), CYC)
-        results[name] = f.substitute(images) == f
-    return results
+    gens = {"mu": MU.dense(), "nu": NU.dense(), "delta": delta_dense()}
+    restricted = [restrict_to_span(m, KLEIN_VBASIS) for m in gens.values()]
+    return dict(zip(gens, quartic_invariant_under(klein_quartic(), restricted)))
 
 
 def pfaffian_cubics():
@@ -932,27 +956,26 @@ def net_discriminant_ratio():
     return c
 
 
+REG_V_EPS = VarRegistry(REG_V.names + ("eps",))
+TANGENT_STEP = 1  # the tangent direction at v_i is v_{i + TANGENT_STEP}
+
+
 def epsilon_identity_report():
-    """(v1 + eps v2)^4 - v1^4 + (cyclic) = 4 eps f, over Q[eps]/(eps^2)."""
-    dd = DualDomain(QQ)
-    eps = dd.eps()
-    names = ["v1", "v2", "v3"]
+    """(v1 + eps v2)^4 - v1^4 + (cyclic) = 4 eps f, over Q[eps]/(eps^2).
 
-    def var(i):
-        return Poly.var(REG_V, names[i % 3], dd)
+    Computed in Q[v1, v2, v3, eps] with every term of eps-degree >= 2
+    dropped, which is Q[eps]/(eps^2) written out."""
+    v = [Poly.var(REG_V_EPS, n) for n in REG_V.names]
+    eps = Poly.var(REG_V_EPS, "eps")
 
-    total = Poly.zero(REG_V, dd)
-    singles = []
-    for i in range(3):
-        s = (var(i) + var(i + 1).scale(eps)) ** 4 - var(i) ** 4
-        singles.append(s)
-        total = total + s
-    f_dual = klein_quartic().map_coeffs(lambda c: DualNum(QQ.zero, c * 4), dd)
+    def mod_eps2(p):
+        return Poly(REG_V_EPS, QQ, {e: c for e, c in p.terms.items() if e[3] < 2}, _clean=True)
+
+    singles = [mod_eps2((v[i] + eps * v[(i + TANGENT_STEP) % 3]) ** 4 - v[i] ** 4) for i in range(3)]
+    total = sum(singles[1:], singles[0])
+    four_eps_f = {e + (1,): 4 * c for e, c in klein_quartic().terms.items()}
     return {
-        "identity_holds": total == f_dual,
-        "eps0_part_vanishes": all(
-            dd.base.is_zero(c.a) for c in total.terms.values()
-        ),
-        "single_term_ok": singles[0]
-        == Poly.monomial(REG_V, (3, 1, 0), DualNum(QQ.zero, Fraction(4)), dd),
+        "identity_holds": total == Poly(REG_V_EPS, QQ, four_eps_f, _clean=True),
+        "eps0_part_vanishes": all(e[3] for e in total.terms),
+        "single_term_ok": singles[0] == Poly.monomial(REG_V_EPS, (3, 1, 0, 1), 4),
     }

@@ -368,16 +368,6 @@ def linear_form(reg, coeffs, dom=QQ):
     return Poly(reg, dom, terms, _clean=True)
 
 
-def substitution_for(reg, matrix, dom=QQ):
-    """Variable images for the linear substitution v_i -> sum_j matrix[j][i] v_j.
-
-    matrix[j][i] is the coefficient of variable j in the image of variable i,
-    i.e. columns are images, matching matrices that act on column vectors.
-    """
-    n = reg.n
-    return [linear_form(reg, [matrix[j][i] for j in range(n)], dom) for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # text form: `3*x0^2*x1 - x2*x3 + (z^2)*x4`, in the field module's grammar
 

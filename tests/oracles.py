@@ -1,5 +1,9 @@
 """Independent test oracles, kept deliberately separate from the package.
 
+CYC is Q(zeta7) as a Poly coefficient domain (Cyc7 values), which the
+package's polynomial layer never needs: the oracles below substitute and
+compare polynomials over it.
+
 The Betti-number oracle computes graded Betti numbers as Koszul homology
 with vectorized prime-field linear algebra: no Groebner bases, syzygy
 modules, or resolution code from the package are involved, so it provides a
@@ -14,7 +18,12 @@ matrices c_kl * compose_u(k, l), the direct reading of the wedge table,
 against which the package's integer contraction is tested.  The
 annihilation oracle forms the three 2x2 minors of alpha as Poly products and
 applies the net operators to them with DiffOp.apply, the direct reading of
-the criterion, against which the package's pairing contraction is tested.
+the criterion, against which the package's pairing contraction is tested;
+delta_values reads the same nine values off that contraction as Fractions.
+
+The quartic-invariance oracle substitutes v_i -> sum_j X[j][i] v_j over CYC
+and compares polynomials, against which the package's evaluation at the
+principal lattice is tested.
 
 The span oracle solves coordinates on a polynomial span through one
 elimination transform of the augmented matrix [B^T | I] over the basis'
@@ -49,7 +58,7 @@ import numpy as np
 
 from fractions import Fraction
 
-from heis7.field import CYC, QQ, Cyc7
+from heis7.field import QQ, Cyc7, FieldElem, render_cyc
 from heis7.formmat import FormMatrix
 from heis7.heisenberg import (
     SL2_CLASS_REPS,
@@ -64,8 +73,64 @@ from heis7.heisenberg import (
     sl2_mul,
 )
 from heis7.linalg import np_rank, np_rref, rref
-from heis7.moduli import compose_u, delta_ops
-from heis7.poly import REG_X, Poly, monomial_basis
+from heis7.moduli import _delta_numerators, compose_u, delta_ops
+from heis7.poly import REG_V, REG_X, Poly, linear_form, monomial_basis
+
+
+class CycDomain:
+    """Q(zeta7) as a coefficient domain."""
+
+    name = "Q(z7)"
+    zero = Cyc7.from_int(0)
+    one = Cyc7.from_int(1)
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def inv(a):
+        return a.inv()
+
+    @staticmethod
+    def is_zero(a):
+        return a.is_zero()
+
+    @staticmethod
+    def coerce(x):
+        if isinstance(x, FieldElem):
+            if not x.b.is_zero():
+                raise ValueError(f"{x} is not in Q(zeta7)")
+            return x.a
+        if isinstance(x, Cyc7):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Cyc7.from_rat(x)
+        raise TypeError(f"cannot coerce {x!r} into Q(zeta7)")
+
+    @staticmethod
+    def fmt(a):
+        return render_cyc(a)
+
+
+CYC = CycDomain()
+
+
+def gb_polys(gb):
+    """The reduced basis of a GroebnerBasis as Polys."""
+    return [Poly(gb.reg, gb.dom, gb.ring.unpack_poly(g), _clean=True) for g in gb.polys]
 
 
 class QuotientRing:
@@ -272,6 +337,21 @@ def delta_criterion_forms(alpha):
             row.append(Fraction(image.terms.get((0, 0, 0, 0), 0)))
         values.append(row)
     return values
+
+
+def delta_values(alpha):
+    """values[m][j] = d_j applied to minor m of alpha, as Fractions, read
+    off the package's integer contraction."""
+    nums, den = _delta_numerators(alpha)
+    return [[Fraction(v, den) for v in row] for row in nums.tolist()]
+
+
+def quartic_invariant_oracle(f, x):
+    """Whether f(X^T v) = f(v), by substituting v_i -> sum_j X[j][i] v_j
+    over CYC (the columns of X are the images)."""
+    g = f.map_coeffs(CYC.coerce, CYC)
+    images = [linear_form(REG_V, [x[j][i] for j in range(3)], CYC) for i in range(3)]
+    return g.substitute(images) == g
 
 
 class SpanSolverOracle:

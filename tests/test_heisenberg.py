@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heis7 import heisenberg
-from heis7.field import CYC, Cyc7, CycArray, gauss_sum, lam, parse_cyc, zeta
+from heis7.field import Cyc7, CycArray, gauss_sum, lam, parse_cyc, zeta
 from heis7.heisenberg import (
     GroupLawError,
     HElem,
@@ -35,6 +35,7 @@ from heis7.moduli import d_vector
 from heis7.poly import REG_X, Poly
 
 from oracles import (
+    CYC,
     dense_mul_oracle,
     g7_classes_oracle,
     mono_dense_oracle,

@@ -5,8 +5,9 @@ an import binds at module level must be read somewhere in the module. A
 name that a function imports must be read inside that function. The
 package's `__init__.py` imports only to re-export, so its module-level
 imports are exempt. Every module-level function and class of the package
-must be named outside its own body somewhere in the package, the tests or
-perfbench; the checks registered with @declare_id are exempt.
+must be named outside its own body somewhere in the package or perfbench; a
+name that only the tests use belongs in the tests. The checks registered
+with @declare_id are exempt.
 """
 
 import ast
@@ -108,12 +109,13 @@ def _registered_check(node) -> bool:
     )
 
 
-def unnamed_definitions(sources, defining):
+def unnamed_definitions(sources, defining, naming):
     """'file name' for each module-level function or class of the files in
-    `defining` that no source names outside its own body; checks
-    registered with @declare_id run through the registry and are exempt."""
+    `defining` that no file in `naming` (which holds `defining`) names
+    outside its own body; checks registered with @declare_id run through
+    the registry and are exempt."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
-    named = sum((_named(tree) for tree in trees.values()), Counter())
+    named = sum((_named(trees[path]) for path in naming), Counter())
     dead = []
     for path in defining:
         for node in trees[path].body:
@@ -128,13 +130,20 @@ def test_the_scan_finds_unnamed_definitions():
         "a.py": "def used():\n    return 1\ndef rec(n):\n    return rec(n - 1)\n"
         "@declare_id('x')\ndef check():\n    pass\nclass Gone:\n    pass\n",
         "b.py": "from a import used\nTARGETS = ['a.Traced']\n",
-        "c.py": "class Traced:\n    pass\ndef orphan():\n    '''orphan is named in text only'''\n",
+        "c.py": "class Traced:\n    pass\ndef orphan():\n    '''orphan is named in text only'''\n"
+        "def tested():\n    pass\n",
+        "test_c.py": "from c import tested\n",
     }
-    assert unnamed_definitions(sources, ["a.py", "c.py"]) == ["a.py rec", "a.py Gone", "c.py orphan"]
+    dead = ["a.py rec", "a.py Gone", "c.py orphan"]
+    assert unnamed_definitions(sources, ["a.py", "c.py"], sources) == dead
+    # a definition that only a test names does not count as used
+    package = ["a.py", "b.py", "c.py"]
+    assert unnamed_definitions(sources, ["a.py", "c.py"], package) == [*dead, "c.py tested"]
 
 
 def test_no_dead_definitions():
     files = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in files}
     package = [name for name in sources if name.startswith("src/")]
-    assert unnamed_definitions(sources, package) == []
+    naming = [name for name in sources if not name.startswith("tests/")]
+    assert unnamed_definitions(sources, package, naming) == []

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from heis7 import moduli
-from heis7.field import CYC, QQ, fp
-from heis7.heisenberg import IOTA, MU, SIGMA, TAU, MonoMat
+from heis7.field import QQ, fp
+from heis7.heisenberg import IOTA, MU, NU, SIGMA, TAU, MonoMat, delta_dense, restrict_to_span
 from heis7.linalg import rank
 from heis7.moduli import (
     AlphaMatrix,
@@ -25,13 +25,14 @@ from heis7.moduli import (
     d_vector,
     delta_criterion,
     delta_ops,
-    delta_values,
     epsilon_identity_report,
     equational_point,
     eta_klein,
     f_basis,
     grass_membership,
     klein_invariance_report,
+    KLEIN_VBASIS,
+    QUARTIC_LATTICE,
     klein_quartic,
     minor_rows,
     minor_span_pairing,
@@ -41,13 +42,22 @@ from heis7.moduli import (
     pfaffian_apolarity_report,
     printed_b_matrices,
     psi,
+    quartic_invariant_under,
     surface_ideal,
     wedge_reps,
     GrassPoint,
 )
 from heis7.poly import REG_U, REG_X, DiffOp, Poly, coefficient_rows, monomial_basis, parse_poly, render_poly
 
-from oracles import SpanSolverOracle, alpha_compose_forms, delta_criterion_forms, substitution_images
+from oracles import (
+    CYC,
+    SpanSolverOracle,
+    alpha_compose_forms,
+    delta_criterion_forms,
+    delta_values,
+    quartic_invariant_oracle,
+    substitution_images,
+)
 
 
 def test_wedge_rep_entries():
@@ -597,6 +607,32 @@ def test_klein_quartic_suite():
     assert pa["gorenstein_symmetric"]
 
 
+QUARTIC_MATRICES = {
+    "mu": (lambda: restrict_to_span(MU.dense(), KLEIN_VBASIS), True),
+    "nu": (lambda: restrict_to_span(NU.dense(), KLEIN_VBASIS), True),
+    "delta": (lambda: restrict_to_span(delta_dense(), KLEIN_VBASIS), True),
+    "diag(1,1,2)": (lambda: [[1, 0, 0], [0, 1, 0], [0, 0, 2]], False),
+    "v1<->v2": (lambda: [[0, 1, 0], [1, 0, 0], [0, 0, 1]], False),
+}
+
+
+@pytest.mark.parametrize("name", QUARTIC_MATRICES)
+def test_lattice_invariance_agrees_with_substitution(name):
+    make, invariant = QUARTIC_MATRICES[name]
+    x = make()
+    assert len(set(QUARTIC_LATTICE)) == 15
+    assert quartic_invariant_under(klein_quartic(), [x]) == [invariant]
+    assert quartic_invariant_oracle(klein_quartic(), x) is invariant
+
+
+def test_a_mutated_quartic_is_not_invariant(monkeypatch):
+    mutated = parse_poly("v1^3*v2 + v2^3*v3 + 2*v3^3*v1", klein_quartic().reg)
+    x = restrict_to_span(MU.dense(), KLEIN_VBASIS)
+    assert not quartic_invariant_oracle(mutated, x)
+    monkeypatch.setattr(moduli, "klein_quartic", lambda: mutated)
+    assert klein_invariance_report()["mu"] is False
+
+
 def test_net_discriminant():
     assert net_discriminant_ratio() == Fraction(-1, 16)
     det = net_discriminant()
@@ -620,13 +656,16 @@ def test_net_discriminant():
     assert scaled == fy.scale(Fraction(-81, 16))
 
 
-def test_epsilon_identity():
+def test_epsilon_identity(monkeypatch):
     rep = epsilon_identity_report()
     assert rep == {
         "identity_holds": True,
         "eps0_part_vanishes": True,
         "single_term_ok": True,
     }
+    # the tangent direction v_{i+2} gives 4 eps (v1^3 v3 + v2^3 v1 + v3^3 v2)
+    monkeypatch.setattr(moduli, "TANGENT_STEP", 2)
+    assert epsilon_identity_report()["identity_holds"] is False
 
 
 def test_iota_stability_of_surface():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heis7.field import CYC, QQ, fp, zeta
+from heis7.field import QQ, fp, zeta
 from heis7.moduli import delta_ops
 from heis7.poly import (
     Poly,
@@ -17,6 +17,7 @@ from heis7.poly import (
     parse_poly,
     render_poly,
 )
+from oracles import CYC
 
 
 @pytest.mark.parametrize("dom", [QQ, fp(31)], ids=["QQ", "F31"])
