@@ -22,6 +22,21 @@ ModuleOrder.from_row only moves their keys.  Minimality of the kept forms
 makes the graded Betti numbers plain counts, checked against the
 Hilbert-series alternating sums by callers.
 
+The initial-ideal bound.  Level 1 completes a Groebner basis of I through
+the degree cap, so its leading terms generate in(I) in those degrees.
+Under Groebner degeneration beta_ij(S/I) <= beta_ij(S/in I) (Herzog-Hibi,
+Monomial Ideals, Thm 3.3.4), and beta_ij depends only on the ideal in
+degrees <= j, so the bound holds for every j up to the cap.  With
+b_k = max{j : beta_kj(S/in I) > 0}, a minimal generator of level k has
+degree <= b_k: level k takes candidates only through min(cap, b_k),
+processes its S-pairs only through min(cap, b_{k+1}), which is as far as
+the next level's candidates are needed, and the loop stops after the last
+level at which in(I) has a Betti number.  At the surface this skips
+S-pairs of level 2 in degree 7, which all reduce to zero and yield only
+non-minimal syzygies.  A monomial ideal is its own initial ideal, so it
+takes the uniform cap, and the bound never recurses; so does an ideal
+whose in(I) table is incomplete.
+
 Polys enter packed, and the hilbert_burch columns, intersect and
 minimal_ideal_gens unpack what they return.
 """
@@ -112,47 +127,87 @@ def _ring_vectors(polys, dom):
     return order, [kern.lift({order.pack(0, e): c for e, c in p.terms.items()}) for p in polys]
 
 
-def _levels(gens, dom, degree_cap):
+def _levels(gens, dom, degree_cap, bound=None):
     """Yield (order, gb, kept, capped) for resolution levels 1, 2, ...
 
     Level 1 takes the nonzero polynomials gens (module docstring).  gb is
-    the level's tracked ModuleGB under order, completed through degree_cap,
-    kept its nonzero normal forms, and capped says that the cap dropped
-    candidates.  Stops after a level that keeps nothing or has no syzygies.
+    the level's tracked ModuleGB under order, kept its nonzero normal forms,
+    and capped says that the degree cap dropped candidates.  Level 1 is
+    completed through degree_cap.  Then bound(gb), if given, may return
+    tops, where tops[k] is the highest degree in which level k can have a
+    minimal generator (the initial-ideal bound of the module docstring).
+    Level k >= 2 then takes candidates only through min(degree_cap,
+    tops[k]), processes pairs only through min(degree_cap, tops[k + 1]), and
+    the loop ends at the last level in tops; a candidate the bound leaves
+    out is redundant, so it does not count as capped.  Without tops every
+    level runs through degree_cap, and the loop stops after a level that
+    keeps nothing or has no syzygies.
     """
     if not gens:
         return
     order, candidates = _ring_vectors(gens, dom)
+    k, tops = 1, None
     while candidates:
         gb = ModuleGB(dom, order, track=True)
+        if tops is not None:
+            top = min(degree_cap, tops[k])
+            candidates = [v for v in candidates if order.vec_degree(v[0]) <= top]
         kept, capped = _feed(gb, candidates, lambda F: (order.lowest_component(F), max(F)), degree_cap)
-        gb.process_pairs_through(degree_cap)
+        gb.process_pairs_through(degree_cap if tops is None else min(degree_cap, tops.get(k + 1, -1)))
         yield order, gb, kept, capped
-        if not kept:
+        if k == 1 and bound is not None:
+            tops = bound(gb)
+        if not kept or tops is not None and k + 1 not in tops:
             return
         order = induced_key_from([max(v) for v in kept], order)
         candidates = [(order.from_row(R), D) for R, D in gb.syzygies]
+        k += 1
 
 
 def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8):
     """Minimal graded free resolution of S/I, as a BettiTable.
 
     One loop over the levels of _levels, from the ideal's generators on
-    (module docstring).  Betti numbers in internal degree <= degree_cap are
-    exact; if the degree cap or max_steps cuts the computation short, the
-    table is flagged.
+    (module docstring).  Unless I is a monomial ideal, the leading terms of
+    level 1's basis generate in(I) through degree_cap, and the table of
+    in(I), resolved the same way, bounds levels 2 on through
+    beta_ij(S/I) <= beta_ij(S/in I) (Herzog-Hibi, Monomial Ideals,
+    Thm 3.3.4).  If that table is incomplete, every level runs through the
+    degree cap.  Betti numbers in internal degree <= degree_cap are exact.
+
+    complete means that no Betti number lies outside the table: level 1
+    kept every generator and completed its Groebner basis within the cap,
+    so under the bound in(I) is whole and its complete table bounds every
+    degree; without the bound, no later level dropped a candidate or left an
+    S-pair above the cap either; and max_steps stopped no level that could
+    still have minimal generators.  Otherwise the note says where the
+    computation was cut short.
     """
+    tops = {}  # level -> top degree of in(I)'s table, once bound finds it complete
+
+    def bound(gb):
+        reg, dom, unpack = ideal.reg, ideal.dom, gb.order.unpack
+        initial = GradedIdeal(reg, dom, [Poly.monomial(reg, unpack(lt)[1], dom.one, dom) for lt in gb.lts])
+        bt = free_resolution(initial, degree_cap, max_steps)
+        if not bt.complete:
+            return None
+        for i, j in bt.entries:
+            tops[i] = max(tops.get(i, j), j)
+        return tops
+
+    monomial = all(len(g.terms) == 1 for g in ideal.gens)
     entries = {(0, 0): 1}
     note = []
-    for step, (order, gb, kept, capped) in enumerate(_levels(ideal.gens, ideal.dom, degree_cap), 1):
+    levels = _levels(ideal.gens, ideal.dom, degree_cap, None if monomial else bound)
+    for step, (order, gb, kept, capped) in enumerate(levels, 1):
         if capped:
             note.append(f"degree cap dropped candidates at step {step}")
         for v in kept:
             d = order.vec_degree(v)
             entries[(step, d)] = entries.get((step, d), 0) + 1
-        if gb.pairs:
+        if gb.pairs and (step == 1 or not tops):
             note.append(f"degree cap left pairs unprocessed after step {step}")
-        if step >= max_steps and gb.syzygies:
+        if step >= max_steps and gb.syzygies and (not tops or step + 1 in tops):
             note.append(f"max_steps stopped before homological step {step + 1}")
             break
     return BettiTable(entries, not note, "; ".join(note))

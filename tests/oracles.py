@@ -7,7 +7,9 @@ compare polynomials over it.
 The Betti-number oracle computes graded Betti numbers as Koszul homology
 with vectorized prime-field linear algebra: no Groebner bases, syzygy
 modules, or resolution code from the package are involved, so it provides a
-genuinely independent cross-check of the resolution engine.
+genuinely independent cross-check of the resolution engine.  On generators
+homogeneous for the Z/7 Heisenberg weight it ranks each Koszul map by its
+seven weight blocks.
 
 The induced-key oracle is the recursive form of the resolution's module
 order: a module term's key is the previous level's key of its image under
@@ -194,43 +196,74 @@ class QuotientRing:
         return out % self.p
 
 
-def betti_koszul(gens, reg, p, entries):
+def _weight(e):
+    """The Z/7 weight sum_k k e_k of an exponent (the Heisenberg weight of a
+    monomial in P^6)."""
+    return sum(k * x for k, x in enumerate(e)) % 7
+
+
+def betti_koszul(gens, reg, p, entries, by_weight=True):
     """Graded Betti numbers via Koszul homology.
 
-    entries: iterable of (i, j) positions; returns {(i, j): beta}.
+    entries: iterable of (i, j) positions; returns {(i, j): beta}.  When
+    by_weight and every generator is homogeneous for the Z/7 weight, so are
+    the standard monomials' reductions, and each Koszul map keeps the weight
+    sum(T) + weight(m) of e_T (x) m: its rank is the sum of the ranks of its
+    seven weight blocks, each checked to hold every nonzero entry of the
+    multiplication maps it is cut from.  Otherwise a map is ranked whole.
     """
     n = reg.n
     max_degree = max(j - i + 1 for i, j in entries)
     ring = QuotientRing(gens, reg, p, max_degree)
-    mult = {}
+    weights = 7 if by_weight and all(len({_weight(e) for e in g.terms}) == 1 for g in gens) else 1
+    std_weight = {
+        d: np.array([_weight(ring.monos[d][m]) % weights for m in ring.std[d]], dtype=np.int64)
+        for d in range(max_degree + 1)
+    }
+    mult, ranks = {}, {}
 
     def get_mult(var, d):
         if (var, d) not in mult:
-            mult[(var, d)] = ring.mult_matrix(var, d)
+            m = ring.mult_matrix(var, d)
+            # multiplication by x_var adds var to the weight
+            rows, cols = np.nonzero(m)
+            assert np.all((std_weight[d][cols] + var - std_weight[d + 1][rows]) % weights == 0)
+            mult[(var, d)] = m
         return mult[(var, d)]
 
     def subsets(i):
         return list(combinations(range(n), i))
 
-    def differential(i, j):
-        """Koszul map at homological position i, internal degree j."""
-        rows_sets = subsets(i - 1)
-        cols_sets = subsets(i)
-        row_pos = {s: k for k, s in enumerate(rows_sets)}
+    def weight_block(sets, d, w):
+        """For each subset T, the standard monomials m of degree d with
+        sum(T) + weight(m) = w, and T's offset in the weight-w block."""
+        picked, offset, at = {}, {}, 0
+        for T in sets:
+            picked[T] = np.nonzero((sum(T) + std_weight[d]) % weights == w)[0]
+            offset[T] = at
+            at += len(picked[T])
+        return picked, offset, at
+
+    def rank(i, j):
+        """Rank of the Koszul map K_i -> K_{i-1} in internal degree j."""
         d_src = j - i
-        d_tgt = j - i + 1
-        if d_src < 0 or d_src > max_degree or d_tgt > max_degree:
-            return None
-        sdim, tdim = ring.dim(d_src), ring.dim(d_tgt)
-        out = np.zeros((len(rows_sets) * tdim, len(cols_sets) * sdim), dtype=np.int64)
-        for ci, T in enumerate(cols_sets):
-            for r, var in enumerate(T):
-                rest = tuple(x for x in T if x != var)
-                sign = 1 if r % 2 == 0 else p - 1
-                block = (get_mult(var, d_src) * sign) % p
-                ri = row_pos[rest]
-                out[ri * tdim : (ri + 1) * tdim, ci * sdim : (ci + 1) * sdim] = block
-        return out % p
+        if not 1 <= i <= n or d_src < 0 or d_src + 1 > max_degree:
+            return 0
+        if (i, j) not in ranks:
+            total = 0
+            for w in range(weights):
+                rows, row_at, nrows = weight_block(subsets(i - 1), d_src + 1, w)
+                cols, col_at, ncols = weight_block(subsets(i), d_src, w)
+                block = np.zeros((nrows, ncols), dtype=np.int64)
+                for T, c in cols.items():
+                    for r, var in enumerate(T):
+                        rest = tuple(x for x in T if x != var)
+                        sign = 1 if r % 2 == 0 else p - 1
+                        sub = get_mult(var, d_src)[np.ix_(rows[rest], c)]
+                        block[row_at[rest] : row_at[rest] + len(rows[rest]), col_at[T] : col_at[T] + len(c)] = sub * sign
+                total += np_rank(block % p, p) if block.size else 0
+            ranks[(i, j)] = total
+        return ranks[(i, j)]
 
     result = {}
     for (i, j) in entries:
@@ -239,11 +272,7 @@ def betti_koszul(gens, reg, p, entries):
             result[(i, j)] = 0
             continue
         dim_here = len(subsets(i)) * ring.dim(d_here)
-        d_out = differential(i, j) if i >= 1 else None
-        d_in = differential(i + 1, j) if i + 1 <= n else None
-        rk_out = np_rank(d_out, p) if d_out is not None and d_out.size else 0
-        rk_in = np_rank(d_in, p) if d_in is not None and d_in.size else 0
-        result[(i, j)] = dim_here - rk_out - rk_in
+        result[(i, j)] = dim_here - rank(i, j) - rank(i + 1, j)
     return result
 
 

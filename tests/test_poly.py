@@ -209,3 +209,49 @@ def test_det_form_against_sympy():
         assert got.terms == {e: Fraction(int(c)) for e, c in want.terms() if c != 0}, case
     with pytest.raises(ValueError, match="non-square"):
         det_form(FormMatrix([[linear_form(REG_Y, [1, 0, 0]), linear_form(REG_Y, [0, 1, 0])]]))
+
+
+def _generic_alternating(size):
+    """The generic alternating matrix of the given size: one variable a_ij
+    per entry above the diagonal, -a_ij below it."""
+    from heis7.formmat import FormMatrix
+
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    reg = VarRegistry([f"a{i}{j}" for i, j in pairs])
+    var = {ij: linear_form(reg, [int(k == n) for k in range(len(pairs))]) for n, ij in enumerate(pairs)}
+    zero = Poly.zero(reg, QQ)
+    rows = [[var[(i, j)] if i < j else -var[(j, i)] if i > j else zero for j in range(size)] for i in range(size)]
+    return FormMatrix(rows, skew=True)
+
+
+@pytest.mark.parametrize("size", [2, 4, 6])
+def test_pfaffian_squares_to_the_determinant_generically(size):
+    # pfaffian and det_form expand by ring operations only, so they commute
+    # with substitution: the identity on the generic alternating matrix
+    # gives Pf(A)^2 = det(A) for every alternating matrix over a commutative
+    # Q-algebra
+    from heis7.formmat import det_form, pfaffian
+
+    m = _generic_alternating(size)
+    pf = pfaffian(m)
+    assert not pf.is_zero() and pf * pf == det_form(m)
+
+
+def test_pfaffian_of_size_four_against_sympy():
+    # sympy factors the generic 4 x 4 determinant as the square of a
+    # quadric; the Pfaffian is that quadric, with the sign that makes the
+    # standard block [[0, 1], [-1, 0]] + [[0, 1], [-1, 0]] have Pfaffian 1
+    sympy = pytest.importorskip("sympy")
+    from heis7.formmat import pfaffian
+
+    m = _generic_alternating(4)
+    a = sympy.symbols(m.reg.names)
+    entry = dict(zip([(i, j) for i in range(4) for j in range(i + 1, 4)], a))
+    mat = sympy.Matrix(4, 4, lambda i, j: entry[(i, j)] if i < j else -entry[(j, i)] if i > j else 0)
+    _, factors = sympy.factor_list(mat.det())
+    (base, power), = factors
+    quadric = sympy.Poly(base, *a)
+    if quadric.coeff_monomial(entry[(0, 1)] * entry[(2, 3)]) < 0:
+        quadric = -quadric
+    assert power == 2
+    assert pfaffian(m).terms == {e: Fraction(int(c)) for e, c in quadric.terms()}

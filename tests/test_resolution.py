@@ -191,14 +191,26 @@ def test_field_agreement_on_fixture():
     assert free_resolution(J).entries == free_resolution(J31).entries
 
 
-def test_truncation_flag():
+def test_truncation_flag(monkeypatch):
+    # either cap leaves the table of in(J) incomplete too, so J falls back
+    # to the uniform cap and is flagged as it was before the bound
     J = j_ideal()
-    bt = free_resolution(J, degree_cap=3)
-    assert not bt.complete
-    assert bt.entries[(1, 2)] == 7
-    bt = free_resolution(J, max_steps=2)
-    assert not bt.complete and "max_steps" in bt.note
-    assert bt.max_step() == 2
+    for kwargs, entries, note in [
+        (
+            {"degree_cap": 3},
+            {(0, 0): 1, (1, 2): 7, (2, 3): 8},
+            "degree cap left pairs unprocessed after step 1; degree cap dropped candidates at step 2; "
+            "degree cap left pairs unprocessed after step 2",
+        ),
+        (
+            {"max_steps": 2},
+            {(0, 0): 1, (1, 2): 7, (2, 3): 8, (2, 4): 3},
+            "max_steps stopped before homological step 3",
+        ),
+    ]:
+        bt, calls = _resolution_calls(monkeypatch, J, **kwargs)
+        assert len(calls) == 2 and not free_resolution(calls[1][0], **kwargs).complete
+        assert not bt.complete and bt.entries == entries and bt.note == note
 
 
 REG_ABCD = VarRegistry(["a", "b", "c", "d"])
@@ -224,6 +236,7 @@ def test_betti_tables_against_koszul_oracle():
     cases = [[parse_poly(s, REG_ABCD, F31) for s in counter_example]]
     rng = random.Random(1)
     cases += [_random_ideal(rng, F31) for _ in range(40)]
+    cancelled = 0
     for gens in cases:
         I = GradedIdeal(REG_ABCD, F31, gens)
         bt = free_resolution(I, degree_cap=cap)
@@ -232,52 +245,138 @@ def test_betti_tables_against_koszul_oracle():
         assert got == {k: b for k, b in oracle.items() if b}, [str(g) for g in gens]
         if bt.complete:
             assert bt.alternating_sums() == I.hilbert().numerator
+        # beta_ij(I) <= beta_ij(in I), the bound free_resolution uses
+        initial = GradedIdeal(REG_ABCD, F31, [Poly.monomial(REG_ABCD, e, 1, F31) for e in I.gb().leading_terms()])
+        upper = free_resolution(initial, degree_cap=cap)
+        assert all(b <= upper.beta(*k) for k, b in got.items())
+        cancelled += upper.entries != bt.entries
+    # some cases are resolved under a bound that is not their own table
+    assert cancelled
 
 
-def _surface_resolution_runs(monkeypatch):
-    """Resolve the F31 surface ideal at t = (1,1,1,1) through degree 9.
+def test_koszul_oracle_by_weight_blocks_agrees_with_whole_maps():
+    ideal = surface_ideal((1, 1, 1, 1)).ideal(fp(31))
+    positions = [(1, 3), (2, 4), (2, 5), (1, 4)]
+    split = betti_koszul(ideal.gens, ideal.reg, 31, positions)
+    assert split == betti_koszul(ideal.gens, ideal.reg, 31, positions, by_weight=False)
+    assert split == {(1, 3): 21, (2, 4): 49, (2, 5): 0, (1, 4): 0}
 
-    Returns the ideal, the tracked ModuleGB runs (one per level from 1 on)
-    and the (lts, prev, key) of every induced_key_from call, in call order.
+
+def _resolution_calls(monkeypatch, ideal, **kwargs):
+    """Resolve ideal with free_resolution's kwargs, recording every call.
+
+    Returns the table and one (ideal, runs, keys) per call in call order:
+    the outer call first, then the in(I) call its bound makes.  runs are the
+    call's tracked ModuleGB runs (one per level from 1 on) and keys the
+    (lts, prev, key) of its induced_key_from calls, in call order.
     """
-    runs, keys = [], []
-    init = resolution.ModuleGB.__init__
+    calls, active = [], []
+    init, resolve = resolution.ModuleGB.__init__, resolution.free_resolution
+
+    def recording_resolution(ideal, *args, **kwargs):
+        active.append((ideal, [], []))
+        calls.append(active[-1])
+        try:
+            return resolve(ideal, *args, **kwargs)
+        finally:
+            active.pop()
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         if self.track:
-            runs.append(self)
+            active[-1][1].append(self)
 
     def recording_key(lts, prev=None):
         key = induced_key_from(lts, prev)
-        keys.append((lts, prev, key))
+        active[-1][2].append((lts, prev, key))
         return key
 
-    monkeypatch.setattr(resolution.ModuleGB, "__init__", recording_init)
-    monkeypatch.setattr(resolution, "induced_key_from", recording_key)
-    ideal = surface_ideal((1, 1, 1, 1)).ideal(fp(31))
-    bt = free_resolution(ideal, degree_cap=9)
+    with monkeypatch.context() as mp:
+        mp.setattr(resolution, "free_resolution", recording_resolution)
+        mp.setattr(resolution.ModuleGB, "__init__", recording_init)
+        mp.setattr(resolution, "induced_key_from", recording_key)
+        bt = resolution.free_resolution(ideal, **kwargs)
+    return bt, calls
+
+
+def _surface_resolution_runs(monkeypatch, dom=None):
+    """Resolve the surface ideal at t = (1,1,1,1) through degree 9, over F31
+    unless dom is given.
+
+    Returns the ideal and the main and in(I) calls of _resolution_calls.
+    """
+    ideal = surface_ideal((1, 1, 1, 1)).ideal(dom or fp(31))
+    bt, calls = _resolution_calls(monkeypatch, ideal, degree_cap=9)
     assert bt.complete and bt.entries[(2, 4)] == 49
-    return ideal, runs, keys
+    assert len(calls) == 2 and calls[0][0] is ideal
+    return ideal, calls[0], calls[1]
+
+
+# the published table of the surface at t = (1,1,1,1), and that of its
+# initial ideal, with the four entries where S-pairs cancel in the Groebner
+# degeneration: beta_25, beta_35, beta_36 and beta_46
+SURFACE_BETTI = {(0, 0): 1, (1, 3): 21, (2, 4): 49, (3, 5): 42, (4, 6): 14, (4, 7): 1, (5, 7): 2}
+INITIAL_BETTI = {**SURFACE_BETTI, (2, 5): 1, (3, 5): 43, (3, 6): 2, (4, 6): 16}
 
 
 def test_surface_resolution_does_the_same_work(monkeypatch):
-    _, runs, _ = _surface_resolution_runs(monkeypatch)
+    _, (_, runs, _), (_, initial, _) = _surface_resolution_runs(monkeypatch)
     assert [len(gb.elems) for gb in runs] == [21, 65, 45, 15, 2]
-    assert [sum(len(R) for R, _ in gb.syzygies) for gb in runs] == [372, 2827, 264, 15, 0]
-    assert [len(gb.syzygies) for gb in runs] == [51, 65, 16, 2, 0]
-    assert [gb.pairs_processed for gb in runs] == [51, 81, 19, 2, 0]
+    assert [sum(len(R) for R, _ in gb.syzygies) for gb in runs] == [372, 893, 264, 15, 0]
+    assert [len(gb.syzygies) for gb in runs] == [51, 50, 16, 2, 0]
+    assert [gb.pairs_processed for gb in runs] == [51, 66, 19, 2, 0]
     assert [gb.n_inputs for gb in runs] == [21, 49, 42, 15, 2]
+    # the in(I) resolution that bounds levels 2 on
+    assert [len(gb.elems) for gb in initial] == [21, 50, 45, 17, 2]
+    assert [len(gb.syzygies) for gb in initial] == [53, 45, 17, 2, 0]
+    assert [gb.pairs_processed for gb in initial] == [51, 45, 17, 2, 0]
+    assert [gb.n_inputs for gb in initial] == [21, 50, 45, 17, 2]
+
+
+@pytest.mark.parametrize("dom", [fp(31), QQ], ids=["F31", "QQ"])
+def test_initial_ideal_table_bounds_the_surface(monkeypatch, dom):
+    ideal, _, (initial, _, _) = _surface_resolution_runs(monkeypatch, dom)
+    # the bound resolves the monomial ideal of the reduced basis' leading terms
+    lts = sorted(ideal.gb().leading_terms())
+    assert sorted(e for g in initial.gens for e in g.terms) == lts
+    assert all(len(g.terms) == 1 for g in initial.gens)
+    bt = free_resolution(initial, degree_cap=9)
+    assert bt.complete and bt.entries == INITIAL_BETTI
+    assert all(b <= bt.beta(*k) for k, b in SURFACE_BETTI.items())
+
+
+@pytest.mark.parametrize("level, lost", [(2, None), (3, None), (4, (4, 7)), (5, (5, 7))])
+def test_a_bound_one_degree_too_low_loses_betti_numbers(monkeypatch, level, lost):
+    # tops[level] bounds the S-pairs of level - 1 and the candidates of
+    # level.  One degree less at levels 4 and 5 (the S-pairs of levels 3
+    # and 4) drops that level's degree-7 Betti numbers; at levels 2 and 3
+    # it only skips the degrees where in(I) has its cancelling beta_25 and
+    # beta_36, so the table stays right
+    real = resolution._levels
+
+    def lowered(gens, dom, degree_cap, bound=None):
+        def low(gb):
+            tops = bound(gb)
+            tops[level] -= 1
+            return tops
+
+        return real(gens, dom, degree_cap, bound and low)
+
+    monkeypatch.setattr(resolution, "_levels", lowered)
+    bt = free_resolution(surface_ideal((1, 1, 1, 1)).ideal(fp(31)), degree_cap=9)
+    assert bt.complete and bt.entries == {k: b for k, b in SURFACE_BETTI.items() if k != lost}
 
 
 def test_flat_induced_key_matches_recursive_oracle(monkeypatch):
-    ideal, runs, keys = _surface_resolution_runs(monkeypatch)
+    ideal, (_, runs, keys), _ = _surface_resolution_runs(monkeypatch)
     # level 1 runs in the ring as a rank-1 module; run k packs its basis
     # terms in order k, and its syzygy rows become the next level's vectors
-    # in order k + 1; the last level's order goes unused
+    # in order k + 1; the bound ends the loop at the last level of in(I),
+    # which has no syzygies and takes no next order
     ring = keys[0][1]
     assert keys[0][0] == [ring.one] and runs[0].order is keys[0][2]
-    assert len(keys) == len(runs) + 1 and isinstance(ring, Monomials)
+    assert len(keys) == len(runs) and isinstance(ring, Monomials)
+    assert not runs[-1].syzygies
     oracles = []
     prev, unpack = grevlex_key, ring.unpack
     for lts, _, order in keys:
@@ -302,9 +401,10 @@ def test_flat_induced_key_matches_recursive_oracle(monkeypatch):
     for k, gb in enumerate(runs):
         assert gb.order is keys[k][2]
         checked += same_order(gb.order, oracles[k], {t for v in gb.elems for t in v})
-        nxt = keys[k + 1][2]
-        syz = {t for row, _ in gb.syzygies for t in nxt.from_row(row)}
-        checked += same_order(nxt, oracles[k + 1], syz)
+        if k + 1 < len(keys):
+            nxt = keys[k + 1][2]
+            syz = {t for row, _ in gb.syzygies for t in nxt.from_row(row)}
+            checked += same_order(nxt, oracles[k + 1], syz)
     assert checked > 1000
 
 
@@ -381,13 +481,14 @@ def test_engine_outputs_are_unchanged(monkeypatch):
 
 
 def test_engine_runs_are_unchanged(monkeypatch):
-    # every basis vector, row and syzygy of every run, pinned when level 1
-    # and the reduced bases moved onto ModuleGB
+    # every basis vector, row and syzygy of every run, the in(I) runs of
+    # the bound included; pinned when levels 2 on took the initial-ideal
+    # bound
     points = _surface_points(7, 2)
     got = [_engine_digests(monkeypatch, S.ideal(dom))[1] for dom in (QQ, fp(31)) for S in points]
     assert got == [
-        "f4bed6a560840a825cff8d95f79f7016a59f8212edaab031d4bcb9d9d412132c",
-        "2332500f6d1b581a1f816fd04345752801beb737b7aaf1e8e72c261c67754ee8",
-        "dd337ba6368c48a0975f3a05c7760cf79f23fc66e5d987372b7939793c888215",
-        "cf8490b79463ee0925923d01f392e179d1fad49ad717f9935f16c561ba3598af",
+        "2f67a7c36c8958dd3cadb39cdca78cbfc0dbe9e53fcc3e84679f248ba6593759",
+        "57c6005deb9c274c6ce0ca85e8a505b4aec1d26cc4c978c564f09fd4d02b7f85",
+        "f85aa94a108ec0d067cfccf982138f0792ea4c4913f01b3e06a2e7c5216b1b15",
+        "7ffcdb836a87d076a8035a51a5c690af7a55e0b5f4f5a2748ea87fdca0baad23",
     ]
