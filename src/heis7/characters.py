@@ -626,19 +626,19 @@ class SpanSolver:
         return Cyc7(tuple(q - buckets[6] for q in buckets[:6]), den)
 
 
-def subspace_character(span, table: CharTable = None) -> Character:
-    """G7-character of a stable polynomial span under the contragredient
-    coordinate action, g acting by the substitution g.conj() (see the
-    heisenberg module docstring).
+def subspace_character(basis, table: CharTable = None) -> Character:
+    """G7-character of the span of a basis over Q, stable under the
+    contragredient coordinate action, g acting by the substitution g.conj()
+    (see the heisenberg module docstring).
 
-    `span` is a basis over Q or its SpanSolver, which reads each class
-    representative's trace off its reduced rows.  Building the solver
-    certifies tau-stability; stability is then certified on sigma and iota,
-    which generate the group together with tau, so traces on all class
+    The basis's SpanSolver reads each class representative's trace off its
+    reduced rows.  Building the solver certifies independence and
+    tau-stability; stability is then certified on sigma and iota, which
+    generate the group together with tau, so traces on all class
     representatives are well defined.
     """
     table = table or g7_table()
-    solver = span if isinstance(span, SpanSolver) else SpanSolver(span)
+    solver = SpanSolver(basis)
     for g in (SIGMA, IOTA):
         if not solver.is_stable_under(g.conj()):
             raise ValueError(f"span is not stable under generator {g}")

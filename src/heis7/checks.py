@@ -176,6 +176,11 @@ class Context:
 
         return self.get("surfaces", build)
 
+    def span_certificate(self) -> str:
+        from .moduli import span_certificate
+
+        return self.get("span_certificate", lambda: span_certificate(self.g7))
+
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -1310,13 +1315,13 @@ def check_d_vector(ctx: Context):
 
 @declare_id("moduli.surface_pipeline")
 def check_surface_pipeline(ctx: Context):
-    from .characters import subspace_character
     from .moduli import grass_membership, psi
     from .poly import REG_U, coefficient_rows, monomial_basis
     from .resolution import NotHilbertBurch, hb_minors, hilbert_burch
 
-    table = ctx.g7
-    failures = []
+    # independence, stability and the character 3 V4 follow from the rank
+    cert = ctx.span_certificate()
+    failures = [cert] if cert else []
     surfaces = ctx.surfaces()
     for S in surfaces:
         t = S.t
@@ -1326,15 +1331,6 @@ def check_surface_pipeline(ctx: Context):
         hf = S.ideal().hilbert().hf_range(1, 4)
         if hf != [7, 28, 63, 112]:
             failures.append(f"t={_point(t)}: quotient dimensions {hf}")
-            continue
-        try:
-            chi = subspace_character(S.solver, table)
-        except ValueError as exc:
-            failures.append(f"t={_point(t)}: stability: {exc}")
-            continue
-        dec = table.decompose(chi)
-        if dec != {"V4": 3}:
-            failures.append(f"t={_point(t)}: character {dec}")
             continue
         q = psi(t)
         okm, _ = grass_membership(q)
@@ -1420,19 +1416,11 @@ def check_surface_betti(ctx: Context):
 
 @declare_id("moduli.surface_stability")
 def check_surface_stability(ctx: Context):
-    from .heisenberg import IOTA, SIGMA
-
-    # each surface's solver exists only for an independent span that its
-    # constructor found stable under tau, the phase map
-    failures = []
-    for S in ctx.surfaces()[:6]:
-        if S.solver is None:
-            failures.append(f"t={_point(S.t)}: basis is linearly dependent")
-            continue
-        if not S.solver.is_stable_under(SIGMA.inv()):
-            failures.append(f"t={_point(S.t)}: shift")
-        if not S.solver.is_stable_under(IOTA):
-            failures.append(f"t={_point(S.t)}: involution")
+    # the certificate makes every span of 21 independent cubics stable, and
+    # the cubics are independent exactly when rank psi(t) = 3
+    cert = ctx.span_certificate()
+    failures = [cert] if cert else []
+    failures += [f"t={_point(S.t)}: basis is linearly dependent" for S in ctx.surfaces() if S.degenerate]
     return _result(
         not failures,
         "the 21-dimensional cubic spans are stable under the shift, phase "

@@ -23,7 +23,7 @@ Conventions fixed here (each one is verified by tests, not assumed):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from math import lcm
@@ -35,8 +35,7 @@ import numpy as np
 from .field import _WIDE, _top, _wide, QQ, CycArray, FpDomain, fp
 from .formmat import FormMatrix, det_form, pfaffian_vector
 from .groebner import GradedIdeal
-from .characters import SpanSolver
-from .heisenberg import SIGMA
+from .heisenberg import IOTA, SIGMA, TAU
 from .linalg import rank as mat_rank
 from .poly import (
     DiffOp,
@@ -747,18 +746,18 @@ SURFACE_PRIMES = (3, 5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 
 
 @dataclass
 class SurfaceIdeal:
-    """The 21-dimensional invariant cubic system at a parameter point, with
-    the SpanSolver of its span that every surface check reads."""
+    """The cubics g_i = sum_j psi_ij(t) d_j at a parameter point and their
+    sigma-shifts: by span_certificate, independent exactly when
+    rank psi(t) = 3, and then spanning a stable 3 V4."""
 
     t: tuple
     g: list  # three tau-invariant cubics
     basis: list  # 21 shifted cubics
-    # the solver of their span, or None when the cubics are dependent
-    solver: SpanSolver | None = field(compare=False, repr=False)
+    rank: int  # rank psi(t); the span has dimension 7 * rank
 
     @property
     def degenerate(self) -> bool:
-        return self.solver is None
+        return self.rank < 3
 
     def ideal(self, dom=QQ) -> GradedIdeal:
         if dom is QQ:
@@ -789,40 +788,53 @@ class SurfaceIdeal:
         }
 
 
-def surface_cubics(t):
-    """The three tau-invariant cubics of the family at t."""
-    t = [Fraction(x) for x in t]
-    rows = psi_matrix().evaluate(t)
-    d = d_vector()
+def _sigma_shifts(cubics) -> list:
+    """Each cubic, then its six shifts by sigma's pullback x_j -> x_{j-1} (no phase)."""
+    shift = SIGMA.inv()
     out = []
-    for i in range(3):
-        g = Poly.zero(REG_X, QQ)
-        for j in range(7):
-            if rows[i][j]:
-                g = g + d[j].scale(rows[i][j])
-        out.append(g)
+    for cur in cubics:
+        for _ in range(7):
+            out.append(cur)
+            cur = Poly(REG_X, QQ, shift.act(cur.terms)[0], _clean=True)
     return out
 
 
-def surface_ideal(t) -> SurfaceIdeal:
-    t = tuple(Fraction(x) for x in t)
-    if all(x == 0 for x in t):
-        raise ValueError("t must be a point of projective 3-space")
-    g = surface_cubics(t)
-    # each cubic, then its shifts by sigma's pullback x_j -> x_{j-1} (no phase)
-    shift = SIGMA.inv()
-    basis = []
-    for cur in g:
-        for _ in range(7):
-            basis.append(cur)
-            cur = Poly(REG_X, QQ, shift.act(cur.terms)[0], _clean=True)
-    # every basis cubic has a single Heisenberg weight, so the span is
-    # tau-stable and the solver refuses it only when the cubics are dependent
+def span_certificate(table) -> str:
+    """Why rank psi(t) might not decide every surface's span, or "" when it
+    does; g acts by the substitution g.conj(), as in subspace_character.
+
+    Let s be the shift of _sigma_shifts and D the span of the 49 cubics
+    s^k d_j.  Say D has character 7 V4 (so the s^k d_j are independent and D
+    is stable), tau fixes each d_j and iota negates it.  As tau commutes
+    with sigma up to a power of z and iota inverts sigma, each g of G7 then
+    sends s^k d_j to sum_l r(g)_lk s^l d_j, with r(g) independent of j.  So
+    D = Q^7 (x) R, G7 acting on R alone, and chi(R) = V4.  The basis at t is
+    s^k g_i with g_i = sum_j psi_ij(t) d_j, so it spans W (x) R, W the row
+    space of psi(t): for every t, the 21 cubics are independent exactly when
+    rank psi(t) = 3, and their span is then stable with character 3 V4.
+    """
+    from .characters import subspace_character
+
+    d = d_vector()
     try:
-        solver = SpanSolver(basis)
-    except ValueError:
-        solver = None
-    return SurfaceIdeal(t, g, basis, solver)
+        dec = table.decompose(subspace_character(_sigma_shifts(d), table))
+    except ValueError as exc:
+        dec = str(exc)
+    if dec != {"V4": 7}:
+        return f"the 49 shifted invariant cubics: {dec}"
+    if not all(g.conj().act(q.terms) == [p.terms] + [{}] * 6 for p in d for g, q in ((TAU, p), (IOTA, -p))):
+        return "tau does not fix, or iota does not negate, every invariant cubic"
+    return ""
+
+
+def surface_ideal(t) -> SurfaceIdeal:
+    """The surface system at t.  The 35 nonzero 3x3 minors of psi_matrix()
+    generate an ideal holding (t1 t2 t3)^3, so every admissible t
+    (t1 t2 t3 != 0) has rank psi(t) = 3 and is non-degenerate."""
+    q = psi(t)
+    d = d_vector()
+    g = [reduce(add, (d[j].scale(c) for j, c in enumerate(row) if c), Poly.zero(REG_X, QQ)) for row in q.rows]
+    return SurfaceIdeal(q.t, g, _sigma_shifts(g), q.rank())
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from heis7.moduli import (
     printed_b_matrices,
     psi,
     quartic_invariant_under,
+    span_certificate,
     surface_ideal,
     wedge_reps,
     GrassPoint,
@@ -588,11 +589,80 @@ def test_surface_shifts_are_the_sigma_substitution(t):
 
 
 def test_surface_character(g7):
+    # the per-point route agrees with span_certificate at every seed-42 point
     from heis7.characters import subspace_character
+    from heis7.checks import Context, RunConfig
 
-    S = surface_ideal((1, 1, 1, 1))
-    chi = subspace_character(S.basis, g7)
-    assert g7.decompose(chi) == {"V4": 3}
+    for t in Context(RunConfig(seed=42)).sample_ts():
+        chi = subspace_character(surface_ideal(t).basis, g7)
+        assert g7.decompose(chi) == {"V4": 3}, t
+
+
+def test_span_certificate(g7):
+    assert span_certificate(g7) == ""
+
+
+@pytest.mark.parametrize(
+    "cubic, mutant, why",
+    [
+        # same Heisenberg weight, but iota sends it to -(x5^2*x4 + 2 x2^2*x3)
+        ("x2^2*x3+x5^2*x4", "x2^2*x3+2*x5^2*x4", "the 49 shifted invariant cubics: span is not stable"),
+        # its sigma-shift: the same 49-dimensional span, but not tau-fixed
+        ("x0*x3*x4", "x1*x4*x5", "tau does not fix"),
+    ],
+    ids=["iota", "tau"],
+)
+def test_a_mutated_invariant_cubic_fails_the_span_certificate(cubic, mutant, why, g7, monkeypatch):
+    from heis7.checks import Context, RunConfig, check_surface_stability
+
+    real = moduli._poly
+    monkeypatch.setattr(moduli, "_poly", lambda s, reg: real(mutant if s == cubic else s, reg))
+    assert span_certificate(g7).startswith(why)
+    res = check_surface_stability(Context(RunConfig(sample_points=2)))
+    assert res.status == "fail" and res.details == span_certificate(g7), res.details
+
+
+def test_degenerate_is_the_span_solver_refusal():
+    # the old per-point route, a SpanSolver on the 21 cubics, as the oracle
+    # of degenerate = rank psi(t) < 3, on a grid with t1 t2 t3 = 0 points
+    from itertools import product
+
+    from heis7.characters import SpanSolver
+
+    degenerate = 0
+    for t in product((0, 1, -1, 2), repeat=4):
+        if any(t):
+            S = surface_ideal(t)
+            try:
+                SpanSolver(S.basis)
+                refused = False
+            except ValueError:
+                refused = True
+            assert S.degenerate == refused, t
+            degenerate += refused
+    assert degenerate == 51
+
+
+def test_psi_minors_cut_out_only_t1_t2_t3_zero():
+    # the 35 nonzero 3x3 minors of psi_matrix, all of degree 7, generate an
+    # ideal J holding (t1 t2 t3)^3 but not its first or second power: so
+    # psi(t) has rank 3 wherever t1 t2 t3 != 0
+    from itertools import combinations
+
+    from heis7.formmat import FormMatrix, det_form
+    from heis7.groebner import GradedIdeal
+    from heis7.poly import REG_T
+
+    m = moduli.psi_matrix()
+    minors = [det_form(FormMatrix([[row[c] for c in cols] for row in m.entries])) for cols in combinations(range(7), 3)]
+    assert len(minors) == 35 and all(not p.is_zero() and p.degree() == 7 for p in minors)
+    J = GradedIdeal(REG_T, QQ, minors)
+    powers = [parse_poly(f"t1^{k}*t2^{k}*t3^{k}", REG_T) for k in (1, 2, 3)]
+    assert [J.contains(p) for p in powers] == [False, False, True]
+    sympy = pytest.importorskip("sympy")
+    ts = sympy.symbols("t0:4")
+    G = sympy.groebner([sympy.sympify(render_poly(p).replace("^", "**")) for p in minors], *ts, order="grevlex")
+    assert [G.contains((ts[1] * ts[2] * ts[3]) ** k) for k in (1, 2, 3)] == [False, False, True]
 
 
 def test_klein_quartic_suite():
@@ -849,11 +919,11 @@ def test_surface_pipeline_reads_the_quotient_dimensions_of_the_basis(monkeypatch
 
 
 def test_degenerate_surface_fails_both_surface_checks(monkeypatch):
-    # at t = (1, 0, 0, 0) the 21 cubics are dependent: the point has no solver
+    # at t = (1, 0, 0, 0) psi(t) vanishes, so the 21 cubics are dependent
     from heis7.checks import Context, RunConfig, check_surface_pipeline, check_surface_stability
 
     S = surface_ideal((1, 0, 0, 0))
-    assert S.degenerate and S.solver is None
+    assert S.degenerate and S.rank == 0
     ctx = Context(RunConfig(sample_points=2))
     monkeypatch.setattr(ctx, "surfaces", lambda: [S])
     res = check_surface_stability(ctx)
