@@ -150,10 +150,13 @@ class Context:
 
         return self.get("sl2", sl2_table)
 
-    def sample_ts(self):
-        """Seeded admissible rational parameter points (t1 t2 t3 != 0)."""
+    def surfaces(self):
+        """The surface at each seeded admissible rational parameter point
+        (t1 t2 t3 != 0), the one record of the point for every check."""
 
         def build():
+            from .moduli import surface_ideal
+
             rng = random.Random(self.config.seed)
             out = [(Fraction(1), Fraction(1), Fraction(1), Fraction(1))]
             if self.config.extra_t is not None:
@@ -164,15 +167,7 @@ class Context:
                 )
                 if t[1] and t[2] and t[3]:
                     out.append(t)
-            return out
-
-        return self.get("sample_ts", build)
-
-    def surfaces(self):
-        def build():
-            from .moduli import surface_ideal
-
-            return [surface_ideal(t) for t in self.sample_ts()]
+            return [surface_ideal(t) for t in out]
 
         return self.get("surfaces", build)
 
@@ -1149,7 +1144,7 @@ def check_delta_equivalence(ctx: Context):
             mismatches += 1
         if z1:
             zero_cases += 1
-    pipeline = [alpha_t(t) for t in ctx.sample_ts()[:5]]
+    pipeline = [alpha_t(S.t) for S in ctx.surfaces()[:5]]
     for a in pipeline:
         if not (alpha_compose_is_zero(alpha_compose(a)) and delta_criterion(a)):
             mismatches += 1
@@ -1185,17 +1180,16 @@ def check_psi(ctx: Context):
 
 @declare_id("moduli.net_membership")
 def check_eta_membership(ctx: Context):
-    from .moduli import equational_point, grass_membership, psi, GrassPoint
+    from .moduli import equational_point, grass_membership, GrassPoint
 
     ok, vals = grass_membership(equational_point())
     if not ok:
         return "fail", "equational point fails"
-    count = 0
-    for t in ctx.sample_ts():
-        got, _ = grass_membership(psi(t))
+    surfaces = ctx.surfaces()
+    for S in surfaces:
+        got, _ = grass_membership(S.plane)
         if not got:
-            return "fail", f"parametrized point at t={_point(t)} fails"
-        count += 1
+            return "fail", f"parametrized point at t={_point(S.t)} fails"
     rng = random.Random(ctx.config.seed + 13)
     negatives = 0
     for _ in range(5):
@@ -1207,7 +1201,7 @@ def check_eta_membership(ctx: Context):
                 negatives += 1
     return _result(
         negatives > 0,
-        f"the equational point and {count} parametrized points satisfy all "
+        f"the equational point and {len(surfaces)} parametrized points satisfy all "
         f"nine contraction conditions; {negatives}/5 seeded random planes "
         "fail them (generic failure witnessed)",
         "random planes unexpectedly all satisfied the conditions",
@@ -1221,20 +1215,19 @@ def check_alpha_family(ctx: Context):
         alpha_t,
         delta_criterion,
         minor_span_pairing,
-        psi,
     )
     from .resolution import NotHilbertBurch, hilbert_burch
 
     pairings = set()
-    for t in ctx.sample_ts()[:8]:
-        a = alpha_t(t)
+    for S in ctx.surfaces()[:8]:
+        a = alpha_t(S.t)
         if not delta_criterion(a):
-            return "fail", f"net criterion fails at t={_point(t)}"
-        pairings.add(minor_span_pairing(a, psi(t)))
+            return "fail", f"net criterion fails at t={_point(S.t)}"
+        pairings.add(minor_span_pairing(a, S.plane))
         try:
             mat = hilbert_burch(a.minors())
         except NotHilbertBurch as exc:
-            return "fail", f"round trip fails at t={_point(t)}: {exc}"
+            return "fail", f"round trip fails at t={_point(S.t)}: {exc}"
     try:
         alpha_t((1, 0, 0, 0))
         return "fail", "degenerate parameter accepted"
@@ -1315,7 +1308,7 @@ def check_d_vector(ctx: Context):
 
 @declare_id("moduli.surface_pipeline")
 def check_surface_pipeline(ctx: Context):
-    from .moduli import grass_membership, psi
+    from .moduli import grass_membership
     from .poly import REG_U, coefficient_rows, monomial_basis
     from .resolution import NotHilbertBurch, hb_minors, hilbert_burch
 
@@ -1332,18 +1325,17 @@ def check_surface_pipeline(ctx: Context):
         if hf != [7, 28, 63, 112]:
             failures.append(f"t={_point(t)}: quotient dimensions {hf}")
             continue
-        q = psi(t)
-        okm, _ = grass_membership(q)
+        okm, _ = grass_membership(S.plane)
         if not okm:
             failures.append(f"t={_point(t)}: net membership")
             continue
+        quadrics = S.plane.quadrics()
         try:
-            mat = hilbert_burch(q.quadrics())
+            mat = hilbert_burch(quadrics)
         except NotHilbertBurch as exc:
             failures.append(f"t={_point(t)}: curve shape: {exc}")
             continue
-        minors = hb_minors(mat)
-        rows = coefficient_rows([*minors, *q.quadrics()], monomial_basis(REG_U, 2))
+        rows = coefficient_rows([*hb_minors(mat), *quadrics], monomial_basis(REG_U, 2))
         if mat_rank(rows, QQ) != 3:
             failures.append(f"t={_point(t)}: round trip span")
     return _result(
@@ -1362,8 +1354,8 @@ def check_surface_betti(ctx: Context):
 
     base = ctx.config.resolution_domain()
     S = ctx.surfaces()[0]
-    dom = S.coefficient_domain(base)
-    moved = f" (over {dom.name}, {S.bad_prime(base.p)})" if dom is not base else ""
+    dom, why = S.domain(base)
+    moved = f" (over {dom.name}, {why})" if why else ""
     ideal = S.ideal(dom)
     hd = ideal.hilbert()
     want_numerator = {0: 1, 3: -21, 4: 49, 5: -42, 6: 14, 7: -1}
@@ -1374,15 +1366,7 @@ def check_surface_betti(ctx: Context):
             "the expected alternating sums" + moved,
         )
     bt = free_resolution(ideal, degree_cap=ctx.config.resolution_degree_cap())
-    want = {
-        (0, 0): 1,
-        (1, 3): 21,
-        (2, 4): 49,
-        (3, 5): 42,
-        (4, 6): 14,
-        (4, 7): 1,
-        (5, 7): 2,
-    }
+    want = {(0, 0): 1, (1, 3): 21, (2, 4): 49, (3, 5): 42, (4, 6): 14, (4, 7): 1, (5, 7): 2}
     if bt.alternating_sums() != hd.numerator:
         return "fail", "resolution alternating sums disagree with the Hilbert numerator" + moved
     if not bt.complete:

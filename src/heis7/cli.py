@@ -81,7 +81,7 @@ def _add_common(p):
         "--coeff",
         type=_parse_coeff,
         default="fp:31",
-        help="coefficient field for resolutions: q or fp:<p> (default fp:31)",
+        help="coefficient field for resolutions: q or fp:<p> (default fp:31; Q at a prime bad for the surface)",
     )
     p.add_argument(
         "--budget-degree",
@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    from .moduli import surface_ideal
+    from .moduli import grass_membership, surface_ideal
     from .resolution import free_resolution
 
     config = RunConfig(seed=args.seed, coeff=args.coeff, budget_degree=args.budget_degree)
@@ -161,15 +161,13 @@ def cmd_surface(args) -> int:
             file=sys.stderr,
         )
         return 1
-    # a bad prime (SurfaceIdeal.bad_prime) moves to the next good one
-    dom = S.coefficient_domain(config.resolution_domain())
+    # at a bad prime (SurfaceIdeal.bad_prime) the work runs over Q
+    dom, why = S.domain(config.resolution_domain())
     ideal = S.ideal(dom)
     payload = S.to_json()
     payload["hilbert_function"] = ideal.hilbert().hf_range(0, 5)
     # provenance block: which certification checks the emitted system passed
-    from .moduli import grass_membership, psi
-
-    member, _ = grass_membership(psi(args.t))
+    member, _ = grass_membership(S.plane)
     payload["provenance"] = {
         "independent_cubics": not S.degenerate,
         "hilbert_function_seven_k_squared": payload["hilbert_function"]
@@ -188,6 +186,8 @@ def cmd_surface(args) -> int:
             fh.write(data)
     if not args.quiet:
         print(f"t = ({':'.join(str(x) for x in S.t)})")
+        if why:
+            print(f"over {dom.name}, {why}")
         print(f"hilbert function (degrees 0..5): {payload['hilbert_function']}")
         if args.betti:
             print("betti table (rows are degree minus step):")

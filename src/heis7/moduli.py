@@ -645,23 +645,13 @@ def grass_membership(point: GrassPoint):
     """
     if point.rank() != 3:
         raise ValueError("not a genuine point: coordinate matrix has rank < 3")
-    ns = eta_coefficient_matrices()
-    values = []
-    ok = True
-    for a in range(3):
-        for b in range(a + 1, 3):
-            ra, rb = point.rows[a], point.rows[b]
-            for n in ns:
-                v = sum(
-                    ra[i] * n[i][j] * rb[j]
-                    for i in range(7)
-                    for j in range(7)
-                    if n[i][j]
-                )
-                values.append(v)
-                if v:
-                    ok = False
-    return ok, values
+    rows, ns = point.rows, eta_coefficient_matrices()
+    values = [
+        sum(rows[a][i] * n[i][j] * rows[b][j] for i in range(7) for j in range(7) if n[i][j])
+        for a, b in ((0, 1), (0, 2), (1, 2))
+        for n in ns
+    ]
+    return not any(values), values
 
 
 def equational_point() -> GrassPoint:
@@ -740,46 +730,53 @@ def d_vector():
     return [_poly(s, REG_X) for s in cubics]
 
 
-# primes for the surface checks over F_p, in order; 2 and 7 divide |G7|
-SURFACE_PRIMES = (3, 5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
 @dataclass
 class SurfaceIdeal:
-    """The cubics g_i = sum_j psi_ij(t) d_j at a parameter point and their
-    sigma-shifts: by span_certificate, independent exactly when
-    rank psi(t) = 3, and then spanning a stable 3 V4."""
+    """One surface point: its plane psi(t), the cubics
+    g_i = sum_j psi_ij(t) d_j and their sigma-shifts.  By span_certificate
+    the 21 shifts are independent over Q, or over F_q, exactly when the plane
+    has rank 3 there, and then span a stable 3 V4."""
 
-    t: tuple
+    plane: GrassPoint  # psi(t), evaluated once
     g: list  # three tau-invariant cubics
     basis: list  # 21 shifted cubics
     rank: int  # rank psi(t); the span has dimension 7 * rank
+
+    @property
+    def t(self) -> tuple:
+        return self.plane.t
 
     @property
     def degenerate(self) -> bool:
         return self.rank < 3
 
     def ideal(self, dom=QQ) -> GradedIdeal:
+        """The ideal of the 21 cubics over dom; ValueError at a bad prime."""
         if dom is QQ:
             return GradedIdeal(REG_X, QQ, self.basis)
+        why = self.bad_prime(dom.p)
+        if why:
+            point = ", ".join(map(str, self.t))
+            raise ValueError(f"no surface ideal over {dom.name} at t = ({point}), {why}")
         gens = [p.map_coeffs(dom.coerce, dom) for p in self.basis]
         return GradedIdeal(REG_X, dom, gens)
 
     def bad_prime(self, q) -> str:
         """Why F_q cannot stand in for Q at this point, or "": q divides a
-        coefficient denominator, or the 21 cubics are dependent mod q (every
-        wrong Hilbert numerator seen over a surface prime was such a drop)."""
-        if any(c.denominator % q == 0 for p in self.basis for c in p.terms.values()):
+        denominator of psi(t), or rank(psi(t) mod q) < 3, which by
+        span_certificate makes the 21 cubics dependent mod q."""
+        rows = self.plane.rows
+        if any(c.denominator % q == 0 for row in rows for c in row):
             return f"as {q} divides a denominator"
-        rows = coefficient_rows(self.ideal(fp(q)).gens, monomial_basis(REG_X, 3))
-        return "" if mat_rank(rows, fp(q)) == 21 else f"as the cubics are dependent mod {q}"
+        f = fp(q)
+        if mat_rank([[f.coerce(c) for c in row] for row in rows], f) < 3:
+            return f"as the cubics are dependent mod {q}"
+        return ""
 
-    def coefficient_domain(self, dom):
-        """dom, unless dom is F_p for a bad prime p (bad_prime): then F_q for
-        the next good q of SURFACE_PRIMES, else Q."""
-        if not isinstance(dom, FpDomain) or not self.bad_prime(dom.p):
-            return dom
-        return next((fp(q) for q in SURFACE_PRIMES if q > dom.p and not self.bad_prime(q)), QQ)
+    def domain(self, dom):
+        """(dom, "") unless dom is F_p at a bad prime p: then (Q, why)."""
+        why = self.bad_prime(dom.p) if isinstance(dom, FpDomain) else ""
+        return (QQ, why) if why else (dom, "")
 
     def to_json(self):
         return {
@@ -812,18 +809,29 @@ def span_certificate(table) -> str:
     s^k g_i with g_i = sum_j psi_ij(t) d_j, so it spans W (x) R, W the row
     space of psi(t): for every t, the 21 cubics are independent exactly when
     rank psi(t) = 3, and their span is then stable with character 3 V4.
+
+    Say also that the supports of the 49 cubics split the 84 cubic monomials,
+    each coefficient +-1.  Then s^k g_i has coefficients +-psi_ij(t) on
+    columns that no other k meets, so the 21 cubics have rank
+    7 rank(psi(t) mod q) over every F_q holding psi(t): the rank rule extends
+    to every F_q (SurfaceIdeal.bad_prime).
     """
     from .characters import subspace_character
 
     d = d_vector()
+    shifts = _sigma_shifts(d)
     try:
-        dec = table.decompose(subspace_character(_sigma_shifts(d), table))
+        dec = table.decompose(subspace_character(shifts, table))
     except ValueError as exc:
         dec = str(exc)
     if dec != {"V4": 7}:
         return f"the 49 shifted invariant cubics: {dec}"
     if not all(g.conj().act(q.terms) == [p.terms] + [{}] * 6 for p in d for g, q in ((TAU, p), (IOTA, -p))):
         return "tau does not fix, or iota does not negate, every invariant cubic"
+    support = [e for p in shifts for e in p.terms]
+    signs = all(abs(c) == 1 for p in shifts for c in p.terms.values())
+    if not signs or sorted(support) != sorted(monomial_basis(REG_X, 3)):
+        return "the 49 shifted invariant cubics do not split the 84 cubic monomials with coefficients +-1"
     return ""
 
 
@@ -834,7 +842,7 @@ def surface_ideal(t) -> SurfaceIdeal:
     q = psi(t)
     d = d_vector()
     g = [reduce(add, (d[j].scale(c) for j, c in enumerate(row) if c), Poly.zero(REG_X, QQ)) for row in q.rows]
-    return SurfaceIdeal(q.t, g, _sigma_shifts(g), q.rank())
+    return SurfaceIdeal(q, g, _sigma_shifts(g), q.rank())
 
 
 # ---------------------------------------------------------------------------

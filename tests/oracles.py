@@ -52,6 +52,10 @@ The class oracles enumerate the conjugacy classes of G7 and SL2(F7)
 breadth-first on the group elements themselves, conjugating by the
 generators and their inverses with HElem products and sl2_mul; the
 package's orbits of index permutations are tested against them.
+
+The bad-prime oracle reads a prime off the 21 surface cubics themselves,
+ranking their 21 x 84 coefficient matrix mod q with numpy; the package's
+rank of the 3 x 7 plane psi(t) mod q is tested against it.
 """
 
 from itertools import combinations
@@ -299,6 +303,20 @@ def fraction_normal_form(f, basis, divides):
             else:
                 del f[t + shift]
     return out
+
+
+def bad_prime_by_cubic_rank(surface, q) -> str:
+    """SurfaceIdeal.bad_prime from the cubics: q divides a coefficient
+    denominator, or the 21 cubics have rank below 21 mod q."""
+    coeffs = [p.terms for p in surface.basis]
+    if any(c.denominator % q == 0 for terms in coeffs for c in terms.values()):
+        return f"as {q} divides a denominator"
+    column = {e: i for i, e in enumerate(monomial_basis(REG_X, 3))}
+    m = np.zeros((len(coeffs), len(column)), dtype=np.int64)
+    for r, terms in enumerate(coeffs):
+        for e, c in terms.items():
+            m[r, column[e]] = c.numerator * pow(c.denominator, -1, q) % q
+    return "" if np_rank(m, q) == 21 else f"as the cubics are dependent mod {q}"
 
 
 def induced_key_recursive(lts, prev_key):

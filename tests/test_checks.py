@@ -82,6 +82,9 @@ SCALED_SHA_42 = "2454e9171fed5dcf010b510836120f04b9ae425b7555ce3b52a20823b5e003c
 MATMUL_CALLS = 127
 DET_FORM_MULS = 184
 SURFACES_BUILT = 2
+# moduli.psi calls of the scaled run: check_psi's two fixed points, and one
+# per surface built, which every later check reads its plane from
+PSI_CALLS = 4
 
 # the character-table methods the certify benchmark traces by name; each
 # must run at least once in the scaled suite, or its traced count reads 0
@@ -92,14 +95,14 @@ TRACED_CHARTABLE = ("decompose", "sym_power", "ext_power")
 def scaled_run():
     """A scaled seed-42 run (every check, fewer samples), with the calls of
     the traced CharTable methods, of CycArray.__matmul__, of Poly.__mul__
-    inside det_form, of surface_ideal and SpanSolver.__init__, of
+    inside det_form, of moduli.psi, of surface_ideal and SpanSolver.__init__, of
     Poly.substitute inside surface_ideal, of Cyc7 products and differences
     and Fraction arithmetic inside SpanSolver.is_stable_under, of Poly
     constructions inside subspace_character and the SpanSolver methods, of
     linalg.rank and the Fraction constructions in linalg inside it, and of
     ideal_hf_oracle counted: (report, {name: calls})."""
     names = (
-        *TRACED_CHARTABLE, "matmul", "det_form_mul", "surface_ideal", "surface_substitute", "span_solver",
+        *TRACED_CHARTABLE, "matmul", "det_form_mul", "psi", "surface_ideal", "surface_substitute", "span_solver",
         "stable_cyc7", "stable_fraction", "span_poly", "rank", "rank_fraction", "hf_oracle",
     )
     calls = dict.fromkeys(names, 0)
@@ -135,6 +138,7 @@ def scaled_run():
         mp.setattr(Poly, "__mul__", counting("det_form_mul", Poly.__mul__, in_det))
         for owner in (formmat, moduli):  # moduli imported det_form by name
             mp.setattr(owner, "det_form", setting(in_det, formmat.det_form))
+        mp.setattr(moduli, "psi", counting("psi", moduli.psi))
         mp.setattr(moduli, "surface_ideal", counting("surface_ideal", setting(in_surface, moduli.surface_ideal)))
         mp.setattr(Poly, "substitute", counting("surface_substitute", Poly.substitute, in_surface))
         for name in ("__init__", "is_stable_under", "trace"):
@@ -190,6 +194,7 @@ def test_work_counts_of_the_scaled_suite(scaled_run):
     # once, and stability is decided on integer numerators
     assert calls["span_solver"] == 1
     assert calls["surface_ideal"] == SURFACES_BUILT
+    assert calls["psi"] == PSI_CALLS
     assert calls["stable_cyc7"] == calls["stable_fraction"] == 0
     # a rank counts pivots of the integer rows, with no Fraction matrix
     assert calls["rank"] > 0 and calls["rank_fraction"] == 0

@@ -64,14 +64,19 @@ def test_surface_moves_a_prime_that_kills_the_cubics(tmp_path):
     assert main(["surface", "--t", CUBICS_VANISH_MOD_3, "--coeff", "fp:3", "--quiet", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["hilbert_function"] == [1, 7, 28, 63, 112, 175]
-    assert payload["provenance"]["coeff"] == "fp:11"
+    assert payload["provenance"]["coeff"] == "q"
+
+
+def test_surface_at_a_denominator_prime_runs_over_q(capsys):
+    assert main(["surface", "--t", "1/31,1,1,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["t = (1/31:1:1:1)", "over Q, as 31 divides a denominator"]
 
 
 def test_verify_moves_a_prime_that_kills_the_cubics(tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "moduli", "--coeff", "fp:3", "--t", CUBICS_VANISH_MOD_3, "--quiet", "--json", str(out)]) == 0
     details = {c["id"]: c["details"] for c in json.loads(out.read_text())["checks"]}
-    assert details["moduli.surface_resolution"].endswith("(over F11, as the cubics are dependent mod 3)")
+    assert details["moduli.surface_resolution"].endswith("(over Q, as the cubics are dependent mod 3)")
 
 
 def test_grassmann_refuses_the_zero_point(capsys):

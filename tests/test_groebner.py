@@ -87,14 +87,19 @@ def test_hf_oracle_matches_groebner():
 
 @pytest.mark.parametrize("t", ["-5/4,-13/11,12/5,12/5", "1,-6,-3/2,7/5"])
 def test_surface_hilbert_function_over_q_matches_the_dense_oracle(t):
-    # two seed-4 sample points, where the cubics are dependent mod 3 and the
-    # dense F3 ranks read the quotient dimensions [7, 28, 70, 140]
+    # two seed-4 sample points, where the cubics are dependent mod 3: the
+    # dense F3 ranks of their reductions read the quotient dimensions
+    # [7, 28, 70, 140], so SurfaceIdeal.ideal refuses F3
     from heis7.moduli import surface_ideal
 
     S = surface_ideal(Fraction(x) for x in t.split(","))
     I = S.ideal()
     assert I.hilbert().hf_range(1, 4) == [ideal_hf_oracle(I.gens, d) for d in range(1, 5)] == [7, 28, 63, 112]
-    assert [ideal_hf_oracle(S.ideal(fp(3)).gens, d) for d in range(1, 5)] == [7, 28, 70, 140]
+    F3 = fp(3)
+    reduced = [p.map_coeffs(F3.coerce, F3) for p in S.basis]
+    assert [ideal_hf_oracle(reduced, d) for d in range(1, 5)] == [7, 28, 70, 140]
+    with pytest.raises(ValueError, match="as the cubics are dependent mod 3$"):
+        S.ideal(F3)
 
 
 def test_hf_oracle_of_the_zero_ideal(monkeypatch):

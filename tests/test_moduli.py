@@ -54,6 +54,7 @@ from oracles import (
     CYC,
     SpanSolverOracle,
     alpha_compose_forms,
+    bad_prime_by_cubic_rank,
     delta_criterion_forms,
     delta_values,
     quartic_invariant_oracle,
@@ -593,9 +594,9 @@ def test_surface_character(g7):
     from heis7.characters import subspace_character
     from heis7.checks import Context, RunConfig
 
-    for t in Context(RunConfig(seed=42)).sample_ts():
-        chi = subspace_character(surface_ideal(t).basis, g7)
-        assert g7.decompose(chi) == {"V4": 3}, t
+    for S in Context(RunConfig(seed=42)).surfaces():
+        chi = subspace_character(S.basis, g7)
+        assert g7.decompose(chi) == {"V4": 3}, S.t
 
 
 def test_span_certificate(g7):
@@ -609,8 +610,13 @@ def test_span_certificate(g7):
         ("x2^2*x3+x5^2*x4", "x2^2*x3+2*x5^2*x4", "the 49 shifted invariant cubics: span is not stable"),
         # its sigma-shift: the same 49-dimensional span, but not tau-fixed
         ("x0*x3*x4", "x1*x4*x5", "tau does not fix"),
+        # plus the first cubic: the same span, still tau-fixed and iota-negated,
+        # but two shifted cubics share x0*x3*x4
+        ("x2^2*x3+x5^2*x4", "x2^2*x3+x5^2*x4+x0*x3*x4", "the 49 shifted invariant cubics do not split"),
+        # twice the first cubic: the same span over Q, but zero mod 2
+        ("x0*x3*x4", "2*x0*x3*x4", "the 49 shifted invariant cubics do not split"),
     ],
-    ids=["iota", "tau"],
+    ids=["iota", "tau", "overlap", "scaled"],
 )
 def test_a_mutated_invariant_cubic_fails_the_span_certificate(cubic, mutant, why, g7, monkeypatch):
     from heis7.checks import Context, RunConfig, check_surface_stability
@@ -853,40 +859,82 @@ def test_span_solver_tests_every_phase_part():
         assert not oracle.is_stable_under(substitution_images(*g))
 
 
-def test_bad_prime_point_is_certified_over_the_next_prime():
-    # 31 divides a coefficient denominator at t = (1/31, 1, 1, 1): the F31
-    # resolution moves to F37 and says so instead of crashing, while the
-    # pipeline reads its quotient dimensions over Q and moves no prime
+def test_bad_prime_point_is_certified_over_q(monkeypatch):
+    # 31 divides a coefficient denominator at t = (1/31, 1, 1, 1): the
+    # resolution runs over Q alone, and says so instead of crashing, while
+    # the pipeline reads its quotient dimensions over Q and names no prime
+    from heis7 import resolution
     from heis7.checks import Context, RunConfig, check_surface_betti, check_surface_pipeline
-    from heis7.field import fp
 
     t = (Fraction(1, 31), 1, 1, 1)
     S = surface_ideal(t)
-    assert S.coefficient_domain(fp(31)) == fp(37)
+    assert S.domain(fp(31)) == (QQ, "as 31 divides a denominator")
     f37 = fp(37)
-    assert S.coefficient_domain(f37) is f37
-    assert S.coefficient_domain(QQ) is QQ
-    assert surface_ideal((Fraction(1, 31 * 37), 1, 1, 1)).coefficient_domain(fp(31)) == fp(41)
+    assert S.domain(f37) == (f37, "")
+    assert S.domain(QQ) == (QQ, "")
+    assert surface_ideal((Fraction(1, 31 * 37), 1, 1, 1)).domain(f37) == (QQ, "as 37 divides a denominator")
     ctx = Context(RunConfig(extra_t=t, sample_points=2))
+    domains = []
+    real = resolution.free_resolution
+    monkeypatch.setattr(resolution, "free_resolution", lambda ideal, *a, **kw: domains.append(ideal.dom) or real(ideal, *a, **kw))
     res = check_surface_betti(ctx)
     assert res.status == "pass", res.details
-    assert "over F37, as 31 divides a denominator" in res.details
+    assert res.details.endswith("alternating sums match the Hilbert numerator (over Q, as 31 divides a denominator)")
+    assert domains and set(domains) == {QQ}
     res = check_surface_pipeline(ctx)
     assert res.status == "pass" and "divides" not in res.details, res.details
 
 
 def test_cubics_dependent_mod_p_move_the_prime():
     # at t = (6/5, -3/8, 6, 3) every cubic vanishes mod 3, though 3 divides
-    # no denominator; 5 divides one, so the resolution prime is 11
-    from heis7.field import fp
-
+    # no denominator; 5 divides one; at either prime the resolution runs
+    # over Q
     S = surface_ideal((Fraction(6, 5), Fraction(-3, 8), 6, 3))
     assert [S.bad_prime(q) for q in (3, 5, 11)] == [
         "as the cubics are dependent mod 3",
         "as 5 divides a denominator",
         "",
     ]
-    assert S.coefficient_domain(fp(3)) == fp(11)
+    assert S.domain(fp(3)) == (QQ, "as the cubics are dependent mod 3")
+    assert S.domain(fp(5)) == (QQ, "as 5 divides a denominator")
+    assert S.domain(fp(11)) == (fp(11), "")
+
+
+@pytest.mark.parametrize(
+    "t, q, why",
+    [
+        ((Fraction(6, 5), Fraction(-3, 8), 6, 3), 3, "over F3 at t = (6/5, -3/8, 6, 3), as the cubics are dependent mod 3"),
+        ((Fraction(6, 5), Fraction(-3, 8), 6, 3), 5, "over F5 at t = (6/5, -3/8, 6, 3), as 5 divides a denominator"),
+        ((Fraction(1, 31), 1, 1, 1), 31, "over F31 at t = (1/31, 1, 1, 1), as 31 divides a denominator"),
+    ],
+    ids=["F3", "F5", "F31"],
+)
+def test_surface_ideal_refuses_a_bad_prime(t, q, why):
+    # the cubics mod a bad prime would cut out another ideal: F3 reduces
+    # every cubic at (6/5, -3/8, 6, 3) to zero
+    S = surface_ideal(t)
+    with pytest.raises(ValueError) as exc:
+        S.ideal(fp(q))
+    assert str(exc.value) == f"no surface ideal {why}"
+    assert len(S.ideal(fp(11)).gens) == 21
+
+
+def test_bad_prime_on_the_plane_agrees_with_the_cubic_rank():
+    # the oracle ranks the 21 x 84 coefficient matrix of the cubics mod q;
+    # bad_prime ranks the 3 x 7 plane psi(t) mod q
+    rng = random.Random(35)
+    points = [(Fraction(6, 5), Fraction(-3, 8), 6, 3), (Fraction(1, 31), 1, 1, 1), (1, 0, 0, 0), (1, 3, 0, 5)]
+    while len(points) < 40:
+        points.append(tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(4)))
+    kinds = set()
+    for t in points:
+        S = surface_ideal(t)
+        for q in (3, 5, 11, 13, 31):
+            why = S.bad_prime(q)
+            assert why == bad_prime_by_cubic_rank(S, q), (t, q)
+            kinds.add((q, "divides" in why, "dependent" in why))
+    # at every q the grid holds a good prime and both reasons
+    assert len(kinds) == 15
 
 
 @pytest.mark.parametrize("seed", [1, 4])

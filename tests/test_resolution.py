@@ -417,7 +417,7 @@ def _surface_points(seed, count):
         if not (t[1] and t[2] and t[3]):
             continue
         S = surface_ideal(t)
-        if not S.degenerate and S.coefficient_domain(fp(31)) == fp(31):
+        if not S.degenerate and not S.bad_prime(31):
             out.append(S)
     return out
 
