@@ -61,9 +61,7 @@ from .heisenberg import (
     sl2_inv,
     sl2_mul,
 )
-from .groebner import Coeffs
-from .linalg import echelon
-from .poly import coefficient_rows
+from .poly import Poly, render_poly
 
 _C0 = Cyc7.from_int(0)
 _C1 = Cyc7.from_int(1)
@@ -552,45 +550,47 @@ def h0_oa_decomposition(k: int) -> Decomposition:
 class SpanSolver:
     """Traces and stability of a signed zeta-monomial substitution, a MonoMat
     read as x_i -> sign[i] z^pw[i] x_perm[i] (the heisenberg module docstring
-    fixes this action), on a tau-stable span over Q in the 7 coordinates.
-
-    rows maps each pivot monomial to its reduced row (linalg.echelon over
-    the sorted monomials) as a groebner.Coeffs element (G, None, L): integer
-    numerators over L > 0, L at the pivot and absent at every other pivot.
-    A map sends each monomial to one relabelled monomial times a phase
-    (-z)^k, so all work is on integers: a row's image splits into seven
-    integer phase parts (g.act), reduced fraction-free, and the trace into
-    seven integer phase buckets (read with g.phases()).  A basis not over Q
-    or not in 7 variables, and a dependent or non-tau-stable basis, are a
-    ValueError.
+    fixes this action), on the span over Q of a partitioned basis in the 7
+    coordinates.  Its members have pairwise disjoint supports, so they are
+    their own reduced echelon rows: rows maps each member's leading monomial
+    (its pivot) to the member over 1 there, integer numerators G over L > 0,
+    and owner maps each monomial to its row's pivot.  Refused with
+    ValueError: an empty basis, a zero member, two members sharing a
+    monomial, a basis not over Q or not in 7 variables, a span that is not
+    tau-stable.
     """
 
     def __init__(self, basis):
         if not basis:
             raise ValueError("empty basis")
+        self.rows, self.owner = {}, {}
         for p in basis:
             if p.dom is not QQ:  # the phases live in Q(z7), never reduced mod p
                 raise ValueError(f"span basis is over {p.dom.name}, not Q")
             if p.reg.n != 7:  # a MonoMat acts on the 7 coordinates
                 raise ValueError(f"span basis is in {p.reg.n} variables, not 7")
-        monos = sorted({e for p in basis for e in p.terms}, reverse=True)
-        red, pivots = echelon(coefficient_rows(basis, monos))
-        if len(pivots) < len(basis):
-            raise ValueError("basis is linearly dependent")
-        self.kern = Coeffs(QQ)
-        # the first column of a row is its pivot, the largest of its monomials
-        self.rows = {monos[c]: ({monos[-t]: v for t, v in F.items()}, None, D) for (F, D), c in zip(red, pivots)}
+            if not p.terms:
+                raise ValueError("span basis has a zero member")
+            if shared := [e for e in p.terms if e in self.owner]:
+                raise ValueError(f"two span basis members share the monomial {render_poly(Poly.monomial(p.reg, shared[0], 1))}")
+            piv = max(p.terms)
+            L = lcm(*((c / p.terms[piv]).denominator for c in p.terms.values()))
+            self.rows[piv] = ({e: int(c / p.terms[piv] * L) for e, c in p.terms.items()}, L)
+            self.owner.update(dict.fromkeys(p.terms, piv))
         if not self.is_stable_under(TAU):
             raise ValueError("span is not stable under tau")
 
-    def _remainder(self, v):
-        """v, a {monomial: int} dict, reduced modulo the span in place up to
-        a nonzero factor: every pivot cleared with its row, which touches no
-        other pivot."""
-        D = 1
-        for piv in [e for e in v if e in self.rows]:
-            D = self.kern.step(D, v[piv], self.rows[piv], (), None, v)
-        return v
+    def _contains(self, u) -> bool:
+        """Whether the span holds u, a {monomial: int} dict: each monomial of
+        u is in a row's support, and u is c/a times each row G it meets
+        (c = u[e], a = G[e] at one monomial e) over G's whole support."""
+        met = {}
+        for e, c in u.items():
+            piv = self.owner.get(e)
+            if piv is None:
+                return False
+            met.setdefault(piv, (c, self.rows[piv][0][e]))
+        return all(u.get(f, 0) * a == c * v for piv, (c, a) in met.items() for f, v in self.rows[piv][0].items())
 
     def is_stable_under(self, g) -> bool:
         """Whether g keeps the span V: the image of a row v is sum_m z^m u_m
@@ -608,7 +608,7 @@ class SpanSolver:
         in V.  So the parts are tested one by one, on their numerators, up to
         the first one outside the span.
         """
-        return not any(self._remainder(u) for G, _, _ in self.rows.values() for u in g.act(G) if u)
+        return all(self._contains(u) for G, _ in self.rows.values() for u in g.act(G) if u)
 
     def trace(self, g) -> Cyc7:
         """Trace of g on the span, assuming it is stable: the image of each
@@ -616,9 +616,9 @@ class SpanSolver:
         over the rows' common denominator, then sum_m z^m q_m with
         z^6 = -(1 + z + ... + z^5)."""
         ks = g.phases()
-        den = lcm(*(L for _, _, L in self.rows.values()))
+        den = lcm(*(L for _, L in self.rows.values()))
         buckets = [0] * 7
-        for piv, (G, _, L) in self.rows.items():
+        for piv, (G, L) in self.rows.items():
             e = tuple(piv[p] for p in g.perm)
             if e in G:
                 k = sum(map(mul, e, ks)) % 14
@@ -627,15 +627,14 @@ class SpanSolver:
 
 
 def subspace_character(basis, table: CharTable = None) -> Character:
-    """G7-character of the span of a basis over Q, stable under the
-    contragredient coordinate action, g acting by the substitution g.conj()
-    (see the heisenberg module docstring).
+    """G7-character of the span of a partitioned basis over Q (SpanSolver),
+    stable under the contragredient coordinate action, g acting by the
+    substitution g.conj() (see the heisenberg module docstring).
 
-    The basis's SpanSolver reads each class representative's trace off its
-    reduced rows.  Building the solver certifies independence and
-    tau-stability; stability is then certified on sigma and iota, which
-    generate the group together with tau, so traces on all class
-    representatives are well defined.
+    The members are independent, and each class representative's trace is
+    read off them.  Building the solver certifies tau-stability; stability
+    is then certified on sigma and iota, which generate the group together
+    with tau, so traces on all class representatives are well defined.
     """
     table = table or g7_table()
     solver = SpanSolver(basis)

@@ -1187,8 +1187,7 @@ def check_eta_membership(ctx: Context):
         return "fail", "equational point fails"
     surfaces = ctx.surfaces()
     for S in surfaces:
-        got, _ = grass_membership(S.plane)
-        if not got:
+        if S.degenerate or not grass_membership(S.plane)[0]:
             return "fail", f"parametrized point at t={_point(S.t)} fails"
     rng = random.Random(ctx.config.seed + 13)
     negatives = 0

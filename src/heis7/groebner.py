@@ -177,8 +177,8 @@ def _axpy_mod(vec, other, shift, c, p):
 
 
 class Coeffs:
-    """The integer coefficient kernel of the engine, of linalg.echelon and
-    of characters.SpanSolver (module docstring).
+    """The integer coefficient kernel of the engine and of linalg.echelon
+    (module docstring).
 
     An element is a triple (G, RG, L): integer numerators of a monic vector
     G/L and of its cofactor row RG/L (None untracked), with G[lt] = L > 0.

@@ -641,10 +641,9 @@ def grass_membership(point: GrassPoint):
     """Containment of the second wedge of the row span in the net kernel.
 
     Returns (bool, nine contraction values): rows a < b against each of the
-    three alternating coefficient matrices.
+    three alternating coefficient matrices, on a plane of rank 3 (its caller
+    decides that with SurfaceIdeal.rank, or GrassPoint.rank()).
     """
-    if point.rank() != 3:
-        raise ValueError("not a genuine point: coordinate matrix has rank < 3")
     rows, ns = point.rows, eta_coefficient_matrices()
     values = [
         sum(rows[a][i] * n[i][j] * rows[b][j] for i in range(7) for j in range(7) if n[i][j])
@@ -820,6 +819,10 @@ def span_certificate(table) -> str:
 
     d = d_vector()
     shifts = _sigma_shifts(d)
+    split = "the 49 shifted invariant cubics do not split the 84 cubic monomials with coefficients +-1"
+    # the split first: subspace_character reads a partitioned basis only
+    if sorted(e for p in shifts for e in p.terms) != sorted(monomial_basis(REG_X, 3)):
+        return split
     try:
         dec = table.decompose(subspace_character(shifts, table))
     except ValueError as exc:
@@ -828,10 +831,8 @@ def span_certificate(table) -> str:
         return f"the 49 shifted invariant cubics: {dec}"
     if not all(g.conj().act(q.terms) == [p.terms] + [{}] * 6 for p in d for g, q in ((TAU, p), (IOTA, -p))):
         return "tau does not fix, or iota does not negate, every invariant cubic"
-    support = [e for p in shifts for e in p.terms]
-    signs = all(abs(c) == 1 for p in shifts for c in p.terms.values())
-    if not signs or sorted(support) != sorted(monomial_basis(REG_X, 3)):
-        return "the 49 shifted invariant cubics do not split the 84 cubic monomials with coefficients +-1"
+    if not all(abs(c) == 1 for p in shifts for c in p.terms.values()):
+        return split
     return ""
 
 

@@ -30,9 +30,11 @@ principal lattice is tested.
 The span oracle solves coordinates on a polynomial span through one
 elimination transform of the augmented matrix [B^T | I] over the basis'
 domain, and reads traces and stability from general substitutions; the
-package's SpanSolver, on fraction-free integer rows, is tested against
-it.  Its Poly images of a signed zeta-monomial map are built here from the
-map's fields (perm, sign, pw) alone.
+package's SpanSolver, on the integer rows of a partitioned basis, is tested
+against it, and it reads the character of a basis with overlapping
+supports, such as a surface's 21 cubics.  Its Poly images of a signed
+zeta-monomial map are built here from the map's fields (perm, sign, pw)
+alone.
 
 The normal-form oracle reduces a polynomial by monic divisors in plain
 Fraction arithmetic, the reading of the engines' integer kernel without its

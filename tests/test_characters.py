@@ -157,16 +157,17 @@ def test_span_solver_refusals():
     # x0 + x1 mixes two tau-eigenspaces, so tau maps it out of its span
     with pytest.raises(ValueError, match="not stable under tau"):
         SpanSolver([x[0] + x[1]])
-    with pytest.raises(ValueError, match="linearly dependent"):
-        SpanSolver([x[0], x[1], x[0] + x[1]])
     with pytest.raises(ValueError, match="empty basis"):
         SpanSolver([])
-    # two copies of x0 + x1 and x2..x6 span 6 dimensions, though their weight
-    # parts span all 7
-    with pytest.raises(ValueError, match="linearly dependent"):
+    # the basis must be partitioned: pairwise disjoint supports, no zero
+    # member; such a basis is independent
+    with pytest.raises(ValueError, match="share the monomial x0$"):
+        SpanSolver([x[0], x[1], x[0] + x[1]])
+    with pytest.raises(ValueError, match="share the monomial x0$"):
         SpanSolver([x[0] + x[1], x[0] + x[1], *x[2:]])
-    # a stable weight-mixed span is fine: all of the linear forms
-    solver = SpanSolver([x[0] + x[1]] + x[1:])
+    with pytest.raises(ValueError, match="has a zero member"):
+        SpanSolver([x[0], Poly.zero(REG_X), x[1]])
+    solver = SpanSolver(x)
     assert solver.is_stable_under(SIGMA)
     assert solver.trace(SIGMA) == Cyc7.from_int(0)
     assert not SpanSolver([parse_poly("x0^2", REG_X)]).is_stable_under(SIGMA)

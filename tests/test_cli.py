@@ -104,6 +104,20 @@ def test_grassmann_names_a_raw_entry_that_is_not_rational(entry, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        # the third row is the sum of the first two
+        (["--raw", "1,0,0,0,0,0,0,0,1,0,0,0,0,0,1,1,0,0,0,0,0"], "raw plane"),
+        (["--t", "1,0,0,0"], "parametrized plane at (1:0:0:0)"),
+    ],
+    ids=["raw", "t"],
+)
+def test_grassmann_refuses_a_rank_deficient_plane(argv, label, capsys):
+    assert main(["grassmann", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {label} is rank-deficient\n")
+
+
 def test_surface_degenerate_parameter():
     r = run("surface", "--t", "1,0,0,0", "--quiet")
     assert r.returncode != 0
