@@ -772,12 +772,35 @@ def _scale_one(j, sign, pw):
     return MonoMat(tuple(range(7)), tuple(sign if k == j else 1 for k in range(7)), tuple(pw * (k == j) for k in range(7)))
 
 
-def test_span_solver_against_oracle(g7):
+@pytest.mark.parametrize("seed", [3, 11])
+def test_span_solver_against_oracle(g7, seed):
     # the 49 sigma-shifts of the invariant cubics, the partitioned basis the
-    # span certificate reads: stability verdicts and traces at every class
+    # span certificate reads, and a seeded partitioned basis of the same
+    # kind: stability verdicts and traces at every class
     from heis7.characters import SpanSolver, subspace_character
 
-    shifts = moduli._sigma_shifts(d_vector())
+    rng = random.Random(seed)
+    d = d_vector()
+    shifts = moduli._sigma_shifts(d)
+
+    def wide():
+        # numerator and denominator in [2^64, 2^65], past machine words
+        return Fraction(rng.choice((-1, 1)) * rng.randint(2**64 + 1, 2**65), rng.randint(2**64 + 1, 2**65))
+
+    # three cubics over disjoint sets of the d_j, as psi(t) would combine
+    # them if its rows had disjoint supports: their shifts are again a
+    # partitioned basis, of a stable 3 V4; the first cubic takes wide
+    # coefficients, the others small rational ones
+    order = rng.sample(range(7), 7)
+    cut = sorted(rng.sample(range(2, 7), 2))  # two or more d_j in the first
+    groups = [order[: cut[0]], order[cut[0] : cut[1]], order[cut[1] :]]
+    small = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 13), rng.randint(1, 13))
+    cubics = [
+        sum((d[j].scale(wide() if i == 0 else small()) for j in group), Poly.zero(REG_X))
+        for i, group in enumerate(groups)
+    ]
+    mixed = moduli._sigma_shifts(cubics)
+    rng.shuffle(mixed)
     maps = [
         SIGMA.inv(),
         IOTA,
@@ -789,11 +812,15 @@ def test_span_solver_against_oracle(g7):
         _scale_one(2, -1, 3),
     ]
     images = [substitution_images(*g) for g in maps]
-    solver, oracle = SpanSolver(shifts), SpanSolverOracle(shifts)
-    assert [solver.is_stable_under(g) for g in maps] == [oracle.is_stable_under(im) for im in images]
-    for rep in g7.classes.reps:
-        g = rep.matrix().conj()
-        assert solver.trace(g) == oracle.trace(substitution_images(*g))
+    for basis in (shifts, mixed):
+        solver, oracle = SpanSolver(basis), SpanSolverOracle(basis)
+        assert [solver.is_stable_under(g) for g in maps] == [oracle.is_stable_under(im) for im in images]
+        for rep in g7.classes.reps:
+            g = rep.matrix().conj()
+            assert solver.trace(g) == oracle.trace(substitution_images(*g))
+    # the rows of the wide cubic's shifts hold integers past 64 bits
+    assert max(abs(v) for G, L in solver.rows.values() for v in G.values()) > 2**64
+    assert g7.decompose(subspace_character(mixed, g7)) == {"V4": 3}
     # 48 of the 49 shifts: each is a tau-eigenvector, but sigma moves the
     # last shift of the seventh cubic out of their span
     sub = shifts[:48]
