@@ -600,15 +600,17 @@ def test_surface_shifts_are_the_sigma_substitution(t):
 
 
 def test_surface_character(g7):
-    # the per-point route agrees with span_certificate at every seed-42
-    # point: the oracle finds the 21 cubics stable under the generators, and
-    # its traces give 3 V4
+    # the per-point route agrees with span_certificate at t = (1, 1, 1, 1)
+    # and the first seed-42 point: the oracle finds the 21 cubics stable
+    # under the generators, and its traces give 3 V4.  At the other points
+    # the rank rule span_certificate proves covers it, with
+    # test_degenerate_is_the_span_solver_refusal
     from heis7.characters import Character
     from heis7.checks import Context, RunConfig
 
     gens = [substitution_images(*g.conj()) for g in (SIGMA, TAU, IOTA)]
     classes = [substitution_images(*rep.matrix().conj()) for rep in g7.classes.reps]
-    for S in Context(RunConfig(seed=42)).surfaces():
+    for S in Context(RunConfig(seed=42, sample_points=2)).surfaces():
         oracle = SpanSolverOracle(S.basis)
         assert all(oracle.is_stable_under(g) for g in gens), S.t
         chi = Character(g7.classes, [oracle.trace(g) for g in classes])
@@ -847,7 +849,11 @@ def test_span_solver_tests_every_phase_part():
     # wrong ratio, outside V.  The central twist z^c moves the parts to
     # phases 3c and 2 + 3c, so every phase is once the only one outside V,
     # and a test that skips any one phase part calls one of these maps
-    # stable.
+    # stable.  A test that reads only each row's first part is no fault on
+    # a partitioned basis, so no basis here can show one: if each of the n
+    # rows has a part in V, these n parts are sums of whole rows with
+    # disjoint images, so they cover all n rows; g, one-to-one on
+    # monomials, then leaves no monomial for a part outside V.
     from heis7.characters import SpanSolver
 
     basis = [parse_poly("x1^2*x3+x0^2*x5", REG_X), parse_poly("x1^2*x4+x0^2*x6", REG_X)]
