@@ -1,10 +1,11 @@
 """The Groebner engine over Q and F_p: ModuleGB, reduced bases, Hilbert data.
 
 One engine.  ModuleGB computes every Groebner basis in heis7: the reduced
-bases of ideals (buchberger, a rank-1 run plus an auto-reduce), each level
-of a free resolution (resolution.py) and the module eliminations of
-resolution.intersect.  There is one pair update and one reduction loop
-(_reduce), which normal_form shares.
+bases of ideals (buchberger, a tracked rank-1 run plus an auto-reduce;
+GradedIdeal keeps the run, which is level 1 of the ideal's resolution),
+each level of a free resolution (resolution.py) and the module
+eliminations of resolution.intersect.  There is one pair update and one
+reduction loop (_reduce), which normal_form shares.
 
 Packed terms.  A monomial is one Python int.  With field width W = 2^B and
 M = W - 1, the exponent tuple e of n variables packs to
@@ -70,7 +71,14 @@ lcm; the queued pairs of that component whose lcm it divides strictly are
 dropped.  At rank 1 the product criterion drops pairs with coprime leading
 terms.  Pairs are processed by ascending degree and lcm with a fixed
 tie-break, and reducers are scanned in insertion order, so runs are
-reproducible for a fixed input sequence.
+reproducible for a fixed input sequence.  An S-vector is top-reduced: its
+reduction stops at the first leading term that no element's leading term
+divides, and the element enters with the tail it has then.  Only three
+things about a pair's result are used: whether it is zero, its leading
+term, and its use as a reducer, where any representative will do; a
+reduction to zero takes the same steps either way.  Inputs (add_input),
+normal_form and buchberger's auto-reduce reduce fully, so kept forms,
+normal forms and reduced bases are the unique ones.
 
 Syzygies.  A tracked ModuleGB gives every element its cofactor row over the
 kept inputs.  An S-pair that reduces to zero leaves its row; a pair
@@ -387,13 +395,15 @@ def pot_key(ring, gdeg):
 # the engine
 
 
-def _reduce(F, D, basis, reducers, order, kern, R=None):
+def _reduce(F, D, basis, reducers, order, kern, R=None, top=False):
     """Full normal form (out, D) of the packed vector F/D; F is reduced in place.
 
     Each leading term is cancelled by the first reducer of its component
     (reducers[c] lists (lt, index into basis) in insertion order) whose
     leading term divides it, and set aside otherwise.  A given row R over D
-    takes the reducers' cofactors.
+    takes the reducers' cofactors.  With top=True the reduction stops at
+    the first leading term that nothing divides and returns (F, D), F
+    top-reduced.
     """
     guard, component = order.guard, order.component
     out = {}
@@ -403,6 +413,8 @@ def _reduce(F, D, basis, reducers, order, kern, R=None):
             if not (lt - le) & guard:
                 break
         else:
+            if top:
+                return F, D
             out[le] = F.pop(le)
             continue
         rshift = 0 if R is None else order.plain(le - lt)
@@ -429,7 +441,9 @@ class ModuleGB:
     full Koszul row g_i row_t - g_t row_i of each pair the product criterion
     drops (what its standard representation would have given).  Pairs
     dropped by the chain criterion leave nothing: their syzygies are
-    generated by the others.
+    generated by the others.  kept lists the nonzero normal forms of the
+    inputs, input number i at index i, and top is the highest degree of an
+    input or S-pair handled so far (-1 before any).
     """
 
     def __init__(self, dom, order, track=False):
@@ -441,8 +455,13 @@ class ModuleGB:
         self.reducers = {}  # component -> [(lt, index)] in insertion order
         self.pairs = []  # heap (degree, lcm, i, j)
         self.syzygies = []  # (R, D) over the kept inputs
-        self.n_inputs = 0
+        self.kept = []  # normal forms of the kept inputs, as dicts of domain values
+        self.top = -1
         self.pairs_processed = 0
+
+    @property
+    def n_inputs(self):
+        return len(self.kept)
 
     @property
     def elems(self):
@@ -508,16 +527,21 @@ class ModuleGB:
             self.syzygies.append((R, D))
 
     def process_pairs_through(self, degree):
-        """Process the queued pairs up to the given degree."""
+        """Process the queued pairs up to the given degree.
+
+        An S-vector is top-reduced (module docstring, Pairs): a new element
+        keeps the tail it has when its leading term stops reducing.
+        """
         kern, order = self.kern, self.order
         lts, basis = self.lts, self.basis
         while self.pairs and self.pairs[0][0] <= degree:
             self.pairs_processed += 1
             d, l, i, j = heapq.heappop(self.pairs)
             check_degree(d, "S-pair degree")
+            self.top = max(self.top, d)
             li, lj = lts[i], lts[j]
             F, R, D = kern.pair(basis[i], basis[j], l - li, l - lj, order.plain(l - li), order.plain(l - lj))
-            F, D = _reduce(F, D, basis, self.reducers, order, kern, R)
+            F, D = _reduce(F, D, basis, self.reducers, order, kern, R, top=True)
             if F:
                 self._add(F, R)
             else:
@@ -532,15 +556,17 @@ class ModuleGB:
         input index and records no syzygy.  A nonzero one becomes kept input
         number n_inputs and enters the basis with a unit cofactor row.
         """
-        self.process_pairs_through(self.order.vec_degree(F) if through is None else through)
+        d = self.order.vec_degree(F)
+        self.process_pairs_through(d if through is None else through)
+        self.top = max(self.top, d)
         F, D = _reduce(F, D, self.basis, self.reducers, self.order, self.kern)
         if not F:
             return {}
         R = None
         if self.track:
             R = {self.n_inputs << self.order.ring.bits: D}
-        self.n_inputs += 1
         nf = self.kern.export(F, D)
+        self.kept.append(nf)
         self._add(F, R)
         return nf
 
@@ -549,37 +575,37 @@ def _feed(gb, vectors, tie, degree_cap=None):
     """Feed integer vectors (F, D) to gb by ascending degree, equal degrees
     ordered by tie(F).
 
-    Returns (kept, capped): the nonzero normal forms in feeding order, which
-    minimally generate what the vectors generate, and whether degree_cap
-    dropped any vector.  A tracked gb collects the kept forms' syzygies.
+    Returns (kept, capped): gb.kept, the nonzero normal forms in feeding
+    order, which minimally generate what the vectors generate, and whether
+    degree_cap dropped any vector.  A tracked gb collects the kept forms'
+    syzygies.
     """
-    kept = []
     capped = False
     degree = gb.order.vec_degree
     for F, D in sorted(vectors, key=lambda v: (degree(v[0]), tie(v[0]))):
         if degree_cap is not None and degree(F) > degree_cap:
             capped = True
             continue
-        nf = gb.add_input(F, D)
-        if nf:
-            kept.append(nf)
-    return kept, capped
+        gb.add_input(F, D)
+    return gb.kept, capped
 
 
 def buchberger(gens, ring, dom=QQ, degree_cap=None):
     """Reduced Groebner basis of homogeneous packed polynomials.
 
-    A rank-1 ModuleGB takes every nonzero input in turn, each after the
-    S-pairs up to its degree, and is completed through degree_cap (without a
+    A tracked rank-1 ModuleGB takes the nonzero inputs in _feed's order
+    (ascending degree, then leading term), each after the S-pairs up to its
+    degree or degree_cap, and is completed through degree_cap (without a
     cap, completely); then each element is fully reduced against the
     others.  Returns (basis, info): the monic reduced basis in ascending
-    leading terms, and info['truncated'], True if the cap left S-pairs
-    unprocessed.
+    leading terms; info['truncated'], True if the run handled an input
+    above the cap or the cap left S-pairs unprocessed; and info['run'], the
+    run itself, complete without a cap (GradedIdeal keeps it).
     """
-    gb = ModuleGB(dom, induced_key_from([ring.one], ring))
+    gb = ModuleGB(dom, induced_key_from([ring.one], ring), track=True)
     kern = gb.kern
     cap = inf if degree_cap is None else degree_cap
-    for F, D in map(kern.lift, filter(None, gens)):
+    for F, D in sorted(map(kern.lift, filter(None, gens)), key=lambda v: max(v[0])):
         gb.add_input(F, D, min(cap, max(F) >> ring.bits))
     gb.process_pairs_through(cap)
     # auto-reduce: full normal form of each element against the others; a
@@ -590,7 +616,7 @@ def buchberger(gens, ring, dom=QQ, degree_cap=None):
         nf, _ = normal_form(dict(G), L, others, ring, kern)
         basis[idx] = kern.element(nf, None) if nf else ({}, None, 1)
     reduced = sorted((g for g in basis if g[0]), key=lambda g: max(g[0]))
-    return [kern.export(G, L) for G, _, L in reduced], {"truncated": bool(gb.pairs)}
+    return [kern.export(G, L) for G, _, L in reduced], {"truncated": gb.top > cap or bool(gb.pairs), "run": gb}
 
 
 # ---------------------------------------------------------------------------
@@ -747,10 +773,20 @@ class GroebnerBasis:
 
 @dataclass
 class GradedIdeal:
+    """A homogeneous ideal, by its nonzero generators without repeats.
+
+    gb() computes the reduced Groebner basis once.  run is a complete,
+    tracked rank-1 ModuleGB of gens, None until gb() or a resolution
+    (resolution._levels) leaves one; a resolution whose cap is at least
+    run.top takes it as its level 1 instead of running its own.  Neither
+    cache takes part in comparisons.
+    """
+
     reg: VarRegistry
     dom: object
     gens: list  # list of Poly
-    _gb: GroebnerBasis = field(default=None, repr=False)
+    _gb: GroebnerBasis = field(default=None, repr=False, compare=False)
+    run: ModuleGB = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = []
@@ -768,6 +804,7 @@ class GradedIdeal:
             ring = Monomials(self.reg.n)
             polys, info = buchberger([ring.pack_poly(g.terms) for g in self.gens], ring, self.dom)
             self._gb = GroebnerBasis(self.reg, self.dom, ring, polys, info["truncated"])
+            self.run = info["run"]
         return self._gb
 
     def hilbert(self) -> HilbertData:

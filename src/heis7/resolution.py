@@ -5,16 +5,22 @@ module orders, the integer coefficients and the pair criteria).
 
 A resolution is one loop over levels, starting at level 1 (_levels).
 Level 1 feeds the ideal's generators to a tracked rank-1 ModuleGB, the ring
-under induced_key_from([ring.one], ring); level k + 1 feeds level k's
-syzygies to a tracked ModuleGB under the order induced by level k's kept
-forms: module terms compare through their images under the previous
-level's leading terms, with position as the tie-break, which keeps syzygy
-reductions short.  Each level takes its candidates by ascending degree,
-then lowest component, then leading term.  Each candidate is reduced
-against the basis, completed through the candidate's degree.  A nonzero
-normal form is a new minimal generator: it takes the next component and
-enters the basis with a unit cofactor row.  A zero normal form is redundant
-and leaves nothing behind.  The S-pairs that reduce to zero along the way,
+under induced_key_from([ring.one], ring).  The ideal's Groebner basis is
+that same run: GradedIdeal.gb() completes it in the same feeding order and
+keeps it as GradedIdeal.run, and a resolution takes it as level 1 whenever
+it handled no input or S-pair above the degree cap (run.top), which is then
+exactly the run the cap would have given.  Otherwise the resolution runs
+its own capped level 1 and leaves it on the ideal if it came out complete.
+So hilbert() followed by free_resolution does level 1 once.  Level k + 1
+feeds level k's syzygies to a tracked ModuleGB under the order induced by
+level k's kept forms: module terms compare through their images under the
+previous level's leading terms, with position as the tie-break, which
+keeps syzygy reductions short.  Each level takes its candidates by
+ascending degree, then lowest component, then leading term.  Each
+candidate is reduced against the basis, completed through the candidate's
+degree.  A nonzero normal form is a new minimal generator: it takes the
+next component and enters the basis with a unit cofactor row.  A zero
+normal form is redundant and leaves nothing behind.  The S-pairs that reduce to zero along the way,
 with the Koszul rows of the pairs that the product criterion drops at
 level 1, give the syzygies of the kept forms, which are the next level's
 candidates; they pass between levels as integer rows, and
@@ -35,7 +41,13 @@ level at which in(I) has a Betti number.  At the surface this skips
 S-pairs of level 2 in degree 7, which all reduce to zero and yield only
 non-minimal syzygies.  A monomial ideal is its own initial ideal, so it
 takes the uniform cap, and the bound never recurses; so does an ideal
-whose in(I) table is incomplete.
+whose in(I) table is incomplete.  The Betti numbers of a monomial ideal
+depend only on the ideal and the characteristic, and almost every point of
+the surface family has the same in(I), so the tops of in(I)'s table (or
+None, incomplete) are kept process-wide by _initial_tops, the 64 latest,
+keyed by (variable registry, sorted leading exponents of level 1, domain,
+degree_cap, max_steps): a Q run and an F_p run keep separate entries.
+Each resolution copies them into its own tops.
 
 Polys enter packed, and the hilbert_burch columns, intersect and
 minimal_ideal_gens unpack what they return.
@@ -44,6 +56,7 @@ minimal_ideal_gens unpack what they return.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .field import QQ
 from .groebner import (
@@ -127,13 +140,26 @@ def _ring_vectors(polys, dom):
     return order, [kern.lift({order.pack(0, e): c for e, c in p.terms.items()}) for p in polys]
 
 
+def _level(order, candidates, dom, degree_cap, through):
+    """One level: (gb, kept, capped) of a tracked ModuleGB under order fed
+    the candidates through degree_cap, its pairs processed through
+    `through`."""
+    gb = ModuleGB(dom, order, track=True)
+    kept, capped = _feed(gb, candidates, lambda F: (order.lowest_component(F), max(F)), degree_cap)
+    gb.process_pairs_through(through)
+    return gb, kept, capped
+
+
 def _levels(gens, dom, degree_cap, bound=None):
     """Yield (order, gb, kept, capped) for resolution levels 1, 2, ...
 
-    Level 1 takes the nonzero polynomials gens (module docstring).  gb is
-    the level's tracked ModuleGB under order, kept its nonzero normal forms,
-    and capped says that the degree cap dropped candidates.  Level 1 is
-    completed through degree_cap.  Then bound(gb), if given, may return
+    Level 1 takes gens, nonzero polynomials or a GradedIdeal (module
+    docstring).  gb is the level's tracked ModuleGB under order, kept its
+    nonzero normal forms, and capped says that the degree cap dropped
+    candidates.  Level 1 is completed through degree_cap: an ideal's shared
+    run (GradedIdeal.run) is level 1 when it handled nothing above
+    degree_cap, and otherwise level 1 runs here and, if it comes out
+    complete, is left on the ideal.  Then bound(gb), if given, may return
     tops, where tops[k] is the highest degree in which level k can have a
     minimal generator (the initial-ideal bound of the module docstring).
     Level k >= 2 then takes candidates only through min(degree_cap,
@@ -143,17 +169,20 @@ def _levels(gens, dom, degree_cap, bound=None):
     level runs through degree_cap, and the loop stops after a level that
     keeps nothing or has no syzygies.
     """
+    ideal = run = None
+    if isinstance(gens, GradedIdeal):
+        ideal, gens, run = gens, gens.gens, gens.run
     if not gens:
         return
-    order, candidates = _ring_vectors(gens, dom)
+    if run is not None and run.top <= degree_cap:
+        order, gb, kept, capped = run.order, run, run.kept, False
+    else:
+        order, candidates = _ring_vectors(gens, dom)
+        gb, kept, capped = _level(order, candidates, dom, degree_cap, degree_cap)
+        if ideal is not None and not capped and not gb.pairs:
+            ideal.run = gb
     k, tops = 1, None
-    while candidates:
-        gb = ModuleGB(dom, order, track=True)
-        if tops is not None:
-            top = min(degree_cap, tops[k])
-            candidates = [v for v in candidates if order.vec_degree(v[0]) <= top]
-        kept, capped = _feed(gb, candidates, lambda F: (order.lowest_component(F), max(F)), degree_cap)
-        gb.process_pairs_through(degree_cap if tops is None else min(degree_cap, tops.get(k + 1, -1)))
+    while True:
         yield order, gb, kept, capped
         if k == 1 and bound is not None:
             tops = bound(gb)
@@ -161,7 +190,31 @@ def _levels(gens, dom, degree_cap, bound=None):
             return
         order = induced_key_from([max(v) for v in kept], order)
         candidates = [(order.from_row(R), D) for R, D in gb.syzygies]
+        if not candidates:
+            return
         k += 1
+        through = degree_cap
+        if tops is not None:
+            top = min(degree_cap, tops[k])
+            candidates = [v for v in candidates if order.vec_degree(v[0]) <= top]
+            through = min(degree_cap, tops.get(k + 1, -1))
+        gb, kept, capped = _level(order, candidates, dom, degree_cap, through)
+
+
+@lru_cache(maxsize=64)
+def _initial_tops(reg, lts, dom, degree_cap, max_steps):
+    """The tops of the table of the monomial ideal of the exponents lts, as
+    (level, top degree) pairs, or None if that table is incomplete (module
+    docstring: kept per process, by registry, leading terms, domain and
+    budget)."""
+    initial = GradedIdeal(reg, dom, [Poly.monomial(reg, e, dom.one, dom) for e in lts])
+    bt = free_resolution(initial, degree_cap, max_steps)
+    if not bt.complete:
+        return None
+    tops = {}
+    for i, j in bt.entries:
+        tops[i] = max(tops.get(i, j), j)
+    return tuple(tops.items())
 
 
 def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8):
@@ -186,19 +239,17 @@ def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8)
     tops = {}  # level -> top degree of in(I)'s table, once bound finds it complete
 
     def bound(gb):
-        reg, dom, unpack = ideal.reg, ideal.dom, gb.order.unpack
-        initial = GradedIdeal(reg, dom, [Poly.monomial(reg, unpack(lt)[1], dom.one, dom) for lt in gb.lts])
-        bt = free_resolution(initial, degree_cap, max_steps)
-        if not bt.complete:
+        lts = tuple(sorted(gb.order.unpack(lt)[1] for lt in gb.lts))
+        table = _initial_tops(ideal.reg, lts, ideal.dom, degree_cap, max_steps)
+        if table is None:
             return None
-        for i, j in bt.entries:
-            tops[i] = max(tops.get(i, j), j)
+        tops.update(table)
         return tops
 
     monomial = all(len(g.terms) == 1 for g in ideal.gens)
     entries = {(0, 0): 1}
     note = []
-    levels = _levels(ideal.gens, ideal.dom, degree_cap, None if monomial else bound)
+    levels = _levels(ideal, ideal.dom, degree_cap, None if monomial else bound)
     for step, (order, gb, kept, capped) in enumerate(levels, 1):
         if capped:
             note.append(f"degree cap dropped candidates at step {step}")

@@ -162,6 +162,27 @@ def test_inhomogeneous_rejected():
         GradedIdeal(REG_U, QQ, [u("u0^2 + u1")])
 
 
+@pytest.mark.parametrize("hilbert_first", [False, True], ids=["resolution_first", "hilbert_first"])
+def test_zero_ideal(hilbert_first):
+    from heis7.resolution import free_resolution
+
+    I = GradedIdeal(REG_U, QQ, [Poly.zero(REG_U, QQ)])
+    assert I.gens == [] and I == GradedIdeal(REG_U, QQ, [])
+    if hilbert_first:
+        assert I.hilbert().numerator == {0: 1} and I.gb().polys == []
+    bt = free_resolution(I)
+    assert bt.complete and bt.entries == {(0, 0): 1}
+    assert I.hilbert().numerator == {0: 1}
+
+
+def test_cached_bases_take_no_part_in_equality():
+    gens = [u("u1*u2"), u("u2*u3"), u("u1^2 + u0*u3")]
+    I, fresh = GradedIdeal(REG_U, QQ, gens), GradedIdeal(REG_U, QQ, gens)
+    I.hilbert()
+    assert I.run is not None and I == fresh
+    assert I != GradedIdeal(REG_U, QQ, gens[:2])
+
+
 def test_sympy_grevlex_matches_grevlex_key():
     """sympy's grevlex on exponent tuples in registry order is grevlex_key."""
     from sympy.polys.orderings import grevlex

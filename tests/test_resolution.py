@@ -26,6 +26,13 @@ def u(s):
     return parse_poly(s, REG_U)
 
 
+@pytest.fixture(autouse=True)
+def fresh_initial_tops():
+    # the in(I) tables free_resolution keeps per process: each test starts
+    # without them, so the tests that record the in(I) resolution see it run
+    resolution._initial_tops.cache_clear()
+
+
 def test_twisted_cubic_resolution():
     I = GradedIdeal(REG_U, QQ, [u("u1*u2"), u("u2*u3"), u("u3*u1")])
     bt = free_resolution(I)
@@ -213,6 +220,21 @@ def test_truncation_flag(monkeypatch):
         assert not bt.complete and bt.entries == entries and bt.note == note
 
 
+def test_truncation_flag_after_hilbert(monkeypatch):
+    # J.hilbert() leaves a complete run that handled degree 4: it is level
+    # 1 at max_steps=2 (cap 8) and too high for degree_cap=3, and either way
+    # the table and its note are those of a fresh J
+    for kwargs, shared in [({"degree_cap": 3}, False), ({"max_steps": 2}, True)]:
+        want = free_resolution(j_ideal(), **kwargs)
+        J = j_ideal()
+        J.hilbert()
+        assert J.run.top == 4
+        bt, calls = _resolution_calls(monkeypatch, J, **kwargs)
+        # the outer call builds its own rank-1 run only when it cannot share
+        assert any(len(gb.order.base) == 1 for gb in calls[0][1]) != shared
+        assert (bt.entries, bt.note, bt.complete) == (want.entries, want.note, False)
+
+
 REG_ABCD = VarRegistry(["a", "b", "c", "d"])
 
 
@@ -322,7 +344,7 @@ INITIAL_BETTI = {**SURFACE_BETTI, (2, 5): 1, (3, 5): 43, (3, 6): 2, (4, 6): 16}
 def test_surface_resolution_does_the_same_work(monkeypatch):
     _, (_, runs, _), (_, initial, _) = _surface_resolution_runs(monkeypatch)
     assert [len(gb.elems) for gb in runs] == [21, 65, 45, 15, 2]
-    assert [sum(len(R) for R, _ in gb.syzygies) for gb in runs] == [372, 893, 264, 15, 0]
+    assert [sum(len(R) for R, _ in gb.syzygies) for gb in runs] == [372, 835, 252, 15, 0]
     assert [len(gb.syzygies) for gb in runs] == [51, 50, 16, 2, 0]
     assert [gb.pairs_processed for gb in runs] == [51, 66, 19, 2, 0]
     assert [gb.n_inputs for gb in runs] == [21, 49, 42, 15, 2]
@@ -365,6 +387,81 @@ def test_a_bound_one_degree_too_low_loses_betti_numbers(monkeypatch, level, lost
     monkeypatch.setattr(resolution, "_levels", lowered)
     bt = free_resolution(surface_ideal((1, 1, 1, 1)).ideal(fp(31)), degree_cap=9)
     assert bt.complete and bt.entries == {k: b for k, b in SURFACE_BETTI.items() if k != lost}
+
+
+def test_hilbert_and_resolution_share_one_level_one_run(monkeypatch):
+    # the in(I) table of the point is kept from a first resolution, so the
+    # second one builds no in(I) run either
+    assert free_resolution(surface_ideal((1, 1, 1, 1)).ideal(fp(31)), degree_cap=9).entries == SURFACE_BETTI
+    ideal = surface_ideal((1, 1, 1, 1)).ideal(fp(31))
+    rank_one = []
+    init = resolution.ModuleGB.__init__
+
+    def recording_init(self, dom, order, track=False):
+        init(self, dom, order, track)
+        if len(order.base) == 1:
+            rank_one.append(self)
+
+    monkeypatch.setattr(resolution.ModuleGB, "__init__", recording_init)
+    assert ideal.hilbert().numerator == {0: 1, 3: -21, 4: 49, 5: -42, 6: 14, 7: -1}
+    assert free_resolution(ideal, degree_cap=9).entries == SURFACE_BETTI
+    assert rank_one == [ideal.run] and ideal.run.track
+
+
+def _recorded_tops(monkeypatch, change=None):
+    """Wrap _levels so that every bound's tops are recorded (copied before
+    change, if given, edits them in place) and returned with the list."""
+    real, seen = resolution._levels, []
+
+    def recording(gens, dom, degree_cap, bound=None):
+        def spy(gb):
+            tops = bound(gb)
+            seen.append(dict(tops))
+            if change:
+                change(tops)
+            return tops
+
+        return real(gens, dom, degree_cap, bound and spy)
+
+    monkeypatch.setattr(resolution, "_levels", recording)
+    return seen
+
+
+def test_initial_tops_hit_matches_a_fresh_resolution(monkeypatch):
+    seen = _recorded_tops(monkeypatch)
+    first = free_resolution(surface_ideal((1, 1, 1, 1)).ideal(fp(31)), degree_cap=9)
+    assert resolution._initial_tops.cache_info().currsize == 1
+    second, calls = _resolution_calls(monkeypatch, surface_ideal((1, 1, 1, 1)).ideal(fp(31)), degree_cap=9)
+    assert len(calls) == 1 and second.entries == first.entries == SURFACE_BETTI
+    fresh = {}
+    for i, j in INITIAL_BETTI:
+        fresh[i] = max(fresh.get(i, j), j)
+    assert seen == [fresh, fresh]
+
+
+def test_a_caller_that_edits_its_tops_leaves_the_kept_table(monkeypatch):
+    def lower(tops):
+        tops[4] -= 1
+
+    _recorded_tops(monkeypatch, lower)
+    bt = free_resolution(surface_ideal((1, 1, 1, 1)).ideal(fp(31)), degree_cap=9)
+    assert bt.entries == {k: b for k, b in SURFACE_BETTI.items() if k != (4, 7)}
+    monkeypatch.undo()
+    bt, calls = _resolution_calls(monkeypatch, surface_ideal((1, 1, 1, 1)).ideal(fp(31)), degree_cap=9)
+    assert len(calls) == 1 and bt.complete and bt.entries == SURFACE_BETTI
+
+
+def test_initial_tops_are_kept_per_characteristic(monkeypatch):
+    runs = {}
+    for dom in (fp(31), QQ):
+        ideal = surface_ideal((1, 1, 1, 1)).ideal(dom)
+        bt, calls = _resolution_calls(monkeypatch, ideal, degree_cap=9)
+        assert len(calls) == 2 and bt.entries == SURFACE_BETTI
+        runs[dom.name] = calls[0][1][0]
+    # the same leading terms, one table each
+    assert sorted(runs["F31"].lts) == sorted(runs["Q"].lts)
+    info = resolution._initial_tops.cache_info()
+    assert (info.hits, info.currsize) == (0, 2)
 
 
 def test_flat_induced_key_matches_recursive_oracle(monkeypatch):
@@ -482,13 +579,13 @@ def test_engine_outputs_are_unchanged(monkeypatch):
 
 def test_engine_runs_are_unchanged(monkeypatch):
     # every basis vector, row and syzygy of every run, the in(I) runs of
-    # the bound included; pinned when levels 2 on took the initial-ideal
-    # bound
+    # the bound included; pinned when S-pairs became top-reduced and gb()'s
+    # tracked run became level 1 of the resolution
     points = _surface_points(7, 2)
     got = [_engine_digests(monkeypatch, S.ideal(dom))[1] for dom in (QQ, fp(31)) for S in points]
     assert got == [
-        "2f67a7c36c8958dd3cadb39cdca78cbfc0dbe9e53fcc3e84679f248ba6593759",
-        "57c6005deb9c274c6ce0ca85e8a505b4aec1d26cc4c978c564f09fd4d02b7f85",
-        "f85aa94a108ec0d067cfccf982138f0792ea4c4913f01b3e06a2e7c5216b1b15",
-        "7ffcdb836a87d076a8035a51a5c690af7a55e0b5f4f5a2748ea87fdca0baad23",
+        "c4e53a91e3959e4b3e04fc758e3560d3cb0c2769d3a57d55d7f5060ba55ba058",
+        "8361cd30ecd66e6a756229654c6e81c855cb0f9cfb44b2f4789535ec0cd2b0e7",
+        "578b544a8b2acd4bea0097a34e0072c8be2017536f1c895e5a55191d5e608fe8",
+        "eee09a10bd5a30afc94c0f2681379eed47e81cfcb795835d159e2f5249555a58",
     ]
