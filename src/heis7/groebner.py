@@ -590,24 +590,29 @@ def _feed(gb, vectors, tie, degree_cap=None):
     return gb.kept, capped
 
 
-def buchberger(gens, ring, dom=QQ, degree_cap=None):
+def buchberger(gens, ring, dom=QQ, degree_cap=None, run=None):
     """Reduced Groebner basis of homogeneous packed polynomials.
 
     A tracked rank-1 ModuleGB takes the nonzero inputs in _feed's order
     (ascending degree, then leading term), each after the S-pairs up to its
     degree or degree_cap, and is completed through degree_cap (without a
     cap, completely); then each element is fully reduced against the
-    others.  Returns (basis, info): the monic reduced basis in ascending
-    leading terms; info['truncated'], True if the run handled an input
-    above the cap or the cap left S-pairs unprocessed; and info['run'], the
-    run itself, complete without a cap (GradedIdeal keeps it).
+    others.  A complete run of these inputs passed as `run` (one that a
+    resolution left as GradedIdeal.run) takes the place of that ModuleGB,
+    and only the reduction is done.  Returns (basis, info): the monic
+    reduced basis in ascending leading terms; info['truncated'], True if
+    the run handled an input above the cap or the cap left S-pairs
+    unprocessed; and info['run'], the run itself, complete without a cap
+    (GradedIdeal keeps it).
     """
-    gb = ModuleGB(dom, induced_key_from([ring.one], ring), track=True)
-    kern = gb.kern
     cap = inf if degree_cap is None else degree_cap
-    for F, D in sorted(map(kern.lift, filter(None, gens)), key=lambda v: max(v[0])):
-        gb.add_input(F, D, min(cap, max(F) >> ring.bits))
-    gb.process_pairs_through(cap)
+    gb = run
+    if gb is None:
+        gb = ModuleGB(dom, induced_key_from([ring.one], ring), track=True)
+        for F, D in sorted(map(gb.kern.lift, filter(None, gens)), key=lambda v: max(v[0])):
+            gb.add_input(F, D, min(cap, max(F) >> ring.bits))
+        gb.process_pairs_through(cap)
+    kern = gb.kern
     # auto-reduce: full normal form of each element against the others; a
     # reduced element serves the later ones in its monic form
     basis = list(gb.basis)
@@ -778,8 +783,9 @@ class GradedIdeal:
     gb() computes the reduced Groebner basis once.  run is a complete,
     tracked rank-1 ModuleGB of gens, None until gb() or a resolution
     (resolution._levels) leaves one; a resolution whose cap is at least
-    run.top takes it as its level 1 instead of running its own.  Neither
-    cache takes part in comparisons.
+    run.top takes it as its level 1 instead of running its own, and gb()
+    only reduces a run that a resolution left.  Neither cache takes part in
+    comparisons.
     """
 
     reg: VarRegistry
@@ -802,7 +808,8 @@ class GradedIdeal:
     def gb(self) -> GroebnerBasis:
         if self._gb is None:
             ring = Monomials(self.reg.n)
-            polys, info = buchberger([ring.pack_poly(g.terms) for g in self.gens], ring, self.dom)
+            gens = [ring.pack_poly(g.terms) for g in self.gens]
+            polys, info = buchberger(gens, ring, self.dom, run=self.run)
             self._gb = GroebnerBasis(self.reg, self.dom, ring, polys, info["truncated"])
             self.run = info["run"]
         return self._gb

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import _WIDE, _top, _wide, QQ, CycArray, FpDomain, fp
+from .field import _WIDE, _imatmul, _ints, QQ, CycArray, FpDomain, fp
 from .formmat import FormMatrix, det_form, pfaffian_vector
 from .groebner import GradedIdeal
 from .heisenberg import IOTA, SIGMA, TAU
@@ -305,7 +305,9 @@ def j_ideal() -> GradedIdeal:
 class AlphaMatrix:
     """3x2 matrix of linear forms in the u-variables.
 
-    Frozen, so that `entries` is never rebound under the cached `products`.
+    Frozen, so that `entries` is never rebound under the cached
+    `contraction`, from which alpha_compose, delta_criterion and minor_rows
+    all read.
     """
 
     entries: list  # 3x2 of Poly over REG_U
@@ -318,11 +320,11 @@ class AlphaMatrix:
         return out
 
     @cached_property
-    def products(self):
-        """(C, den): the coefficient products of `_coefficient_products`,
-        formed on first use and shared by every contraction of this matrix.
-        A refused entry raises on every call, as nothing is cached then."""
-        return _coefficient_products(self)
+    def contraction(self):
+        """(N, den): the read-only integer contraction of `_contract_alpha`,
+        formed on first use and read by every criterion of this matrix.  A
+        refused entry raises on every call, as nothing is cached then."""
+        return _contract_alpha(self)
 
     @staticmethod
     def from_coeffs(coeffs):
@@ -332,44 +334,19 @@ class AlphaMatrix:
         )
 
 
+_UNIT = {tuple(int(i == k) for i in range(4)): k for k in range(4)}  # e_k -> k
+
+
 def _lin_coeffs(p: Poly):
     if p.dom is not QQ:
         raise ValueError(f"alpha entry {render_poly(p)} is over {p.dom.name}, not Q")
     out = [QQ.zero] * 4
     for e, c in p.terms.items():
-        if sum(e) != 1:
+        k = _UNIT.get(e)
+        if k is None:
             raise ValueError(f"alpha entry {render_poly(p)} is not a linear form")
-        out[e.index(1)] = c
+        out[k] = c
     return out
-
-
-def _coefficient_products(alpha: AlphaMatrix):
-    """(C, den): the products of alpha's coefficients that both criteria
-    contract, as a 9 x 16 integer array over one denominator.
-
-    The 24 coefficients are cleared to integers a_rc[k] by their lcm D, and
-    C[3r + s, 4k + l] = a_r0[k] a_s1[l] - a_r1[k] a_s0[l] over den = D^2, so
-    that a_r0 a_s1 - a_r1 a_s0 = sum_kl C[3r + s, 4k + l] u_k u_l / den.  C
-    is int64 while its entries stay below 2^62, and Python ints otherwise;
-    `_contract` widens an int64 C whenever a contraction could pass 2^62.
-    """
-    coeffs = [_lin_coeffs(p) for row in alpha.entries for p in row]
-    d = lcm(*(c.denominator for v in coeffs for c in v))
-    ints = [c.numerator * (d // c.denominator) for v in coeffs for c in v]
-    top = max(map(abs, ints))
-    a = np.array(ints, dtype=np.int64 if 2 * top * top < _WIDE else object)
-    x, y = a.reshape(3, 2, 4).transpose(1, 0, 2)
-    c = x[:, None, :, None] * y[None, :, None, :] - y[:, None, :, None] * x[None, :, None, :]
-    return c.reshape(9, 16), d * d
-
-
-def _contract(c, table, norm: int):
-    """c @ table, exact: an int64 c is taken as Python ints when the
-    contraction with `table`, whose columns have absolute sums at most
-    `norm`, could reach 2^62."""
-    if c.dtype != object:
-        (c,) = _wide(_top(c) * norm, c)
-    return c @ table
 
 
 @cache
@@ -399,13 +376,12 @@ def composition_tensor():
     return tuple(table)
 
 
-@cache
 def _composition_columns():
-    """(T, keys, norm): composition_tensor() as a dense 16 x m int64 matrix.
+    """(T, keys): composition_tensor() as a dense 16 x m int64 matrix.
 
     T[4k + l, i] is the coefficient of x_var at (row, col) = keys[i][:2] of
     compose_u(k, l), var = keys[i][2], over the m positions that some
-    compose_u(k, l) uses; norm is T's largest absolute column sum.
+    compose_u(k, l) uses.
     """
     tensor = composition_tensor()
     keys = sorted({key for _, entries in tensor for key, _ in entries})
@@ -414,7 +390,99 @@ def _composition_columns():
     for (k, l), entries in tensor:
         for key, v in entries:
             t[4 * k + l, index[key]] = v
-    return t, keys, int(np.abs(t).sum(axis=0).max())
+    return t, keys
+
+
+def _pairing():
+    """The 16 x 3 int64 matrix P[4k + l, j] = d_j(u_k u_l) of the three net
+    operators on the quadratic monomials, read from delta_ops() through
+    DiffOp.apply.  A value that is not an integer constant is refused."""
+    ops = delta_ops()
+    p = np.zeros((16, 3), dtype=np.int64)
+    for k in range(4):
+        for l in range(4):
+            e = [0] * 4
+            e[k] += 1
+            e[l] += 1
+            for j, op in enumerate(ops):
+                value = op.apply(Poly.monomial(REG_U, e, 1))
+                for e_val, c in value.terms.items():
+                    if any(e_val) or Fraction(c).denominator != 1:
+                        raise ValueError(
+                            f"{op!r} takes u{k}*u{l} to {render_poly(value)}, "
+                            "not an integer constant"
+                        )
+                    p[4 * k + l, j] = int(c)
+    return p
+
+
+def _monomial_fold():
+    """The 16 x 10 0/1 matrix F taking position 4k + l of u_k u_l to its
+    quadratic monomial, in monomial_basis(REG_U, 2) order."""
+    index = {e: i for i, e in enumerate(monomial_basis(REG_U, 2))}
+    f = np.zeros((16, len(index)), dtype=np.int64)
+    for k in range(4):
+        for l in range(4):
+            e = [0] * 4
+            e[k] += 1
+            e[l] += 1
+            f[4 * k + l, index[tuple(e)]] = 1
+    return f
+
+
+# the column blocks of the joined table [T | P | F]
+_COMPOSE = slice(None, -13)
+_PAIR = slice(-13, -10)
+_FOLD = slice(-10, None)
+
+
+@cache
+def _joined_table():
+    """(J, keys, norm): the 16 x (m + 13) int64 matrix [T | P | F] of the
+    composition columns, the net pairing and the monomial fold, built once;
+    keys are T's column keys and norm is J's largest absolute column sum."""
+    t, keys = _composition_columns()
+    j = np.hstack([t, _pairing(), _monomial_fold()])
+    return j, keys, int(np.abs(j).sum(axis=0).max())
+
+
+def _minor_indices():
+    """(L, R): flat indices into the 24 x 24 outer product of alpha's
+    coefficient lift a (a[8r + 4c + k] is coefficient k of entry (r, c))
+    with L[3r + s, 4k + l] at a_r0[k] a_s1[l] and R[3r + s, 4k + l] at
+    a_r1[k] a_s0[l]."""
+    r, s, k, l = np.indices((3, 3, 4, 4)).reshape(4, 9, 16)
+    return (8 * r + k) * 24 + 8 * s + 4 + l, (8 * r + 4 + k) * 24 + 8 * s + l
+
+
+_LEFT, _RIGHT = _minor_indices()
+
+
+def _contract_alpha(alpha: AlphaMatrix):
+    """(N, den): alpha's coefficient products contracted once with the
+    joined table [T | P | F], as a read-only 9 x (m + 13) integer array over
+    one denominator.
+
+    The 24 coefficients are cleared to integers a_rc[k] by their lcm D, and
+    C[3r + s, 4k + l] = a_r0[k] a_s1[l] - a_r1[k] a_s0[l] over den = D^2, so
+    that a_r0 a_s1 - a_r1 a_s0 = sum_kl C[3r + s, 4k + l] u_k u_l / den; C
+    is two fixed takes of one outer product of the lift.  Every entry of C
+    is at most 2 top^2 in absolute value (top the largest |a_rc[k]|), so
+    N = C @ J runs through field._imatmul under the bound 2 top^2 norm,
+    known before C is formed: float64 below 2^53, int64 below 2^62, Python
+    ints beyond (the lift is then Python ints too).
+    """
+    ratios = [c.as_integer_ratio() for row in alpha.entries for e in row for c in _lin_coeffs(e)]
+    d = lcm(*[q for _, q in ratios])
+    ints = [p * (d // q) for p, q in ratios]
+    table, _, norm = _joined_table()
+    top = max(map(abs, ints))
+    bound = 2 * top * top * norm
+    a = np.array(ints, dtype=np.int64 if bound < _WIDE else object)
+    products = np.multiply.outer(a, a)  # take reads it flat
+    n = _ints(_imatmul(products.take(_LEFT) - products.take(_RIGHT), table, bound))
+    n.flags.writeable = False
+    return n, d * d
 
 
 class Composition(NamedTuple):
@@ -438,93 +506,44 @@ class Composition(NamedTuple):
 
 
 def alpha_compose(alpha: AlphaMatrix) -> Composition:
-    """The 3x3 blocks of alpha alpha', by one integer contraction.
+    """The 3x3 blocks of alpha alpha', read off alpha's cached contraction.
 
     Block (r, s) is the composition attached to the quadric
     a_r0 a_s1 - a_r1 a_s0, i.e. sum_kl c_kl compose_u(k, l), where c_kl is
-    row 3r + s of alpha's cached coefficient products C (`products`).  So
-    the blocks are nums = C @ T with T the dense composition table, every
-    numerator exact over den = D^2 (any rational t stays exact).
+    row 3r + s of alpha's coefficient products C.  So the blocks are
+    nums = C @ T with T the dense composition table: the first m columns of
+    `contraction`, every numerator exact over den = D^2 (any rational t
+    stays exact).
     """
-    table, keys, norm = _composition_columns()
-    c, den = alpha.products
-    return Composition(_contract(c, table, norm), keys, den)
+    n, den = alpha.contraction
+    return Composition(n[:, _COMPOSE], _joined_table()[1], den)
 
 
 def alpha_compose_is_zero(comp: Composition) -> bool:
     return not comp.nums.any()
 
 
-@cache
-def _pairing():
-    """(P, norm): the 16 x 3 int64 matrix P[4k + l, j] = d_j(u_k u_l) of the
-    three net operators on the quadratic monomials, read once from
-    delta_ops() through DiffOp.apply; norm is its largest absolute column
-    sum.  A value that is not an integer constant is refused."""
-    ops = delta_ops()
-    p = np.zeros((16, 3), dtype=np.int64)
-    for k in range(4):
-        for l in range(4):
-            e = [0] * 4
-            e[k] += 1
-            e[l] += 1
-            for j, op in enumerate(ops):
-                value = op.apply(Poly.monomial(REG_U, e, 1))
-                for e_val, c in value.terms.items():
-                    if any(e_val) or Fraction(c).denominator != 1:
-                        raise ValueError(
-                            f"{op!r} takes u{k}*u{l} to {render_poly(value)}, "
-                            "not an integer constant"
-                        )
-                    p[4 * k + l, j] = int(c)
-    return p, int(np.abs(p).sum(axis=0).max())
-
-
-_MINOR_ROWS = [1, 2, 5]  # rows (r, s) = (0, 1), (0, 2), (1, 2) of C
-
-
-def _delta_numerators(alpha: AlphaMatrix):
-    """(N, den): N[m][j] / den = d_j applied to minor m of alpha, over the row
-    pairs (0, 1), (0, 2), (1, 2); the contraction of the minor's coefficient
-    products with column j of the pairing P[4k + l, j] = d_j(u_k u_l), so no
-    minor is formed."""
-    pairing, norm = _pairing()
-    c, den = alpha.products
-    return _contract(c[_MINOR_ROWS], pairing, norm), den
+_MINOR_ROWS = [1, 2, 5]  # rows (r, s) = (0, 1), (0, 2), (1, 2) of C and its contraction
 
 
 def delta_criterion(alpha: AlphaMatrix) -> bool:
     """Whether the three net operators annihilate the three minors of alpha.
 
-    Decided on the same cached coefficient products as alpha_compose: the
-    nine values d_j(minor) are one integer contraction (`_delta_numerators`),
-    all zero exactly when alpha is annihilated.
+    Decided on the same cached contraction as alpha_compose, by its pairing
+    columns over all nine rows at once.  That is exact: P[4k + l, j] =
+    d_j(u_k u_l) is symmetric in (k, l), while row (s, r) of C is minus the
+    (k, l)-transpose of row (r, s), so pairing row (s, r) is minus row
+    (r, s) and row (r, r) is zero.  All nine are zero exactly when the
+    three minor rows are, i.e. when alpha is annihilated.
     """
-    return not _delta_numerators(alpha)[0].any()
-
-
-@cache
-def _monomial_fold():
-    """(F, norm): the 16 x 10 0/1 matrix taking position 4k + l of u_k u_l
-    to its quadratic monomial, in monomial_basis(REG_U, 2) order."""
-    index = {e: i for i, e in enumerate(monomial_basis(REG_U, 2))}
-    f = np.zeros((16, len(index)), dtype=np.int64)
-    for k in range(4):
-        for l in range(4):
-            e = [0] * 4
-            e[k] += 1
-            e[l] += 1
-            f[4 * k + l, index[tuple(e)]] = 1
-    return f, int(f.sum(axis=0).max())
+    return not alpha.contraction[0][:, _PAIR].any()
 
 
 def minor_rows(alpha: AlphaMatrix) -> list:
     """The coefficient rows of alpha's three minors over
-    monomial_basis(REG_U, 2), all scaled by den: the cached coefficient
-    products folded into the quadratic monomials, with no Poly product."""
-    fold, norm = _monomial_fold()
-    c, _ = alpha.products
-    return _contract(c[_MINOR_ROWS], fold, norm).tolist()
+    monomial_basis(REG_U, 2), all scaled by den: the fold columns of alpha's
+    cached contraction, with no Poly product."""
+    return alpha.contraction[0][_MINOR_ROWS, _FOLD].tolist()
 
 
 PROBE_POINT = [Fraction(k) for k in range(1, 8)]

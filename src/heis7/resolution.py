@@ -10,8 +10,9 @@ that same run: GradedIdeal.gb() completes it in the same feeding order and
 keeps it as GradedIdeal.run, and a resolution takes it as level 1 whenever
 it handled no input or S-pair above the degree cap (run.top), which is then
 exactly the run the cap would have given.  Otherwise the resolution runs
-its own capped level 1 and leaves it on the ideal if it came out complete.
-So hilbert() followed by free_resolution does level 1 once.  Level k + 1
+its own capped level 1 and leaves it on the ideal if it came out complete,
+where gb() reduces it instead of running its own.  So hilbert() and
+free_resolution, in either order, do level 1 once.  Level k + 1
 feeds level k's syzygies to a tracked ModuleGB under the order induced by
 level k's kept forms: module terms compare through their images under the
 previous level's leading terms, with position as the tie-break, which

@@ -17,11 +17,13 @@ the assigned leading term, then its position, down to grevlex on the ring.
 
 The composition oracle expands alpha alpha' as sums of scaled 7x7 form
 matrices c_kl * compose_u(k, l), the direct reading of the wedge table,
-against which the package's integer contraction is tested.  The
+against which the composition columns of the package's one integer
+contraction per matrix (AlphaMatrix.contraction) are tested.  The
 annihilation oracle forms the three 2x2 minors of alpha as Poly products and
 applies the net operators to them with DiffOp.apply, the direct reading of
-the criterion, against which the package's pairing contraction is tested;
-delta_values reads the same nine values off that contraction as Fractions.
+the criterion, against which the pairing columns of that contraction are
+tested; delta_values reads the same nine values off those columns as
+Fractions.
 
 The quartic-invariance oracle substitutes v_i -> sum_j X[j][i] v_j over CYC
 and compares polynomials, against which the package's evaluation at the
@@ -81,7 +83,7 @@ from heis7.heisenberg import (
     sl2_mul,
 )
 from heis7.linalg import np_rank, np_rref, rref
-from heis7.moduli import _delta_numerators, compose_u, delta_ops
+from heis7.moduli import _MINOR_ROWS, _PAIR, compose_u, delta_ops
 from heis7.poly import REG_V, REG_X, Poly, linear_form, monomial_basis
 
 
@@ -390,9 +392,10 @@ def delta_criterion_forms(alpha):
 
 def delta_values(alpha):
     """values[m][j] = d_j applied to minor m of alpha, as Fractions, read
-    off the package's integer contraction."""
-    nums, den = _delta_numerators(alpha)
-    return [[Fraction(v, den) for v in row] for row in nums.tolist()]
+    off the minor rows of the pairing columns of the package's integer
+    contraction."""
+    nums, den = alpha.contraction
+    return [[Fraction(v, den) for v in row] for row in nums[_MINOR_ROWS, _PAIR].tolist()]
 
 
 def quartic_invariant_oracle(f, x):

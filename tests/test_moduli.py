@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -277,7 +278,7 @@ def test_delta_values_match_the_poly_oracle(flat):
     want = delta_criterion_forms(alpha)
     assert delta_values(alpha) == want
     assert delta_criterion(alpha) == (not any(v for row in want for v in row))
-    den = alpha.products[1]
+    den = alpha.contraction[1]
     minors = coefficient_rows(alpha.minors(), monomial_basis(REG_U, 2))
     assert minor_rows(alpha) == [[c * den for c in row] for row in minors]
 
@@ -291,9 +292,10 @@ _NEAR_E12 = st.integers(_E12 - 100, _E12 + 100)
 @given(st.lists(st.tuples(st.integers(-_E12, _E12).filter(bool), _NEAR_E12), min_size=4, max_size=4))
 def test_delta_values_match_the_poly_oracle_on_wide_family_points(parts):
     alpha = alpha_t([Fraction(n, d) for n, d in parts])
-    # denominators near 10^12 overflow int64, so the products are Python ints
-    products, _ = alpha.products
-    assert products.dtype == object
+    # denominators near 10^12 overflow int64, so the contraction runs on
+    # Python ints
+    contraction, _ = alpha.contraction
+    assert contraction.dtype == object
     want = delta_criterion_forms(alpha)
     assert want == [[0] * 3] * 3
     assert delta_values(alpha) == want
@@ -348,9 +350,14 @@ def test_delta_values_equal_a_sympy_expansion():
 
 
 def test_pairing_is_read_from_delta_ops(monkeypatch):
-    fixture = alpha_t((1, 1, 1, 1))
-    assert delta_criterion(fixture)
-    pairing, _ = moduli._pairing()
+    # each alpha keeps the contraction it was first read through, so every
+    # mutation below is read by a fresh fixture, after the joined table
+    # (and with it the pairing) is rebuilt
+    def fixture():
+        return alpha_t((1, 1, 1, 1))
+
+    assert delta_criterion(fixture())
+    pairing = moduli._pairing()
     real = moduli.delta_ops
 
     def with_d1_square(c):
@@ -364,24 +371,25 @@ def test_pairing_is_read_from_delta_ops(monkeypatch):
         # d1 = d0 d1 - d2^2 takes u2^2 to -2: one pairing entry moves, and
         # the family matrix is no longer annihilated
         monkeypatch.setattr(moduli, "delta_ops", with_d1_square(-1))
-        moduli._pairing.cache_clear()
-        moved, _ = moduli._pairing()
+        moduli._joined_table.cache_clear()
+        moved = moduli._pairing()
         assert np.argwhere(moved != pairing).tolist() == [[10, 0]] and moved[10, 0] == -2
-        assert not delta_criterion(fixture)
+        assert (moduli._joined_table()[0][:, moduli._PAIR] == moved).all()
+        assert not delta_criterion(fixture())
         # d1 = d0 d1 - d2^2 / 4 takes u2^2 to -1/2, which is refused
         monkeypatch.setattr(moduli, "delta_ops", with_d1_square(Fraction(-1, 4)))
-        moduli._pairing.cache_clear()
+        moduli._joined_table.cache_clear()
         with pytest.raises(ValueError, match="not an integer constant"):
-            delta_criterion(fixture)
+            delta_criterion(fixture())
         # a first-order term leaves a linear form, which is refused
         monkeypatch.setattr(
             moduli, "delta_ops", lambda: [DiffOp(REG_U, {(1, 0, 0, 0): 1}), *real()[1:]]
         )
-        moduli._pairing.cache_clear()
+        moduli._joined_table.cache_clear()
         with pytest.raises(ValueError, match="not an integer constant"):
-            delta_criterion(fixture)
+            delta_criterion(fixture())
     finally:
-        moduli._pairing.cache_clear()
+        moduli._joined_table.cache_clear()
 
 
 def test_annihilation_forms_no_poly_product(monkeypatch):
@@ -410,42 +418,125 @@ def test_annihilation_forms_no_poly_product(monkeypatch):
     assert all(x == y for x, y in verdicts) and sum(y for _, y in verdicts) >= 5
 
 
+def _spy_imatmul(monkeypatch):
+    """Record (bound, result dtype) of every moduli._imatmul call."""
+    calls = []
+    real = moduli._imatmul
+
+    def spy(x, y, bound):
+        out = real(x, y, bound)
+        calls.append((bound, out.dtype))
+        return out
+
+    monkeypatch.setattr(moduli, "_imatmul", spy)
+    return calls
+
+
 def test_each_matrix_is_lifted_once(monkeypatch):
-    # both criteria and delta_values read one cached lift: the six entries
-    # are read once, not once per contraction
+    # both criteria, delta_values and minor_rows read one cached
+    # contraction: the six entries are read once, and the table is
+    # contracted by one field._imatmul call, not once per reader
     calls = []
     real = moduli._lin_coeffs
     monkeypatch.setattr(moduli, "_lin_coeffs", lambda p: calls.append(p) or real(p))
-    for alpha in (_alpha_of([Fraction(k - 11, k % 5 + 1) for k in range(24)]), alpha_t((2, 1, 3, 5))):
+    products = _spy_imatmul(monkeypatch)
+    for alpha in (
+        _alpha_of([Fraction(k - 11, k % 5 + 1) for k in range(24)]),
+        alpha_t((2, 1, 3, 5)),
+        alpha_t((Fraction(10**12 + 1, 10**12 - 3), 1, 2, 3)),
+        AlphaMatrix.from_coeffs([[[0] * 4] * 2] * 3),
+    ):
         calls.clear()
+        products.clear()
         alpha_compose(alpha)
         delta_criterion(alpha)
         delta_values(alpha)
         minor_rows(alpha)
-        assert len(calls) == 6
+        alpha_compose_is_zero(alpha_compose(alpha))
+        assert len(calls) == 6 and len(products) == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         alpha.entries = alpha.entries
 
 
 def test_cached_int64_products_widen_for_a_larger_bound(monkeypatch):
-    # products cached as int64 under the real pairing stay exact when a
-    # later pairing's bound passes 2^62: scaled by 2^30, the int64
-    # contraction would wrap
+    # a matrix contracted in int64 under the real pairing stays exact under
+    # a pairing scaled by 2^30, whose values no int64 holds: the joined
+    # table's norm passes the bound past 2^62, so a fresh alpha contracts on
+    # Python ints, while the first keeps its own contraction
     rng = random.Random(29)
-    alpha = _alpha_of([rng.randint(-(2**20), 2**20) for _ in range(24)])
+    flat = [rng.randint(-(2**20), 2**20) for _ in range(24)]
+    alpha = _alpha_of(flat)
     want = delta_criterion_forms(alpha)
     assert delta_values(alpha) == want
-    c, _ = alpha.products
-    assert c.dtype == np.int64
-    pairing, norm = moduli._pairing()
-    scaled = pairing << 30
-    assert int(np.abs(c).max()) * (norm << 30) >= 2**62
-    assert (c[moduli._MINOR_ROWS] @ scaled).tolist() != [
-        [int(v * alpha.products[1]) << 30 for v in row] for row in want
+    kept, den = alpha.contraction
+    assert kept.dtype == np.int64 and den == 1
+    assert max(abs(v) for row in want for v in row) * 2**30 >= 2**63
+    scaled = moduli._pairing() << 30
+    monkeypatch.setattr(moduli, "_pairing", lambda: scaled)
+    moduli._joined_table.cache_clear()
+    try:
+        fresh = _alpha_of(flat)
+        assert delta_values(fresh) == [[v * 2**30 for v in row] for row in want]
+        assert fresh.contraction[0].dtype == object
+        assert alpha_compose(fresh).nums.tolist() == alpha_compose(alpha).nums.tolist()
+        assert minor_rows(fresh) == minor_rows(alpha)
+        assert alpha.contraction[0] is kept
+    finally:
+        moduli._joined_table.cache_clear()
+
+
+def test_pairing_rows_decide_annihilation_as_one_slice():
+    # delta_criterion reads the pairing columns of all nine rows at once:
+    # P is symmetric in (k, l), so row (s, r) is minus row (r, s) and row
+    # (r, r) is zero, and the slice is zero exactly when the minor rows are
+    pairing = moduli._pairing().reshape(4, 4, 3)
+    assert (pairing == pairing.transpose(1, 0, 2)).all()
+    rng = random.Random(43)
+    e12 = 10**12
+    alphas = [_alpha_of([rng.randint(-3, 3) for _ in range(24)]) for _ in range(40)]
+    alphas += [alpha_t((k, 1, k + 1, 2 - k)) for k in range(1, 4)]
+    alphas += [
+        alpha_t((Fraction(e12 + 39, e12 - 11), Fraction(-3, e12 + 7), Fraction(7, e12 + 1), 3)),
+        _alpha_of([Fraction(rng.randint(-e12, e12), rng.randint(1, e12)) for _ in range(24)]),
     ]
-    monkeypatch.setattr(moduli, "_pairing", lambda: (scaled, norm << 30))
-    assert delta_values(alpha) == [[v * 2**30 for v in row] for row in want]
-    assert alpha.products[0] is c
+    wide = alpha_t((Fraction(-1, e12 + 61), 2, Fraction(e12 - 17, e12 + 3), 5)).entries
+    alphas.append(AlphaMatrix([wide[0], wide[1], [wide[2][1], wide[2][0]]]))
+    seen = set()
+    for alpha in alphas:
+        n, _ = alpha.contraction
+        rows = n[:, moduli._PAIR].reshape(3, 3, 3)  # [r, s, j]
+        assert (rows == -rows.transpose(1, 0, 2)).all()
+        assert not rows[[0, 1, 2], [0, 1, 2]].any()
+        verdict = not any(v for row in delta_values(alpha) for v in row)
+        assert delta_criterion(alpha) == verdict
+        assert verdict == (delta_criterion_forms(alpha) == [[0] * 3] * 3)
+        seen.add((n.dtype == object, verdict))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize(
+    "limit, above, route",
+    [(2**53, 0, np.float64), (2**53, 1, np.int64), (2**62, 0, np.int64), (2**62, 1, object)],
+    ids=["below-2^53", "above-2^53", "below-2^62", "above-2^62"],
+)
+def test_contraction_takes_the_route_of_its_bound(monkeypatch, limit, above, route):
+    # an integer matrix whose largest coefficient is top: the bound
+    # 2 top^2 norm sits just below limit, or (above) at or just past it, and
+    # every value read off the contraction equals the Poly and form-matrix
+    # oracles
+    norm = moduli._joined_table()[2]
+    top = math.isqrt((limit - 1) // (2 * norm)) + above
+    assert (2 * top * top * norm >= limit) == above
+    calls = _spy_imatmul(monkeypatch)
+    rng = random.Random(top)
+    flat = [rng.choice((-1, 1)) * rng.randint(top // 2, top) for _ in range(24)]
+    flat[rng.randrange(24)] = -top
+    alpha = _alpha_of(flat)
+    assert delta_values(alpha) == delta_criterion_forms(alpha)
+    assert calls == [(2 * top * top * norm, np.dtype(route))]
+    assert _entries_of_composition(alpha_compose(alpha)) == _entries_of_forms(alpha_compose_forms(alpha))
+    assert minor_rows(alpha) == coefficient_rows(alpha.minors(), monomial_basis(REG_U, 2))
+    assert alpha.contraction[0].dtype == (object if route is object else np.int64)
 
 
 def test_net_kernel_and_split():

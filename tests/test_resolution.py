@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from heis7 import resolution
+from heis7 import checks, groebner, resolution
 from heis7.field import QQ, fp
 from heis7.groebner import B, M, GradedIdeal, Monomials
 from heis7.linalg import rank
@@ -389,23 +389,60 @@ def test_a_bound_one_degree_too_low_loses_betti_numbers(monkeypatch, level, lost
     assert bt.complete and bt.entries == {k: b for k, b in SURFACE_BETTI.items() if k != lost}
 
 
-def test_hilbert_and_resolution_share_one_level_one_run(monkeypatch):
-    # the in(I) table of the point is kept from a first resolution, so the
-    # second one builds no in(I) run either
-    assert free_resolution(surface_ideal((1, 1, 1, 1)).ideal(fp(31)), degree_cap=9).entries == SURFACE_BETTI
-    ideal = surface_ideal((1, 1, 1, 1)).ideal(fp(31))
-    rank_one = []
+def _recorded_runs(monkeypatch):
+    """Record every rank-1 ModuleGB built and the run of every buchberger
+    call, in two lists."""
+    rank_one, runs = [], []
     init = resolution.ModuleGB.__init__
+    real = groebner.buchberger
 
     def recording_init(self, dom, order, track=False):
         init(self, dom, order, track)
         if len(order.base) == 1:
             rank_one.append(self)
 
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        runs.append(out[1]["run"])
+        return out
+
     monkeypatch.setattr(resolution.ModuleGB, "__init__", recording_init)
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    return rank_one, runs
+
+
+def test_hilbert_and_resolution_share_one_level_one_run(monkeypatch):
+    # the in(I) table of the point is kept from a first resolution, so the
+    # second one builds no in(I) run either
+    assert free_resolution(surface_ideal((1, 1, 1, 1)).ideal(fp(31)), degree_cap=9).entries == SURFACE_BETTI
+    ideal = surface_ideal((1, 1, 1, 1)).ideal(fp(31))
+    rank_one, _ = _recorded_runs(monkeypatch)
     assert ideal.hilbert().numerator == {0: 1, 3: -21, 4: 49, 5: -42, 6: 14, 7: -1}
     assert free_resolution(ideal, degree_cap=9).entries == SURFACE_BETTI
     assert rank_one == [ideal.run] and ideal.run.track
+
+
+def test_basis_after_a_resolution_reduces_its_level_one_run(monkeypatch):
+    # free_resolution leaves its complete level 1 on the ideal, and gb()
+    # reduces that run in buchberger instead of running level 1 again
+    want = j_ideal().gb()
+    rank_one, runs = _recorded_runs(monkeypatch)
+    J = j_ideal()
+    bt = free_resolution(J, degree_cap=8)
+    level_one = J.run
+    assert level_one is rank_one[0] and len(rank_one) == 2  # J's and in(J)'s level 1
+    gb = J.gb()
+    assert runs == [level_one] and len(rank_one) == 2 and J.run is level_one
+    assert gb.polys == want.polys and not gb.truncated
+    assert J.hilbert().numerator == bt.alternating_sums()
+
+
+def test_apolar_ideal_check_builds_two_level_one_runs(monkeypatch):
+    # the syzygy.apolar_ideal check resolves J, then reads its Hilbert
+    # series: two rank-1 runs (J's level 1 and in(J)'s), one buchberger call
+    rank_one, runs = _recorded_runs(monkeypatch)
+    assert checks.check_j_resolution(checks.Context(checks.RunConfig())).status == "pass"
+    assert len(rank_one) == 2 and runs == [rank_one[0]]
 
 
 def _recorded_tops(monkeypatch, change=None):
