@@ -1,11 +1,13 @@
 """The Groebner engine over Q and F_p: ModuleGB, reduced bases, Hilbert data.
 
-One engine.  ModuleGB computes every Groebner basis in heis7: the reduced
-bases of ideals (buchberger, a tracked rank-1 run plus an auto-reduce;
-GradedIdeal keeps the run, which is level 1 of the ideal's resolution),
-each level of a free resolution (resolution.py) and the module
-eliminations of resolution.intersect.  There is one pair update and one
-reduction loop (_reduce), which normal_form shares.
+One engine.  ModuleGB computes every Groebner basis in heis7: each level
+of a free resolution (_level, driven by resolution.py), the reduced bases
+of ideals and the module eliminations of resolution.intersect.  An ideal's
+generators enter a tracked rank-1 run in one place only: _level, called
+by GradedIdeal.level_one, which keeps a complete run.  That run is level 1
+of the ideal's resolution, and buchberger only auto-reduces it into the
+reduced basis.  There is one pair update and one reduction loop (_reduce),
+which normal_form shares.
 
 Packed terms.  A monomial is one Python int.  With field width W = 2^B and
 M = W - 1, the exponent tuple e of n variables packs to
@@ -94,10 +96,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 import heapq
-from math import gcd, inf, lcm
+from math import comb, gcd, inf, lcm
 from operator import add, le
 
-from .field import QQ, FpDomain, RatDomain
+from .field import FpDomain, RatDomain
 from .poly import Poly, VarRegistry, monomial_basis
 
 B = 8  # bits per exponent field
@@ -590,38 +592,38 @@ def _feed(gb, vectors, tie, degree_cap=None):
     return gb.kept, capped
 
 
-def buchberger(gens, ring, dom=QQ, degree_cap=None, run=None):
-    """Reduced Groebner basis of homogeneous packed polynomials.
+def _ring_vectors(reg, polys, dom):
+    """The ring of reg as a rank-1 module, induced_key_from([ring.one],
+    ring), and the nonzero polynomials polys as its integer vectors (F, D)."""
+    ring = Monomials(reg.n)
+    order = induced_key_from([ring.one], ring)
+    kern = Coeffs(dom)
+    return order, [kern.lift({order.pack(0, e): c for e, c in p.terms.items()}) for p in polys]
 
-    A tracked rank-1 ModuleGB takes the nonzero inputs in _feed's order
-    (ascending degree, then leading term), each after the S-pairs up to its
-    degree or degree_cap, and is completed through degree_cap (without a
-    cap, completely); then each element is fully reduced against the
-    others.  A complete run of these inputs passed as `run` (one that a
-    resolution left as GradedIdeal.run) takes the place of that ModuleGB,
-    and only the reduction is done.  Returns (basis, info): the monic
-    reduced basis in ascending leading terms; info['truncated'], True if
-    the run handled an input above the cap or the cap left S-pairs
-    unprocessed; and info['run'], the run itself, complete without a cap
-    (GradedIdeal keeps it).
-    """
-    cap = inf if degree_cap is None else degree_cap
-    gb = run
-    if gb is None:
-        gb = ModuleGB(dom, induced_key_from([ring.one], ring), track=True)
-        for F, D in sorted(map(gb.kern.lift, filter(None, gens)), key=lambda v: max(v[0])):
-            gb.add_input(F, D, min(cap, max(F) >> ring.bits))
-        gb.process_pairs_through(cap)
-    kern = gb.kern
-    # auto-reduce: full normal form of each element against the others; a
-    # reduced element serves the later ones in its monic form
-    basis = list(gb.basis)
+
+def _level(order, candidates, dom, degree_cap, through):
+    """One level: (gb, capped) of a tracked ModuleGB under order fed the
+    candidates through degree_cap (_feed, equal degrees by lowest component,
+    then leading term), its pairs processed through `through`."""
+    gb = ModuleGB(dom, order, track=True)
+    _, capped = _feed(gb, candidates, lambda F: (order.lowest_component(F), max(F)), degree_cap)
+    gb.process_pairs_through(through)
+    return gb, capped
+
+
+def buchberger(run):
+    """The reduced Groebner basis of a rank-1 run, complete through the
+    degrees it stands for: each element fully reduced against the others,
+    a reduced element serving the later ones in its monic form.  Returns
+    the monic packed polynomials in ascending leading terms."""
+    kern, ring = run.kern, run.order.ring
+    basis = list(run.basis)
     for idx, (G, _, L) in enumerate(basis):
         others = [g for k, g in enumerate(basis) if k != idx and g[0]]
         nf, _ = normal_form(dict(G), L, others, ring, kern)
         basis[idx] = kern.element(nf, None) if nf else ({}, None, 1)
     reduced = sorted((g for g in basis if g[0]), key=lambda g: max(g[0]))
-    return [kern.export(G, L) for G, _, L in reduced], {"truncated": gb.top > cap or bool(gb.pairs), "run": gb}
+    return [kern.export(G, L) for G, _, L in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +687,6 @@ def _hs_num(gens, memo):
 def _binom(n, k):
     if k < 0 or n < 0:
         return 0
-    from math import comb
-
     return comb(n, k)
 
 
@@ -756,7 +756,6 @@ class GroebnerBasis:
     dom: object
     ring: Monomials
     polys: list  # reduced, monic packed polynomials, ascending leading terms
-    truncated: bool = False
 
     def leading_terms(self):
         return [self.ring.unpack(max(g)) for g in self.polys]
@@ -780,12 +779,10 @@ class GroebnerBasis:
 class GradedIdeal:
     """A homogeneous ideal, by its nonzero generators without repeats.
 
-    gb() computes the reduced Groebner basis once.  run is a complete,
-    tracked rank-1 ModuleGB of gens, None until gb() or a resolution
-    (resolution._levels) leaves one; a resolution whose cap is at least
-    run.top takes it as its level 1 instead of running its own, and gb()
-    only reduces a run that a resolution left.  Neither cache takes part in
-    comparisons.
+    level_one owns the ideal's level-1 run, the tracked rank-1 ModuleGB of
+    its generators (module docstring), and keeps it as run once a run came
+    out complete (None before).  gb() auto-reduces the complete run once.
+    Neither cache takes part in comparisons.
     """
 
     reg: VarRegistry
@@ -805,13 +802,29 @@ class GradedIdeal:
                 seen.append(g)
         self.gens = seen
 
+    def level_one(self, cap=inf):
+        """(run, capped): the run of the generators completed through degree
+        cap, and whether the cap dropped a generator.
+
+        The kept run serves whenever it handled no input or S-pair above cap
+        (run.top <= cap), as it is then exactly the run the cap gives.
+        Otherwise _level builds a fresh run, kept when it came out complete:
+        no generator dropped and no pair left.  A capped run is never grown
+        in place, so what it reports stays that of its cap.
+        """
+        run = self.run
+        if run is not None and run.top <= cap:
+            return run, False
+        order, vectors = _ring_vectors(self.reg, self.gens, self.dom)
+        run, capped = _level(order, vectors, self.dom, cap, cap)
+        if not capped and not run.pairs:
+            self.run = run
+        return run, capped
+
     def gb(self) -> GroebnerBasis:
         if self._gb is None:
-            ring = Monomials(self.reg.n)
-            gens = [ring.pack_poly(g.terms) for g in self.gens]
-            polys, info = buchberger(gens, ring, self.dom, run=self.run)
-            self._gb = GroebnerBasis(self.reg, self.dom, ring, polys, info["truncated"])
-            self.run = info["run"]
+            run, _ = self.level_one()
+            self._gb = GroebnerBasis(self.reg, self.dom, run.order.ring, buchberger(run))
         return self._gb
 
     def hilbert(self) -> HilbertData:

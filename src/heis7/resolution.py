@@ -4,19 +4,15 @@ Every Groebner basis here is a groebner.ModuleGB (see there for the packed
 module orders, the integer coefficients and the pair criteria).
 
 A resolution is one loop over levels, starting at level 1 (_levels).
-Level 1 feeds the ideal's generators to a tracked rank-1 ModuleGB, the ring
-under induced_key_from([ring.one], ring).  The ideal's Groebner basis is
-that same run: GradedIdeal.gb() completes it in the same feeding order and
-keeps it as GradedIdeal.run, and a resolution takes it as level 1 whenever
-it handled no input or S-pair above the degree cap (run.top), which is then
-exactly the run the cap would have given.  Otherwise the resolution runs
-its own capped level 1 and leaves it on the ideal if it came out complete,
-where gb() reduces it instead of running its own.  So hilbert() and
-free_resolution, in either order, do level 1 once.  Level k + 1
-feeds level k's syzygies to a tracked ModuleGB under the order induced by
-level k's kept forms: module terms compare through their images under the
-previous level's leading terms, with position as the tie-break, which
-keeps syzygy reductions short.  Each level takes its candidates by
+Level 1 is GradedIdeal.level_one(degree_cap): the ideal's generators fed
+to a tracked rank-1 ModuleGB, the ring under induced_key_from([ring.one],
+ring).  The ideal keeps that run once it comes out complete, and both
+gb() and a resolution whose cap reaches the run's top degree take the kept
+run, so hilbert() and free_resolution, in either order, do level 1 once.
+Level k + 1 feeds level k's syzygies to a tracked ModuleGB under the order
+induced by level k's kept forms: module terms compare through their images
+under the previous level's leading terms, with position as the tie-break,
+which keeps syzygy reductions short.  Each level takes its candidates by
 ascending degree, then lowest component, then leading term.  Each
 candidate is reduced against the basis, completed through the candidate's
 degree.  A nonzero normal form is a new minimal generator: it takes the
@@ -61,11 +57,12 @@ from functools import lru_cache
 
 from .field import QQ
 from .groebner import (
-    Coeffs,
     GradedIdeal,
     ModuleGB,
     Monomials,
     _feed,
+    _level,
+    _ring_vectors,
     induced_key_from,
     pot_key,
 )
@@ -132,64 +129,32 @@ class BettiTable:
 # syzygies and resolutions
 
 
-def _ring_vectors(polys, dom):
-    """The ring as a rank-1 module, induced_key_from([ring.one], ring), and
-    the nonzero polynomials polys as its integer vectors (F, D)."""
-    ring = Monomials(polys[0].reg.n)
-    order = induced_key_from([ring.one], ring)
-    kern = Coeffs(dom)
-    return order, [kern.lift({order.pack(0, e): c for e, c in p.terms.items()}) for p in polys]
+def _levels(ideal, degree_cap, bound=None):
+    """Yield (order, gb, kept, capped) for the resolution levels 1, 2, ...
+    of a GradedIdeal.
 
-
-def _level(order, candidates, dom, degree_cap, through):
-    """One level: (gb, kept, capped) of a tracked ModuleGB under order fed
-    the candidates through degree_cap, its pairs processed through
-    `through`."""
-    gb = ModuleGB(dom, order, track=True)
-    kept, capped = _feed(gb, candidates, lambda F: (order.lowest_component(F), max(F)), degree_cap)
-    gb.process_pairs_through(through)
-    return gb, kept, capped
-
-
-def _levels(gens, dom, degree_cap, bound=None):
-    """Yield (order, gb, kept, capped) for resolution levels 1, 2, ...
-
-    Level 1 takes gens, nonzero polynomials or a GradedIdeal (module
-    docstring).  gb is the level's tracked ModuleGB under order, kept its
-    nonzero normal forms, and capped says that the degree cap dropped
-    candidates.  Level 1 is completed through degree_cap: an ideal's shared
-    run (GradedIdeal.run) is level 1 when it handled nothing above
-    degree_cap, and otherwise level 1 runs here and, if it comes out
-    complete, is left on the ideal.  Then bound(gb), if given, may return
-    tops, where tops[k] is the highest degree in which level k can have a
-    minimal generator (the initial-ideal bound of the module docstring).
-    Level k >= 2 then takes candidates only through min(degree_cap,
-    tops[k]), processes pairs only through min(degree_cap, tops[k + 1]), and
-    the loop ends at the last level in tops; a candidate the bound leaves
-    out is redundant, so it does not count as capped.  Without tops every
-    level runs through degree_cap, and the loop stops after a level that
-    keeps nothing or has no syzygies.
+    gb is the level's tracked ModuleGB under order, kept its nonzero normal
+    forms, and capped says that the degree cap dropped candidates.  Level 1
+    is ideal.level_one(degree_cap), completed through degree_cap.  Then
+    bound(gb), if given, may return tops, where tops[k] is the highest
+    degree in which level k can have a minimal generator (the initial-ideal
+    bound of the module docstring).  Level k >= 2 then takes candidates only
+    through min(degree_cap, tops[k]), processes pairs only through
+    min(degree_cap, tops[k + 1]), and the loop ends at the last level in
+    tops; a candidate the bound leaves out is redundant, so it does not
+    count as capped.  Without tops every level runs through degree_cap, and
+    the loop stops after a level that keeps nothing or has no syzygies.
     """
-    ideal = run = None
-    if isinstance(gens, GradedIdeal):
-        ideal, gens, run = gens, gens.gens, gens.run
-    if not gens:
-        return
-    if run is not None and run.top <= degree_cap:
-        order, gb, kept, capped = run.order, run, run.kept, False
-    else:
-        order, candidates = _ring_vectors(gens, dom)
-        gb, kept, capped = _level(order, candidates, dom, degree_cap, degree_cap)
-        if ideal is not None and not capped and not gb.pairs:
-            ideal.run = gb
+    gb, capped = ideal.level_one(degree_cap)
+    order = gb.order
     k, tops = 1, None
     while True:
-        yield order, gb, kept, capped
+        yield order, gb, gb.kept, capped
         if k == 1 and bound is not None:
             tops = bound(gb)
-        if not kept or tops is not None and k + 1 not in tops:
+        if not gb.kept or tops is not None and k + 1 not in tops:
             return
-        order = induced_key_from([max(v) for v in kept], order)
+        order = induced_key_from([max(v) for v in gb.kept], order)
         candidates = [(order.from_row(R), D) for R, D in gb.syzygies]
         if not candidates:
             return
@@ -199,7 +164,7 @@ def _levels(gens, dom, degree_cap, bound=None):
             top = min(degree_cap, tops[k])
             candidates = [v for v in candidates if order.vec_degree(v[0]) <= top]
             through = min(degree_cap, tops.get(k + 1, -1))
-        gb, kept, capped = _level(order, candidates, dom, degree_cap, through)
+        gb, capped = _level(order, candidates, ideal.dom, degree_cap, through)
 
 
 @lru_cache(maxsize=64)
@@ -250,7 +215,7 @@ def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8)
     monomial = all(len(g.terms) == 1 for g in ideal.gens)
     entries = {(0, 0): 1}
     note = []
-    levels = _levels(ideal, ideal.dom, degree_cap, None if monomial else bound)
+    levels = _levels(ideal, degree_cap, None if monomial else bound)
     for step, (order, gb, kept, capped) in enumerate(levels, 1):
         if capped:
             note.append(f"degree cap dropped candidates at step {step}")
@@ -294,7 +259,7 @@ def hilbert_burch(gens, dom=QQ):
     if _rank(coefficient_rows(gens, monomial_basis(reg, 2)), dom) != 3:
         raise NotHilbertBurch("quadrics are linearly dependent")
 
-    levels = _levels(gens, dom, 8)
+    levels = _levels(GradedIdeal(reg, dom, gens), 8)
     next(levels)
     order, _, kept, _ = next(levels)
     degrees = [order.vec_degree(v) for v in kept]
@@ -375,6 +340,6 @@ def minimal_ideal_gens(polys, dom=QQ):
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
-    order, vecs = _ring_vectors(polys, dom)
+    order, vecs = _ring_vectors(polys[0].reg, polys, dom)
     kept, _ = _feed(ModuleGB(dom, order), vecs, max)
     return [Poly(polys[0].reg, dom, {order.unpack(k)[1]: c for k, c in v.items()}, _clean=True) for v in kept]

@@ -9,6 +9,9 @@ import importlib
 from pathlib import Path
 
 from heis7 import checks
+from heis7.field import fp
+from heis7.moduli import surface_ideal
+from heis7.resolution import free_resolution
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,3 +34,19 @@ def test_check_suites_are_lists_of_checks():
         assert isinstance(fns, list) and fns, suite
         for fn in fns:
             assert callable(fn) and isinstance(fn.check_id, str), (suite, fn)
+
+
+def test_resolution_path_enters_the_traced_engine_layers(monkeypatch):
+    # perfbench/selftest.py requires these per-layer names on the resolution
+    # workload, which reads an ideal's Hilbert series and then resolves it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    ideal = surface_ideal((1, 1, 1, 1)).ideal(fp(31))
+    tracer.install()
+    try:
+        ideal.hilbert()
+        free_resolution(ideal, degree_cap=9)
+    finally:
+        tracer.uninstall()
+    for name in ("groebner.buchberger", "groebner.normal_form", "resolution.modulegb_add_input"):
+        assert tracer.calls.get(name), name

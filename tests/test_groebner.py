@@ -137,10 +137,9 @@ def test_normal_form_is_zero_exactly_for_members():
 
 def test_deterministic_output():
     gens = [u("u1^2+u0*u3"), u("u3^2+u0*u2"), u("u2^2+u0*u1")]
-    ring = Monomials(REG_U.n)
-    a1, _ = buchberger([ring.pack_poly(g.terms) for g in gens], ring, QQ)
-    a2, _ = buchberger([ring.pack_poly(g.terms) for g in gens], ring, QQ)
-    assert a1 == a2
+    a1 = GradedIdeal(REG_U, QQ, gens).gb().polys
+    a2 = GradedIdeal(REG_U, QQ, gens).gb().polys
+    assert [list(p.items()) for p in a1] == [list(p.items()) for p in a2]
 
 
 def test_surface_cubics_form_groebner_basis():
@@ -234,21 +233,22 @@ def test_engines_refuse_other_domains():
 
     ring = Monomials(REG_U.n)
     with pytest.raises(ValueError, match="Q or F_p"):
-        buchberger([ring.pack_poly({(1, 0, 0, 0): CYC.one})], ring, CYC)
+        GradedIdeal(REG_U, CYC, [Poly.monomial(REG_U, (1, 0, 0, 0), CYC.one, CYC)]).gb()
     with pytest.raises(ValueError, match="Q or F_p"):
         ModuleGB(CYC, induced_key_from([ring.one], ring))
 
 
 @pytest.mark.parametrize("dom", [QQ, fp(31)], ids=["QQ", "F31"])
 def test_degree_capped_auto_reduce_returns(dom):
-    # the cap stops before the pair of u0^2*u1 + 2*u2^3 and u0^2; the
-    # auto-reduce turns the first into 2*u2^3, and the reducer it leaves for
-    # u2^4 must be monic (a non-monic one made that reduction cycle forever)
+    # u0^2 reduces u0^2*u1 + 2*u2^3 to 2*u2^3, which enters the run monic,
+    # as the auto-reduce needs (a non-monic reducer made its reductions
+    # cycle forever); the cap drops u2^4, so the run is not kept
     gens = [parse_poly(s, REG_U, dom) for s in ("u0^2*u1 + 2*u2^3", "u0^2", "u2^4")]
-    ring = Monomials(REG_U.n)
-    basis, info = buchberger([ring.pack_poly(g.terms) for g in gens], ring, dom, degree_cap=2)
-    assert info["truncated"]
-    assert basis == [ring.pack_poly({(2, 0, 0, 0): dom.one}), ring.pack_poly({(0, 0, 3, 0): dom.one})]
+    ideal = GradedIdeal(REG_U, dom, gens)
+    run, capped = ideal.level_one(3)
+    assert (capped or run.pairs) and ideal.run is None
+    ring = run.order.ring
+    assert buchberger(run) == [ring.pack_poly({(2, 0, 0, 0): dom.one}), ring.pack_poly({(0, 0, 3, 0): dom.one})]
 
 
 _COEFFS = st.builds(Fraction, st.integers(-(2**70), 2**70).filter(bool), st.integers(1, 10**12))

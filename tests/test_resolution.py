@@ -60,7 +60,7 @@ def test_apolar_ideal_resolution():
 )
 def test_syzygies_are_exact(gens):
     gens = [u(s) for s in gens]
-    order, gb, kept, capped = next(resolution._levels(gens, QQ, 8))
+    order, gb, kept, capped = next(resolution._levels(GradedIdeal(REG_U, QQ, gens), 8))
     # the generators are monic and reduced, so level 1 keeps them as they
     # are, in ascending leading terms
     kept = [Poly(REG_U, QQ, {order.unpack(k)[1]: c for k, c in v.items()}) for v in kept]
@@ -74,7 +74,7 @@ def test_syzygies_are_exact(gens):
 
 
 def test_single_form_has_no_syzygies():
-    _, gb, kept, capped = next(resolution._levels([u("u0^2 + u1*u2")], QQ, 8))
+    _, gb, kept, capped = next(resolution._levels(GradedIdeal(REG_U, QQ, [u("u0^2 + u1*u2")]), 8))
     assert len(kept) == 1 and not capped and gb.syzygies == []
 
 
@@ -104,10 +104,10 @@ COUNTER_EXAMPLE = ["13*b^3 + 30*c^2*d + 21*c*d^2", "c*d", "20*a*c + 15*c*d + 30*
 def test_every_level_syzygy_is_exact(case, monkeypatch):
     if case == "counter_example":
         dom = fp(31)
-        gens = GradedIdeal(REG_ABCD, dom, [parse_poly(s, REG_ABCD, dom) for s in COUNTER_EXAMPLE]).gens
+        ideal = GradedIdeal(REG_ABCD, dom, [parse_poly(s, REG_ABCD, dom) for s in COUNTER_EXAMPLE])
     else:
         dom = fp(31) if case == "surface_F31" else QQ
-        gens = surface_ideal((1, 1, 1, 1)).ideal(dom).gens
+        ideal = surface_ideal((1, 1, 1, 1)).ideal(dom)
     koszul = []
     record = resolution.ModuleGB._koszul
 
@@ -117,7 +117,7 @@ def test_every_level_syzygy_is_exact(case, monkeypatch):
 
     monkeypatch.setattr(resolution.ModuleGB, "_koszul", spy)
     runs = []
-    for order, gb, kept, _ in resolution._levels(gens, dom, 9):
+    for order, gb, kept, _ in resolution._levels(ideal, 9):
         for R, D in gb.syzygies:
             row = gb.kern.export(R, D)
             assert row and _applied(order, kept, row, dom) == {}
@@ -248,6 +248,28 @@ def _random_ideal(rng, dom):
     return gens
 
 
+@pytest.mark.parametrize("dom", [QQ, fp(31)], ids=["QQ", "F31"])
+def test_kept_level_one_changes_no_table(dom):
+    # at every cap, a resolution that takes the run hilbert() kept gives the
+    # table, note and flag of one that runs its own level 1; and the basis
+    # gb() reduces from a resolution's run is that of a fresh ideal
+    rng = random.Random(3)
+    capped = complete = 0
+    for gens in (_random_ideal(rng, dom) for _ in range(20)):
+        first = GradedIdeal(REG_ABCD, dom, gens)
+        want = first.gb().polys
+        for cap in range(first.run.top + 2):
+            fresh, after = GradedIdeal(REG_ABCD, dom, gens), GradedIdeal(REG_ABCD, dom, gens)
+            after.hilbert()
+            a, b = free_resolution(fresh, degree_cap=cap), free_resolution(after, degree_cap=cap)
+            assert (a.entries, a.note, a.complete) == (b.entries, b.note, b.complete), (cap, gens)
+            assert fresh.gb().polys == want
+            capped += cap < after.run.top
+            complete += a.complete
+    # the caps below the kept run's top take a fresh capped run
+    assert capped and complete
+
+
 def test_betti_tables_against_koszul_oracle():
     F31 = fp(31)
     cap = 8
@@ -316,7 +338,9 @@ def _resolution_calls(monkeypatch, ideal, **kwargs):
     with monkeypatch.context() as mp:
         mp.setattr(resolution, "free_resolution", recording_resolution)
         mp.setattr(resolution.ModuleGB, "__init__", recording_init)
-        mp.setattr(resolution, "induced_key_from", recording_key)
+        # level 1's order comes from GradedIdeal.level_one, in groebner
+        for module in (resolution, groebner):
+            mp.setattr(module, "induced_key_from", recording_key)
         bt = resolution.free_resolution(ideal, **kwargs)
     return bt, calls
 
@@ -376,13 +400,13 @@ def test_a_bound_one_degree_too_low_loses_betti_numbers(monkeypatch, level, lost
     # beta_36, so the table stays right
     real = resolution._levels
 
-    def lowered(gens, dom, degree_cap, bound=None):
+    def lowered(ideal, degree_cap, bound=None):
         def low(gb):
             tops = bound(gb)
             tops[level] -= 1
             return tops
 
-        return real(gens, dom, degree_cap, bound and low)
+        return real(ideal, degree_cap, bound and low)
 
     monkeypatch.setattr(resolution, "_levels", lowered)
     bt = free_resolution(surface_ideal((1, 1, 1, 1)).ideal(fp(31)), degree_cap=9)
@@ -390,8 +414,8 @@ def test_a_bound_one_degree_too_low_loses_betti_numbers(monkeypatch, level, lost
 
 
 def _recorded_runs(monkeypatch):
-    """Record every rank-1 ModuleGB built and the run of every buchberger
-    call, in two lists."""
+    """Record every rank-1 ModuleGB built and the run each buchberger call
+    reduces, in two lists."""
     rank_one, runs = [], []
     init = resolution.ModuleGB.__init__
     real = groebner.buchberger
@@ -401,10 +425,9 @@ def _recorded_runs(monkeypatch):
         if len(order.base) == 1:
             rank_one.append(self)
 
-    def recording(*args, **kwargs):
-        out = real(*args, **kwargs)
-        runs.append(out[1]["run"])
-        return out
+    def recording(run):
+        runs.append(run)
+        return real(run)
 
     monkeypatch.setattr(resolution.ModuleGB, "__init__", recording_init)
     monkeypatch.setattr(groebner, "buchberger", recording)
@@ -433,7 +456,7 @@ def test_basis_after_a_resolution_reduces_its_level_one_run(monkeypatch):
     assert level_one is rank_one[0] and len(rank_one) == 2  # J's and in(J)'s level 1
     gb = J.gb()
     assert runs == [level_one] and len(rank_one) == 2 and J.run is level_one
-    assert gb.polys == want.polys and not gb.truncated
+    assert gb.polys == want.polys
     assert J.hilbert().numerator == bt.alternating_sums()
 
 
@@ -450,7 +473,7 @@ def _recorded_tops(monkeypatch, change=None):
     change, if given, edits them in place) and returned with the list."""
     real, seen = resolution._levels, []
 
-    def recording(gens, dom, degree_cap, bound=None):
+    def recording(ideal, degree_cap, bound=None):
         def spy(gb):
             tops = bound(gb)
             seen.append(dict(tops))
@@ -458,7 +481,7 @@ def _recorded_tops(monkeypatch, change=None):
                 change(tops)
             return tops
 
-        return real(gens, dom, degree_cap, bound and spy)
+        return real(ideal, degree_cap, bound and spy)
 
     monkeypatch.setattr(resolution, "_levels", recording)
     return seen
@@ -585,12 +608,15 @@ def _engine_digests(monkeypatch, ideal):
         put(work, "kept", kept, capped)
         return kept, capped
 
-    real_feed = resolution._feed
+    real_feed = groebner._feed
     with monkeypatch.context() as mp:
         mp.setattr(resolution.ModuleGB, "__init__", recording_init)
-        mp.setattr(resolution, "_feed", recording_feed)
+        for module in (resolution, groebner):
+            mp.setattr(module, "_feed", recording_feed)
         gb = ideal.gb()
-        put(outputs, "gb", gb.polys, gb.truncated)
+        # False stands where the pinned digests read the truncated flag,
+        # which a basis of a complete run always had as False
+        put(outputs, "gb", gb.polys, False)
         for s in ("x0^4", "x0*x1*x2*x3 + x4^2*x5*x6", "x1^3*x2 - 3*x3^2*x5^2 + x6^4", "x0^2*x1*x2*x3*x4"):
             put(outputs, "nf", gb.normal_form(parse_poly(s, REG_X, ideal.dom)).terms)
         bt = free_resolution(ideal, degree_cap=9)
@@ -616,13 +642,15 @@ def test_engine_outputs_are_unchanged(monkeypatch):
 
 def test_engine_runs_are_unchanged(monkeypatch):
     # every basis vector, row and syzygy of every run, the in(I) runs of
-    # the bound included; pinned when S-pairs became top-reduced and gb()'s
-    # tracked run became level 1 of the resolution
+    # the bound included, and the kept forms of every level; pinned when
+    # level 1 came to be fed only through _level, so that gb()'s run records
+    # its kept forms like every other level (the run contents themselves
+    # were unchanged)
     points = _surface_points(7, 2)
     got = [_engine_digests(monkeypatch, S.ideal(dom))[1] for dom in (QQ, fp(31)) for S in points]
     assert got == [
-        "c4e53a91e3959e4b3e04fc758e3560d3cb0c2769d3a57d55d7f5060ba55ba058",
-        "8361cd30ecd66e6a756229654c6e81c855cb0f9cfb44b2f4789535ec0cd2b0e7",
-        "578b544a8b2acd4bea0097a34e0072c8be2017536f1c895e5a55191d5e608fe8",
-        "eee09a10bd5a30afc94c0f2681379eed47e81cfcb795835d159e2f5249555a58",
+        "458298974eb5e7c640d6c20dff4a3ef91ab9023a1c76b442f3b56ff2097d2239",
+        "2ffe2bffa4913f9e6362999c6ad7f739006e717548ccf5302a1378a0b5bab989",
+        "d55068d65f3128ca1c8181c49ff90840d34ec7b267eb2e1eb4c28e8efaa5bfc6",
+        "fe4181930de40e1e3feba1b02cee4660f1046785c5542931e97eb6f4001b898c",
     ]
