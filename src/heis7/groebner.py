@@ -59,12 +59,15 @@ of two elements is built the same way over lcm(L_i, L_j).  Once D passes
 2^CONTENT_BITS the common gcd of D and every numerator is divided out.
 Over F_p, L = D = 1 and the step is F <- F - a x^m G.  A value is the same
 either way, so zero tests, and with them the dicts' insertion orders, are
-those of plain Fraction arithmetic.  Inputs enter ModuleGB.add_input and
-syzygies leave it in this integer form, so a resolution hands its
-syzygies from one level to the next without conversion.  Results leave
-through Coeffs.export as Fractions or ints: the normal forms add_input
-returns, the elems and rows views, and the reduced bases and normal forms
-of GroebnerBasis.
+those of plain Fraction arithmetic.  Coeffs.step is the one reduction
+step, with its F_p and Z loops inline; _reduce and linalg.echelon both
+call it.  Inputs enter ModuleGB.add_input in this integer form, and kept
+forms and syzygies stay in it, so a resolution hands its syzygies from one
+level to the next without conversion and reads only the keys (leading
+terms, degrees) of the kept forms.  Values leave through Coeffs.export as
+Fractions or ints only where they are read: the kept, elems and rows views
+of ModuleGB (hilbert_burch and minimal_ideal_gens read kept), and the
+reduced bases and normal forms of GroebnerBasis.
 
 Pairs (Gebauer & Moeller, On an installation of Buchberger's algorithm,
 JSC 6 (1988)).  When an element enters, its pairs with the earlier elements
@@ -94,7 +97,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 import heapq
 from math import comb, gcd, inf, lcm
 from operator import add, le
@@ -126,9 +129,11 @@ class Monomials:
         self.low = (1 << self.bits) - 1
         self.guard = self.ones << (B - 1)
 
-    def pack(self, e):
+    def pack(self, e, extra=0):
+        """P(e), refused when deg(e) + extra passes DEGREE_LIMIT (a module
+        term adds the degree of its component's shift)."""
         p = sum(e)
-        check_degree(p)
+        check_degree(p + extra)
         for x in reversed(e):
             p = (p << B) | (M - x)
         return p
@@ -159,30 +164,26 @@ class Monomials:
         return {self.unpack(p): c for p, c in f.items()}
 
 
-def _axpy(vec, other, shift, c):
-    """vec += c * x^m * other in place over Z, where x^m adds `shift` to each
-    term (the shift () leaves tuple keys as they are)."""
+def _axpy(vec, other, shift, c, p):
+    """vec += c * x^m * other in place, over F_p if p else over Z, where x^m
+    adds `shift` to each term."""
     get = vec.get
-    for t, v in other.items():
-        t += shift
-        x = get(t, 0) + c * v
-        if x:
-            vec[t] = x
-        else:
-            del vec[t]
-    return vec
-
-
-def _axpy_mod(vec, other, shift, c, p):
-    """vec += c * x^m * other in place over F_p."""
-    get = vec.get
-    for t, v in other.items():
-        t += shift
-        x = (get(t, 0) + c * v) % p
-        if x:
-            vec[t] = x
-        else:
-            del vec[t]
+    if p:
+        for t, v in other.items():
+            t += shift
+            x = (get(t, 0) + c * v) % p
+            if x:
+                vec[t] = x
+            else:
+                del vec[t]
+    else:
+        for t, v in other.items():
+            t += shift
+            x = get(t, 0) + c * v
+            if x:
+                vec[t] = x
+            else:
+                del vec[t]
     return vec
 
 
@@ -204,11 +205,6 @@ class Coeffs:
             self.p = dom.p
         else:
             raise ValueError(f"exact elimination runs over Q or F_p, not {dom.name}")
-
-    def axpy(self, vec, other, shift, c):
-        if self.p:
-            return _axpy_mod(vec, other, shift, c, self.p)
-        return _axpy(vec, other, shift, c)
 
     def lift(self, v):
         """(F, D) with F/D = v, for a dict of domain values."""
@@ -247,9 +243,10 @@ class Coeffs:
         D = lcm(L_i, L_j), and the same combination R of their rows."""
         (Gi, Ri, Li), (Gj, Rj, Lj) = ei, ej
         h = gcd(Li, Lj)
-        ci, cj = Lj // h, -(Li // h)
-        F = self.axpy(self.axpy({}, Gi, si, ci), Gj, sj, cj)
-        R = None if Ri is None else self.axpy(self.axpy({}, Ri, rsi, ci), Rj, rsj, cj)
+        ci, cj = Lj // h, -(Li // h)  # over F_p, ci = 1 keeps every value in [0, p)
+        p = self.p
+        F = _axpy({t + si: ci * v for t, v in Gi.items()}, Gj, sj, cj, p)
+        R = None if Ri is None else _axpy({t + rsi: ci * v for t, v in Ri.items()}, Rj, rsj, cj, p)
         return F, R, Li * ci
 
     def step(self, D, a, elem, shift, rshift, F, R=None, out=None):
@@ -270,9 +267,44 @@ class Coeffs:
                     if vec:
                         for t, v in vec.items():
                             vec[t] = v * s
-        self.axpy(F, G, shift, -a)
+        # the engine's innermost loops, spelled out per field: no _axpy call
+        a = -a
+        p = self.p
+        get = F.get
+        if p:
+            for t, v in G.items():
+                t += shift
+                x = (get(t, 0) + a * v) % p
+                if x:
+                    F[t] = x
+                else:
+                    del F[t]
+            if R is not None:
+                get = R.get
+                for t, v in RG.items():
+                    t += rshift
+                    x = (get(t, 0) + a * v) % p
+                    if x:
+                        R[t] = x
+                    else:
+                        del R[t]
+            return D
+        for t, v in G.items():
+            t += shift
+            x = get(t, 0) + a * v
+            if x:
+                F[t] = x
+            else:
+                del F[t]
         if R is not None:
-            self.axpy(R, RG, rshift, -a)
+            get = R.get
+            for t, v in RG.items():
+                t += rshift
+                x = get(t, 0) + a * v
+                if x:
+                    R[t] = x
+                else:
+                    del R[t]
         if D >> CONTENT_BITS:
             D = _remove_content(D, F, R, out)
         return D
@@ -319,8 +351,7 @@ class ModuleOrder:
         return self.comp[k & self.mask]
 
     def pack(self, c, e):
-        check_degree(sum(e) + self.sdeg[c])
-        return ((self.ring.pack(e) - self.ring.one) << self.tb) + self.base[c]
+        return ((self.ring.pack(e, self.sdeg[c]) - self.ring.one) << self.tb) + self.base[c]
 
     def unpack(self, k):
         c = self.component(k)
@@ -345,19 +376,21 @@ class ModuleOrder:
         return self.ring.plain(shift >> self.tb)
 
     def from_row(self, row):
-        """The vector of a plain-packed row over this module's components;
-        the coefficients are moved, not converted."""
-        ring, tb, base, sdeg = self.ring, self.tb, self.base, self.sdeg
+        """The vector of a nonzero homogeneous plain-packed row over this
+        module's components; the coefficients are moved, not converted."""
+        tb, base = self.tb, self.base
+        bits, low, ones = self.ring.bits, self.ring.low, self.ring.ones
         out = {}
         for t, coeff in row.items():
-            c, x = t >> ring.bits, t & ring.low
-            d = ring.field_sum(x)
-            check_degree(d + sdeg[c])
-            out[(((d << ring.bits) - x) << tb) + base[c]] = coeff
+            c, x = t >> bits, t & low
+            d = (x * ones) >> (bits - B) & M  # Monomials.field_sum(x)
+            out[(((d << bits) - x) << tb) + base[c]] = coeff
+        check_degree(d + self.sdeg[c])  # every term of the row has this degree
         return out
 
     def lowest_component(self, v):
-        return min(map(self.component, v))
+        mask = self.mask
+        return min(map(self.comp.__getitem__, {k & mask for k in v}))
 
 
 def induced_key_from(lts, prev):
@@ -407,11 +440,12 @@ def _reduce(F, D, basis, reducers, order, kern, R=None, top=False):
     the first leading term that nothing divides and returns (F, D), F
     top-reduced.
     """
-    guard, component = order.guard, order.component
+    guard, comp, mask, tb, low = order.guard, order.comp, order.mask, order.tb, order.ring.low
+    step = kern.step
     out = {}
     while F:
         le = max(F)
-        for lt, i in reducers.get(component(le), ()):
+        for lt, i in reducers.get(comp[le & mask], ()):
             if not (lt - le) & guard:
                 break
         else:
@@ -419,16 +453,17 @@ def _reduce(F, D, basis, reducers, order, kern, R=None, top=False):
                 return F, D
             out[le] = F.pop(le)
             continue
-        rshift = 0 if R is None else order.plain(le - lt)
-        D = kern.step(D, F[le], basis[i], le - lt, rshift, F, R, out)
+        # the row shift of x^m is ModuleOrder.plain(le - lt)
+        rshift = 0 if R is None else -((le - lt) >> tb) & low
+        D = step(D, F[le], basis[i], le - lt, rshift, F, R, out)
     return out, D
 
 
-def normal_form(F, D, basis, ring, kern):
-    """Full normal form (out, D) of the packed ring vector F/D modulo the
-    basis elements; F is reduced in place."""
-    reducers = {0: [(max(g[0]), i) for i, g in enumerate(basis) if g[0]]}
-    return _reduce(F, D, basis, reducers, induced_key_from([ring.one], ring), kern)
+def normal_form(F, D, basis, reducers, order, kern):
+    """Full normal form (out, D) of the vector F/D of a rank-1 order modulo
+    the basis elements that reducers[0] lists as (lt, index) (_reduce); F is
+    reduced in place."""
+    return _reduce(F, D, basis, reducers, order, kern)
 
 
 class ModuleGB:
@@ -443,9 +478,11 @@ class ModuleGB:
     full Koszul row g_i row_t - g_t row_i of each pair the product criterion
     drops (what its standard representation would have given).  Pairs
     dropped by the chain criterion leave nothing: their syzygies are
-    generated by the others.  kept lists the nonzero normal forms of the
-    inputs, input number i at index i, and top is the highest degree of an
-    input or S-pair handled so far (-1 before any).
+    generated by the others.  forms lists the nonzero normal forms of the
+    inputs as integer numerators over one denominator (F, D), input number i
+    at index i; the engine reads only their keys, and kept exports their
+    values.  top is the highest degree of an input or S-pair handled so far
+    (-1 before any).
     """
 
     def __init__(self, dom, order, track=False):
@@ -457,13 +494,18 @@ class ModuleGB:
         self.reducers = {}  # component -> [(lt, index)] in insertion order
         self.pairs = []  # heap (degree, lcm, i, j)
         self.syzygies = []  # (R, D) over the kept inputs
-        self.kept = []  # normal forms of the kept inputs, as dicts of domain values
+        self.forms = []  # normal forms (F, D) of the kept inputs
         self.top = -1
         self.pairs_processed = 0
 
     @property
     def n_inputs(self):
-        return len(self.kept)
+        return len(self.forms)
+
+    @property
+    def kept(self):
+        """The normal forms of the kept inputs, as dicts of domain values."""
+        return [self.kern.export(F, D) for F, D in self.forms]
 
     @property
     def elems(self):
@@ -488,10 +530,18 @@ class ModuleGB:
         same = self.reducers.setdefault(order.component(lt), [])
         lcms = {i: order.lcm(li, lt) for li, i in same}
         # drop (i, t) when lcm(i, t) is strictly divisible by some lcm(j, t)
-        # (chain among the new pairs), keeping one representative per lcm
+        # (chain among the new pairs), keeping one representative per lcm;
+        # a strict divisor of l is a smaller term, so only those are tried
+        values = sorted(set(lcms.values()))
+        chained = set()
+        for k, l in enumerate(values):
+            for m in values[:k]:
+                if not (m - l) & guard:
+                    chained.add(l)
+                    break
         best = {}
         for i, l in lcms.items():
-            if not any(m != l and not (m - l) & guard for m in lcms.values()):
+            if l not in chained:
                 best.setdefault(l, i)
         # old pairs of this component made redundant by t (chain criterion)
         left = [
@@ -519,9 +569,9 @@ class ModuleGB:
         (Gi, Ri, Li), (Gt, Rt, Lt) = self.basis[i], self.basis[t]
         row = {}
         for e, c in Gi.items():
-            kern.axpy(row, Rt, plain(e - one), c)
+            _axpy(row, Rt, plain(e - one), c, kern.p)
         for e, c in Gt.items():
-            kern.axpy(row, Ri, plain(e - one), -c)
+            _axpy(row, Ri, plain(e - one), -c, kern.p)
         self._record(row, Li * Lt)
 
     def _record(self, R, D):
@@ -550,37 +600,35 @@ class ModuleGB:
                 self._record(R, D)
 
     def add_input(self, F, D, through=None):
-        """Feed the integer vector F/D (ascending degree) and return its
-        normal form as a dict of domain values; F is reduced in place.
+        """Feed the integer vector F/D (ascending degree); F is reduced in
+        place to its normal form.
 
         The basis is first completed through degree `through`, by default
         F's degree.  An empty normal form means F is redundant: it takes no
         input index and records no syzygy.  A nonzero one becomes kept input
-        number n_inputs and enters the basis with a unit cofactor row.
+        number n_inputs, appended to forms as it is, and enters the basis
+        with a unit cofactor row.
         """
         d = self.order.vec_degree(F)
         self.process_pairs_through(d if through is None else through)
         self.top = max(self.top, d)
         F, D = _reduce(F, D, self.basis, self.reducers, self.order, self.kern)
         if not F:
-            return {}
+            return
         R = None
         if self.track:
             R = {self.n_inputs << self.order.ring.bits: D}
-        nf = self.kern.export(F, D)
-        self.kept.append(nf)
+        self.forms.append((F, D))
         self._add(F, R)
-        return nf
 
 
 def _feed(gb, vectors, tie, degree_cap=None):
     """Feed integer vectors (F, D) to gb by ascending degree, equal degrees
-    ordered by tie(F).
+    ordered by tie(F), and return whether degree_cap dropped any vector.
 
-    Returns (kept, capped): gb.kept, the nonzero normal forms in feeding
-    order, which minimally generate what the vectors generate, and whether
-    degree_cap dropped any vector.  A tracked gb collects the kept forms'
-    syzygies.
+    gb.forms then holds the nonzero normal forms in feeding order, which
+    minimally generate what the vectors generate; a tracked gb collects
+    their syzygies.
     """
     capped = False
     degree = gb.order.vec_degree
@@ -589,7 +637,7 @@ def _feed(gb, vectors, tie, degree_cap=None):
             capped = True
             continue
         gb.add_input(F, D)
-    return gb.kept, capped
+    return capped
 
 
 def _ring_vectors(reg, polys, dom):
@@ -606,7 +654,7 @@ def _level(order, candidates, dom, degree_cap, through):
     candidates through degree_cap (_feed, equal degrees by lowest component,
     then leading term), its pairs processed through `through`."""
     gb = ModuleGB(dom, order, track=True)
-    _, capped = _feed(gb, candidates, lambda F: (order.lowest_component(F), max(F)), degree_cap)
+    capped = _feed(gb, candidates, lambda F: (order.lowest_component(F), max(F)), degree_cap)
     gb.process_pairs_through(through)
     return gb, capped
 
@@ -615,13 +663,25 @@ def buchberger(run):
     """The reduced Groebner basis of a rank-1 run, complete through the
     degrees it stands for: each element fully reduced against the others,
     a reduced element serving the later ones in its monic form.  Returns
-    the monic packed polynomials in ascending leading terms."""
-    kern, ring = run.kern, run.order.ring
+    the monic packed polynomials in ascending leading terms.
+
+    One reducer table serves every element: an element's own entry leaves
+    it while the element is reduced, and comes back in its place with the
+    reduced element's leading term unless that element vanished."""
+    kern, order = run.kern, run.order
     basis = list(run.basis)
+    table = [(max(G), k) for k, (G, _, _) in enumerate(basis)]
+    reducers = {0: table}
+    pos = 0  # idx's entry in table, behind the entries of nonzero earlier elements
     for idx, (G, _, L) in enumerate(basis):
-        others = [g for k, g in enumerate(basis) if k != idx and g[0]]
-        nf, _ = normal_form(dict(G), L, others, ring, kern)
-        basis[idx] = kern.element(nf, None) if nf else ({}, None, 1)
+        del table[pos]
+        nf, _ = normal_form(dict(G), L, basis, reducers, order, kern)
+        if nf:
+            basis[idx] = kern.element(nf, None)
+            table.insert(pos, (max(nf), idx))
+            pos += 1
+        else:
+            basis[idx] = ({}, None, 1)
     reduced = sorted((g for g in basis if g[0]), key=lambda g: max(g[0]))
     return [kern.export(G, L) for G, _, L in reduced]
 
@@ -727,9 +787,28 @@ class HilbertData:
 
 
 def hilbert_data(lt_gens, nvars: int) -> HilbertData:
-    """Hilbert data of S/I from the leading-term monomial ideal."""
-    memo = {}
-    num = _hs_num([tuple(g) for g in lt_gens], memo)
+    """Hilbert data of S/I from the leading-term monomial ideal.
+
+    Almost every point of the surface family has the same leading terms, so
+    the series is kept per process by _hilbert_series, the 64 latest, keyed
+    by (sorted distinct leading exponents, nvars); each call gets its own
+    dicts."""
+    num, q, k = _hilbert_series(tuple(sorted(set(map(tuple, lt_gens)))), nvars)
+    return HilbertData(
+        nvars=nvars,
+        numerator=dict(num),
+        reduced=dict(q),
+        dim=nvars - k,
+        degree=sum(c for _, c in q),
+    )
+
+
+@lru_cache(maxsize=64)
+def _hilbert_series(lts, nvars):
+    """(numerator, reduced numerator, k) of S/(lts) as item tuples, where
+    reduced is the numerator over (1-t)^nvars divided by (1-t)^k, k maximal
+    (hilbert_data)."""
+    num = _hs_num(list(lts), {})
     q = dict(num)
     k = 0
     while q and sum(q.values()) == 0:
@@ -737,13 +816,7 @@ def hilbert_data(lt_gens, nvars: int) -> HilbertData:
         k += 1
     if not q:
         q = {0: 0}
-    return HilbertData(
-        nvars=nvars,
-        numerator=num,
-        reduced=q,
-        dim=nvars - k,
-        degree=sum(q.values()),
-    )
+    return tuple(num.items()), tuple(q.items()), k
 
 
 # ---------------------------------------------------------------------------
@@ -762,13 +835,17 @@ class GroebnerBasis:
 
     @cached_property
     def _kernel(self):
+        """(kern, basis, reducers, order): the polys as kernel elements and
+        their reducer table under the ring's rank-1 order."""
         kern = Coeffs(self.dom)
-        return kern, [(G, None, L) for G, L in map(kern.lift, self.polys)]
+        basis = [(G, None, L) for G, L in map(kern.lift, self.polys)]
+        reducers = {0: [(max(G), i) for i, (G, _, _) in enumerate(basis)]}
+        return kern, basis, reducers, induced_key_from([self.ring.one], self.ring)
 
     def normal_form(self, p: Poly) -> Poly:
-        kern, basis = self._kernel
+        kern, basis, reducers, order = self._kernel
         F, D = kern.lift(self.ring.pack_poly(p.terms))
-        nf = kern.export(*normal_form(F, D, basis, self.ring, kern))
+        nf = kern.export(*normal_form(F, D, basis, reducers, order, kern))
         return Poly(self.reg, self.dom, self.ring.unpack_poly(nf), _clean=True)
 
     def contains(self, p: Poly) -> bool:

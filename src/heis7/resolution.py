@@ -130,12 +130,12 @@ class BettiTable:
 
 
 def _levels(ideal, degree_cap, bound=None):
-    """Yield (order, gb, kept, capped) for the resolution levels 1, 2, ...
-    of a GradedIdeal.
+    """Yield (order, gb, capped) for the resolution levels 1, 2, ... of a
+    GradedIdeal.
 
-    gb is the level's tracked ModuleGB under order, kept its nonzero normal
-    forms, and capped says that the degree cap dropped candidates.  Level 1
-    is ideal.level_one(degree_cap), completed through degree_cap.  Then
+    gb is the level's tracked ModuleGB under order, gb.forms its nonzero
+    normal forms, and capped says that the degree cap dropped candidates.
+    Level 1 is ideal.level_one(degree_cap), completed through degree_cap.  Then
     bound(gb), if given, may return tops, where tops[k] is the highest
     degree in which level k can have a minimal generator (the initial-ideal
     bound of the module docstring).  Level k >= 2 then takes candidates only
@@ -149,12 +149,12 @@ def _levels(ideal, degree_cap, bound=None):
     order = gb.order
     k, tops = 1, None
     while True:
-        yield order, gb, gb.kept, capped
+        yield order, gb, capped
         if k == 1 and bound is not None:
             tops = bound(gb)
-        if not gb.kept or tops is not None and k + 1 not in tops:
+        if not gb.forms or tops is not None and k + 1 not in tops:
             return
-        order = induced_key_from([max(v) for v in gb.kept], order)
+        order = induced_key_from([max(F) for F, _ in gb.forms], order)
         candidates = [(order.from_row(R), D) for R, D in gb.syzygies]
         if not candidates:
             return
@@ -216,11 +216,11 @@ def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8)
     entries = {(0, 0): 1}
     note = []
     levels = _levels(ideal, degree_cap, None if monomial else bound)
-    for step, (order, gb, kept, capped) in enumerate(levels, 1):
+    for step, (order, gb, capped) in enumerate(levels, 1):
         if capped:
             note.append(f"degree cap dropped candidates at step {step}")
-        for v in kept:
-            d = order.vec_degree(v)
+        for F, _ in gb.forms:
+            d = order.vec_degree(F)
             entries[(step, d)] = entries.get((step, d), 0) + 1
         if gb.pairs and (step == 1 or not tops):
             note.append(f"degree cap left pairs unprocessed after step {step}")
@@ -261,7 +261,8 @@ def hilbert_burch(gens, dom=QQ):
 
     levels = _levels(GradedIdeal(reg, dom, gens), 8)
     next(levels)
-    order, _, kept, _ = next(levels)
+    order, gb, _ = next(levels)
+    kept = gb.kept
     degrees = [order.vec_degree(v) for v in kept]
     if len(kept) != 2 or any(d != 3 for d in degrees):
         raise NotHilbertBurch(
@@ -341,5 +342,6 @@ def minimal_ideal_gens(polys, dom=QQ):
     if not polys:
         return []
     order, vecs = _ring_vectors(polys[0].reg, polys, dom)
-    kept, _ = _feed(ModuleGB(dom, order), vecs, max)
-    return [Poly(polys[0].reg, dom, {order.unpack(k)[1]: c for k, c in v.items()}, _clean=True) for v in kept]
+    gb = ModuleGB(dom, order)
+    _feed(gb, vecs, max)
+    return [Poly(polys[0].reg, dom, {order.unpack(k)[1]: c for k, c in v.items()}, _clean=True) for v in gb.kept]

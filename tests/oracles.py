@@ -288,10 +288,10 @@ def _add_exp(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def fraction_normal_form(f, basis, divides):
+def fraction_normal_form(f, basis, divides, p=0):
     """Full normal form of the dict f modulo monic dicts, term by term in
-    Fractions: the first basis element whose leading key divides f's
-    leading key (divides(lt, lead)) cancels it."""
+    Fractions, or in residues mod p if p: the first basis element whose
+    leading key divides f's leading key (divides(lt, lead)) cancels it."""
     f, out = dict(f), {}
     while f:
         lead = max(f)
@@ -302,6 +302,8 @@ def fraction_normal_form(f, basis, divides):
         c, shift = f[lead], lead - max(g)
         for t, v in g.items():
             x = f.get(t + shift, 0) - c * v
+            if p:
+                x %= p
             if x:
                 f[t + shift] = x
             else:

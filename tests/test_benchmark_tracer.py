@@ -48,5 +48,12 @@ def test_resolution_path_enters_the_traced_engine_layers(monkeypatch):
         free_resolution(ideal, degree_cap=9)
     finally:
         tracer.uninstall()
-    for name in ("groebner.buchberger", "groebner.normal_form", "resolution.modulegb_add_input"):
+    entered = (
+        "groebner.buchberger",
+        "groebner.normal_form",
+        "groebner.hilbert_data",
+        "resolution.modulegb_add_input",
+        "resolution.modulegb_process_pairs",
+    )
+    for name in entered:
         assert tracer.calls.get(name), name

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heis7.field import QQ, fp
 from heis7.groebner import (
@@ -11,7 +11,9 @@ from heis7.groebner import (
     GradedIdeal,
     Monomials,
     buchberger,
+    hilbert_data,
     ideal_hf_oracle,
+    induced_key_from,
     normal_form,
 )
 from heis7.moduli import f_basis, j_ideal
@@ -63,6 +65,25 @@ def test_random_monomial_ideals_hilbert():
         lt = I.gb().leading_terms()
         for d in range(6):
             assert hd.hf(d) == brute_standard_monomials(lt, reg, d)
+
+
+def test_hilbert_data_is_kept_per_leading_term_set():
+    # permuted and repeated leading terms share one entry, every call gets
+    # its own dicts, and nvars is part of the key
+    from heis7.groebner import _hilbert_series
+
+    lts = [(5, 0, 0, 0), (3, 2, 0, 0), (0, 4, 1, 0), (0, 0, 6, 0), (1, 0, 0, 7)]
+    first = hilbert_data(lts, 4)
+    hits = _hilbert_series.cache_info().hits
+    again = hilbert_data(lts[::-1] + lts[:2], 4)
+    assert again == first and _hilbert_series.cache_info().hits == hits + 1
+    first.numerator[0] = 99
+    first.reduced.clear()
+    assert hilbert_data(lts, 4) == again and again.numerator[0] == 1
+    misses = _hilbert_series.cache_info().misses
+    wider = hilbert_data(lts, 5)
+    assert _hilbert_series.cache_info().misses == misses + 1
+    assert wider.numerator == again.numerator and wider.dim == again.dim + 1
 
 
 def test_apolar_ideal_membership():
@@ -258,6 +279,22 @@ def _polys(top, size):
     return st.dictionaries(st.tuples(*[st.integers(0, top)] * 3), _COEFFS, min_size=1, max_size=size)
 
 
+def _reducers(elems):
+    """The rank-1 reducer table of nonzero kernel elements."""
+    return {0: [(max(G), i) for i, (G, _, _) in enumerate(elems)]}
+
+
+def _stepped(vec, other, shift, c, p=0):
+    """vec - c * x^m * other term by term, in vec's order, mod p if p."""
+    want = dict(vec)
+    for t, v in other.items():
+        x = want.get(t + shift, 0) - c * v
+        want[t + shift] = x % p if p else x
+        if not want[t + shift]:
+            del want[t + shift]
+    return want
+
+
 # divisors of low degree against dividends of higher degree, so that a
 # normal form takes many steps and its denominator passes CONTENT_BITS
 @settings(max_examples=80, deadline=None)
@@ -265,6 +302,7 @@ def _polys(top, size):
 def test_fraction_free_reduction_matches_fractions(f, divisors, row, cofactor):
     ring = Monomials(3)
     kern = Coeffs(QQ)
+    order = induced_key_from([ring.one], ring)
     f = ring.pack_poly(f)
     basis = []
     for g in map(ring.pack_poly, divisors):
@@ -277,7 +315,7 @@ def test_fraction_free_reduction_matches_fractions(f, divisors, row, cofactor):
 
     want = fraction_normal_form(f, basis, divides)
     F, D = kern.lift(f)
-    got = kern.export(*normal_form(F, D, elems, ring, kern))
+    got = kern.export(*normal_form(F, D, elems, _reducers(elems), order, kern))
     assert list(got.items()) == list(want.items())
     # one tracked step: f and its row r lose c x^m g and c x^m rg, for f's
     # leading coefficient c and the monic g's row rg
@@ -290,12 +328,57 @@ def test_fraction_free_reduction_matches_fractions(f, divisors, row, cofactor):
     (F, R), D = _over_common(f, r)
     D = kern.step(D, F[lead], elem, shift, shift, F, R)
     for vec, got, other in ((f, F, g), (r, R, rg)):
-        want = dict(vec)
-        for t, v in other.items():
-            want[t + shift] = want.get(t + shift, 0) - f[lead] * v
-            if not want[t + shift]:
-                del want[t + shift]
+        want = _stepped(vec, other, shift, f[lead])
         assert list(kern.export(got, D).items()) == list(want.items())
+
+
+def _residue_polys(top, size):
+    return st.dictionaries(st.tuples(*[st.integers(0, top)] * 3), st.integers(1, 2**64), min_size=1, max_size=size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([31, 2**61 - 1]),
+    _residue_polys(4, 10),
+    st.lists(_residue_polys(1, 4), min_size=1, max_size=3),
+    _residue_polys(4, 6),
+    _residue_polys(1, 4),
+)
+def test_modular_reduction_matches_plain_arithmetic(p, f, divisors, row, cofactor):
+    # the F_p twin of the test above, over a small and a 61-bit prime: every
+    # value is a residue in [0, p), and the oracle reduces term by term mod p
+    ring = Monomials(3)
+    kern = Coeffs(fp(p))
+    order = induced_key_from([ring.one], ring)
+
+    def residues(v):
+        return {t: c % p for t, c in ring.pack_poly(v).items() if c % p}
+
+    f, row, cofactor = residues(f), residues(row), residues(cofactor)
+    basis = []
+    for g in map(residues, divisors):
+        if g:
+            inv = pow(g[max(g)], p - 2, p)
+            basis.append({t: c * inv % p for t, c in g.items()})
+    assume(f and basis)
+    elems = [(G, None, L) for G, L in map(kern.lift, basis)]
+
+    def divides(a, b):
+        return not (a - b) & ring.guard
+
+    want = fraction_normal_form(f, basis, divides, p)
+    F, D = kern.lift(f)
+    got, D = normal_form(F, D, elems, _reducers(elems), order, kern)
+    assert D == 1 and list(got.items()) == list(want.items())
+    g = basis[0]
+    lead, shift = max(f), max(f) - max(g)
+    if not divides(max(g), lead):
+        return
+    elem = kern.element(g, cofactor)
+    F, R = dict(f), dict(row)
+    assert kern.step(1, F[lead], elem, shift, shift, F, R) == 1
+    for vec, got, other in ((f, F, g), (row, R, cofactor)):
+        assert list(got.items()) == list(_stepped(vec, other, shift, f[lead], p).items())
 
 
 def _over_common(*vecs):

@@ -156,3 +156,12 @@ def test_engines_refuse_terms_beyond_the_field_width():
     assert gb.contains(u(f"u0^{DEGREE_LIMIT}"))
     with pytest.raises(ValueError, match=f"degree {DEGREE_LIMIT + 1} "):
         gb.contains(u(f"u0^{DEGREE_LIMIT + 1}"))
+    # a module term's degree adds its component's shift, in pack and in
+    # from_row (plain-packed rows, e_1 in the field at B bits) alike
+    ring = Monomials(REG_U.n)
+    order = induced_key_from([ring.pack((100, 0, 0, 0))], ring)
+    assert order.from_row({27 << B: 5}) == {order.pack(0, (0, 27, 0, 0)): 5}
+    with pytest.raises(ValueError, match=f"degree {DEGREE_LIMIT + 1} "):
+        order.pack(0, (0, 28, 0, 0))
+    with pytest.raises(ValueError, match=f"degree {DEGREE_LIMIT + 1} "):
+        order.from_row({28 << B: 5})

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from operator import add
 import random
+import sys
 
 import pytest
 
@@ -60,10 +61,10 @@ def test_apolar_ideal_resolution():
 )
 def test_syzygies_are_exact(gens):
     gens = [u(s) for s in gens]
-    order, gb, kept, capped = next(resolution._levels(GradedIdeal(REG_U, QQ, gens), 8))
+    order, gb, capped = next(resolution._levels(GradedIdeal(REG_U, QQ, gens), 8))
     # the generators are monic and reduced, so level 1 keeps them as they
     # are, in ascending leading terms
-    kept = [Poly(REG_U, QQ, {order.unpack(k)[1]: c for k, c in v.items()}) for v in kept]
+    kept = [Poly(REG_U, QQ, {order.unpack(k)[1]: c for k, c in v.items()}) for v in gb.kept]
     assert sorted(map(str, kept)) == sorted(map(str, gens))
     assert not capped and not gb.pairs and gb.syzygies
     for R, D in gb.syzygies:
@@ -74,8 +75,8 @@ def test_syzygies_are_exact(gens):
 
 
 def test_single_form_has_no_syzygies():
-    _, gb, kept, capped = next(resolution._levels(GradedIdeal(REG_U, QQ, [u("u0^2 + u1*u2")]), 8))
-    assert len(kept) == 1 and not capped and gb.syzygies == []
+    _, gb, capped = next(resolution._levels(GradedIdeal(REG_U, QQ, [u("u0^2 + u1*u2")]), 8))
+    assert gb.n_inputs == 1 and not capped and gb.syzygies == []
 
 
 def _row_terms(order, row):
@@ -117,7 +118,8 @@ def test_every_level_syzygy_is_exact(case, monkeypatch):
 
     monkeypatch.setattr(resolution.ModuleGB, "_koszul", spy)
     runs = []
-    for order, gb, kept, _ in resolution._levels(ideal, 9):
+    for order, gb, _ in resolution._levels(ideal, 9):
+        kept = gb.kept
         for R, D in gb.syzygies:
             row = gb.kern.export(R, D)
             assert row and _applied(order, kept, row, dom) == {}
@@ -189,6 +191,45 @@ def test_minimal_generator_trim():
     kept = minimal_ideal_gens(gens, QQ)
     assert len(kept) == 2
     assert all(g.degree() == 2 for g in kept)
+
+
+def test_kept_forms_leave_the_engine_only_where_read(monkeypatch):
+    # ModuleGB keeps its kept forms as integers: a resolution reads only
+    # their keys, so neither add_input nor anything else exports a value
+    callers = []
+    export = groebner.Coeffs.export
+
+    def spy(self, F, D):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return export(self, F, D)
+
+    ideal = surface_ideal((1, 1, 1, 1)).ideal(QQ)
+    monkeypatch.setattr(groebner.Coeffs, "export", spy)
+    assert free_resolution(ideal, degree_cap=9).entries == SURFACE_BETTI
+    assert callers == []
+    assert len(ideal.run.kept) == 21 and len(callers) == 21
+
+
+def test_hilbert_burch_and_minimal_gens_are_unchanged():
+    # sha256 of the reprs (insertion order included) of what the two
+    # exporters of kept forms returned before the forms were kept as integers
+    import hashlib
+    from heis7.moduli import psi
+
+    got = []
+    for t in [(1, 1, 1, 1), (Fraction(2, 3), Fraction(-5, 7), Fraction(3), Fraction(1, 4))]:
+        mat = hilbert_burch(psi(t).quadrics())
+        got.append([[list(mat[i, j].terms.items()) for j in range(2)] for i in range(3)])
+    forms = ("u0^2 + 1/3*u1*u2", "2*u0^2 - 1/5*u1^2", "u0^3 + u1^3", "u0*u1*u2 + 7/2*u3^3", "u1^2*u3 - 4*u0*u2*u3")
+    for dom in (QQ, fp(31)):
+        gens = [parse_poly(s, REG_U, dom) for s in forms]
+        got.append([list(g.terms.items()) for g in minimal_ideal_gens(gens, dom)])
+    assert [hashlib.sha256(repr(v).encode()).hexdigest() for v in got] == [
+        "e796ca9576e90b7707671d05fd07b67d7a12cbb00c224a781883c356ec790826",
+        "d8cc448db4ba5086d19bedfb10f983cd6853fe169da6f3f1cc309a43705defe0",
+        "6601a81354d06dc9597b43380850bc3dbc7c4827dbe818bf063b59b486b89278",
+        "ecdd069708c2154a377474118de46d9cec844b59fa8d0cceaad3d69056693d24",
+    ]
 
 
 def test_field_agreement_on_fixture():
@@ -603,10 +644,12 @@ def _engine_digests(monkeypatch, ideal):
         init(self, *args, **kwargs)
         runs.append(self)
 
-    def recording_feed(*args, **kwargs):
-        kept, capped = real_feed(*args, **kwargs)
-        put(work, "kept", kept, capped)
-        return kept, capped
+    def recording_feed(gb, *args, **kwargs):
+        # the engine keeps its kept forms as integers; hash their exported
+        # values, which are what the pinned digests were taken from
+        capped = real_feed(gb, *args, **kwargs)
+        put(work, "kept", gb.kept, capped)
+        return capped
 
     real_feed = groebner._feed
     with monkeypatch.context() as mp:
