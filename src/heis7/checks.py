@@ -186,9 +186,11 @@ def _point(t) -> str:
     return "(" + ", ".join(QQ.fmt(Fraction(x)) for x in t) + ")"
 
 
-def _sl2_char_sum(table, spec: dict) -> CycArray:
-    """sum m row(lb) over spec = {lb: m}, one integer matmul."""
-    return table.stack(spec).lincomb(list(spec.values()))
+def _sl2_char_sums(table, specs) -> CycArray:
+    """sum m row(lb) over each spec = {lb: m}, as a (len(specs), classes)
+    batch: one integer matmul."""
+    labels = list(dict.fromkeys(lb for spec in specs for lb in spec))
+    return table.stack(labels).lincomb([[spec.get(lb, 0) for lb in labels] for spec in specs])
 
 
 # the checks of each suite in definition order, keyed by the first
@@ -721,7 +723,7 @@ A4_OMEGA_ROWS = {
 
 def _sl2_restriction_split(ctx, spec):
     """dim and (a, b) with X|G7 = a I + b S for an SL2 character sum."""
-    vals = _sl2_char_sum(ctx.sl2, spec).tolist()
+    vals = _sl2_char_sums(ctx.sl2, [spec])[0].tolist()
     dim = int(vals[0].rational_value())
     at_iota = int(vals[1].rational_value())
     a = (dim + at_iota) // 2
@@ -731,8 +733,16 @@ def _sl2_restriction_split(ctx, spec):
 
 @declare_id("appendix.decomp.normalizer_rows")
 def check_a4_rows(ctx: Context):
+    """The normalizer-level rows of N = H7 x SL2(F7).  Each tensor, wedge
+    and symmetric row is checked by its dimension, by its decomposition
+    restricted to the Heisenberg-involution group, and by trace equality
+    at products with the normalizer samples (_a4_sample_traces); the
+    three-form rows by restriction against the Koszul computation."""
     from .characters import omega3_sections_char
 
+    # the sampled traces run first, while no batch of this check is held,
+    # and report last
+    ok_c, detail_c = _a4_sample_traces(ctx)
     t = ctx.g7
     V = t.stack([f"V{i}" for i in range(6)])
     bad = []
@@ -774,7 +784,6 @@ def check_a4_rows(ctx: Context):
     for (k, want), (got, flagged) in zip(checks.items(), omega3_sections_char(list(checks))):
         if flagged or got != want:
             bad.append(f"three-form row k={k} restriction")
-    ok_c, detail_c = _a4_sample_traces(ctx)
     if not ok_c:
         bad.append(detail_c)
     return _result(
@@ -814,40 +823,65 @@ def _a4_power_traces(h_mats, s_mat):
     return CycArray.stack([g.trace(), g2.trace(), g3.trace(), g2.trace_dot(g2), g3.trace_dot(g2)])
 
 
-def _a4_sample_traces(ctx: Context):
-    """Trace equality on products of Heisenberg class reps with normalizer
-    sample elements, for the tensor/wedge/symmetric normalizer rows.  The
-    products with one sample, and their powers, form one batch."""
+# samples per Newton batch in _a4_sample_traces: two batches of three keep
+# the check's tracemalloc peak below that of its decompositions, where one
+# batch of all six raises the scaled suite's peak by about 0.5 MB
+A4_CHUNK = 3
+
+
+def _a4_row_sides(h_mats, s_mats):
+    """The V_j traces at the products h s, a (twist, sample, product) batch,
+    and the left sides of the tensor, wedge and symmetric rows there, a
+    (row, sample, product) batch in the order of the three tables.  The
+    powers come from one Newton recursion per kind over the power traces of
+    all the given samples."""
     from .characters import newton
 
+    # tr (h s)^p, (power, sample, product)
+    traces = CycArray.stack([_a4_power_traces(h_mats, s_mat) for s_mat in s_mats]).swapaxes(0, 1)
+    vt = CycArray.stack([traces[0].galois(j) for j in range(6)])
+    # power sums of the two parities' twists, (power, parity, sample, product)
+    parity_sums = CycArray.stack([traces, traces.galois(1)]).swapaxes(0, 1)
+    tensor = vt[[i for i, _, _, _ in A4_TENSOR_ROWS]] * vt[[(i + o) % 6 for i, o, _, _ in A4_TENSOR_ROWS]]
+    ext = newton(parity_sums, alternating=True)
+    sym = newton(parity_sums)
+    return vt, CycArray.stack(
+        [tensor[n] for n in range(len(A4_TENSOR_ROWS))]
+        + [ext[k][i] for k, i, _, _ in A4_EXT_ROWS]
+        + [sym[k][i] for k, i, _, _ in A4_SYM_ROWS]
+    )
+
+
+def _a4_sample_traces(ctx: Context):
+    """Trace equality on products of Heisenberg class reps with normalizer
+    sample elements, for the tensor/wedge/symmetric normalizer rows.
+
+    The SL2 side of every row is read at the sample classes once, and taken
+    out of the sqrt2 tower when no value there has a sqrt2 part.  The
+    samples are taken A4_CHUNK at a time, which bounds the memory: each
+    sample's products, and their powers, form one batch of power traces,
+    _a4_row_sides gives the left sides of the chunk's rows, and all of them
+    are compared as one batch.  The first mismatch is reported in (sample,
+    row) order."""
     samples, h_reps = _a4_samples(ctx)
     h_mats = CycArray.stack([h.matrix().dense() for h in h_reps])
-    # the SL2 side of each row, one class function per spec
-    tensor_rhs = [_sl2_char_sum(ctx.sl2, spec) for _, _, spec, _ in A4_TENSOR_ROWS]
-    ext_rhs = [_sl2_char_sum(ctx.sl2, spec) for _, _, spec, _ in A4_EXT_ROWS]
-    sym_rhs = [_sl2_char_sum(ctx.sl2, spec) for _, _, spec, _ in A4_SYM_ROWS]
-
-    checked = 0
-    for name, s_mat, s_class in samples:
-        traces = _a4_power_traces(h_mats, s_mat)
-        vt = CycArray.stack([traces[0].galois(j) for j in range(6)])  # V_j traces
-        # power sums of the two parities' twists, (power, parity, product)
-        parity_sums = CycArray.stack([traces, traces.galois(1)]).swapaxes(0, 1)
-        ext = newton(parity_sums, alternating=True)
-        sym = newton(parity_sums)
-        for (i, offset, _, shift), rhs in zip(A4_TENSOR_ROWS, tensor_rhs):
-            if vt[i] * vt[(i + offset) % 6] != rhs[s_class] * vt[(i + shift) % 6]:
-                return False, f"tensor trace mismatch at sample {name}"
-            checked += len(h_reps)
-        for (k, i, _, shift), rhs in zip(A4_EXT_ROWS, ext_rhs):
-            if ext[k][i] != rhs[s_class] * vt[(i + shift) % 6]:
-                return False, f"wedge trace mismatch at sample {name}"
-            checked += len(h_reps)
-        for (k, i, _, shift), rhs in zip(A4_SYM_ROWS, sym_rhs):
-            if sym[k][i] != rhs[s_class] * vt[(i + shift) % 6]:
-                return False, f"symmetric trace mismatch at sample {name}"
-            checked += len(h_reps)
-    return True, f"trace equality on {checked} sampled normalizer products"
+    # a row's right side is its SL2 value times the trace of V at its twist
+    # parity + shift
+    rows = [("tensor", i, spec, shift) for i, _, spec, shift in A4_TENSOR_ROWS]
+    rows += [("wedge", i, spec, shift) for _, i, spec, shift in A4_EXT_ROWS]
+    rows += [("symmetric", i, spec, shift) for _, i, spec, shift in A4_SYM_ROWS]
+    sl2 = _sl2_char_sums(ctx.sl2, [spec for _, _, spec, _ in rows])
+    sl2 = sl2[:, [s_class for _, _, s_class in samples]].lower()  # (row, sample)
+    twists = [(i + shift) % 6 for _, i, _, shift in rows]
+    for start in range(0, len(samples), A4_CHUNK):
+        chunk = slice(start, start + A4_CHUNK)
+        vt, lhs = _a4_row_sides(h_mats, [s_mat for _, s_mat, _ in samples[chunk]])
+        bad = (lhs - sl2[:, chunk, None] * vt[twists]).nonzero().any(axis=-1)
+        mismatches = np.argwhere(bad.T)  # (sample, row), in that order
+        if len(mismatches):
+            s, n = mismatches[0]
+            return False, f"{rows[n][0]} trace mismatch at sample {samples[start + s][0]}"
+    return True, f"trace equality on {len(rows) * len(samples) * len(h_reps)} sampled normalizer products"
 
 
 # ---------------------------------------------------------------------------
@@ -1026,7 +1060,8 @@ def check_pfaffian_det(ctx: Context):
                 e[i][j] = l
                 e[j][i] = -l
         m = FormMatrix(e)
-        ok &= pfaffian(m) * pfaffian(m) == det_form(m)
+        pf = pfaffian(m)
+        ok &= pf * pf == det_form(m)
     return _result(
         bool(ok),
         "squared Pfaffians equal determinants on seeded alternating matrices "

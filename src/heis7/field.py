@@ -620,6 +620,13 @@ class CycArray:
             return self
         return CycArray(np.stack([self.num, np.zeros_like(self.num)], axis=-2), self.den, True)
 
+    def lower(self) -> "CycArray":
+        """The same values in Q(zeta7) when every sqrt2 part is zero, else
+        self, still in the tower (where a nonzero part compares exactly)."""
+        if self.r2 and not self.num[..., 1, :].any():
+            return CycArray(self.num[..., 0, :], self.den)
+        return self
+
     @staticmethod
     def stack(arrays) -> "CycArray":
         """Equal-shape batches stacked along a new first batch axis."""

@@ -599,18 +599,16 @@ class ModuleGB:
             else:
                 self._record(R, D)
 
-    def add_input(self, F, D, through=None):
-        """Feed the integer vector F/D (ascending degree); F is reduced in
-        place to its normal form.
+    def add_input(self, F, D, d):
+        """Feed the integer vector F/D of degree d (ascending degree); F is
+        reduced in place to its normal form.
 
-        The basis is first completed through degree `through`, by default
-        F's degree.  An empty normal form means F is redundant: it takes no
-        input index and records no syzygy.  A nonzero one becomes kept input
-        number n_inputs, appended to forms as it is, and enters the basis
-        with a unit cofactor row.
+        The basis is first completed through degree d.  An empty normal form
+        means F is redundant: it takes no input index and records no
+        syzygy.  A nonzero one becomes kept input number n_inputs, appended
+        to forms as it is, and enters the basis with a unit cofactor row.
         """
-        d = self.order.vec_degree(F)
-        self.process_pairs_through(d if through is None else through)
+        self.process_pairs_through(d)
         self.top = max(self.top, d)
         F, D = _reduce(F, D, self.basis, self.reducers, self.order, self.kern)
         if not F:
@@ -632,11 +630,12 @@ def _feed(gb, vectors, tie, degree_cap=None):
     """
     capped = False
     degree = gb.order.vec_degree
-    for F, D in sorted(vectors, key=lambda v: (degree(v[0]), tie(v[0]))):
-        if degree_cap is not None and degree(F) > degree_cap:
+    # each vector's degree, computed once, leads its sort key and is handed on
+    for d, F, D in sorted([(degree(F), F, D) for F, D in vectors], key=lambda v: (v[0], tie(v[1]))):
+        if degree_cap is not None and d > degree_cap:
             capped = True
             continue
-        gb.add_input(F, D)
+        gb.add_input(F, D, d)
     return capped
 
 

@@ -551,8 +551,11 @@ PROBE_POINT = [Fraction(k) for k in range(1, 8)]
 
 @cache
 def _probe_blocks():
-    """B1, B2, B3 evaluated at the probe point, as object arrays."""
-    return tuple(np.array(b.evaluate(PROBE_POINT), dtype=object) for b in printed_b_matrices())
+    """B1, B2, B3 evaluated at the probe point, scaled by one common
+    positive integer to integer object arrays."""
+    blocks = [b.evaluate(PROBE_POINT) for b in printed_b_matrices()]
+    d = lcm(*(Fraction(x).denominator for b in blocks for row in b for x in row))
+    return tuple(np.array([[int(x * d) for x in row] for row in b], dtype=object) for b in blocks)
 
 
 def block_ranks(l_coeffs) -> list:
@@ -560,9 +563,13 @@ def block_ranks(l_coeffs) -> list:
     l1 B1 + l2 B2 + l3 B3 | l0 B1 - l1 B3 | l0 B2 - l2 B1 | l0 B3 - l3 B2
     at the probe point (1, 2, ..., 7).  Evaluation is linear, so each is
     the same scalar combination of the evaluated blocks; a zero
-    combination has rank 0."""
+    combination has rank 0.  A nonzero scale leaves a rank unchanged, so
+    the combinations are formed on integers: the blocks scaled as
+    _probe_blocks gives them, and l by the lcm of its denominators."""
     b1, b2, b3 = _probe_blocks()
-    l0, l1, l2, l3 = [Fraction(x) for x in l_coeffs]
+    l = [Fraction(x) for x in l_coeffs]
+    d = lcm(*(x.denominator for x in l))
+    l0, l1, l2, l3 = [int(x * d) for x in l]
     combos = [
         l1 * b1 + l2 * b2 + l3 * b3,
         l0 * b1 - l1 * b3,

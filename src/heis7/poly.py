@@ -8,11 +8,19 @@ to nonzero coefficients of the attached domain.
 Monomials are ordered graded reverse lexicographically over all of a
 registry's variables; blocks play no part in the order and only give
 multidegrees (Poly.bidegree).
+
+A product over Q runs on integers: each factor's coefficients are brought
+over one common denominator, the numerators are multiplied and summed as
+ints, and each output term becomes one Fraction over the product of the two
+denominators.  Over F_p and the other domains the product runs on the
+domain's own mul and add.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .field import QQ, _field_atom, _join_terms, _render_term, _Scanner
 
@@ -162,6 +170,28 @@ class Poly:
             return self.scale(c)
         o = self._coerce_other(other)
         dom = self.dom
+        if dom is QQ:
+            # integer numerators over one denominator per factor, one
+            # Fraction per output term; a term leaves the sum when its
+            # partial sum vanishes, as in the loop below, so the terms come
+            # out in the same order
+            d1 = lcm(*(c.denominator for c in self.terms.values()))
+            d2 = lcm(*(c.denominator for c in o.terms.values()))
+            right = [(e, c.numerator * (d2 // c.denominator)) for e, c in o.terms.items()]
+            out = {}
+            for e1, c1 in self.terms.items():
+                a = c1.numerator * (d1 // c1.denominator)
+                for e2, b in right:
+                    e = tuple(map(add, e1, e2))
+                    s = out.get(e, 0) + a * b
+                    if s:
+                        out[e] = s
+                    else:
+                        out.pop(e, None)
+            d = d1 * d2
+            for e, n in out.items():
+                out[e] = Fraction(n, d)
+            return Poly(self.reg, dom, out, _clean=True)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():

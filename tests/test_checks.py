@@ -81,6 +81,9 @@ SCALED_SHA_42 = "2454e9171fed5dcf010b510836120f04b9ae425b7555ce3b52a20823b5e003c
 # the scaled seed-42 run below
 MATMUL_CALLS = 127
 DET_FORM_MULS = 184
+# characters.newton calls of the scaled run: one per kind and batch of
+# normalizer samples in the sampled traces, not one per kind and sample
+NEWTON_CALLS = 14
 SURFACES_BUILT = 2
 # moduli.psi calls of the scaled run: check_psi's two fixed points, and one
 # per surface built, which every later check reads its plane from
@@ -94,7 +97,8 @@ TRACED_CHARTABLE = ("decompose", "sym_power", "ext_power")
 @pytest.fixture(scope="module")
 def scaled_run():
     """A scaled seed-42 run (every check, fewer samples), with the calls of
-    the traced CharTable methods, of CycArray.__matmul__, of Poly.__mul__
+    the traced CharTable methods, of CycArray.__matmul__, of
+    characters.newton, of Poly.__mul__
     inside det_form, of moduli.psi, of surface_ideal and SpanSolver.__init__, of
     Poly.substitute inside surface_ideal, of Cyc7 products and differences
     and Fraction arithmetic inside SpanSolver.is_stable_under, of Poly
@@ -102,7 +106,7 @@ def scaled_run():
     linalg.rank and the Fraction constructions in linalg inside it, and of
     ideal_hf_oracle counted: (report, {name: calls})."""
     names = (
-        *TRACED_CHARTABLE, "matmul", "det_form_mul", "psi", "surface_ideal", "surface_substitute", "span_solver",
+        *TRACED_CHARTABLE, "matmul", "newton", "det_form_mul", "psi", "surface_ideal", "surface_substitute", "span_solver",
         "stable_cyc7", "stable_fraction", "span_poly", "rank", "rank_fraction", "hf_oracle",
     )
     calls = dict.fromkeys(names, 0)
@@ -135,6 +139,7 @@ def scaled_run():
         for name in TRACED_CHARTABLE:
             mp.setattr(CharTable, name, counting(name, getattr(CharTable, name)))
         mp.setattr(CycArray, "__matmul__", counting("matmul", CycArray.__matmul__))
+        mp.setattr(characters, "newton", counting("newton", characters.newton))
         mp.setattr(Poly, "__mul__", counting("det_form_mul", Poly.__mul__, in_det))
         for owner in (formmat, moduli):  # moduli imported det_form by name
             mp.setattr(owner, "det_form", setting(in_det, formmat.det_form))
@@ -189,6 +194,7 @@ def test_work_counts_of_the_scaled_suite(scaled_run):
     # expansion without memoised minors) raises them
     _, calls = scaled_run
     assert calls["matmul"] == MATMUL_CALLS
+    assert calls["newton"] == NEWTON_CALLS
     assert calls["det_form_mul"] == DET_FORM_MULS
     # one solver per run, for the span certificate; each surface is built
     # once, and stability is decided on integer numerators
@@ -259,3 +265,41 @@ def test_library_report_names_its_explicit_point(monkeypatch):
         RunConfig(extra_t=(1, 1, 0, 1))
     with pytest.raises(ValueError, match="four coordinates, not 2"):
         RunConfig(extra_t=(1, 1))
+
+
+@pytest.fixture(scope="module")
+def a4_ctx():
+    return checks.Context(RunConfig())
+
+
+def test_sl2_rows_at_the_sample_classes_have_no_sqrt2_part(a4_ctx):
+    # the sampled traces compare in Q(zeta7) because of this; the table
+    # itself needs the tower at other classes
+    samples, _ = checks._a4_samples(a4_ctx)
+    table = a4_ctx.sl2.stack(a4_ctx.sl2.labels)
+    at_samples = table[:, [s_class for _, _, s_class in samples]]
+    assert table.lower().r2 and at_samples.r2
+    assert not at_samples.lower().r2 and at_samples.lower() == at_samples
+
+
+# (table, row, mutated row, the first mismatch reported): the message a
+# comparison row by row, sample by sample, gives
+A4_MUTATIONS = [
+    ("A4_TENSOR_ROWS", 3, (1, 1, {"U'": 1, "W'": 1}, 5), "tensor trace mismatch at sample id"),
+    ("A4_EXT_ROWS", 5, (3, 1, {"I": 1, "U'": 1}, 1), "wedge trace mismatch at sample nu"),
+    ("A4_SYM_ROWS", 1, (3, 0, {"I": 1, "L": 1, "U'": 1}, 1), "symmetric trace mismatch at sample nu"),
+]
+
+
+@pytest.mark.parametrize("chunk", [checks.A4_CHUNK, 1, 4, 6])
+def test_sampled_traces_report_the_first_mismatch_in_sample_row_order(a4_ctx, monkeypatch, chunk):
+    # however the samples are batched
+    monkeypatch.setattr(checks, "A4_CHUNK", chunk)
+    assert checks._a4_sample_traces(a4_ctx) == (True, "trace equality on 5940 sampled normalizer products")
+    for name, n, row, detail in A4_MUTATIONS:
+        table = getattr(checks, name)
+        # the mutation changes one field of the row
+        assert sum(a != b for a, b in zip(table[n], row)) == 1
+        with monkeypatch.context() as mp:
+            mp.setattr(checks, name, table[:n] + [row] + table[n + 1 :])
+            assert checks._a4_sample_traces(a4_ctx) == (False, detail)

@@ -300,6 +300,26 @@ def test_cycarray_matches_scalar_arithmetic(pair):
     assert (a + b) - b == a
 
 
+def test_lower_leaves_the_tower_only_without_a_sqrt2_part():
+    rng = random.Random(29)
+    cycs = [rand_cyc(rng) for _ in range(6)]
+    tower = CycArray.from_values([FieldElem(c, 0) for c in cycs]).reshape(2, 3)
+    assert tower.r2
+    low = tower.lower()
+    assert not low.r2 and low.shape == (2, 3)
+    assert low.tolist() == [cycs[:3], cycs[3:]] and low == tower
+    # one nonzero sqrt2 part keeps the whole batch in the tower, where it
+    # still compares exactly with a Q(zeta7) batch
+    vals = [FieldElem(c, 0) for c in cycs]
+    vals[4] = FieldElem(cycs[4], Cyc7.from_rat(Fraction(1, 3)))
+    mixed = CycArray.from_values(vals)
+    assert mixed.lower() is mixed
+    plain = CycArray.from_values(cycs)
+    assert plain.lower() is plain
+    assert (plain - mixed).nonzero().tolist() == [k == 4 for k in range(6)]
+    assert (plain * mixed).tolist() == [c * v for c, v in zip(cycs, vals)]
+
+
 def test_cycarray_promotes_to_python_ints():
     # numerators near 2^40: products reach 2^80 and must take the Python-int
     # path; sums and results that fit come back to int64

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from heis7.field import QQ, fp, zeta
 from heis7.moduli import delta_ops
@@ -9,6 +10,7 @@ from heis7.poly import (
     Poly,
     REG_U,
     REG_X,
+    REG_Y,
     VarRegistry,
     grevlex_key,
     kernel_of_operators,
@@ -255,3 +257,54 @@ def test_pfaffian_of_size_four_against_sympy():
         quadric = -quadric
     assert power == 2
     assert pfaffian(m).terms == {e: Fraction(int(c)) for e, c in quadric.terms()}
+
+
+# Q polynomials in y1, y2, y3 with exponents below 2: eight monomials, so
+# products of two of them meet often and can cancel; coefficients carry
+# denominators, and the empty dict is the zero polynomial
+_q_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+    max_size=6,
+).map(lambda terms: Poly(REG_Y, QQ, terms))
+
+
+def _termwise_product(a, b):
+    """a * b term by term on Fractions, dropping a term whose partial sum
+    vanishes, as the loop over the domain's mul and add does."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = out.get(e, Fraction(0)) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+    return out
+
+
+@seed(4101)
+@settings(max_examples=150, deadline=None)
+@given(_q_polys, _q_polys)
+# (y1 + y2)(y1 - y2): the mixed terms cancel; (y1/2 - y2/3)(y1/2 + y2/3)
+# over denominators; a factor zero
+@example(parse_poly("y1 + y2", REG_Y), parse_poly("y1 - y2", REG_Y))
+@example(parse_poly("1/2*y1 - 1/3*y2", REG_Y), parse_poly("1/2*y1 + 1/3*y2", REG_Y))
+@example(parse_poly("2/3*y1*y2 + 5", REG_Y), Poly.zero(REG_Y, QQ))
+def test_q_products_equal_the_termwise_and_sympy_products(a, b):
+    sympy = pytest.importorskip("sympy")
+    got = a * b
+    # the same terms in the same order, each one nonzero Fraction
+    assert list(got.terms.items()) == list(_termwise_product(a, b).items())
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+    ys = sympy.symbols("y1 y2 y3")
+
+    def expr(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(y**k for y, k in zip(ys, e))) for e, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    want = sympy.Poly(sympy.expand(expr(a) * expr(b)), *ys)
+    assert got.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in want.terms() if c != 0}
