@@ -13,17 +13,19 @@ Row conventions for the extended Heisenberg group G7:
 * Z(s,t) are the 24 two-dimensional characters pulled back from the quotient
   by the center; Z denotes their sum when all multiplicities agree.
 
-A Character stores its values as one field.CycArray: integer numerators
-over one common denominator, int64 while every numerator stays below 2^62
-and Python ints beyond (each operation checks its bound first).  Products,
-sums, power maps (row gathers), pairings with all rows at once, the
-reconstruction check (an integer matmul), both orthogonality relations
-(Gram matrices) and the Newton recursion run on these arrays; the Cyc7 or
-FieldElem values are built only when `Character.values` is read.
+A class function is a field.CycArray whose last batch axis runs over the
+classes: a row of batch shape (classes,), or a batch (n, classes) of n of
+them.  Its values are integer numerators over one common denominator,
+int64 while every numerator stays below 2^62 and Python ints beyond (each
+operation checks its bound first): Q(zeta7) for G7, and the sqrt2 tower
+for SL2(F7), the only place sqrt2 appears.  Products, sums, power maps
+(class gathers), pairings with all rows at once, the reconstruction check
+(an integer matmul), both orthogonality relations (Gram matrices) and the
+Newton recursion run on these arrays; Cyc7 values (FieldElem only where a
+sqrt2 part is nonzero) are built only by CycArray.tolist.
 
-CharTable.decompose, sym_power/sym_powers and ext_power also take a batch
-of characters, a CycArray of batch shape (n, classes) or a list of
-Characters, and one Character runs as a batch of one.  A batch takes one
+CharTable.rows[lb] is row lb of the table.  decompose, sym_power,
+ext_power, dual and inner take a row or a batch alike.  A batch takes one
 Newton recursion to the highest degree asked for, and one contraction
 against all rows; its multiplicities are decided on the integer numerators
 of that contraction, without a Fraction per label: a pairing is rational
@@ -67,46 +69,6 @@ _C0 = Cyc7.from_int(0)
 _C1 = Cyc7.from_int(1)
 
 
-class Character:
-    """Class function: one value per conjugacy class of a ClassData.
-
-    The values are one CycArray `arr` of batch shape (classes,): Q(zeta7)
-    for G7, the sqrt2 tower for SL2(F7), the only place sqrt2 appears.
-    Mixed arithmetic lifts to the tower.
-    """
-
-    __slots__ = ("classes", "arr")
-
-    def __init__(self, classes: ClassData, values):
-        arr = values if isinstance(values, CycArray) else CycArray.from_values(values)
-        if arr.shape != (classes.count,):
-            raise ValueError("one value per conjugacy class required")
-        self.classes = classes
-        self.arr = arr
-
-    @property
-    def values(self) -> tuple:
-        """The values as Cyc7 (FieldElem in the tower), built on each access."""
-        return tuple(self.arr.tolist())
-
-    def __mul__(self, other):
-        if isinstance(other, Character):
-            other = other.arr
-        return Character(self.classes, self.arr * other)
-
-    def __add__(self, other):
-        return Character(self.classes, self.arr + other.arr)
-
-    def __sub__(self, other):
-        return Character(self.classes, self.arr - other.arr)
-
-    def __eq__(self, other):
-        return isinstance(other, Character) and self.arr == other.arr
-
-    def __hash__(self):
-        return hash(self.values)
-
-
 def newton(power_sums: CycArray, alternating: bool = False) -> list:
     """h_0..h_k from power sums p_1..p_k stacked on the first batch axis:
     k h_k = sum_j p_j h_{k-j}, or with alternating=True the elementary
@@ -126,17 +88,25 @@ def newton(power_sums: CycArray, alternating: bool = False) -> list:
 
 class CharTable:
     """Irreducible characters indexed by label, plus power/inverse maps.
-    A Character passed in gives Characters (one Decomposition) back, a batch
-    gives CycArray batches (a list of Decompositions)."""
+
+    rows maps each label to its row of the table, one CycArray of batch
+    shape (classes,).  Every method that takes a class function takes such
+    a row or a batch (n, classes) and answers in kind: a power of a row is
+    a row and of a batch a batch, and decompose gives one Decomposition
+    for a row and a list of n for a batch.  Any other shape is refused.
+    """
 
     def __init__(self, classes: ClassData, rows, power_fn, identity_class: int):
         self.classes = classes
         self.labels = [lb for lb, _ in rows]
-        self.rows = {lb: Character(classes, vals) for lb, vals in rows}
-        self._index = {lb: i for i, lb in enumerate(self.labels)}
+        arrs = [CycArray.from_values(vals) for _, vals in rows]
+        if any(a.shape != (classes.count,) for a in arrs):
+            raise ValueError("one value per conjugacy class required")
         # all rows as one (labels, classes) batch, for the reconstruction
         # check and the orthogonality relations
-        self._table = CycArray.stack([self.rows[lb].arr for lb in self.labels])
+        self._table = CycArray.stack(arrs)
+        self._index = {lb: i for i, lb in enumerate(self.labels)}
+        self.rows = {lb: self._table[i] for lb, i in self._index.items()}
         self._sizes = CycArray.from_ints(classes.sizes)
         self.identity_class = identity_class
         # power_map[j][c] = class index of rep(c)^j
@@ -158,42 +128,43 @@ class CharTable:
         """The rows with these labels as one (len(labels), classes) batch."""
         return self._table[[self._index[lb] for lb in labels]]
 
-    def dual(self, chi: Character) -> Character:
-        return Character(self.classes, chi.arr[self.power_classes(-1)])
+    def _as_batch(self, chi: CycArray) -> CycArray:
+        """A row or a batch of class functions as a (n, classes) batch."""
+        if len(chi.shape) not in (1, 2) or chi.shape[-1] != self.classes.count:
+            raise ValueError(f"a class function has batch shape ({self.classes.count},) or (n, {self.classes.count})")
+        return chi.reshape(-1, self.classes.count)
 
-    def _batch(self, chi):
-        """(batch, single): chi as a (n, classes) CycArray, single when chi is
-        one Character."""
-        if isinstance(chi, Character):
-            return chi.arr[None], True
-        arr = chi if isinstance(chi, CycArray) else CycArray.stack([c.arr for c in chi])
-        if len(arr.shape) != 2 or arr.shape[1] != self.classes.count:
-            raise ValueError("a batch of characters has batch shape (n, classes)")
-        return arr, False
+    def dual(self, chi: CycArray) -> CycArray:
+        return self._as_batch(chi)[:, self.power_classes(-1)].reshape(*chi.shape)
 
-    def inner(self, a: Character, b: Character) -> Fraction:
-        """Exact inner product (1/|G|) sum |c| a(c) conj(b(c))."""
-        num, den, irrational = self._pairings(a.arr[None], self._weighted_conj(b.arr)[:, None])
-        if irrational[0, 0]:
+    def inner(self, a: CycArray, b: CycArray):
+        """Exact inner product (1/|G|) sum |c| a(c) conj(b(c)): a Fraction
+        for two rows, the list of them for a batch against a row or two
+        batches of one shape."""
+        p = self._as_batch(a) * self._weighted_conj(self._as_batch(b))
+        num, den, irrational = self._pairings(p.sum(1))
+        if irrational.any():
             raise ValueError("inner product is not rational")
-        return Fraction(int(num[0, 0]), den)
+        out = [Fraction(x, den) for x in num.tolist()]
+        return out if max(len(a.shape), len(b.shape)) == 2 else out[0]
 
     def _weighted_conj(self, arr: CycArray) -> CycArray:
         return arr.conj() * self._sizes
 
-    def _pairings(self, rows: CycArray, weighted: CycArray):
-        """(1/|G|) rows @ weighted in one contraction, as (num, den,
-        irrational): a value is num / den where it is rational, i.e. where its
-        coordinates other than the rational one (z^1..z^5, sqrt2) are zero."""
-        p = rows @ weighted
+    def _pairings(self, p: CycArray):
+        """p / |G|, for a contraction p against weighted conjugates, as (num,
+        den, irrational): a value is num / den where it is rational, i.e.
+        where its coordinates other than the rational one (z^1..z^5, sqrt2)
+        are zero."""
         flat = p.num.reshape(*p.shape, -1)
         den = p.den * self.classes.group_order()
         # int64 numerators meet den in numpy only while den fits in int64
         num = flat[..., 0] if den < 1 << 62 else flat[..., 0].astype(object)
         return num, den, (flat[..., 1:] != 0).any(axis=-1)
 
-    def decompose(self, chi):
-        """Multiplicities of chi (one Character or a batch) in the rows.
+    def decompose(self, chi: CycArray):
+        """Multiplicities of chi in the rows: one Decomposition for a row, the
+        list of them for a batch.
 
         A multiplicity is a non-negative integer iff its numerator is >= 0
         and divisible by den |G|, and the multiplicities must reconstruct
@@ -201,8 +172,8 @@ class CharTable:
         raises ValueError for its first item that is not a character, with
         the message that item alone would give.
         """
-        arr, single = self._batch(chi)
-        num, den, irrational = self._pairings(arr, self._paired)
+        arr = self._as_batch(chi)
+        num, den, irrational = self._pairings(arr @ self._paired)
         bad = irrational | (num < 0) | (num % den != 0)
         mults = np.where(bad, 0, num // den)
         wrong = bad.any(axis=1) | (self._table.lincomb(mults) - arr).nonzero().any(axis=1)
@@ -216,19 +187,15 @@ class CharTable:
             m = Fraction(int(num[i, j]), den)
             raise ValueError(f"not a character: multiplicity of {self.labels[j]} is {m}")
         decs = [Decomposition(dict(zip(self.labels, row))) for row in mults.tolist()]
-        return decs[0] if single else decs
+        return decs if len(chi.shape) == 2 else decs[0]
 
-    def sym_power(self, chi, k):
+    def sym_power(self, chi: CycArray, k):
         """S^k of chi by the Newton recursion k h_k = sum_j chi(g^j) h_{k-j}.
         For a sequence of degrees k, one recursion to max(k) gives the list
         of those powers."""
         return self._powers(chi, k, alternating=False)
 
-    def sym_powers(self, chi, k: int) -> list:
-        """The symmetric powers S^0 .. S^k of chi, from one Newton recursion."""
-        return self.sym_power(chi, range(k + 1))
-
-    def ext_power(self, chi, k):
+    def ext_power(self, chi: CycArray, k):
         """Exterior powers by the alternating Newton recursion; k as in
         sym_power."""
         return self._powers(chi, k, alternating=True)
@@ -237,24 +204,13 @@ class CharTable:
         degrees = [k] if isinstance(k, int) else list(k)
         if not degrees or min(degrees) < 0:
             raise ValueError("power degrees must be non-negative")
-        arr, single = self._batch(chi)
+        arr = self._as_batch(chi)
         top = max(degrees)
         # chi(g^j) for j = 1..top, one power-map gather, on the first axis
         gather = np.array([self.power_classes(j) for j in range(1, top + 1)], dtype=np.intp)
         series = newton(arr[:, gather.reshape(top, self.classes.count)].swapaxes(0, 1), alternating)
-        out = [Character(self.classes, series[j][0]) if single else series[j] for j in degrees]
+        out = [series[j].reshape(*chi.shape) for j in degrees]
         return out[0] if isinstance(k, int) else out
-
-    def to_json(self):
-        """Class labels, sizes, and rows of field-element strings."""
-        return {
-            "classes": [str(lb) for lb in self.classes.labels],
-            "sizes": list(self.classes.sizes),
-            "rows": {
-                lb: [str(v) for v in self.rows[lb].values]
-                for lb in self.labels
-            },
-        }
 
     def orthogonality_report(self):
         """First and second orthogonality, each checked exactly as one Gram
@@ -375,10 +331,6 @@ def g7_table() -> CharTable:
     return CharTable(classes, rows, _g7_power_fn(classes), identity_class)
 
 
-def g7_v_character(i: int = 0) -> Character:
-    return g7_table().rows[f"V{i % 6}"]
-
-
 # ---------------------------------------------------------------------------
 # SL2(F7) table
 
@@ -400,26 +352,20 @@ def _sl2_power_fn(classes: ClassData):
 @cache
 def sl2_table() -> CharTable:
     classes = conjugacy_classes_sl2()
-    ap = FieldElem(alpha_plus(), 0)
-    am = FieldElem(alpha_minus(), 0)
-    r2 = FieldElem.sqrt2()
-
-    def fe(n):
-        return FieldElem(n, 0)
-
+    ap, am, r2 = alpha_plus(), alpha_minus(), FieldElem.sqrt2()
     # columns: id, iota, mu, iota*mu, nu, nu^3, iota*nu^3, iota*nu, delta, r8a, r8b
     rows = [
-        ("I", [fe(1)] * 11),
-        ("M1", [fe(8), fe(-8), fe(-1), fe(1), fe(1), fe(1), fe(-1), fe(-1), fe(0), fe(0), fe(0)]),
-        ("M2", [fe(8), fe(8), fe(-1), fe(-1), fe(1), fe(1), fe(1), fe(1), fe(0), fe(0), fe(0)]),
-        ("L", [fe(7), fe(7), fe(1), fe(1), fe(0), fe(0), fe(0), fe(0), fe(-1), fe(-1), fe(-1)]),
-        ("U", [fe(4), fe(-4), fe(1), fe(-1), am, ap, -ap, -am, fe(0), fe(0), fe(0)]),
-        ("U'", [fe(4), fe(-4), fe(1), fe(-1), ap, am, -am, -ap, fe(0), fe(0), fe(0)]),
-        ("T1", [fe(6), fe(-6), fe(0), fe(0), fe(-1), fe(-1), fe(1), fe(1), fe(0), r2, -r2]),
-        ("T2", [fe(6), fe(-6), fe(0), fe(0), fe(-1), fe(-1), fe(1), fe(1), fe(0), -r2, r2]),
-        ("T", [fe(6), fe(6), fe(0), fe(0), fe(-1), fe(-1), fe(-1), fe(-1), fe(2), fe(0), fe(0)]),
-        ("W", [fe(3), fe(3), fe(0), fe(0), -ap, -am, -am, -ap, fe(-1), fe(1), fe(1)]),
-        ("W'", [fe(3), fe(3), fe(0), fe(0), -am, -ap, -ap, -am, fe(-1), fe(1), fe(1)]),
+        ("I", [1] * 11),
+        ("M1", [8, -8, -1, 1, 1, 1, -1, -1, 0, 0, 0]),
+        ("M2", [8, 8, -1, -1, 1, 1, 1, 1, 0, 0, 0]),
+        ("L", [7, 7, 1, 1, 0, 0, 0, 0, -1, -1, -1]),
+        ("U", [4, -4, 1, -1, am, ap, -ap, -am, 0, 0, 0]),
+        ("U'", [4, -4, 1, -1, ap, am, -am, -ap, 0, 0, 0]),
+        ("T1", [6, -6, 0, 0, -1, -1, 1, 1, 0, r2, -r2]),
+        ("T2", [6, -6, 0, 0, -1, -1, 1, 1, 0, -r2, r2]),
+        ("T", [6, 6, 0, 0, -1, -1, -1, -1, 2, 0, 0]),
+        ("W", [3, 3, 0, 0, -ap, -am, -am, -ap, -1, 1, 1]),
+        ("W'", [3, 3, 0, 0, -am, -ap, -ap, -am, -1, 1, 1]),
     ]
     return CharTable(classes, rows, _sl2_power_fn(classes), 0)
 
@@ -432,8 +378,8 @@ class RepError(Exception):
     pass
 
 
-def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> Character:
-    """Character of the G7 representation with the given generator images.
+def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> CycArray:
+    """Character row of the G7 representation with the given generator images.
 
     The images must be dense 7x7 CycArray matrices over Q(zeta7).  The
     defining relations are verified first, on stacked products.  The
@@ -480,7 +426,7 @@ def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> Charac
     a, m, n, b = (np.array(col) for col in zip(*table.classes.reps))
     acc = c_pows[6 - (a + 4 * m * n) % 7] @ s_pows[m - 1]
     acc = acc @ t_pows[n - 1] @ CycArray.stack([idm, io])[b]
-    return Character(table.classes, acc.trace())
+    return acc.trace()
 
 
 # ---------------------------------------------------------------------------
@@ -500,27 +446,27 @@ def omega3_sections_char(k):
     """
     ks = np.array([k] if isinstance(k, int) else list(k))
     table = g7_table()
-    vd = table.dual(g7_v_character(0))
+    vd = table.dual(table.rows["V0"])
     ext = table.ext_power(vd, range(4))
     # S^(j-3) at row j: three zero rows ahead of S^0 .. S^max(k)
     zero = CycArray.from_ints(np.zeros(table.classes.count, dtype=np.int64))
-    sym = CycArray.stack([zero] * 3 + [s.arr for s in table.sym_powers(vd, max(ks.max(), 0))])
-    t = [sym[np.maximum(ks + i, 0)] * ext[3 - i].arr for i in range(4)]
+    sym = CycArray.stack([zero] * 3 + table.sym_power(vd, range(max(ks.max(), 0) + 1)))
+    t = [sym[np.maximum(ks + i, 0)] * ext[3 - i] for i in range(4)]
     chis = t[0] - t[1] + t[2] - t[3]
     try:
         out = [(dec, False) for dec in table.decompose(chis)]
     except ValueError:
         # outside the validity range: item by item, with the virtual
         # multiplicities of an item that is no character
-        out = [_sections_or_virtual(table, Character(table.classes, chis[i])) for i in range(len(ks))]
+        out = [_sections_or_virtual(table, chis[i]) for i in range(len(ks))]
     return out[0] if isinstance(k, int) else out
 
 
-def _sections_or_virtual(table: CharTable, chi: Character):
+def _sections_or_virtual(table: CharTable, chi: CycArray):
     try:
         return table.decompose(chi), False
     except ValueError:
-        return {lb: m for lb in table.labels if (m := table.inner(chi, table.rows[lb]))}, True
+        return {lb: m for lb, m in zip(table.labels, table.inner(chi, table._table)) if m}, True
 
 
 def h0_oa_decomposition(k: int) -> Decomposition:
@@ -626,8 +572,8 @@ class SpanSolver:
         return Cyc7(tuple(q - buckets[6] for q in buckets[:6]), den)
 
 
-def subspace_character(basis, table: CharTable = None) -> Character:
-    """G7-character of the span of a partitioned basis over Q (SpanSolver),
+def subspace_character(basis, table: CharTable = None) -> CycArray:
+    """G7-character row of the span of a partitioned basis over Q (SpanSolver),
     stable under the contragredient coordinate action, g acting by the
     substitution g.conj() (see the heisenberg module docstring).
 
@@ -642,4 +588,4 @@ def subspace_character(basis, table: CharTable = None) -> Character:
         if not solver.is_stable_under(g.conj()):
             raise ValueError(f"span is not stable under generator {g}")
     vals = [solver.trace(rep.matrix().conj()) for rep in table.classes.reps]
-    return Character(table.classes, vals)
+    return CycArray.from_values(vals)

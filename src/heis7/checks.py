@@ -313,7 +313,7 @@ def check_orthogonality_sl2(ctx: Context):
 
 def _orthogonality(t, order: int):
     ok, msg = t.orthogonality_report()
-    dimsq = sum(int(t.rows[lb].values[t.identity_class].rational_value()) ** 2 for lb in t.labels)
+    dimsq = sum(int(t.rows[lb][t.identity_class].tolist().rational_value()) ** 2 for lb in t.labels)
     return _result(ok and dimsq == order, f"{msg}; sum of squared degrees = {dimsq}", msg)
 
 
@@ -888,12 +888,6 @@ def _a4_sample_traces(ctx: Context):
 # syzygy suite
 
 
-def _j_ideal():
-    from .moduli import j_ideal
-
-    return j_ideal()
-
-
 @declare_id("syzygy.net_kernel")
 def check_j_kernel(ctx: Context):
     from .moduli import delta_ops, f_basis
@@ -922,9 +916,10 @@ def check_j_kernel(ctx: Context):
 
 @declare_id("syzygy.apolar_ideal")
 def check_j_resolution(ctx: Context):
+    from .moduli import j_ideal
     from .resolution import free_resolution
 
-    J = _j_ideal()
+    J = j_ideal()
     bt = free_resolution(J, degree_cap=8)
     hd = J.hilbert()
     want = {(0, 0): 1, (1, 2): 7, (2, 3): 8, (2, 4): 3, (3, 5): 8, (4, 6): 3}
@@ -944,10 +939,10 @@ def check_j_resolution(ctx: Context):
 
 @declare_id("syzygy.membership")
 def check_j_membership(ctx: Context):
-    from .moduli import _poly
+    from .moduli import _poly, j_ideal
     from .poly import REG_U
 
-    J = _j_ideal()
+    J = j_ideal()
     gb = J.gb()
     u = lambda s: _poly(s, REG_U)
     ok = (
@@ -1072,10 +1067,11 @@ def check_pfaffian_det(ctx: Context):
 @declare_id("syzygy.field_agreement")
 def check_q_vs_fp(ctx: Context):
     from .groebner import GradedIdeal
+    from .moduli import j_ideal
     from .poly import REG_U
     from .resolution import free_resolution
 
-    J = _j_ideal()
+    J = j_ideal()
     dom = ctx.config.resolution_domain()
     if dom is QQ:
         dom = fp(31)

@@ -17,10 +17,13 @@ The polynomial layer, linear algebra (linalg) and the Groebner engine take
 two coefficient domains: QQ (RatDomain, Fraction) and fp(p) (FpDomain).  G7
 class functions, polynomial-span traces and the 7x7 matrices live in
 Q(zeta7) as Cyc7 and CycArray values; only the SL2(F7) character table needs
-sqrt2, and FieldElem is its value type (and that of parse_field).  Cyc7 and
-FieldElem mix freely: an operation with a FieldElem operand returns a
-FieldElem, and a FieldElem with zero sqrt2 part equals (and hashes like) its
-Cyc7.
+sqrt2, and a FieldElem is built only for a value with a nonzero sqrt2 part:
+that table's rows are ints and Cyc7 values besides FieldElem.sqrt2() at two
+classes, CycArray.tolist reads a tower value without a sqrt2 part as a
+Cyc7, and the text grammar's atoms are Cyc7 unless r2 enters (parse_field
+still returns a FieldElem).  Cyc7 and FieldElem mix freely: an operation
+with a FieldElem operand returns a FieldElem, and a FieldElem with zero
+sqrt2 part equals (and hashes like) its Cyc7.
 
 Field elements and polynomials share one text grammar: render_cyc,
 render_field and poly.render_poly write it, parse_cyc, parse_field and
@@ -571,15 +574,17 @@ class CycArray:
         return CycArray(num)
 
     def tolist(self):
-        """The values as nested lists of Cyc7 (FieldElem in the tower); a
-        batch of shape () gives one value."""
+        """The values as nested lists of Cyc7, or FieldElem for a tower
+        value with a nonzero sqrt2 part; a batch of shape () gives one
+        value."""
         den = self.den
 
         def build(x, depth):
             if depth:
                 return [build(y, depth - 1) for y in x]
             if self.r2:
-                return FieldElem(Cyc7(x[0], den), Cyc7(x[1], den))
+                a = Cyc7(x[0], den)
+                return FieldElem(a, Cyc7(x[1], den)) if any(x[1]) else a
             return Cyc7(x, den)
 
         return build(self.num.tolist(), len(self.shape))
@@ -890,25 +895,26 @@ class _Scanner:
         return v
 
 
-def _field_atom(sc: _Scanner) -> FieldElem:
-    """`( sum )`, a rational, `z` or `z^k`, or `r2`."""
+def _field_atom(sc: _Scanner):
+    """`( sum )`, a rational, `z` or `z^k`, or `r2`: a Cyc7, or a FieldElem
+    where r2 enters."""
     if sc.peek() == "(":
         sc.take("(")
         v = sc.sum(_field_atom)
         sc.take(")")
         return v
     if sc.peek().isdigit():
-        return _as_fe(sc.rational())
+        return Cyc7.from_rat(sc.rational())
     w = sc.name()
     if w == "z":
-        return _as_fe(Cyc7.zeta(sc.power()))
+        return Cyc7.zeta(sc.power())
     if w == "r2":
         return FieldElem.sqrt2()
     raise sc.error(f"unexpected {w!r}")
 
 
 def parse_field(s: str) -> FieldElem:
-    return _Scanner(s).parse(_field_atom)
+    return _as_fe(_Scanner(s).parse(_field_atom))
 
 
 def parse_cyc(s: str) -> Cyc7:

@@ -43,7 +43,7 @@ depend only on the ideal and the characteristic, and almost every point of
 the surface family has the same in(I), so the tops of in(I)'s table (or
 None, incomplete) are kept process-wide by _initial_tops, the 64 latest,
 keyed by (variable registry, sorted leading exponents of level 1, domain,
-degree_cap, max_steps): a Q run and an F_p run keep separate entries.
+degree_cap): a Q run and an F_p run keep separate entries.
 Each resolution copies them into its own tops.
 
 Polys enter packed, and the hilbert_burch columns, intersect and
@@ -168,13 +168,13 @@ def _levels(ideal, degree_cap, bound=None):
 
 
 @lru_cache(maxsize=64)
-def _initial_tops(reg, lts, dom, degree_cap, max_steps):
+def _initial_tops(reg, lts, dom, degree_cap):
     """The tops of the table of the monomial ideal of the exponents lts, as
     (level, top degree) pairs, or None if that table is incomplete (module
     docstring: kept per process, by registry, leading terms, domain and
     budget)."""
     initial = GradedIdeal(reg, dom, [Poly.monomial(reg, e, dom.one, dom) for e in lts])
-    bt = free_resolution(initial, degree_cap, max_steps)
+    bt = free_resolution(initial, degree_cap)
     if not bt.complete:
         return None
     tops = {}
@@ -183,7 +183,7 @@ def _initial_tops(reg, lts, dom, degree_cap, max_steps):
     return tuple(tops.items())
 
 
-def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8):
+def free_resolution(ideal: GradedIdeal, degree_cap: int = 8):
     """Minimal graded free resolution of S/I, as a BettiTable.
 
     One loop over the levels of _levels, from the ideal's generators on
@@ -198,15 +198,14 @@ def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8)
     kept every generator and completed its Groebner basis within the cap,
     so under the bound in(I) is whole and its complete table bounds every
     degree; without the bound, no later level dropped a candidate or left an
-    S-pair above the cap either; and max_steps stopped no level that could
-    still have minimal generators.  Otherwise the note says where the
+    S-pair above the cap either.  Otherwise the note says where the
     computation was cut short.
     """
     tops = {}  # level -> top degree of in(I)'s table, once bound finds it complete
 
     def bound(gb):
         lts = tuple(sorted(gb.order.unpack(lt)[1] for lt in gb.lts))
-        table = _initial_tops(ideal.reg, lts, ideal.dom, degree_cap, max_steps)
+        table = _initial_tops(ideal.reg, lts, ideal.dom, degree_cap)
         if table is None:
             return None
         tops.update(table)
@@ -224,9 +223,6 @@ def free_resolution(ideal: GradedIdeal, degree_cap: int = 8, max_steps: int = 8)
             entries[(step, d)] = entries.get((step, d), 0) + 1
         if gb.pairs and (step == 1 or not tops):
             note.append(f"degree cap left pairs unprocessed after step {step}")
-        if step >= max_steps and gb.syzygies and (not tops or step + 1 in tops):
-            note.append(f"max_steps stopped before homological step {step + 1}")
-            break
     return BettiTable(entries, not note, "; ".join(note))
 
 

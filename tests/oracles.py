@@ -542,7 +542,7 @@ def first_orthogonality_failures(table):
     """(first row pair, first class pair) at which the scalar orthogonality
     loops fail, in row-major order over i <= j; None where a relation holds."""
     labels = table.labels
-    vals = {lb: table.rows[lb].values for lb in labels}
+    vals = {lb: table.rows[lb].tolist() for lb in labels}
     sizes = table.classes.sizes
     order = table.classes.group_order()
     n = table.classes.count
@@ -562,14 +562,16 @@ def first_orthogonality_failures(table):
 
 def decompose_oracle(table, chi):
     """{label: multiplicity} of chi in the table's rows, from per-label inner
-    products (1/|G|) sum_c |c| chi(c) conj(row(c)) over Character.values;
-    ValueError, with the package's message, where chi is no character."""
-    vals = chi.values
+    products (1/|G|) sum_c |c| chi(c) conj(row(c)) over the values of the
+    row chi; ValueError, with the package's message, where chi is no
+    character."""
+    vals = chi.tolist()
+    rows = {lb: table.rows[lb].tolist() for lb in table.labels}
     sizes = table.classes.sizes
     order = table.classes.group_order()
     mults = {}
     for lb in table.labels:
-        row = table.rows[lb].values
+        row = rows[lb]
         tot = sum((x * y.conj() * s for x, y, s in zip(vals, row, sizes)), Cyc7.from_int(0))
         if not tot.is_rational():
             raise ValueError("inner product is not rational")
@@ -577,8 +579,8 @@ def decompose_oracle(table, chi):
         if m.denominator != 1 or m < 0:
             raise ValueError(f"not a character: multiplicity of {lb} is {m}")
         mults[lb] = int(m)
-    rebuilt = [sum((table.rows[lb].values[c] * m for lb, m in mults.items()), Cyc7.from_int(0)) for c in range(len(vals))]
-    if rebuilt != list(vals):
+    rebuilt = [sum((rows[lb][c] * m for lb, m in mults.items()), Cyc7.from_int(0)) for c in range(len(vals))]
+    if rebuilt != vals:
         raise ValueError("decomposition does not reconstruct the character")
     return {lb: m for lb, m in mults.items() if m}
 

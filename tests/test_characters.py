@@ -1,11 +1,11 @@
+import math
 import re
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from heis7.field import Cyc7, FieldElem, alpha_minus, alpha_plus, fp
+from heis7.field import Cyc7, CycArray, FieldElem, alpha_minus, alpha_plus, fp
 from heis7.characters import (
-    Character,
     RepError,
     char_of_rep,
     h0_oa_decomposition,
@@ -17,11 +17,11 @@ from heis7.heisenberg import IOTA, MU, SIGMA, TAU, MonoMat, scalar_mono
 
 def test_degrees(g7, sl2):
     total = sum(
-        int(g7.rows[lb].values[g7.identity_class].rational_value()) ** 2 for lb in g7.labels
+        int(g7.rows[lb].tolist()[g7.identity_class].rational_value()) ** 2 for lb in g7.labels
     )
     assert total == 686
     assert len(g7.labels) == 38
-    total = sum(int(sl2.rows[lb].values[0].rational_value()) ** 2 for lb in sl2.labels)
+    total = sum(int(sl2.rows[lb].tolist()[0].rational_value()) ** 2 for lb in sl2.labels)
     assert total == 336
     assert len(sl2.labels) == 11
 
@@ -33,27 +33,33 @@ def test_central_column(g7):
         if lb[0] == "central":
             a = lb[1]
             want = FieldElem(Cyc7.from_int(7) * Cyc7.zeta(a), 0)
-            assert g7.rows["V0"].values[c] == want
+            assert g7.rows["V0"].tolist()[c] == want
 
 
 def test_sl2_table_values(sl2):
     nu = sl2.classes.labels.index("nu")
-    assert sl2.rows["U"].values[nu] == FieldElem(alpha_minus(), 0)
-    assert sl2.rows["U'"].values[nu] == FieldElem(alpha_plus(), 0)
+    assert sl2.rows["U"].tolist()[nu] == FieldElem(alpha_minus(), 0)
+    assert sl2.rows["U'"].tolist()[nu] == FieldElem(alpha_plus(), 0)
     r8a = sl2.classes.labels.index("r8a")
-    assert sl2.rows["T1"].values[r8a] == FieldElem.sqrt2()
-    assert sl2.rows["T2"].values[r8a] == -FieldElem.sqrt2()
+    assert sl2.rows["T1"].tolist()[r8a] == FieldElem.sqrt2()
+    assert sl2.rows["T2"].tolist()[r8a] == -FieldElem.sqrt2()
 
 
 def test_value_types(g7, sl2):
     # G7 class functions live in Q(zeta7); only the SL2(F7) table carries sqrt2
     for lb in g7.labels:
-        assert all(type(v) is Cyc7 for v in g7.rows[lb].values), lb
-    assert all(type(v) is Cyc7 for v in g7.sym_power(g7.rows["V0"], 3).values)
+        assert all(type(v) is Cyc7 for v in g7.rows[lb].tolist()), lb
+    assert all(type(v) is Cyc7 for v in g7.sym_power(g7.rows["V0"], 3).tolist())
     r8a = sl2.classes.labels.index("r8a")
     for lb in ("T1", "T2"):
-        v = sl2.rows[lb].values[r8a]
+        v = sl2.rows[lb].tolist()[r8a]
         assert type(v) is FieldElem and not v.b.is_zero()
+    # a value without a sqrt2 part reads as a Cyc7, also in the tower: the
+    # rows carry sqrt2 at T1 and T2 on r8a and r8b only, and S^2 T1 none
+    r8b = sl2.classes.labels.index("r8b")
+    tower = [(lb, c) for lb in sl2.labels for c, v in enumerate(sl2.rows[lb].tolist()) if type(v) is not Cyc7]
+    assert sl2.rows["I"].r2 and tower == [("T1", r8a), ("T1", r8b), ("T2", r8a), ("T2", r8b)]
+    assert all(type(v) is Cyc7 for v in sl2.sym_power(sl2.rows["T1"], 2).tolist())
 
 
 def test_char_of_rep_rows(g7):
@@ -211,7 +217,6 @@ def test_sample_traces_against_oracle():
     # value-by-value matrix powers on all 330 sampled products
     from heis7.characters import newton
     from heis7.checks import Context, RunConfig, _a4_power_traces, _a4_samples
-    from heis7.field import CycArray
     from oracles import dense_mul_oracle, ext_traces, mono_dense_oracle, power_traces_oracle, sym_traces
 
     samples, h_reps = _a4_samples(Context(RunConfig()))
@@ -240,7 +245,7 @@ def test_orthogonality_detects_a_perturbed_value(g7, sl2, label, cls):
     from oracles import first_orthogonality_failures
 
     t = g7 if label == "V0" else sl2
-    rows = [(lb, list(t.rows[lb].values)) for lb in t.labels]
+    rows = [(lb, t.rows[lb].tolist()) for lb in t.labels]
     vals = dict(rows)[label]
     vals[cls] = vals[cls] + Cyc7.zeta(2)
     bad = CharTable(t.classes, rows, t._power_fn, t.identity_class)
@@ -260,7 +265,7 @@ def test_negative_degrees_are_refused(g7):
         with pytest.raises(ValueError, match="non-negative"):
             power(v, [2, -1])
     with pytest.raises(ValueError, match="non-negative"):
-        g7.sym_powers(v, -1)
+        g7.sym_power(v, range(0))
     assert g7.sym_power(v, 0) == g7.rows["I"] == g7.ext_power(v, 0)
 
 
@@ -292,7 +297,7 @@ def _broken(t):
     rebuilds as 2I."""
     from heis7.characters import CharTable
 
-    rows = [(lb, list(t.rows["I" if k == 1 else lb].values)) for k, lb in enumerate(t.labels)]
+    rows = [(lb, t.rows["I" if k == 1 else lb].tolist()) for k, lb in enumerate(t.labels)]
     return CharTable(t.classes, rows, t._power_fn, t.identity_class)
 
 
@@ -305,7 +310,6 @@ def test_batched_decompose_against_oracle(g7, sl2, name, kind, data):
     # integer combinations of the rows, one of them made bad at a random
     # position: the batch agrees with the oracle item by item, with n
     # batches of one, and with a lone bad item's error message
-    from heis7.field import CycArray
     from oracles import decompose_oracle
 
     t = g7 if name == "g7" else sl2
@@ -325,17 +329,16 @@ def test_batched_decompose_against_oracle(g7, sl2, name, kind, data):
     elif kind == "irrational":
         items[pos] = items[pos] + t.rows[t.labels[j]] * Cyc7.zeta(data.draw(st.integers(1, 6)))
     elif kind == "perturbed":
-        vals = list(items[pos].values)
+        vals = items[pos].tolist()
         c = data.draw(st.integers(0, len(vals) - 1))
         vals[c] = vals[c] + data.draw(st.integers(1, 5))
-        items[pos] = Character(t.classes, vals)
+        items[pos] = CycArray.from_values(vals)
     elif kind == "unreconstructed":
         items[pos] = items[pos] + t.rows["I"]
-    batch = CycArray.stack([chi.arr for chi in items])
+    batch = CycArray.stack(items)
     if kind is None:
         want = [decompose_oracle(t, chi) for chi in items]
         assert [d.mults for d in t.decompose(batch)] == want
-        assert [d.mults for d in t.decompose(items)] == want
         assert [t.decompose(batch[i : i + 1])[0].mults for i in range(n)] == want
         assert [t.decompose(chi).mults for chi in items] == want
         return
@@ -346,29 +349,70 @@ def test_batched_decompose_against_oracle(g7, sl2, name, kind, data):
     with pytest.raises(ValueError) as single_exc:
         t.decompose(items[pos])
     with pytest.raises(ValueError) as batch_exc:
-        t.decompose(CycArray.stack([*(chi.arr for chi in items), (t.rows["I"] * -7).arr]))
+        t.decompose(CycArray.stack([*items, t.rows["I"] * -7]))
     assert str(batch_exc.value) == str(single_exc.value) == str(oracle_exc.value)
     reason = {"negative": "not a character", "irrational": "not rational", "unreconstructed": "not reconstruct"}
     assert reason.get(kind, "") in str(single_exc.value)
     with pytest.raises(ValueError, match=re.escape(str(single_exc.value))):
-        t.decompose(items)
+        t.decompose(batch)
 
 
 @seed(1213)
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(["g7", "sl2"]), st.lists(st.integers(0, 2), min_size=3, max_size=3), st.integers(0, 8))
 def test_batched_powers_against_oracle(g7, sl2, name, picks, top):
-    from heis7.field import CycArray
     from oracles import ext_traces, sym_traces
 
     t = g7 if name == "g7" else sl2
     items = [t.rows[t.labels[(2 + 3 * i + p) % len(t.labels)]] + t.rows[t.labels[p]] for i, p in enumerate(picks)]
-    batch = CycArray.stack([chi.arr for chi in items])
-    sym = [a.tolist() for a in t.sym_powers(batch, top)]
+    batch = CycArray.stack(items)
+    sym = [a.tolist() for a in t.sym_power(batch, range(top + 1))]
     ext = [a.tolist() for a in t.ext_power(batch, range(top + 1))]
     for n, chi in enumerate(items):
+        vals = chi.tolist()
         for c in range(t.classes.count):
-            trs = [chi.values[t.power_classes(j)[c]] for j in range(1, top + 1)]
+            trs = [vals[t.power_classes(j)[c]] for j in range(1, top + 1)]
             assert [s[n][c] for s in sym] == sym_traces(trs, top)
             assert [e[n][c] for e in ext] == ext_traces(trs, top)
-        assert t.sym_power(chi, top) == Character(t.classes, t.sym_powers(batch, top)[top][n])
+        assert t.sym_power(chi, top) == t.sym_power(batch, range(top + 1))[top][n]
+
+
+# ---------------------------------------------------------------------------
+# one calling convention: a row (classes,) or a batch (n, classes)
+
+
+@pytest.mark.parametrize("name", ["g7", "sl2"])
+def test_a_row_and_a_batch_holding_it_agree(g7, sl2, name):
+    t = g7 if name == "g7" else sl2
+    a, b, c = (t.rows[lb] for lb in t.labels[-3:])
+    chi = a * b + c
+    batch = CycArray.stack([a, chi, b])
+    assert t.decompose(chi).mults == t.decompose(batch)[1].mults
+    assert t.dual(chi) == t.dual(batch)[1] and t.dual(chi).shape == chi.shape
+    for power in (t.sym_power, t.ext_power):
+        row, rows = power(chi, 3), power(batch, 3)
+        assert row.shape == chi.shape and rows.shape == batch.shape and row == rows[1]
+        assert all(x == y[1] for x, y in zip(power(chi, [0, 2, 4]), power(batch, [0, 2, 4])))
+    assert t.inner(chi, c) == t.inner(batch, c)[1] and t.inner(chi, chi) == t.inner(batch, batch)[1]
+
+
+def test_a_row_of_the_wrong_length_is_refused(g7):
+    from heis7.characters import CharTable
+
+    rows = [(lb, g7.rows[lb].tolist()) for lb in g7.labels]
+    rows[3] = (rows[3][0], rows[3][1][:-1])
+    with pytest.raises(ValueError, match="one value per conjugacy class required"):
+        CharTable(g7.classes, rows, g7._power_fn, g7.identity_class)
+    v = g7.rows["V0"]
+    for bad in (v[:-1], CycArray.stack([v[:-1]]), CycArray.stack([CycArray.stack([v])])):
+        for refuse in (g7.decompose, g7.dual, lambda x: g7.sym_power(x, 2), lambda x: g7.ext_power(x, 2)):
+            with pytest.raises(ValueError, match=r"a class function has batch shape \(38,\) or \(n, 38\)"):
+                refuse(bad)
+
+
+def test_the_probe_form_runs(g7):
+    # a row with an int degree gives a row: the form the benchmark probes
+    v0 = g7.rows["V0"]
+    s14 = g7.sym_power(v0, 14)
+    assert s14.shape == v0.shape and s14 == g7.sym_power(g7.stack(["V0"]), range(15))[14][0]
+    assert s14[g7.identity_class].tolist() == math.comb(7 + 13, 14)

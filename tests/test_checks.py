@@ -5,7 +5,7 @@ import pytest
 
 from heis7 import characters, formmat, groebner, heisenberg, linalg, moduli, poly
 from heis7.characters import CharTable, SpanSolver
-from heis7.field import Cyc7, CycArray
+from heis7.field import Cyc7, CycArray, FieldElem
 from heis7.poly import Poly
 from heis7 import checks
 from heis7.checks import (
@@ -88,6 +88,11 @@ SURFACES_BUILT = 2
 # moduli.psi calls of the scaled run: check_psi's two fixed points, and one
 # per surface built, which every later check reads its plane from
 PSI_CALLS = 4
+# FieldElem constructions of the scaled run, the SL2(F7) table built before
+# it: a value is a FieldElem only where its sqrt2 part is nonzero, and the
+# run reads no such value (rational SL2 values and parsed coefficients are
+# Cyc7)
+FIELDELEM_INITS = 0
 
 # the character-table methods the certify benchmark traces by name; each
 # must run at least once in the scaled suite, or its traced count reads 0
@@ -103,11 +108,12 @@ def scaled_run():
     Poly.substitute inside surface_ideal, of Cyc7 products and differences
     and Fraction arithmetic inside SpanSolver.is_stable_under, of Poly
     constructions inside subspace_character and the SpanSolver methods, of
-    linalg.rank and the Fraction constructions in linalg inside it, and of
-    ideal_hf_oracle counted: (report, {name: calls})."""
+    linalg.rank and the Fraction constructions in linalg inside it, of
+    ideal_hf_oracle and of FieldElem constructions (the SL2(F7) table built
+    beforehand) counted: (report, {name: calls})."""
     names = (
         *TRACED_CHARTABLE, "matmul", "newton", "det_form_mul", "psi", "surface_ideal", "surface_substitute", "span_solver",
-        "stable_cyc7", "stable_fraction", "span_poly", "rank", "rank_fraction", "hf_oracle",
+        "stable_cyc7", "stable_fraction", "span_poly", "rank", "rank_fraction", "hf_oracle", "fieldelem",
     )
     calls = dict.fromkeys(names, 0)
     in_det = [0]
@@ -160,6 +166,8 @@ def scaled_run():
         mp.setattr(linalg, "Fraction", counting("rank_fraction", Fraction, in_rank))
         mp.setattr(Poly, "__init__", counting("span_poly", Poly.__init__, in_span))
         mp.setattr(groebner, "ideal_hf_oracle", counting("hf_oracle", groebner.ideal_hf_oracle))
+        characters.sl2_table()
+        mp.setattr(FieldElem, "__init__", counting("fieldelem", FieldElem.__init__))
         report = run_suite("all", RunConfig(seed=42, sample_points=2, random_alphas=24))
     return report, calls
 
@@ -195,6 +203,7 @@ def test_work_counts_of_the_scaled_suite(scaled_run):
     _, calls = scaled_run
     assert calls["matmul"] == MATMUL_CALLS
     assert calls["newton"] == NEWTON_CALLS
+    assert calls["fieldelem"] == FIELDELEM_INITS
     assert calls["det_form_mul"] == DET_FORM_MULS
     # one solver per run, for the span certificate; each surface is built
     # once, and stability is decided on integer numerators

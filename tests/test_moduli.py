@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from heis7 import moduli
-from heis7.field import QQ, fp
+from heis7.field import QQ, CycArray, fp
 from heis7.heisenberg import IOTA, MU, NU, SIGMA, TAU, MonoMat, delta_dense, restrict_to_span
 from heis7.linalg import rank
 from heis7.moduli import (
@@ -696,7 +696,6 @@ def test_surface_character(g7):
     # under the generators, and its traces give 3 V4.  At the other points
     # the rank rule span_certificate proves covers it, with
     # test_degenerate_is_the_span_solver_refusal
-    from heis7.characters import Character
     from heis7.checks import Context, RunConfig
 
     gens = [substitution_images(*g.conj()) for g in (SIGMA, TAU, IOTA)]
@@ -704,7 +703,7 @@ def test_surface_character(g7):
     for S in Context(RunConfig(seed=42, sample_points=2)).surfaces():
         oracle = SpanSolverOracle(S.basis)
         assert all(oracle.is_stable_under(g) for g in gens), S.t
-        chi = Character(g7.classes, [oracle.trace(g) for g in classes])
+        chi = CycArray.from_values([oracle.trace(g) for g in classes])
         assert g7.decompose(chi) == {"V4": 3}, S.t
 
 

@@ -240,32 +240,23 @@ def test_field_agreement_on_fixture():
 
 
 def test_truncation_flag(monkeypatch):
-    # either cap leaves the table of in(J) incomplete too, so J falls back
-    # to the uniform cap and is flagged as it was before the bound
+    # the cap leaves the table of in(J) incomplete too, so J falls back to
+    # the uniform cap and is flagged as it was before the bound
     J = j_ideal()
-    for kwargs, entries, note in [
-        (
-            {"degree_cap": 3},
-            {(0, 0): 1, (1, 2): 7, (2, 3): 8},
-            "degree cap left pairs unprocessed after step 1; degree cap dropped candidates at step 2; "
-            "degree cap left pairs unprocessed after step 2",
-        ),
-        (
-            {"max_steps": 2},
-            {(0, 0): 1, (1, 2): 7, (2, 3): 8, (2, 4): 3},
-            "max_steps stopped before homological step 3",
-        ),
-    ]:
-        bt, calls = _resolution_calls(monkeypatch, J, **kwargs)
-        assert len(calls) == 2 and not free_resolution(calls[1][0], **kwargs).complete
-        assert not bt.complete and bt.entries == entries and bt.note == note
+    bt, calls = _resolution_calls(monkeypatch, J, degree_cap=3)
+    assert len(calls) == 2 and not free_resolution(calls[1][0], degree_cap=3).complete
+    assert not bt.complete and bt.entries == {(0, 0): 1, (1, 2): 7, (2, 3): 8}
+    assert bt.note == (
+        "degree cap left pairs unprocessed after step 1; degree cap dropped candidates at step 2; "
+        "degree cap left pairs unprocessed after step 2"
+    )
 
 
 def test_truncation_flag_after_hilbert(monkeypatch):
     # J.hilbert() leaves a complete run that handled degree 4: it is level
-    # 1 at max_steps=2 (cap 8) and too high for degree_cap=3, and either way
-    # the table and its note are those of a fresh J
-    for kwargs, shared in [({"degree_cap": 3}, False), ({"max_steps": 2}, True)]:
+    # 1 at degree_cap=4 and too high for degree_cap=3, and either way the
+    # table and its note are those of a fresh J
+    for kwargs, shared in [({"degree_cap": 3}, False), ({"degree_cap": 4}, True)]:
         want = free_resolution(j_ideal(), **kwargs)
         J = j_ideal()
         J.hilbert()
