@@ -24,8 +24,11 @@ for SL2(F7), the only place sqrt2 appears.  Products, sums, power maps
 Newton recursion run on these arrays; Cyc7 values (FieldElem only where a
 sqrt2 part is nonzero) are built only by CycArray.tolist.
 
-CharTable.rows[lb] is row lb of the table.  decompose, sym_power,
-ext_power, dual and inner take a row or a batch alike.  A batch takes one
+A table is built as one (labels, classes) batch: g7_table from the traces
+of one dense batch of the class representatives, their Galois twists, the
+sign row and one gather for the Z rows, sl2_table from its printed rows.
+CharTable.rows[lb] is row lb of it.  decompose, sym_power, ext_power,
+dual and inner take a row or a batch alike.  A batch takes one
 Newton recursion to the highest degree asked for, and one contraction
 against all rows; its multiplicities are decided on the integer numerators
 of that contraction, without a Fraction per label: a pairing is rational
@@ -54,19 +57,17 @@ from .heisenberg import (
     ClassData,
     HElem,
     IOTA,
+    MONO_ID,
     SIGMA,
     TAU,
     conjugacy_classes_g7,
     conjugacy_classes_sl2,
     differs,
-    scalar_mono,
+    mono_dense,
     sl2_inv,
     sl2_mul,
 )
 from .poly import Poly, render_poly
-
-_C0 = Cyc7.from_int(0)
-_C1 = Cyc7.from_int(1)
 
 
 def newton(power_sums: CycArray, alternating: bool = False) -> list:
@@ -87,24 +88,22 @@ def newton(power_sums: CycArray, alternating: bool = False) -> list:
 
 
 class CharTable:
-    """Irreducible characters indexed by label, plus power/inverse maps.
+    """Irreducible characters indexed by label, plus power maps.
 
-    rows maps each label to its row of the table, one CycArray of batch
-    shape (classes,).  Every method that takes a class function takes such
+    The table is one CycArray of batch shape (labels, classes), refused in
+    any other shape, and rows maps each label to its row, of batch shape
+    (classes,).  Every method that takes a class function takes such
     a row or a batch (n, classes) and answers in kind: a power of a row is
     a row and of a batch a batch, and decompose gives one Decomposition
     for a row and a list of n for a batch.  Any other shape is refused.
     """
 
-    def __init__(self, classes: ClassData, rows, power_fn, identity_class: int):
-        self.classes = classes
-        self.labels = [lb for lb, _ in rows]
-        arrs = [CycArray.from_values(vals) for _, vals in rows]
-        if any(a.shape != (classes.count,) for a in arrs):
+    def __init__(self, classes: ClassData, labels, table: CycArray, power_fn, identity_class: int):
+        if table.shape != (len(labels), classes.count):
             raise ValueError("one value per conjugacy class required")
-        # all rows as one (labels, classes) batch, for the reconstruction
-        # check and the orthogonality relations
-        self._table = CycArray.stack(arrs)
+        self.classes = classes
+        self.labels = list(labels)
+        self._table = table
         self._index = {lb: i for i, lb in enumerate(self.labels)}
         self.rows = {lb: self._table[i] for lb, i in self._index.items()}
         self._sizes = CycArray.from_ints(classes.sizes)
@@ -270,14 +269,9 @@ class Decomposition:
 def _g7_power_fn(classes: ClassData):
     def fn(c: int, j: int) -> int:
         rep = classes.reps[c]
-        if j < 0:
-            rep_j = rep.inv()
-            for _ in range(-j - 1):
-                rep_j = rep_j * rep.inv()
-        else:
-            rep_j = HElem(0, 0, 0, 0)
-            for _ in range(j):
-                rep_j = rep_j * rep
+        rep_j = HElem(0, 0, 0, 0)
+        for _ in range(j % 14):  # G7 has exponent 14
+            rep_j = rep_j * rep
         return classes.index_of[rep_j]
 
     return fn
@@ -285,50 +279,24 @@ def _g7_power_fn(classes: ClassData):
 
 @cache
 def g7_table() -> CharTable:
+    """I, S, V0..V5, V0#..V5# and the 24 Z(s,t), as one (38, 38) batch: the
+    V rows are Galois twists of the traces of one dense batch of the class
+    representatives, and the Z rows are one gather."""
     classes = conjugacy_classes_g7()
-    n = classes.count
-    identity_class = classes.index_of[HElem(0, 0, 0, 0)]
-
-    one = [_C1] * n
-    sign = [_C1 if classes.reps[c].b == 0 else -_C1 for c in range(n)]
-    rows = [("I", one), ("S", sign)]
-
-    base_traces = [classes.reps[c].matrix().trace() for c in range(n)]
-    v_rows = []
-    for i in range(6):
-        vals = [t.galois(i) for t in base_traces]
-        v_rows.append((f"V{i}", vals))
-    rows.extend(v_rows)
-    for i in range(6):
-        vals = [a * b for a, b in zip(v_rows[i][1], sign)]
-        rows.append((f"V{i}#", vals))
-
-    # canonical (s,t) labels for the 2-dimensional characters
-    zlabels = []
-    seen = set()
-    for s in range(7):
-        for t in range(7):
-            if (s, t) == (0, 0) or (s, t) in seen:
-                continue
-            seen.add((s, t))
-            seen.add(((-s) % 7, (-t) % 7))
-            zlabels.append((s, t))
-    assert len(zlabels) == 24
-    two = Cyc7.from_int(2)
-    z_pairs = [Cyc7.zeta(e) + Cyc7.zeta(-e) for e in range(7)]  # z^e + z^-e
-    for s, t in zlabels:
-        vals = []
-        for c in range(n):
-            lb = classes.labels[c]
-            if lb[0] == "central":
-                vals.append(two)
-            elif lb[0] == "C":
-                vals.append(z_pairs[(s * lb[1] + t * lb[2]) % 7])
-            else:
-                vals.append(_C0)
-        rows.append((f"Z({s},{t})", vals))
-
-    return CharTable(classes, rows, _g7_power_fn(classes), identity_class)
+    _, m, n, b = (np.array(col) for col in zip(*classes.reps))
+    one, sign = CycArray.from_ints(np.ones_like(b)), CycArray.from_ints(1 - 2 * b)
+    base = mono_dense(*zip(*(rep.matrix() for rep in classes.reps))).trace()
+    twists = [base.galois(i) for i in range(6)]
+    # (s,t) ranges over one of each pair +/-(s,t) != 0, the lesser
+    zlabels = [(s, t) for s in range(7) for t in range(7) if (0, 0) < (s, t) < (-s % 7, -t % 7)]
+    st = np.array(zlabels)
+    # z^e + z^-e at e = s m + t n (2 at the center), 0 on the involution coset
+    pairs = CycArray.from_values([Cyc7.zeta(e) + Cyc7.zeta(-e) for e in range(7)] + [0])
+    z = pairs[np.where(b, 7, st @ np.stack([m, n]) % 7)]
+    labels = ["I", "S", *(f"V{i}" for i in range(6)), *(f"V{i}#" for i in range(6))]
+    labels += [f"Z({s},{t})" for s, t in zlabels]
+    table = CycArray.stack([one, sign, *twists, *(v * sign for v in twists), *(z[k] for k in range(len(st)))])
+    return CharTable(classes, labels, table, _g7_power_fn(classes), classes.index_of[HElem(0, 0, 0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +322,21 @@ def sl2_table() -> CharTable:
     classes = conjugacy_classes_sl2()
     ap, am, r2 = alpha_plus(), alpha_minus(), FieldElem.sqrt2()
     # columns: id, iota, mu, iota*mu, nu, nu^3, iota*nu^3, iota*nu, delta, r8a, r8b
-    rows = [
-        ("I", [1] * 11),
-        ("M1", [8, -8, -1, 1, 1, 1, -1, -1, 0, 0, 0]),
-        ("M2", [8, 8, -1, -1, 1, 1, 1, 1, 0, 0, 0]),
-        ("L", [7, 7, 1, 1, 0, 0, 0, 0, -1, -1, -1]),
-        ("U", [4, -4, 1, -1, am, ap, -ap, -am, 0, 0, 0]),
-        ("U'", [4, -4, 1, -1, ap, am, -am, -ap, 0, 0, 0]),
-        ("T1", [6, -6, 0, 0, -1, -1, 1, 1, 0, r2, -r2]),
-        ("T2", [6, -6, 0, 0, -1, -1, 1, 1, 0, -r2, r2]),
-        ("T", [6, 6, 0, 0, -1, -1, -1, -1, 2, 0, 0]),
-        ("W", [3, 3, 0, 0, -ap, -am, -am, -ap, -1, 1, 1]),
-        ("W'", [3, 3, 0, 0, -am, -ap, -ap, -am, -1, 1, 1]),
-    ]
-    return CharTable(classes, rows, _sl2_power_fn(classes), 0)
+    rows = {
+        "I": [1] * 11,
+        "M1": [8, -8, -1, 1, 1, 1, -1, -1, 0, 0, 0],
+        "M2": [8, 8, -1, -1, 1, 1, 1, 1, 0, 0, 0],
+        "L": [7, 7, 1, 1, 0, 0, 0, 0, -1, -1, -1],
+        "U": [4, -4, 1, -1, am, ap, -ap, -am, 0, 0, 0],
+        "U'": [4, -4, 1, -1, ap, am, -am, -ap, 0, 0, 0],
+        "T1": [6, -6, 0, 0, -1, -1, 1, 1, 0, r2, -r2],
+        "T2": [6, -6, 0, 0, -1, -1, 1, 1, 0, -r2, r2],
+        "T": [6, 6, 0, 0, -1, -1, -1, -1, 2, 0, 0],
+        "W": [3, 3, 0, 0, -ap, -am, -am, -ap, -1, 1, 1],
+        "W'": [3, 3, 0, 0, -am, -ap, -ap, -am, -1, 1, 1],
+    }
+    table = CycArray.stack([CycArray.from_values(vals) for vals in rows.values()])
+    return CharTable(classes, list(rows), table, _sl2_power_fn(classes), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +358,7 @@ def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> CycArr
     """
     table = table or g7_table()
     s, t, io = sigma_img, tau_img, iota_img
-    idm = scalar_mono(0).dense()
+    idm = MONO_ID.dense()
 
     def powers(m):
         """m^1 .. m^7 of a batch of matrices, along a new first axis; once

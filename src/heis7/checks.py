@@ -797,7 +797,7 @@ def check_a4_rows(ctx: Context):
 def _a4_samples(ctx: Context):
     """(name, matrix, SL2(F7) class) of the normalizer sample elements, and
     the Heisenberg class reps they are multiplied with."""
-    from .heisenberg import HElem, IOTA, MU, NU, delta_dense
+    from .heisenberg import HElem, IOTA, MU, NU, MonoMat, delta_dense
 
     cls = ctx.sl2.classes
     samples = [
@@ -805,7 +805,7 @@ def _a4_samples(ctx: Context):
         ("iota", IOTA.dense(), cls.index_of[(6, 0, 0, 6)]),
         ("mu", MU.dense(), cls.index_of[(2, 0, 0, 4)]),
         ("nu", NU.dense(), cls.index_of[(1, 0, 2, 1)]),
-        ("nu3", (NU * NU * NU).dense(), cls.index_of[(1, 0, 6, 1)]),
+        ("nu3", MonoMat(NU.perm, NU.sign, tuple(3 * p % 7 for p in NU.pw)).dense(), cls.index_of[(1, 0, 6, 1)]),
         ("delta", delta_dense(), cls.index_of[(0, 6, 1, 0)]),
     ]
     h_reps = [HElem(a, 0, 0, 0) for a in range(7)] + [

@@ -501,6 +501,13 @@ def _imatmul(x, y, bound: int):
     return x @ y
 
 
+def _float_route(a, bound: int):
+    """a in float64 where `bound` selects _imatmul's float route, else
+    unchanged: an operand handed to _imatmul once per basis coordinate is
+    converted once."""
+    return a.astype(np.float64) if 0 < bound < _EXACT_FLOAT else a
+
+
 def _ints(a):
     """An _imatmul result as an integer array: float64 becomes int64."""
     return a.astype(np.int64) if a.dtype == np.float64 else a
@@ -676,6 +683,7 @@ class CycArray:
         w = x.shape[-1]
         table, norm = _PRODUCT[w]
         bound = _top(x) * _top(y) * norm
+        y = _float_route(y, bound)
         # the sum over basis elements e_i of x's e_i coordinate times y
         # multiplied by e_i: temporaries stay the size of the result
         out = 0
@@ -695,6 +703,7 @@ class CycArray:
         w = x.shape[-1]
         table, norm = _PRODUCT[w]
         bound = _top(x) * _top(y) * norm * x.shape[-2]
+        y = _float_route(y, bound)
         cols = y.shape[-2] * w
         out = 0
         for i in range(w):

@@ -7,13 +7,16 @@ Matrix model (on V = C^7 with basis e_0..e_6, indices mod 7):
     nu:    e_j -> z^{j^2} e_j      delta: e_j -> (i/sqrt7) sum_k z^{kj} e_k
 
 with z = zeta7 and i*sqrt7 realized as the Gauss sum.  All of these except
-delta are signed monomial matrices, stored compactly as (permutation, signs,
-zeta-powers); delta is kept as a dense matrix over Q(zeta7).  A dense matrix,
-or a batch of them, is a CycArray of batch shape (..., 7, 7), and
-MonoMat.dense() expands a compact one: every dense 7x7 product, comparison,
-trace and Galois twist is the CycArray operator (@, ==, .trace(),
-.galois()), and relations over many matrices are decided on stacked
-products.
+delta are signed monomial matrices, stored compactly as a MonoMat
+(permutation, signs, zeta-powers); delta is kept as a dense matrix over
+Q(zeta7).  A MonoMat has no arithmetic of its own: it acts on coordinates
+(act, phases), inverts, conjugates and expands to a dense matrix.  An
+element of G7 gets its compact matrix from HElem.matrix(); products of
+compact matrices are composed on column codes (build_heisenberg); every
+other product, trace, determinant, comparison and Galois twist is on
+dense matrices, a CycArray of batch shape (..., 7, 7) with its operators
+(@, ==, .trace(), .galois()) and dense_det, and relations over many
+matrices are decided on stacked products.
 
 The coordinate action is written once, here.  A MonoMat g is also the
 substitution x_i -> sign[i] z^pw[i] x_perm[i] of the coordinate functions
@@ -49,10 +52,7 @@ import numpy as np
 from .field import QQ, Cyc7, CycArray, gauss_sum
 from .linalg import inverse
 
-ZETA = [Cyc7.zeta(k) for k in range(7)]
-_ZETA_NUM = np.array([z.num for z in ZETA], dtype=np.int64)
-_C0 = Cyc7.from_int(0)
-_C1 = Cyc7.from_int(1)
+_ZETA_NUM = np.array([Cyc7.zeta(k).num for k in range(7)], dtype=np.int64)
 
 
 class MonoMat(NamedTuple):
@@ -61,17 +61,6 @@ class MonoMat(NamedTuple):
     perm: tuple
     sign: tuple
     pw: tuple
-
-    def __mul__(self, other: "MonoMat") -> "MonoMat":
-        """Matrix product self @ other (apply `other` first)."""
-        if not isinstance(other, MonoMat):
-            return NotImplemented
-        op, osg, opw = other
-        sp, ssg, spw = self
-        perm = tuple(sp[op[l]] for l in range(7))
-        sign = tuple(osg[l] * ssg[op[l]] for l in range(7))
-        pw = tuple((opw[l] + spw[op[l]]) % 7 for l in range(7))
-        return MonoMat(perm, sign, pw)
 
     def inv(self) -> "MonoMat":
         perm = [0] * 7
@@ -104,38 +93,9 @@ class MonoMat(NamedTuple):
             parts[k % 7][tuple(map(e.__getitem__, inv))] = -c if k % 2 else c
         return parts
 
-    def trace(self) -> Cyc7:
-        t = _C0
-        for l in range(7):
-            if self.perm[l] == l:
-                v = ZETA[self.pw[l]]
-                t = t + (v if self.sign[l] == 1 else -v)
-        return t
-
-    def det(self) -> Cyc7:
-        # permutation sign * product of entries
-        seen = [False] * 7
-        psign = 1
-        for s in range(7):
-            if seen[s]:
-                continue
-            ln = 0
-            j = s
-            while not seen[j]:
-                seen[j] = True
-                j = self.perm[j]
-                ln += 1
-            if ln % 2 == 0:
-                psign = -psign
-        tot = psign
-        for s in self.sign:
-            tot *= s
-        v = ZETA[sum(self.pw) % 7]
-        return v if tot == 1 else -v
-
     def dense(self) -> CycArray:
         """Expand to a 7x7 matrix over Q(zeta7) (rows x cols, column-action)."""
-        return _mono_dense(self.perm, self.sign, self.pw)
+        return mono_dense(self.perm, self.sign, self.pw)
 
 
 @cache
@@ -145,9 +105,10 @@ def _substitution(g: MonoMat) -> tuple:
     return tuple(g.phases()), tuple(sorted(range(7), key=g.perm.__getitem__))
 
 
-def _mono_dense(perm, sign, pw) -> CycArray:
+def mono_dense(perm, sign, pw) -> CycArray:
     """Dense matrices of signed zeta-monomial matrices given as (..., 7)
-    int arrays: entry (perm[l], l) is sign[l] * z^pw[l]."""
+    int arrays: entry (perm[l], l) is sign[l] * z^pw[l].  A list of MonoMat
+    is one batch: mono_dense(*zip(*mats))."""
     perm, sign, pw = (np.asarray(x) for x in (perm, sign, pw))
     hits = perm[..., :, None] == np.arange(7)  # [..., l, row]
     vals = sign[..., None] * _ZETA_NUM[pw]  # [..., l, coordinate]
@@ -162,10 +123,6 @@ MU = MonoMat(tuple((2 * l) % 7 for l in range(7)), (1,) * 7, (0,) * 7)
 NU = MonoMat(tuple(range(7)), (1,) * 7, tuple((l * l) % 7 for l in range(7)))
 
 
-def scalar_mono(a: int) -> MonoMat:
-    return MonoMat(tuple(range(7)), (1,) * 7, (a % 7,) * 7)
-
-
 def delta_dense() -> CycArray:
     """delta e_j = (i/sqrt7) sum_k z^{kj} e_k, with i/sqrt7 = gauss_sum()/7."""
     r = np.arange(7)
@@ -173,11 +130,11 @@ def delta_dense() -> CycArray:
     return CycArray(_ZETA_NUM[np.outer(r, r) % 7]) * c
 
 
-def dense_det(a: CycArray) -> Cyc7:
-    """det of a dense 7x7 matrix A: the elementary symmetric e_7 of its
-    eigenvalues, from the power sums tr A^1 .. tr A^7 by the Newton
-    recursion; A^2, A^3, A^4 are formed and tr A^5 .. tr A^7 are trace
-    pairings of them.  (A MonoMat has its own det().)"""
+def dense_det(a: CycArray):
+    """det of a dense 7x7 matrix A, or the list of them for a batch
+    (..., 7, 7): the elementary symmetric e_7 of its eigenvalues, from the
+    power sums tr A^1 .. tr A^7 by the Newton recursion; A^2, A^3, A^4 are
+    formed and tr A^5 .. tr A^7 are trace pairings of them."""
     from .characters import newton
 
     a2 = a @ a
@@ -217,17 +174,11 @@ class HElem(NamedTuple):
         return HElem(*_law(*self, *other))
 
     def inv(self) -> "HElem":
-        e = HElem((-self.a) % 7, 0, 0, 0)
-        core = HElem(0, self.m, self.n, 0)
-        # (Phi(z))^-1 = z^{-B(z,-z)} Phi(-z); compute via the law
-        m, n = self.m, self.n
-        phase = (3 * (m * (-n) - (-m) * n)) % 7
-        core_inv = HElem((-phase) % 7, (-m) % 7, (-n) % 7, 0)
-        if self.b:
-            # (h iota)^-1 = iota h^-1 = (iota h^-1 iota) iota
-            g = core_inv * e
-            return HElem(g.a, (-g.m) % 7, (-g.n) % 7, 1)
-        return core_inv * e
+        """(-a, -s m, -s n, b), s = (-1)^b: the cocycle vanishes on (m, n)
+        and (-m, -n), and iota^b inverts Phi."""
+        a, m, n, b = self
+        s = 1 - 2 * b
+        return HElem(-a % 7, -s * m % 7, -s * n % 7, b)
 
     def matrix(self) -> MonoMat:
         """z^(a+4mn) sigma^m tau^n iota^b, column by column: iota^b sends
@@ -241,11 +192,6 @@ class HElem(NamedTuple):
             (sg,) * 7,
             tuple((a + 4 * m * n + n * j) % 7 for j in cols),
         )
-
-
-def _tau_pow(n: int) -> MonoMat:
-    n %= 7
-    return MonoMat(tuple(range(7)), (1,) * 7, tuple((n * l) % 7 for l in range(7)))
 
 
 H_GEN_SIGMA = HElem(0, 1, 0, 0)
@@ -288,7 +234,7 @@ def _codes(mats) -> np.ndarray:
 def _code_dense(codes) -> CycArray:
     """The dense matrices of a (..., 7) array of column codes."""
     codes = codes.astype(np.intp)
-    return _mono_dense(codes // 14, 1 - 2 * (codes // 7 % 2), codes % 7)
+    return mono_dense(codes // 14, 1 - 2 * (codes // 7 % 2), codes % 7)
 
 
 def _code_map(x) -> np.ndarray:
@@ -346,7 +292,7 @@ def build_heisenberg():
     for _ in range(5):
         pows.append(pows[-1] @ gens)
     pows = CycArray.stack(pows)  # [power, generator]
-    # right-multiplication composes in the same order as MonoMat.__mul__
+    # dense products in the order HElem.matrix() writes: sigma^m tau^n iota^b
     st = (pows[:, 0][:, None] @ pows[:, 1][None, :]).reshape(49, 7, 7)  # sigma^m tau^n
     mn = np.arange(49)
     zeta = CycArray(_ZETA_NUM)
@@ -430,16 +376,19 @@ def verify_normalizer_relations():
 
     Each matrix relation is written a b = c d, a conjugation g h g^-1 = k
     as g h = k g (det g = 1 is checked below), and all of them are decided
-    by two stacked products."""
+    by two stacked products.  The right-hand sides sigma^2, tau^4 and
+    z^8 sigma tau^2 are HElem matrices, whose compact encoding
+    build_heisenberg checks against dense products; the six determinants
+    are one batched dense_det."""
     delta = delta_dense()
     s, t, io, mu, nu, one = (g.dense() for g in (SIGMA, TAU, IOTA, MU, NU, MONO_ID))
     s_inv = SIGMA.inv().dense()
     relations = {  # name: (a, b, c, d) with a b = c d
-        "mu sigma mu^-1 = sigma^2": (mu, s, (SIGMA * SIGMA).dense(), mu),
-        "mu tau mu^-1 = tau^4": (mu, t, _tau_pow(4).dense(), mu),
+        "mu sigma mu^-1 = sigma^2": (mu, s, HElem(0, 2, 0, 0).matrix().dense(), mu),
+        "mu tau mu^-1 = tau^4": (mu, t, HElem(0, 0, 4, 0).matrix().dense(), mu),
         "iota sigma iota = sigma^-1": (io, s, s_inv, io),
         "iota tau iota = tau^-1": (io, t, TAU.inv().dense(), io),
-        "nu sigma nu^-1 = z^8 sigma tau^2": (nu, s, (scalar_mono(8) * SIGMA * TAU * TAU).dense(), nu),
+        "nu sigma nu^-1 = z^8 sigma tau^2": (nu, s, HElem(0, 1, 2, 0).matrix().dense(), nu),
         "nu tau nu^-1 = tau": (nu, t, t, nu),
         "delta sigma delta^-1 = tau": (delta, s, t, delta),
         "delta tau delta^-1 = sigma^-1": (delta, t, s_inv, delta),
@@ -447,9 +396,9 @@ def verify_normalizer_relations():
     }
     a, b, c, d = (CycArray.stack(col) for col in zip(*relations.values()))
     checks = dict(zip(relations, (~differs(a @ b, c @ d)).tolist()))
-    for name, g in [("sigma", SIGMA), ("tau", TAU), ("iota", IOTA), ("mu", MU), ("nu", NU)]:
-        checks[f"det({name}) = 1"] = g.det() == _C1
-    checks["det(delta) = 1"] = dense_det(delta) == _C1
+    dets = dense_det(CycArray.stack([s, t, io, mu, nu, delta]))
+    for name, det in zip(("sigma", "tau", "iota", "mu", "nu", "delta"), dets):
+        checks[f"det({name}) = 1"] = det == Cyc7.from_int(1)
     return checks
 
 
@@ -575,21 +524,14 @@ SL2_R1 = (2, 2, 5, 2)  # order 8, trace 4
 SL2_R2 = (5, 2, 5, 5)  # order 8, trace 3
 
 
-def sl2_nu_pow(k):
-    m = SL2_ID
-    for _ in range(k % 7):
-        m = sl2_mul(m, SL2_NU)
-    return m
-
-
 SL2_CLASS_REPS = [
     ("id", SL2_ID),
     ("iota", SL2_NEG),
     ("mu", SL2_MU),
     ("iota*mu", sl2_mul(SL2_NEG, SL2_MU)),
     ("nu", SL2_NU),
-    ("nu^3", sl2_nu_pow(3)),
-    ("iota*nu^3", sl2_mul(SL2_NEG, sl2_nu_pow(3))),
+    ("nu^3", (1, 0, 6, 1)),
+    ("iota*nu^3", sl2_mul(SL2_NEG, (1, 0, 6, 1))),
     ("iota*nu", sl2_mul(SL2_NEG, SL2_NU)),
     ("delta", SL2_DELTA),
     ("r8a", SL2_R1),

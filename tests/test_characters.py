@@ -1,6 +1,8 @@
+import hashlib
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
@@ -12,7 +14,7 @@ from heis7.characters import (
     omega3_sections_char,
     subspace_character,
 )
-from heis7.heisenberg import IOTA, MU, SIGMA, TAU, MonoMat, scalar_mono
+from heis7.heisenberg import IOTA, MU, SIGMA, TAU, HElem, MonoMat
 
 
 def test_degrees(g7, sl2):
@@ -84,7 +86,7 @@ BROKEN_RELATIONS = [
     (MU, TAU, IOTA, "generator of order != 7"),
     (SIGMA, TAU, MU, "involution image has order != 2"),
     (SIGMA, TAU, _perm(1, 0, 2, 3, 4, 5, 6), "iota sigma iota != sigma^-1"),
-    (SIGMA, scalar_mono(1), IOTA, "iota tau iota != tau^-1"),
+    (SIGMA, HElem(1, 0, 0, 0).matrix(), IOTA, "iota tau iota != tau^-1"),
     (SIGMA, _perm(2, 3, 1, 4, 6, 0, 5), IOTA, "central scalar has order != 7"),
     (SIGMA, _perm(1, 5, 6, 4, 2, 3, 0), IOTA, "central scalar has order != 7"),
     (SIGMA, MonoMat(tuple(range(7)), (1,) * 7, tuple(j**3 % 7 for j in range(7))), IOTA, "central image does not commute"),
@@ -245,10 +247,9 @@ def test_orthogonality_detects_a_perturbed_value(g7, sl2, label, cls):
     from oracles import first_orthogonality_failures
 
     t = g7 if label == "V0" else sl2
-    rows = [(lb, t.rows[lb].tolist()) for lb in t.labels]
-    vals = dict(rows)[label]
-    vals[cls] = vals[cls] + Cyc7.zeta(2)
-    bad = CharTable(t.classes, rows, t._power_fn, t.identity_class)
+    bump = CycArray.from_values([Cyc7.zeta(2) if c == cls else 0 for c in range(t.classes.count)])
+    table = CycArray.stack([t.rows[lb] + bump if lb == label else t.rows[lb] for lb in t.labels])
+    bad = CharTable(t.classes, t.labels, table, t._power_fn, t.identity_class)
     ok, msg = bad.orthogonality_report()
     (a, b), (c1, c2) = first_orthogonality_failures(bad)
     assert not ok
@@ -297,8 +298,8 @@ def _broken(t):
     rebuilds as 2I."""
     from heis7.characters import CharTable
 
-    rows = [(lb, t.rows["I" if k == 1 else lb].tolist()) for k, lb in enumerate(t.labels)]
-    return CharTable(t.classes, rows, t._power_fn, t.identity_class)
+    table = t.stack(["I" if k == 1 else lb for k, lb in enumerate(t.labels)])
+    return CharTable(t.classes, t.labels, table, t._power_fn, t.identity_class)
 
 
 @pytest.mark.parametrize("kind", [None, "negative", "irrational", "perturbed", "unreconstructed"])
@@ -399,10 +400,11 @@ def test_a_row_and_a_batch_holding_it_agree(g7, sl2, name):
 def test_a_row_of_the_wrong_length_is_refused(g7):
     from heis7.characters import CharTable
 
-    rows = [(lb, g7.rows[lb].tolist()) for lb in g7.labels]
-    rows[3] = (rows[3][0], rows[3][1][:-1])
-    with pytest.raises(ValueError, match="one value per conjugacy class required"):
-        CharTable(g7.classes, rows, g7._power_fn, g7.identity_class)
+    # the table is one (labels, classes) batch: a short row, a missing row
+    # or a single row is refused
+    for table in (g7._table[:, :-1], g7._table[:-1], g7._table[0]):
+        with pytest.raises(ValueError, match="one value per conjugacy class required"):
+            CharTable(g7.classes, g7.labels, table, g7._power_fn, g7.identity_class)
     v = g7.rows["V0"]
     for bad in (v[:-1], CycArray.stack([v[:-1]]), CycArray.stack([CycArray.stack([v])])):
         for refuse in (g7.decompose, g7.dual, lambda x: g7.sym_power(x, 2), lambda x: g7.ext_power(x, 2)):
@@ -416,3 +418,33 @@ def test_the_probe_form_runs(g7):
     s14 = g7.sym_power(v0, 14)
     assert s14.shape == v0.shape and s14 == g7.sym_power(g7.stack(["V0"]), range(15))[14][0]
     assert s14[g7.identity_class].tolist() == math.comb(7 + 13, 14)
+
+
+# sha256 of each table's (labels, int64 numerator bytes, den, r2): both
+# tables entry for entry as the value-by-value construction built them
+TABLE_SHA = {
+    "g7": "91945151d3b35f7c1b3f906bb32f0da06337849afa6c9ed4c9932b47dd6be05c",
+    "sl2": "12fa34469d8ee846ea9fa4f466cee3c3030ca4651eb14f6a863c132262279aa7",
+}
+
+
+@pytest.mark.parametrize("name", ["g7", "sl2"])
+def test_tables_are_pinned(g7, sl2, name):
+    t = g7 if name == "g7" else sl2
+    h = hashlib.sha256(repr(t.labels).encode())
+    h.update(np.ascontiguousarray(t._table.num, dtype=np.int64).tobytes())
+    h.update(repr((t._table.den, t._table.r2)).encode())
+    assert h.hexdigest() == TABLE_SHA[name]
+
+
+def test_g7_power_classes_against_products(g7):
+    # rep^j by HElem products, rep^-j as (rep^-1)^j
+    one = HElem(0, 0, 0, 0)
+    for j in range(-3, 16):
+        want = []
+        for rep in g7.classes.reps:
+            base, power = rep if j >= 0 else rep.inv(), one
+            for _ in range(abs(j)):
+                power = power * base
+            want.append(g7.classes.index_of[power])
+        assert g7.power_classes(j) == want, j

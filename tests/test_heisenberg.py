@@ -25,7 +25,6 @@ from heis7.heisenberg import (
     g7_elements,
     restrict_to_span,
     restriction_matrices,
-    scalar_mono,
     sl2_elements,
     sl2_inv,
     sl2_mul,
@@ -45,29 +44,49 @@ from oracles import (
 )
 
 
+def _dense(mats):
+    """The dense matrices of a list of MonoMat, one at a time."""
+    return CycArray.stack([g.dense() for g in mats])
+
+
 def test_monomial_matrices_match_dense():
+    # HElem(a, m, n, b).matrix() is z^(a+4mn) sigma^m tau^n iota^b as a
+    # product of dense generator powers, and dense() agrees with the
+    # nested-list oracle
     rng = random.Random(31)
-    els = g7_elements()
-    for _ in range(200):
-        x, y = rng.choice(els), rng.choice(els)
-        lhs = (x.matrix() * y.matrix()).dense()
-        rhs = x.matrix().dense() @ y.matrix().dense()
-        assert lhs == rhs
+    s, t, io = SIGMA.dense(), TAU.dense(), IOTA.dense()
+    one = HElem(0, 0, 0, 0).matrix().dense()
+    for g in rng.sample(g7_elements(), 200):
+        want = one * zeta(g.a + 4 * g.m * g.n)
+        for gen, k in ((s, g.m), (t, g.n), (io, g.b)):
+            for _ in range(k):
+                want = want @ gen
+        assert g.matrix().dense() == want, g
+        assert g.matrix().dense().tolist() == mono_dense_oracle(g.matrix()), g
 
 
 def test_commutation():
     # with the index-raising shift: tau sigma = z sigma tau
-    assert TAU * SIGMA == scalar_mono(1) * (SIGMA * TAU)
+    assert TAU.dense() @ SIGMA.dense() == HElem(1, 0, 0, 0).matrix().dense() @ (SIGMA.dense() @ TAU.dense())
 
 
 def test_group_law_sampled():
     rng = random.Random(8)
     els = g7_elements()
-    for _ in range(3000):
-        x, y = rng.choice(els), rng.choice(els)
-        assert (x * y).matrix() == x.matrix() * y.matrix()
-    for g in els:
-        assert g * g.inv() == HElem(0, 0, 0, 0)
+    pairs = [(rng.choice(els), rng.choice(els)) for _ in range(3000)]
+    xs, ys = (_dense([g.matrix() for g in col]) for col in zip(*pairs))
+    assert _dense([(x * y).matrix() for x, y in pairs]) == xs @ ys
+
+
+def test_inverse_and_exponent():
+    # over all of G7: the closed-form inverse, and exponent 14
+    one = HElem(0, 0, 0, 0)
+    for g in g7_elements():
+        assert g * g.inv() == one == g.inv() * g, g
+        power = one
+        for _ in range(14):
+            power = power * g
+        assert power == one, g
 
 
 def test_build_heisenberg_orders():
@@ -145,10 +164,11 @@ def test_build_heisenberg_rejects_a_wrong_closure_order(monkeypatch):
 
 def test_compose_matches_monomial_products():
     rng = random.Random(12)
-    mats = [g.matrix() for g in g7_elements()] + [MU, NU, scalar_mono(5)]
+    mats = [g.matrix() for g in g7_elements()] + [MU, NU, HElem(5, 0, 0, 0).matrix()]
     pairs = [(rng.choice(mats), rng.choice(mats)) for _ in range(300)]
     xs, ys = (heisenberg._codes(col) for col in zip(*pairs))
-    assert (heisenberg._compose(xs, ys) == heisenberg._codes([x * y for x, y in pairs])).all()
+    dense = _dense([x for x, _ in pairs]) @ _dense([y for _, y in pairs])
+    assert heisenberg._code_dense(heisenberg._compose(xs, ys)) == dense
 
 
 def test_conj_is_the_inverse_transpose():
@@ -202,24 +222,10 @@ def test_delta_square_and_determinants():
     d = delta_dense()
     assert d @ d == IOTA.dense()
     assert dense_det(d) == Cyc7.from_int(1)
-    for m in (SIGMA, TAU, IOTA, MU, NU):
-        assert m.det() == Cyc7.from_int(1)
+    gens = _dense([SIGMA, TAU, IOTA, MU, NU])
+    # delta mixes every coordinate, and has det 1
+    assert dense_det(gens) == dense_det(d @ gens) == [Cyc7.from_int(1)] * 5
     assert IOTA.dense().trace().tolist() == Cyc7.from_int(-1)
-
-
-def test_dense_det_matches_monomial_det():
-    rng = random.Random(77)
-    gens = [SIGMA, TAU, IOTA, MU, NU, scalar_mono(3)]
-    delta = delta_dense()
-    for _ in range(20):
-        m = scalar_mono(0)
-        for _ in range(rng.randrange(1, 6)):
-            m = m * rng.choice(gens)
-        assert dense_det(m.dense()) == m.det()
-        # det delta = 1, and delta mixes every coordinate
-        assert dense_det(delta @ m.dense()) == m.det()
-    with pytest.raises(TypeError):  # a MonoMat has its own det()
-        dense_det(SIGMA)
 
 
 def test_dense_det_against_sympy():
@@ -227,10 +233,12 @@ def test_dense_det_against_sympy():
     rng = random.Random(78)
     mats = [[[rng.randrange(-4, 5) for _ in range(7)] for _ in range(7)] for _ in range(6)]
     singular = mats[0][:6] + [[x + y for x, y in zip(mats[0][0], mats[0][1])]]
-    for m in mats + [singular]:
-        want = int(sympy.Matrix(m).det())
-        assert dense_det(CycArray.from_ints(np.array(m))) == Cyc7.from_int(want)
-    assert int(sympy.Matrix(singular).det()) == 0
+    wants = [Cyc7.from_int(int(sympy.Matrix(m).det())) for m in mats + [singular]]
+    for m, want in zip(mats + [singular], wants):
+        assert dense_det(CycArray.from_ints(np.array(m))) == want
+    assert wants[-1] == Cyc7.from_int(0)
+    # a batch gives the list of its determinants
+    assert dense_det(CycArray.from_ints(np.array(mats + [singular]))) == wants
 
 
 def test_g7_classes():

@@ -5,8 +5,9 @@ an import binds at module level must be read somewhere in the module. A
 name that a function imports must be read inside that function. The
 package's `__init__.py` imports only to re-export, so its module-level
 imports are exempt. Every module-level function and class of the package
-must be named outside its own body somewhere in the package or perfbench; a
-name that only the tests use belongs in the tests. The checks registered
+must be named outside its own body somewhere in the package or perfbench,
+and so must every name a module-level assignment binds; a name that only
+the tests use belongs in the tests. The checks registered
 with @declare_id are exempt.
 """
 
@@ -109,32 +110,46 @@ def _registered_check(node) -> bool:
     )
 
 
+def _defined(node) -> list:
+    """The names a module-level statement defines: a function or class
+    (unless registered with @declare_id), or the plain names an assignment
+    binds, dunder names aside."""
+    if isinstance(node, DEFINITIONS):
+        return [] if _registered_check(node) else [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        return [name for name in names if not name.startswith("__")]
+    return []
+
+
 def unnamed_definitions(sources, defining, naming):
-    """'file name' for each module-level function or class of the files in
-    `defining` that no file in `naming` (which holds `defining`) names
-    outside its own body; checks registered with @declare_id run through
-    the registry and are exempt."""
+    """'file name' for each module-level function, class or assigned name
+    of the files in `defining` that no file in `naming` (which holds
+    `defining`) names outside its own statement; checks registered with
+    @declare_id run through the registry and are exempt."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     named = sum((_named(trees[path]) for path in naming), Counter())
     dead = []
     for path in defining:
         for node in trees[path].body:
-            if isinstance(node, DEFINITIONS) and not _registered_check(node):
-                if named[node.name] == _named(node)[node.name]:
-                    dead.append(f"{path} {node.name}")
+            for name in _defined(node):
+                if named[name] == _named(node)[name]:
+                    dead.append(f"{path} {name}")
     return dead
 
 
 def test_the_scan_finds_unnamed_definitions():
     sources = {
         "a.py": "def used():\n    return 1\ndef rec(n):\n    return rec(n - 1)\n"
-        "@declare_id('x')\ndef check():\n    pass\nclass Gone:\n    pass\n",
+        "@declare_id('x')\ndef check():\n    pass\nclass Gone:\n    pass\n"
+        "KEPT, _LOST = 1, 2\nCOUNT: int = KEPT\n__all__ = []\n",
         "b.py": "from a import used\nTARGETS = ['a.Traced']\n",
         "c.py": "class Traced:\n    pass\ndef orphan():\n    '''orphan is named in text only'''\n"
         "def tested():\n    pass\n",
         "test_c.py": "from c import tested\n",
     }
-    dead = ["a.py rec", "a.py Gone", "c.py orphan"]
+    dead = ["a.py rec", "a.py Gone", "a.py _LOST", "a.py COUNT", "c.py orphan"]
     assert unnamed_definitions(sources, ["a.py", "c.py"], sources) == dead
     # a definition that only a test names does not count as used
     package = ["a.py", "b.py", "c.py"]

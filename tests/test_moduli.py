@@ -9,7 +9,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from heis7 import moduli
 from heis7.field import QQ, CycArray, fp
-from heis7.heisenberg import IOTA, MU, NU, SIGMA, TAU, MonoMat, delta_dense, restrict_to_span
+from heis7.heisenberg import IOTA, MU, NU, SIGMA, TAU, HElem, MonoMat, delta_dense, restrict_to_span
 from heis7.linalg import rank
 from heis7.moduli import (
     AlphaMatrix,
@@ -897,7 +897,7 @@ def test_span_solver_against_oracle(g7, seed):
         SIGMA.inv(),
         IOTA,
         TAU.conj(),
-        (TAU * TAU * TAU).conj(),
+        HElem(0, 0, 3, 0).matrix().conj(),
         MU.conj(),
         _SWAP_X1_X2,
         _scale_one(0, 1, 1),
