@@ -947,10 +947,6 @@ class RatDomain:
         return a + b
 
     @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
     def mul(a, b):
         return a * b
 
@@ -1021,9 +1017,6 @@ class FpDomain:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -74,19 +74,6 @@ class FormMatrix:
     def scale(self, c):
         return FormMatrix([[p.scale(c) for p in row] for row in self.entries])
 
-    def __matmul__(self, other):
-        z = Poly.zero(self.reg, self.dom)
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(out)
-
     def __eq__(self, other):
         return (
             isinstance(other, FormMatrix)

@@ -65,9 +65,9 @@ call it.  Inputs enter ModuleGB.add_input in this integer form, and kept
 forms and syzygies stay in it, so a resolution hands its syzygies from one
 level to the next without conversion and reads only the keys (leading
 terms, degrees) of the kept forms.  Values leave through Coeffs.export as
-Fractions or ints only where they are read: the kept, elems and rows views
-of ModuleGB (hilbert_burch and minimal_ideal_gens read kept), and the
-reduced bases and normal forms of GroebnerBasis.
+Fractions or ints only where they are read: the kept and elems views of
+ModuleGB (hilbert_burch and minimal_ideal_gens read kept), and the reduced
+bases and normal forms of GroebnerBasis.
 
 Pairs (Gebauer & Moeller, On an installation of Buchberger's algorithm,
 JSC 6 (1988)).  When an element enters, its pairs with the earlier elements
@@ -511,11 +511,6 @@ class ModuleGB:
     def elems(self):
         """The monic basis vectors, as dicts of domain values."""
         return [self.kern.export(G, L) for G, _, L in self.basis]
-
-    @property
-    def rows(self):
-        """The basis vectors' cofactor rows (None untracked)."""
-        return [None if RG is None else self.kern.export(RG, L) for _, RG, L in self.basis]
 
     # -- internals ------------------------------------------------------
 

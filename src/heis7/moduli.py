@@ -497,13 +497,6 @@ class Composition(NamedTuple):
     keys: list
     den: int
 
-    @property
-    def blocks(self) -> list:
-        """blocks[r][s]: block (r, s) as a dict {(row, col, var): numerator}
-        of Python ints, with no zero values."""
-        rows = [{k: v for k, v in zip(self.keys, row) if v} for row in self.nums.tolist()]
-        return [rows[3 * r : 3 * r + 3] for r in range(3)]
-
 
 def alpha_compose(alpha: AlphaMatrix) -> Composition:
     """The 3x3 blocks of alpha alpha', read off alpha's cached contraction.

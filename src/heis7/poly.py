@@ -1,13 +1,11 @@
 """Sparse multivariate polynomials over an exact coefficient domain.
 
-A VarRegistry fixes an ordered tuple of variable names, optionally split into
-blocks (for bigraded rings such as t-variables times u-variables).  Monomials
-are dense exponent tuples over the registry; polynomials map exponent tuples
-to nonzero coefficients of the attached domain.
+A VarRegistry fixes an ordered tuple of variable names.  Monomials are
+dense exponent tuples over the registry; polynomials map exponent tuples to
+nonzero coefficients of the attached domain.
 
 Monomials are ordered graded reverse lexicographically over all of a
-registry's variables; blocks play no part in the order and only give
-multidegrees (Poly.bidegree).
+registry's variables.
 
 A product over Q runs on integers: each factor's coefficients are brought
 over one common denominator, the numerators are multiplied and summed as
@@ -26,15 +24,12 @@ from .field import QQ, _field_atom, _join_terms, _render_term, _Scanner
 
 
 class VarRegistry:
-    """Named, ordered variable set, optionally split into degree blocks."""
+    """Named, ordered variable set."""
 
-    __slots__ = ("names", "blocks", "_index")
+    __slots__ = ("names", "_index")
 
-    def __init__(self, names, blocks=None):
+    def __init__(self, names):
         self.names = tuple(names)
-        self.blocks = tuple(blocks) if blocks else (len(self.names),)
-        if sum(self.blocks) != len(self.names):
-            raise ValueError("block sizes must sum to the variable count")
         self._index = {n: i for i, n in enumerate(self.names)}
 
     @property
@@ -44,26 +39,14 @@ class VarRegistry:
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def bidegree(self, exp) -> tuple:
-        out = []
-        start = 0
-        for b in self.blocks:
-            out.append(sum(exp[start : start + b]))
-            start += b
-        return tuple(out)
-
     def __eq__(self, other):
-        return isinstance(other, VarRegistry) and self.names == other.names and self.blocks == other.blocks
+        return isinstance(other, VarRegistry) and self.names == other.names
 
     def __hash__(self):
-        return hash((self.names, self.blocks))
+        return hash(self.names)
 
     def __repr__(self):
         return f"VarRegistry({self.names!r})"
-
-
-def product_registry(a: VarRegistry, b: VarRegistry) -> VarRegistry:
-    return VarRegistry(a.names + b.names, a.blocks + b.blocks)
 
 
 REG_X = VarRegistry([f"x{i}" for i in range(7)])
@@ -71,7 +54,7 @@ REG_U = VarRegistry([f"u{i}" for i in range(4)])
 REG_Y = VarRegistry(["y1", "y2", "y3"])
 REG_V = VarRegistry(["v1", "v2", "v3"])
 REG_T = VarRegistry([f"t{i}" for i in range(4)])
-REG_TU = product_registry(REG_T, REG_U)
+REG_TU = VarRegistry(REG_T.names + REG_U.names)
 
 
 def grevlex_key(exp):
@@ -238,22 +221,6 @@ class Poly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def bidegree(self):
-        bids = {self.reg.bidegree(e) for e in self.terms}
-        if len(bids) > 1:
-            raise ValueError("polynomial is not bihomogeneous")
-        return bids.pop() if bids else None
-
-    def leading(self):
-        e = max(self.terms, key=grevlex_key)
-        return e, self.terms[e]
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        _, c = self.leading()
-        return self.scale(self.dom.inv(c))
-
     def coeff(self, exp):
         return self.terms.get(tuple(exp), self.dom.zero)
 
@@ -290,15 +257,16 @@ class Poly:
     def substitute(self, images):
         """Replace variable i by images[i] (a Poly over the target registry).
 
-        Composition law: substituting by g then by h equals substituting by
-        the map sending each variable first through g, then through h.
+        One route for any images, constants and single variables included:
+        each term is the product of the cached powers of its variables'
+        images.  Composition law: substituting by g then by h equals
+        substituting by the map sending each variable first through g, then
+        through h.
         """
         if len(images) != self.reg.n:
             raise ValueError("need one image per variable")
         tgt = images[0].reg
         dom = images[0].dom
-        if all(len(im.terms) <= 1 for im in images):
-            return self._substitute_monomial(images, tgt, dom)
         out = Poly.zero(tgt, dom)
         pow_cache = [{0: Poly.const(tgt, 1, dom)} for _ in range(self.reg.n)]
         for e, c in self.terms.items():
@@ -317,42 +285,6 @@ class Poly:
                 term = term * cache[a]
             out = out + term
         return out
-
-    def _substitute_monomial(self, images, tgt, dom):
-        """Fast path: every variable image is a single term (or zero)."""
-        data = []
-        for im in images:
-            if not im.terms:
-                data.append(None)
-            else:
-                (e, c), = im.terms.items()
-                data.append((e, c))
-        out = {}
-        for e, c in self.terms.items():
-            coeff = dom.coerce(c) if dom is not self.dom else c
-            exp = [0] * tgt.n
-            dead = False
-            for i, a in enumerate(e):
-                if a == 0:
-                    continue
-                if data[i] is None:
-                    dead = True
-                    break
-                ie, ic = data[i]
-                for k, b in enumerate(ie):
-                    if b:
-                        exp[k] += a * b
-                for _ in range(a):
-                    coeff = dom.mul(coeff, ic)
-            if dead:
-                continue
-            t = tuple(exp)
-            s = dom.add(out.get(t, dom.zero), coeff)
-            if dom.is_zero(s):
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return Poly(tgt, dom, out, _clean=True)
 
     def evaluate(self, point):
         """Evaluate at a point (list of domain elements)."""

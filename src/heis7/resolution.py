@@ -239,24 +239,24 @@ def hilbert_burch(gens, dom=QQ):
 
     Raises NotHilbertBurch unless the resolution shape is exactly
     (1; 3 2): three quadric generators with two linear syzygies and nothing
-    else.  Its rows belong to the quadrics that level 1 keeps, in ascending
-    leading terms.  The returned FormMatrix's 2x2 minors span the input
-    quadrics' span (callers verify the round trip).
+    else.  Linear dependence is read off level 1: its run reduces each
+    quadric against the earlier ones before any S-pair (pairs of quadrics
+    have degree >= 3), so it keeps all three exactly when they are
+    independent.  The rows belong to the quadrics that level 1 keeps, in
+    ascending leading terms.  The returned FormMatrix's 2x2 minors span the
+    input quadrics' span (callers verify the round trip).
     """
     from .formmat import FormMatrix
-    from .linalg import rank as _rank
-    from .poly import coefficient_rows, monomial_basis
 
     if len(gens) != 3:
         raise NotHilbertBurch("need exactly three quadrics")
     reg = gens[0].reg
     if any(g.degree() != 2 or not g.is_homogeneous() for g in gens):
         raise NotHilbertBurch("generators must be homogeneous quadrics")
-    if _rank(coefficient_rows(gens, monomial_basis(reg, 2)), dom) != 3:
-        raise NotHilbertBurch("quadrics are linearly dependent")
 
     levels = _levels(GradedIdeal(reg, dom, gens), 8)
-    next(levels)
+    if len(next(levels)[1].forms) != 3:
+        raise NotHilbertBurch("quadrics are linearly dependent")
     order, gb, _ = next(levels)
     kept = gb.kept
     degrees = [order.vec_degree(v) for v in kept]

@@ -99,10 +99,6 @@ class CycDomain:
         return a + b
 
     @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
     def mul(a, b):
         return a * b
 

@@ -6,9 +6,11 @@ name that a function imports must be read inside that function. The
 package's `__init__.py` imports only to re-export, so its module-level
 imports are exempt. Every module-level function and class of the package
 must be named outside its own body somewhere in the package or perfbench,
-and so must every name a module-level assignment binds; a name that only
-the tests use belongs in the tests. The checks registered
-with @declare_id are exempt.
+and so must every name a module-level assignment binds and every method
+or property of a module-level class, dunders aside; a name that only the
+tests use belongs in the tests. The checks registered with @declare_id
+are exempt. The scan matches names, not owners, so a member that shares
+its name with another attribute (`rows`, say) hides from it.
 """
 
 import ast
@@ -123,9 +125,18 @@ def _defined(node) -> list:
     return []
 
 
+def _members(node) -> list:
+    """The methods and properties of a module-level class, dunders aside."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    methods = [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [m for m in methods if not (m.name.startswith("__") and m.name.endswith("__"))]
+
+
 def unnamed_definitions(sources, defining, naming):
-    """'file name' for each module-level function, class or assigned name
-    of the files in `defining` that no file in `naming` (which holds
+    """'file name' for each module-level function, class or assigned name,
+    and 'file Class.member' for each method or property of a module-level
+    class, of the files in `defining` that no file in `naming` (which holds
     `defining`) names outside its own statement; checks registered with
     @declare_id run through the registry and are exempt."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
@@ -136,6 +147,9 @@ def unnamed_definitions(sources, defining, naming):
             for name in _defined(node):
                 if named[name] == _named(node)[name]:
                     dead.append(f"{path} {name}")
+            for member in _members(node):
+                if named[member.name] == _named(member)[member.name]:
+                    dead.append(f"{path} {node.name}.{member.name}")
     return dead
 
 
@@ -154,6 +168,25 @@ def test_the_scan_finds_unnamed_definitions():
     # a definition that only a test names does not count as used
     package = ["a.py", "b.py", "c.py"]
     assert unnamed_definitions(sources, ["a.py", "c.py"], package) == [*dead, "c.py tested"]
+
+
+def test_the_scan_finds_unnamed_members():
+    sources = {
+        "a.py": "class Kept:\n    def __init__(self):\n        self.run()\n    def run(self):\n        return 1\n"
+        "    def go(self):\n        return self.go()\n    @property\n    def shape(self):\n        return 1\n"
+        "    @staticmethod\n    def spare():\n        pass\n    def __eq__(self, other):\n        return True\n",
+        "b.py": "from a import Kept\nfrom c import Other\nWRAPPED = ['c.Other.traced']\nSEEN = Kept().rows\n",
+        "c.py": "class Other:\n    def traced(self):\n        pass\n    def tested(self):\n        pass\n"
+        "    def rows(self):\n        pass\n",
+        "test_c.py": "def test(o):\n    o.tested()\n",
+    }
+    # go only calls itself, shape and spare are never named, and the
+    # dunder is exempt; Other.rows hides behind the attribute Kept().rows
+    dead = ["a.py Kept.go", "a.py Kept.shape", "a.py Kept.spare"]
+    assert unnamed_definitions(sources, ["a.py", "c.py"], sources) == dead
+    # a member that only a test names does not count as used
+    package = ["a.py", "b.py", "c.py"]
+    assert unnamed_definitions(sources, ["a.py", "c.py"], package) == [*dead, "c.py Other.tested"]
 
 
 def test_no_dead_definitions():

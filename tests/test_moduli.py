@@ -167,12 +167,20 @@ def _entries_of_forms(blocks):
     return out
 
 
+def _composition_blocks(comp):
+    """blocks[r][s]: block (r, s) of comp as a dict {(row, col, var):
+    numerator} of Python ints, with no zero values."""
+    rows = [{k: v for k, v in zip(comp.keys, row) if v} for row in comp.nums.tolist()]
+    return [rows[3 * r : 3 * r + 3] for r in range(3)]
+
+
 def _entries_of_composition(comp):
+    blocks = _composition_blocks(comp)
     return {
         (r, s) + key: Fraction(v, comp.den)
         for r in range(3)
         for s in range(3)
-        for key, v in comp.blocks[r][s].items()
+        for key, v in blocks[r][s].items()
     }
 
 
@@ -207,7 +215,7 @@ def test_alpha_compose_matches_form_matrix_expansion():
     nonzero = 0
     for a in alphas:
         comp = alpha_compose(a)
-        assert all(isinstance(v, int) for row in comp.blocks for b in row for v in b.values())
+        assert all(isinstance(v, int) for row in _composition_blocks(comp) for b in row for v in b.values())
         want = _entries_of_forms(alpha_compose_forms(a))
         assert _entries_of_composition(comp) == want
         assert alpha_compose_is_zero(comp) == (not want)

@@ -8,6 +8,7 @@ from heis7.field import QQ, fp, zeta
 from heis7.moduli import delta_ops
 from heis7.poly import (
     Poly,
+    REG_TU,
     REG_U,
     REG_X,
     REG_Y,
@@ -35,6 +36,9 @@ def test_linear_form_is_the_sum_of_its_monomials(dom):
     assert got == want and got.terms == want.terms and got.dom == dom
     assert len(got.terms) == (3 if dom is QQ else 2)
     assert linear_form(REG_U, [Fraction(0)] * 4, dom).is_zero()
+    # the domain's inverse is exact: over Q a Fraction, never a float
+    assert dom.mul(dom.inv(dom.coerce(3)), dom.coerce(3)) == dom.one
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
 
 
 def rand_poly(rng, reg, deg, terms=4):
@@ -60,6 +64,19 @@ def test_substitution_examples():
     ident = [Poly.var(REG_X, f"x{j}") for j in range(7)]
     f = rand_poly(random.Random(1), REG_X, 3)
     assert f.substitute(ident) == f
+    # the images alpha_t passes: constants for the t-variables, one of them
+    # zero, and the u-variables of another registry
+    t = [Fraction(2), Fraction(0), Fraction(-1, 3), Fraction(5)]
+    images = [Poly.const(REG_U, x) for x in t] + [Poly.var(REG_U, f"u{i}") for i in range(4)]
+    f = rand_poly(random.Random(3), REG_TU, 3, terms=12) + parse_poly("t1*u0^2 + t0^2*u3 - 4*u1*u2^2", REG_TU)
+    want = {}
+    for e, c in f.terms.items():
+        for x, a in zip(t, e[:4]):
+            c *= x**a
+        want[e[4:]] = want.get(e[4:], 0) + c
+    got = f.substitute(images)
+    assert got.reg == REG_U and got.terms == {e: c for e, c in want.items() if c}
+    assert any(e[1] for e in f.terms)  # some term meets the zero image
 
 
 def test_substitution_composition_law():
@@ -158,25 +175,6 @@ def test_registry_mismatch():
     g = parse_poly("x0", REG_X)
     with pytest.raises(ValueError):
         _ = f + g
-
-
-def test_bidegree():
-    from heis7.poly import REG_TU
-
-    p = parse_poly("t0*u1+t2*u2", REG_TU)
-    assert p.bidegree() == (1, 1)
-    q = parse_poly("t1*t2*u0", REG_TU)
-    assert q.bidegree() == (2, 1)
-    with pytest.raises(ValueError):
-        (p + q).bidegree()
-
-
-def test_monic_over_q_with_int_coefficients():
-    # a raw Q polynomial with int coefficients is divided exactly, not in floats
-    p = Poly(REG_X, QQ, {(1, 0, 0, 0, 0, 0, 0): 3, (0, 1, 0, 0, 0, 0, 0): 1}).monic()
-    assert p.terms == {(1, 0, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0, 0): Fraction(1, 3)}
-    assert all(type(c) is Fraction for c in p.terms.values())
-    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
 
 
 def _det_cases(rng):

@@ -157,11 +157,14 @@ def test_hilbert_burch_roundtrip():
 
 
 def test_hilbert_burch_rejects():
-    with pytest.raises(NotHilbertBurch):
+    with pytest.raises(NotHilbertBurch, match="syzygy shape is not two linear columns"):
         hilbert_burch([u("u0*u1"), u("u0*u2"), u("u0*u3")])
-    with pytest.raises(NotHilbertBurch):
-        hilbert_burch([u("u0^2"), u("u0^2"), u("u1^2")])
-    with pytest.raises(NotHilbertBurch):
+    # a repeated quadric, and three distinct quadrics with one in the span
+    # of the other two
+    for gens in (["u0^2", "u0^2", "u1^2"], ["u0^2", "u1^2", "u0^2 + u1^2"]):
+        with pytest.raises(NotHilbertBurch, match="quadrics are linearly dependent"):
+            hilbert_burch([u(g) for g in gens])
+    with pytest.raises(NotHilbertBurch, match="need exactly three quadrics"):
         hilbert_burch([u("u0^2"), u("u1^2")])
 
 
@@ -582,10 +585,10 @@ def test_flat_induced_key_matches_recursive_oracle(monkeypatch):
         assert decoded == sorted(decoded, key=oracle)
         return len(terms)
 
-    # level 1's kept forms have the leading terms that Poly.leading picks
-    # for the minimal generators (one echelon basis of the cubics)
+    # level 1's kept forms have the grevlex-leading terms of the minimal
+    # generators (one echelon basis of the cubics)
     gens = minimal_ideal_gens(ideal.gens, ideal.dom)
-    assert sorted(keys[1][0]) == sorted(ring.pack(g.leading()[0]) for g in gens)
+    assert sorted(keys[1][0]) == sorted(ring.pack(max(g.terms, key=grevlex_key)) for g in gens)
     checked = 0
     for k, gb in enumerate(runs):
         assert gb.order is keys[k][2]
@@ -657,7 +660,8 @@ def _engine_digests(monkeypatch, ideal):
     put(outputs, "betti", sorted(bt.entries.items()), bt.complete)
     for run in runs:
         syzygies = [run.kern.export(R, D) for R, D in run.syzygies]
-        put(work, "run", run.elems, run.rows, syzygies, run.pairs_processed, run.n_inputs)
+        rows = [None if RG is None else run.kern.export(RG, L) for _, RG, L in run.basis]
+        put(work, "run", run.elems, rows, syzygies, run.pairs_processed, run.n_inputs)
     return outputs.hexdigest(), work.hexdigest()
 
 
