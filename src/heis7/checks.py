@@ -981,7 +981,7 @@ def check_twisted_cubic(ctx: Context):
         mat_rank(coefficient_rows(minors, monos), QQ) == 3
         and mat_rank(coefficient_rows([*minors, *gens], monos), QQ) == 3
     )
-    alpha = AlphaMatrix([[mat[i, 0], mat[i, 1]] for i in range(3)])
+    alpha = AlphaMatrix.from_entries([[mat[i, 0], mat[i, 1]] for i in range(3)])
     ok = (
         bt.entries == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
         and hd.hf_range(1, 4) == [4, 7, 10, 13]
@@ -1182,7 +1182,7 @@ def check_delta_equivalence(ctx: Context):
     # constructed annihilated case and the zero matrix
     from .poly import Poly, REG_U
 
-    zero_alpha = AlphaMatrix([[Poly.zero(REG_U, QQ)] * 2 for _ in range(3)])
+    zero_alpha = AlphaMatrix.from_entries([[Poly.zero(REG_U, QQ)] * 2 for _ in range(3)])
     if not (alpha_compose_is_zero(alpha_compose(zero_alpha)) and delta_criterion(zero_alpha)):
         mismatches += 1
     return _result(

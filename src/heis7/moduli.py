@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import _WIDE, _imatmul, _ints, QQ, CycArray, FpDomain, fp
+from .field import _WIDE, _float_route, _imatmul, _ints, QQ, CycArray, FpDomain, fp
 from .formmat import FormMatrix, det_form, pfaffian_vector
 from .groebner import GradedIdeal
 from .heisenberg import IOTA, SIGMA, TAU
@@ -303,14 +303,27 @@ def j_ideal() -> GradedIdeal:
 
 @dataclass(frozen=True)
 class AlphaMatrix:
-    """3x2 matrix of linear forms in the u-variables.
+    """3x2 matrix of linear forms in the u-variables, held as its integer
+    coefficient lift: entry (r, c) is sum_k nums[8r + 4c + k] u_k / den,
+    where den is the least common denominator of the 24 rational
+    coefficients (1 for the zero matrix).
 
-    Frozen, so that `entries` is never rebound under the cached
-    `contraction`, from which alpha_compose, delta_criterion and minor_rows
-    all read.
+    Both constructors lift once, so no criterion reads a Poly: `from_coeffs`
+    from the rationals themselves, `from_entries` from six Poly linear
+    forms.  Equal matrices have equal lifts.  `entries` is the Poly view of
+    the lift, built on first use for minors() and the test oracles.  Frozen,
+    so that the lift is never rebound under the cached `contraction`, from
+    which alpha_compose, delta_criterion and minor_rows all read.
     """
 
-    entries: list  # 3x2 of Poly over REG_U
+    nums: tuple  # 24 ints, coefficient k of entry (r, c) at 8r + 4c + k
+    den: int
+
+    @cached_property
+    def entries(self):
+        """The 3x2 Poly linear forms over REG_U that the lift stands for."""
+        q = [Fraction(n, self.den) for n in self.nums]
+        return [[linear_form(REG_U, q[8 * r + 4 * c : 8 * r + 4 * c + 4]) for c in range(2)] for r in range(3)]
 
     def minors(self):
         e = self.entries
@@ -322,16 +335,57 @@ class AlphaMatrix:
     @cached_property
     def contraction(self):
         """(N, den): the read-only integer contraction of `_contract_alpha`,
-        formed on first use and read by every criterion of this matrix.  A
-        refused entry raises on every call, as nothing is cached then."""
+        formed on first use and read by every criterion of this matrix."""
         return _contract_alpha(self)
 
     @staticmethod
     def from_coeffs(coeffs):
-        """coeffs[r][c] is a length-4 rational coefficient vector."""
-        return AlphaMatrix(
-            [[linear_form(REG_U, coeffs[r][c]) for c in range(2)] for r in range(3)]
-        )
+        """coeffs[r][c][k] is coefficient k of entry (r, c), any value that
+        QQ.coerce takes; nested lists, tuples or arrays of any shape but
+        3x2x4 are refused."""
+        _require_shape(coeffs, (3, 2, 4))
+        return _lift([QQ.coerce(c) for row in coeffs for entry in row for c in entry])
+
+    @staticmethod
+    def from_entries(entries):
+        """entries[r][c] is a linear form over Q in the u-variables; an entry
+        over another domain or of another degree is refused."""
+        return _lift([c for row in entries for p in row for c in _lin_coeffs(p)])
+
+
+_NESTING = (list, tuple, np.ndarray)
+
+
+def _nested_shape(x):
+    """The shape of x as nested lists, tuples or arrays, read the way numpy
+    reads one, or None when the nesting is ragged."""
+    shape, level = [], [x]
+    while level and all(isinstance(v, _NESTING) for v in level):
+        sizes = {len(v) for v in level}
+        if len(sizes) > 1:
+            return None
+        shape.append(sizes.pop())
+        level = [w for v in level for w in v]
+    if any(isinstance(v, _NESTING) for v in level):
+        return None
+    return tuple(shape)
+
+
+def _require_shape(x, want: tuple):
+    """Refuse alpha coefficients x unless their nested shape is want."""
+    shape = _nested_shape(x)
+    if shape != want:
+        got = "a ragged shape" if shape is None else f"shape {shape}"
+        raise ValueError(f"alpha coefficients have {got}, not shape {want}")
+
+
+def _lift(coeffs) -> AlphaMatrix:
+    """The AlphaMatrix of 24 Fractions in (r, c, k) order, cleared to
+    Python ints by their least common denominator (a Fraction read from a
+    numpy integer keeps it as its numerator, whose int64 arithmetic wraps)."""
+    ratios = [(int(p), int(q)) for p, q in (c.as_integer_ratio() for c in coeffs)]
+    d = lcm(*[q for _, q in ratios])
+    return AlphaMatrix(tuple(p * (d // q) for p, q in ratios), d)
 
 
 _UNIT = {tuple(int(i == k) for i in range(4)): k for k in range(4)}  # e_k -> k
@@ -438,24 +492,27 @@ _FOLD = slice(-10, None)
 
 @cache
 def _joined_table():
-    """(J, keys, norm): the 16 x (m + 13) int64 matrix [T | P | F] of the
-    composition columns, the net pairing and the monomial fold, built once;
-    keys are T's column keys and norm is J's largest absolute column sum."""
+    """(J, keys, norm, S, S_float): the 16 x (m + 13) int64 matrix
+    [T | P | F] of the composition columns, the net pairing and the
+    monomial fold, built once; keys are T's column keys, norm is J's largest
+    absolute column sum, and S = [J; -J] is the 32-row stacked table that
+    _contract_alpha multiplies, with its float64 copy S_float."""
     t, keys = _composition_columns()
     j = np.hstack([t, _pairing(), _monomial_fold()])
-    return j, keys, int(np.abs(j).sum(axis=0).max())
+    stacked = np.vstack([j, -j])
+    return j, keys, int(np.abs(j).sum(axis=0).max()), stacked, stacked.astype(np.float64)
 
 
-def _minor_indices():
-    """(L, R): flat indices into the 24 x 24 outer product of alpha's
-    coefficient lift a (a[8r + 4c + k] is coefficient k of entry (r, c))
-    with L[3r + s, 4k + l] at a_r0[k] a_s1[l] and R[3r + s, 4k + l] at
-    a_r1[k] a_s0[l]."""
-    r, s, k, l = np.indices((3, 3, 4, 4)).reshape(4, 9, 16)
-    return (8 * r + k) * 24 + 8 * s + 4 + l, (8 * r + 4 + k) * 24 + 8 * s + l
+def _product_indices():
+    """(L, R): indices into an alpha lift a (a[8r + 4c + k] is coefficient
+    k of entry (r, c)) with a[L] a[R] at row 3r + s, column 16h + 4k + l
+    equal to a_r0[k] a_s1[l] for h = 0 and a_r1[k] a_s0[l] for h = 1, the
+    two products of the minor a_r0 a_s1 - a_r1 a_s0."""
+    r, s, h, k, l = np.indices((3, 3, 2, 4, 4)).reshape(5, 9, 32)
+    return 8 * r + 4 * h + k, 8 * s + 4 * (1 - h) + l
 
 
-_LEFT, _RIGHT = _minor_indices()
+_LEFT, _RIGHT = _product_indices()
 
 
 def _contract_alpha(alpha: AlphaMatrix):
@@ -463,26 +520,28 @@ def _contract_alpha(alpha: AlphaMatrix):
     joined table [T | P | F], as a read-only 9 x (m + 13) integer array over
     one denominator.
 
-    The 24 coefficients are cleared to integers a_rc[k] by their lcm D, and
-    C[3r + s, 4k + l] = a_r0[k] a_s1[l] - a_r1[k] a_s0[l] over den = D^2, so
-    that a_r0 a_s1 - a_r1 a_s0 = sum_kl C[3r + s, 4k + l] u_k u_l / den; C
-    is two fixed takes of one outer product of the lift.  Every entry of C
-    is at most 2 top^2 in absolute value (top the largest |a_rc[k]|), so
-    N = C @ J runs through field._imatmul under the bound 2 top^2 norm,
-    known before C is formed: float64 below 2^53, int64 below 2^62, Python
-    ints beyond (the lift is then Python ints too).
+    Read off alpha's stored lift a (integers over D): the 9 x 32 matrix
+    X = [A | B] = a[L] a[R] of _product_indices holds
+    A[3r + s, 4k + l] = a_r0[k] a_s1[l] and B[3r + s, 4k + l] =
+    a_r1[k] a_s0[l], and N = X @ [J; -J] = (A - B) @ J over den = D^2, so
+    that row 3r + s pairs the table with the minor
+    a_r0 a_s1 - a_r1 a_s0 = sum_kl (A - B)[3r + s, 4k + l] u_k u_l / den.
+    Every entry of X is at most top^2 in absolute value (top the largest
+    |a_rc[k]|), and each output sums 32 terms whose table entries are those
+    of one column of J twice, so every partial sum is at most 2 top^2 norm:
+    that bound, known before X is formed, routes the product through
+    field._imatmul, float64 below 2^53 (the products are then formed in
+    float64, against the cached float64 table), int64 below 2^62, and Python
+    ints beyond.
     """
-    ratios = [c.as_integer_ratio() for row in alpha.entries for e in row for c in _lin_coeffs(e)]
-    d = lcm(*[q for _, q in ratios])
-    ints = [p * (d // q) for p, q in ratios]
-    table, _, norm = _joined_table()
-    top = max(map(abs, ints))
+    _, _, norm, stacked, stacked_float = _joined_table()
+    top = max(map(abs, alpha.nums))
     bound = 2 * top * top * norm
-    a = np.array(ints, dtype=np.int64 if bound < _WIDE else object)
-    products = np.multiply.outer(a, a)  # take reads it flat
-    n = _ints(_imatmul(products.take(_LEFT) - products.take(_RIGHT), table, bound))
+    a = _float_route(np.array(alpha.nums, dtype=np.int64 if bound < _WIDE else object), bound)
+    table = stacked_float if a.dtype == np.float64 else stacked
+    n = _ints(_imatmul(a[_LEFT] * a[_RIGHT], table, bound))
     n.flags.writeable = False
-    return n, d * d
+    return n, alpha.den * alpha.den
 
 
 class Composition(NamedTuple):
@@ -716,7 +775,7 @@ def alpha_t(t):
         f = tail[c] / tail[piv]
         cols.append([ev[r][c] - ev[r][piv].scale(f) for r in range(3)])
     entries = [[cols[0][r], cols[1][r]] for r in range(3)]
-    return AlphaMatrix(entries)
+    return AlphaMatrix.from_entries(entries)
 
 
 # ---------------------------------------------------------------------------

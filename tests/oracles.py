@@ -19,7 +19,8 @@ The composition oracle expands alpha alpha' as sums of scaled 7x7 form
 matrices c_kl * compose_u(k, l), the direct reading of the wedge table,
 against which the composition columns of the package's one integer
 contraction per matrix (AlphaMatrix.contraction) are tested.  The
-annihilation oracle forms the three 2x2 minors of alpha as Poly products and
+annihilation oracle forms the three 2x2 minors of alpha as Poly products of
+alpha.entries, the Poly view of the matrix's stored coefficient lift, and
 applies the net operators to them with DiffOp.apply, the direct reading of
 the criterion, against which the pairing columns of that contraction are
 tested; delta_values reads the same nine values off those columns as

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +51,7 @@ from heis7.moduli import (
     wedge_reps,
     GrassPoint,
 )
-from heis7.poly import REG_U, REG_X, DiffOp, Poly, coefficient_rows, monomial_basis, parse_poly, render_poly
+from heis7.poly import REG_U, REG_X, DiffOp, Poly, coefficient_rows, linear_form, monomial_basis, parse_poly, render_poly
 
 from oracles import (
     CYC,
@@ -245,24 +247,27 @@ def test_lin_coeffs_rejects_nonlinear_entries():
     for bad in ("u0*u1 + u2", "u0^3", "u1 + 1"):
         with pytest.raises(ValueError, match="not a linear form"):
             _lin_coeffs(parse_poly(bad, REG_U))
-        alpha = AlphaMatrix([[u0, u0], [u0, parse_poly(bad, REG_U)], [u0, u0]])
-        # nothing is cached for a refused matrix: every call raises
-        for criterion in (alpha_compose, delta_criterion, alpha_compose, minor_rows):
-            with pytest.raises(ValueError, match="not a linear form"):
-                criterion(alpha)
+        # the matrix is refused when it is built, so no criterion ever
+        # meets the entry
+        with pytest.raises(ValueError, match="not a linear form"):
+            AlphaMatrix.from_entries([[u0, u0], [u0, parse_poly(bad, REG_U)], [u0, u0]])
 
 
 def test_alpha_entries_outside_q_are_refused():
     # over F31 all three minors vanish (16 * 2 - 1 = 31), while the same
-    # residues read as integers do not compose to zero: refuse, do not guess
+    # residues read as integers do not compose to zero: refuse when the
+    # matrix is built, do not guess
     f31 = fp(31)
     u1 = Poly.var(REG_U, "u1", f31)
     zero = Poly.zero(REG_U, f31)
-    alpha = AlphaMatrix([[u1.scale(16), u1], [u1, u1.scale(2)], [zero, zero]])
-    assert all(m.is_zero() for m in alpha.minors())
-    for criterion in (alpha_compose, delta_criterion, delta_values, delta_criterion):
-        with pytest.raises(ValueError, match="is over F31, not Q"):
-            criterion(alpha)
+    e = [[u1.scale(16), u1], [u1, u1.scale(2)], [zero, zero]]
+    assert all((e[r][0] * e[s][1] - e[r][1] * e[s][0]).is_zero() for r, s in ((0, 1), (0, 2), (1, 2)))
+    with pytest.raises(ValueError, match="is over F31, not Q"):
+        AlphaMatrix.from_entries(e)
+    # one entry over F31 among entries over Q is refused too
+    u0 = parse_poly("u0", REG_U)
+    with pytest.raises(ValueError, match="is over F31, not Q"):
+        AlphaMatrix.from_entries([[u0, u0], [u0, u0], [u0, u1]])
 
 
 def _alpha_of(flat):
@@ -308,6 +313,101 @@ def test_delta_values_match_the_poly_oracle_on_wide_family_points(parts):
     assert want == [[0] * 3] * 3
     assert delta_values(alpha) == want
     assert delta_criterion(alpha) and alpha_compose_is_zero(alpha_compose(alpha))
+
+
+@pytest.mark.parametrize(
+    "coeffs, shape",
+    [
+        ([1, 2, 3], "shape (3,)"),
+        ([1, 2, 3, 4, 5], "shape (5,)"),
+        ([[[0] * 4] * 2] * 4, "shape (4, 2, 4)"),
+        ([[[0] * 4] * 3] * 3, "shape (3, 3, 4)"),
+        ([[[0] * 4] * 2] * 2 + [[[0] * 4, [0] * 3]], "a ragged shape"),
+        ([[[[0]] * 4] * 2] * 3, "shape (3, 2, 4, 1)"),
+        (7, "shape ()"),
+    ],
+    ids=["3-vector", "5-vector", "4th-row", "3rd-column", "ragged", "nested-too-deep", "scalar"],
+)
+def test_from_coeffs_refuses_other_shapes(coeffs, shape):
+    # each was read silently (a 3-vector as u0 + 2 u1 + 3 u2, an extra row
+    # or column dropped) or failed with a bare IndexError
+    with pytest.raises(ValueError, match=re.escape(f"alpha coefficients have {shape}, not shape (3, 2, 4)")):
+        AlphaMatrix.from_coeffs(coeffs)
+
+
+def test_from_coeffs_takes_what_qq_coerce_takes():
+    # every value Fraction reads is read as that Fraction, and every value it
+    # refuses is refused the same way; an integer array reads as its list
+    values = [3, Fraction(-5, 6), "7/4", 0.375, Decimal("-1.25"), True, "0"]
+    flat = [values[i % len(values)] for i in range(24)]
+    want = _alpha_of([Fraction(v) for v in flat])
+    assert _alpha_of(flat) == want and _alpha_of(tuple(flat)) == want
+    assert want.den == 24 and want.nums[:4] == (72, -20, 42, 9)
+    ints = np.arange(-12, 12).reshape(3, 2, 4)
+    assert AlphaMatrix.from_coeffs(ints) == AlphaMatrix.from_coeffs(ints.tolist())
+    # int64 entries near 2^31 give a bound past 2^62: the lift holds Python
+    # ints, so the bound and the contraction are those of the list
+    big = np.array([(-1) ** i * (2**31 - 7 * i) for i in range(24)], dtype=np.int64).reshape(3, 2, 4)
+    from_array = AlphaMatrix.from_coeffs(big)
+    assert {type(n) for n in from_array.nums} == {int} and type(from_array.den) is int
+    _assert_same_lift(from_array, AlphaMatrix.from_coeffs(big.tolist()))
+    assert from_array.contraction[0].dtype == object
+    with pytest.raises(ValueError, match=re.escape("have shape (4, 2, 3), not")):
+        AlphaMatrix.from_coeffs(np.zeros((4, 2, 3)))
+    for bad in ("u0", None, 1j, float("nan")):
+        with pytest.raises((TypeError, ValueError)) as refused:
+            QQ.coerce(bad)
+        with pytest.raises(refused.type):
+            _alpha_of([bad] + [0] * 23)
+
+
+def test_annihilation_from_coefficients_builds_no_poly(monkeypatch):
+    # from_coeffs lifts the rationals directly, and both criteria read the
+    # lift: after one warm call (which builds the tables), no Poly is made
+    rng = random.Random(19)
+    coeffs = [[[[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)] for _ in range(2)] for _ in range(3)] for _ in range(20)]
+    delta_criterion(AlphaMatrix.from_coeffs(coeffs[0]))
+    made = []
+    real = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args, **kwargs: made.append(1) or real(self, *args, **kwargs))
+    assert Poly.zero(REG_U, QQ).is_zero() and made == [1]
+    made.clear()
+    verdicts = []
+    for c in coeffs + [[[[0] * 4] * 2] * 3]:
+        alpha = AlphaMatrix.from_coeffs(c)
+        verdicts.append((alpha_compose_is_zero(alpha_compose(alpha)), delta_criterion(alpha)))
+    assert made == [] and all(x == y for x, y in verdicts) and verdicts[-1] == (True, True)
+
+
+def _assert_same_lift(a, b):
+    assert (a.nums, a.den) == (b.nums, b.den) and a == b
+    (na, da), (nb, db) = a.contraction, b.contraction
+    assert da == db and na.dtype == nb.dtype and na.tolist() == nb.tolist()
+
+
+@seed(1719)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_COEFF, min_size=24, max_size=24))
+@example([0] * 24)
+@example(list(range(-12, 12)))
+def test_lifts_from_coefficients_and_from_entries_agree(flat):
+    coeffs = [[flat[8 * r + 4 * c : 8 * r + 4 * c + 4] for c in range(2)] for r in range(3)]
+    forms = [[linear_form(REG_U, v) for v in row] for row in coeffs]
+    a, b = AlphaMatrix.from_coeffs(coeffs), AlphaMatrix.from_entries(forms)
+    _assert_same_lift(a, b)
+    assert a.entries == forms
+
+
+@seed(1720)
+@settings(max_examples=6, deadline=None)
+@given(st.lists(st.tuples(st.integers(-_E12, _E12).filter(bool), _NEAR_E12), min_size=4, max_size=4))
+def test_lifts_agree_at_wide_family_points(parts):
+    # alpha_t lifts its Poly entries; lifting their coefficients again
+    # gives the same lift, on Python ints past the int64 bound
+    alpha = alpha_t([Fraction(n, d) for n, d in parts])
+    coeffs = [[_lin_coeffs(p) for p in row] for row in alpha.entries]
+    _assert_same_lift(AlphaMatrix.from_coeffs(coeffs), alpha)
+    assert alpha.contraction[0].dtype == object and alpha.den > 10**24
 
 
 def test_delta_values_equal_a_sympy_expansion():
@@ -441,12 +541,12 @@ def _spy_imatmul(monkeypatch):
 
 
 def test_each_matrix_is_lifted_once(monkeypatch):
-    # both criteria, delta_values and minor_rows read one cached
-    # contraction: the six entries are read once, and the table is
-    # contracted by one field._imatmul call, not once per reader
-    calls = []
-    real = moduli._lin_coeffs
-    monkeypatch.setattr(moduli, "_lin_coeffs", lambda p: calls.append(p) or real(p))
+    # both criteria, delta_values and minor_rows read the stored lift
+    # through one cached contraction: none reads the Poly entries, and the
+    # table is contracted by one field._imatmul call, not once per reader
+    reads = []
+    view = AlphaMatrix.entries
+    monkeypatch.setattr(AlphaMatrix, "entries", property(lambda a: reads.append(a) or view.func(a)))
     products = _spy_imatmul(monkeypatch)
     for alpha in (
         _alpha_of([Fraction(k - 11, k % 5 + 1) for k in range(24)]),
@@ -454,16 +554,15 @@ def test_each_matrix_is_lifted_once(monkeypatch):
         alpha_t((Fraction(10**12 + 1, 10**12 - 3), 1, 2, 3)),
         AlphaMatrix.from_coeffs([[[0] * 4] * 2] * 3),
     ):
-        calls.clear()
         products.clear()
         alpha_compose(alpha)
         delta_criterion(alpha)
         delta_values(alpha)
         minor_rows(alpha)
         alpha_compose_is_zero(alpha_compose(alpha))
-        assert len(calls) == 6 and len(products) == 1
+        assert reads == [] and len(products) == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        alpha.entries = alpha.entries
+        alpha.nums = alpha.nums
 
 
 def test_cached_int64_products_widen_for_a_larger_bound(monkeypatch):
@@ -508,7 +607,7 @@ def test_pairing_rows_decide_annihilation_as_one_slice():
         _alpha_of([Fraction(rng.randint(-e12, e12), rng.randint(1, e12)) for _ in range(24)]),
     ]
     wide = alpha_t((Fraction(-1, e12 + 61), 2, Fraction(e12 - 17, e12 + 3), 5)).entries
-    alphas.append(AlphaMatrix([wide[0], wide[1], [wide[2][1], wide[2][0]]]))
+    alphas.append(AlphaMatrix.from_entries([wide[0], wide[1], [wide[2][1], wide[2][0]]]))
     seen = set()
     for alpha in alphas:
         n, _ = alpha.contraction
