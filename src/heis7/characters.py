@@ -347,7 +347,7 @@ class RepError(Exception):
     pass
 
 
-def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> CycArray:
+def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable) -> CycArray:
     """Character row of the G7 representation with the given generator images.
 
     The images must be dense 7x7 CycArray matrices over Q(zeta7).  The
@@ -356,7 +356,6 @@ def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> CycArr
     tau images: [sigma, tau] = eps^6 with eps of order 7, so c has order 7
     and eps = c^6.
     """
-    table = table or g7_table()
     s, t, io = sigma_img, tau_img, iota_img
     idm = MONO_ID.dense()
 
@@ -402,18 +401,18 @@ def char_of_rep(sigma_img, tau_img, iota_img, table: CharTable = None) -> CycArr
 # cohomology-style virtual characters
 
 
-def omega3_sections_char(k):
-    """Sections of three-forms twisted by O(k) on P(V), as a G7 character.
+def omega3_sections_char(ks):
+    """Sections of three-forms twisted by O(k) on P(V), as G7 characters,
+    one (Decomposition, flagged) pair for each k of the sequence ks.
 
     Computed as the alternating truncated-Koszul combination of exterior and
     symmetric powers of the dual representation, with S^j = 0 for j < 0;
-    valid (all multiplicities nonnegative) for k >= 1.  Returns
-    (Decomposition, flagged) where flagged reports negative virtual
-    multiplicities.  For a sequence of k it returns the list of those pairs,
-    from one exterior recursion to degree 3, one symmetric recursion to the
-    largest k and one decomposition of the batch.
+    valid (all multiplicities nonnegative) for k >= 1.  flagged reports
+    negative virtual multiplicities.  All pairs come from one exterior
+    recursion to degree 3, one symmetric recursion to the largest k and
+    one decomposition of the batch.
     """
-    ks = np.array([k] if isinstance(k, int) else list(k))
+    ks = np.array(list(ks))
     table = g7_table()
     vd = table.dual(table.rows["V0"])
     ext = table.ext_power(vd, range(4))
@@ -428,7 +427,7 @@ def omega3_sections_char(k):
         # outside the validity range: item by item, with the virtual
         # multiplicities of an item that is no character
         out = [_sections_or_virtual(table, chis[i]) for i in range(len(ks))]
-    return out[0] if isinstance(k, int) else out
+    return out
 
 
 def _sections_or_virtual(table: CharTable, chi: CycArray):
@@ -541,7 +540,7 @@ class SpanSolver:
         return Cyc7(tuple(q - buckets[6] for q in buckets[:6]), den)
 
 
-def subspace_character(basis, table: CharTable = None) -> CycArray:
+def subspace_character(basis, table: CharTable) -> CycArray:
     """G7-character row of the span of a partitioned basis over Q (SpanSolver),
     stable under the contragredient coordinate action, g acting by the
     substitution g.conj() (see the heisenberg module docstring).
@@ -551,7 +550,6 @@ def subspace_character(basis, table: CharTable = None) -> CycArray:
     is then certified on sigma and iota, which generate the group together
     with tau, so traces on all class representatives are well defined.
     """
-    table = table or g7_table()
     solver = SpanSolver(basis)
     for g in (SIGMA, IOTA):
         if not solver.is_stable_under(g.conj()):

@@ -6,6 +6,10 @@ verify     run a named check suite and emit a certification report
 surface    generate the 21-cubic invariant ideal at a parameter point
 grassmann  test a plane against the alternating net
 
+Each subcommand takes only the flags it reads: --seed, --json and --timing
+belong to verify; --coeff and --budget-degree to verify and surface;
+--quiet to all three.
+
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error.
 Reports are byte-identical for a fixed (version, seed, configuration):
 timings are suppressed (reported as 0) unless --timing is given, which is
@@ -75,23 +79,6 @@ def _parse_budget(s: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=42, help="seed for all sampled data")
-    p.add_argument(
-        "--coeff",
-        type=_parse_coeff,
-        default="fp:31",
-        help="coefficient field for resolutions: q or fp:<p> (default fp:31; Q at a prime bad for the surface)",
-    )
-    p.add_argument(
-        "--budget-degree",
-        type=_parse_budget,
-        default=8,
-        help="resolution degree budget, >= 0; resolutions run through degree max(budget, 9) (default 8)",
-    )
-    p.add_argument("--quiet", action="store_true", help="suppress the text projection")
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="heis7", description=__doc__.split("\n")[0])
     ap.add_argument("--version", action="version", version=f"heis7 {__version__}")
@@ -106,13 +93,12 @@ def build_parser():
         action="store_true",
         help="record wall-clock milliseconds (breaks byte-reproducibility)",
     )
-    _add_common(v)
+    v.add_argument("--seed", type=int, default=42, help="seed for all sampled data")
 
     s = sub.add_parser("surface", help="emit the invariant cubic system at t")
     s.add_argument("--t", type=_parse_t, required=True)
     s.add_argument("--betti", action="store_true", help="also compute the resolution")
     s.add_argument("--out", help="write the JSON description here")
-    _add_common(s)
 
     g = sub.add_parser("grassmann", help="net membership of a plane")
     g.add_argument("--t", type=_parse_t, help="use the parametrized plane at t")
@@ -124,7 +110,21 @@ def build_parser():
         type=_parse_raw,
         help="21 comma-separated rationals, row-major 3x7 coordinate matrix",
     )
-    _add_common(g)
+    for p in (v, s):  # the two that resolve
+        p.add_argument(
+            "--coeff",
+            type=_parse_coeff,
+            default="fp:31",
+            help="coefficient field for resolutions: q or fp:<p> (default fp:31; Q at a prime bad for the surface)",
+        )
+        p.add_argument(
+            "--budget-degree",
+            type=_parse_budget,
+            default=8,
+            help="resolution degree budget, >= 0; resolutions run through degree max(budget, 9) (default 8)",
+        )
+    for p in (v, s, g):
+        p.add_argument("--quiet", action="store_true", help="suppress the text projection")
     return ap
 
 
@@ -148,7 +148,7 @@ def cmd_surface(args) -> int:
     from .moduli import grass_membership, surface_ideal
     from .resolution import free_resolution
 
-    config = RunConfig(seed=args.seed, coeff=args.coeff, budget_degree=args.budget_degree)
+    config = RunConfig(coeff=args.coeff, budget_degree=args.budget_degree)
     try:
         S = surface_ideal(args.t)
     except ValueError as exc:

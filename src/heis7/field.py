@@ -1052,5 +1052,5 @@ class FpDomain:
 QQ = RatDomain()
 
 
-def fp(p: int = 31) -> FpDomain:
+def fp(p: int) -> FpDomain:
     return FpDomain(p)

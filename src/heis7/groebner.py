@@ -848,7 +848,7 @@ class GroebnerBasis:
 
 @dataclass
 class GradedIdeal:
-    """A homogeneous ideal, by its nonzero generators without repeats.
+    """A homogeneous ideal of reg over dom, by its nonzero generators without repeats.
 
     level_one owns the ideal's level-1 run, the tracked rank-1 ModuleGB of
     its generators (module docstring), and keeps it as run once a run came
@@ -865,6 +865,11 @@ class GradedIdeal:
     def __post_init__(self):
         seen = []
         for g in self.gens:
+            if g.reg != self.reg or g.dom != self.dom:
+                raise ValueError(
+                    f"generator over {g.dom.name} in {g.reg.names} "
+                    f"for an ideal over {self.dom.name} in {self.reg.names}"
+                )
             if g.is_zero():
                 continue
             if not g.is_homogeneous():

@@ -99,10 +99,10 @@ class Wedge3(dict):
     def __neg__(self):
         return Wedge3({k: -v for k, v in self.items()})
 
-    def shift(self, s=1):
+    def shift(self):
         out = Wedge3()
         for (a, b, c), v in self.items():
-            out = out + Wedge3.term(a + s, b + s, c + s, v)
+            out = out + Wedge3.term(a + 1, b + 1, c + 1, v)
         return out
 
 
@@ -136,11 +136,10 @@ def wedge_pair_to_dual(w1: Wedge3, w2: Wedge3) -> Poly:
 class WedgeRep:
     """sigma-equivariant 7-vector of Lambda^3 V elements."""
 
-    label: int
     entries: list  # seven Wedge3 values, index k is the sigma^k shift
 
     def check_shift_consistency(self) -> bool:
-        return all(self.entries[(k + 1) % 7] == self.entries[k].shift(1) for k in range(7))
+        return all(self.entries[(k + 1) % 7] == self.entries[k].shift() for k in range(7))
 
 
 def wedge_reps():
@@ -155,12 +154,12 @@ def wedge_reps():
     for lab, seed in seeds.items():
         entries = [seed]
         for _ in range(6):
-            entries.append(entries[-1].shift(1))
-        reps[lab] = WedgeRep(lab, entries)
+            entries.append(entries[-1].shift())
+        reps[lab] = WedgeRep(entries)
     complement = Wedge3.term(1, 4, 2) + Wedge3.term(6, 3, 5)
     comp_vec = [complement]
     for _ in range(6):
-        comp_vec.append(comp_vec[-1].shift(1))
+        comp_vec.append(comp_vec[-1].shift())
     return reps, comp_vec
 
 
@@ -285,11 +284,6 @@ L_BASIS_ORDER = (3, 1, 2, 4, 5, 6, 0)  # the fixed ordering (f3,f1,f2,f4,f5,f6,f
 # the net-kernel generator list enumerates the two mixed-square quadrics the
 # other way around; the family-matrix span identity holds in this order
 L_GENLIST_ORDER = (3, 1, 2, 4, 6, 5, 0)
-
-
-def l_basis(order=L_BASIS_ORDER):
-    f, _ = f_basis()
-    return [f[i] for i in order]
 
 
 def j_ideal() -> GradedIdeal:
@@ -662,7 +656,7 @@ class GrassPoint:
     def rank(self) -> int:
         return mat_rank(self.rows, QQ)
 
-    def quadrics(self, order=None):
+    def quadrics(self, order=L_GENLIST_ORDER):
         """The three quadrics spanned by the rows.
 
         The default enumeration is the net-kernel generator list; under it
@@ -670,12 +664,12 @@ class GrassPoint:
         display enumeration transposes the two mixed-square quadrics and
         would turn the same rows into complete-intersection nets).
         """
-        basis = l_basis(order if order is not None else L_GENLIST_ORDER)
+        f, _ = f_basis()
         out = []
         for row in self.rows:
             q = Poly.zero(REG_U, QQ)
-            for c, f in zip(row, basis):
-                q = q + f.scale(c)
+            for c, i in zip(row, order):
+                q = q + f[i].scale(c)
             out.append(q)
         return out
 

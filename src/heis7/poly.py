@@ -228,12 +228,11 @@ class Poly:
         dom = dom or self.dom
         return Poly(self.reg, dom, {e: f(c) for e, c in self.terms.items()})
 
-    def transport(self, reg: VarRegistry, dom=None):
+    def transport(self, reg: VarRegistry):
         """Reinterpret over a same-arity registry (e.g. v-variables as y)."""
         if reg.n != self.reg.n:
             raise ValueError("registry arity mismatch")
-        dom = dom or self.dom
-        return Poly(reg, dom, dict(self.terms), _clean=True)
+        return Poly(reg, self.dom, dict(self.terms), _clean=True)
 
     # -- calculus and substitution ----------------------------------------
 
@@ -442,8 +441,9 @@ def coefficient_rows(polys, monos) -> list:
     return rows
 
 
-def kernel_of_operators(ops, d: int, reg: VarRegistry = None, dom=QQ):
-    """Echelonized basis of {f homogeneous of degree d : D f = 0 for all D}."""
+def kernel_of_operators(ops, d: int, reg: VarRegistry = None):
+    """Echelonized basis over Q of {f homogeneous of degree d : D f = 0 for
+    all D}; DiffOp coefficients are Fractions."""
     from .linalg import nullspace
 
     if reg is None:
@@ -452,23 +452,23 @@ def kernel_of_operators(ops, d: int, reg: VarRegistry = None, dom=QQ):
         reg = ops[0].reg
     basis = monomial_basis(reg, d)
     if not ops:
-        return [Poly.monomial(reg, e, 1, dom) for e in basis]
+        return [Poly.monomial(reg, e, 1) for e in basis]
     rows = []
     for op in ops:
         if op.order() > d:
             continue
         targets = monomial_basis(reg, d - op.order())
         tix = {e: i for i, e in enumerate(targets)}
-        block = [[dom.zero] * len(basis) for _ in range(len(targets))]
+        block = [[QQ.zero] * len(basis) for _ in range(len(targets))]
         for j, e in enumerate(basis):
-            img = op.apply(Poly.monomial(reg, e, 1, dom))
+            img = op.apply(Poly.monomial(reg, e, 1))
             for te, c in img.terms.items():
                 block[tix[te]][j] = c
         rows.extend(block)
     if not rows:
-        return [Poly.monomial(reg, e, 1, dom) for e in basis]
-    ker = nullspace(rows, dom, len(basis))
+        return [Poly.monomial(reg, e, 1) for e in basis]
+    ker = nullspace(rows, QQ, len(basis))
     return [
-        Poly(reg, dom, {basis[i]: c for i, c in enumerate(v) if not dom.is_zero(c)})
+        Poly(reg, QQ, {basis[i]: c for i, c in enumerate(v) if not QQ.is_zero(c)})
         for v in ker
     ]

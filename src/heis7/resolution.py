@@ -55,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import QQ
 from .groebner import (
     GradedIdeal,
     ModuleGB,
@@ -234,8 +233,9 @@ class NotHilbertBurch(Exception):
     pass
 
 
-def hilbert_burch(gens, dom=QQ):
-    """3x2 linear syzygy matrix of three independent quadrics in 4 variables.
+def hilbert_burch(gens):
+    """3x2 linear syzygy matrix of three independent quadrics in 4 variables,
+    over the generators' field.
 
     Raises NotHilbertBurch unless the resolution shape is exactly
     (1; 3 2): three quadric generators with two linear syzygies and nothing
@@ -250,7 +250,7 @@ def hilbert_burch(gens, dom=QQ):
 
     if len(gens) != 3:
         raise NotHilbertBurch("need exactly three quadrics")
-    reg = gens[0].reg
+    reg, dom = gens[0].reg, gens[0].dom
     if any(g.degree() != 2 or not g.is_homogeneous() for g in gens):
         raise NotHilbertBurch("generators must be homogeneous quadrics")
 
@@ -329,15 +329,17 @@ def intersect(a: GradedIdeal, b: GradedIdeal) -> GradedIdeal:
                 p = p + Poly.monomial(reg, e, coeff, dom) * a.gens[c - 1]
         if not p.is_zero():
             out.append(p)
-    return GradedIdeal(reg, dom, minimal_ideal_gens(out, dom))
+    return GradedIdeal(reg, dom, minimal_ideal_gens(out))
 
 
-def minimal_ideal_gens(polys, dom=QQ):
-    """Trim a homogeneous generating set to minimal generators."""
+def minimal_ideal_gens(polys):
+    """Trim a homogeneous generating set to minimal generators, over the
+    generators' field."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
-    order, vecs = _ring_vectors(polys[0].reg, polys, dom)
+    reg, dom = polys[0].reg, polys[0].dom
+    order, vecs = _ring_vectors(reg, polys, dom)
     gb = ModuleGB(dom, order)
     _feed(gb, vecs, max)
-    return [Poly(polys[0].reg, dom, {order.unpack(k)[1]: c for k, c in v.items()}, _clean=True) for v in gb.kept]
+    return [Poly(reg, dom, {order.unpack(k)[1]: c for k, c in v.items()}, _clean=True) for v in gb.kept]

@@ -118,10 +118,10 @@ def test_not_a_character_errors(g7):
 
 
 def test_omega3(g7):
-    assert omega3_sections_char(3) == ({}, False)
-    dec, flagged = omega3_sections_char(4)
+    assert omega3_sections_char([3])[0] == ({}, False)
+    dec, flagged = omega3_sections_char([4])[0]
     assert not flagged and dec == {"V1": 1, "V1#": 4}
-    dec, flagged = omega3_sections_char(7)
+    dec, flagged = omega3_sections_char([7])[0]
     assert not flagged and dec == {"I": 24, "S": 24, "Z": 49}
 
 
@@ -157,7 +157,7 @@ def test_subspace_character_instability(g7):
         subspace_character(basis, g7)
 
 
-def test_span_solver_refusals():
+def test_span_solver_refusals(g7):
     from heis7.characters import SpanSolver
     from heis7.poly import REG_V, REG_X, Poly, VarRegistry, parse_poly
 
@@ -193,7 +193,7 @@ def test_span_solver_refusals():
         SpanSolver([parse_poly("v1^2", REG_V)])
     reg8 = VarRegistry([f"y{j}" for j in range(8)])
     with pytest.raises(ValueError, match="in 8 variables, not 7"):
-        subspace_character([parse_poly("y7^2", reg8)])
+        subspace_character([parse_poly("y7^2", reg8)], g7)
 
 
 def test_pairing_with_sqrt2_values(sl2, g7):
@@ -273,9 +273,9 @@ def test_negative_degrees_are_refused(g7):
 def test_omega3_below_the_validity_range():
     # S^j = 0 for j < 0: the truncated Koszul sum vanishes at k = 1, 2 and is
     # the virtual -I at k = 0
-    assert omega3_sections_char(2) == ({}, False)
-    assert omega3_sections_char(1) == ({}, False)
-    dec, flagged = omega3_sections_char(0)
+    assert omega3_sections_char([2])[0] == ({}, False)
+    assert omega3_sections_char([1])[0] == ({}, False)
+    dec, flagged = omega3_sections_char([0])[0]
     assert flagged and dec == {"I": -1}
     assert omega3_sections_char([0, 2, 4]) == [(dec, True), ({}, False), ({"V1": 1, "V1#": 4}, False)]
 

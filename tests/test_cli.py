@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from heis7.cli import main
+from heis7.cli import build_parser, main
 
 CLI = [sys.executable, "-m", "heis7.cli"]
 
@@ -157,18 +158,60 @@ def test_grassmann_contraction_values():
     assert all(v.strip() == "0" for v in values)
 
 
+BAD_COEFFS = ["fp:4", "fp:2", "fp:7", "fp:x", "fp:1", "fp:-5", "nonsense"]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "syzygy"], ["verify", "moduli"], ["surface", "--t", "1,1,1,1"], ["grassmann", "--equational"]],
-    ids=["verify-syzygy", "verify-moduli", "surface", "grassmann"],
+    [["verify", "syzygy"], ["verify", "moduli"], ["surface", "--t", "1,1,1,1"]],
+    ids=["verify-syzygy", "verify-moduli", "surface"],
 )
 def test_bad_coeff_is_a_usage_error(argv, capsys):
-    for coeff in ["fp:4", "fp:2", "fp:7", "fp:x", "fp:1", "fp:-5", "nonsense"]:
+    for coeff in BAD_COEFFS:
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, "--coeff", coeff, "--quiet"])
         assert exit_info.value.code == 2, coeff
         err = capsys.readouterr().err
         assert "error: argument --coeff:" in err and "Traceback" not in err, (coeff, err)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, values",
+    [
+        (["grassmann", "--equational"], "--seed", ["5"]),
+        # refused whether or not the value names a field
+        (["grassmann", "--equational"], "--coeff", ["fp:3", *BAD_COEFFS]),
+        (["grassmann", "--equational"], "--budget-degree", ["0", "-1"]),
+        (["surface", "--t", "1,1,1,1"], "--seed", ["5"]),
+    ],
+    ids=["grassmann-seed", "grassmann-coeff", "grassmann-budget-degree", "surface-seed"],
+)
+def test_unread_flags_are_usage_errors(argv, flag, values, capsys):
+    # surface draws no sample and grassmann runs no resolution, so each
+    # refuses the flags it would ignore
+    for value in values:
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, value, "--quiet"])
+        assert exit_info.value.code == 2, value
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {flag} {value}" in err and "Traceback" not in err, (value, err)
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    # the option strings build_parser gives each subcommand: a flag added
+    # where no command reads it shows up here
+    ap = build_parser()
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+
+    def options(parser):
+        return sorted(s for a in parser._actions for s in a.option_strings)
+
+    assert options(ap) == ["--help", "--version", "-h"]
+    assert {name: options(p) for name, p in sub.choices.items()} == {
+        "verify": ["--budget-degree", "--coeff", "--help", "--json", "--quiet", "--seed", "--t", "--timing", "-h"],
+        "surface": ["--betti", "--budget-degree", "--coeff", "--help", "--out", "--quiet", "--t", "-h"],
+        "grassmann": ["--equational", "--help", "--quiet", "--raw", "--t", "-h"],
+    }
 
 
 @pytest.mark.parametrize("flag", [["--json", "r.json"], ["--timing"]], ids=["json", "timing"])

@@ -182,6 +182,25 @@ def test_inhomogeneous_rejected():
         GradedIdeal(REG_U, QQ, [u("u0^2 + u1")])
 
 
+def test_generators_from_another_ring_are_refused():
+    from heis7.poly import REG_Y
+
+    # J lives in u0..u3 over Q; REG_Y has three variables y1..y3
+    in_u = r"in \('u0', 'u1', 'u2', 'u3'\)"
+    with pytest.raises(ValueError, match=rf"generator over Q {in_u} for an ideal over Q in \('y1', 'y2', 'y3'\)"):
+        GradedIdeal(REG_Y, QQ, j_ideal().gens)
+    F5 = fp(5)
+    g5 = [g.map_coeffs(F5.coerce, F5) for g in j_ideal().gens]
+    with pytest.raises(ValueError, match=rf"generator over F5 {in_u} for an ideal over Q {in_u}"):
+        GradedIdeal(REG_U, QQ, g5)
+    with pytest.raises(ValueError, match="generator over Q .* for an ideal over F5"):
+        GradedIdeal(REG_U, F5, [u("u0^2"), *g5])
+    # a zero generator of another field is refused too, not dropped
+    with pytest.raises(ValueError, match="generator over F31"):
+        GradedIdeal(REG_U, QQ, [Poly.zero(REG_U, fp(31))])
+    assert GradedIdeal(REG_U, F5, g5).hilbert().hf_range(0, 3) == j_ideal().hilbert().hf_range(0, 3)
+
+
 @pytest.mark.parametrize("hilbert_first", [False, True], ids=["resolution_first", "hilbert_first"])
 def test_zero_ideal(hilbert_first):
     from heis7.resolution import free_resolution
