@@ -10,25 +10,22 @@ Sign conventions
 
 from __future__ import annotations
 
-from .poly import Poly
+from .poly import Poly, ring_of
 
 
 class FormMatrix:
-    """rows x cols of Poly entries sharing one registry and domain."""
+    """rows x cols of homogeneous Poly entries in one ring, the first
+    entry's (poly.ring_of); an entry of another ring is a ValueError naming
+    both rings."""
 
     __slots__ = ("entries", "reg", "dom")
 
     def __init__(self, entries, skew=False):
         self.entries = [list(r) for r in entries]
-        first = self.entries[0][0]
-        self.reg = first.reg
-        self.dom = first.dom
-        for row in self.entries:
-            for p in row:
-                if p.reg != self.reg:
-                    raise ValueError("mixed registries in form matrix")
-                if not p.is_homogeneous():
-                    raise ValueError("form matrix entries must be homogeneous")
+        forms = [p for row in self.entries for p in row]
+        self.reg, self.dom = ring_of(forms, None, "entry", "a form matrix")
+        if not all(p.is_homogeneous() for p in forms):
+            raise ValueError("form matrix entries must be homogeneous")
         if skew and not self.is_skew():
             raise ValueError("matrix is not alternating")
 
@@ -75,16 +72,7 @@ class FormMatrix:
         return FormMatrix([[p.scale(c) for p in row] for row in self.entries])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FormMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and all(
-                self.entries[i][j] == other.entries[i][j]
-                for i in range(self.nrows)
-                for j in range(self.ncols)
-            )
-        )
+        return isinstance(other, FormMatrix) and self.entries == other.entries
 
     def evaluate(self, point):
         """Evaluate every entry; returns a scalar matrix (list of lists)."""

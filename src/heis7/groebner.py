@@ -103,7 +103,7 @@ from math import comb, gcd, inf, lcm
 from operator import add, le
 
 from .field import FpDomain, RatDomain
-from .poly import Poly, VarRegistry, monomial_basis
+from .poly import Poly, VarRegistry, monomial_basis, ring_of
 
 B = 8  # bits per exponent field
 M = (1 << B) - 1
@@ -512,6 +512,11 @@ class ModuleGB:
         """The monic basis vectors, as dicts of domain values."""
         return [self.kern.export(G, L) for G, _, L in self.basis]
 
+    @property
+    def leading_exponents(self):
+        """The sorted exponent tuples of the leading terms of a rank-1 run."""
+        return tuple(sorted(self.order.unpack(lt)[1] for lt in self.lts))
+
     # -- internals ------------------------------------------------------
 
     def _add(self, F, R):
@@ -863,13 +868,9 @@ class GradedIdeal:
     run: ModuleGB = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        ring_of(self.gens, (self.reg, self.dom), "generator", "an ideal")
         seen = []
         for g in self.gens:
-            if g.reg != self.reg or g.dom != self.dom:
-                raise ValueError(
-                    f"generator over {g.dom.name} in {g.reg.names} "
-                    f"for an ideal over {self.dom.name} in {self.reg.names}"
-                )
             if g.is_zero():
                 continue
             if not g.is_homogeneous():
@@ -926,7 +927,7 @@ def ideal_hf_oracle(gens, d: int) -> int:
 
     if not gens:
         raise ValueError("need generators")
-    reg, dom = gens[0].reg, gens[0].dom
+    reg, dom = ring_of(gens, None, "generator", "generators")
     monos = monomial_basis(reg, d)
     ix = {e: i for i, e in enumerate(monos)}
     rows = []

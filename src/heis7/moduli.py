@@ -695,18 +695,13 @@ def eta_klein() -> FormMatrix:
     return FormMatrix([[_poly(s, REG_Y) for s in row] for row in rows], skew=True)
 
 
+@cache
 def eta_coefficient_matrices():
-    """N1, N2, N3 with eta = y1 N1 + y2 N2 + y3 N3 (skew, entries in {0,1,-1})."""
+    """N1, N2, N3 with eta = y1 N1 + y2 N2 + y3 N3 (skew, entries in {0,1,-1}),
+    built once, as tuples."""
     eta = eta_klein()
-    out = []
-    for v in range(3):
-        e = [0, 0, 0]
-        e[v] = 1
-        exp = tuple(e)
-        out.append(
-            [[eta[i, j].coeff(exp) for j in range(7)] for i in range(7)]
-        )
-    return out
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return tuple(tuple(tuple(eta[i, j].coeff(e) for j in range(7)) for i in range(7)) for e in units)
 
 
 def grass_membership(point: GrassPoint):

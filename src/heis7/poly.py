@@ -7,6 +7,11 @@ nonzero coefficients of the attached domain.
 Monomials are ordered graded reverse lexicographically over all of a
 registry's variables.
 
+A form's ring is its (registry, domain) pair; ring_of decides it for Poly
+arithmetic and every constructor that takes forms.  Registries compare by
+their names and domains by equality (two fp(31) are one ring); a form of
+another ring is a ValueError naming both, and == is False across rings.
+
 A product over Q runs on integers: each factor's coefficients are brought
 over one common denominator, the numerators are multiplied and summed as
 ints, and each output term becomes one Fraction over the product of the two
@@ -55,6 +60,20 @@ REG_Y = VarRegistry(["y1", "y2", "y3"])
 REG_V = VarRegistry(["v1", "v2", "v3"])
 REG_T = VarRegistry([f"t{i}" for i in range(4)])
 REG_TU = VarRegistry(REG_T.names + REG_U.names)
+
+
+def ring_of(forms, ring, part, whole):
+    """The ring (registry, domain) of every one of forms: ring, or if that
+    is None the first form's (None for no forms).  Anything with reg and dom is a
+    form here, a GradedIdeal too; one of another ring is a ValueError
+    "<part> over F5 in (...) for <whole> over Q in (...)"."""
+    for p in forms:
+        if ring is None:
+            ring = p.reg, p.dom
+        elif (p.reg, p.dom) != ring:
+            reg, dom = ring
+            raise ValueError(f"{part} over {p.dom.name} in {p.reg.names} for {whole} over {dom.name} in {reg.names}")
+    return ring
 
 
 def grevlex_key(exp):
@@ -107,8 +126,7 @@ class Poly:
 
     def _coerce_other(self, other):
         if isinstance(other, Poly):
-            if other.reg != self.reg:
-                raise ValueError(f"registry mismatch: {self.reg} vs {other.reg}")
+            ring_of((other,), (self.reg, self.dom), "form", "arithmetic with a form")
             return other
         try:
             return Poly.const(self.reg, other, self.dom)
@@ -264,8 +282,7 @@ class Poly:
         """
         if len(images) != self.reg.n:
             raise ValueError("need one image per variable")
-        tgt = images[0].reg
-        dom = images[0].dom
+        tgt, dom = ring_of(images, None, "image", "a substitution")
         out = Poly.zero(tgt, dom)
         pow_cache = [{0: Poly.const(tgt, 1, dom)} for _ in range(self.reg.n)]
         for e, c in self.terms.items():
@@ -300,12 +317,11 @@ class Poly:
     # -- comparison and display --------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.reg == other.reg and self.terms == other.terms
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
+        try:
+            o = self._coerce_other(other)
+        except ValueError:  # another ring
+            return False
+        return NotImplemented if o is None else self.terms == o.terms
 
     def __hash__(self):
         return hash((self.reg, frozenset(self.terms.items())))

@@ -65,7 +65,7 @@ from .groebner import (
     induced_key_from,
     pot_key,
 )
-from .poly import Poly
+from .poly import Poly, ring_of
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +85,6 @@ class BettiTable:
 
     def max_step(self):
         return max((i for i, _ in self.entries), default=0)
-
-    def rows(self):
-        return sorted({j - i for i, j in self.entries})
 
     def macaulay_rows(self):
         """The classical shorthand: entry (row r, column i) is beta_{i, i+r}."""
@@ -203,8 +200,7 @@ def free_resolution(ideal: GradedIdeal, degree_cap: int = 8):
     tops = {}  # level -> top degree of in(I)'s table, once bound finds it complete
 
     def bound(gb):
-        lts = tuple(sorted(gb.order.unpack(lt)[1] for lt in gb.lts))
-        table = _initial_tops(ideal.reg, lts, ideal.dom, degree_cap)
+        table = _initial_tops(ideal.reg, gb.leading_exponents, ideal.dom, degree_cap)
         if table is None:
             return None
         tops.update(table)
@@ -271,8 +267,7 @@ def hilbert_burch(gens):
             c, e = order.unpack(k)
             col[c] = col[c] + Poly.monomial(reg, e, coeff, dom)
         cols.append(col)
-    mat = FormMatrix([[cols[0][i], cols[1][i]] for i in range(3)])
-    return mat
+    return FormMatrix([[cols[0][i], cols[1][i]] for i in range(3)])
 
 
 def hb_minors(mat):
@@ -293,15 +288,13 @@ def hb_minors(mat):
 
 
 def intersect(a: GradedIdeal, b: GradedIdeal) -> GradedIdeal:
-    """Intersection of two graded ideals in the same ring.
+    """Intersection of two graded ideals in one ring (poly.ring_of).
 
     Uses the kernel formulation: relations (p, q) with sum p_i g_i =
     sum q_j h_j are computed by a module Groebner basis in S^(1+r+s) under a
     block order eliminating the leading free-module slot.
     """
-    if a.reg != b.reg or a.dom is not b.dom and a.dom != b.dom:
-        raise ValueError("ideals live in different rings")
-    reg, dom = a.reg, a.dom
+    reg, dom = ring_of((b,), (a.reg, a.dom), "ideal", "intersection with an ideal")
     r, s = len(a.gens), len(b.gens)
     zero_exp = (0,) * reg.n
     gdeg = [0] + [g.degree() for g in a.gens] + [h.degree() for h in b.gens]
@@ -334,11 +327,14 @@ def intersect(a: GradedIdeal, b: GradedIdeal) -> GradedIdeal:
 
 def minimal_ideal_gens(polys):
     """Trim a homogeneous generating set to minimal generators, over the
-    generators' field."""
+    generators' field.  Every generator, zero or not, lives in the first
+    one's ring (poly.ring_of); one of another ring is a ValueError naming
+    both rings."""
+    ring = ring_of(polys, None, "generator", "generators")
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
-    reg, dom = polys[0].reg, polys[0].dom
+    reg, dom = ring
     order, vecs = _ring_vectors(reg, polys, dom)
     gb = ModuleGB(dom, order)
     _feed(gb, vecs, max)

@@ -699,6 +699,28 @@ def test_eta_membership():
         assert not ok
 
 
+def test_net_contractions_read_the_coefficient_matrices_built_once():
+    # the nine values against eta's entries read directly, at the seeded
+    # surface planes, the equational point and seeded random planes
+    from heis7.checks import Context, RunConfig
+
+    eta, rng = eta_klein(), random.Random(17)
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    planes = [S.plane for S in Context(RunConfig()).surfaces()] + [equational_point()]
+    planes += [GrassPoint([[Fraction(rng.randint(-9, 9)) for _ in range(7)] for _ in range(3)]) for _ in range(5)]
+    for p in planes:
+        want = [
+            sum(p.rows[a][i] * eta[i, j].coeff(e) * p.rows[b][j] for i in range(7) for j in range(7))
+            for a, b in ((0, 1), (0, 2), (1, 2))
+            for e in units
+        ]
+        assert grass_membership(p) == (not any(want), want)
+    assert any(grass_membership(p)[1] != [0] * 9 for p in planes[-5:])
+    ns = moduli.eta_coefficient_matrices()
+    assert ns is moduli.eta_coefficient_matrices()
+    assert type(ns) is tuple and all(type(n) is tuple and all(type(r) is tuple for r in n) for n in ns)
+
+
 def test_grass_membership_does_not_rank_a_known_plane(monkeypatch):
     # a surface's plane was ranked once, by surface_ideal; a rank-deficient
     # raw plane is refused by `heis7 grassmann` (tests/test_cli.py)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -177,6 +178,38 @@ def test_registry_mismatch():
         _ = f + g
 
 
+_IN_U = r"in \('u0', 'u1', 'u2', 'u3'\)"
+
+
+@pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+def test_arithmetic_refuses_a_form_of_another_ring(op):
+    q = parse_poly("u0 + 1/2*u1", REG_U)
+    f = parse_poly("u0 + 3*u2", REG_U, fp(5))
+    with pytest.raises(ValueError, match=rf"form over F5 {_IN_U} for arithmetic with a form over Q {_IN_U}"):
+        op(q, f)
+    with pytest.raises(ValueError, match=rf"form over Q {_IN_U} for arithmetic with a form over F5 {_IN_U}"):
+        op(f, q)
+
+
+def test_forms_of_two_rings_are_never_equal():
+    # the constant 2 over Q and over F5 hold equal coefficients
+    q, f = Poly.const(REG_U, 2), Poly.const(REG_U, 2, fp(5))
+    assert q.terms == f.terms
+    assert q != f and f != q and not q == f
+    assert Poly.const(REG_U, 2, fp(5)) == f == 2 and q == 2
+
+
+def test_form_matrix_refuses_an_entry_of_another_ring():
+    from heis7.formmat import FormMatrix
+
+    q = parse_poly("u0 + 1/2*u1", REG_U)
+    f = parse_poly("u0 + u2", REG_U, fp(5))
+    with pytest.raises(ValueError, match=rf"entry over F5 {_IN_U} for a form matrix over Q {_IN_U}"):
+        FormMatrix([[q, f]])
+    with pytest.raises(ValueError, match=rf"entry over Q {_IN_U} for a form matrix over F5 {_IN_U}"):
+        FormMatrix([[f], [q]])
+
+
 def _det_cases(rng):
     """Seeded square matrices of integer coefficient triples (linear forms
     in y1, y2, y3), sizes 1-6, with zero entries, a zero row and repeated
@@ -306,3 +339,23 @@ def test_q_products_equal_the_termwise_and_sympy_products(a, b):
 
     want = sympy.Poly(sympy.expand(expr(a) * expr(b)), *ys)
     assert got.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in want.terms() if c != 0}
+
+
+@seed(4102)
+@settings(max_examples=100, deadline=None)
+@given(_q_polys, _q_polys)
+def test_same_ring_arithmetic_and_equality_hold(a, b):
+    # over Q: sums and differences term by term, == exactly on equal terms
+    keys = a.terms | b.terms
+    assert (a + b).terms == {e: c for e in keys if (c := a.coeff(e) + b.coeff(e))}
+    assert (a - b).terms == {e: c for e in keys if (c := a.coeff(e) - b.coeff(e))}
+    assert (a * b).terms == _termwise_product(a, b)
+    assert (a == b) == (a.terms == b.terms) and a == Poly(REG_Y, QQ, dict(a.terms))
+    # two fp(31) built apart are one ring: the operands may come from either,
+    # and each result is the Q result reduced mod 31
+    F, G = fp(31), fp(31)
+    a31, b31 = a.map_coeffs(F.coerce, F), b.map_coeffs(G.coerce, G)
+    for got, want in ((a31 + b31, a + b), (a31 - b31, a - b), (a31 * b31, a * b), (b31 * a31, b * a)):
+        assert got == want.map_coeffs(G.coerce, G) and got.terms == want.map_coeffs(F.coerce, F).terms
+    assert (a31 == b31) == (a - b).map_coeffs(F.coerce, F).is_zero()
+    assert a31 == a.map_coeffs(G.coerce, G) and a31 != a

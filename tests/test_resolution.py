@@ -215,6 +215,24 @@ def test_hilbert_burch_and_minimal_gens_work_over_the_generators_field():
     assert all(type(c) is int and 0 <= c < 5 for g in kept for c in g.terms.values())
 
 
+def test_ideal_constructors_refuse_forms_of_another_ring():
+    F5 = fp(5)
+    in_u = r"in \('u0', 'u1', 'u2', 'u3'\)"
+    q = u("u0^2 + 1/2*u1^2")
+    f = parse_poly("u0^2 + u1*u2", REG_U, F5)
+    with pytest.raises(ValueError, match=rf"generator over F5 {in_u} for generators over Q {in_u}"):
+        minimal_ideal_gens([q, f])
+    with pytest.raises(ValueError, match=rf"generator over Q {in_u} for generators over F5 {in_u}"):
+        minimal_ideal_gens([f, q])
+    # a zero form of another ring is refused too, not dropped
+    with pytest.raises(ValueError, match=rf"generator over F5 {in_u} for generators over Q"):
+        minimal_ideal_gens([q, Poly.zero(REG_U, F5)])
+    with pytest.raises(ValueError, match=rf"ideal over F5 {in_u} for intersection with an ideal over Q {in_u}"):
+        intersect(GradedIdeal(REG_U, QQ, [q]), GradedIdeal(REG_U, F5, [f]))
+    with pytest.raises(ValueError, match=rf"generator over F5 {in_u} for an ideal over Q {in_u}"):
+        hilbert_burch([u("u1*u2"), f, u("u2*u3")])
+
+
 def test_kept_forms_leave_the_engine_only_where_read(monkeypatch):
     # ModuleGB keeps its kept forms as integers: a resolution reads only
     # their keys, so neither add_input nor anything else exports a value
@@ -486,6 +504,23 @@ def _recorded_runs(monkeypatch):
     monkeypatch.setattr(resolution.ModuleGB, "__init__", recording_init)
     monkeypatch.setattr(groebner, "buchberger", recording)
     return rank_one, runs
+
+
+def test_a_broken_invariant_cubic_fails_the_surface_pipeline_in_bounded_work(monkeypatch):
+    # the second invariant cubic x0*x1*x6 -> x0*x1*x5: the pipeline reads its
+    # quotient dimensions off runs completed through degree 4 only, so it
+    # fails at once where a basis over Q with no cap did not come out
+    from heis7 import moduli
+
+    d = moduli.d_vector()
+    broken = [d[0], parse_poly("x0*x1*x5", REG_X), *d[2:]]
+    monkeypatch.setattr(moduli, "d_vector", lambda: broken)
+    rank_one, runs = _recorded_runs(monkeypatch)
+    result = checks.check_surface_pipeline(checks.Context(checks.RunConfig()))
+    assert result.status == "fail"
+    assert "t=(1, 1, 1, 1): quotient dimensions [7, 28, 63, 77]" in result.details
+    assert len(rank_one) == 20 and runs == []
+    assert sum(gb.pairs_processed for gb in rank_one) <= 920  # 46 S-pairs per point
 
 
 def test_hilbert_and_resolution_share_one_level_one_run(monkeypatch):
