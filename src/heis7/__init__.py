@@ -32,7 +32,7 @@ from .poly import (  # noqa: F401
     render_poly,
 )
 from .formmat import FormMatrix, det_form, pfaffian, pfaffian_vector  # noqa: F401
-from .groebner import GradedIdeal, GroebnerBasis, HilbertData, buchberger  # noqa: F401
+from .groebner import GradedIdeal, HilbertData, buchberger  # noqa: F401
 from .resolution import (  # noqa: F401
     BettiTable,
     NotHilbertBurch,

@@ -16,12 +16,18 @@ from .poly import Poly, ring_of
 class FormMatrix:
     """rows x cols of homogeneous Poly entries in one ring, the first
     entry's (poly.ring_of); an entry of another ring is a ValueError naming
-    both rings."""
+    both rings.  An empty matrix, or one whose rows differ in length, is a
+    ValueError too."""
 
     __slots__ = ("entries", "reg", "dom")
 
     def __init__(self, entries, skew=False):
         self.entries = [list(r) for r in entries]
+        lengths = {len(r) for r in self.entries}
+        if lengths <= {0}:
+            raise ValueError("form matrix is empty")
+        if len(lengths) > 1:
+            raise ValueError(f"form matrix is ragged: row lengths {[len(r) for r in self.entries]}")
         forms = [p for row in self.entries for p in row]
         self.reg, self.dom = ring_of(forms, None, "entry", "a form matrix")
         if not all(p.is_homogeneous() for p in forms):

@@ -66,8 +66,14 @@ forms and syzygies stay in it, so a resolution hands its syzygies from one
 level to the next without conversion and reads only the keys (leading
 terms, degrees) of the kept forms.  Values leave through Coeffs.export as
 Fractions or ints only where they are read: the kept and elems views of
-ModuleGB (hilbert_burch and minimal_ideal_gens read kept), and the reduced
-bases and normal forms of GroebnerBasis.
+ModuleGB (hilbert_burch, intersect and minimal_ideal_gens read them), the
+reduced basis of GradedIdeal.gb() and GradedIdeal.normal_form.
+
+Forms cross into and out of the engine in one place: ModuleOrder.vector
+packs a form per component into a vector of domain values, and
+ModuleOrder.forms unpacks such a vector into one form per component.
+Outside this module no term is packed or unpacked; resolution.py reads
+keys only through ModuleOrder (component, degree, leading term by max).
 
 Pairs (Gebauer & Moeller, On an installation of Buchberger's algorithm,
 JSC 6 (1988)).  When an element enters, its pairs with the earlier elements
@@ -97,7 +103,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 import heapq
 from math import comb, gcd, inf, lcm
 from operator import add, le
@@ -156,12 +162,6 @@ class Monomials:
     def plain(self, d):
         """sum_k m_k W^k, the row shift of x^m, from d = P(m) - P(0)."""
         return -d & self.low
-
-    def pack_poly(self, terms):
-        return {self.pack(e): c for e, c in terms.items()}
-
-    def unpack_poly(self, f):
-        return {self.unpack(p): c for p, c in f.items()}
 
 
 def _axpy(vec, other, shift, c, p):
@@ -356,6 +356,21 @@ class ModuleOrder:
     def unpack(self, k):
         c = self.component(k)
         return c, self.ring.unpack(((k - self.base[c]) >> self.tb) + self.ring.one)
+
+    def vector(self, forms):
+        """The vector of domain values holding forms[c] (a Poly) in component
+        c, for a dict forms {c: Poly}; the one way in from Poly."""
+        pack = self.pack
+        return {pack(c, e): x for c, p in forms.items() for e, x in p.terms.items()}
+
+    def forms(self, v, reg, dom, rank):
+        """The rank forms of reg over dom that the vector v of domain values
+        holds, form c from component c; the one way out to Poly."""
+        terms = [{} for _ in range(rank)]
+        for k, x in v.items():
+            c, e = self.unpack(k)
+            terms[c][e] = x
+        return [Poly(reg, dom, t, _clean=True) for t in terms]
 
     def degree(self, k):
         c = self.component(k)
@@ -645,7 +660,7 @@ def _ring_vectors(reg, polys, dom):
     ring = Monomials(reg.n)
     order = induced_key_from([ring.one], ring)
     kern = Coeffs(dom)
-    return order, [kern.lift({order.pack(0, e): c for e, c in p.terms.items()}) for p in polys]
+    return order, [kern.lift(order.vector({0: p})) for p in polys]
 
 
 def _level(order, candidates, dom, degree_cap, through):
@@ -823,48 +838,21 @@ def _hilbert_series(lts, nvars):
 
 
 @dataclass
-class GroebnerBasis:
-    reg: VarRegistry
-    dom: object
-    ring: Monomials
-    polys: list  # reduced, monic packed polynomials, ascending leading terms
-
-    def leading_terms(self):
-        return [self.ring.unpack(max(g)) for g in self.polys]
-
-    @cached_property
-    def _kernel(self):
-        """(kern, basis, reducers, order): the polys as kernel elements and
-        their reducer table under the ring's rank-1 order."""
-        kern = Coeffs(self.dom)
-        basis = [(G, None, L) for G, L in map(kern.lift, self.polys)]
-        reducers = {0: [(max(G), i) for i, (G, _, _) in enumerate(basis)]}
-        return kern, basis, reducers, induced_key_from([self.ring.one], self.ring)
-
-    def normal_form(self, p: Poly) -> Poly:
-        kern, basis, reducers, order = self._kernel
-        F, D = kern.lift(self.ring.pack_poly(p.terms))
-        nf = kern.export(*normal_form(F, D, basis, reducers, order, kern))
-        return Poly(self.reg, self.dom, self.ring.unpack_poly(nf), _clean=True)
-
-    def contains(self, p: Poly) -> bool:
-        return self.normal_form(p).is_zero()
-
-
-@dataclass
 class GradedIdeal:
     """A homogeneous ideal of reg over dom, by its nonzero generators without repeats.
 
     level_one owns the ideal's level-1 run, the tracked rank-1 ModuleGB of
     its generators (module docstring), and keeps it as run once a run came
     out complete (None before).  gb() auto-reduces the complete run once.
-    Neither cache takes part in comparisons.
+    Neither cache takes part in comparisons.  normal_form and contains
+    reduce against the complete run itself: it is a Groebner basis, and a
+    full normal form is the same against any Groebner basis.
     """
 
     reg: VarRegistry
     dom: object
     gens: list  # list of Poly
-    _gb: GroebnerBasis = field(default=None, repr=False, compare=False)
+    _gb: list = field(default=None, init=False, repr=False, compare=False)
     run: ModuleGB = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -898,18 +886,29 @@ class GradedIdeal:
             self.run = run
         return run, capped
 
-    def gb(self) -> GroebnerBasis:
+    def gb(self) -> list:
+        """The reduced Groebner basis, buchberger of the complete run: monic
+        packed polynomials in ascending leading terms."""
         if self._gb is None:
-            run, _ = self.level_one()
-            self._gb = GroebnerBasis(self.reg, self.dom, run.order.ring, buchberger(run))
+            self._gb = buchberger(self.level_one()[0])
         return self._gb
 
     def hilbert(self) -> HilbertData:
-        gb = self.gb()
-        return hilbert_data(gb.leading_terms(), self.reg.n)
+        unpack = Monomials(self.reg.n).unpack
+        return hilbert_data([unpack(max(g)) for g in self.gb()], self.reg.n)
+
+    def normal_form(self, p: Poly) -> Poly:
+        """The full normal form of p modulo the ideal; a form of another ring
+        is a ValueError naming both rings (poly.ring_of)."""
+        ring_of((p,), (self.reg, self.dom), "form", "an ideal")
+        run, _ = self.level_one()
+        kern, order = run.kern, run.order
+        F, D = kern.lift(order.vector({0: p}))
+        nf = kern.export(*normal_form(F, D, run.basis, run.reducers, order, kern))
+        return order.forms(nf, self.reg, self.dom, 1)[0]
 
     def contains(self, p: Poly) -> bool:
-        return self.gb().contains(p)
+        return self.normal_form(p).is_zero()
 
 
 def ideal_hf_oracle(gens, d: int) -> int:

@@ -46,8 +46,9 @@ keyed by (variable registry, sorted leading exponents of level 1, domain,
 degree_cap): a Q run and an F_p run keep separate entries.
 Each resolution copies them into its own tops.
 
-Polys enter packed, and the hilbert_burch columns, intersect and
-minimal_ideal_gens unpack what they return.
+Forms cross into and out of the engine only through ModuleOrder.vector
+and ModuleOrder.forms: intersect's input vectors and cofactors, the
+hilbert_burch columns and minimal_ideal_gens' forms.
 """
 
 from __future__ import annotations
@@ -260,13 +261,7 @@ def hilbert_burch(gens):
         raise NotHilbertBurch(
             f"syzygy shape is not two linear columns (column degrees {sorted(d - 2 for d in degrees)})"
         )
-    cols = []
-    for v in kept:
-        col = [Poly.zero(reg, dom) for _ in range(3)]
-        for k, coeff in v.items():
-            c, e = order.unpack(k)
-            col[c] = col[c] + Poly.monomial(reg, e, coeff, dom)
-        cols.append(col)
+    cols = [order.forms(v, reg, dom, 3) for v in kept]
     return FormMatrix([[cols[0][i], cols[1][i]] for i in range(3)])
 
 
@@ -295,19 +290,11 @@ def intersect(a: GradedIdeal, b: GradedIdeal) -> GradedIdeal:
     block order eliminating the leading free-module slot.
     """
     reg, dom = ring_of((b,), (a.reg, a.dom), "ideal", "intersection with an ideal")
-    r, s = len(a.gens), len(b.gens)
-    zero_exp = (0,) * reg.n
-    gdeg = [0] + [g.degree() for g in a.gens] + [h.degree() for h in b.gens]
-    order = pot_key(Monomials(reg.n), gdeg)
-    vecs = []
-    for i, g in enumerate(a.gens):
-        v = {order.pack(0, e): c for e, c in g.terms.items()}
-        v[order.pack(1 + i, zero_exp)] = dom.one
-        vecs.append(v)
-    for j, h in enumerate(b.gens):
-        v = {order.pack(0, e): dom.neg(c) for e, c in h.terms.items()}
-        v[order.pack(1 + r + j, zero_exp)] = dom.one
-        vecs.append(v)
+    r = len(a.gens)
+    order = pot_key(Monomials(reg.n), [0] + [g.degree() for g in a.gens + b.gens])
+    one = Poly.const(reg, 1, dom)
+    vecs = [order.vector({0: g, c: one}) for c, g in enumerate(a.gens, 1)]
+    vecs += [order.vector({0: -h, c: one}) for c, h in enumerate(b.gens, 1 + r)]
     gb = ModuleGB(dom, order)
     _feed(gb, map(gb.kern.lift, vecs), lambda v: 0)
     gb.process_pairs_through(10**9)
@@ -315,11 +302,10 @@ def intersect(a: GradedIdeal, b: GradedIdeal) -> GradedIdeal:
     for lt, v in zip(gb.lts, gb.elems):
         if order.component(lt) == 0:
             continue  # still involves the eliminated slot
+        cofactors = order.forms(v, reg, dom, len(order.base))[1 : 1 + r]
         p = Poly.zero(reg, dom)
-        for k, coeff in v.items():
-            c, e = order.unpack(k)
-            if 1 <= c <= r:
-                p = p + Poly.monomial(reg, e, coeff, dom) * a.gens[c - 1]
+        for q, g in zip(cofactors, a.gens):
+            p = p + q * g
         if not p.is_zero():
             out.append(p)
     return GradedIdeal(reg, dom, minimal_ideal_gens(out))
@@ -338,4 +324,4 @@ def minimal_ideal_gens(polys):
     order, vecs = _ring_vectors(reg, polys, dom)
     gb = ModuleGB(dom, order)
     _feed(gb, vecs, max)
-    return [Poly(reg, dom, {order.unpack(k)[1]: c for k, c in v.items()}, _clean=True) for v in gb.kept]
+    return [order.forms(v, reg, dom, 1)[0] for v in gb.kept]

@@ -71,6 +71,7 @@ from fractions import Fraction
 
 from heis7.field import QQ, Cyc7, FieldElem, render_cyc
 from heis7.formmat import FormMatrix
+from heis7.groebner import Monomials, induced_key_from
 from heis7.heisenberg import (
     SL2_CLASS_REPS,
     SL2_DELTA,
@@ -85,7 +86,7 @@ from heis7.heisenberg import (
 )
 from heis7.linalg import np_rank, np_rref, rref
 from heis7.moduli import _MINOR_ROWS, _PAIR, compose_u, delta_ops
-from heis7.poly import REG_V, REG_X, Poly, linear_form, monomial_basis
+from heis7.poly import REG_V, REG_X, Poly, grevlex_key, linear_form, monomial_basis
 
 
 class CycDomain:
@@ -135,9 +136,17 @@ class CycDomain:
 CYC = CycDomain()
 
 
-def gb_polys(gb):
-    """The reduced basis of a GroebnerBasis as Polys."""
-    return [Poly(gb.reg, gb.dom, gb.ring.unpack_poly(g), _clean=True) for g in gb.polys]
+def gb_polys(ideal):
+    """The reduced basis ideal.gb() as Polys, unpacked under a fresh rank-1
+    order of the ideal's ring."""
+    ring = Monomials(ideal.reg.n)
+    order = induced_key_from([ring.one], ring)
+    return [order.forms(g, ideal.reg, ideal.dom, 1)[0] for g in ideal.gb()]
+
+
+def leading_terms(ideal):
+    """The grevlex-leading exponents of ideal.gb(), read off its Polys."""
+    return [max(p.terms, key=grevlex_key) for p in gb_polys(ideal)]
 
 
 class QuotientRing:

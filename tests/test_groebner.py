@@ -18,7 +18,7 @@ from heis7.groebner import (
 )
 from heis7.moduli import f_basis, j_ideal
 from heis7.poly import Poly, REG_U, REG_X, VarRegistry, grevlex_key, monomial_basis, parse_poly, render_poly
-from oracles import CYC, fraction_normal_form, gb_polys
+from oracles import CYC, fraction_normal_form, gb_polys, leading_terms
 
 
 def u(s):
@@ -27,8 +27,7 @@ def u(s):
 
 def test_monomial_ideal_is_its_own_basis():
     I = GradedIdeal(REG_U, QQ, [u("u1*u2"), u("u2*u3"), u("u3*u1")])
-    gb = I.gb()
-    assert sorted(render_poly(p) for p in gb_polys(gb)) == ["u1*u2", "u1*u3", "u2*u3"]
+    assert sorted(render_poly(p) for p in gb_polys(I)) == ["u1*u2", "u1*u3", "u2*u3"]
 
 
 def brute_standard_monomials(lt_gens, reg, d):
@@ -43,7 +42,7 @@ def brute_standard_monomials(lt_gens, reg, d):
 def test_hilbert_function_against_enumeration():
     I = GradedIdeal(REG_U, QQ, [u("u1*u2"), u("u2*u3"), u("u3*u1")])
     hd = I.hilbert()
-    lt = I.gb().leading_terms()
+    lt = leading_terms(I)
     for d in range(7):
         assert hd.hf(d) == brute_standard_monomials(lt, REG_U, d)
     assert hd.hf_range(1, 5) == [4, 7, 10, 13, 16]
@@ -62,7 +61,7 @@ def test_random_monomial_ideals_hilbert():
             gens.append(Poly.monomial(reg, e, 1))
         I = GradedIdeal(reg, QQ, gens)
         hd = I.hilbert()
-        lt = I.gb().leading_terms()
+        lt = leading_terms(I)
         for d in range(6):
             assert hd.hf(d) == brute_standard_monomials(lt, reg, d)
 
@@ -88,12 +87,11 @@ def test_hilbert_data_is_kept_per_leading_term_set():
 
 def test_apolar_ideal_membership():
     J = j_ideal()
-    gb = J.gb()
-    assert gb.contains(u("u0^2"))
-    assert gb.contains(u("u0^3"))  # every cubic is a member: hf(3) = 0
-    assert gb.contains(u("u0^4"))
-    assert not gb.contains(u("u2^2"))
-    assert not gb.contains(u("u0*u1"))
+    assert J.contains(u("u0^2"))
+    assert J.contains(u("u0^3"))  # every cubic is a member: hf(3) = 0
+    assert J.contains(u("u0^4"))
+    assert not J.contains(u("u2^2"))
+    assert not J.contains(u("u0*u1"))
     hd = J.hilbert()
     assert hd.hf_range(0, 4) == [1, 4, 3, 0, 0]
     assert hd.dim == 0 and hd.degree == 8
@@ -143,7 +141,6 @@ def test_hf_oracle_of_the_zero_ideal(monkeypatch):
 
 def test_normal_form_is_zero_exactly_for_members():
     J = j_ideal()
-    gb = J.gb()
     f, _ = f_basis()
     rng = random.Random(5)
     # explicit membership certificates: random combinations of generators
@@ -153,13 +150,13 @@ def test_normal_form_is_zero_exactly_for_members():
             e = [0] * 4
             e[rng.randrange(4)] += 1
             comb = comb + Poly.monomial(REG_U, e, Fraction(rng.randint(-3, 3))) * f[i]
-        assert gb.normal_form(comb).is_zero()
+        assert J.normal_form(comb).is_zero()
 
 
 def test_deterministic_output():
     gens = [u("u1^2+u0*u3"), u("u3^2+u0*u2"), u("u2^2+u0*u1")]
-    a1 = GradedIdeal(REG_U, QQ, gens).gb().polys
-    a2 = GradedIdeal(REG_U, QQ, gens).gb().polys
+    a1 = GradedIdeal(REG_U, QQ, gens).gb()
+    a2 = GradedIdeal(REG_U, QQ, gens).gb()
     assert [list(p.items()) for p in a1] == [list(p.items()) for p in a2]
 
 
@@ -169,8 +166,7 @@ def test_surface_cubics_form_groebner_basis():
     F31 = fp(31)
     S = surface_ideal((1, 1, 1, 1))
     I = S.ideal(F31)
-    gb = I.gb()
-    assert len(gb.polys) == 21
+    assert len(I.gb()) == 21
     hd = I.hilbert()
     assert hd.hf_range(0, 7) == [1, 7, 28, 63, 112, 175, 252, 343]
     assert hd.dim == 3 and hd.degree == 14
@@ -201,6 +197,52 @@ def test_generators_from_another_ring_are_refused():
     assert GradedIdeal(REG_U, F5, g5).hilbert().hf_range(0, 3) == j_ideal().hilbert().hf_range(0, 3)
 
 
+def test_membership_refuses_a_form_of_another_ring():
+    # J lives in u0..u3 over Q: a form in x0..x6, or one over F5, has no
+    # normal form modulo J
+    J = j_ideal()
+    in_u = r"in \('u0', 'u1', 'u2', 'u3'\)"
+    x_square = parse_poly("x0^2", REG_X)
+    u_square = u("u0^2").map_coeffs(fp(5).coerce, fp(5))
+    for member in (J.contains, J.normal_form):
+        with pytest.raises(ValueError, match=rf"^form over Q in \('x0', .*'x6'\) for an ideal over Q {in_u}$"):
+            member(x_square)
+        with pytest.raises(ValueError, match=rf"^form over F5 {in_u} for an ideal over Q {in_u}$"):
+            member(u_square)
+    assert J.contains(u("u0^2"))
+
+
+@pytest.mark.parametrize("dom", [QQ, fp(31)], ids=["QQ", "F31"])
+def test_normal_form_against_the_run_is_that_against_the_reduced_basis(dom):
+    # GradedIdeal.normal_form reduces against the complete level-1 run; the
+    # full normal form against the reduced basis gb() is the same form
+    rng = random.Random(13)
+    ring = Monomials(REG_U.n)
+    order = induced_key_from([ring.one], ring)
+    kern = Coeffs(dom)
+    zero = nonzero = 0
+    for _ in range(8):
+        ideal = GradedIdeal(REG_U, dom, _random_gens(rng, dom))
+        elems = [(G, None, L) for G, L in map(kern.lift, ideal.gb())]
+        for d in (2, 3, 4):
+            monos = monomial_basis(REG_U, d)
+            f = Poly(REG_U, dom, {e: dom.coerce(rng.randint(-5, 5)) for e in rng.sample(monos, 5)})
+            member = Poly.zero(REG_U, dom)
+            for g in ideal.gens:
+                for m in monomial_basis(REG_U, d - g.degree()):
+                    member = member + Poly.monomial(REG_U, m, dom.coerce(rng.randint(-3, 3)), dom) * g
+            for p in (f, member, f + member):
+                F, D = kern.lift(order.vector({0: p}))
+                nf = kern.export(*normal_form(F, D, elems, _reducers(elems), order, kern))
+                want = order.forms(nf, REG_U, dom, 1)[0]
+                got = ideal.normal_form(p)
+                assert list(got.terms.items()) == list(want.terms.items()), (str(p), [str(g) for g in ideal.gens])
+                assert ideal.contains(p) == want.is_zero()
+                zero += want.is_zero()
+                nonzero += not want.is_zero()
+    assert zero and nonzero
+
+
 @pytest.mark.parametrize("hilbert_first", [False, True], ids=["resolution_first", "hilbert_first"])
 def test_zero_ideal(hilbert_first):
     from heis7.resolution import free_resolution
@@ -208,7 +250,7 @@ def test_zero_ideal(hilbert_first):
     I = GradedIdeal(REG_U, QQ, [Poly.zero(REG_U, QQ)])
     assert I.gens == [] and I == GradedIdeal(REG_U, QQ, [])
     if hilbert_first:
-        assert I.hilbert().numerator == {0: 1} and I.gb().polys == []
+        assert I.hilbert().numerator == {0: 1} and I.gb() == []
     bt = free_resolution(I)
     assert bt.complete and bt.entries == {(0, 0): 1}
     assert I.hilbert().numerator == {0: 1}
@@ -254,16 +296,22 @@ def _sympy_basis(gens, dom):
     return sorted(polys, key=lambda g: grevlex_key(max(g, key=grevlex_key)))
 
 
+def _random_gens(rng, dom):
+    """Two to four seeded quadrics and cubics of REG_U over dom."""
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        monos = monomial_basis(REG_U, rng.randint(2, 3))
+        terms = {e: dom.coerce(rng.randint(-9, 9) or 1) for e in rng.sample(monos, rng.randint(2, 4))}
+        gens.append(Poly(REG_U, dom, terms))
+    return gens
+
+
 def test_buchberger_against_sympy():
     rng = random.Random(11)
     for dom in (QQ, fp(31)):
         for _ in range(12):
-            gens = []
-            for _ in range(rng.randint(2, 4)):
-                monos = monomial_basis(REG_U, rng.randint(2, 3))
-                terms = {e: dom.coerce(rng.randint(-9, 9) or 1) for e in rng.sample(monos, rng.randint(2, 4))}
-                gens.append(Poly(REG_U, dom, terms))
-            got = [dict(p.terms) for p in gb_polys(GradedIdeal(REG_U, dom, gens).gb())]
+            gens = _random_gens(rng, dom)
+            got = [dict(p.terms) for p in gb_polys(GradedIdeal(REG_U, dom, gens))]
             assert got == _sympy_basis(gens, dom), [str(g) for g in gens]
             assert got == sorted(got, key=lambda g: grevlex_key(max(g, key=grevlex_key)))
 
@@ -288,7 +336,7 @@ def test_degree_capped_auto_reduce_returns(dom):
     run, capped = ideal.level_one(3)
     assert (capped or run.pairs) and ideal.run is None
     ring = run.order.ring
-    assert buchberger(run) == [ring.pack_poly({(2, 0, 0, 0): dom.one}), ring.pack_poly({(0, 0, 3, 0): dom.one})]
+    assert buchberger(run) == [{ring.pack((2, 0, 0, 0)): dom.one}, {ring.pack((0, 0, 3, 0)): dom.one}]
 
 
 _COEFFS = st.builds(Fraction, st.integers(-(2**70), 2**70).filter(bool), st.integers(1, 10**12))
@@ -296,6 +344,11 @@ _COEFFS = st.builds(Fraction, st.integers(-(2**70), 2**70).filter(bool), st.inte
 
 def _polys(top, size):
     return st.dictionaries(st.tuples(*[st.integers(0, top)] * 3), _COEFFS, min_size=1, max_size=size)
+
+
+def _packed(ring, terms):
+    """The dict {exponent: coefficient} with its exponents packed."""
+    return {ring.pack(e): c for e, c in terms.items()}
 
 
 def _reducers(elems):
@@ -322,9 +375,9 @@ def test_fraction_free_reduction_matches_fractions(f, divisors, row, cofactor):
     ring = Monomials(3)
     kern = Coeffs(QQ)
     order = induced_key_from([ring.one], ring)
-    f = ring.pack_poly(f)
+    f = _packed(ring, f)
     basis = []
-    for g in map(ring.pack_poly, divisors):
+    for g in (_packed(ring, g) for g in divisors):
         lc = g[max(g)]
         basis.append({t: c / lc for t, c in g.items()})
     elems = [(G, None, L) for G, L in map(kern.lift, basis)]
@@ -338,7 +391,7 @@ def test_fraction_free_reduction_matches_fractions(f, divisors, row, cofactor):
     assert list(got.items()) == list(want.items())
     # one tracked step: f and its row r lose c x^m g and c x^m rg, for f's
     # leading coefficient c and the monic g's row rg
-    g, rg, r = basis[0], ring.pack_poly(cofactor), ring.pack_poly(row)
+    g, rg, r = basis[0], _packed(ring, cofactor), _packed(ring, row)
     lead, shift = max(f), max(f) - max(g)
     if not divides(max(g), lead):
         return
@@ -371,7 +424,7 @@ def test_modular_reduction_matches_plain_arithmetic(p, f, divisors, row, cofacto
     order = induced_key_from([ring.one], ring)
 
     def residues(v):
-        return {t: c % p for t, c in ring.pack_poly(v).items() if c % p}
+        return {t: c % p for t, c in _packed(ring, v).items() if c % p}
 
     f, row, cofactor = residues(f), residues(row), residues(cofactor)
     basis = []

@@ -10,11 +10,12 @@ width are refused, never packed.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heis7.field import QQ
+from heis7.field import QQ, fp
 from heis7.groebner import DEGREE_LIMIT, B, GradedIdeal, Monomials
 from heis7.poly import REG_U, grevlex_key, parse_poly
 from heis7.resolution import free_resolution, induced_key_from, pot_key
 from oracles import induced_key_recursive
+from test_poly import _q_polys
 
 
 def _capped(xs, cap):
@@ -140,6 +141,31 @@ def test_induced_order_at_depths_one_to_three(chain):
         prev = order
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_q_polys, min_size=1, max_size=4),
+    st.lists(st.integers(0, 5), min_size=4, max_size=4),
+    st.sampled_from([QQ, fp(31)]),
+)
+def test_forms_of_a_vector_are_the_forms_packed(fs, gdeg, dom):
+    # ModuleOrder.vector and ModuleOrder.forms are inverse, term order
+    # within each form included, under the ring as a rank-1 module and
+    # under a position-over-term order with component degrees
+    fs = [f.map_coeffs(dom.coerce, dom) for f in fs]
+    reg = fs[0].reg
+    ring = Monomials(reg.n)
+
+    def items(forms):
+        return [list(f.terms.items()) for f in forms]
+
+    rank_one = induced_key_from([ring.one], ring)
+    got = rank_one.forms(rank_one.vector({0: fs[0]}), reg, dom, 1)
+    assert got == fs[:1] and items(got) == items(fs[:1])
+    order = pot_key(ring, gdeg[: len(fs)])
+    got = order.forms(order.vector(dict(enumerate(fs))), reg, dom, len(fs))
+    assert got == fs and items(got) == items(fs)
+
+
 def test_engines_refuse_terms_beyond_the_field_width():
     def u(s):
         return parse_poly(s, REG_U)
@@ -152,10 +178,10 @@ def test_engines_refuse_terms_beyond_the_field_width():
         big.gb()
     with pytest.raises(ValueError, match="degree"):
         free_resolution(big, degree_cap=300)
-    gb = GradedIdeal(REG_U, QQ, [u("u0^2")]).gb()
-    assert gb.contains(u(f"u0^{DEGREE_LIMIT}"))
+    square = GradedIdeal(REG_U, QQ, [u("u0^2")])
+    assert square.contains(u(f"u0^{DEGREE_LIMIT}"))
     with pytest.raises(ValueError, match=f"degree {DEGREE_LIMIT + 1} "):
-        gb.contains(u(f"u0^{DEGREE_LIMIT + 1}"))
+        square.contains(u(f"u0^{DEGREE_LIMIT + 1}"))
     # a module term's degree adds its component's shift, in pack and in
     # from_row (plain-packed rows, e_1 in the field at B bits) alike
     ring = Monomials(REG_U.n)

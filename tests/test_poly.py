@@ -210,6 +210,19 @@ def test_form_matrix_refuses_an_entry_of_another_ring():
         FormMatrix([[f], [q]])
 
 
+def test_form_matrix_refuses_empty_and_ragged_shapes():
+    from heis7.formmat import FormMatrix, det_form
+
+    u0, u1, u2 = (Poly.var(REG_U, f"u{i}") for i in range(3))
+    for entries in ([], [[]]):
+        with pytest.raises(ValueError, match="^form matrix is empty$"):
+            FormMatrix(entries)
+    with pytest.raises(ValueError, match=r"^form matrix is ragged: row lengths \[1, 2\]$"):
+        FormMatrix([[u0], [u1, u2]])
+    with pytest.raises(ValueError, match=r"^form matrix is ragged: row lengths \[2, 1\]$"):
+        det_form(FormMatrix([[u0, u1], [u2]]))
+
+
 def _det_cases(rng):
     """Seeded square matrices of integer coefficient triples (linear forms
     in y1, y2, y3), sizes 1-6, with zero entries, a zero row and repeated
